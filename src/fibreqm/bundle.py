@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .hilbert import as_operator, as_state, matrix_exponential, max_abs
+from .hilbert import antihermitian_exponentials, as_operator, as_state, max_abs
 
 __all__ = [
     "GlobalSection",
@@ -28,6 +28,7 @@ __all__ = [
     "TrivializationFamily",
     "basis_field",
     "bundle_adjoint_map",
+    "bundle_adjoint_maps",
     "bundle_adjoint_morphism",
     "constant_trivialization",
     "diagonal_phase_trivialization",
@@ -36,6 +37,7 @@ __all__ = [
     "identity_trivialization",
     "lift_operator",
     "lift_operator_on_grid",
+    "lift_operators",
     "lift_trajectory",
     "lift_vector",
     "module_combine",
@@ -124,12 +126,24 @@ class TrivializationFamily:
             return np.asarray(self._batch_dfn(times), dtype=complex)
         return np.stack([self.derivative_at(t, fd_step) for t in times])
 
-    def inverse_at(self, t: float) -> np.ndarray:
+    def invertible_at(self, t: float) -> np.ndarray:
+        """l(t), checked invertible."""
         m = self.at(t)
         _require_invertible(m, self.name, t)
-        return np.linalg.inv(m)
+        return m
 
-    def validate_on_grid(self, times, inv_tol: float = 1e-8, fd_tol: float = 1e-3) -> None:
+    def invertible_at_many(self, times, inv_tol: float = 1e-12) -> np.ndarray:
+        """The stack l(t_k), sampled once and checked invertible once."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        values = self.at_many(times)
+        _require_invertible(values, self.name, times, inv_tol)
+        return values
+
+    def inverse_at(self, t: float) -> np.ndarray:
+        return np.linalg.inv(self.invertible_at(t))
+
+    def validate_on_grid(self, times, inv_tol: float = 1e-8, fd_tol: float = 1e-3
+                         ) -> np.ndarray:
         """Check invertibility at every grid time and derivative consistency.
 
         The smallest singular value must stay >= inv_tol * largest at every
@@ -138,10 +152,12 @@ class TrivializationFamily:
         fd_tol (scaled) plus the finite-difference truncation floor estimated
         from the sampled third derivative, so correct derivatives pass on
         coarse grids while order-one mistakes are still caught.
+
+        Returns the checked grid values, so callers can reuse them instead of
+        sampling the grid again.
         """
         times = np.asarray(times, dtype=float)
-        values = self.at_many(times)
-        _require_invertible(values, self.name, times, inv_tol)
+        values = self.invertible_at_many(times, inv_tol)
         if self.has_analytic_derivative and times.size >= 3:
             supplied = self.derivative_at_many(times[1:-1])
             fd = (values[2:] - values[:-2]) / (times[2:] - times[:-2])[:, None, None]
@@ -156,6 +172,7 @@ class TrivializationFamily:
                 raise ValueError(
                     f"trivialization '{self.name}': analytic derivative deviates from "
                     f"finite differences by {dev:.3e} (allowed {allowance:.3e})")
+        return values
 
 
 # --- catalog families ---------------------------------------------------
@@ -209,35 +226,50 @@ def constant_trivialization(matrix, name: str = "constant") -> TrivializationFam
         name=name)
 
 
-def random_smooth_unitary_trivialization(dimension: int, seed: int, scale: float = 0.6,
-                                         frequency: float = 2.5) -> TrivializationFamily:
-    """Seeded smooth unitary family l(t) = exp(t K1) exp(sin(w t) K2).
+def _seeded_smooth_unitary(dimension: int, seed_key: Sequence[int], scale: float,
+                           frequency: float):
+    """Samplers of s -> exp(s K1) exp(sin(w s) K2) and of its s-derivative.
 
-    K1, K2 are anti-Hermitian, so every value is exactly unitary, and each
-    factor is a single-generator exponential whose derivative is elementary;
-    the product rule then gives the family's analytic derivative.
+    K1, K2 are anti-Hermitian generators drawn in turn from
+    `default_rng(seed_key)`.  Each is diagonalized once
+    (`antihermitian_exponentials`), so a whole stack of samples costs two
+    batched products per factor and every sample is unitary to rounding.
+    The random gauge family and the random picture of motion share it.
     """
-    rng = np.random.default_rng([int(seed), 0x51])
+    rng = np.random.default_rng(list(seed_key))
     gens = []
     for _ in range(2):
         m = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(size=(dimension, dimension))
         herm = (m + m.conj().T) / 2.0
         gens.append(1j * scale * herm / max(1.0, np.sqrt(dimension)))
     k1, k2 = gens
+    exp1, exp2 = antihermitian_exponentials(k1), antihermitian_exponentials(k2)
 
-    def batch(ts: np.ndarray) -> np.ndarray:
-        f1 = matrix_exponential(ts[:, None, None] * k1)
-        f2 = matrix_exponential(np.sin(frequency * ts)[:, None, None] * k2)
-        return f1 @ f2
+    def values(s: np.ndarray) -> np.ndarray:
+        return exp1(s) @ exp2(np.sin(frequency * s))
 
-    def batch_derivative(ts: np.ndarray) -> np.ndarray:
-        f1 = matrix_exponential(ts[:, None, None] * k1)
-        f2 = matrix_exponential(np.sin(frequency * ts)[:, None, None] * k2)
-        rate = (frequency * np.cos(frequency * ts))[:, None, None]
+    def derivative(s: np.ndarray) -> np.ndarray:
+        f1 = exp1(s)
+        f2 = exp2(np.sin(frequency * s))
+        rate = (frequency * np.cos(frequency * s))[:, None, None]
         return (k1 @ f1) @ f2 + f1 @ (rate * (k2 @ f2))
 
-    return TrivializationFamily(None, dimension, batch_fn=batch,
-                                batch_derivative_fn=batch_derivative,
+    return values, derivative
+
+
+def random_smooth_unitary_trivialization(dimension: int, seed: int, scale: float = 0.6,
+                                         frequency: float = 2.5) -> TrivializationFamily:
+    """Seeded smooth unitary family l(t) = exp(t K1) exp(sin(w t) K2).
+
+    K1, K2 are anti-Hermitian, so every value is unitary; each factor is a
+    single-generator exponential whose derivative is elementary, and the
+    product rule gives the family's analytic derivative.  Both generators are
+    diagonalized once when the family is built, and every frame stack is
+    V diag(exp(i s lam)) V^dagger per factor (no series exponentials).
+    """
+    values, derivative = _seeded_smooth_unitary(dimension, [int(seed), 0x51], scale, frequency)
+    return TrivializationFamily(None, dimension, batch_fn=values,
+                                batch_derivative_fn=derivative,
                                 name="random-smooth-unitary")
 
 
@@ -302,40 +334,35 @@ def _same_grid(a: np.ndarray, b: np.ndarray) -> None:
 
 # --- lifting --------------------------------------------------------------
 
+def lift_operators(frames: np.ndarray, a) -> np.ndarray:
+    """l(t_k)^-1 A_k l(t_k) over a stack of checked frames; A may be one operator."""
+    a = np.asarray(a, dtype=complex)
+    stacked = a if a.ndim == frames.ndim else np.broadcast_to(a, frames.shape)
+    return np.linalg.solve(frames, stacked @ frames)
+
+
 def lift_vector(l: TrivializationFamily, t: float, psi) -> np.ndarray:
     """l(t)^-1 psi: the fibre representative of a typical-fibre vector."""
-    psi = as_state(psi)
-    lt = l.at(t)
-    _require_invertible(lt, l.name, t)
-    return np.linalg.solve(lt, psi)
+    return np.linalg.solve(l.invertible_at(t), as_state(psi))
 
 
 def lift_operator(l: TrivializationFamily, t: float, a) -> np.ndarray:
     """l(t)^-1 A l(t): the fibre morphism of a typical-fibre operator."""
-    a = as_operator(a)
-    lt = l.at(t)
-    _require_invertible(lt, l.name, t)
-    return np.linalg.solve(lt, a @ lt)
+    return lift_operators(l.invertible_at(t), as_operator(a))
 
 
 def lift_trajectory(l: TrivializationFamily, times, states) -> SectionAlongPath:
     """Lift a whole state history into the fibres with one batched solve."""
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
-    mats = l.at_many(times)
-    _require_invertible(mats, l.name, times)
-    values = np.linalg.solve(mats, states[..., None])[..., 0]
-    return SectionAlongPath(times, values)
+    frames = l.invertible_at_many(times)
+    return SectionAlongPath(times, np.linalg.solve(frames, states[..., None])[..., 0])
 
 
 def lift_operator_on_grid(l: TrivializationFamily, times, a) -> MorphismAlongPath:
     """Lift one operator (or a stack, one per time) at every grid time."""
     times = np.asarray(times, dtype=float)
-    a = np.asarray(a, dtype=complex)
-    mats = l.at_many(times)
-    _require_invertible(mats, l.name, times)
-    stacked = a if a.ndim == 3 else np.broadcast_to(a, mats.shape)
-    return MorphismAlongPath(times, np.linalg.solve(mats, stacked @ mats))
+    return MorphismAlongPath(times, lift_operators(l.invertible_at_many(times), a))
 
 
 # --- fibre metric and adjoints ---------------------------------------------
@@ -344,8 +371,7 @@ def fibre_inner_product(l: TrivializationFamily, t: float, u, v) -> complex:
     """<u|v>_t = <l(t) u | l(t) v>; positive definite for invertible l."""
     u = as_state(u)
     v = as_state(v)
-    lt = l.at(t)
-    _require_invertible(lt, l.name, t)
+    lt = l.invertible_at(t)
     return complex(np.vdot(lt @ u, lt @ v))
 
 
@@ -355,11 +381,14 @@ def bundle_adjoint_morphism(l: TrivializationFamily, t: float, a_fibre) -> np.nd
     Satisfies <adj(A) u | v>_t = <u | A v>_t; computed as
     l^-1 (l A l^-1)^dagger l.
     """
-    a = as_operator(a_fibre)
-    lt = l.at(t)
-    _require_invertible(lt, l.name, t)
+    lt = l.invertible_at(t)
+    return bundle_adjoint_maps(lt, lt, as_operator(a_fibre))
+
+
+def bundle_adjoint_maps(ls: np.ndarray, lt: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """l_t^-1 (l_s A l_t^-1)^dagger l_s over stacks of checked frames and maps."""
     lt_inv = np.linalg.inv(lt)
-    return lt_inv @ (lt @ a @ lt_inv).conj().T @ lt
+    return lt_inv @ np.swapaxes((ls @ a @ lt_inv).conj(), -2, -1) @ ls
 
 
 def bundle_adjoint_map(l: TrivializationFamily, s: float, t: float, a_map) -> np.ndarray:
@@ -372,13 +401,7 @@ def bundle_adjoint_map(l: TrivializationFamily, s: float, t: float, a_map) -> np
     computed as l_t^-1 (l_s A l_t^-1)^dagger l_s.  A two-point map is a
     unitary bundle map precisely when this adjoint equals its inverse.
     """
-    a = as_operator(a_map)
-    ls = l.at(s)
-    lt = l.at(t)
-    _require_invertible(ls, l.name, s)
-    _require_invertible(lt, l.name, t)
-    lt_inv = np.linalg.inv(lt)
-    return lt_inv @ (ls @ a @ lt_inv).conj().T @ ls
+    return bundle_adjoint_maps(l.invertible_at(s), l.invertible_at(t), as_operator(a_map))
 
 
 def basis_field(l: TrivializationFamily, t: float, frame: Sequence) -> List[np.ndarray]:
@@ -390,9 +413,7 @@ def basis_field(l: TrivializationFamily, t: float, frame: Sequence) -> List[np.n
     svals = np.linalg.svd(stacked, compute_uv=False)
     if len(vectors) > vectors[0].shape[0] or svals[-1] <= 1e-12 * max(float(svals[0]), 1e-300):
         raise ValueError("frame is linearly dependent")
-    lt = l.at(t)
-    _require_invertible(lt, l.name, t)
-    lifted = np.linalg.solve(lt, stacked.T).T
+    lifted = np.linalg.solve(l.invertible_at(t), stacked.T).T
     return [lifted[k] for k in range(lifted.shape[0])]
 
 
@@ -410,8 +431,7 @@ def section_inner(l: TrivializationFamily, phi: SectionAlongPath,
                   psi: SectionAlongPath) -> np.ndarray:
     """Pointwise fibre scalar product of two sections; a complex grid field."""
     _same_grid(phi.times, psi.times)
-    mats = l.at_many(phi.times)
-    _require_invertible(mats, l.name, phi.times)
+    mats = l.invertible_at_many(phi.times)
     y = np.einsum("kij,kj->ki", mats, phi.values)
     z = np.einsum("kij,kj->ki", mats, psi.values)
     return np.einsum("ki,ki->k", y.conj(), z)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Dict, List, Tuple
 
@@ -18,9 +19,8 @@ import numpy as np
 from .bundle import (
     MorphismAlongPath,
     SectionAlongPath,
-    bundle_adjoint_map,
-    lift_operator_on_grid,
-    lift_trajectory,
+    bundle_adjoint_maps,
+    lift_operators,
     module_combine,
     morphism_as_section_operator,
     section_operator_as_morphism,
@@ -33,6 +33,7 @@ from .scenario import ScenarioConfig
 from .transport import (
     EvolutionTransport,
     MatrixBundleHamiltonian,
+    TransportAxiomReport,
     check_transport_axioms,
     integrate_bundle_schrodinger,
 )
@@ -42,7 +43,13 @@ __all__ = ["run_scenario", "ScenarioArtifacts", "build_artifacts"]
 
 @dataclass
 class ScenarioArtifacts:
-    """Everything a check needs, computed once per scenario."""
+    """Everything a check needs, computed once per scenario.
+
+    `frames` is the trivialization sampled once on the grid; every grid-level
+    lift, the transport and the checks read it instead of sampling again.
+    Stacks that only one check needs (the picture frames) are built inside
+    that check and dropped with it; only scalar results are cached here.
+    """
 
     cfg: ScenarioConfig
     propagators: PropagatorGrid
@@ -64,17 +71,36 @@ class ScenarioArtifacts:
     def times(self) -> np.ndarray:
         return self.cfg.times
 
+    @cached_property
+    def _transport_axioms(self) -> Tuple[int, TransportAxiomReport]:
+        """Sampled triple count and transport-axiom deviations, measured once.
+
+        Both transport checks read the deviations and judge them against
+        their own tolerances; the report's own verdict is not used.
+        """
+        triples = _sample_triples(self.times, self.cfg.seed)
+        return len(triples), check_transport_axioms(self.transport, triples, 0.0)
+
 
 def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
+    """Run both pipelines once and keep what the checks compare.
+
+    Each time set is sampled once: the trivialization's grid values come
+    from `validate_on_grid` (which also samples the interior derivatives it
+    compares against them, and checks invertibility once at its stricter
+    tolerance), and those frames feed the lift kernels, the transport and
+    the densities directly.  The bundle generator samples values and
+    derivatives on the midpoints once, inside the shared midpoint stepper.
+    """
     times = cfg.times
     t0 = float(times[0])
     l = cfg.trivialization
-    l.validate_on_grid(times)
+    frames = l.validate_on_grid(times)
 
     propagators = PropagatorGrid(cfg.hamiltonian, times, cfg.constants)
     states = propagate_states(propagators.step_matrices, cfg.initial_state)
     trajectory = Trajectory(times, states)
-    lifted = lift_trajectory(l, times, states)
+    lifted = SectionAlongPath(times, np.linalg.solve(frames, states[..., None])[..., 0])
 
     bundle_generator = MatrixBundleHamiltonian(
         cfg.hamiltonian, l, times, cfg.constants,
@@ -82,12 +108,12 @@ def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
     bundle_section = integrate_bundle_schrodinger(
         bundle_generator, lifted.values[0], t0, float(times[-1]), cfg.step)
 
-    transport = EvolutionTransport(propagators, l)
-    frames = transport.frames
+    transport = EvolutionTransport(propagators, l, frames)
     inverse_frames = transport.inverse_frames
 
     lifted_observables = {
-        name: lift_operator_on_grid(l, times, stack) for name, stack in cfg.observables
+        name: MorphismAlongPath(times, lift_operators(frames, stack))
+        for name, stack in cfg.observables
     }
 
     if cfg.initial_density is not None:
@@ -96,8 +122,8 @@ def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
         psi0 = cfg.initial_state
         rho0 = np.outer(psi0, psi0.conj()) / np.vdot(psi0, psi0).real
     rho_conventional = conjugate_by(propagators.prefixes, rho0, propagators.inverse_prefixes)
-    density_lifted = np.linalg.solve(frames, rho_conventional @ frames)
-    p0 = np.linalg.solve(frames[0], rho0 @ frames[0])
+    density_lifted = lift_operators(frames, rho_conventional)
+    p0 = lift_operators(frames[0], rho0)
     density_transported = conjugate_by(
         transport.matrices_from(t0), p0, transport.matrices_into(t0))
 
@@ -168,13 +194,17 @@ def _check_norm_drift(art: ScenarioArtifacts, tol: float,
     return CheckRecord("norm_drift", worst, tol, worst <= tol, at)
 
 
-def _check_transport_axioms(art: ScenarioArtifacts, which: str, tol: float) -> CheckRecord:
-    triples = _sample_triples(art.times, art.cfg.seed)
-    report = check_transport_axioms(art.transport, triples, tol)
-    if which == "transport_identity":
-        worst, at = report.max_identity_deviation, report.worst_identity_time
-        return CheckRecord("transport_identity", worst, tol, worst <= tol, at,
-                           detail=f"{len(triples)} sampled triples")
+def _check_transport_identity(art: ScenarioArtifacts, tol: float,
+                              series: Dict[str, np.ndarray]) -> CheckRecord:
+    triples, report = art._transport_axioms
+    worst, at = report.max_identity_deviation, report.worst_identity_time
+    return CheckRecord("transport_identity", worst, tol, worst <= tol, at,
+                       detail=f"{triples} sampled triples")
+
+
+def _check_transport_composition(art: ScenarioArtifacts, tol: float,
+                                 series: Dict[str, np.ndarray]) -> CheckRecord:
+    _, report = art._transport_axioms
     worst = report.max_composition_deviation
     at = report.worst_composition_triple[2]
     return CheckRecord("transport_composition", worst, tol, worst <= tol, at,
@@ -198,7 +228,8 @@ def _check_mean_value_invariance(art: ScenarioArtifacts, tol: float,
                        detail=f"worst observable: {worst_obs}")
 
 
-def _check_hermiticity_correspondence(art: ScenarioArtifacts, tol: float) -> CheckRecord:
+def _check_hermiticity_correspondence(art: ScenarioArtifacts, tol: float,
+                                      series: Dict[str, np.ndarray]) -> CheckRecord:
     frames, inv = art.frames, art.inverse_frames
     worst, worst_at, worst_obs = -1.0, None, ""
     for name, stack in art.cfg.observables:
@@ -215,23 +246,21 @@ def _check_hermiticity_correspondence(art: ScenarioArtifacts, tol: float) -> Che
                        detail=f"worst observable: {worst_obs}")
 
 
-def _check_unitary_bundle_map(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    times = art.times
-    idx = _coarse_indices(times.size)
-    l = art.cfg.trivialization
-    worst, worst_at = -1.0, None
-    for i in idx:
-        for j in idx:
-            s, t = float(times[i]), float(times[j])
-            forward = art.transport.matrix_by_index(i, j)   # fibre(t) -> fibre(s)
-            adj = bundle_adjoint_map(l, s, t, forward)      # fibre(s) -> fibre(t)
-            dev = max_abs(adj - art.transport.matrix_by_index(j, i))
-            if dev > worst:
-                worst, worst_at = dev, t
-    return CheckRecord("unitary_bundle_map", worst, tol, worst <= tol, worst_at)
+def _check_unitary_bundle_map(art: ScenarioArtifacts, tol: float,
+                              series: Dict[str, np.ndarray]) -> CheckRecord:
+    idx = _coarse_indices(art.times.size)
+    i, j = (k.ravel() for k in np.meshgrid(idx, idx, indexing="ij"))
+    query = art.transport.matrix_by_index
+    forward = np.stack([query(a, b) for a, b in zip(i, j)])    # fibre(t_j) -> fibre(t_i)
+    backward = np.stack([query(b, a) for a, b in zip(i, j)])
+    adjoints = bundle_adjoint_maps(art.frames[i], art.frames[j], forward)
+    per_pair = np.max(np.abs(adjoints - backward), axis=(1, 2))
+    worst, at = _worst(art.times[j], per_pair)
+    return CheckRecord("unitary_bundle_map", worst, tol, worst <= tol, at)
 
 
-def _picture_data(art: ScenarioArtifacts):
+def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
+                              series: Dict[str, np.ndarray]) -> CheckRecord:
     t0 = float(art.times[0])
     into_t0 = art.transport.matrices_into(t0)
     from_t0 = art.transport.matrices_from(t0)
@@ -239,12 +268,6 @@ def _picture_data(art: ScenarioArtifacts):
     psi_h = _apply(into_t0, psi_t)
     v = PictureTransform.random_unitary(art.times, art.cfg.dimension, art.cfg.seed,
                                         reference_time=t0)
-    return t0, into_t0, from_t0, psi_t, psi_h, v
-
-
-def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
-                              series: Dict[str, np.ndarray]) -> CheckRecord:
-    t0, into_t0, from_t0, psi_t, psi_h, v = _picture_data(art)
     frames = art.frames
     frame0 = np.broadcast_to(frames[0], frames.shape)
     worst, worst_at, worst_obs = -1.0, None, ""
@@ -272,8 +295,10 @@ def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
                        detail=f"worst observable: {worst_obs}")
 
 
-def _check_heisenberg_constancy(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    _, _, _, psi_t, psi_h, _ = _picture_data(art)
+def _check_heisenberg_constancy(art: ScenarioArtifacts, tol: float,
+                                series: Dict[str, np.ndarray]) -> CheckRecord:
+    psi_t = art.transported_section.values
+    psi_h = _apply(art.transport.matrices_into(float(art.times[0])), psi_t)  # U(t0, t) Psi(t)
     per_time = np.max(np.abs(psi_h - psi_t[0]), axis=1)
     worst, at = _worst(art.times, per_time)
     return CheckRecord("heisenberg_constancy", worst, tol, worst <= tol, at)
@@ -287,21 +312,24 @@ def _check_density_consistency(art: ScenarioArtifacts, tol: float,
     return CheckRecord("density_consistency", worst, tol, worst <= tol, at)
 
 
-def _check_density_purity(art: ScenarioArtifacts, tol: float) -> CheckRecord:
+def _check_density_purity(art: ScenarioArtifacts, tol: float,
+                          series: Dict[str, np.ndarray]) -> CheckRecord:
     p = art.density_transported
     per_time = np.max(np.abs(p @ p - p), axis=(1, 2))
     worst, at = _worst(art.times, per_time)
     return CheckRecord("density_purity", worst, tol, worst <= tol, at)
 
 
-def _check_fibre_trace(art: ScenarioArtifacts, tol: float) -> CheckRecord:
+def _check_fibre_trace(art: ScenarioArtifacts, tol: float,
+                       series: Dict[str, np.ndarray]) -> CheckRecord:
     traces = np.trace(art.density_transported, axis1=1, axis2=2)
     per_time = np.abs(traces - np.trace(art.rho0))
     worst, at = _worst(art.times, per_time)
     return CheckRecord("fibre_trace_preservation", worst, tol, worst <= tol, at)
 
 
-def _check_module_dualities(art: ScenarioArtifacts, tol: float) -> CheckRecord:
+def _check_module_dualities(art: ScenarioArtifacts, tol: float,
+                            series: Dict[str, np.ndarray]) -> CheckRecord:
     times = art.times[_coarse_indices(art.times.size)]
     n = art.cfg.dimension
     rng = np.random.default_rng([art.cfg.seed, 0x4D])
@@ -336,7 +364,8 @@ def _check_module_dualities(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     return CheckRecord("module_dualities", worst, tol, passed, None, detail=detail)
 
 
-def _check_integrals_of_motion(art: ScenarioArtifacts, tol: float) -> CheckRecord:
+def _check_integrals_of_motion(art: ScenarioArtifacts, tol: float,
+                               series: Dict[str, np.ndarray]) -> CheckRecord:
     outcomes = []
     all_match = True
     worst = 0.0
@@ -370,28 +399,23 @@ def _check_physics_closed_form(art: ScenarioArtifacts, tol: float,
                        detail=f"rabi flip vs sin^2({omega:g} t / 2)")
 
 
+# Check id -> check; every check takes (artifacts, tolerance, timeseries sink).
 _CHECK_TABLE = {
-    "state_equivalence": lambda art, tol, series: _check_state_equivalence(art, tol, series),
-    "norm_drift": lambda art, tol, series: _check_norm_drift(art, tol, series),
-    "transport_identity": lambda art, tol, series: _check_transport_axioms(
-        art, "transport_identity", tol),
-    "transport_composition": lambda art, tol, series: _check_transport_axioms(
-        art, "transport_composition", tol),
-    "mean_value_invariance": lambda art, tol, series: _check_mean_value_invariance(
-        art, tol, series),
-    "hermiticity_correspondence": lambda art, tol, series: _check_hermiticity_correspondence(
-        art, tol),
-    "unitary_bundle_map": lambda art, tol, series: _check_unitary_bundle_map(art, tol),
-    "picture_invariance": lambda art, tol, series: _check_picture_invariance(art, tol, series),
-    "heisenberg_constancy": lambda art, tol, series: _check_heisenberg_constancy(art, tol),
-    "density_consistency": lambda art, tol, series: _check_density_consistency(
-        art, tol, series),
-    "density_purity": lambda art, tol, series: _check_density_purity(art, tol),
-    "fibre_trace_preservation": lambda art, tol, series: _check_fibre_trace(art, tol),
-    "module_dualities": lambda art, tol, series: _check_module_dualities(art, tol),
-    "integrals_of_motion": lambda art, tol, series: _check_integrals_of_motion(art, tol),
-    "physics_closed_form": lambda art, tol, series: _check_physics_closed_form(
-        art, tol, series),
+    "state_equivalence": _check_state_equivalence,
+    "norm_drift": _check_norm_drift,
+    "transport_identity": _check_transport_identity,
+    "transport_composition": _check_transport_composition,
+    "mean_value_invariance": _check_mean_value_invariance,
+    "hermiticity_correspondence": _check_hermiticity_correspondence,
+    "unitary_bundle_map": _check_unitary_bundle_map,
+    "picture_invariance": _check_picture_invariance,
+    "heisenberg_constancy": _check_heisenberg_constancy,
+    "density_consistency": _check_density_consistency,
+    "density_purity": _check_density_purity,
+    "fibre_trace_preservation": _check_fibre_trace,
+    "module_dualities": _check_module_dualities,
+    "integrals_of_motion": _check_integrals_of_motion,
+    "physics_closed_form": _check_physics_closed_form,
 }
 
 

@@ -8,6 +8,7 @@ dimension independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -17,6 +18,7 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "adjoint",
+    "antihermitian_exponentials",
     "as_operator",
     "as_state",
     "commutator",
@@ -148,3 +150,28 @@ def matrix_exponential(a, max_terms: int = 64) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def antihermitian_exponentials(k) -> Callable[[np.ndarray], np.ndarray]:
+    """Exponentials s -> exp(s K) of one anti-Hermitian generator, diagonalized once.
+
+    K = iH with H = V diag(lam) V^dagger from `eigh`, so the returned sampler
+    gives the stack exp(s_k K) = V diag(exp(i s_k lam)) V^dagger for an array
+    of real scalars s_k, at the cost of one batched product.  For normal K the
+    eigenvector method is well conditioned and its values are unitary to
+    rounding.  Raises ValueError unless K + K^dagger vanishes to
+    1e-12 * max(1, max|K|).
+    """
+    k = as_operator(k)
+    dev = max_abs(k + k.conj().T)
+    if dev > 1e-12 * max(1.0, max_abs(k)):
+        raise ValueError(f"generator is not anti-Hermitian (|K + K^dagger| = {dev:.3e})")
+
+    lam, vecs = np.linalg.eigh(-1j * k)
+    vecs_dagger = vecs.conj().T
+
+    def exponentials(s) -> np.ndarray:
+        phases = np.exp(1j * np.asarray(s, dtype=float)[..., None] * lam)
+        return (vecs * phases[..., None, :]) @ vecs_dagger
+
+    return exponentials

@@ -22,10 +22,12 @@ from .bundle import (
     SectionAlongPath,
     TrivializationFamily,
     _require_invertible,
+    _seeded_smooth_unitary,
     lift_operator,
+    lift_operators,
 )
 from .dynamics import HamiltonianFamily, ObservableFamily, grid_index
-from .hilbert import PhysicalConstants, as_operator, as_state, matrix_exponential, max_abs
+from .hilbert import PhysicalConstants, as_operator, as_state, max_abs
 from .transport import EvolutionTransport
 
 __all__ = [
@@ -53,8 +55,7 @@ def bundle_mean_value(a: MorphismAlongPath, psi: SectionAlongPath,
     """<Psi(t)|A(t) Psi(t)>_t / <Psi(t)|Psi(t)>_t under the fibre metric."""
     at = a.matrix_at(t)
     value = psi.value_at(t)
-    lt = l.at(t)
-    _require_invertible(lt, l.name, t)
+    lt = l.invertible_at(t)
     y = lt @ value
     z = lt @ (at @ value)
     norm_sq = np.vdot(y, y).real
@@ -67,8 +68,7 @@ def heisenberg_mean(a_h, psi_h, l: TrivializationFamily, t0: float) -> complex:
     """Mean of a Heisenberg pair, taken in the reference-time fibre."""
     a_h = as_operator(a_h)
     psi_h = as_state(psi_h)
-    lt = l.at(t0)
-    _require_invertible(lt, l.name, t0)
+    lt = l.invertible_at(t0)
     y = lt @ psi_h
     z = lt @ (a_h @ psi_h)
     norm_sq = np.vdot(y, y).real
@@ -129,21 +129,16 @@ class PictureTransform:
     def random_unitary(cls, times, dimension: int, seed: int,
                        reference_time: Optional[float] = None, scale: float = 0.7,
                        frequency: float = 3.0) -> "PictureTransform":
-        """Seeded smooth unitary family anchored at the identity."""
+        """Seeded smooth unitary family V(t) = exp(s K1) exp(sin(w s) K2), s = t - t0.
+
+        The generators come from the same seeded helper as
+        `random_smooth_unitary_trivialization` (own RNG key), so each is
+        diagonalized once and V(t0) is the identity to rounding.
+        """
         times = np.asarray(times, dtype=float)
         t0 = float(times[0]) if reference_time is None else float(reference_time)
-        rng = np.random.default_rng([int(seed), 0x9C])
-        gens = []
-        for _ in range(2):
-            m = rng.normal(size=(dimension, dimension)) \
-                + 1j * rng.normal(size=(dimension, dimension))
-            herm = (m + m.conj().T) / 2.0
-            gens.append(1j * scale * herm / max(1.0, np.sqrt(dimension)))
-        k1, k2 = gens
-        rel = times - t0
-        f1 = matrix_exponential(rel[:, None, None] * k1)
-        f2 = matrix_exponential(np.sin(frequency * rel)[:, None, None] * k2)
-        return cls(t0, times, f1 @ f2, unitary=True)
+        values, _ = _seeded_smooth_unitary(dimension, [int(seed), 0x9C], scale, frequency)
+        return cls(t0, times, values(times - t0), unitary=True)
 
 
 def to_heisenberg_state(psi: SectionAlongPath, transport: EvolutionTransport,
@@ -182,8 +177,7 @@ def general_picture_mean(a_v, psi_v, v: PictureTransform, l: TrivializationFamil
     psi_v = as_state(psi_v)
     vt = v.matrix_at(t)
     _require_invertible(vt, "picture transform", t)
-    lt = l.at(t)
-    _require_invertible(lt, l.name, t)
+    lt = l.invertible_at(t)
     y = lt @ np.linalg.solve(vt, psi_v)
     z = lt @ np.linalg.solve(vt, a_v @ psi_v)
     norm_sq = np.vdot(y, y).real
@@ -218,8 +212,7 @@ def pure_state_density(psi_value, l: TrivializationFamily, t: float) -> np.ndarr
     which coincides with the lift of the conventional pure-state density.
     """
     psi_value = as_state(psi_value)
-    lt = l.at(t)
-    _require_invertible(lt, l.name, t)
+    lt = l.invertible_at(t)
     g_psi = lt.conj().T @ (lt @ psi_value)
     norm_sq = np.vdot(psi_value, g_psi).real
     if norm_sq == 0.0:
@@ -258,11 +251,15 @@ def is_integral_of_motion(a: ObservableFamily, h: HamiltonianFamily,
     Evaluates the conventional residual i hbar dA/dt + [A, H] on the grid
     and, for time-independent observables, the invariance of the lifted
     morphism under transport conjugation; certification requires every
-    applicable criterion to pass.
+    applicable criterion to pass.  `l` must be the transport's own
+    trivialization: the lift reads the frames the transport already sampled
+    on the grid.
     """
     times = np.asarray(times, dtype=float)
     if not np.array_equal(times, transport.times):
         raise ValueError("integral-of-motion grid must be the transport grid")
+    if l is not transport.trivialization:
+        raise ValueError("integral-of-motion trivialization must be the transport's")
     a_vals = a.at_many(times)
     h_vals = h.at_many(times)
     da_vals = a.derivative_on_grid(times)
@@ -276,10 +273,8 @@ def is_integral_of_motion(a: ObservableFamily, h: HamiltonianFamily,
     transported_ok = True
     if not a.time_dependent:
         t0 = float(transport.times[0])
-        a0_fibre = lift_operator(l, t0, a.at(t0))
-        frames = l.at_many(times)
-        _require_invertible(frames, l.name, times)
-        lifted = np.linalg.solve(frames, a_vals @ frames)
+        a0_fibre = lift_operators(transport.frames[0], a.at(t0))
+        lifted = lift_operators(transport.frames, a_vals)
         carried = (transport.matrices_from(t0) @ a0_fibre) @ transport.matrices_into(t0)
         transport_res = max_abs(lifted - carried)
         transported_ok = transport_res <= tol

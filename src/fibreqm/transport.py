@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bundle import SectionAlongPath, TrivializationFamily, _require_invertible
+from .bundle import SectionAlongPath, TrivializationFamily, lift_operators
 from .dynamics import (
     HamiltonianFamily,
     PropagatorGrid,
@@ -52,9 +52,16 @@ __all__ = [
 
 def bundle_hamiltonian(h: HamiltonianFamily, l: TrivializationFamily, t: float) -> np.ndarray:
     """Similarity conjugate l(t)^-1 H(t) l(t); spectrum equals that of H(t)."""
-    lt = l.at(t)
-    _require_invertible(lt, l.name, t)
-    return np.linalg.solve(lt, h.at(t) @ lt)
+    return lift_operators(l.invertible_at(t), h.at(t))
+
+
+def _bundle_generator(frames: np.ndarray, h_vals: np.ndarray,
+                      frame_derivatives: Optional[np.ndarray], hbar: float) -> np.ndarray:
+    """l^-1 H l - i hbar l^-1 dl/dt over checked frames; no derivative term if None."""
+    conjugated = np.linalg.solve(frames, h_vals @ frames)
+    if frame_derivatives is None:
+        return conjugated
+    return conjugated - 1j * hbar * np.linalg.solve(frames, frame_derivatives)
 
 
 def matrix_bundle_hamiltonian(h: HamiltonianFamily, l: TrivializationFamily, t: float,
@@ -66,13 +73,9 @@ def matrix_bundle_hamiltonian(h: HamiltonianFamily, l: TrivializationFamily, t: 
     `include_derivative_term=False` drops the trivialization-derivative term;
     it exists only as a negative control for the check suite.
     """
-    lt = l.at(t)
-    _require_invertible(lt, l.name, t)
-    conjugated = np.linalg.solve(lt, h.at(t) @ lt)
-    if not include_derivative_term:
-        return conjugated
-    dl = l.derivative_at(t, fd_step)
-    return conjugated - 1j * constants.hbar * np.linalg.solve(lt, dl)
+    lt = l.invertible_at(t)
+    dl = l.derivative_at(t, fd_step) if include_derivative_term else None
+    return _bundle_generator(lt, h.at(t), dl, constants.hbar)
 
 
 class MatrixBundleHamiltonian:
@@ -109,14 +112,10 @@ class MatrixBundleHamiltonian:
     def at_many(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         l = self.trivialization
-        values = l.at_many(times)
-        _require_invertible(values, l.name, times)
+        values = l.invertible_at_many(times)
         h_vals = self.hamiltonian.at_many(times)
-        conjugated = np.linalg.solve(values, h_vals @ values)
-        if not self.include_derivative_term:
-            return conjugated
-        dl = l.derivative_at_many(times, self._fd_step)
-        return conjugated - 1j * self.constants.hbar * np.linalg.solve(values, dl)
+        dl = l.derivative_at_many(times, self._fd_step) if self.include_derivative_term else None
+        return _bundle_generator(values, h_vals, dl, self.constants.hbar)
 
     @property
     def matrices(self) -> np.ndarray:
@@ -139,17 +138,24 @@ class EvolutionTransport:
     """Two-time fibre transport U(t, s) on a grid, any order of arguments.
 
     Built from the conventional propagator products and the trivialization;
-    queries off the grid are errors, never interpolations.
+    queries off the grid are errors, never interpolations.  `frames` takes the
+    trivialization already sampled on the propagator grid and checked
+    invertible (as `validate_on_grid` returns it), so it is not sampled again;
+    by default the transport samples and checks it itself.
     """
 
-    def __init__(self, propagators: PropagatorGrid, trivialization: TrivializationFamily):
+    def __init__(self, propagators: PropagatorGrid, trivialization: TrivializationFamily,
+                 frames: Optional[np.ndarray] = None):
         self.propagators = propagators
         self.trivialization = trivialization
         self.times = propagators.times
-        values = trivialization.at_many(self.times)
-        _require_invertible(values, trivialization.name, self.times)
-        self.frames = values
-        self.inverse_frames = np.linalg.inv(values)
+        if frames is None:
+            frames = trivialization.invertible_at_many(self.times)
+        expected = (self.times.size, trivialization.dimension, trivialization.dimension)
+        if frames.shape != expected:
+            raise ValueError(f"frames must have shape {expected}, got {frames.shape}")
+        self.frames = frames
+        self.inverse_frames = np.linalg.inv(self.frames)
         for a in (self.frames, self.inverse_frames):
             a.setflags(write=False)
 

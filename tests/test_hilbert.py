@@ -11,6 +11,7 @@ from fibreqm.hilbert import (
     SIGMA_Z,
     PhysicalConstants,
     adjoint,
+    antihermitian_exponentials,
     commutator,
     inner_product,
     is_hermitian,
@@ -179,6 +180,43 @@ class TestMatrixExponential:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             matrix_exponential(np.zeros((2, 3)))
+
+
+def seeded_antihermitian(n, seed):
+    rng = np.random.default_rng([seed, n])
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 1j * 0.6 * (m + m.conj().T) / (2.0 * max(1.0, np.sqrt(n)))
+
+
+class TestAntihermitianExponentials:
+    SCALARS = np.linspace(-3.0, 3.0, 25)
+
+    @pytest.mark.parametrize("n", [2, 4, 32])
+    def test_agrees_with_matrix_exponential(self, n):
+        k = seeded_antihermitian(n, 11)
+        spectral = antihermitian_exponentials(k)(self.SCALARS)
+        taylor = matrix_exponential(self.SCALARS[:, None, None] * k)
+        assert spectral.shape == (self.SCALARS.size, n, n)
+        assert max_abs(spectral - taylor) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 4, 32])
+    def test_unitary(self, n):
+        u = antihermitian_exponentials(seeded_antihermitian(n, 13))(self.SCALARS)
+        gram = np.swapaxes(u.conj(), -2, -1) @ u
+        assert max_abs(gram - np.eye(n)) <= 1e-14 * n
+
+    @pytest.mark.parametrize("n", [2, 4, 32])
+    def test_identity_at_zero(self, n):
+        exponentials = antihermitian_exponentials(seeded_antihermitian(n, 17))
+        assert max_abs(exponentials(0.0) - np.eye(n)) <= 1e-14
+        assert max_abs(exponentials(np.zeros(3)) - np.eye(n)) <= 1e-14
+
+    def test_non_antihermitian_rejected(self):
+        k = seeded_antihermitian(3, 19)
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            antihermitian_exponentials(k + 1e-6 * np.eye(3))
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            antihermitian_exponentials(SIGMA_X)
 
 
 class TestPhysicalConstants:

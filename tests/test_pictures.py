@@ -313,3 +313,10 @@ class TestIntegralsOfMotion:
         with pytest.raises(ValueError, match="grid"):
             is_integral_of_motion(ObservableFamily.constant(SIGMA_Z), H, transport, l,
                                   uniform_grid(0.0, 1.0, 10))
+
+    def test_trivialization_must_match_transport(self):
+        _, _, _, transport = evolved_setup(random_smooth_unitary_trivialization(2, 33))
+        other = random_smooth_unitary_trivialization(2, 34)
+        with pytest.raises(ValueError, match="trivialization"):
+            is_integral_of_motion(ObservableFamily.constant(H.at(0.0)), H, transport, other,
+                                  TIMES)

@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from fibreqm.checks import run_scenario
+from fibreqm.checks import _CHECK_TABLE, build_artifacts, run_scenario
 from fibreqm.cli import main as cli_main
 from fibreqm.report import emit, report_from_dict, suite_from_dict
 from fibreqm.scenario import (
+    ALL_CHECKS,
     ConfigError,
     catalog_names,
+    load_catalog_scenario,
     load_scenario,
     scenario_from_dict,
 )
@@ -157,6 +159,30 @@ class TestRunScenario:
         record = report.record("state_equivalence")
         assert not record.passed
         assert record.max_residual >= 1e-2
+
+
+class TestSampleOnce:
+    def test_each_time_set_sampled_once(self):
+        cfg = load_catalog_scenario("random-unitary-gauge")
+        family = cfg.trivialization
+        calls = {"values": [], "derivatives": []}
+
+        def recording(kind, sampler):
+            def wrapper(times, *args, **kwargs):
+                calls[kind].append(np.atleast_1d(np.asarray(times, dtype=float)).tobytes())
+                return sampler(times, *args, **kwargs)
+            return wrapper
+
+        family.at_many = recording("values", family.at_many)
+        family.derivative_at_many = recording("derivatives", family.derivative_at_many)
+
+        art = build_artifacts(cfg)
+        series = {}
+        records = [_CHECK_TABLE[c](art, cfg.tolerances[c], series) for c in ALL_CHECKS]
+        assert all(r.passed for r in records if r.check in cfg.checks)
+        for kind, sampled in calls.items():
+            assert sampled, kind
+            assert len(sampled) == len(set(sampled)), f"a time set was resampled ({kind})"
 
 
 class TestSuite:

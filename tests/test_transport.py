@@ -137,6 +137,17 @@ class TestBuildTransport:
         for (j, i) in [(10, 0), (150, 40), (40, 150)]:
             assert np.array_equal(transport.matrix_by_index(j, i), grid.operator(j, i))
 
+    def test_given_frames_match_sampled_frames(self):
+        h = HamiltonianFamily.constant(0.9 * SIGMA_X + 0.3 * SIGMA_Z)
+        grid = PropagatorGrid(h, TIMES)
+        l = random_smooth_unitary_trivialization(2, 85)
+        sampled = EvolutionTransport(grid, l)
+        given = EvolutionTransport(grid, l, l.validate_on_grid(TIMES))
+        assert np.array_equal(given.frames, sampled.frames)
+        assert np.array_equal(given.matrix_by_index(150, 40), sampled.matrix_by_index(150, 40))
+        with pytest.raises(ValueError, match="shape"):
+            EvolutionTransport(grid, l, sampled.frames[1:])
+
     def test_zero_hamiltonian_phase_gauge(self):
         omega = 2.0
         transport = build_transport(HamiltonianFamily.zero(2),
