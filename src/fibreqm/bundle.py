@@ -17,7 +17,14 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .hilbert import antihermitian_exponentials, as_operator, as_state, max_abs
+from .hilbert import (
+    antihermitian_exponentials,
+    apply,
+    as_operator,
+    as_state,
+    inner_products,
+    max_abs,
+)
 
 __all__ = [
     "GlobalSection",
@@ -33,6 +40,7 @@ __all__ = [
     "constant_trivialization",
     "diagonal_phase_trivialization",
     "fibre_inner_product",
+    "fibre_inner_products",
     "global_phase_trivialization",
     "identity_trivialization",
     "lift_operator",
@@ -69,62 +77,54 @@ def _require_invertible(mats: np.ndarray, name: str, times, inv_tol: float = 1e-
 class TrivializationFamily:
     """Differentiable family t -> l(t) of invertible fibre-to-typical-fibre maps.
 
-    An analytic derivative may be supplied; otherwise central finite
-    differences with the grid spacing are used.  Batch evaluators let catalog
-    families vectorize over whole grids.
+    `sample` maps a 1-D array of N times to the stack l(t_k), shape (N, n, n);
+    the optional `derivative` maps them to dl/dt(t_k), else central finite
+    differences of `sample` with step `fd_step` are used.  Outputs are
+    shape-checked; single-time queries are batches of one.
     """
 
-    def __init__(self, matrix_fn: Optional[Callable[[float], np.ndarray]], dimension: int,
-                 derivative_fn: Optional[Callable[[float], np.ndarray]] = None,
-                 batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 batch_derivative_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    def __init__(self, sample: Callable[[np.ndarray], np.ndarray], dimension: int,
+                 derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  fd_step: Optional[float] = None, name: str = "custom"):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if matrix_fn is None and batch_fn is None:
-            raise ValueError("need matrix_fn or batch_fn")
-        self._fn = matrix_fn
-        self._dfn = derivative_fn
-        self._batch_fn = batch_fn
-        self._batch_dfn = batch_derivative_fn
+        self._sample = sample
+        self._derivative = derivative
         self.dimension = int(dimension)
         self.fd_step = fd_step
         self.name = name
 
     @property
     def has_analytic_derivative(self) -> bool:
-        return self._dfn is not None or self._batch_dfn is not None
+        return self._derivative is not None
+
+    def _checked(self, stack, times: np.ndarray) -> np.ndarray:
+        stack = np.asarray(stack, dtype=complex)
+        expected = (times.size, self.dimension, self.dimension)
+        if stack.shape != expected:
+            raise ValueError(f"trivialization '{self.name}' returned shape {stack.shape}, "
+                             f"expected {expected}")
+        return stack
 
     def at(self, t: float) -> np.ndarray:
-        if self._fn is None:
-            return self.at_many(np.array([float(t)]))[0]
-        m = as_operator(self._fn(float(t)))
-        if m.shape[0] != self.dimension:
-            raise ValueError(f"trivialization '{self.name}' returned wrong dimension")
-        return m
+        return self.at_many(np.array([float(t)]))[0]
 
     def at_many(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        if self._batch_fn is not None:
-            return np.asarray(self._batch_fn(times), dtype=complex)
-        return np.stack([self.at(t) for t in times])
+        return self._checked(self._sample(times), times)
 
     def derivative_at(self, t: float, fd_step: Optional[float] = None) -> np.ndarray:
-        if self._dfn is not None:
-            return as_operator(self._dfn(float(t)))
-        if self._batch_dfn is not None:
-            return np.asarray(self._batch_dfn(np.array([float(t)])), dtype=complex)[0]
+        return self.derivative_at_many(np.array([float(t)]), fd_step)[0]
+
+    def derivative_at_many(self, times, fd_step: Optional[float] = None) -> np.ndarray:
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if self._derivative is not None:
+            return self._checked(self._derivative(times), times)
         h = fd_step if fd_step is not None else self.fd_step
         if h is None or h <= 0:
             raise ValueError(
                 f"trivialization '{self.name}' has no analytic derivative and no fd_step")
-        return (self.at(t + h / 2) - self.at(t - h / 2)) / h
-
-    def derivative_at_many(self, times, fd_step: Optional[float] = None) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if self._batch_dfn is not None:
-            return np.asarray(self._batch_dfn(times), dtype=complex)
-        return np.stack([self.derivative_at(t, fd_step) for t in times])
+        return (self.at_many(times + h / 2) - self.at_many(times - h / 2)) / h
 
     def invertible_at(self, t: float) -> np.ndarray:
         """l(t), checked invertible."""
@@ -138,9 +138,6 @@ class TrivializationFamily:
         values = self.at_many(times)
         _require_invertible(values, self.name, times, inv_tol)
         return values
-
-    def inverse_at(self, t: float) -> np.ndarray:
-        return np.linalg.inv(self.invertible_at(t))
 
     def validate_on_grid(self, times, inv_tol: float = 1e-8, fd_tol: float = 1e-3
                          ) -> np.ndarray:
@@ -179,21 +176,17 @@ class TrivializationFamily:
 
 def identity_trivialization(dimension: int) -> TrivializationFamily:
     eye = np.eye(dimension, dtype=complex)
-    zero = np.zeros_like(eye)
     return TrivializationFamily(
-        lambda t: eye, dimension, lambda t: zero,
-        batch_fn=lambda ts: np.broadcast_to(eye, (ts.size, dimension, dimension)).copy(),
-        batch_derivative_fn=lambda ts: np.zeros((ts.size, dimension, dimension), dtype=complex),
+        lambda ts: np.broadcast_to(eye, (ts.size, dimension, dimension)).copy(), dimension,
+        lambda ts: np.zeros((ts.size, dimension, dimension), dtype=complex),
         name="identity")
 
 
 def global_phase_trivialization(dimension: int, omega: float) -> TrivializationFamily:
     eye = np.eye(dimension, dtype=complex)
     return TrivializationFamily(
-        lambda t: np.exp(1j * omega * t) * eye, dimension,
-        lambda t: 1j * omega * np.exp(1j * omega * t) * eye,
-        batch_fn=lambda ts: np.exp(1j * omega * ts)[:, None, None] * eye,
-        batch_derivative_fn=lambda ts: (1j * omega * np.exp(1j * omega * ts))[:, None, None] * eye,
+        lambda ts: np.exp(1j * omega * ts)[:, None, None] * eye, dimension,
+        lambda ts: (1j * omega * np.exp(1j * omega * ts))[:, None, None] * eye,
         name="global-phase")
 
 
@@ -202,27 +195,18 @@ def diagonal_phase_trivialization(omegas: Sequence[float]) -> TrivializationFami
     if freqs.ndim != 1 or freqs.size < 1:
         raise ValueError("omegas must be a non-empty 1-D sequence")
     eye = np.eye(freqs.size)
-
-    def batch(ts: np.ndarray) -> np.ndarray:
-        return np.exp(1j * np.outer(ts, freqs))[:, :, None] * eye
-
-    def batch_derivative(ts: np.ndarray) -> np.ndarray:
-        return (1j * freqs * np.exp(1j * np.outer(ts, freqs)))[:, :, None] * eye
-
     return TrivializationFamily(
-        lambda t: np.diag(np.exp(1j * freqs * t)), freqs.size,
-        lambda t: np.diag(1j * freqs * np.exp(1j * freqs * t)),
-        batch_fn=batch, batch_derivative_fn=batch_derivative, name="diagonal-phase")
+        lambda ts: np.exp(1j * np.outer(ts, freqs))[:, :, None] * eye, freqs.size,
+        lambda ts: (1j * freqs * np.exp(1j * np.outer(ts, freqs)))[:, :, None] * eye,
+        name="diagonal-phase")
 
 
 def constant_trivialization(matrix, name: str = "constant") -> TrivializationFamily:
     m = as_operator(matrix)
     _require_invertible(m, name, 0.0)
-    zero = np.zeros_like(m)
     return TrivializationFamily(
-        lambda t: m, m.shape[0], lambda t: zero,
-        batch_fn=lambda ts: np.broadcast_to(m, (ts.size,) + m.shape).copy(),
-        batch_derivative_fn=lambda ts: np.zeros((ts.size,) + m.shape, dtype=complex),
+        lambda ts: np.broadcast_to(m, (ts.size,) + m.shape).copy(), m.shape[0],
+        lambda ts: np.zeros((ts.size,) + m.shape, dtype=complex),
         name=name)
 
 
@@ -268,9 +252,7 @@ def random_smooth_unitary_trivialization(dimension: int, seed: int, scale: float
     V diag(exp(i s lam)) V^dagger per factor (no series exponentials).
     """
     values, derivative = _seeded_smooth_unitary(dimension, [int(seed), 0x51], scale, frequency)
-    return TrivializationFamily(None, dimension, batch_fn=values,
-                                batch_derivative_fn=derivative,
-                                name="random-smooth-unitary")
+    return TrivializationFamily(values, dimension, derivative, name="random-smooth-unitary")
 
 
 # --- sections and morphisms along paths ----------------------------------
@@ -367,12 +349,23 @@ def lift_operator_on_grid(l: TrivializationFamily, times, a) -> MorphismAlongPat
 
 # --- fibre metric and adjoints ---------------------------------------------
 
+def fibre_inner_products(frames: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The fibre metric <u|v>_t = <l(t) u | l(t) v> over stacks; one frame broadcasts."""
+    return inner_products(apply(frames, u), apply(frames, v))
+
+
 def fibre_inner_product(l: TrivializationFamily, t: float, u, v) -> complex:
     """<u|v>_t = <l(t) u | l(t) v>; positive definite for invertible l."""
-    u = as_state(u)
-    v = as_state(v)
-    lt = l.invertible_at(t)
-    return complex(np.vdot(lt @ u, lt @ v))
+    return complex(fibre_inner_products(l.invertible_at(t), as_state(u), as_state(v)))
+
+
+def bundle_adjoint_maps(ls: np.ndarray, lt_inv: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """l_t^-1 (l_s A l_t^-1)^dagger l_s over stacks of checked frames and maps.
+
+    Takes the inverses l_t^-1 the caller already holds (a transport's
+    `inverse_frames`), so nothing is inverted again per map.
+    """
+    return lt_inv @ np.swapaxes((ls @ a @ lt_inv).conj(), -2, -1) @ ls
 
 
 def bundle_adjoint_morphism(l: TrivializationFamily, t: float, a_fibre) -> np.ndarray:
@@ -382,13 +375,7 @@ def bundle_adjoint_morphism(l: TrivializationFamily, t: float, a_fibre) -> np.nd
     l^-1 (l A l^-1)^dagger l.
     """
     lt = l.invertible_at(t)
-    return bundle_adjoint_maps(lt, lt, as_operator(a_fibre))
-
-
-def bundle_adjoint_maps(ls: np.ndarray, lt: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """l_t^-1 (l_s A l_t^-1)^dagger l_s over stacks of checked frames and maps."""
-    lt_inv = np.linalg.inv(lt)
-    return lt_inv @ np.swapaxes((ls @ a @ lt_inv).conj(), -2, -1) @ ls
+    return bundle_adjoint_maps(lt, np.linalg.inv(lt), as_operator(a_fibre))
 
 
 def bundle_adjoint_map(l: TrivializationFamily, s: float, t: float, a_map) -> np.ndarray:
@@ -401,7 +388,8 @@ def bundle_adjoint_map(l: TrivializationFamily, s: float, t: float, a_map) -> np
     computed as l_t^-1 (l_s A l_t^-1)^dagger l_s.  A two-point map is a
     unitary bundle map precisely when this adjoint equals its inverse.
     """
-    return bundle_adjoint_maps(l.invertible_at(s), l.invertible_at(t), as_operator(a_map))
+    return bundle_adjoint_maps(l.invertible_at(s), np.linalg.inv(l.invertible_at(t)),
+                               as_operator(a_map))
 
 
 def basis_field(l: TrivializationFamily, t: float, frame: Sequence) -> List[np.ndarray]:
@@ -431,16 +419,13 @@ def section_inner(l: TrivializationFamily, phi: SectionAlongPath,
                   psi: SectionAlongPath) -> np.ndarray:
     """Pointwise fibre scalar product of two sections; a complex grid field."""
     _same_grid(phi.times, psi.times)
-    mats = l.invertible_at_many(phi.times)
-    y = np.einsum("kij,kj->ki", mats, phi.values)
-    z = np.einsum("kij,kj->ki", mats, psi.values)
-    return np.einsum("ki,ki->k", y.conj(), z)
+    return fibre_inner_products(l.invertible_at_many(phi.times), phi.values, psi.values)
 
 
 def morphism_as_section_operator(a: MorphismAlongPath, phi: SectionAlongPath) -> SectionAlongPath:
     """Apply a morphism pointwise to a section: (A Phi)(t) = A(t) Phi(t)."""
     _same_grid(a.times, phi.times)
-    return SectionAlongPath(phi.times, np.einsum("kij,kj->ki", a.matrices, phi.values))
+    return SectionAlongPath(phi.times, apply(a.matrices, phi.values))
 
 
 def section_operator_as_morphism(op: Callable[[SectionAlongPath], SectionAlongPath],

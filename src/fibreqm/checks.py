@@ -26,8 +26,15 @@ from .bundle import (
     section_operator_as_morphism,
 )
 from .dynamics import PropagatorGrid, Trajectory, conjugate_by, propagate_states
-from .hilbert import max_abs
-from .pictures import PictureTransform, is_integral_of_motion
+from .hilbert import apply, expectations, max_abs
+from .pictures import (
+    PictureTransform,
+    evolve_density_morphisms,
+    fibre_means,
+    general_picture_means,
+    is_integral_of_motion,
+    to_general_picture_observables,
+)
 from .report import CheckRecord, ScenarioReport
 from .scenario import ScenarioConfig
 from .transport import (
@@ -45,24 +52,19 @@ __all__ = ["run_scenario", "ScenarioArtifacts", "build_artifacts"]
 class ScenarioArtifacts:
     """Everything a check needs, computed once per scenario.
 
-    `frames` is the trivialization sampled once on the grid; every grid-level
-    lift, the transport and the checks read it instead of sampling again.
-    Stacks that only one check needs (the picture frames) are built inside
-    that check and dropped with it; only scalar results are cached here.
+    The grid frames l(t_k) and their inverses live on the transport
+    (`transport.frames`, `transport.inverse_frames`) and every check reads
+    them there.  Stacks that only one check needs (the picture frames) are
+    built inside that check; only scalar results are cached here.
     """
 
     cfg: ScenarioConfig
-    propagators: PropagatorGrid
     trajectory: Trajectory
     lifted: SectionAlongPath
-    bundle_generator: MatrixBundleHamiltonian
     bundle_section: SectionAlongPath
     transport: EvolutionTransport
-    frames: np.ndarray            # l(t_k)
-    inverse_frames: np.ndarray    # l(t_k)^-1
     lifted_observables: Dict[str, MorphismAlongPath]
     rho0: np.ndarray
-    rho_conventional: np.ndarray  # (N, n, n)
     density_lifted: np.ndarray    # (N, n, n)
     density_transported: np.ndarray  # (N, n, n)
     transported_section: SectionAlongPath
@@ -109,7 +111,6 @@ def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
         bundle_generator, lifted.values[0], t0, float(times[-1]), cfg.step)
 
     transport = EvolutionTransport(propagators, l, frames)
-    inverse_frames = transport.inverse_frames
 
     lifted_observables = {
         name: MorphismAlongPath(times, lift_operators(frames, stack))
@@ -121,22 +122,18 @@ def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
     else:
         psi0 = cfg.initial_state
         rho0 = np.outer(psi0, psi0.conj()) / np.vdot(psi0, psi0).real
-    rho_conventional = conjugate_by(propagators.prefixes, rho0, propagators.inverse_prefixes)
-    density_lifted = lift_operators(frames, rho_conventional)
-    p0 = lift_operators(frames[0], rho0)
-    density_transported = conjugate_by(
-        transport.matrices_from(t0), p0, transport.matrices_into(t0))
-
-    transported_values = np.einsum("kij,j->ki", transport.matrices_from(t0), lifted.values[0])
-    transported_section = SectionAlongPath(times, transported_values)
+    density_lifted = lift_operators(
+        frames, conjugate_by(propagators.prefixes, rho0, propagators.inverse_prefixes))
+    density_transported = evolve_density_morphisms(
+        lift_operators(frames[0], rho0), transport, t0)
+    transported_section = SectionAlongPath(
+        times, apply(transport.matrices_from(t0), lifted.values[0]))
 
     return ScenarioArtifacts(
-        cfg=cfg, propagators=propagators, trajectory=trajectory, lifted=lifted,
-        bundle_generator=bundle_generator, bundle_section=bundle_section,
-        transport=transport, frames=frames, inverse_frames=inverse_frames,
-        lifted_observables=lifted_observables, rho0=rho0,
-        rho_conventional=rho_conventional, density_lifted=density_lifted,
-        density_transported=density_transported, transported_section=transported_section)
+        cfg=cfg, trajectory=trajectory, lifted=lifted, bundle_section=bundle_section,
+        transport=transport, lifted_observables=lifted_observables, rho0=rho0,
+        density_lifted=density_lifted, density_transported=density_transported,
+        transported_section=transported_section)
 
 
 # --- helpers ----------------------------------------------------------------
@@ -144,21 +141,6 @@ def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
 def _worst(times: np.ndarray, per_time: np.ndarray) -> Tuple[float, float]:
     idx = int(np.argmax(per_time))
     return float(per_time[idx]), float(times[idx])
-
-
-def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return np.einsum("kij,kj->ki", mats, vecs)
-
-
-def _pair(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    return np.einsum("ki,ki->k", us.conj(), vs)
-
-
-def _fibre_means(frames: np.ndarray, morphisms: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Grid field of fibre mean values <Psi|A Psi>_t / <Psi|Psi>_t."""
-    y = _apply(frames, values)
-    z = _apply(frames, _apply(morphisms, values))
-    return _pair(y, z) / _pair(y, y).real
 
 
 def _coarse_indices(n_times: int, count: int = 9) -> np.ndarray:
@@ -216,9 +198,9 @@ def _check_mean_value_invariance(art: ScenarioArtifacts, tol: float,
     psi = art.trajectory.states
     worst, worst_at, worst_obs = -1.0, None, ""
     for name, stack in art.cfg.observables:
-        conv = _pair(psi, _apply(stack, psi)) / _pair(psi, psi).real
-        bundle = _fibre_means(art.frames, art.lifted_observables[name].matrices,
-                              art.lifted.values)
+        conv = expectations(psi, apply(stack, psi))
+        bundle = fibre_means(art.transport.frames, art.lifted_observables[name].matrices,
+                             art.lifted.values)
         series[f"mean_conventional:{name}"] = conv.real
         series[f"mean_bundle:{name}"] = bundle.real
         dev, at = _worst(art.times, np.abs(conv - bundle))
@@ -230,14 +212,11 @@ def _check_mean_value_invariance(art: ScenarioArtifacts, tol: float,
 
 def _check_hermiticity_correspondence(art: ScenarioArtifacts, tol: float,
                                       series: Dict[str, np.ndarray]) -> CheckRecord:
-    frames, inv = art.frames, art.inverse_frames
+    frames, inv = art.transport.frames, art.transport.inverse_frames
     worst, worst_at, worst_obs = -1.0, None, ""
     for name, stack in art.cfg.observables:
-        lifted = art.lifted_observables[name].matrices
-        sandwich = (frames @ lifted) @ inv
-        bundle_adj = (inv @ np.swapaxes(sandwich.conj(), -2, -1)) @ frames
-        adjoints = np.swapaxes(stack.conj(), -2, -1)
-        lift_of_adj = np.linalg.solve(frames, adjoints @ frames)
+        bundle_adj = bundle_adjoint_maps(frames, inv, art.lifted_observables[name].matrices)
+        lift_of_adj = lift_operators(frames, np.swapaxes(stack.conj(), -2, -1))
         per_time = np.max(np.abs(bundle_adj - lift_of_adj), axis=(1, 2))
         dev, at = _worst(art.times, per_time)
         if dev > worst:
@@ -253,7 +232,8 @@ def _check_unitary_bundle_map(art: ScenarioArtifacts, tol: float,
     query = art.transport.matrix_by_index
     forward = np.stack([query(a, b) for a, b in zip(i, j)])    # fibre(t_j) -> fibre(t_i)
     backward = np.stack([query(b, a) for a, b in zip(i, j)])
-    adjoints = bundle_adjoint_maps(art.frames[i], art.frames[j], forward)
+    adjoints = bundle_adjoint_maps(art.transport.frames[i], art.transport.inverse_frames[j],
+                                   forward)
     per_pair = np.max(np.abs(adjoints - backward), axis=(1, 2))
     worst, at = _worst(art.times[j], per_pair)
     return CheckRecord("unitary_bundle_map", worst, tol, worst <= tol, at)
@@ -265,27 +245,18 @@ def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
     into_t0 = art.transport.matrices_into(t0)
     from_t0 = art.transport.matrices_from(t0)
     psi_t = art.transported_section.values
-    psi_h = _apply(into_t0, psi_t)
+    psi_h = apply(into_t0, psi_t)
     v = PictureTransform.random_unitary(art.times, art.cfg.dimension, art.cfg.seed,
-                                        reference_time=t0)
-    frames = art.frames
-    frame0 = np.broadcast_to(frames[0], frames.shape)
+                                        reference_time=t0).matrices
+    psi_v = apply(v, psi_t)
+    frames = art.transport.frames
     worst, worst_at, worst_obs = -1.0, None, ""
     for name, _ in art.cfg.observables:
         a_lift = art.lifted_observables[name].matrices
-        schro = _fibre_means(frames, a_lift, psi_t)
-        a_h = (into_t0 @ a_lift) @ from_t0
-        heis = _fibre_means(frame0, a_h, psi_h)
-        psi_v = _apply(v.matrices, psi_t)
-        a_v = np.linalg.solve(
-            np.swapaxes(v.matrices.conj(), -2, -1),
-            np.swapaxes((v.matrices @ a_lift).conj(), -2, -1))
-        a_v = np.swapaxes(a_v.conj(), -2, -1)
-        x1 = np.linalg.solve(v.matrices, psi_v[..., None])[..., 0]
-        x2 = np.linalg.solve(v.matrices, _apply(a_v, psi_v)[..., None])[..., 0]
-        y = _apply(frames, x1)
-        z = _apply(frames, x2)
-        general = _pair(y, z) / _pair(y, y).real
+        schro = fibre_means(frames, a_lift, psi_t)
+        heis = fibre_means(frames[0], conjugate_by(into_t0, a_lift, from_t0), psi_h)
+        general = general_picture_means(v, frames, to_general_picture_observables(v, a_lift),
+                                        psi_v)
         series[f"mean_heisenberg:{name}"] = heis.real
         dev = np.maximum(np.abs(schro - heis), np.abs(schro - general))
         d, at = _worst(art.times, dev)
@@ -298,7 +269,7 @@ def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
 def _check_heisenberg_constancy(art: ScenarioArtifacts, tol: float,
                                 series: Dict[str, np.ndarray]) -> CheckRecord:
     psi_t = art.transported_section.values
-    psi_h = _apply(art.transport.matrices_into(float(art.times[0])), psi_t)  # U(t0, t) Psi(t)
+    psi_h = apply(art.transport.matrices_into(float(art.times[0])), psi_t)  # U(t0, t) Psi(t)
     per_time = np.max(np.abs(psi_h - psi_t[0]), axis=1)
     worst, at = _worst(art.times, per_time)
     return CheckRecord("heisenberg_constancy", worst, tol, worst <= tol, at)

@@ -18,8 +18,11 @@ import numpy as np
 
 from .hilbert import (
     PhysicalConstants,
+    apply,
     as_operator,
     as_state,
+    expectations,
+    inner_products,
     is_hermitian,
     matrix_exponential,
     max_abs,
@@ -183,7 +186,7 @@ class Trajectory:
         return self.states[self.index_of(t)]
 
     def norm_sq(self) -> np.ndarray:
-        return np.einsum("ki,ki->k", self.states.conj(), self.states).real
+        return inner_products(self.states, self.states).real
 
     def norm_drift(self) -> float:
         norms = self.norm_sq()
@@ -404,10 +407,7 @@ def mean_value(a, psi) -> complex:
     psi = as_state(psi)
     if a.shape[0] != psi.shape[0]:
         raise ValueError("operator and state dimensions differ")
-    norm_sq = np.vdot(psi, psi).real
-    if norm_sq == 0.0:
-        raise ValueError("mean value of the zero state is undefined")
-    return complex(np.vdot(psi, a @ psi) / norm_sq)
+    return complex(expectations(psi, apply(a, psi)))
 
 
 def mean_value_density(a, rho) -> complex:

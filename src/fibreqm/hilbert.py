@@ -19,10 +19,13 @@ __all__ = [
     "SIGMA_Z",
     "adjoint",
     "antihermitian_exponentials",
+    "apply",
     "as_operator",
     "as_state",
     "commutator",
+    "expectations",
     "inner_product",
+    "inner_products",
     "is_hermitian",
     "is_unitary",
     "matrix_exponential",
@@ -78,13 +81,34 @@ def max_abs(x) -> float:
     return float(np.max(np.abs(x)))
 
 
+def apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v for one operator or a stack (..., n, n) against one vector or a stack (..., n)."""
+    return np.einsum("...ij,...j->...i", a, v)
+
+
+def inner_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u|v> over stacks of vectors (..., n), conjugate linear in the first argument."""
+    return np.einsum("...i,...i->...", u.conj(), v)
+
+
+def expectations(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The mean ratio <u|w> / <u|u> (w = A u) over stacks; every mean reduces to it.
+
+    Raises ValueError if any <u|u> is zero.
+    """
+    norm_sq = inner_products(u, u).real
+    if np.any(norm_sq == 0.0):
+        raise ValueError("mean value of the zero state is undefined")
+    return inner_products(u, w) / norm_sq
+
+
 def inner_product(u, v) -> complex:
     """Hermitian scalar product, conjugate linear in the first argument."""
     u = as_state(u)
     v = as_state(v)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return complex(np.vdot(u, v))
+    return complex(inner_products(u, v))
 
 
 def adjoint(a) -> np.ndarray:

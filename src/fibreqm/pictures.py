@@ -23,11 +23,12 @@ from .bundle import (
     TrivializationFamily,
     _require_invertible,
     _seeded_smooth_unitary,
+    fibre_inner_products,
     lift_operator,
     lift_operators,
 )
-from .dynamics import HamiltonianFamily, ObservableFamily, grid_index
-from .hilbert import PhysicalConstants, as_operator, as_state, max_abs
+from .dynamics import HamiltonianFamily, ObservableFamily, conjugate_by, grid_index
+from .hilbert import PhysicalConstants, apply, as_operator, as_state, expectations, max_abs
 from .transport import EvolutionTransport
 
 __all__ = [
@@ -36,12 +37,16 @@ __all__ = [
     "bundle_mean_value",
     "density_morphism",
     "evolve_density_morphism",
+    "evolve_density_morphisms",
+    "fibre_means",
     "fibre_trace",
     "general_picture_mean",
+    "general_picture_means",
     "heisenberg_mean",
     "is_integral_of_motion",
     "pure_state_density",
     "to_general_picture_observable",
+    "to_general_picture_observables",
     "to_general_picture_state",
     "to_heisenberg_observable",
     "to_heisenberg_state",
@@ -50,31 +55,25 @@ __all__ = [
 
 # --- mean values --------------------------------------------------------
 
+def _fibre_expectations(frames: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<u|w>_t / <u|u>_t: the mean ratio taken under the fibre metric of `frames`."""
+    return expectations(apply(frames, u), apply(frames, w))
+
+
+def fibre_means(frames: np.ndarray, a: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """<Psi|A Psi>_t / <Psi|Psi>_t over stacks; one frame or morphism broadcasts."""
+    return _fibre_expectations(frames, values, apply(a, values))
+
+
 def bundle_mean_value(a: MorphismAlongPath, psi: SectionAlongPath,
                       l: TrivializationFamily, t: float) -> complex:
     """<Psi(t)|A(t) Psi(t)>_t / <Psi(t)|Psi(t)>_t under the fibre metric."""
-    at = a.matrix_at(t)
-    value = psi.value_at(t)
-    lt = l.invertible_at(t)
-    y = lt @ value
-    z = lt @ (at @ value)
-    norm_sq = np.vdot(y, y).real
-    if norm_sq == 0.0:
-        raise ValueError("mean value of the zero section value is undefined")
-    return complex(np.vdot(y, z) / norm_sq)
+    return complex(fibre_means(l.invertible_at(t), a.matrix_at(t), psi.value_at(t)))
 
 
 def heisenberg_mean(a_h, psi_h, l: TrivializationFamily, t0: float) -> complex:
     """Mean of a Heisenberg pair, taken in the reference-time fibre."""
-    a_h = as_operator(a_h)
-    psi_h = as_state(psi_h)
-    lt = l.invertible_at(t0)
-    y = lt @ psi_h
-    z = lt @ (a_h @ psi_h)
-    norm_sq = np.vdot(y, y).real
-    if norm_sq == 0.0:
-        raise ValueError("mean value of the zero state is undefined")
-    return complex(np.vdot(y, z) / norm_sq)
+    return complex(fibre_means(l.invertible_at(t0), as_operator(a_h), as_state(psi_h)))
 
 
 # --- pictures of motion ----------------------------------------------------
@@ -86,7 +85,6 @@ class PictureTransform:
     reference_time: float
     times: np.ndarray
     matrices: np.ndarray  # (N, n, n)
-    unitary: bool = False
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -115,15 +113,14 @@ class PictureTransform:
         t0 = float(times[0]) if reference_time is None else float(reference_time)
         mats = np.broadcast_to(np.eye(dimension, dtype=complex),
                                (times.size, dimension, dimension)).copy()
-        return cls(t0, times, mats, unitary=True)
+        return cls(t0, times, mats)
 
     @classmethod
     def from_transport(cls, transport: EvolutionTransport, reference_time: float
                        ) -> "PictureTransform":
         """Heisenberg frame family V(t) = U(t0, t)."""
         mats = transport.matrices_into(reference_time)
-        return cls(reference_time, transport.times, mats,
-                   unitary=transport.hermitian_generator)
+        return cls(reference_time, transport.times, mats)
 
     @classmethod
     def random_unitary(cls, times, dimension: int, seed: int,
@@ -138,31 +135,49 @@ class PictureTransform:
         times = np.asarray(times, dtype=float)
         t0 = float(times[0]) if reference_time is None else float(reference_time)
         values, _ = _seeded_smooth_unitary(dimension, [int(seed), 0x9C], scale, frequency)
-        return cls(t0, times, values(times - t0), unitary=True)
+        return cls(t0, times, values(times - t0))
 
 
 def to_heisenberg_state(psi: SectionAlongPath, transport: EvolutionTransport,
                         t0: float, t: float) -> np.ndarray:
     """U(t0, t) Psi(t); constant in t and equal to Psi(t0) for evolved sections."""
-    return transport.matrix(t0, t) @ psi.value_at(t)
+    return apply(transport.matrix(t0, t), psi.value_at(t))
 
 
 def to_heisenberg_observable(a: MorphismAlongPath, transport: EvolutionTransport,
                              t0: float, t: float) -> np.ndarray:
     """U(t0, t) A(t) U(t, t0)."""
-    return transport.matrix(t0, t) @ a.matrix_at(t) @ transport.matrix(t, t0)
+    return conjugate_by(transport.matrix(t0, t), a.matrix_at(t), transport.matrix(t, t0))
 
 
 def to_general_picture_state(psi_value, v: PictureTransform, t: float) -> np.ndarray:
     """V(t) Psi(t)."""
-    return v.matrix_at(t) @ as_state(psi_value)
+    return apply(v.matrix_at(t), as_state(psi_value))
+
+
+def to_general_picture_observables(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """V A V^-1 over stacks, solved as (V^-dagger (V A)^dagger)^dagger (no inverse)."""
+    adjoint = np.linalg.solve(np.swapaxes(v.conj(), -2, -1),
+                              np.swapaxes((v @ a).conj(), -2, -1))
+    return np.swapaxes(adjoint.conj(), -2, -1)
 
 
 def to_general_picture_observable(a_value, v: PictureTransform, t: float) -> np.ndarray:
     """V(t) A(t) V(t)^-1."""
     vt = v.matrix_at(t)
     _require_invertible(vt, "picture transform", t)
-    return np.linalg.solve(vt.conj().T, (vt @ as_operator(a_value)).conj().T).conj().T
+    return to_general_picture_observables(vt, as_operator(a_value))
+
+
+def general_picture_means(v: np.ndarray, frames: np.ndarray, a_v: np.ndarray,
+                          psi_v: np.ndarray) -> np.ndarray:
+    """Means of transformed pairs under the V-pulled-back fibre metric, over stacks.
+
+    <V^-1 Psi_V | V^-1 A_V Psi_V>_t / <V^-1 Psi_V | V^-1 Psi_V>_t; one V or frame broadcasts.
+    """
+    x = np.linalg.solve(v, psi_v[..., None])[..., 0]
+    ax = np.linalg.solve(v, apply(a_v, psi_v)[..., None])[..., 0]
+    return _fibre_expectations(frames, x, ax)
 
 
 def general_picture_mean(a_v, psi_v, v: PictureTransform, l: TrivializationFamily,
@@ -173,17 +188,10 @@ def general_picture_mean(a_v, psi_v, v: PictureTransform, l: TrivializationFamil
     mean for the Heisenberg frame with a Hermitian generator; preserves mean
     values for arbitrary invertible V.
     """
-    a_v = as_operator(a_v)
-    psi_v = as_state(psi_v)
     vt = v.matrix_at(t)
     _require_invertible(vt, "picture transform", t)
-    lt = l.invertible_at(t)
-    y = lt @ np.linalg.solve(vt, psi_v)
-    z = lt @ np.linalg.solve(vt, a_v @ psi_v)
-    norm_sq = np.vdot(y, y).real
-    if norm_sq == 0.0:
-        raise ValueError("mean value of the zero state is undefined")
-    return complex(np.vdot(y, z) / norm_sq)
+    return complex(general_picture_means(vt, l.invertible_at(t), as_operator(a_v),
+                                         as_state(psi_v)))
 
 
 # --- density morphisms -----------------------------------------------------
@@ -193,11 +201,20 @@ def density_morphism(rho, l: TrivializationFamily, t: float) -> np.ndarray:
     return lift_operator(l, t, rho)
 
 
+def evolve_density_morphisms(p0, transport: EvolutionTransport, t0: float) -> np.ndarray:
+    """Transport conjugation U(t_k, t0) P0 U(t0, t_k) over the whole grid.
+
+    U(t_k, t0) P0 is formed before U(t0, t_k) is sampled, so one transport
+    stack is alive beside the product.
+    """
+    carried = transport.matrices_from(t0) @ p0
+    return carried @ transport.matrices_into(t0)
+
+
 def evolve_density_morphism(p0, transport: EvolutionTransport, t0: float,
                             t: float) -> np.ndarray:
-    """Transport conjugation U(t, t0) P0 U(t0, t) on the grid."""
-    p0 = as_operator(p0)
-    return (transport.matrix(t, t0) @ p0) @ transport.matrix(t0, t)
+    """Transport conjugation U(t, t0) P0 U(t0, t): one grid row of the kernel."""
+    return evolve_density_morphisms(as_operator(p0), transport, t0)[transport.index_of(t)]
 
 
 def fibre_trace(p) -> complex:
@@ -213,10 +230,10 @@ def pure_state_density(psi_value, l: TrivializationFamily, t: float) -> np.ndarr
     """
     psi_value = as_state(psi_value)
     lt = l.invertible_at(t)
-    g_psi = lt.conj().T @ (lt @ psi_value)
-    norm_sq = np.vdot(psi_value, g_psi).real
+    norm_sq = fibre_inner_products(lt, psi_value, psi_value).real
     if norm_sq == 0.0:
         raise ValueError("zero fibre vector has no associated density")
+    g_psi = lt.conj().T @ (lt @ psi_value)
     return np.outer(psi_value, g_psi.conj()) / norm_sq
 
 
@@ -275,7 +292,7 @@ def is_integral_of_motion(a: ObservableFamily, h: HamiltonianFamily,
         t0 = float(transport.times[0])
         a0_fibre = lift_operators(transport.frames[0], a.at(t0))
         lifted = lift_operators(transport.frames, a_vals)
-        carried = (transport.matrices_from(t0) @ a0_fibre) @ transport.matrices_into(t0)
+        carried = evolve_density_morphisms(a0_fibre, transport, t0)
         transport_res = max_abs(lifted - carried)
         transported_ok = transport_res <= tol
 

@@ -23,7 +23,7 @@ from .bundle import (
     identity_trivialization,
     random_smooth_unitary_trivialization,
 )
-from .dynamics import HamiltonianFamily, ObservableFamily, uniform_grid
+from .dynamics import HamiltonianFamily, ObservableFamily, uniform_grid, validate_density
 from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, PhysicalConstants, as_operator, is_hermitian
 from .paths import BaseSpace, Euclidean, Interval, Path, SinglePoint, make_path
 
@@ -389,7 +389,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         _get(raw, "trivialization", {"kind": "identity"}), n, seed)
 
     obs_specs = _get(raw, "observables", _default_observable_specs(n))
-    _require(isinstance(obs_specs, list), "observables: must be a list")
+    _require(isinstance(obs_specs, list) and obs_specs, "observables: must be a non-empty list")
     observables = [_build_observable(s, n, seed, i, times) for i, s in enumerate(obs_specs)]
     names = [nm for nm, _ in observables]
     _require(len(set(names)) == len(names), "observables: names must be unique")
@@ -407,6 +407,10 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     initial_density = None
     if density_spec is not None:
         initial_density = parse_complex_matrix(density_spec, n, "initial_density")
+        try:
+            validate_density(initial_density)
+        except ValueError as exc:
+            raise ConfigError(f"initial_density: {exc}") from exc
 
     candidates = [
         _build_candidate(s, n, seed, i, hamiltonian, t0)
@@ -439,6 +443,10 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         _require(isinstance(checks, list) and checks, "checks: must be a non-empty list")
         for c in checks:
             _require(c in ALL_CHECKS, f"checks: unknown check id {c!r}")
+        _require("integrals_of_motion" not in checks or candidates,
+                 "checks: integrals_of_motion needs integral_candidates")
+        _require("physics_closed_form" not in checks or physics_check is not None,
+                 "checks: physics_closed_form needs physics_check")
 
     echo = {
         "name": name,
@@ -461,8 +469,6 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         "faults": faults,
     }
 
-    _validate_dimensions(observables, initial_density, n)
-
     return ScenarioConfig(
         name=name, dimension=n, constants=constants, base=base, path=path,
         times=times, hamiltonian=hamiltonian, trivialization=trivialization,
@@ -470,13 +476,6 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         initial_density=initial_density, integral_candidates=candidates,
         physics_check=physics_check, checks=list(checks), tolerances=tolerances,
         seed=seed, faults=faults, echo=echo)
-
-
-def _validate_dimensions(observables, initial_density, n: int) -> None:
-    for name, stack in observables:
-        _require(stack.shape[1:] == (n, n), f"observable '{name}': expected {n}x{n} matrices")
-    if initial_density is not None:
-        _require(initial_density.shape == (n, n), f"initial_density: expected {n}x{n} matrix")
 
 
 def _default_path_spec(base: BaseSpace) -> dict:

@@ -37,7 +37,7 @@ def random_invertible_family(n, seed, non_unitary=True):
     if not non_unitary:
         return base
     stretch = np.diag(1.0 + rng.uniform(0.2, 1.3, size=n)).astype(complex)
-    return TrivializationFamily(lambda t: base.at(t) @ stretch, n, name="stretched")
+    return TrivializationFamily(lambda ts: base.at_many(ts) @ stretch, n, name="stretched")
 
 
 class TestLifting:
@@ -94,7 +94,8 @@ class TestLifting:
             assert max_abs(section.values[k] - lift_vector(l, t, states[k])) <= 1e-13
 
     def test_singular_trivialization_rejected(self):
-        sick = TrivializationFamily(lambda t: np.diag([t, 1.0]).astype(complex), 2)
+        sick = TrivializationFamily(
+            lambda ts: np.stack([np.diag([t, 1.0]) for t in ts]).astype(complex), 2)
         with pytest.raises(SingularTrivializationError):
             lift_vector(sick, 0.0, [1.0, 1.0])
 
@@ -339,15 +340,16 @@ class TestTrivializationValidation:
             constant_trivialization(np.diag([1.0, 0.0]).astype(complex))
 
     def test_grid_validation_catches_singularity(self):
-        sick = TrivializationFamily(lambda t: np.diag([t - 0.5, 1.0]).astype(complex), 2)
+        sick = TrivializationFamily(
+            lambda ts: np.stack([np.diag([t - 0.5, 1.0]) for t in ts]).astype(complex), 2)
         with pytest.raises(SingularTrivializationError):
             sick.validate_on_grid(np.linspace(0.0, 1.0, 11))
 
     def test_wrong_analytic_derivative_detected(self):
         liar = TrivializationFamily(
-            lambda t: np.diag([np.exp(1j * t), 1.0]),
+            lambda ts: np.stack([np.diag([np.exp(1j * t), 1.0]) for t in ts]),
             2,
-            derivative_fn=lambda t: np.zeros((2, 2), dtype=complex))
+            derivative=lambda ts: np.zeros((ts.size, 2, 2), dtype=complex))
         with pytest.raises(ValueError, match="derivative"):
             liar.validate_on_grid(np.linspace(0.0, 1.0, 101))
 
@@ -363,11 +365,12 @@ class TestTrivializationValidation:
     def test_fd_fallback_matches_analytic(self):
         omega = 2.0
         analytic = global_phase_trivialization(2, omega)
-        fd_only = TrivializationFamily(analytic.at, 2, fd_step=1e-5)
+        fd_only = TrivializationFamily(analytic.at_many, 2, fd_step=1e-5)
         for t in (0.1, 0.7):
             assert max_abs(fd_only.derivative_at(t) - analytic.derivative_at(t)) <= 1e-8
 
     def test_missing_fd_step_is_an_error(self):
-        bare = TrivializationFamily(lambda t: np.eye(2, dtype=complex), 2)
+        bare = TrivializationFamily(
+            lambda ts: np.broadcast_to(np.eye(2, dtype=complex), (ts.size, 2, 2)), 2)
         with pytest.raises(ValueError, match="fd_step"):
             bare.derivative_at(0.5)

@@ -147,7 +147,7 @@ class TestGeneralPicture:
         times = TIMES
         phases = np.exp(1j * np.sin(2 * times))[:, None, None] * np.eye(2)
         phases[0] = np.eye(2)
-        v = PictureTransform(0.0, times, phases, unitary=True)
+        v = PictureTransform(0.0, times, phases)
         l = constant_trivialization(np.diag([1.0, 2.0]).astype(complex))
         _, _, section, _ = evolved_setup(l)
         a = lift_operator_on_grid(l, times, SIGMA_Z)
@@ -163,7 +163,7 @@ class TestGeneralPicture:
         mats = np.tile(np.eye(2, dtype=complex), (TIMES.size, 1, 1))
         mats[1:] += 0.3 * (rng.normal(size=(TIMES.size - 1, 2, 2))
                            + 1j * rng.normal(size=(TIMES.size - 1, 2, 2)))
-        v = PictureTransform(0.0, TIMES, mats, unitary=False)
+        v = PictureTransform(0.0, TIMES, mats)
         l = random_smooth_unitary_trivialization(2, 21)
         _, _, section, _ = evolved_setup(l)
         a = lift_operator_on_grid(l, TIMES, SIGMA_X)

@@ -118,6 +118,32 @@ class TestLoading:
         report = run_scenario(cfg)
         assert report.record("mean_value_invariance").passed
 
+    @pytest.mark.parametrize("changes, match", [
+        ({"observables": []}, "observables"),
+        ({"observables": [], "checks": ["mean_value_invariance"]}, "observables"),
+        ({"observables": [], "checks": ["hermiticity_correspondence"]}, "observables"),
+        ({"observables": [], "checks": ["picture_invariance"]}, "observables"),
+        ({"checks": ["integrals_of_motion"]}, "integral_candidates"),
+        ({"checks": ["physics_closed_form"]}, "physics_check"),
+    ])
+    def test_check_without_its_inputs_rejected(self, changes, match):
+        with pytest.raises(ConfigError, match=match):
+            scenario_from_dict(dict(MINIMAL, **changes))
+
+    @pytest.mark.parametrize("density, match", [
+        ([[2, 0], [0, 0]], "trace"),
+        ([[0.5, 1], [0, 0.5]], "Hermitian"),
+        ([[1.5, 0], [0, -0.5]], "positive semidefinite"),
+    ])
+    def test_initial_density_must_be_a_density_matrix(self, density, match):
+        raw = dict(MINIMAL, initial_density=[[[x, 0] for x in row] for row in density])
+        with pytest.raises(ConfigError, match=match):
+            scenario_from_dict(raw)
+
+    def test_mixed_initial_density_accepted(self):
+        raw = dict(MINIMAL, initial_density=[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]])
+        assert "density_purity" not in scenario_from_dict(raw).checks
+
 
 class TestRunScenario:
     def test_minimal_run_passes(self):
@@ -134,7 +160,8 @@ class TestRunScenario:
         from fibreqm.bundle import TrivializationFamily
         cfg = scenario_from_dict(dict(MINIMAL))
         cfg.trivialization = TrivializationFamily(
-            lambda t: np.diag([t - 0.5, 1.0]).astype(complex), 2, name="singular-mid")
+            lambda ts: np.stack([np.diag([t - 0.5, 1.0]) for t in ts]).astype(complex), 2,
+            name="singular-mid")
         report = run_scenario(cfg)
         assert not report.overall_pass
         setup = report.record("setup")
