@@ -139,8 +139,14 @@ def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
 # --- helpers ----------------------------------------------------------------
 
 def _worst(times: np.ndarray, per_time: np.ndarray) -> Tuple[float, float]:
+    """First maximum and its time; a NaN counts as the maximum."""
     idx = int(np.argmax(per_time))
     return float(per_time[idx]), float(times[idx])
+
+
+def _worst_observable(per_observable: List[Tuple[float, float, str]]) -> Tuple[float, float, str]:
+    """The (residual, time, name) with the first largest residual; a NaN wins."""
+    return per_observable[int(np.argmax([dev for dev, _, _ in per_observable]))]
 
 
 def _coarse_indices(n_times: int, count: int = 9) -> np.ndarray:
@@ -196,16 +202,15 @@ def _check_transport_composition(art: ScenarioArtifacts, tol: float,
 def _check_mean_value_invariance(art: ScenarioArtifacts, tol: float,
                                  series: Dict[str, np.ndarray]) -> CheckRecord:
     psi = art.trajectory.states
-    worst, worst_at, worst_obs = -1.0, None, ""
+    per_observable = []
     for name, stack in art.cfg.observables:
         conv = expectations(psi, apply(stack, psi))
         bundle = fibre_means(art.transport.frames, art.lifted_observables[name].matrices,
                              art.lifted.values)
         series[f"mean_conventional:{name}"] = conv.real
         series[f"mean_bundle:{name}"] = bundle.real
-        dev, at = _worst(art.times, np.abs(conv - bundle))
-        if dev > worst:
-            worst, worst_at, worst_obs = dev, at, name
+        per_observable.append((*_worst(art.times, np.abs(conv - bundle)), name))
+    worst, worst_at, worst_obs = _worst_observable(per_observable)
     return CheckRecord("mean_value_invariance", worst, tol, worst <= tol, worst_at,
                        detail=f"worst observable: {worst_obs}")
 
@@ -213,14 +218,13 @@ def _check_mean_value_invariance(art: ScenarioArtifacts, tol: float,
 def _check_hermiticity_correspondence(art: ScenarioArtifacts, tol: float,
                                       series: Dict[str, np.ndarray]) -> CheckRecord:
     frames, inv = art.transport.frames, art.transport.inverse_frames
-    worst, worst_at, worst_obs = -1.0, None, ""
+    per_observable = []
     for name, stack in art.cfg.observables:
         bundle_adj = bundle_adjoint_maps(frames, inv, art.lifted_observables[name].matrices)
         lift_of_adj = lift_operators(frames, np.swapaxes(stack.conj(), -2, -1))
         per_time = np.max(np.abs(bundle_adj - lift_of_adj), axis=(1, 2))
-        dev, at = _worst(art.times, per_time)
-        if dev > worst:
-            worst, worst_at, worst_obs = dev, at, name
+        per_observable.append((*_worst(art.times, per_time), name))
+    worst, worst_at, worst_obs = _worst_observable(per_observable)
     return CheckRecord("hermiticity_correspondence", worst, tol, worst <= tol, worst_at,
                        detail=f"worst observable: {worst_obs}")
 
@@ -229,9 +233,8 @@ def _check_unitary_bundle_map(art: ScenarioArtifacts, tol: float,
                               series: Dict[str, np.ndarray]) -> CheckRecord:
     idx = _coarse_indices(art.times.size)
     i, j = (k.ravel() for k in np.meshgrid(idx, idx, indexing="ij"))
-    query = art.transport.matrix_by_index
-    forward = np.stack([query(a, b) for a, b in zip(i, j)])    # fibre(t_j) -> fibre(t_i)
-    backward = np.stack([query(b, a) for a, b in zip(i, j)])
+    forward = art.transport.matrices_by_index(i, j)    # fibre(t_j) -> fibre(t_i)
+    backward = art.transport.matrices_by_index(j, i)
     adjoints = bundle_adjoint_maps(art.transport.frames[i], art.transport.inverse_frames[j],
                                    forward)
     per_pair = np.max(np.abs(adjoints - backward), axis=(1, 2))
@@ -250,7 +253,7 @@ def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
                                         reference_time=t0).matrices
     psi_v = apply(v, psi_t)
     frames = art.transport.frames
-    worst, worst_at, worst_obs = -1.0, None, ""
+    per_observable = []
     for name, _ in art.cfg.observables:
         a_lift = art.lifted_observables[name].matrices
         schro = fibre_means(frames, a_lift, psi_t)
@@ -259,9 +262,8 @@ def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
                                         psi_v)
         series[f"mean_heisenberg:{name}"] = heis.real
         dev = np.maximum(np.abs(schro - heis), np.abs(schro - general))
-        d, at = _worst(art.times, dev)
-        if d > worst:
-            worst, worst_at, worst_obs = d, at, name
+        per_observable.append((*_worst(art.times, dev), name))
+    worst, worst_at, worst_obs = _worst_observable(per_observable)
     return CheckRecord("picture_invariance", worst, tol, worst <= tol, worst_at,
                        detail=f"worst observable: {worst_obs}")
 

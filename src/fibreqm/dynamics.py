@@ -40,6 +40,8 @@ __all__ = [
     "evolution_operator",
     "evolve_density",
     "evolve_state",
+    "grid_index",
+    "grid_indices",
     "mean_value",
     "mean_value_density",
     "uniform_grid",
@@ -68,19 +70,38 @@ def _steps_from(t0: float, t1: float, step: float) -> int:
     return max(steps, 1)
 
 
+def _checked_stack(stack, times: np.ndarray, dimension: int, what: str) -> np.ndarray:
+    """A sampler's output as a complex (N, n, n) stack; shape and finiteness checked once."""
+    stack = np.asarray(stack, dtype=complex)
+    expected = (times.size, dimension, dimension)
+    if stack.shape != expected:
+        raise ValueError(f"{what} returned shape {stack.shape}, expected {expected}")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError(f"{what} returned non-finite entries")
+    return stack
+
+
+def _constant_sampler(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """ts -> the read-only broadcast of one matrix over the batch (no copy)."""
+    return lambda ts: np.broadcast_to(matrix, (ts.size,) + matrix.shape)
+
+
 class HamiltonianFamily:
     """Time-indexed Hamiltonian t -> H(t) of a fixed dimension.
 
-    `hermitian_expected` declares whether H(t) should pass the Hermiticity
-    predicate wherever it is sampled; non-Hermitian families are allowed but
-    unitarity-based checks are skipped for them downstream.
+    `sample` maps a 1-D array of N times to the stack H(t_k), shape (N, n, n).
+    Each batch is shape- and finiteness-checked once (ValueError naming the
+    family); single-time queries are batches of one.  `hermitian_expected`
+    declares whether H(t) should pass the Hermiticity predicate wherever it
+    is sampled; non-Hermitian families are allowed but unitarity-based
+    checks are skipped for them downstream.
     """
 
-    def __init__(self, matrix_fn: Callable[[float], np.ndarray], dimension: int,
+    def __init__(self, sample: Callable[[np.ndarray], np.ndarray], dimension: int,
                  hermitian_expected: bool = True, name: str = "custom"):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        self._fn = matrix_fn
+        self._sample = sample
         self.dimension = int(dimension)
         self.hermitian_expected = bool(hermitian_expected)
         self.name = name
@@ -91,39 +112,39 @@ class HamiltonianFamily:
         m = as_operator(matrix)
         if hermitian_expected is None:
             hermitian_expected = is_hermitian(m, 1e-12 * max(1.0, max_abs(m)))
-        return cls(lambda t: m, m.shape[0], hermitian_expected, name)
+        return cls(_constant_sampler(m), m.shape[0], hermitian_expected, name)
 
     @classmethod
     def zero(cls, dimension: int) -> "HamiltonianFamily":
         z = np.zeros((dimension, dimension), dtype=complex)
-        return cls(lambda t: z, dimension, True, "zero")
+        return cls(_constant_sampler(z), dimension, True, "zero")
 
     def at(self, t: float) -> np.ndarray:
-        m = as_operator(self._fn(float(t)))
-        if m.shape[0] != self.dimension:
-            raise ValueError(
-                f"Hamiltonian family '{self.name}' returned dimension {m.shape[0]}, "
-                f"expected {self.dimension}")
-        return m
+        return self.at_many(np.array([float(t)]))[0]
 
     def at_many(self, times: np.ndarray) -> np.ndarray:
-        return np.stack([self.at(t) for t in np.asarray(times, dtype=float)])
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        return _checked_stack(self._sample(times), times, self.dimension,
+                              f"Hamiltonian family '{self.name}'")
 
 
 class ObservableFamily:
     """Observable t -> A(t) with an explicit time derivative.
 
-    When no analytic derivative is supplied, `derivative_on_grid` falls back
-    to central finite differences (one-sided at the grid ends).
+    `sample` maps a 1-D array of N times to the stack A(t_k), shape (N, n, n);
+    the optional `derivative` maps them to dA/dt(t_k).  Both are checked like
+    `HamiltonianFamily` samples.  Without an analytic derivative,
+    `derivative_on_grid` falls back to central finite differences (one-sided
+    at the grid ends).
     """
 
-    def __init__(self, matrix_fn: Callable[[float], np.ndarray], dimension: int,
-                 derivative_fn: Optional[Callable[[float], np.ndarray]] = None,
+    def __init__(self, sample: Callable[[np.ndarray], np.ndarray], dimension: int,
+                 derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  time_dependent: bool = True, name: str = "observable"):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        self._fn = matrix_fn
-        self._dfn = derivative_fn
+        self._sample = sample
+        self._derivative = derivative
         self.dimension = int(dimension)
         self.time_dependent = bool(time_dependent)
         self.name = name
@@ -131,22 +152,22 @@ class ObservableFamily:
     @classmethod
     def constant(cls, matrix, name: str = "constant") -> "ObservableFamily":
         m = as_operator(matrix)
-        z = np.zeros_like(m)
-        return cls(lambda t: m, m.shape[0], lambda t: z, time_dependent=False, name=name)
+        return cls(_constant_sampler(m), m.shape[0], _constant_sampler(np.zeros_like(m)),
+                   time_dependent=False, name=name)
 
     def at(self, t: float) -> np.ndarray:
-        m = as_operator(self._fn(float(t)))
-        if m.shape[0] != self.dimension:
-            raise ValueError(f"observable '{self.name}' returned wrong dimension")
-        return m
+        return self.at_many(np.array([float(t)]))[0]
 
     def at_many(self, times: np.ndarray) -> np.ndarray:
-        return np.stack([self.at(t) for t in np.asarray(times, dtype=float)])
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        return _checked_stack(self._sample(times), times, self.dimension,
+                              f"observable '{self.name}'")
 
     def derivative_on_grid(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)
-        if self._dfn is not None:
-            return np.stack([as_operator(self._dfn(float(t))) for t in times])
+        if self._derivative is not None:
+            return _checked_stack(self._derivative(times), times, self.dimension,
+                                  f"observable '{self.name}' derivative")
         values = self.at_many(times)
         out = np.empty_like(values)
         dt = np.diff(times)
@@ -214,14 +235,35 @@ class DensityTrajectory:
         return self.matrices[grid_index(self.times, t)]
 
 
-def grid_index(times: np.ndarray, t: float) -> int:
-    """Index of `t` on the grid; raises OffGridTimeError if not grid aligned."""
+def grid_indices(times: np.ndarray, ts) -> np.ndarray:
+    """Grid indices of the times `ts` (any shape) on the increasing grid `times`.
+
+    Each time maps to its nearest grid point (the lower one on a tie) and
+    must lie within 1e-6 of the smallest grid spacing of it; otherwise, or
+    for a NaN time, OffGridTimeError names the first offending time.
+    """
     times = np.asarray(times, dtype=float)
-    idx = int(np.argmin(np.abs(times - t)))
-    spacing = float(np.min(np.diff(times))) if times.size > 1 else 1.0
-    if abs(times[idx] - t) > 1e-6 * spacing:
+    ts = np.asarray(ts, dtype=float)
+    if times.size == 0:
+        raise OffGridTimeError("the sampling grid is empty")
+    if times.size == 1:
+        idx = np.zeros(ts.shape, dtype=np.intp)
+        spacing = 1.0
+    else:
+        right = np.clip(np.searchsorted(times, ts), 1, times.size - 1)
+        left = right - 1
+        idx = np.where(np.abs(times[left] - ts) <= np.abs(times[right] - ts), left, right)
+        spacing = float(np.min(np.diff(times)))
+    off = ~(np.abs(times[idx] - ts) <= 1e-6 * spacing)
+    if np.any(off):
+        t = float(ts[off].flat[0])
         raise OffGridTimeError(f"time {t} is not on the sampling grid")
     return idx
+
+
+def grid_index(times: np.ndarray, t: float) -> int:
+    """Index of `t` on the grid; raises OffGridTimeError if not grid aligned."""
+    return int(grid_indices(times, t))
 
 
 def drift_budget(step: float, duration: float) -> float:
@@ -323,11 +365,21 @@ class PropagatorGrid:
     def index_of(self, t: float) -> int:
         return grid_index(self.times, t)
 
+    def operators(self, j, i) -> np.ndarray:
+        """U(t_j, t_i) stacked over index arrays `j`, `i` (broadcast together).
+
+        Pairs with i == 0 take the prefix C[j] itself; only the others form
+        a product.
+        """
+        j, i = np.broadcast_arrays(np.asarray(j, dtype=np.intp), np.asarray(i, dtype=np.intp))
+        out = self.prefixes[j]
+        later = i != 0
+        out[later] = self.prefixes[j[later]] @ self.inverse_prefixes[i[later]]
+        return out
+
     def operator(self, j: int, i: int) -> np.ndarray:
         """U(t_j, t_i) between grid indices (either order)."""
-        if i == 0:
-            return self.prefixes[j]
-        return self.prefixes[j] @ self.inverse_prefixes[i]
+        return self.operators([j], [i])[0]
 
     def operator_between(self, t: float, s: float) -> np.ndarray:
         """U(t, s) for grid-aligned times."""

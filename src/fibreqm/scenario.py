@@ -238,12 +238,12 @@ def _build_hamiltonian(spec: dict, n: int, seed: int) -> HamiltonianFamily:
         omega0 = float(_get(spec, "level_splitting", np.pi))
         rabi = float(_get(spec, "rabi_frequency", np.pi))
 
-        def matrix(t: float) -> np.ndarray:
-            phase = omega0 * t
+        def sample(ts: np.ndarray) -> np.ndarray:
+            phase = (omega0 * ts)[:, None, None]
             return (omega0 / 2.0) * SIGMA_Z + (rabi / 2.0) * (
                 np.cos(phase) * SIGMA_X + np.sin(phase) * SIGMA_Y)
 
-        return HamiltonianFamily(matrix, 2, True, "circular-drive")
+        return HamiltonianFamily(sample, 2, True, "circular-drive")
     if kind == "cosine-drive":
         static_spec = _get(spec, "static")
         drive_spec = _get(spec, "drive")
@@ -253,7 +253,7 @@ def _build_hamiltonian(spec: dict, n: int, seed: int) -> HamiltonianFamily:
         v = parse_complex_matrix(drive_spec, n, "hamiltonian.drive")
         omega = float(_get(spec, "omega", 1.0))
         hermitian = bool(is_hermitian(h0, 1e-12) and is_hermitian(v, 1e-12))
-        return HamiltonianFamily(lambda t: h0 + np.cos(omega * t) * v, n,
+        return HamiltonianFamily(lambda ts: h0 + np.cos(omega * ts)[:, None, None] * v, n,
                                  hermitian, "cosine-drive")
     if kind == "non-hermitian":
         m = parse_complex_matrix(_get(spec, "matrix"), n, "hamiltonian.matrix")

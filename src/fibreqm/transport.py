@@ -31,10 +31,11 @@ from .dynamics import (
     HamiltonianFamily,
     PropagatorGrid,
     grid_index,
+    grid_indices,
     midpoint_propagators,
     propagate_states,
 )
-from .hilbert import PhysicalConstants, as_state, max_abs
+from .hilbert import PhysicalConstants, as_state
 
 __all__ = [
     "EvolutionTransport",
@@ -79,10 +80,10 @@ def matrix_bundle_hamiltonian(h: HamiltonianFamily, l: TrivializationFamily, t: 
 
 
 class MatrixBundleHamiltonian:
-    """Sampled matrix bundle Hamiltonian over a grid, evaluable at any time.
+    """Matrix bundle Hamiltonian for a grid, evaluable at any time.
 
     The midpoint stepper needs values between grid points, so the closed form
-    is kept callable; `matrices` holds the samples at the grid times.
+    is kept callable rather than sampled on the grid.
     """
 
     def __init__(self, hamiltonian: HamiltonianFamily, trivialization: TrivializationFamily,
@@ -98,7 +99,6 @@ class MatrixBundleHamiltonian:
         self.times = times
         self.times.setflags(write=False)
         self._fd_step = float(np.min(np.diff(times)))
-        self._matrices: Optional[np.ndarray] = None
 
     @property
     def dimension(self) -> int:
@@ -116,13 +116,6 @@ class MatrixBundleHamiltonian:
         h_vals = self.hamiltonian.at_many(times)
         dl = l.derivative_at_many(times, self._fd_step) if self.include_derivative_term else None
         return _bundle_generator(values, h_vals, dl, self.constants.hbar)
-
-    @property
-    def matrices(self) -> np.ndarray:
-        if self._matrices is None:
-            self._matrices = self.at_many(self.times)
-            self._matrices.setflags(write=False)
-        return self._matrices
 
 
 def transport_coefficients(hm: MatrixBundleHamiltonian, t: float,
@@ -163,15 +156,16 @@ class EvolutionTransport:
     def dimension(self) -> int:
         return self.propagators.dimension
 
-    @property
-    def hermitian_generator(self) -> bool:
-        return self.propagators.family.hermitian_expected
-
     def index_of(self, t: float) -> int:
         return grid_index(self.times, t)
 
+    def matrices_by_index(self, j, i) -> np.ndarray:
+        """U(t_j, t_i) stacked over index arrays `j`, `i` (broadcast together)."""
+        j, i = np.broadcast_arrays(np.asarray(j, dtype=np.intp), np.asarray(i, dtype=np.intp))
+        return self.inverse_frames[j] @ (self.propagators.operators(j, i) @ self.frames[i])
+
     def matrix_by_index(self, j: int, i: int) -> np.ndarray:
-        return self.inverse_frames[j] @ (self.propagators.operator(j, i) @ self.frames[i])
+        return self.matrices_by_index([j], [i])[0]
 
     def matrix(self, t: float, s: float) -> np.ndarray:
         """U(t, s): fibre(s) -> fibre(t) for grid-aligned times."""
@@ -244,27 +238,37 @@ def check_transport_axioms(transport: EvolutionTransport,
     """Measure U(t,t) = I and U(t,s) U(s,r) = U(t,r) over sampled triples.
 
     Triples must be grid aligned with r <= s <= t; the identity axiom is
-    checked at every time appearing in the sample.
+    checked at every grid index appearing in the sample.  All times are
+    looked up at once and each axiom is evaluated as one stack of queries
+    (`transport.matrices_by_index`).  The worst location is the first
+    maximum in sample order (grid indices in order of first appearance for
+    the identity), and a NaN deviation counts as the maximum, so it fails.
     """
-    eye = np.eye(transport.dimension, dtype=complex)
-    id_dev, id_worst = -1.0, float(transport.times[0])
-    comp_dev, comp_worst = -1.0, (0.0, 0.0, 0.0)
-    seen_times = set()
-    for (r, s, t) in sample:
-        if not (r <= s <= t):
-            raise ValueError(f"triple must satisfy r <= s <= t, got {(r, s, t)}")
-        ir, isx, it = (transport.index_of(x) for x in (r, s, t))
-        for x, ix in ((r, ir), (s, isx), (t, it)):
-            if ix in seen_times:
-                continue
-            seen_times.add(ix)
-            dev = max_abs(transport.matrix_by_index(ix, ix) - eye)
-            if dev > id_dev:
-                id_dev, id_worst = dev, float(x)
-        composed = transport.matrix_by_index(it, isx) @ transport.matrix_by_index(isx, ir)
-        dev = max_abs(composed - transport.matrix_by_index(it, ir))
-        if dev > comp_dev:
-            comp_dev, comp_worst = dev, (float(r), float(s), float(t))
-    if id_dev < 0:
+    triples = np.asarray(sample, dtype=float)
+    if triples.size == 0:
         raise ValueError("sample must contain at least one triple")
-    return TransportAxiomReport(id_dev, comp_dev, id_worst, comp_worst, tol)
+    if triples.ndim != 2 or triples.shape[1] != 3:
+        raise ValueError(f"sample must be a sequence of (r, s, t) triples, got shape "
+                         f"{triples.shape}")
+    unordered = ~((triples[:, 0] <= triples[:, 1]) & (triples[:, 1] <= triples[:, 2]))
+    if np.any(unordered):
+        r, s, t = triples[int(np.argmax(unordered))]
+        raise ValueError(f"triple must satisfy r <= s <= t, got {(float(r), float(s), float(t))}")
+    index = grid_indices(transport.times, triples)
+    ir, isx, it = index.T
+
+    flat = index.ravel()
+    _, first_seen = np.unique(flat, return_index=True)
+    first_seen.sort()
+    seen = flat[first_seen]
+    eye = np.eye(transport.dimension, dtype=complex)
+    id_devs = np.max(np.abs(transport.matrices_by_index(seen, seen) - eye), axis=(1, 2))
+    worst_id = int(np.argmax(id_devs))
+
+    composed = transport.matrices_by_index(it, isx) @ transport.matrices_by_index(isx, ir)
+    comp_devs = np.max(np.abs(composed - transport.matrices_by_index(it, ir)), axis=(1, 2))
+    worst_comp = int(np.argmax(comp_devs))
+    return TransportAxiomReport(
+        float(id_devs[worst_id]), float(comp_devs[worst_comp]),
+        float(triples.ravel()[first_seen[worst_id]]),
+        tuple(float(x) for x in triples[worst_comp]), tol)

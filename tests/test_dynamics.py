@@ -20,8 +20,8 @@ from fibreqm.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, PhysicalConstants, is_uni
 
 
 def circular_drive(omega0: float, rabi: float) -> HamiltonianFamily:
-    def matrix(t: float) -> np.ndarray:
-        phase = omega0 * t
+    def matrix(ts: np.ndarray) -> np.ndarray:
+        phase = (omega0 * ts)[:, None, None]
         return (omega0 / 2) * SIGMA_Z + (rabi / 2) * (
             np.cos(phase) * SIGMA_X + np.sin(phase) * SIGMA_Y)
 
@@ -237,7 +237,8 @@ class TestGridPlumbing:
             Trajectory(np.array([0.0, 1.0]), np.zeros((3, 2), dtype=complex))
 
     def test_observable_family_fd_derivative(self):
-        fam = ObservableFamily(lambda t: np.array([[t ** 2, 0], [0, -t]], dtype=complex), 2)
+        fam = ObservableFamily(lambda ts: (ts ** 2)[:, None, None] * np.diag([1, 0])
+                               - ts[:, None, None] * np.diag([0, 1]), 2)
         times = uniform_grid(0.0, 1.0, 100)
         deriv = fam.derivative_on_grid(times)
         expected = np.array([[2 * times[50], 0], [0, -1]], dtype=complex)
@@ -250,3 +251,53 @@ class TestGridPlumbing:
         fast = evolve_state(HamiltonianFamily.constant(0.5 * SIGMA_Z), [0.6, 0.8],
                             0.0, 1.0, 1e-3)
         assert max_abs(slow.states - fast.states) <= 1e-12
+
+
+class TestSamplerValidation:
+    """Every batch a family's sampler returns is shape- and finiteness-checked once."""
+
+    TIMES = uniform_grid(0.0, 1.0, 10)
+
+    @staticmethod
+    def bad_samplers():
+        return {
+            "wrong shape": lambda ts: np.zeros((ts.size, 3, 3), dtype=complex),
+            "one matrix": lambda ts: np.zeros((2, 2), dtype=complex),
+            "nan": lambda ts: np.full((ts.size, 2, 2), np.nan, dtype=complex),
+            "inf": lambda ts: np.broadcast_to(np.where(ts > 0.5, np.inf, 0.0)[:, None, None],
+                                              (ts.size, 2, 2)),
+        }
+
+    def test_hamiltonian_sampler_checked(self):
+        for kind, sample in self.bad_samplers().items():
+            fam = HamiltonianFamily(sample, 2, name=f"bad-{kind}")
+            with pytest.raises(ValueError, match=f"Hamiltonian family 'bad-{kind}'"):
+                fam.at_many(self.TIMES)
+            if kind != "inf":
+                with pytest.raises(ValueError, match=f"'bad-{kind}'"):
+                    fam.at(0.0)
+            with pytest.raises(ValueError, match=f"'bad-{kind}'"):
+                evolve_state(fam, [1, 0], 0.0, 1.0, 0.1)
+
+    def test_observable_sampler_checked(self):
+        for kind, sample in self.bad_samplers().items():
+            fam = ObservableFamily(sample, 2, name=f"bad-{kind}")
+            with pytest.raises(ValueError, match=f"observable 'bad-{kind}'"):
+                fam.at_many(self.TIMES)
+            with pytest.raises(ValueError, match=f"observable 'bad-{kind}'"):
+                fam.derivative_on_grid(self.TIMES)  # finite differences of the values
+
+    def test_observable_derivative_checked(self):
+        good = ObservableFamily.constant(SIGMA_Z).at_many
+        for kind, derivative in self.bad_samplers().items():
+            fam = ObservableFamily(good, 2, derivative=derivative, name=f"bad-{kind}")
+            assert np.array_equal(fam.at_many(self.TIMES)[3], SIGMA_Z)
+            with pytest.raises(ValueError, match=f"observable 'bad-{kind}' derivative"):
+                fam.derivative_on_grid(self.TIMES)
+
+    def test_constant_families_broadcast_one_matrix(self):
+        h = HamiltonianFamily.constant(SIGMA_X).at_many(self.TIMES)
+        a = ObservableFamily.constant(SIGMA_Z)
+        assert h.shape == (self.TIMES.size, 2, 2) and np.array_equal(h[7], SIGMA_X)
+        assert np.array_equal(a.derivative_on_grid(self.TIMES), np.zeros((self.TIMES.size, 2, 2)))
+        assert not HamiltonianFamily.zero(2).at_many(self.TIMES).any()

@@ -13,6 +13,7 @@ from fibreqm.dynamics import (
     HamiltonianFamily,
     ObservableFamily,
     PropagatorGrid,
+    grid_indices,
     mean_value,
     propagate_states,
     uniform_grid,
@@ -285,8 +286,8 @@ class TestIntegralsOfMotion:
         times = uniform_grid(0.0, 1.0, 1000)
         grid, _, _, transport = evolved_setup(l, h, times)
 
-        def evolved_observable(t: float) -> np.ndarray:
-            u = grid.operator_between(t, 0.0)
+        def evolved_observable(ts: np.ndarray) -> np.ndarray:
+            u = grid.operators(grid_indices(grid.times, ts), 0)
             return u @ SIGMA_X @ np.linalg.inv(u)
 
         fam = ObservableFamily(evolved_observable, 2, time_dependent=True)

@@ -187,6 +187,34 @@ class TestRunScenario:
         assert not record.passed
         assert record.max_residual >= 1e-2
 
+    @pytest.mark.parametrize("kernel, operand, check_ids", [
+        ("fibre_means", 1, ["mean_value_invariance", "picture_invariance"]),
+        ("bundle_adjoint_maps", 2, ["hermiticity_correspondence"]),
+    ])
+    def test_nan_residual_of_one_observable_fails_by_name(self, monkeypatch, kernel, operand,
+                                                          check_ids):
+        # MINIMAL evolves under sigma_z, so only sigma_x (its second observable)
+        # has off-diagonal entries, in the Schrodinger and the Heisenberg picture.
+        import fibreqm.checks as checks
+        real = getattr(checks, kernel)
+
+        def poisoned(*args):
+            out = real(*args)
+            if np.max(np.abs(np.asarray(args[operand])[..., 0, 1])) > 0.5:
+                return np.full_like(out, np.nan)
+            return out
+
+        monkeypatch.setattr(checks, kernel, poisoned)
+        cfg = scenario_from_dict(dict(MINIMAL))
+        assert [name for name, _ in cfg.observables] == ["sigma_z", "sigma_x"]
+        report = run_scenario(cfg)
+        for check_id in check_ids:
+            record = report.record(check_id)
+            assert not record.passed
+            assert np.isnan(record.max_residual)
+            assert record.detail == "worst observable: sigma_x"
+            assert record.worst_time == 0.0
+
 
 class TestSampleOnce:
     def test_each_time_set_sampled_once(self):

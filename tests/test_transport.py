@@ -179,15 +179,48 @@ class TestBuildTransport:
             times = transport.times
             dimension = transport.dimension
 
-            def index_of(self, t):
-                return transport.index_of(t)
-
-            def matrix_by_index(self, j, i):
-                value = transport.matrix_by_index(j, i).copy()
-                value[0, 0] += 1e-3 * (j - i)
+            def matrices_by_index(self, j, i):
+                value = transport.matrices_by_index(j, i).copy()
+                value[:, 0, 0] += 1e-3 * (j - i)
                 return value
 
         report = check_transport_axioms(Corrupted(), [(0.0, 0.5, 1.0)], 1e-10)
+        assert not report.passed
+
+    def test_nan_compositions_fail_axioms(self):
+        transport = build_transport(HamiltonianFamily.constant(0.8 * SIGMA_X),
+                                    identity_trivialization(2), TIMES)
+
+        class NanAcrossTimes:
+            times = transport.times
+            dimension = transport.dimension
+
+            def matrices_by_index(self, j, i):
+                value = transport.matrices_by_index(j, i).copy()
+                value[np.broadcast_to(np.asarray(j) != np.asarray(i), value.shape[:1])] = np.nan
+                return value
+
+        triples = [(0.0, 0.0, 0.0), (0.0, 0.5, 1.0), (0.25, 0.25, 0.75)]
+        report = check_transport_axioms(NanAcrossTimes(), triples, 1e-10)
+        assert report.max_identity_deviation <= 1e-15
+        assert np.isnan(report.max_composition_deviation)
+        assert report.worst_composition_triple == (0.0, 0.5, 1.0)  # the first NaN
+        assert not report.passed
+
+    def test_nan_identity_fails_axioms(self):
+        transport = build_transport(HamiltonianFamily.constant(0.8 * SIGMA_X),
+                                    identity_trivialization(2), TIMES)
+
+        class NanEverywhere:
+            times = transport.times
+            dimension = transport.dimension
+
+            def matrices_by_index(self, j, i):
+                return np.full(np.broadcast(j, i).shape + (2, 2), np.nan, dtype=complex)
+
+        report = check_transport_axioms(NanEverywhere(), [(0.0, 0.5, 1.0)], 1e-10)
+        assert np.isnan(report.max_identity_deviation)
+        assert report.worst_identity_time == 0.0
         assert not report.passed
 
     def test_unordered_triple_rejected(self):
