@@ -22,6 +22,7 @@ from .hilbert import (
     apply,
     as_operator,
     as_state,
+    checked_stack,
     inner_products,
     max_abs,
 )
@@ -79,8 +80,9 @@ class TrivializationFamily:
 
     `sample` maps a 1-D array of N times to the stack l(t_k), shape (N, n, n);
     the optional `derivative` maps them to dl/dt(t_k), else central finite
-    differences of `sample` with step `fd_step` are used.  Outputs are
-    shape-checked; single-time queries are batches of one.
+    differences of `sample` with step `fd_step` are used.  Each batch is
+    shape- and finiteness-checked once (ValueError naming the family);
+    single-time queries are batches of one.
     """
 
     def __init__(self, sample: Callable[[np.ndarray], np.ndarray], dimension: int,
@@ -98,20 +100,13 @@ class TrivializationFamily:
     def has_analytic_derivative(self) -> bool:
         return self._derivative is not None
 
-    def _checked(self, stack, times: np.ndarray) -> np.ndarray:
-        stack = np.asarray(stack, dtype=complex)
-        expected = (times.size, self.dimension, self.dimension)
-        if stack.shape != expected:
-            raise ValueError(f"trivialization '{self.name}' returned shape {stack.shape}, "
-                             f"expected {expected}")
-        return stack
-
     def at(self, t: float) -> np.ndarray:
         return self.at_many(np.array([float(t)]))[0]
 
     def at_many(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        return self._checked(self._sample(times), times)
+        return checked_stack(self._sample(times), times, self.dimension,
+                             f"trivialization '{self.name}'")
 
     def derivative_at(self, t: float, fd_step: Optional[float] = None) -> np.ndarray:
         return self.derivative_at_many(np.array([float(t)]), fd_step)[0]
@@ -119,7 +114,8 @@ class TrivializationFamily:
     def derivative_at_many(self, times, fd_step: Optional[float] = None) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if self._derivative is not None:
-            return self._checked(self._derivative(times), times)
+            return checked_stack(self._derivative(times), times, self.dimension,
+                                 f"trivialization '{self.name}' derivative")
         h = fd_step if fd_step is not None else self.fd_step
         if h is None or h <= 0:
             raise ValueError(

@@ -63,6 +63,7 @@ class ScenarioArtifacts:
     lifted: SectionAlongPath
     bundle_section: SectionAlongPath
     transport: EvolutionTransport
+    observables: Dict[str, np.ndarray]  # name -> grid samples (N, n, n), each sampled once
     lifted_observables: Dict[str, MorphismAlongPath]
     rho0: np.ndarray
     density_lifted: np.ndarray    # (N, n, n)
@@ -112,9 +113,10 @@ def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
 
     transport = EvolutionTransport(propagators, l, frames)
 
+    observables = {family.name: family.at_many(times) for family in cfg.observables}
     lifted_observables = {
         name: MorphismAlongPath(times, lift_operators(frames, stack))
-        for name, stack in cfg.observables
+        for name, stack in observables.items()
     }
 
     if cfg.initial_density is not None:
@@ -131,7 +133,8 @@ def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
 
     return ScenarioArtifacts(
         cfg=cfg, trajectory=trajectory, lifted=lifted, bundle_section=bundle_section,
-        transport=transport, lifted_observables=lifted_observables, rho0=rho0,
+        transport=transport, observables=observables,
+        lifted_observables=lifted_observables, rho0=rho0,
         density_lifted=density_lifted, density_transported=density_transported,
         transported_section=transported_section)
 
@@ -203,7 +206,7 @@ def _check_mean_value_invariance(art: ScenarioArtifacts, tol: float,
                                  series: Dict[str, np.ndarray]) -> CheckRecord:
     psi = art.trajectory.states
     per_observable = []
-    for name, stack in art.cfg.observables:
+    for name, stack in art.observables.items():
         conv = expectations(psi, apply(stack, psi))
         bundle = fibre_means(art.transport.frames, art.lifted_observables[name].matrices,
                              art.lifted.values)
@@ -219,7 +222,7 @@ def _check_hermiticity_correspondence(art: ScenarioArtifacts, tol: float,
                                       series: Dict[str, np.ndarray]) -> CheckRecord:
     frames, inv = art.transport.frames, art.transport.inverse_frames
     per_observable = []
-    for name, stack in art.cfg.observables:
+    for name, stack in art.observables.items():
         bundle_adj = bundle_adjoint_maps(frames, inv, art.lifted_observables[name].matrices)
         lift_of_adj = lift_operators(frames, np.swapaxes(stack.conj(), -2, -1))
         per_time = np.max(np.abs(bundle_adj - lift_of_adj), axis=(1, 2))
@@ -254,7 +257,7 @@ def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
     psi_v = apply(v, psi_t)
     frames = art.transport.frames
     per_observable = []
-    for name, _ in art.cfg.observables:
+    for name in art.observables:
         a_lift = art.lifted_observables[name].matrices
         schro = fibre_means(frames, a_lift, psi_t)
         heis = fibre_means(frames[0], conjugate_by(into_t0, a_lift, from_t0), psi_h)
@@ -352,7 +355,7 @@ def _check_integrals_of_motion(art: ScenarioArtifacts, tol: float,
             worst = max(worst, report.commutator_residual,
                         report.transport_residual or 0.0)
         outcomes.append(
-            f"{cand.name}: certified={report.certified} expected={cand.expected} "
+            f"{cand.family.name}: certified={report.certified} expected={cand.expected} "
             f"residual={report.commutator_residual:.3e}")
     return CheckRecord("integrals_of_motion", worst, tol, all_match and worst <= tol,
                        None, detail="; ".join(outcomes))

@@ -21,6 +21,7 @@ from .hilbert import (
     apply,
     as_operator,
     as_state,
+    checked_stack,
     expectations,
     inner_products,
     is_hermitian,
@@ -70,17 +71,6 @@ def _steps_from(t0: float, t1: float, step: float) -> int:
     return max(steps, 1)
 
 
-def _checked_stack(stack, times: np.ndarray, dimension: int, what: str) -> np.ndarray:
-    """A sampler's output as a complex (N, n, n) stack; shape and finiteness checked once."""
-    stack = np.asarray(stack, dtype=complex)
-    expected = (times.size, dimension, dimension)
-    if stack.shape != expected:
-        raise ValueError(f"{what} returned shape {stack.shape}, expected {expected}")
-    if not np.all(np.isfinite(stack)):
-        raise ValueError(f"{what} returned non-finite entries")
-    return stack
-
-
 def _constant_sampler(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """ts -> the read-only broadcast of one matrix over the batch (no copy)."""
     return lambda ts: np.broadcast_to(matrix, (ts.size,) + matrix.shape)
@@ -124,8 +114,8 @@ class HamiltonianFamily:
 
     def at_many(self, times: np.ndarray) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        return _checked_stack(self._sample(times), times, self.dimension,
-                              f"Hamiltonian family '{self.name}'")
+        return checked_stack(self._sample(times), times, self.dimension,
+                             f"Hamiltonian family '{self.name}'")
 
 
 class ObservableFamily:
@@ -160,14 +150,14 @@ class ObservableFamily:
 
     def at_many(self, times: np.ndarray) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        return _checked_stack(self._sample(times), times, self.dimension,
-                              f"observable '{self.name}'")
+        return checked_stack(self._sample(times), times, self.dimension,
+                             f"observable '{self.name}'")
 
     def derivative_on_grid(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)
         if self._derivative is not None:
-            return _checked_stack(self._derivative(times), times, self.dimension,
-                                  f"observable '{self.name}' derivative")
+            return checked_stack(self._derivative(times), times, self.dimension,
+                                 f"observable '{self.name}' derivative")
         values = self.at_many(times)
         out = np.empty_like(values)
         dt = np.diff(times)

@@ -22,6 +22,7 @@ __all__ = [
     "apply",
     "as_operator",
     "as_state",
+    "checked_stack",
     "commutator",
     "expectations",
     "inner_product",
@@ -71,6 +72,17 @@ def as_operator(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("operator has non-finite entries")
     return m
+
+
+def checked_stack(stack, times: np.ndarray, dimension: int, what: str) -> np.ndarray:
+    """A sampler's output as a complex (N, n, n) stack; shape and finiteness checked once."""
+    stack = np.asarray(stack, dtype=complex)
+    expected = (times.size, dimension, dimension)
+    if stack.shape != expected:
+        raise ValueError(f"{what} returned shape {stack.shape}, expected {expected}")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError(f"{what} returned non-finite entries")
+    return stack
 
 
 def max_abs(x) -> float:

@@ -27,9 +27,22 @@ __all__ = [
 class BaseSpace:
     """Common interface of the base-space variants."""
 
-    def coerce_point(self, raw) -> np.ndarray:
-        """Normalize a point to a flat coordinate row (possibly empty)."""
+    def coerce_points(self, raw, grid: np.ndarray) -> np.ndarray:
+        """Normalize a path's samples at `grid` to (N, k) coordinate rows (k may be 0)."""
         raise NotImplementedError
+
+
+def _sampled_rows(raw, grid: np.ndarray, width: int) -> np.ndarray:
+    """`point_fn` output as (N, width) finite rows; (N,) is accepted for width 1."""
+    p = np.asarray(raw, dtype=float)
+    if width == 1 and p.shape == grid.shape:
+        p = p[:, None]
+    if p.shape != (grid.size, width):
+        raise ValueError(f"point_fn returned shape {p.shape}, expected ({grid.size}, {width})")
+    undefined = ~np.all(np.isfinite(p), axis=1)
+    if np.any(undefined):
+        raise ValueError(f"path map undefined at grid time {grid[np.argmax(undefined)]}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -47,13 +60,8 @@ class Euclidean(BaseSpace):
         if self.dim < 1:
             raise ValueError(f"Euclidean base needs dim >= 1, got {self.dim}")
 
-    def coerce_point(self, raw) -> np.ndarray:
-        p = np.asarray(raw, dtype=float).reshape(-1)
-        if p.shape != (self.dim,):
-            raise ValueError(f"point has shape {p.shape}, expected ({self.dim},)")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("point has non-finite coordinates")
-        return p
+    def coerce_points(self, raw, grid: np.ndarray) -> np.ndarray:
+        return _sampled_rows(raw, grid, self.dim)
 
 
 @dataclass(frozen=True)
@@ -67,21 +75,24 @@ class Interval(BaseSpace):
         if not (np.isfinite(self.lower) and np.isfinite(self.upper) and self.lower < self.upper):
             raise ValueError(f"interval needs lower < upper, got [{self.lower}, {self.upper}]")
 
-    def coerce_point(self, raw) -> np.ndarray:
-        x = float(np.asarray(raw).reshape(()))
+    def coerce_points(self, raw, grid: np.ndarray) -> np.ndarray:
+        p = _sampled_rows(raw, grid, 1)
         pad = 1e-12 * max(1.0, abs(self.lower), abs(self.upper))
-        if not (self.lower - pad <= x <= self.upper + pad):
-            raise ValueError(f"point {x} lies outside [{self.lower}, {self.upper}]")
-        return np.array([x])
+        outside = ~((self.lower - pad <= p[:, 0]) & (p[:, 0] <= self.upper + pad))
+        if np.any(outside):
+            k = int(np.argmax(outside))
+            raise ValueError(f"point {p[k, 0]} at grid time {grid[k]} lies outside "
+                             f"[{self.lower}, {self.upper}]")
+        return p
 
 
 @dataclass(frozen=True)
 class SinglePoint(BaseSpace):
     """One-point base; every path is constant and maximally self-intersecting."""
 
-    def coerce_point(self, raw) -> np.ndarray:
+    def coerce_points(self, raw, grid: np.ndarray) -> np.ndarray:
         # The only point has no coordinates; distances are identically zero.
-        return np.empty(0, dtype=float)
+        return np.empty((grid.size, 0), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -93,7 +104,6 @@ class Path:
     t_end: float
     grid: np.ndarray     # strictly increasing sample times
     points: np.ndarray   # (N, k) coordinates, k = 0 for a single-point base
-    point_fn: Optional[Callable[[float], object]] = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -107,21 +117,17 @@ class Path:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "points", points)
 
-    def point_at(self, t: float):
-        if self.point_fn is None:
-            return self.points[int(np.argmin(np.abs(self.grid - t)))]
-        return self.base.coerce_point(self.point_fn(float(t)))
-
 
 def make_path(base: BaseSpace, domain: Tuple[float, float],
-              point_fn: Optional[Callable[[float], object]], samples: int,
+              point_fn: Optional[Callable[[np.ndarray], object]], samples: int,
               forbid_self_intersections: bool = False,
               intersection_tol: float = 1e-9) -> Path:
     """Sample a path over `domain` on a uniform grid and validate it.
 
-    `point_fn` may be omitted for a SinglePoint base.  With
-    `forbid_self_intersections` the sampled path must be injective at
-    `intersection_tol` resolution (world-line bases).
+    `point_fn` maps the whole grid, shape (N,), to the points, shape (N, k),
+    in one call; it may be omitted for a SinglePoint base and is not called
+    there.  With `forbid_self_intersections` the sampled path must be
+    injective at `intersection_tol` resolution (world-line bases).
     """
     t0, t1 = float(domain[0]), float(domain[1])
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
@@ -130,22 +136,10 @@ def make_path(base: BaseSpace, domain: Tuple[float, float],
         raise ValueError(f"samples must be >= 2, got {samples}")
 
     grid = np.linspace(t0, t1, samples)
-    if isinstance(base, SinglePoint):
-        points = np.empty((samples, 0), dtype=float)
-        fn = point_fn
-    else:
-        if point_fn is None:
-            raise ValueError("point_fn is required unless the base is a single point")
-        rows = []
-        for t in grid:
-            raw = point_fn(float(t))
-            if raw is None:
-                raise ValueError(f"path map undefined at grid time {t}")
-            rows.append(base.coerce_point(raw))
-        points = np.stack(rows)
-        fn = point_fn
-
-    path = Path(base, t0, t1, grid, points, fn)
+    single = isinstance(base, SinglePoint)
+    if point_fn is None and not single:
+        raise ValueError("point_fn is required unless the base is a single point")
+    path = Path(base, t0, t1, grid, base.coerce_points(None if single else point_fn(grid), grid))
     if forbid_self_intersections and self_intersections(path, intersection_tol):
         raise ValueError("path self-intersects but the base forbids self-intersections")
     return path
@@ -160,13 +154,11 @@ def self_intersections(path: Path, spatial_tol: float) -> List[Tuple[float, floa
     """
     if spatial_tol < 0:
         raise ValueError("spatial_tol must be >= 0")
-    pts = path.points
-    n = pts.shape[0]
-    if pts.shape[1] == 0:
-        dist_sq = np.zeros((n, n))
-    else:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
-    close = dist_sq <= spatial_tol * spatial_tol
-    ii, jj = np.nonzero(np.triu(close, k=1))
-    return [(float(path.grid[i]), float(path.grid[j])) for i, j in zip(ii, jj)]
+    pts, grid = path.points, path.grid
+    tol_sq = spatial_tol * spatial_tol
+    pairs = []
+    for i in range(pts.shape[0] - 1):  # one row of the distance matrix at a time
+        diff = pts[i + 1:] - pts[i]
+        close = np.nonzero(np.einsum("jk,jk->j", diff, diff) <= tol_sq)[0] + (i + 1)
+        pairs.extend((float(grid[i]), float(grid[j])) for j in close)
+    return pairs

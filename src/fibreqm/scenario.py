@@ -89,8 +89,7 @@ def default_tolerances(eq_tol: float = 1e-6, prop_tol: float = 1e-8) -> Dict[str
 
 @dataclass(frozen=True)
 class IntegralCandidate:
-    name: str
-    family: ObservableFamily
+    family: ObservableFamily  # named by the family
     expected: bool
 
 
@@ -106,7 +105,7 @@ class ScenarioConfig:
     times: np.ndarray
     hamiltonian: HamiltonianFamily
     trivialization: TrivializationFamily
-    observables: List[Tuple[str, np.ndarray]]  # (name, per-grid-time stack (N, n, n))
+    observables: List[ObservableFamily]  # each named by its family
     initial_state: np.ndarray
     initial_density: Optional[np.ndarray]
     integral_candidates: List[IntegralCandidate]
@@ -148,20 +147,16 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _get(raw: dict, key: str, default=None):
-    return raw.get(key, default)
-
-
 # --- builders ---------------------------------------------------------------
 
 def _build_base(spec: dict) -> BaseSpace:
-    variant = _get(spec, "variant")
+    variant = spec.get("variant")
     if variant == "euclidean":
-        dim = _get(spec, "dim", 3)
+        dim = spec.get("dim", 3)
         _require(isinstance(dim, int) and dim >= 1, "base_space.dim: need an integer >= 1")
         return Euclidean(dim)
     if variant == "interval":
-        bounds = _get(spec, "bounds")
+        bounds = spec.get("bounds")
         _require(isinstance(bounds, list) and len(bounds) == 2,
                  "base_space.bounds: need [lower, upper]")
         return Interval(float(bounds[0]), float(bounds[1]))
@@ -171,40 +166,40 @@ def _build_base(spec: dict) -> BaseSpace:
 
 
 def _build_path(spec: dict, base: BaseSpace, t0: float, t1: float, samples: int) -> Path:
-    kind = _get(spec, "kind")
-    forbid = bool(_get(spec, "forbid_self_intersections", False))
+    kind = spec.get("kind")
+    forbid = bool(spec.get("forbid_self_intersections", False))
     if kind == "constant":
         _require(isinstance(base, SinglePoint), "path.constant requires a single-point base")
         return make_path(base, (t0, t1), None, samples)
     if kind == "identity":
         _require(isinstance(base, Interval), "path.identity requires an interval base")
-        return make_path(base, (t0, t1), lambda t: t, samples,
+        return make_path(base, (t0, t1), lambda ts: ts, samples,
                          forbid_self_intersections=forbid)
     if kind == "line":
         _require(isinstance(base, Euclidean), "path.line requires a Euclidean base")
         d = base.dim
-        origin = np.asarray(_get(spec, "origin", [0.0] * d), dtype=float)
-        velocity = np.asarray(_get(spec, "velocity", [1.0] + [0.0] * (d - 1)), dtype=float)
+        origin = np.asarray(spec.get("origin", [0.0] * d), dtype=float)
+        velocity = np.asarray(spec.get("velocity", [1.0] + [0.0] * (d - 1)), dtype=float)
         _require(origin.shape == (d,) and velocity.shape == (d,),
                  f"path.line: origin/velocity must have length {d}")
-        return make_path(base, (t0, t1), lambda t: origin + t * velocity, samples,
+        return make_path(base, (t0, t1), lambda ts: origin + ts[:, None] * velocity, samples,
                          forbid_self_intersections=forbid)
     if kind == "circle":
         _require(isinstance(base, Euclidean) and base.dim >= 2,
                  "path.circle requires a Euclidean base of dim >= 2")
-        radius = float(_get(spec, "radius", 1.0))
-        turns = float(_get(spec, "turns", 1.0))
+        radius = float(spec.get("radius", 1.0))
+        turns = float(spec.get("turns", 1.0))
         d = base.dim
         rate = 2.0 * np.pi * turns / (t1 - t0)
 
-        def point(t: float) -> np.ndarray:
-            angle = rate * (t - t0)
-            p = np.zeros(d)
-            p[0] = radius * np.cos(angle)
-            p[1] = radius * np.sin(angle)
+        def points(ts: np.ndarray) -> np.ndarray:
+            angle = rate * (ts - t0)
+            p = np.zeros((ts.size, d))
+            p[:, 0] = radius * np.cos(angle)
+            p[:, 1] = radius * np.sin(angle)
             return p
 
-        return make_path(base, (t0, t1), point, samples, forbid_self_intersections=forbid)
+        return make_path(base, (t0, t1), points, samples, forbid_self_intersections=forbid)
     raise ConfigError(f"path.kind: unknown kind {kind!r}")
 
 
@@ -215,28 +210,28 @@ def _random_hermitian(n: int, seed_key: Sequence[int], scale: float) -> np.ndarr
 
 
 def _build_hamiltonian(spec: dict, n: int, seed: int) -> HamiltonianFamily:
-    kind = _get(spec, "kind")
+    kind = spec.get("kind")
     if kind == "zero":
         return HamiltonianFamily.zero(n)
     if kind == "constant":
-        m = parse_complex_matrix(_get(spec, "matrix"), n, "hamiltonian.matrix")
+        m = parse_complex_matrix(spec.get("matrix"), n, "hamiltonian.matrix")
         return HamiltonianFamily.constant(m, name="constant")
     if kind == "pauli":
         _require(n == 2, "hamiltonian.pauli requires dimension 2")
-        coeffs = _get(spec, "coefficients", {})
+        coeffs = spec.get("coefficients", {})
         m = np.zeros((2, 2), dtype=complex)
         for axis, mat in _PAULI.items():
             m = m + float(coeffs.get(axis, 0.0)) * mat
         m = m + float(coeffs.get("i", 0.0)) * np.eye(2)
         return HamiltonianFamily.constant(m, name="pauli")
     if kind == "random-hermitian":
-        scale = float(_get(spec, "scale", 1.0))
+        scale = float(spec.get("scale", 1.0))
         m = _random_hermitian(n, [seed, 0x48], scale)
         return HamiltonianFamily.constant(m, name="random-hermitian")
     if kind == "circular-drive":
         _require(n == 2, "hamiltonian.circular-drive requires dimension 2")
-        omega0 = float(_get(spec, "level_splitting", np.pi))
-        rabi = float(_get(spec, "rabi_frequency", np.pi))
+        omega0 = float(spec.get("level_splitting", np.pi))
+        rabi = float(spec.get("rabi_frequency", np.pi))
 
         def sample(ts: np.ndarray) -> np.ndarray:
             phase = (omega0 * ts)[:, None, None]
@@ -245,106 +240,104 @@ def _build_hamiltonian(spec: dict, n: int, seed: int) -> HamiltonianFamily:
 
         return HamiltonianFamily(sample, 2, True, "circular-drive")
     if kind == "cosine-drive":
-        static_spec = _get(spec, "static")
-        drive_spec = _get(spec, "drive")
+        static_spec = spec.get("static")
+        drive_spec = spec.get("drive")
         _require(static_spec is not None and drive_spec is not None,
                  "hamiltonian.cosine-drive needs 'static' and 'drive' matrices")
         h0 = parse_complex_matrix(static_spec, n, "hamiltonian.static")
         v = parse_complex_matrix(drive_spec, n, "hamiltonian.drive")
-        omega = float(_get(spec, "omega", 1.0))
+        omega = float(spec.get("omega", 1.0))
         hermitian = bool(is_hermitian(h0, 1e-12) and is_hermitian(v, 1e-12))
         return HamiltonianFamily(lambda ts: h0 + np.cos(omega * ts)[:, None, None] * v, n,
                                  hermitian, "cosine-drive")
     if kind == "non-hermitian":
-        m = parse_complex_matrix(_get(spec, "matrix"), n, "hamiltonian.matrix")
+        m = parse_complex_matrix(spec.get("matrix"), n, "hamiltonian.matrix")
         return HamiltonianFamily.constant(m, hermitian_expected=False, name="non-hermitian")
     raise ConfigError(f"hamiltonian.kind: unknown kind {kind!r}")
 
 
 def _build_trivialization(spec: dict, n: int, seed: int) -> TrivializationFamily:
-    kind = _get(spec, "kind")
+    kind = spec.get("kind")
     if kind == "identity":
         return identity_trivialization(n)
     if kind == "global-phase":
-        return global_phase_trivialization(n, float(_get(spec, "omega", 2.0 * np.pi)))
+        return global_phase_trivialization(n, float(spec.get("omega", 2.0 * np.pi)))
     if kind == "diagonal-phase":
-        omegas = _get(spec, "omegas")
+        omegas = spec.get("omegas")
         _require(isinstance(omegas, list) and len(omegas) == n,
                  f"trivialization.omegas: need {n} frequencies")
         return diagonal_phase_trivialization([float(w) for w in omegas])
     if kind == "constant-diagonal":
-        entries = _get(spec, "entries")
+        entries = spec.get("entries")
         _require(isinstance(entries, list) and len(entries) == n,
                  f"trivialization.entries: need {n} diagonal entries")
         return constant_trivialization(np.diag([complex(e) for e in entries]),
                                        name="constant-diagonal")
     if kind == "constant":
-        m = parse_complex_matrix(_get(spec, "matrix"), n, "trivialization.matrix")
+        m = parse_complex_matrix(spec.get("matrix"), n, "trivialization.matrix")
         return constant_trivialization(m)
     if kind == "random-smooth-unitary":
-        scale = float(_get(spec, "scale", 0.6))
-        frequency = float(_get(spec, "frequency", 2.5))
+        scale = float(spec.get("scale", 0.6))
+        frequency = float(spec.get("frequency", 2.5))
         return random_smooth_unitary_trivialization(n, seed, scale, frequency)
     raise ConfigError(f"trivialization.kind: unknown kind {kind!r}")
 
 
-def _build_observable(spec: dict, n: int, seed: int, index: int,
-                      times: np.ndarray) -> Tuple[str, np.ndarray]:
-    """Resolve an observable spec to per-grid-time matrices (N, n, n).
+def _build_observable(spec: dict, n: int, seed: int, index: int) -> ObservableFamily:
+    """Resolve an observable spec to a family named by the spec.
 
-    Constant observables are broadcast over the grid; the optional
-    "modulation" key, {"omega": w, "offset": c}, makes the observable
-    (c + cos(w t)) * base.
+    A constant observable broadcasts one matrix over any batch of times; the
+    optional "modulation" key, {"omega": w, "offset": c}, makes the
+    observable (c + cos(w t)) * base.
     """
-    kind = _get(spec, "kind")
-    name = _get(spec, "name", f"obs{index}")
+    kind = spec.get("kind")
+    name = spec.get("name", f"obs{index}")
     if kind == "pauli":
         _require(n == 2, "observable.pauli requires dimension 2")
-        axis = _get(spec, "axis")
+        axis = spec.get("axis")
         _require(axis in _PAULI, f"observable.axis: unknown axis {axis!r}")
-        base = _PAULI[axis].copy()
+        base = _PAULI[axis]
     elif kind == "matrix":
-        base = parse_complex_matrix(_get(spec, "matrix"), n, f"observables[{index}].matrix")
+        base = parse_complex_matrix(spec.get("matrix"), n, f"observables[{index}].matrix")
     elif kind == "diagonal":
-        entries = _get(spec, "entries")
+        entries = spec.get("entries")
         _require(isinstance(entries, list) and len(entries) == n,
                  f"observables[{index}].entries: need {n} entries")
         base = np.diag([complex(e) for e in entries])
     elif kind == "random-hermitian":
-        scale = float(_get(spec, "scale", 1.0))
+        scale = float(spec.get("scale", 1.0))
         base = _random_hermitian(n, [seed, 0xA0, index], scale)
     else:
         raise ConfigError(f"observables[{index}].kind: unknown kind {kind!r}")
 
-    modulation = _get(spec, "modulation")
+    modulation = spec.get("modulation")
     if modulation is None:
-        return name, np.broadcast_to(base, (times.size, n, n)).copy()
+        return ObservableFamily.constant(base, name=name)
     _require(isinstance(modulation, dict), f"observables[{index}].modulation: need an object")
-    omega = float(_get(modulation, "omega", 1.0))
-    offset = float(_get(modulation, "offset", 0.0))
-    envelope = offset + np.cos(omega * times)
-    return name, envelope[:, None, None] * base
+    omega = float(modulation.get("omega", 1.0))
+    offset = float(modulation.get("offset", 0.0))
+    return ObservableFamily(lambda ts: (offset + np.cos(omega * ts))[:, None, None] * base, n,
+                            name=name)
 
 
 def _build_candidate(spec: dict, n: int, seed: int, index: int,
                      hamiltonian: HamiltonianFamily, t0: float) -> IntegralCandidate:
-    kind = _get(spec, "kind")
-    expected = _get(spec, "expected")
+    kind = spec.get("kind")
+    expected = spec.get("expected")
     _require(isinstance(expected, bool), f"integral_candidates[{index}].expected: need a bool")
     if kind == "hamiltonian":
-        fam = ObservableFamily.constant(hamiltonian.at(t0), name="hamiltonian")
-        return IntegralCandidate("hamiltonian", fam, expected)
+        return IntegralCandidate(
+            ObservableFamily.constant(hamiltonian.at(t0), name="hamiltonian"), expected)
     if kind == "pauli":
         _require(n == 2, "integral_candidates.pauli requires dimension 2")
-        axis = _get(spec, "axis")
+        axis = spec.get("axis")
         _require(axis in _PAULI, f"integral_candidates[{index}].axis: unknown axis {axis!r}")
-        return IntegralCandidate(f"sigma_{axis}",
-                                 ObservableFamily.constant(_PAULI[axis], name=f"sigma_{axis}"),
-                                 expected)
+        return IntegralCandidate(
+            ObservableFamily.constant(_PAULI[axis], name=f"sigma_{axis}"), expected)
     if kind == "matrix":
-        m = parse_complex_matrix(_get(spec, "matrix"), n, f"integral_candidates[{index}].matrix")
-        return IntegralCandidate(_get(spec, "name", f"candidate{index}"),
-                                 ObservableFamily.constant(m), expected)
+        m = parse_complex_matrix(spec.get("matrix"), n, f"integral_candidates[{index}].matrix")
+        return IntegralCandidate(
+            ObservableFamily.constant(m, name=spec.get("name", f"candidate{index}")), expected)
     raise ConfigError(f"integral_candidates[{index}].kind: unknown kind {kind!r}")
 
 
@@ -364,37 +357,41 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     unknown = set(raw) - _KNOWN_KEYS
     _require(not unknown, f"{source}: unknown config keys {sorted(unknown)}")
 
-    name = _get(raw, "name")
+    name = raw.get("name")
     _require(isinstance(name, str) and name, "name: required non-empty string")
-    n = _get(raw, "dimension")
+    n = raw.get("dimension")
     _require(isinstance(n, int) and n >= 1, "dimension: need an integer >= 1")
-    hbar = float(_get(raw, "hbar", 1.0))
+    hbar = float(raw.get("hbar", 1.0))
     constants = PhysicalConstants(hbar)
-    seed = int(_get(raw, "seed", 0))
+    seed = int(raw.get("seed", 0))
 
-    grid_spec = _get(raw, "grid")
+    grid_spec = raw.get("grid")
     _require(isinstance(grid_spec, dict), "grid: required object with t0, t1, steps")
-    t0 = float(_get(grid_spec, "t0", 0.0))
-    t1 = float(_get(grid_spec, "t1", 1.0))
-    steps = _get(grid_spec, "steps")
+    t0 = float(grid_spec.get("t0", 0.0))
+    t1 = float(grid_spec.get("t1", 1.0))
+    steps = grid_spec.get("steps")
     _require(isinstance(steps, int) and steps >= 2, "grid.steps: need an integer >= 2")
     _require(t0 < t1, "grid: need t0 < t1")
     times = uniform_grid(t0, t1, steps)
 
-    base = _build_base(_get(raw, "base_space", {"variant": "euclidean", "dim": 3}))
-    path = _build_path(_get(raw, "path", _default_path_spec(base)), base, t0, t1, steps + 1)
+    # Each default is stated once: the echo reports the specs that were built.
+    base_spec = raw.get("base_space", {"variant": "euclidean", "dim": 3})
+    base = _build_base(base_spec)
+    path_spec = raw.get("path", _default_path_spec(base))
+    path = _build_path(path_spec, base, t0, t1, steps + 1)
 
-    hamiltonian = _build_hamiltonian(_get(raw, "hamiltonian", {"kind": "zero"}), n, seed)
-    trivialization = _build_trivialization(
-        _get(raw, "trivialization", {"kind": "identity"}), n, seed)
+    hamiltonian_spec = raw.get("hamiltonian", {"kind": "zero"})
+    hamiltonian = _build_hamiltonian(hamiltonian_spec, n, seed)
+    trivialization_spec = raw.get("trivialization", {"kind": "identity"})
+    trivialization = _build_trivialization(trivialization_spec, n, seed)
 
-    obs_specs = _get(raw, "observables", _default_observable_specs(n))
+    obs_specs = raw.get("observables", _default_observable_specs(n))
     _require(isinstance(obs_specs, list) and obs_specs, "observables: must be a non-empty list")
-    observables = [_build_observable(s, n, seed, i, times) for i, s in enumerate(obs_specs)]
-    names = [nm for nm, _ in observables]
+    observables = [_build_observable(s, n, seed, i) for i, s in enumerate(obs_specs)]
+    names = [family.name for family in observables]
     _require(len(set(names)) == len(names), "observables: names must be unique")
 
-    state_spec = _get(raw, "initial_state")
+    state_spec = raw.get("initial_state")
     if state_spec is None:
         initial_state = np.zeros(n, dtype=complex)
         initial_state[0] = 1.0
@@ -403,7 +400,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         _require(bool(np.vdot(initial_state, initial_state).real > 0),
                  "initial_state: must be nonzero")
 
-    density_spec = _get(raw, "initial_density")
+    density_spec = raw.get("initial_density")
     initial_density = None
     if density_spec is not None:
         initial_density = parse_complex_matrix(density_spec, n, "initial_density")
@@ -412,18 +409,19 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"initial_density: {exc}") from exc
 
+    candidate_specs = raw.get("integral_candidates", [])
     candidates = [
         _build_candidate(s, n, seed, i, hamiltonian, t0)
-        for i, s in enumerate(_get(raw, "integral_candidates", []))
+        for i, s in enumerate(candidate_specs)
     ]
 
-    physics_check = _get(raw, "physics_check")
+    physics_check = raw.get("physics_check")
     if physics_check is not None:
-        _require(isinstance(physics_check, dict) and _get(physics_check, "kind") == "rabi-flip",
+        _require(isinstance(physics_check, dict) and physics_check.get("kind") == "rabi-flip",
                  "physics_check.kind: only 'rabi-flip' is supported")
         _require(n == 2, "physics_check.rabi-flip requires dimension 2")
 
-    tol_spec = dict(_get(raw, "tolerances", {}))
+    tol_spec = dict(raw.get("tolerances", {}))
     eq_tol = float(tol_spec.pop("eq_tol", 1e-6))
     prop_tol = float(tol_spec.pop("prop_tol", 1e-8))
     tolerances = default_tolerances(eq_tol, prop_tol)
@@ -431,11 +429,11 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         _require(key in tolerances, f"tolerances: unknown check id {key!r}")
         tolerances[key] = float(value)
 
-    faults = dict(_get(raw, "faults", {}))
+    faults = dict(raw.get("faults", {}))
     unknown_faults = set(faults) - {"drop_trivialization_derivative"}
     _require(not unknown_faults, f"faults: unknown keys {sorted(unknown_faults)}")
 
-    checks = _get(raw, "checks")
+    checks = raw.get("checks")
     if checks is None:
         checks = _default_checks(hamiltonian, candidates, physics_check,
                                  initial_density, initial_state)
@@ -450,18 +448,18 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
 
     echo = {
         "name": name,
-        "description": _get(raw, "description", ""),
+        "description": raw.get("description", ""),
         "dimension": n,
         "hbar": hbar,
-        "base_space": _get(raw, "base_space", {"variant": "euclidean", "dim": 3}),
-        "path": _get(raw, "path", _default_path_spec(base)),
+        "base_space": base_spec,
+        "path": path_spec,
         "grid": {"t0": t0, "t1": t1, "steps": steps},
-        "hamiltonian": _get(raw, "hamiltonian", {"kind": "zero"}),
-        "trivialization": _get(raw, "trivialization", {"kind": "identity"}),
+        "hamiltonian": hamiltonian_spec,
+        "trivialization": trivialization_spec,
         "observables": obs_specs,
         "initial_state": state_spec,
         "initial_density": density_spec,
-        "integral_candidates": _get(raw, "integral_candidates", []),
+        "integral_candidates": candidate_specs,
         "physics_check": physics_check,
         "checks": list(checks),
         "tolerances": {"eq_tol": eq_tol, "prop_tol": prop_tol, **tol_spec},

@@ -21,7 +21,7 @@ from fibreqm.dynamics import (
     uniform_grid,
 )
 from fibreqm.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, max_abs
-from fibreqm.scenario import parse_complex_matrix, scenario_from_dict
+from fibreqm.scenario import catalog_names, parse_complex_matrix, scenario_from_dict
 from fibreqm.transport import EvolutionTransport, TransportAxiomReport, check_transport_axioms
 
 
@@ -183,6 +183,40 @@ def test_cosine_drive_matches_pointwise_formula():
     ts = sample_times(cfg)
     expected = np.stack([h0 + np.cos(omega * float(t)) * v for t in ts])
     assert np.array_equal(cfg.hamiltonian.at_many(ts), expected)
+
+
+# --- vectorized paths ---------------------------------------------------------------
+
+def pointwise_path_point(spec, base, t0, t1, t):
+    """One point gamma(t) of each path kind, formed one grid time at a time."""
+    kind = spec["kind"]
+    if kind == "constant":
+        return np.empty(0)
+    if kind == "identity":
+        return np.array([t])
+    d = base.dim
+    if kind == "line":
+        origin = np.asarray(spec.get("origin", [0.0] * d), dtype=float)
+        velocity = np.asarray(spec.get("velocity", [1.0] + [0.0] * (d - 1)), dtype=float)
+        return origin + t * velocity
+    assert kind == "circle"
+    radius = float(spec.get("radius", 1.0))
+    rate = 2.0 * np.pi * float(spec.get("turns", 1.0)) / (t1 - t0)
+    angle = rate * (t - t0)
+    p = np.zeros(d)
+    p[0] = radius * np.cos(angle)
+    p[1] = radius * np.sin(angle)
+    return p
+
+
+@pytest.mark.parametrize("name", [name for name, _ in catalog_names()])
+def test_batched_path_matches_pointwise_formula(name):
+    cfg = scenario_from_dict(catalog_raw(name))
+    path = cfg.path
+    expected = np.stack([pointwise_path_point(cfg.echo["path"], cfg.base, path.t_start,
+                                              path.t_end, float(t)) for t in path.grid])
+    assert path.points.shape == expected.shape
+    assert np.array_equal(path.points, expected)
 
 
 # --- no per-call loops on the check path ------------------------------------------

@@ -312,7 +312,7 @@ class TestGlobalSections:
         return np.diag([1.0 + x[0] ** 2, 2.0 + x[1] ** 2]).astype(complex)
 
     def test_restriction_matches_pointwise_lift(self):
-        path = make_path(Euclidean(2), (0.0, 1.0), lambda t: (t, 1.0 - t), 9)
+        path = make_path(Euclidean(2), (0.0, 1.0), lambda t: np.stack([t, 1.0 - t], axis=1), 9)
         phi = np.array([1.0, 1.0], dtype=complex)
         section = GlobalSection(self._point_trivialization, phi).restrict_along(path)
         for k in range(9):
@@ -328,7 +328,7 @@ class TestGlobalSections:
 
     def test_self_intersecting_path_rejected(self):
         path = make_path(Euclidean(2), (0.0, 4 * np.pi),
-                         lambda t: (np.cos(t), np.sin(t)), 81)
+                         lambda t: np.stack([np.cos(t), np.sin(t)], axis=1), 81)
         g = GlobalSection(self._point_trivialization, np.array([1.0, 0.0], dtype=complex))
         with pytest.raises(ValueError, match="self-intersections"):
             g.restrict_along(path, 1e-6)

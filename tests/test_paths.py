@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,13 @@ class TestBaseSpaces:
 
     def test_interval_point_containment(self):
         base = Interval(0.0, 1.0)
-        assert base.coerce_point(0.5) == np.array([0.5])
+        grid = np.array([0.0, 1.0])
+        assert np.array_equal(base.coerce_points([0.5, 0.25], grid), [[0.5], [0.25]])
         with pytest.raises(ValueError, match="outside"):
-            base.coerce_point(1.5)
+            base.coerce_points([0.5, 1.5], grid)
 
     def test_single_point_has_no_coordinates(self):
-        assert SinglePoint().coerce_point("anything").shape == (0,)
+        assert SinglePoint().coerce_points("anything", np.zeros(3)).shape == (3, 0)
 
 
 class TestMakePath:
@@ -39,7 +42,7 @@ class TestMakePath:
     def test_circle_retraversal_valid(self):
         base = Euclidean(3)
         path = make_path(base, (0.0, 4 * np.pi),
-                         lambda t: (np.cos(t), np.sin(t), 0.0), 101)
+                         lambda t: np.stack([np.cos(t), np.sin(t), 0 * t], axis=1), 101)
         assert path.points.shape == (101, 3)
         radii = np.linalg.norm(path.points, axis=1)
         assert np.allclose(radii, 1.0)
@@ -54,7 +57,7 @@ class TestMakePath:
 
     def test_undefined_point_rejected(self):
         with pytest.raises(ValueError, match="undefined"):
-            make_path(Euclidean(1), (0.0, 1.0), lambda t: None if t > 0.5 else (t,), 5)
+            make_path(Euclidean(1), (0.0, 1.0), lambda t: np.where(t > 0.5, np.nan, t), 5)
 
     def test_image_outside_base_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -69,9 +72,10 @@ class TestMakePath:
         base = Euclidean(4)
         with pytest.raises(ValueError, match="self-intersects"):
             make_path(base, (0.0, 4 * np.pi),
-                      lambda t: (np.cos(t), np.sin(t), 0.0, 0.0), 101,
+                      lambda t: np.stack([np.cos(t), np.sin(t), 0 * t, 0 * t], axis=1), 101,
                       forbid_self_intersections=True, intersection_tol=1e-9)
-        path = make_path(base, (0.0, 1.0), lambda t: (t, 0.0, 0.0, 0.0), 101,
+        path = make_path(base, (0.0, 1.0), lambda t: np.stack([t, 0 * t, 0 * t, 0 * t], axis=1),
+                         101,
                          forbid_self_intersections=True)
         assert path.points.shape == (101, 4)
 
@@ -92,7 +96,7 @@ class TestSelfIntersections:
         # 401 samples over [0, 4*pi]: revisits happen at parameter offsets of
         # 2*pi (lap to lap) and 4*pi (first to last sample)
         path = make_path(Euclidean(3), (0.0, 4 * np.pi),
-                         lambda t: (np.cos(t), np.sin(t), 0.0), 401)
+                         lambda t: np.stack([np.cos(t), np.sin(t), 0 * t], axis=1), 401)
         pairs = self_intersections(path, 1e-9)
         assert pairs, "retraced circle must self-intersect"
         laps = np.array([s - t for t, s in pairs]) / (2 * np.pi)
@@ -102,7 +106,7 @@ class TestSelfIntersections:
 
     def test_matches_brute_force_scan(self):
         path = make_path(Euclidean(2), (0.0, 4 * np.pi),
-                         lambda t: (np.cos(t), np.sin(t)), 81)
+                         lambda t: np.stack([np.cos(t), np.sin(t)], axis=1), 81)
         tol = 1e-6
         expected = []
         for i in range(81):
@@ -113,7 +117,7 @@ class TestSelfIntersections:
 
     def test_reported_pairs_satisfy_distance_bound(self):
         path = make_path(Euclidean(2), (0.0, 4 * np.pi),
-                         lambda t: (np.cos(t), np.sin(t)), 200)
+                         lambda t: np.stack([np.cos(t), np.sin(t)], axis=1), 200)
         tol = 1e-3
         for t, s in self_intersections(path, tol):
             i = int(np.argmin(np.abs(path.grid - t)))
@@ -125,3 +129,15 @@ class TestSelfIntersections:
         path = make_path(Interval(0.0, 1.0), (0.0, 1.0), lambda t: t, 5)
         with pytest.raises(ValueError):
             self_intersections(path, -1.0)
+
+    def test_memory_grows_with_one_row_not_the_matrix(self):
+        # The full (N, N, k) difference array would take ~96 MB here.
+        path = make_path(Euclidean(3), (0.0, 1.0),
+                         lambda t: np.stack([t, 0 * t, 0 * t], axis=1), 2001)
+        tracemalloc.start()
+        try:
+            assert self_intersections(path, 1e-9) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6

@@ -1,10 +1,15 @@
 import json
+import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
 
+import fibreqm.scenario as scenario_module
+from fibreqm.bundle import TrivializationFamily
 from fibreqm.checks import _CHECK_TABLE, build_artifacts, run_scenario
 from fibreqm.cli import main as cli_main
+from fibreqm.dynamics import ObservableFamily
 from fibreqm.report import emit, report_from_dict, suite_from_dict
 from fibreqm.scenario import (
     ALL_CHECKS,
@@ -109,8 +114,9 @@ class TestLoading:
         raw["observables"] = [{"kind": "pauli", "axis": "z", "name": "wobble",
                                "modulation": {"omega": 2.0, "offset": 0.5}}]
         cfg = scenario_from_dict(raw)
-        name, stack = cfg.observables[0]
-        assert name == "wobble"
+        family = cfg.observables[0]
+        stack = family.at_many(cfg.times)
+        assert family.name == "wobble"
         assert stack.shape == (51, 2, 2)
         k = 10
         expected = (0.5 + np.cos(2.0 * cfg.times[k])) * np.diag([1.0, -1.0])
@@ -206,7 +212,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(checks, kernel, poisoned)
         cfg = scenario_from_dict(dict(MINIMAL))
-        assert [name for name, _ in cfg.observables] == ["sigma_z", "sigma_x"]
+        assert [family.name for family in cfg.observables] == ["sigma_z", "sigma_x"]
         report = run_scenario(cfg)
         for check_id in check_ids:
             record = report.record(check_id)
@@ -214,6 +220,31 @@ class TestRunScenario:
             assert np.isnan(record.max_residual)
             assert record.detail == "worst observable: sigma_x"
             assert record.worst_time == 0.0
+
+    @pytest.mark.parametrize("poisoned, query", [("values", "at_many"),
+                                                 ("derivative", "derivative_at_many")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_trivialization_fails_setup_by_name(self, poisoned, query, bad):
+        def sampler(kind):
+            def sample(ts):
+                out = np.exp(1j * ts)[:, None, None] * np.eye(2)
+                if kind == "derivative":
+                    out = 1j * out
+                if kind == poisoned:
+                    out[ts.size // 2, 0, 0] = bad
+                return out
+            return sample
+
+        family = TrivializationFamily(sampler("values"), 2, sampler("derivative"),
+                                      name="poisoned")
+        with pytest.raises(ValueError, match="trivialization 'poisoned'.* non-finite"):
+            getattr(family, query)(np.linspace(0.0, 1.0, 5))
+
+        cfg = scenario_from_dict(dict(MINIMAL))
+        cfg.trivialization = family
+        setup = run_scenario(cfg).record("setup")
+        assert not setup.passed
+        assert setup.detail.startswith("ValueError: trivialization 'poisoned'")
 
 
 class TestSampleOnce:
@@ -238,6 +269,48 @@ class TestSampleOnce:
         for kind, sampled in calls.items():
             assert sampled, kind
             assert len(sampled) == len(set(sampled)), f"a time set was resampled ({kind})"
+
+    def test_paths_and_observables_sampled_once(self, monkeypatch):
+        point_batches = []
+        make_path = scenario_module.make_path
+
+        def recording_make_path(base, domain, point_fn, samples, **kwargs):
+            def recording(ts):
+                point_batches.append(ts.shape)
+                return point_fn(ts)
+            return make_path(base, domain, recording, samples, **kwargs)
+
+        sampled = []
+        at_many = ObservableFamily.at_many
+
+        def counting(family, times):
+            sampled.append(family.name)
+            return at_many(family, times)
+
+        monkeypatch.setattr(scenario_module, "make_path", recording_make_path)
+        monkeypatch.setattr(ObservableFamily, "at_many", counting)
+        cfg = load_catalog_scenario("driven-three-level")
+        assert point_batches == [cfg.times.shape]
+        assert sampled == []
+        names = [family.name for family in cfg.observables]
+        assert len(names) == 3
+        assert [family.time_dependent for family in cfg.observables] == [False, False, True]
+        assert run_scenario(cfg).overall_pass
+        assert sorted(sampled) == sorted(names)
+
+    def test_resolving_builds_no_observable_stack(self):
+        root = resources.files("fibreqm") / "catalog"
+        raw = json.loads((root / "driven-three-level.json").read_text())
+        raw["grid"]["steps"] = 20000
+        tracemalloc.start()
+        try:
+            cfg = scenario_from_dict(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = cfg.dimension
+        one_stack = cfg.times.size * n * n * np.dtype(complex).itemsize
+        assert peak < one_stack
 
 
 class TestSuite:

@@ -52,8 +52,7 @@ def test_mean_values(artifacts):
     l, transport, times = art.cfg.trivialization, art.transport, art.times
     t0 = float(times[0])
     frames = transport.frames
-    name, _ = art.cfg.observables[0]
-    a = art.lifted_observables[name]
+    a = art.lifted_observables[art.cfg.observables[0].name]
     psi_t = art.transported_section.values
     into_t0, from_t0 = transport.matrices_into(t0), transport.matrices_from(t0)
     v = PictureTransform.random_unitary(times, art.cfg.dimension, art.cfg.seed)
@@ -80,8 +79,7 @@ def test_density_adjoints_and_metric(artifacts):
     l, transport, times = art.cfg.trivialization, art.transport, art.times
     t0 = float(times[0])
     frames, inverse = transport.frames, transport.inverse_frames
-    name, stack = art.cfg.observables[0]
-    lifted = art.lifted_observables[name].matrices
+    lifted = art.lifted_observables[art.cfg.observables[0].name].matrices
     adjoints = bundle_adjoint_maps(frames, inverse, lifted)
     metric = fibre_inner_products(frames, art.lifted.values, art.bundle_section.values)
     p0 = density_morphism(art.rho0, l, t0)
