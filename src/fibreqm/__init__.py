@@ -7,44 +7,31 @@ scenario.
 """
 
 from .bundle import (
-    GlobalSection,
     MorphismAlongPath,
     NonPointwiseOperatorError,
     SectionAlongPath,
     SingularTrivializationError,
     TrivializationFamily,
-    basis_field,
-    bundle_adjoint_map,
-    bundle_adjoint_morphism,
     constant_trivialization,
     diagonal_phase_trivialization,
-    fibre_inner_product,
     global_phase_trivialization,
     identity_trivialization,
     lift_operator,
     lift_operator_on_grid,
     lift_trajectory,
-    lift_vector,
     module_combine,
     morphism_as_section_operator,
     random_smooth_unitary_trivialization,
-    section_inner,
     section_operator_as_morphism,
 )
 from .checks import run_scenario
 from .dynamics import (
-    DensityTrajectory,
     HamiltonianFamily,
     ObservableFamily,
     OffGridTimeError,
     PropagatorGrid,
     Trajectory,
-    drift_budget,
-    evolution_operator,
-    evolve_density,
     evolve_state,
-    mean_value,
-    mean_value_density,
     uniform_grid,
 )
 from .hilbert import (
@@ -52,31 +39,12 @@ from .hilbert import (
     SIGMA_Y,
     SIGMA_Z,
     PhysicalConstants,
-    adjoint,
-    commutator,
-    inner_product,
     is_hermitian,
-    is_unitary,
     matrix_exponential,
     max_abs,
 )
 from .paths import BaseSpace, Euclidean, Interval, Path, SinglePoint, make_path, self_intersections
-from .pictures import (
-    IntegralOfMotionReport,
-    PictureTransform,
-    bundle_mean_value,
-    density_morphism,
-    evolve_density_morphism,
-    fibre_trace,
-    general_picture_mean,
-    heisenberg_mean,
-    is_integral_of_motion,
-    pure_state_density,
-    to_general_picture_observable,
-    to_general_picture_state,
-    to_heisenberg_observable,
-    to_heisenberg_state,
-)
+from .pictures import IntegralOfMotionReport, PictureTransform, is_integral_of_motion
 from .report import CheckRecord, ScenarioReport, SuiteReport, emit
 from .scenario import (
     ConfigError,
@@ -91,13 +59,8 @@ from .transport import (
     EvolutionTransport,
     MatrixBundleHamiltonian,
     TransportAxiomReport,
-    build_transport,
-    bundle_hamiltonian,
     check_transport_axioms,
     integrate_bundle_schrodinger,
-    matrix_bundle_hamiltonian,
-    transport_coefficients,
-    transport_section,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ which makes every l(t) an isometry onto the typical fibre by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,26 +21,20 @@ from .hilbert import (
     antihermitian_exponentials,
     apply,
     as_operator,
-    as_state,
     checked_stack,
     inner_products,
     max_abs,
 )
 
 __all__ = [
-    "GlobalSection",
     "MorphismAlongPath",
     "NonPointwiseOperatorError",
     "SectionAlongPath",
     "SingularTrivializationError",
     "TrivializationFamily",
-    "basis_field",
-    "bundle_adjoint_map",
     "bundle_adjoint_maps",
-    "bundle_adjoint_morphism",
     "constant_trivialization",
     "diagonal_phase_trivialization",
-    "fibre_inner_product",
     "fibre_inner_products",
     "global_phase_trivialization",
     "identity_trivialization",
@@ -48,11 +42,9 @@ __all__ = [
     "lift_operator_on_grid",
     "lift_operators",
     "lift_trajectory",
-    "lift_vector",
     "module_combine",
     "morphism_as_section_operator",
     "random_smooth_unitary_trivialization",
-    "section_inner",
     "section_operator_as_morphism",
 ]
 
@@ -107,9 +99,6 @@ class TrivializationFamily:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         return checked_stack(self._sample(times), times, self.dimension,
                              f"trivialization '{self.name}'")
-
-    def derivative_at(self, t: float, fd_step: Optional[float] = None) -> np.ndarray:
-        return self.derivative_at_many(np.array([float(t)]), fd_step)[0]
 
     def derivative_at_many(self, times, fd_step: Optional[float] = None) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -274,11 +263,6 @@ class SectionAlongPath:
     def dimension(self) -> int:
         return self.values.shape[1]
 
-    def value_at(self, t: float) -> np.ndarray:
-        from .dynamics import grid_index
-        return self.values[grid_index(self.times, t)]
-
-
 @dataclass(frozen=True)
 class MorphismAlongPath:
     """Fibre operators keyed by the path parameter."""
@@ -300,11 +284,6 @@ class MorphismAlongPath:
     def dimension(self) -> int:
         return self.matrices.shape[1]
 
-    def matrix_at(self, t: float) -> np.ndarray:
-        from .dynamics import grid_index
-        return self.matrices[grid_index(self.times, t)]
-
-
 def _same_grid(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape or not np.array_equal(a, b):
         raise ValueError("operands are sampled on different grids")
@@ -317,11 +296,6 @@ def lift_operators(frames: np.ndarray, a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     stacked = a if a.ndim == frames.ndim else np.broadcast_to(a, frames.shape)
     return np.linalg.solve(frames, stacked @ frames)
-
-
-def lift_vector(l: TrivializationFamily, t: float, psi) -> np.ndarray:
-    """l(t)^-1 psi: the fibre representative of a typical-fibre vector."""
-    return np.linalg.solve(l.invertible_at(t), as_state(psi))
 
 
 def lift_operator(l: TrivializationFamily, t: float, a) -> np.ndarray:
@@ -350,11 +324,6 @@ def fibre_inner_products(frames: np.ndarray, u: np.ndarray, v: np.ndarray) -> np
     return inner_products(apply(frames, u), apply(frames, v))
 
 
-def fibre_inner_product(l: TrivializationFamily, t: float, u, v) -> complex:
-    """<u|v>_t = <l(t) u | l(t) v>; positive definite for invertible l."""
-    return complex(fibre_inner_products(l.invertible_at(t), as_state(u), as_state(v)))
-
-
 def bundle_adjoint_maps(ls: np.ndarray, lt_inv: np.ndarray, a: np.ndarray) -> np.ndarray:
     """l_t^-1 (l_s A l_t^-1)^dagger l_s over stacks of checked frames and maps.
 
@@ -362,43 +331,6 @@ def bundle_adjoint_maps(ls: np.ndarray, lt_inv: np.ndarray, a: np.ndarray) -> np
     `inverse_frames`), so nothing is inverted again per map.
     """
     return lt_inv @ np.swapaxes((ls @ a @ lt_inv).conj(), -2, -1) @ ls
-
-
-def bundle_adjoint_morphism(l: TrivializationFamily, t: float, a_fibre) -> np.ndarray:
-    """Adjoint of a fibre morphism with respect to the fibre metric.
-
-    Satisfies <adj(A) u | v>_t = <u | A v>_t; computed as
-    l^-1 (l A l^-1)^dagger l.
-    """
-    lt = l.invertible_at(t)
-    return bundle_adjoint_maps(lt, np.linalg.inv(lt), as_operator(a_fibre))
-
-
-def bundle_adjoint_map(l: TrivializationFamily, s: float, t: float, a_map) -> np.ndarray:
-    """Adjoint of a two-point fibre map A: fibre(t) -> fibre(s).
-
-    Returns the map fibre(s) -> fibre(t) satisfying
-
-        <adj(A) u | w>_t = <u | A w>_s   for u in fibre(s), w in fibre(t),
-
-    computed as l_t^-1 (l_s A l_t^-1)^dagger l_s.  A two-point map is a
-    unitary bundle map precisely when this adjoint equals its inverse.
-    """
-    return bundle_adjoint_maps(l.invertible_at(s), np.linalg.inv(l.invertible_at(t)),
-                               as_operator(a_map))
-
-
-def basis_field(l: TrivializationFamily, t: float, frame: Sequence) -> List[np.ndarray]:
-    """Fibre basis e_a = l(t)^-1 f_a from a linearly independent frame."""
-    vectors = [as_state(f) for f in frame]
-    if not vectors:
-        raise ValueError("frame must be non-empty")
-    stacked = np.stack(vectors)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    if len(vectors) > vectors[0].shape[0] or svals[-1] <= 1e-12 * max(float(svals[0]), 1e-300):
-        raise ValueError("frame is linearly dependent")
-    lifted = np.linalg.solve(l.invertible_at(t), stacked.T).T
-    return [lifted[k] for k in range(lifted.shape[0])]
 
 
 # --- Hilbert-module structure on sections -----------------------------------
@@ -409,13 +341,6 @@ def module_combine(f, phi: SectionAlongPath, g, psi: SectionAlongPath) -> Sectio
     f = np.broadcast_to(np.asarray(f, dtype=complex), phi.times.shape)
     g = np.broadcast_to(np.asarray(g, dtype=complex), psi.times.shape)
     return SectionAlongPath(phi.times, f[:, None] * phi.values + g[:, None] * psi.values)
-
-
-def section_inner(l: TrivializationFamily, phi: SectionAlongPath,
-                  psi: SectionAlongPath) -> np.ndarray:
-    """Pointwise fibre scalar product of two sections; a complex grid field."""
-    _same_grid(phi.times, psi.times)
-    return fibre_inner_products(l.invertible_at_many(phi.times), phi.values, psi.values)
 
 
 def morphism_as_section_operator(a: MorphismAlongPath, phi: SectionAlongPath) -> SectionAlongPath:
@@ -448,29 +373,3 @@ def section_operator_as_morphism(op: Callable[[SectionAlongPath], SectionAlongPa
                     f"section operator couples time {times[k]:g} to other grid times")
             mats[k, :, j] = out.values[k]
     return MorphismAlongPath(times, mats)
-
-
-# --- global sections ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class GlobalSection:
-    """Point-indexed section x -> l_x^-1(phi); single-valued by construction.
-
-    Only meaningful together with a point-indexed trivialization, and only
-    restrictable along paths without self-intersections.
-    """
-
-    point_trivialization: Callable[[np.ndarray], np.ndarray]
-    vector: np.ndarray
-
-    def at_point(self, point) -> np.ndarray:
-        lx = as_operator(self.point_trivialization(np.asarray(point, dtype=float)))
-        return np.linalg.solve(lx, as_state(self.vector))
-
-    def restrict_along(self, path, spatial_tol: float = 1e-9) -> SectionAlongPath:
-        from .paths import self_intersections
-        if self_intersections(path, spatial_tol):
-            raise ValueError(
-                "global sections are only restricted along paths without self-intersections")
-        values = np.stack([self.at_point(path.points[k]) for k in range(path.grid.size)])
-        return SectionAlongPath(path.grid, values)

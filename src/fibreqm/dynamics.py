@@ -18,11 +18,9 @@ import numpy as np
 
 from .hilbert import (
     PhysicalConstants,
-    apply,
     as_operator,
     as_state,
     checked_stack,
-    expectations,
     inner_products,
     is_hermitian,
     matrix_exponential,
@@ -30,21 +28,15 @@ from .hilbert import (
 )
 
 __all__ = [
-    "DensityTrajectory",
     "HamiltonianFamily",
     "ObservableFamily",
     "OffGridTimeError",
     "PropagatorGrid",
     "Trajectory",
     "conjugate_by",
-    "drift_budget",
-    "evolution_operator",
-    "evolve_density",
     "evolve_state",
     "grid_index",
     "grid_indices",
-    "mean_value",
-    "mean_value_density",
     "uniform_grid",
 ]
 
@@ -190,39 +182,8 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
-    def index_of(self, t: float) -> int:
-        return grid_index(self.times, t)
-
-    def state_at(self, t: float) -> np.ndarray:
-        return self.states[self.index_of(t)]
-
     def norm_sq(self) -> np.ndarray:
         return inner_products(self.states, self.states).real
-
-    def norm_drift(self) -> float:
-        norms = self.norm_sq()
-        return float(np.max(np.abs(norms - norms[0])))
-
-
-@dataclass(frozen=True)
-class DensityTrajectory:
-    """Density-operator history on a time grid."""
-
-    times: np.ndarray
-    matrices: np.ndarray  # (N, n, n)
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        mats = np.asarray(self.matrices, dtype=complex)
-        if mats.shape[0] != times.shape[0]:
-            raise ValueError("one density matrix required per grid time")
-        times.setflags(write=False)
-        mats.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "matrices", mats)
-
-    def matrix_at(self, t: float) -> np.ndarray:
-        return self.matrices[grid_index(self.times, t)]
 
 
 def grid_indices(times: np.ndarray, ts) -> np.ndarray:
@@ -254,16 +215,6 @@ def grid_indices(times: np.ndarray, ts) -> np.ndarray:
 def grid_index(times: np.ndarray, t: float) -> int:
     """Index of `t` on the grid; raises OffGridTimeError if not grid aligned."""
     return int(grid_indices(times, t))
-
-
-def drift_budget(step: float, duration: float) -> float:
-    """Conservative norm-squared drift allowance for the midpoint stepper.
-
-    One part in 1e12 per step; the stepper is exactly unitary up to the
-    matrix-exponential truncation, so observed drift sits far below this.
-    """
-    steps = max(1.0, duration / step)
-    return max(1e-12, 1e-12 * steps)
 
 
 def midpoint_propagators(matrix_at_many: Callable[[np.ndarray], np.ndarray],
@@ -352,9 +303,6 @@ class PropagatorGrid:
     def dimension(self) -> int:
         return self.family.dimension
 
-    def index_of(self, t: float) -> int:
-        return grid_index(self.times, t)
-
     def operators(self, j, i) -> np.ndarray:
         """U(t_j, t_i) stacked over index arrays `j`, `i` (broadcast together).
 
@@ -366,14 +314,6 @@ class PropagatorGrid:
         later = i != 0
         out[later] = self.prefixes[j[later]] @ self.inverse_prefixes[i[later]]
         return out
-
-    def operator(self, j: int, i: int) -> np.ndarray:
-        """U(t_j, t_i) between grid indices (either order)."""
-        return self.operators([j], [i])[0]
-
-    def operator_between(self, t: float, s: float) -> np.ndarray:
-        """U(t, s) for grid-aligned times."""
-        return self.operator(self.index_of(t), self.index_of(s))
 
     def operators_from(self, i: int) -> np.ndarray:
         """All U(t_j, t_i) stacked over j."""
@@ -399,20 +339,6 @@ def evolve_state(family: HamiltonianFamily, psi0, t0: float, t1: float, step: fl
     return Trajectory(times, propagate_states(props, psi0))
 
 
-def evolution_operator(family: HamiltonianFamily, s: float, t: float, step: float,
-                       constants: PhysicalConstants = PhysicalConstants()) -> np.ndarray:
-    """Two-time evolution operator U(t, s); U(s, s) is the exact identity."""
-    if not (step > 0 and np.isfinite(step)):
-        raise ValueError(f"step must be a positive real, got {step}")
-    if t == s:
-        return np.eye(family.dimension, dtype=complex)
-    lo, hi = (s, t) if s < t else (t, s)
-    times = uniform_grid(lo, hi, _steps_from(lo, hi, step))
-    grid = PropagatorGrid(family, times, constants)
-    forward = grid.prefixes[-1]
-    return forward if t > s else np.linalg.inv(forward)
-
-
 def validate_density(rho, tol: float = 1e-8) -> np.ndarray:
     """Check Hermiticity, positive semidefiniteness, and unit trace to `tol`."""
     rho = as_operator(rho)
@@ -424,41 +350,3 @@ def validate_density(rho, tol: float = 1e-8) -> np.ndarray:
     if abs(complex(np.trace(rho)) - 1.0) > tol * scale:
         raise ValueError("density matrix trace must be 1 to tolerance")
     return rho
-
-
-def evolve_density(family: HamiltonianFamily, rho0, t0: float, t1: float, step: float,
-                   constants: PhysicalConstants = PhysicalConstants(),
-                   rho_tol: float = 1e-8) -> DensityTrajectory:
-    """Evolve a density operator as rho(t) = U(t, t0) rho0 U(t, t0)^-1.
-
-    The conjugation form inherits the exact grid composition of the step
-    products and solves i hbar drho/dt = [H(t), rho(t)].
-    """
-    rho0 = validate_density(rho0, rho_tol)
-    if rho0.shape[0] != family.dimension:
-        raise ValueError("density dimension does not match the Hamiltonian family")
-    times = uniform_grid(t0, t1, _steps_from(t0, t1, step))
-    grid = PropagatorGrid(family, times, constants)
-    mats = conjugate_by(grid.prefixes, rho0, grid.inverse_prefixes)
-    return DensityTrajectory(times, mats)
-
-
-def mean_value(a, psi) -> complex:
-    """<psi|A psi> / <psi|psi>; invariant under rescaling of psi."""
-    a = as_operator(a)
-    psi = as_state(psi)
-    if a.shape[0] != psi.shape[0]:
-        raise ValueError("operator and state dimensions differ")
-    return complex(expectations(psi, apply(a, psi)))
-
-
-def mean_value_density(a, rho) -> complex:
-    """tr(rho A) / tr(rho); agrees with mean_value on pure projectors."""
-    a = as_operator(a)
-    rho = as_operator(rho)
-    if a.shape != rho.shape:
-        raise ValueError("operator and density dimensions differ")
-    tr = complex(np.trace(rho))
-    if tr == 0:
-        raise ValueError("mean value for a trace-zero density is undefined")
-    return complex(np.trace(rho @ a) / tr)

@@ -17,18 +17,14 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "adjoint",
     "antihermitian_exponentials",
     "apply",
     "as_operator",
     "as_state",
     "checked_stack",
-    "commutator",
     "expectations",
-    "inner_product",
     "inner_products",
     "is_hermitian",
-    "is_unitary",
     "matrix_exponential",
     "max_abs",
 ]
@@ -100,6 +96,8 @@ def apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def inner_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """<u|v> over stacks of vectors (..., n), conjugate linear in the first argument."""
+    if u.shape[-1] != v.shape[-1]:
+        raise ValueError(f"dimension mismatch: {u.shape[-1]} vs {v.shape[-1]}")
     return np.einsum("...i,...i->...", u.conj(), v)
 
 
@@ -114,43 +112,12 @@ def expectations(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return inner_products(u, w) / norm_sq
 
 
-def inner_product(u, v) -> complex:
-    """Hermitian scalar product, conjugate linear in the first argument."""
-    u = as_state(u)
-    v = as_state(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return complex(inner_products(u, v))
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose, so <adjoint(A) u | v> = <u | A v>."""
-    return as_operator(a).conj().T.copy()
-
-
-def commutator(a, b) -> np.ndarray:
-    """A @ B - B @ A."""
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b - b @ a
-
-
 def is_hermitian(a, tol: float = 1e-12) -> bool:
     """True iff max-entry deviation from A = A^dagger is <= tol."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
     a = as_operator(a)
     return max_abs(a - a.conj().T) <= tol
-
-
-def is_unitary(a, tol: float = 1e-12) -> bool:
-    """True iff max-entry deviation of A^dagger A from the identity is <= tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    a = as_operator(a)
-    return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= tol
 
 
 def matrix_exponential(a, max_terms: int = 64) -> np.ndarray:

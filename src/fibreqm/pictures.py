@@ -17,39 +17,19 @@ from typing import Optional
 
 import numpy as np
 
-from .bundle import (
-    MorphismAlongPath,
-    SectionAlongPath,
-    TrivializationFamily,
-    _require_invertible,
-    _seeded_smooth_unitary,
-    fibre_inner_products,
-    lift_operator,
-    lift_operators,
-)
-from .dynamics import HamiltonianFamily, ObservableFamily, conjugate_by, grid_index
-from .hilbert import PhysicalConstants, apply, as_operator, as_state, expectations, max_abs
+from .bundle import TrivializationFamily, _seeded_smooth_unitary, lift_operators
+from .dynamics import HamiltonianFamily, ObservableFamily, grid_index
+from .hilbert import PhysicalConstants, apply, expectations, max_abs
 from .transport import EvolutionTransport
 
 __all__ = [
     "IntegralOfMotionReport",
     "PictureTransform",
-    "bundle_mean_value",
-    "density_morphism",
-    "evolve_density_morphism",
     "evolve_density_morphisms",
     "fibre_means",
-    "fibre_trace",
-    "general_picture_mean",
     "general_picture_means",
-    "heisenberg_mean",
     "is_integral_of_motion",
-    "pure_state_density",
-    "to_general_picture_observable",
     "to_general_picture_observables",
-    "to_general_picture_state",
-    "to_heisenberg_observable",
-    "to_heisenberg_state",
 ]
 
 
@@ -63,17 +43,6 @@ def _fibre_expectations(frames: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.
 def fibre_means(frames: np.ndarray, a: np.ndarray, values: np.ndarray) -> np.ndarray:
     """<Psi|A Psi>_t / <Psi|Psi>_t over stacks; one frame or morphism broadcasts."""
     return _fibre_expectations(frames, values, apply(a, values))
-
-
-def bundle_mean_value(a: MorphismAlongPath, psi: SectionAlongPath,
-                      l: TrivializationFamily, t: float) -> complex:
-    """<Psi(t)|A(t) Psi(t)>_t / <Psi(t)|Psi(t)>_t under the fibre metric."""
-    return complex(fibre_means(l.invertible_at(t), a.matrix_at(t), psi.value_at(t)))
-
-
-def heisenberg_mean(a_h, psi_h, l: TrivializationFamily, t0: float) -> complex:
-    """Mean of a Heisenberg pair, taken in the reference-time fibre."""
-    return complex(fibre_means(l.invertible_at(t0), as_operator(a_h), as_state(psi_h)))
 
 
 # --- pictures of motion ----------------------------------------------------
@@ -102,9 +71,6 @@ class PictureTransform:
     @property
     def dimension(self) -> int:
         return self.matrices.shape[1]
-
-    def matrix_at(self, t: float) -> np.ndarray:
-        return self.matrices[grid_index(self.times, t)]
 
     @classmethod
     def identity(cls, times, dimension: int, reference_time: Optional[float] = None
@@ -138,35 +104,11 @@ class PictureTransform:
         return cls(t0, times, values(times - t0))
 
 
-def to_heisenberg_state(psi: SectionAlongPath, transport: EvolutionTransport,
-                        t0: float, t: float) -> np.ndarray:
-    """U(t0, t) Psi(t); constant in t and equal to Psi(t0) for evolved sections."""
-    return apply(transport.matrix(t0, t), psi.value_at(t))
-
-
-def to_heisenberg_observable(a: MorphismAlongPath, transport: EvolutionTransport,
-                             t0: float, t: float) -> np.ndarray:
-    """U(t0, t) A(t) U(t, t0)."""
-    return conjugate_by(transport.matrix(t0, t), a.matrix_at(t), transport.matrix(t, t0))
-
-
-def to_general_picture_state(psi_value, v: PictureTransform, t: float) -> np.ndarray:
-    """V(t) Psi(t)."""
-    return apply(v.matrix_at(t), as_state(psi_value))
-
-
 def to_general_picture_observables(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """V A V^-1 over stacks, solved as (V^-dagger (V A)^dagger)^dagger (no inverse)."""
-    adjoint = np.linalg.solve(np.swapaxes(v.conj(), -2, -1),
-                              np.swapaxes((v @ a).conj(), -2, -1))
-    return np.swapaxes(adjoint.conj(), -2, -1)
-
-
-def to_general_picture_observable(a_value, v: PictureTransform, t: float) -> np.ndarray:
-    """V(t) A(t) V(t)^-1."""
-    vt = v.matrix_at(t)
-    _require_invertible(vt, "picture transform", t)
-    return to_general_picture_observables(vt, as_operator(a_value))
+    daggered = np.linalg.solve(np.swapaxes(v.conj(), -2, -1),
+                               np.swapaxes((v @ a).conj(), -2, -1))
+    return np.swapaxes(daggered.conj(), -2, -1)
 
 
 def general_picture_means(v: np.ndarray, frames: np.ndarray, a_v: np.ndarray,
@@ -180,26 +122,7 @@ def general_picture_means(v: np.ndarray, frames: np.ndarray, a_v: np.ndarray,
     return _fibre_expectations(frames, x, ax)
 
 
-def general_picture_mean(a_v, psi_v, v: PictureTransform, l: TrivializationFamily,
-                         t: float) -> complex:
-    """Mean of a transformed pair under the V-pulled-back fibre metric.
-
-    Reduces to the plain fibre mean for V = I and to the reference-time fibre
-    mean for the Heisenberg frame with a Hermitian generator; preserves mean
-    values for arbitrary invertible V.
-    """
-    vt = v.matrix_at(t)
-    _require_invertible(vt, "picture transform", t)
-    return complex(general_picture_means(vt, l.invertible_at(t), as_operator(a_v),
-                                         as_state(psi_v)))
-
-
 # --- density morphisms -----------------------------------------------------
-
-def density_morphism(rho, l: TrivializationFamily, t: float) -> np.ndarray:
-    """l(t)^-1 rho l(t); a Hermitian morphism precisely when rho is Hermitian."""
-    return lift_operator(l, t, rho)
-
 
 def evolve_density_morphisms(p0, transport: EvolutionTransport, t0: float) -> np.ndarray:
     """Transport conjugation U(t_k, t0) P0 U(t0, t_k) over the whole grid.
@@ -209,32 +132,6 @@ def evolve_density_morphisms(p0, transport: EvolutionTransport, t0: float) -> np
     """
     carried = transport.matrices_from(t0) @ p0
     return carried @ transport.matrices_into(t0)
-
-
-def evolve_density_morphism(p0, transport: EvolutionTransport, t0: float,
-                            t: float) -> np.ndarray:
-    """Transport conjugation U(t, t0) P0 U(t0, t): one grid row of the kernel."""
-    return evolve_density_morphisms(as_operator(p0), transport, t0)[transport.index_of(t)]
-
-
-def fibre_trace(p) -> complex:
-    """Trace of a density morphism; similarity makes it frame independent."""
-    return complex(np.trace(as_operator(p)))
-
-
-def pure_state_density(psi_value, l: TrivializationFamily, t: float) -> np.ndarray:
-    """Rank-1 fibre projector onto a fibre vector, idempotent with unit trace.
-
-    With the fibre metric G = l^dagger l this is Psi (G Psi)^dagger / <Psi|Psi>_t,
-    which coincides with the lift of the conventional pure-state density.
-    """
-    psi_value = as_state(psi_value)
-    lt = l.invertible_at(t)
-    norm_sq = fibre_inner_products(lt, psi_value, psi_value).real
-    if norm_sq == 0.0:
-        raise ValueError("zero fibre vector has no associated density")
-    g_psi = lt.conj().T @ (lt @ psi_value)
-    return np.outer(psi_value, g_psi.conj()) / norm_sq
 
 
 # --- integrals of motion -----------------------------------------------------

@@ -8,10 +8,11 @@ echo dict (defaults filled, seed fixed) that reports embed verbatim.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path as FsPath
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,11 +124,33 @@ class ScenarioConfig:
 
 # --- JSON plumbing ---------------------------------------------------------
 
+def _is_number(x) -> bool:
+    """A JSON number within float range (so not NaN or infinite); booleans are not numbers."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _real(obj, where: str) -> float:
+    if not _is_number(obj):
+        raise ConfigError(f"{where}: need a finite number, got {obj!r}")
+    return float(obj)
+
+
 def _complex_entry(obj, where: str) -> complex:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(x, (int, float)) for x in obj)):
-        raise ConfigError(f"{where}: complex entries must be [re, im] pairs, got {obj!r}")
+    if not (isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_number, obj))):
+        raise ConfigError(
+            f"{where}: complex entries must be [re, im] pairs of finite numbers, got {obj!r}")
     return complex(float(obj[0]), float(obj[1]))
+
+
+def _real_diagonal(entries, n: int, where: str) -> np.ndarray:
+    _require(isinstance(entries, list) and len(entries) == n,
+             f"{where}: need {n} diagonal entries")
+    return np.diag([_real(e, f"{where}[{i}]") for i, e in enumerate(entries)]).astype(complex)
 
 
 def parse_complex_vector(obj, n: int, where: str) -> np.ndarray:
@@ -147,13 +170,35 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _build(where: str, builder: Callable, spec, *args):
+    """Run one section's builder; its ValueError or TypeError becomes a ConfigError.
+
+    The message is prefixed with the section's field, so every error a config
+    can cause names where it is.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where}: need an object, got {spec!r}")
+    try:
+        return builder(spec, *args)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _tolerance(value, where: str) -> float:
+    tol = _real(value, where)
+    _require(tol >= 0, f"{where}: need a number >= 0, got {tol!r}")
+    return tol
+
+
 # --- builders ---------------------------------------------------------------
 
 def _build_base(spec: dict) -> BaseSpace:
     variant = spec.get("variant")
     if variant == "euclidean":
         dim = spec.get("dim", 3)
-        _require(isinstance(dim, int) and dim >= 1, "base_space.dim: need an integer >= 1")
+        _require(_is_int(dim) and dim >= 1, "base_space.dim: need an integer >= 1")
         return Euclidean(dim)
     if variant == "interval":
         bounds = spec.get("bounds")
@@ -268,11 +313,9 @@ def _build_trivialization(spec: dict, n: int, seed: int) -> TrivializationFamily
                  f"trivialization.omegas: need {n} frequencies")
         return diagonal_phase_trivialization([float(w) for w in omegas])
     if kind == "constant-diagonal":
-        entries = spec.get("entries")
-        _require(isinstance(entries, list) and len(entries) == n,
-                 f"trivialization.entries: need {n} diagonal entries")
-        return constant_trivialization(np.diag([complex(e) for e in entries]),
-                                       name="constant-diagonal")
+        return constant_trivialization(
+            _real_diagonal(spec.get("entries"), n, "trivialization.entries"),
+            name="constant-diagonal")
     if kind == "constant":
         m = parse_complex_matrix(spec.get("matrix"), n, "trivialization.matrix")
         return constant_trivialization(m)
@@ -300,10 +343,7 @@ def _build_observable(spec: dict, n: int, seed: int, index: int) -> ObservableFa
     elif kind == "matrix":
         base = parse_complex_matrix(spec.get("matrix"), n, f"observables[{index}].matrix")
     elif kind == "diagonal":
-        entries = spec.get("entries")
-        _require(isinstance(entries, list) and len(entries) == n,
-                 f"observables[{index}].entries: need {n} entries")
-        base = np.diag([complex(e) for e in entries])
+        base = _real_diagonal(spec.get("entries"), n, f"observables[{index}].entries")
     elif kind == "random-hermitian":
         scale = float(spec.get("scale", 1.0))
         base = _random_hermitian(n, [seed, 0xA0, index], scale)
@@ -360,34 +400,37 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     name = raw.get("name")
     _require(isinstance(name, str) and name, "name: required non-empty string")
     n = raw.get("dimension")
-    _require(isinstance(n, int) and n >= 1, "dimension: need an integer >= 1")
-    hbar = float(raw.get("hbar", 1.0))
+    _require(_is_int(n) and n >= 1, "dimension: need an integer >= 1")
+    hbar = _real(raw.get("hbar", 1.0), "hbar")
+    _require(hbar > 0, f"hbar: need a positive number, got {hbar!r}")
     constants = PhysicalConstants(hbar)
-    seed = int(raw.get("seed", 0))
+    seed = raw.get("seed", 0)
+    _require(_is_int(seed) and seed >= 0, f"seed: need an integer >= 0, got {seed!r}")
 
     grid_spec = raw.get("grid")
     _require(isinstance(grid_spec, dict), "grid: required object with t0, t1, steps")
-    t0 = float(grid_spec.get("t0", 0.0))
-    t1 = float(grid_spec.get("t1", 1.0))
+    t0 = _real(grid_spec.get("t0", 0.0), "grid.t0")
+    t1 = _real(grid_spec.get("t1", 1.0), "grid.t1")
     steps = grid_spec.get("steps")
-    _require(isinstance(steps, int) and steps >= 2, "grid.steps: need an integer >= 2")
+    _require(_is_int(steps) and steps >= 2, "grid.steps: need an integer >= 2")
     _require(t0 < t1, "grid: need t0 < t1")
     times = uniform_grid(t0, t1, steps)
 
     # Each default is stated once: the echo reports the specs that were built.
     base_spec = raw.get("base_space", {"variant": "euclidean", "dim": 3})
-    base = _build_base(base_spec)
+    base = _build("base_space", _build_base, base_spec)
     path_spec = raw.get("path", _default_path_spec(base))
-    path = _build_path(path_spec, base, t0, t1, steps + 1)
+    path = _build("path", _build_path, path_spec, base, t0, t1, steps + 1)
 
     hamiltonian_spec = raw.get("hamiltonian", {"kind": "zero"})
-    hamiltonian = _build_hamiltonian(hamiltonian_spec, n, seed)
+    hamiltonian = _build("hamiltonian", _build_hamiltonian, hamiltonian_spec, n, seed)
     trivialization_spec = raw.get("trivialization", {"kind": "identity"})
-    trivialization = _build_trivialization(trivialization_spec, n, seed)
+    trivialization = _build("trivialization", _build_trivialization, trivialization_spec, n, seed)
 
     obs_specs = raw.get("observables", _default_observable_specs(n))
     _require(isinstance(obs_specs, list) and obs_specs, "observables: must be a non-empty list")
-    observables = [_build_observable(s, n, seed, i) for i, s in enumerate(obs_specs)]
+    observables = [_build(f"observables[{i}]", _build_observable, spec, n, seed, i)
+                   for i, spec in enumerate(obs_specs)]
     names = [family.name for family in observables]
     _require(len(set(names)) == len(names), "observables: names must be unique")
 
@@ -410,9 +453,10 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
             raise ConfigError(f"initial_density: {exc}") from exc
 
     candidate_specs = raw.get("integral_candidates", [])
+    _require(isinstance(candidate_specs, list), "integral_candidates: must be a list")
     candidates = [
-        _build_candidate(s, n, seed, i, hamiltonian, t0)
-        for i, s in enumerate(candidate_specs)
+        _build(f"integral_candidates[{i}]", _build_candidate, spec, n, seed, i, hamiltonian, t0)
+        for i, spec in enumerate(candidate_specs)
     ]
 
     physics_check = raw.get("physics_check")
@@ -421,15 +465,19 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
                  "physics_check.kind: only 'rabi-flip' is supported")
         _require(n == 2, "physics_check.rabi-flip requires dimension 2")
 
-    tol_spec = dict(raw.get("tolerances", {}))
-    eq_tol = float(tol_spec.pop("eq_tol", 1e-6))
-    prop_tol = float(tol_spec.pop("prop_tol", 1e-8))
+    tol_spec = raw.get("tolerances", {})
+    _require(isinstance(tol_spec, dict), "tolerances: must be an object")
+    tol_spec = dict(tol_spec)
+    eq_tol = _tolerance(tol_spec.pop("eq_tol", 1e-6), "tolerances.eq_tol")
+    prop_tol = _tolerance(tol_spec.pop("prop_tol", 1e-8), "tolerances.prop_tol")
     tolerances = default_tolerances(eq_tol, prop_tol)
     for key, value in tol_spec.items():
         _require(key in tolerances, f"tolerances: unknown check id {key!r}")
-        tolerances[key] = float(value)
+        tolerances[key] = _tolerance(value, f"tolerances.{key}")
 
-    faults = dict(raw.get("faults", {}))
+    faults = raw.get("faults", {})
+    _require(isinstance(faults, dict), "faults: must be an object")
+    faults = dict(faults)
     unknown_faults = set(faults) - {"drop_trivialization_derivative"}
     _require(not unknown_faults, f"faults: unknown keys {sorted(unknown_faults)}")
 
@@ -504,7 +552,7 @@ def _default_checks(hamiltonian: HamiltonianFamily, candidates, physics_check,
     checks += ["density_consistency"]
     if _density_is_pure(initial_density):
         checks.append("density_purity")
-    checks += ["fibre_trace_preservation", "module_dualities"]
+    checks.append("fibre_trace_preservation")
     if candidates:
         checks.append("integrals_of_motion")
     if physics_check is not None:

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bundle import SectionAlongPath, TrivializationFamily, lift_operators
+from .bundle import SectionAlongPath, TrivializationFamily
 from .dynamics import (
     HamiltonianFamily,
     PropagatorGrid,
@@ -41,19 +41,9 @@ __all__ = [
     "EvolutionTransport",
     "MatrixBundleHamiltonian",
     "TransportAxiomReport",
-    "build_transport",
-    "bundle_hamiltonian",
     "check_transport_axioms",
     "integrate_bundle_schrodinger",
-    "matrix_bundle_hamiltonian",
-    "transport_coefficients",
-    "transport_section",
 ]
-
-
-def bundle_hamiltonian(h: HamiltonianFamily, l: TrivializationFamily, t: float) -> np.ndarray:
-    """Similarity conjugate l(t)^-1 H(t) l(t); spectrum equals that of H(t)."""
-    return lift_operators(l.invertible_at(t), h.at(t))
 
 
 def _bundle_generator(frames: np.ndarray, h_vals: np.ndarray,
@@ -65,25 +55,13 @@ def _bundle_generator(frames: np.ndarray, h_vals: np.ndarray,
     return conjugated - 1j * hbar * np.linalg.solve(frames, frame_derivatives)
 
 
-def matrix_bundle_hamiltonian(h: HamiltonianFamily, l: TrivializationFamily, t: float,
-                              constants: PhysicalConstants = PhysicalConstants(),
-                              include_derivative_term: bool = True,
-                              fd_step: Optional[float] = None) -> np.ndarray:
-    """Generator of the bundle Schrodinger equation at time t.
-
-    `include_derivative_term=False` drops the trivialization-derivative term;
-    it exists only as a negative control for the check suite.
-    """
-    lt = l.invertible_at(t)
-    dl = l.derivative_at(t, fd_step) if include_derivative_term else None
-    return _bundle_generator(lt, h.at(t), dl, constants.hbar)
-
-
 class MatrixBundleHamiltonian:
-    """Matrix bundle Hamiltonian for a grid, evaluable at any time.
+    """Matrix bundle Hamiltonian for a grid, evaluable at any batch of times.
 
     The midpoint stepper needs values between grid points, so the closed form
-    is kept callable rather than sampled on the grid.
+    is kept callable (`at_many`) rather than sampled on the grid.
+    `include_derivative_term=False` drops the trivialization-derivative term;
+    it exists only as a negative control for the check suite.
     """
 
     def __init__(self, hamiltonian: HamiltonianFamily, trivialization: TrivializationFamily,
@@ -104,11 +82,6 @@ class MatrixBundleHamiltonian:
     def dimension(self) -> int:
         return self.hamiltonian.dimension
 
-    def at(self, t: float) -> np.ndarray:
-        return matrix_bundle_hamiltonian(
-            self.hamiltonian, self.trivialization, t, self.constants,
-            self.include_derivative_term, fd_step=self._fd_step)
-
     def at_many(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         l = self.trivialization
@@ -116,15 +89,6 @@ class MatrixBundleHamiltonian:
         h_vals = self.hamiltonian.at_many(times)
         dl = l.derivative_at_many(times, self._fd_step) if self.include_derivative_term else None
         return _bundle_generator(values, h_vals, dl, self.constants.hbar)
-
-
-def transport_coefficients(hm: MatrixBundleHamiltonian, t: float,
-                           hbar: Optional[float] = None) -> np.ndarray:
-    """Coefficient matrix of the transport: -Hm(t) / (i hbar) = (i/hbar) Hm(t)."""
-    hbar = hm.constants.hbar if hbar is None else float(hbar)
-    if not hbar > 0:
-        raise ValueError("hbar must be positive")
-    return (1j / hbar) * hm.at(t)
 
 
 class EvolutionTransport:
@@ -167,10 +131,6 @@ class EvolutionTransport:
     def matrix_by_index(self, j: int, i: int) -> np.ndarray:
         return self.matrices_by_index([j], [i])[0]
 
-    def matrix(self, t: float, s: float) -> np.ndarray:
-        """U(t, s): fibre(s) -> fibre(t) for grid-aligned times."""
-        return self.matrix_by_index(self.index_of(t), self.index_of(s))
-
     def matrices_from(self, s: float) -> np.ndarray:
         """All U(t_j, s) stacked over the grid index j."""
         i = self.index_of(s)
@@ -180,15 +140,6 @@ class EvolutionTransport:
         """All U(t, t_j) stacked over the grid index j."""
         j = self.index_of(t)
         return self.inverse_frames[j] @ (self.propagators.operators_into(j) @ self.frames)
-
-
-def build_transport(h: HamiltonianFamily, l: TrivializationFamily, times,
-                    constants: PhysicalConstants = PhysicalConstants(),
-                    propagators: Optional[PropagatorGrid] = None) -> EvolutionTransport:
-    """Evolution transport over `times`; pass `propagators` to share products."""
-    if propagators is None:
-        propagators = PropagatorGrid(h, np.asarray(times, dtype=float), constants)
-    return EvolutionTransport(propagators, l)
 
 
 def integrate_bundle_schrodinger(hm: MatrixBundleHamiltonian, psi0, t0: float, t1: float,
@@ -208,12 +159,6 @@ def integrate_bundle_schrodinger(hm: MatrixBundleHamiltonian, psi0, t0: float, t
         raise ValueError("(t0, t1, step) does not match the sampling grid of the generator")
     props = midpoint_propagators(hm.at_many, times, hm.constants)
     return SectionAlongPath(times, propagate_states(props, psi0))
-
-
-def transport_section(transport: EvolutionTransport, psi_s, s: float, t: float) -> np.ndarray:
-    """Carry a fibre vector from the fibre at s to the fibre at t."""
-    psi_s = as_state(psi_s)
-    return transport.matrix(t, s) @ psi_s
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ from importlib import resources
 import numpy as np
 
 from fibreqm.bundle import (
-    bundle_adjoint_map,
-    bundle_adjoint_morphism,
+    bundle_adjoint_maps,
     constant_trivialization,
     diagonal_phase_trivialization,
     identity_trivialization,
@@ -37,7 +36,7 @@ from fibreqm.dynamics import (
 from fibreqm.hilbert import SIGMA_X, SIGMA_Z, is_hermitian, max_abs
 from fibreqm.pictures import is_integral_of_motion
 from fibreqm.scenario import scenario_from_dict
-from fibreqm.transport import build_transport
+from fibreqm.transport import EvolutionTransport
 
 EQUIVALENCE_CHECKS = (
     "state_equivalence",
@@ -137,15 +136,17 @@ def test_criterion_4_hermiticity_unitarity_correspondence(catalog_suite, accepta
     l = random_smooth_unitary_trivialization(2, 555)
     non_hermitian = SIGMA_Z + 0.5j * SIGMA_X
     lifted = lift_operator(l, 0.3, non_hermitian)
-    neg_morphism = max_abs(bundle_adjoint_morphism(l, 0.3, lifted) - lifted) > 1e-3
+    lt = l.at(0.3)
+    neg_morphism = max_abs(bundle_adjoint_maps(lt, np.linalg.inv(lt), lifted) - lifted) > 1e-3
     assert not is_hermitian(non_hermitian, 1e-10)
 
     # negative control: non-Hermitian generator breaks the unitary bundle map
     times = uniform_grid(0.0, 1.0, 200)
     bad_h = HamiltonianFamily.constant(SIGMA_Z + 0.4j * SIGMA_X, hermitian_expected=False)
-    transport = build_transport(bad_h, l, times)
-    adj = bundle_adjoint_map(l, 0.0, 1.0, transport.matrix(0.0, 1.0))
-    neg_transport = max_abs(adj - transport.matrix(1.0, 0.0)) > 1e-3
+    transport = EvolutionTransport(PropagatorGrid(bad_h, times), l)
+    forward, backward = transport.matrices_by_index([0, 200], [200, 0])  # U(0, 1), U(1, 0)
+    adj = bundle_adjoint_maps(transport.frames[0], transport.inverse_frames[200], forward)
+    neg_transport = max_abs(adj - backward) > 1e-3
 
     ok = positive and neg_morphism and neg_transport
     acceptance(4, "Hermiticity/unitarity correspondence with negative controls",
@@ -183,7 +184,7 @@ def test_criterion_7_integrals_of_motion(acceptance):
     h = HamiltonianFamily.constant(SIGMA_Z)
     l = identity_trivialization(2)
     grid = PropagatorGrid(h, times)
-    transport = build_transport(h, l, times, propagators=grid)
+    transport = EvolutionTransport(grid, l)
 
     certified = is_integral_of_motion(ObservableFamily.constant(SIGMA_Z, name="energy"),
                                       h, transport, l, times)

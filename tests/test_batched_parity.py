@@ -114,7 +114,7 @@ def test_matrices_by_index_match_single_queries(artifacts):
     assert np.array_equal(transport.matrices_by_index(j, i), expected)
     assert np.array_equal(np.stack([transport.matrix_by_index(a, b) for a, b in zip(j, i)]),
                           expected)
-    assert np.array_equal(transport.propagators.operator(last, 0),
+    assert np.array_equal(transport.propagators.operators(last, 0),
                           transport.propagators.prefixes[last])
 
 

@@ -2,31 +2,25 @@ import numpy as np
 import pytest
 
 from fibreqm.bundle import (
-    GlobalSection,
     MorphismAlongPath,
     NonPointwiseOperatorError,
     SectionAlongPath,
     SingularTrivializationError,
     TrivializationFamily,
-    basis_field,
-    bundle_adjoint_map,
-    bundle_adjoint_morphism,
+    bundle_adjoint_maps,
     constant_trivialization,
     diagonal_phase_trivialization,
-    fibre_inner_product,
+    fibre_inner_products,
     global_phase_trivialization,
     identity_trivialization,
     lift_operator,
     lift_trajectory,
-    lift_vector,
     module_combine,
     morphism_as_section_operator,
     random_smooth_unitary_trivialization,
-    section_inner,
     section_operator_as_morphism,
 )
-from fibreqm.hilbert import inner_product, max_abs
-from fibreqm.paths import Euclidean, make_path
+from fibreqm.hilbert import inner_products, max_abs
 
 DIAG12 = constant_trivialization(np.diag([1.0, 2.0]).astype(complex))
 
@@ -44,27 +38,29 @@ class TestLifting:
     def test_identity_family_is_noop(self):
         l = identity_trivialization(3)
         psi = np.array([1.0, 2.0j, -0.5])
-        assert np.array_equal(lift_vector(l, 0.3, psi), psi)
+        assert np.array_equal(lift_trajectory(l, [0.3], [psi]).values[0], psi)
 
     def test_global_phase_lift(self):
         omega = 2.0
         l = global_phase_trivialization(2, omega)
         psi = np.array([0.3, -0.7j])
-        for t in (0.0, 0.4, 1.7):
-            expected = np.exp(-1j * omega * t) * psi
-            assert max_abs(lift_vector(l, t, psi) - expected) <= 1e-14
+        times = np.array([0.0, 0.4, 1.7])
+        expected = np.exp(-1j * omega * times)[:, None] * psi
+        lifted = lift_trajectory(l, times, np.tile(psi, (3, 1))).values
+        assert max_abs(lifted - expected) <= 1e-14
 
     def test_diagonal_lift(self):
-        lifted = lift_vector(DIAG12, 0.0, [1.0, 1.0])
+        lifted = lift_trajectory(DIAG12, [0.0], [[1.0, 1.0]]).values[0]
         assert np.allclose(lifted, [1.0, 0.5], atol=1e-15)
 
     def test_round_trip(self):
         l = random_invertible_family(4, 21)
         rng = np.random.default_rng(1)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        for t in (0.0, 0.6):
-            back = l.at(t) @ lift_vector(l, t, psi)
-            assert max_abs(back - psi) <= 1e-12
+        times = np.array([0.0, 0.6])
+        lifted = lift_trajectory(l, times, np.tile(psi, (2, 1))).values
+        back = np.einsum("kij,kj->ki", l.at_many(times), lifted)
+        assert max_abs(back - psi) <= 1e-12
 
     def test_lift_operator_identity(self):
         l = random_invertible_family(3, 5)
@@ -91,21 +87,21 @@ class TestLifting:
         states = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
         section = lift_trajectory(l, times, states)
         for k, t in enumerate(times):
-            assert max_abs(section.values[k] - lift_vector(l, t, states[k])) <= 1e-13
+            assert max_abs(section.values[k] - np.linalg.solve(l.at(t), states[k])) <= 1e-13
 
     def test_singular_trivialization_rejected(self):
         sick = TrivializationFamily(
             lambda ts: np.stack([np.diag([t, 1.0]) for t in ts]).astype(complex), 2)
         with pytest.raises(SingularTrivializationError):
-            lift_vector(sick, 0.0, [1.0, 1.0])
+            lift_trajectory(sick, [0.0], [[1.0, 1.0]])
 
 
 class TestFibreInnerProduct:
     def test_identity_reduces_to_plain(self):
         l = identity_trivialization(2)
         u = np.array([1.0, 2j])
-        v = np.array([0.5, -1.0])
-        assert fibre_inner_product(l, 0.0, u, v) == inner_product(u, v)
+        v = np.array([0.5, -1.0 + 0j])
+        assert fibre_inner_products(l.at(0.0), u, v) == inner_products(u, v)
 
     def test_lift_cancellation(self):
         l = random_invertible_family(3, 17)
@@ -113,30 +109,35 @@ class TestFibreInnerProduct:
         psi = rng.normal(size=3) + 1j * rng.normal(size=3)
         phi = rng.normal(size=3) + 1j * rng.normal(size=3)
         t = 0.35
-        value = fibre_inner_product(l, t, lift_vector(l, t, psi), lift_vector(l, t, phi))
-        assert abs(value - inner_product(psi, phi)) <= 1e-12
+        lifted = lift_trajectory(l, [t, t], [psi, phi]).values
+        value = fibre_inner_products(l.at(t), lifted[0], lifted[1])
+        assert abs(value - inner_products(psi, phi)) <= 1e-12
 
     def test_diagonal_metric(self):
-        assert fibre_inner_product(DIAG12, 0.0, [0, 1], [0, 1]) == 4
+        e2 = np.array([0, 1 + 0j])
+        assert fibre_inner_products(DIAG12.at(0.0), e2, e2) == 4
 
     def test_positive_definite(self):
         l = random_invertible_family(4, 3)
         rng = np.random.default_rng(8)
         u = rng.normal(size=4) + 1j * rng.normal(size=4)
-        value = fibre_inner_product(l, 0.9, u, u)
+        value = fibre_inner_products(l.at(0.9), u, u)
         assert value.imag == 0 and value.real > 0
 
 
 class TestBundleAdjoints:
+    """`bundle_adjoint_maps(l_s, l_t^-1, A)` is the adjoint under the fibre metric."""
+
     def test_identity_morphism_self_adjoint(self):
-        l = random_invertible_family(3, 19)
-        assert max_abs(bundle_adjoint_morphism(l, 0.1, np.eye(3)) - np.eye(3)) <= 1e-12
+        lt = random_invertible_family(3, 19).at(0.1)
+        adj = bundle_adjoint_maps(lt, np.linalg.inv(lt), np.eye(3))
+        assert max_abs(adj - np.eye(3)) <= 1e-12
 
     def test_unitary_family_reduces_to_dagger(self):
-        l = random_smooth_unitary_trivialization(3, 23)
+        lt = random_smooth_unitary_trivialization(3, 23).at(0.7)
         rng = np.random.default_rng(6)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert max_abs(bundle_adjoint_morphism(l, 0.7, a) - a.conj().T) <= 1e-12
+        assert max_abs(bundle_adjoint_maps(lt, np.linalg.inv(lt), a) - a.conj().T) <= 1e-12
 
     def test_lifted_hermitian_is_fixed_point(self):
         l = random_invertible_family(4, 29)
@@ -144,78 +145,54 @@ class TestBundleAdjoints:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         hermitian = m + m.conj().T
         lifted = lift_operator(l, 0.4, hermitian)
-        assert max_abs(bundle_adjoint_morphism(l, 0.4, lifted) - lifted) <= 1e-10
+        lt = l.at(0.4)
+        assert max_abs(bundle_adjoint_maps(lt, np.linalg.inv(lt), lifted) - lifted) <= 1e-10
 
     def test_morphism_defining_relation(self):
         l = random_invertible_family(3, 31)
         rng = np.random.default_rng(11)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        t = 0.55
-        adj = bundle_adjoint_morphism(l, t, a)
+        lt = l.at(0.55)
+        adj = bundle_adjoint_maps(lt, np.linalg.inv(lt), a)
         for _ in range(5):
             u = rng.normal(size=3) + 1j * rng.normal(size=3)
             v = rng.normal(size=3) + 1j * rng.normal(size=3)
-            lhs = fibre_inner_product(l, t, adj @ u, v)
-            rhs = fibre_inner_product(l, t, u, a @ v)
+            lhs = fibre_inner_products(lt, adj @ u, v)
+            rhs = fibre_inner_products(lt, u, a @ v)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
     def test_morphism_involution(self):
-        l = random_invertible_family(3, 37)
+        lt = random_invertible_family(3, 37).at(0.2)
+        lt_inv = np.linalg.inv(lt)
         rng = np.random.default_rng(12)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        twice = bundle_adjoint_morphism(l, 0.2, bundle_adjoint_morphism(l, 0.2, a))
+        twice = bundle_adjoint_maps(lt, lt_inv, bundle_adjoint_maps(lt, lt_inv, a))
         assert max_abs(twice - a) <= 1e-11
 
     def test_map_equal_times_identity(self):
-        l = random_invertible_family(2, 41)
-        assert max_abs(bundle_adjoint_map(l, 0.3, 0.3, np.eye(2)) - np.eye(2)) <= 1e-12
+        lt = random_invertible_family(2, 41).at(0.3)
+        adj = bundle_adjoint_maps(lt, np.linalg.inv(lt), np.eye(2))
+        assert max_abs(adj - np.eye(2)) <= 1e-12
 
     def test_map_identity_family_reduces_to_dagger(self):
-        l = identity_trivialization(3)
+        ls, lt = identity_trivialization(3).at_many([0.1, 0.9])
         rng = np.random.default_rng(13)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.array_equal(bundle_adjoint_map(l, 0.1, 0.9, a), a.conj().T)
+        assert np.array_equal(bundle_adjoint_maps(ls, np.linalg.inv(lt), a), a.conj().T)
 
     def test_map_defining_relation(self):
         # a_map carries fibre(t) -> fibre(s); its adjoint goes the other way
         l = random_invertible_family(3, 43)
         rng = np.random.default_rng(14)
         a_map = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        s, t = 0.2, 0.8
-        adj = bundle_adjoint_map(l, s, t, a_map)
+        ls, lt = l.at_many([0.2, 0.8])
+        adj = bundle_adjoint_maps(ls, np.linalg.inv(lt), a_map)
         for _ in range(5):
             u = rng.normal(size=3) + 1j * rng.normal(size=3)   # in fibre(s)
             w = rng.normal(size=3) + 1j * rng.normal(size=3)   # in fibre(t)
-            lhs = fibre_inner_product(l, t, adj @ u, w)
-            rhs = fibre_inner_product(l, s, u, a_map @ w)
+            lhs = fibre_inner_products(lt, adj @ u, w)
+            rhs = fibre_inner_products(ls, u, a_map @ w)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-
-
-class TestBasisField:
-    def test_identity_family_keeps_standard_frame(self):
-        l = identity_trivialization(2)
-        frame = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        out = basis_field(l, 0.0, frame)
-        assert np.array_equal(np.stack(out), np.eye(2))
-
-    def test_diagonal_family_rescales(self):
-        out = basis_field(DIAG12, 0.0, [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        assert np.allclose(np.stack(out), [[1.0, 0.0], [0.0, 0.5]])
-        for i, u in enumerate(out):
-            for j, v in enumerate(out):
-                value = fibre_inner_product(DIAG12, 0.0, u, v)
-                assert abs(value - (1.0 if i == j else 0.0)) <= 1e-14
-
-    def test_unitary_family_keeps_plain_orthonormality(self):
-        l = random_smooth_unitary_trivialization(3, 47)
-        out = basis_field(l, 0.6, list(np.eye(3, dtype=complex)))
-        gram = np.stack(out).conj() @ np.stack(out).T
-        assert max_abs(gram - np.eye(3)) <= 1e-12
-
-    def test_dependent_frame_rejected(self):
-        l = identity_trivialization(2)
-        with pytest.raises(ValueError, match="dependent"):
-            basis_field(l, 0.0, [np.array([1.0, 1.0]), np.array([2.0, 2.0])])
 
 
 class TestModuleStructure:
@@ -249,7 +226,7 @@ class TestModuleStructure:
         times = np.linspace(0.0, 1.0, 11)
         psi = np.array([0.6, 0.8j])
         section = lift_trajectory(l, times, np.tile(psi, (11, 1)))
-        field = section_inner(l, section, section)
+        field = fibre_inner_products(l.at_many(times), section.values, section.values)
         assert max_abs(field - 1.0) <= 1e-12
 
     def test_section_inner_orthogonal_and_linear(self):
@@ -257,11 +234,12 @@ class TestModuleStructure:
         times = np.linspace(0.0, 1.0, 11)
         e1 = lift_trajectory(l, times, np.tile([1.0 + 0j, 0.0], (11, 1)))
         e2 = lift_trajectory(l, times, np.tile([0.0, 1.0 + 0j], (11, 1)))
-        assert max_abs(section_inner(l, e1, e2)) <= 1e-13
+        frames = l.at_many(times)
+        assert max_abs(fibre_inner_products(frames, e1.values, e2.values)) <= 1e-13
         c = np.exp(1j * times) * (1 + times)
         scaled = module_combine(np.zeros(11), e1, c, e1)
-        field = section_inner(l, e1, scaled)
-        assert max_abs(field - c * section_inner(l, e1, e1)) <= 1e-12
+        field = fibre_inner_products(frames, e1.values, scaled.values)
+        assert max_abs(field - c * fibre_inner_products(frames, e1.values, e1.values)) <= 1e-12
 
     def test_morphism_application(self):
         times = np.linspace(0.0, 1.0, 4)
@@ -306,34 +284,6 @@ class TestSectionOperatorDuality:
             section_operator_as_morphism(shift, times, 2)
 
 
-class TestGlobalSections:
-    @staticmethod
-    def _point_trivialization(x: np.ndarray) -> np.ndarray:
-        return np.diag([1.0 + x[0] ** 2, 2.0 + x[1] ** 2]).astype(complex)
-
-    def test_restriction_matches_pointwise_lift(self):
-        path = make_path(Euclidean(2), (0.0, 1.0), lambda t: np.stack([t, 1.0 - t], axis=1), 9)
-        phi = np.array([1.0, 1.0], dtype=complex)
-        section = GlobalSection(self._point_trivialization, phi).restrict_along(path)
-        for k in range(9):
-            x = path.points[k]
-            expected = np.linalg.solve(self._point_trivialization(x), phi)
-            assert np.array_equal(section.values[k], expected)
-
-    def test_single_valued_at_repeated_point(self):
-        g = GlobalSection(self._point_trivialization, np.array([1.0, 0.0], dtype=complex))
-        a = g.at_point([0.5, 0.5])
-        b = g.at_point([0.5, 0.5])
-        assert np.array_equal(a, b)
-
-    def test_self_intersecting_path_rejected(self):
-        path = make_path(Euclidean(2), (0.0, 4 * np.pi),
-                         lambda t: np.stack([np.cos(t), np.sin(t)], axis=1), 81)
-        g = GlobalSection(self._point_trivialization, np.array([1.0, 0.0], dtype=complex))
-        with pytest.raises(ValueError, match="self-intersections"):
-            g.restrict_along(path, 1e-6)
-
-
 class TestTrivializationValidation:
     def test_constant_singular_rejected_at_construction(self):
         with pytest.raises(SingularTrivializationError):
@@ -366,11 +316,25 @@ class TestTrivializationValidation:
         omega = 2.0
         analytic = global_phase_trivialization(2, omega)
         fd_only = TrivializationFamily(analytic.at_many, 2, fd_step=1e-5)
-        for t in (0.1, 0.7):
-            assert max_abs(fd_only.derivative_at(t) - analytic.derivative_at(t)) <= 1e-8
+        times = np.array([0.1, 0.7])
+        assert max_abs(fd_only.derivative_at_many(times)
+                       - analytic.derivative_at_many(times)) <= 1e-8
 
     def test_missing_fd_step_is_an_error(self):
         bare = TrivializationFamily(
             lambda ts: np.broadcast_to(np.eye(2, dtype=complex), (ts.size, 2, 2)), 2)
         with pytest.raises(ValueError, match="fd_step"):
-            bare.derivative_at(0.5)
+            bare.derivative_at_many([0.5])
+
+
+@pytest.mark.parametrize("sampler, derivative, query", [
+    (lambda ts: np.zeros((ts.size, 3, 3), dtype=complex), None, "at_many"),
+    (lambda ts: np.eye(2, dtype=complex), None, "at_many"),
+    (lambda ts: np.eye(2, dtype=complex), None, "at"),
+    (lambda ts: np.ones((ts.size, 2, 2), dtype=complex),
+     lambda ts: np.zeros((ts.size + 1, 2, 2), dtype=complex), "derivative_at_many"),
+])
+def test_wrong_sampler_shape_rejected(sampler, derivative, query):
+    family = TrivializationFamily(sampler, 2, derivative, name="misshapen")
+    with pytest.raises(ValueError, match="misshapen"):
+        getattr(family, query)(np.linspace(0.0, 1.0, 4) if query != "at" else 0.5)

@@ -7,16 +7,21 @@ from fibreqm.dynamics import (
     OffGridTimeError,
     PropagatorGrid,
     Trajectory,
-    drift_budget,
-    evolution_operator,
-    evolve_density,
+    conjugate_by,
     evolve_state,
     grid_index,
-    mean_value,
-    mean_value_density,
     uniform_grid,
+    validate_density,
 )
-from fibreqm.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, PhysicalConstants, is_unitary, max_abs
+from fibreqm.hilbert import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    PhysicalConstants,
+    apply,
+    expectations,
+    max_abs,
+)
 
 
 def circular_drive(omega0: float, rabi: float) -> HamiltonianFamily:
@@ -54,8 +59,10 @@ class TestEvolveState:
     def test_norm_conservation_hermitian(self):
         h = HamiltonianFamily.constant(0.7 * SIGMA_X + 1.1 * SIGMA_Z)
         traj = evolve_state(h, [0.3, 0.9], 0.0, 1.0, 1e-3)
-        assert traj.norm_drift() <= 1e-8
-        assert traj.norm_drift() <= drift_budget(1e-3, 1.0)
+        norms = traj.norm_sq()
+        drift = max_abs(norms - norms[0])
+        assert drift <= 1e-8
+        assert drift <= 1e-12 * 1000  # one part in 1e12 per step, 1000 steps
 
     def test_convergence_order_at_least_two(self):
         # time-dependent generator, so the midpoint rule shows its real order
@@ -88,66 +95,81 @@ class TestEvolveState:
 
 
 class TestEvolutionOperator:
+    """Two-time operators U(t_j, t_i) = PropagatorGrid.operators(j, i)."""
+
     def test_equal_times_identity(self):
-        h = HamiltonianFamily.constant(SIGMA_Z)
-        assert np.array_equal(evolution_operator(h, 0.3, 0.3, 1e-2), np.eye(2))
+        grid = PropagatorGrid(HamiltonianFamily.constant(SIGMA_Z), uniform_grid(0.3, 1.3, 100))
+        assert np.array_equal(grid.operators(0, 0), np.eye(2))
 
     def test_diagonal_closed_form(self):
         h = HamiltonianFamily.constant(np.diag([0.0, 1.0]).astype(complex))
-        u = evolution_operator(h, 0.0, np.pi, 1e-3)
+        grid = PropagatorGrid(h, uniform_grid(0.0, np.pi, 3142))
+        u = grid.operators(3142, 0)
         assert max_abs(u - np.diag([1.0, -1.0])) <= 1e-10
 
     def test_unitary_for_hermitian(self):
         h = HamiltonianFamily.constant(0.9 * SIGMA_X + 0.4 * SIGMA_Y)
-        assert is_unitary(evolution_operator(h, 0.0, 1.0, 1e-3), 1e-8)
+        u = PropagatorGrid(h, uniform_grid(0.0, 1.0, 1000)).operators(1000, 0)
+        assert max_abs(u.conj().T @ u - np.eye(2)) <= 1e-8
 
     def test_reverse_is_inverse(self):
         h = HamiltonianFamily.constant(0.9 * SIGMA_X)
-        fwd = evolution_operator(h, 0.0, 1.0, 1e-3)
-        back = evolution_operator(h, 1.0, 0.0, 1e-3)
+        grid = PropagatorGrid(h, uniform_grid(0.0, 1.0, 1000))
+        fwd, back = grid.operators([1000, 0], [0, 1000])
         assert max_abs(back @ fwd - np.eye(2)) <= 1e-10
 
     def test_grid_composition(self):
         h = circular_drive(np.pi, np.pi / 2)
         grid = PropagatorGrid(h, uniform_grid(0.0, 1.0, 100))
         for (i, j, k) in [(0, 40, 100), (10, 50, 90), (25, 25, 75)]:
-            left = grid.operator(k, j) @ grid.operator(j, i)
-            assert max_abs(left - grid.operator(k, i)) <= 1e-10
+            kj, ji, ki = grid.operators([k, j, k], [j, i, i])
+            assert max_abs(kj @ ji - ki) <= 1e-10
 
     def test_consistent_with_evolve_state(self):
         h = circular_drive(np.pi, np.pi)
         traj = evolve_state(h, [1, 0], 0.0, 1.0, 1e-2)
         grid = PropagatorGrid(h, traj.times)
-        for idx in (0, 37, 100):
-            propagated = grid.operator(idx, 0) @ traj.states[0]
-            assert max_abs(propagated - traj.states[idx]) <= 1e-12
+        idx = np.array([0, 37, 100])
+        propagated = apply(grid.operators(idx, 0), traj.states[0])
+        assert max_abs(propagated - traj.states[idx]) <= 1e-12
 
 
 class TestEvolveDensity:
+    """rho(t_k) = U(t_k, t_0) rho0 U(t_0, t_k) through `conjugate_by`."""
+
     def test_zero_hamiltonian_constant(self):
         rho0 = np.diag([0.25, 0.75]).astype(complex)
-        dens = evolve_density(HamiltonianFamily.zero(2), rho0, 0.0, 1.0, 1e-2)
-        assert max_abs(dens.matrices - rho0) == 0
+        grid = PropagatorGrid(HamiltonianFamily.zero(2), uniform_grid(0.0, 1.0, 100))
+        k = np.arange(grid.times.size)
+        mats = conjugate_by(grid.operators(k, 0), rho0, grid.operators(0, k))
+        assert max_abs(mats - rho0) == 0
 
     def test_pure_state_matches_state_oracle(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.3 * SIGMA_Z)
         psi0 = np.array([1.0, 1.0]) / np.sqrt(2)
         traj = evolve_state(h, psi0, 0.0, 1.0, 1e-3)
-        dens = evolve_density(h, np.outer(psi0, psi0.conj()), 0.0, 1.0, 1e-3)
+        grid = PropagatorGrid(h, traj.times)
+        k = np.arange(grid.times.size)
+        rho0 = np.outer(psi0, psi0.conj())
+        mats = conjugate_by(grid.operators(k, 0), rho0, grid.operators(0, k))
         projectors = np.einsum("ki,kj->kij", traj.states, traj.states.conj())
-        assert max_abs(dens.matrices - projectors) <= 1e-8
+        assert max_abs(mats - projectors) <= 1e-8
 
     def test_commuting_density_is_constant(self):
         h = HamiltonianFamily.constant(np.diag([1.0, -1.0]).astype(complex))
         rho0 = np.diag([0.7, 0.3]).astype(complex)
-        dens = evolve_density(h, rho0, 0.0, 1.0, 1e-2)
-        assert max_abs(dens.matrices - rho0) <= 1e-12
+        grid = PropagatorGrid(h, uniform_grid(0.0, 1.0, 100))
+        k = np.arange(grid.times.size)
+        mats = conjugate_by(grid.operators(k, 0), rho0, grid.operators(0, k))
+        assert max_abs(mats - rho0) <= 1e-12
 
     def test_trace_preserved(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.3 * SIGMA_Z)
         rho0 = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
-        dens = evolve_density(h, rho0, 0.0, 1.0, 1e-3)
-        traces = np.trace(dens.matrices, axis1=1, axis2=2)
+        grid = PropagatorGrid(h, uniform_grid(0.0, 1.0, 1000))
+        k = np.arange(grid.times.size)
+        mats = conjugate_by(grid.operators(k, 0), rho0, grid.operators(0, k))
+        traces = np.trace(mats, axis1=1, axis2=2)
         assert max_abs(traces - 1.0) <= 1e-8
 
     def test_satisfies_commutator_equation_residual(self):
@@ -156,10 +178,12 @@ class TestEvolveDensity:
         matrix = 0.8 * SIGMA_X + 0.3 * SIGMA_Z
         h = HamiltonianFamily.constant(matrix)
         rho0 = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
-        dens = evolve_density(h, rho0, 0.0, 1.0, 1e-3)
-        dt = dens.times[1] - dens.times[0]
-        drho = (dens.matrices[2:] - dens.matrices[:-2]) / (2 * dt)
-        comm = matrix @ dens.matrices[1:-1] - dens.matrices[1:-1] @ matrix
+        grid = PropagatorGrid(h, uniform_grid(0.0, 1.0, 1000))
+        k = np.arange(grid.times.size)
+        mats = conjugate_by(grid.operators(k, 0), rho0, grid.operators(0, k))
+        dt = grid.times[1] - grid.times[0]
+        drho = (mats[2:] - mats[:-2]) / (2 * dt)
+        comm = matrix @ mats[1:-1] - mats[1:-1] @ matrix
         assert max_abs(1j * drho - comm) <= 1e-5
 
     @pytest.mark.parametrize("rho0, message", [
@@ -169,53 +193,39 @@ class TestEvolveDensity:
     ])
     def test_invalid_density_rejected(self, rho0, message):
         with pytest.raises(ValueError, match=message):
-            evolve_density(HamiltonianFamily.zero(2), rho0.astype(complex), 0.0, 1.0, 1e-2)
+            validate_density(rho0.astype(complex))
 
 
 class TestMeanValues:
+    """Conventional means <psi|A psi> / <psi|psi> through `expectations`."""
+
     def test_diagonal_basis_state(self):
-        assert mean_value(np.diag([1.0, -1.0]), [1, 0]) == 1
+        psi = np.array([1, 0j])
+        assert expectations(psi, apply(np.diag([1.0, -1.0]), psi)) == 1
 
     def test_scaling_invariance(self):
-        assert mean_value(np.diag([1.0, -1.0]), [2, 0]) == 1
+        psi = np.array([2, 0j])
+        assert expectations(psi, apply(np.diag([1.0, -1.0]), psi)) == 1
         a = 0.3 * SIGMA_X + 0.8 * SIGMA_Z
         psi = np.array([0.6, 0.8j])
-        assert abs(mean_value(a, psi) - mean_value(a, 3j * psi)) <= 1e-14
+        assert abs(expectations(psi, apply(a, psi))
+                   - expectations(3j * psi, apply(a, 3j * psi))) <= 1e-14
 
     def test_sigma_x_plus_state(self):
         psi = np.array([1.0, 1.0]) / np.sqrt(2)
-        assert abs(mean_value(SIGMA_X, psi) - 1.0) <= 1e-14
+        assert abs(expectations(psi, apply(SIGMA_X, psi)) - 1.0) <= 1e-14
 
     def test_hermitian_gives_real(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         a = m + m.conj().T
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        assert abs(mean_value(a, psi).imag) <= 1e-12
+        assert abs(expectations(psi, apply(a, psi)).imag) <= 1e-12
 
     def test_zero_state_rejected(self):
+        psi = np.zeros(2, dtype=complex)
         with pytest.raises(ValueError, match="zero state"):
-            mean_value(SIGMA_Z, [0, 0])
-
-    def test_density_maximally_mixed(self):
-        assert mean_value_density(np.eye(3), np.eye(3) / 3) == 1
-
-    def test_density_basis_projector(self):
-        assert mean_value_density(np.diag([1.0, -1.0]), np.diag([1.0, 0.0])) == 1
-
-    def test_density_mixed_sigma_z(self):
-        assert mean_value_density(SIGMA_Z, np.eye(2) / 2) == 0
-
-    def test_density_agrees_with_state_on_projector(self):
-        rng = np.random.default_rng(5)
-        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
-        assert abs(mean_value_density(a, rho) - mean_value(a, psi)) <= 1e-10
-
-    def test_zero_trace_rejected(self):
-        with pytest.raises(ValueError, match="trace"):
-            mean_value_density(SIGMA_Z, np.diag([1.0, -1.0]))
+            expectations(psi, apply(SIGMA_Z, psi))
 
 
 class TestGridPlumbing:

@@ -30,6 +30,39 @@ MINIMAL = {
 }
 
 
+NAN, INF = float("nan"), float("inf")
+NAN_MATRIX = [[[NAN, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+# Malformed config values: each must raise a ConfigError that names its field,
+# never a bare ValueError or TypeError, and a boolean is never a number.
+BAD_VALUES = {
+    "hamiltonian matrix NaN": (
+        {"hamiltonian": {"kind": "constant", "matrix": NAN_MATRIX}}, r"^hamiltonian\.matrix"),
+    "diagonal observable NaN": (
+        {"observables": [{"kind": "diagonal", "entries": [NAN, 1.0], "name": "d"}]},
+        r"^observables\[0\]\.entries"),
+    "constant-diagonal NaN": (
+        {"trivialization": {"kind": "constant-diagonal", "entries": [NAN, 1.0]}},
+        r"^trivialization\.entries"),
+    "matrix candidate NaN": (
+        {"integral_candidates": [{"kind": "matrix", "expected": True, "matrix": NAN_MATRIX}]},
+        r"^integral_candidates\[0\]\.matrix"),
+    "constant-diagonal zero": (
+        {"trivialization": {"kind": "constant-diagonal", "entries": [0.0, 1.0]}},
+        r"^trivialization: .*singular"),
+    "hbar NaN": ({"hbar": NAN}, r"^hbar"),
+    "hbar negative": ({"hbar": -1}, r"^hbar"),
+    "t1 infinite": ({"grid": {"t0": 0.0, "t1": INF, "steps": 50}}, r"^grid\.t1"),
+    "seed string": ({"seed": "abc"}, r"^seed"),
+    "omega string": ({"trivialization": {"kind": "global-phase", "omega": "fast"}},
+                     r"^trivialization: .*'fast'"),
+    "interval NaN": ({"base_space": {"variant": "interval", "bounds": [NAN, 1.0]}},
+                     r"^base_space"),
+    "dimension bool": ({"dimension": True}, r"^dimension"),
+    "bool complex entry": ({"initial_state": [[True, False], [0, 0]]}, r"^initial_state"),
+}
+
+
 def write_config(tmp_path, raw, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -150,12 +183,39 @@ class TestLoading:
         raw = dict(MINIMAL, initial_density=[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]])
         assert "density_purity" not in scenario_from_dict(raw).checks
 
+    @pytest.mark.parametrize("changes, match", list(BAD_VALUES.values()), ids=list(BAD_VALUES))
+    def test_bad_value_is_a_config_error_naming_its_field(self, changes, match):
+        with pytest.raises(ConfigError, match=match):
+            scenario_from_dict(dict(MINIMAL, **changes))
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigError, match=r"^grid\.t1"):
+            scenario_from_dict(dict(MINIMAL, grid={"t0": 0.0, "t1": 10 ** 400, "steps": 50}))
+
+    @pytest.mark.parametrize("key", ["eq_tol", "prop_tol", "state_equivalence"])
+    @pytest.mark.parametrize("value", [NAN, INF, -INF, -1e-6])
+    def test_tolerance_must_be_finite_and_non_negative(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^tolerances\.{key}"):
+            scenario_from_dict(dict(MINIMAL, tolerances={key: value}))
+
+    def test_infinite_tolerance_cannot_pass_a_detected_fault(self):
+        raw = dict(MINIMAL, trivialization={"kind": "global-phase"},
+                   faults={"drop_trivialization_derivative": True})
+        assert not run_scenario(scenario_from_dict(raw)).record("state_equivalence").passed
+        with pytest.raises(ConfigError, match=r"^tolerances\.eq_tol"):
+            scenario_from_dict(dict(raw, tolerances={"eq_tol": INF}))
+
 
 class TestRunScenario:
     def test_minimal_run_passes(self):
         report = run_scenario(scenario_from_dict(dict(MINIMAL)))
         assert report.overall_pass
         assert {r.check for r in report.records} == set(scenario_from_dict(dict(MINIMAL)).checks)
+
+    def test_module_dualities_run_only_by_request(self):
+        assert "module_dualities" not in scenario_from_dict(dict(MINIMAL)).checks
+        raw = dict(MINIMAL, checks=["state_equivalence", "module_dualities"])
+        assert run_scenario(scenario_from_dict(raw)).record("module_dualities").passed
 
     def test_each_requested_check_appears_exactly_once(self):
         report = run_scenario(scenario_from_dict(dict(MINIMAL)))
