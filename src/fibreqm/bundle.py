@@ -13,7 +13,7 @@ which makes every l(t) an isometry onto the typical fibre by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,40 +57,38 @@ class NonPointwiseOperatorError(ValueError):
     """A section operator couples distinct grid times and admits no morphism."""
 
 
-def _require_invertible(mats: np.ndarray, name: str, times, inv_tol: float = 1e-12) -> None:
+# Smallest accepted ratio of the smallest to the largest singular value of l(t).
+_INVERTIBILITY_TOL = 1e-8
+# Scaled allowance of the analytic-versus-finite-difference derivative comparison.
+_DERIVATIVE_FD_TOL = 1e-3
+
+
+def _require_invertible(mats: np.ndarray, name: str, times) -> None:
     svals = np.linalg.svd(mats, compute_uv=False)
     ratios = svals[..., -1] / np.maximum(svals[..., 0], 1e-300)
     worst = int(np.argmin(ratios))
-    if float(ratios.flat[worst]) < inv_tol:
-        ts = np.atleast_1d(np.asarray(times, dtype=float))
-        at = ts[worst] if ts.size == ratios.size else ts[0]
+    if float(ratios.flat[worst]) < _INVERTIBILITY_TOL:
+        at = np.atleast_1d(np.asarray(times, dtype=float))[worst]
         raise SingularTrivializationError(f"trivialization '{name}' is singular at t={at:g}")
 
 
 class TrivializationFamily:
     """Differentiable family t -> l(t) of invertible fibre-to-typical-fibre maps.
 
-    `sample` maps a 1-D array of N times to the stack l(t_k), shape (N, n, n);
-    the optional `derivative` maps them to dl/dt(t_k), else central finite
-    differences of `sample` with step `fd_step` are used.  Each batch is
+    `sample` maps a 1-D array of N times to the stack l(t_k), shape (N, n, n),
+    and `derivative` maps them to the exact dl/dt(t_k).  Each batch is
     shape- and finiteness-checked once (ValueError naming the family);
     single-time queries are batches of one.
     """
 
     def __init__(self, sample: Callable[[np.ndarray], np.ndarray], dimension: int,
-                 derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 fd_step: Optional[float] = None, name: str = "custom"):
+                 derivative: Callable[[np.ndarray], np.ndarray], name: str = "custom"):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self._sample = sample
         self._derivative = derivative
         self.dimension = int(dimension)
-        self.fd_step = fd_step
         self.name = name
-
-    @property
-    def has_analytic_derivative(self) -> bool:
-        return self._derivative is not None
 
     def at(self, t: float) -> np.ndarray:
         return self.at_many(np.array([float(t)]))[0]
@@ -100,50 +98,37 @@ class TrivializationFamily:
         return checked_stack(self._sample(times), times, self.dimension,
                              f"trivialization '{self.name}'")
 
-    def derivative_at_many(self, times, fd_step: Optional[float] = None) -> np.ndarray:
+    def derivative_at_many(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        if self._derivative is not None:
-            return checked_stack(self._derivative(times), times, self.dimension,
-                                 f"trivialization '{self.name}' derivative")
-        h = fd_step if fd_step is not None else self.fd_step
-        if h is None or h <= 0:
-            raise ValueError(
-                f"trivialization '{self.name}' has no analytic derivative and no fd_step")
-        return (self.at_many(times + h / 2) - self.at_many(times - h / 2)) / h
+        return checked_stack(self._derivative(times), times, self.dimension,
+                             f"trivialization '{self.name}' derivative")
 
-    def invertible_at(self, t: float) -> np.ndarray:
-        """l(t), checked invertible."""
-        m = self.at(t)
-        _require_invertible(m, self.name, t)
-        return m
-
-    def invertible_at_many(self, times, inv_tol: float = 1e-12) -> np.ndarray:
+    def invertible_at_many(self, times) -> np.ndarray:
         """The stack l(t_k), sampled once and checked invertible once."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         values = self.at_many(times)
-        _require_invertible(values, self.name, times, inv_tol)
+        _require_invertible(values, self.name, times)
         return values
 
-    def validate_on_grid(self, times, inv_tol: float = 1e-8, fd_tol: float = 1e-3
-                         ) -> np.ndarray:
+    def validate_on_grid(self, times) -> np.ndarray:
         """Check invertibility at every grid time and derivative consistency.
 
-        The smallest singular value must stay >= inv_tol * largest at every
-        grid time.  A supplied analytic derivative must match central finite
-        differences of the values at interior grid points; the allowance is
-        fd_tol (scaled) plus the finite-difference truncation floor estimated
-        from the sampled third derivative, so correct derivatives pass on
-        coarse grids while order-one mistakes are still caught.
+        The smallest singular value must stay >= 1e-8 * largest at every grid
+        time.  The derivative must match central finite differences of the
+        values at interior grid points; the allowance is 1e-3 (scaled) plus
+        the finite-difference truncation floor estimated from the sampled
+        third derivative, so correct derivatives pass on coarse grids while
+        order-one mistakes are still caught.
 
         Returns the checked grid values, so callers can reuse them instead of
         sampling the grid again.
         """
         times = np.asarray(times, dtype=float)
-        values = self.invertible_at_many(times, inv_tol)
-        if self.has_analytic_derivative and times.size >= 3:
+        values = self.invertible_at_many(times)
+        if times.size >= 3:
             supplied = self.derivative_at_many(times[1:-1])
             fd = (values[2:] - values[:-2]) / (times[2:] - times[:-2])[:, None, None]
-            allowance = fd_tol * max(1.0, max_abs(supplied))
+            allowance = _DERIVATIVE_FD_TOL * max(1.0, max_abs(supplied))
             if times.size >= 5:
                 h = float(np.mean(np.diff(times)))
                 third = (values[4:] - 2 * values[3:-1] + 2 * values[1:-3]
@@ -300,7 +285,7 @@ def lift_operators(frames: np.ndarray, a) -> np.ndarray:
 
 def lift_operator(l: TrivializationFamily, t: float, a) -> np.ndarray:
     """l(t)^-1 A l(t): the fibre morphism of a typical-fibre operator."""
-    return lift_operators(l.invertible_at(t), as_operator(a))
+    return lift_operators(l.invertible_at_many(t)[0], as_operator(a))
 
 
 def lift_trajectory(l: TrivializationFamily, times, states) -> SectionAlongPath:

@@ -79,10 +79,10 @@ class ScenarioArtifacts:
         """Sampled triple count and transport-axiom deviations, measured once.
 
         Both transport checks read the deviations and judge them against
-        their own tolerances; the report's own verdict is not used.
+        their own tolerances.
         """
         triples = _sample_triples(self.times, self.cfg.seed)
-        return len(triples), check_transport_axioms(self.transport, triples, 0.0)
+        return len(triples), check_transport_axioms(self.transport, triples)
 
 
 def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
@@ -90,10 +90,10 @@ def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
 
     Each time set is sampled once: the trivialization's grid values come
     from `validate_on_grid` (which also samples the interior derivatives it
-    compares against them, and checks invertibility once at its stricter
-    tolerance), and those frames feed the lift kernels, the transport and
-    the densities directly.  The bundle generator samples values and
-    derivatives on the midpoints once, inside the shared midpoint stepper.
+    compares against them, and checks invertibility once), and those frames
+    feed the lift kernels, the transport and the densities directly.  The
+    bundle generator samples values and derivatives on the midpoints once,
+    inside the shared midpoint stepper.
     """
     times = cfg.times
     t0 = float(times[0])
@@ -108,8 +108,7 @@ def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
     bundle_generator = MatrixBundleHamiltonian(
         cfg.hamiltonian, l, times, cfg.constants,
         include_derivative_term=not cfg.faults.get("drop_trivialization_derivative", False))
-    bundle_section = integrate_bundle_schrodinger(
-        bundle_generator, lifted.values[0], t0, float(times[-1]), cfg.step)
+    bundle_section = integrate_bundle_schrodinger(bundle_generator, lifted.values[0])
 
     transport = EvolutionTransport(propagators, l, frames)
 
@@ -252,8 +251,7 @@ def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
     from_t0 = art.transport.matrices_from(t0)
     psi_t = art.transported_section.values
     psi_h = apply(into_t0, psi_t)
-    v = PictureTransform.random_unitary(art.times, art.cfg.dimension, art.cfg.seed,
-                                        reference_time=t0).matrices
+    v = PictureTransform.random_unitary(art.times, art.cfg.dimension, art.cfg.seed).matrices
     psi_v = apply(v, psi_t)
     frames = art.transport.frames
     per_observable = []
@@ -346,9 +344,7 @@ def _check_integrals_of_motion(art: ScenarioArtifacts, tol: float,
     all_match = True
     worst = 0.0
     for cand in art.cfg.integral_candidates:
-        report = is_integral_of_motion(
-            cand.family, art.cfg.hamiltonian, art.transport, art.cfg.trivialization,
-            art.times, tol, art.cfg.constants)
+        report = is_integral_of_motion(cand.family, art.transport, tol)
         match = report.certified == cand.expected and report.criteria_agree
         all_match = all_match and match
         if cand.expected:

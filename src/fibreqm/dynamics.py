@@ -113,15 +113,13 @@ class HamiltonianFamily:
 class ObservableFamily:
     """Observable t -> A(t) with an explicit time derivative.
 
-    `sample` maps a 1-D array of N times to the stack A(t_k), shape (N, n, n);
-    the optional `derivative` maps them to dA/dt(t_k).  Both are checked like
-    `HamiltonianFamily` samples.  Without an analytic derivative,
-    `derivative_on_grid` falls back to central finite differences (one-sided
-    at the grid ends).
+    `sample` maps a 1-D array of N times to the stack A(t_k), shape (N, n, n),
+    and `derivative` maps them to the exact dA/dt(t_k).  Both are checked like
+    `HamiltonianFamily` samples.
     """
 
     def __init__(self, sample: Callable[[np.ndarray], np.ndarray], dimension: int,
-                 derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 derivative: Callable[[np.ndarray], np.ndarray],
                  time_dependent: bool = True, name: str = "observable"):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
@@ -147,20 +145,8 @@ class ObservableFamily:
 
     def derivative_on_grid(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)
-        if self._derivative is not None:
-            return checked_stack(self._derivative(times), times, self.dimension,
-                                 f"observable '{self.name}' derivative")
-        values = self.at_many(times)
-        out = np.empty_like(values)
-        dt = np.diff(times)
-        out[1:-1] = (values[2:] - values[:-2]) / (times[2:] - times[:-2])[:, None, None]
-        if times.size >= 3:  # one-sided second-order ends
-            out[0] = (-3 * values[0] + 4 * values[1] - values[2]) / (2 * dt[0])
-            out[-1] = (3 * values[-1] - 4 * values[-2] + values[-3]) / (2 * dt[-1])
-        else:
-            out[0] = (values[1] - values[0]) / dt[0]
-            out[-1] = (values[-1] - values[-2]) / dt[-1]
-        return out
+        return checked_stack(self._derivative(times), times, self.dimension,
+                             f"observable '{self.name}' derivative")
 
 
 @dataclass(frozen=True)
@@ -232,15 +218,18 @@ def midpoint_propagators(matrix_at_many: Callable[[np.ndarray], np.ndarray],
     return matrix_exponential(-1j * h[:, None, None] * mats / constants.hbar)
 
 
-def _hermitian_checked(family: HamiltonianFamily, tol: float = 1e-10
-                       ) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap a family's sampler to enforce its declared Hermiticity."""
+def _hermitian_checked(family: HamiltonianFamily) -> Callable[[np.ndarray], np.ndarray]:
+    """Wrap a family's sampler to enforce its declared Hermiticity.
+
+    A family flagged Hermitian may deviate from H = H^dagger by at most
+    1e-10 * max(1, max|H|) in any sampled entry.
+    """
 
     def at_many(times: np.ndarray) -> np.ndarray:
         sampled = family.at_many(times)
         if family.hermitian_expected:
             dev = max_abs(sampled - np.swapaxes(sampled.conj(), -2, -1))
-            if dev > tol * max(1.0, max_abs(sampled)):
+            if dev > 1e-10 * max(1.0, max_abs(sampled)):
                 raise ValueError(
                     f"Hamiltonian family '{family.name}' flagged Hermitian "
                     f"deviates by {dev:.3e}")
@@ -276,13 +265,11 @@ class PropagatorGrid:
     """
 
     def __init__(self, family: HamiltonianFamily, times: np.ndarray,
-                 constants: PhysicalConstants = PhysicalConstants(),
-                 hermitian_tol: float = 1e-10):
+                 constants: PhysicalConstants = PhysicalConstants()):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be a strictly increasing grid with >= 2 points")
-        steps = midpoint_propagators(_hermitian_checked(family, hermitian_tol),
-                                     times, constants)
+        steps = midpoint_propagators(_hermitian_checked(family), times, constants)
 
         n = family.dimension
         prefixes = np.empty((times.size, n, n), dtype=complex)
@@ -339,9 +326,10 @@ def evolve_state(family: HamiltonianFamily, psi0, t0: float, t1: float, step: fl
     return Trajectory(times, propagate_states(props, psi0))
 
 
-def validate_density(rho, tol: float = 1e-8) -> np.ndarray:
-    """Check Hermiticity, positive semidefiniteness, and unit trace to `tol`."""
+def validate_density(rho) -> np.ndarray:
+    """Check Hermiticity, positive semidefiniteness, and unit trace to 1e-8 (scaled)."""
     rho = as_operator(rho)
+    tol = 1e-8
     scale = max(1.0, max_abs(rho))
     if max_abs(rho - rho.conj().T) > tol * scale:
         raise ValueError("density matrix is not Hermitian to tolerance")

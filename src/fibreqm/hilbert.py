@@ -120,7 +120,11 @@ def is_hermitian(a, tol: float = 1e-12) -> bool:
     return max_abs(a - a.conj().T) <= tol
 
 
-def matrix_exponential(a, max_terms: int = 64) -> np.ndarray:
+# Taylor terms summed at most before the series is declared divergent.
+_MAX_TAYLOR_TERMS = 64
+
+
+def matrix_exponential(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring with an adaptive Taylor tail.
 
     Accepts a single matrix or a stacked batch (..., n, n); a batch shares one
@@ -142,13 +146,14 @@ def matrix_exponential(a, max_terms: int = 64) -> np.ndarray:
     eye = np.broadcast_to(np.eye(n, dtype=complex), a.shape)
     term = eye.copy()
     result = eye.copy()
-    for k in range(1, max_terms + 1):
+    for k in range(1, _MAX_TAYLOR_TERMS + 1):
         term = term @ x / k
         result = result + term
         if max_abs(term) <= 1e-18 * max(1.0, max_abs(result)):
             break
     else:
-        raise ValueError(f"matrix exponential series did not converge in {max_terms} terms")
+        raise ValueError(
+            f"matrix exponential series did not converge in {_MAX_TAYLOR_TERMS} terms")
 
     for _ in range(squarings):
         result = result @ result

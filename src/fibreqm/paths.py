@@ -120,14 +120,13 @@ class Path:
 
 def make_path(base: BaseSpace, domain: Tuple[float, float],
               point_fn: Optional[Callable[[np.ndarray], object]], samples: int,
-              forbid_self_intersections: bool = False,
-              intersection_tol: float = 1e-9) -> Path:
+              forbid_self_intersections: bool = False) -> Path:
     """Sample a path over `domain` on a uniform grid and validate it.
 
     `point_fn` maps the whole grid, shape (N,), to the points, shape (N, k),
     in one call; it may be omitted for a SinglePoint base and is not called
     there.  With `forbid_self_intersections` the sampled path must be
-    injective at `intersection_tol` resolution (world-line bases).
+    injective at 1e-9 resolution (world-line bases).
     """
     t0, t1 = float(domain[0]), float(domain[1])
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
@@ -140,7 +139,7 @@ def make_path(base: BaseSpace, domain: Tuple[float, float],
     if point_fn is None and not single:
         raise ValueError("point_fn is required unless the base is a single point")
     path = Path(base, t0, t1, grid, base.coerce_points(None if single else point_fn(grid), grid))
-    if forbid_self_intersections and self_intersections(path, intersection_tol):
+    if forbid_self_intersections and self_intersections(path, 1e-9):
         raise ValueError("path self-intersects but the base forbids self-intersections")
     return path
 

@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bundle import TrivializationFamily, _seeded_smooth_unitary, lift_operators
-from .dynamics import HamiltonianFamily, ObservableFamily, grid_index
-from .hilbert import PhysicalConstants, apply, expectations, max_abs
+from .bundle import _seeded_smooth_unitary, lift_operators
+from .dynamics import ObservableFamily, grid_index
+from .hilbert import apply, expectations, max_abs
 from .transport import EvolutionTransport
 
 __all__ = [
@@ -73,13 +73,12 @@ class PictureTransform:
         return self.matrices.shape[1]
 
     @classmethod
-    def identity(cls, times, dimension: int, reference_time: Optional[float] = None
-                 ) -> "PictureTransform":
+    def identity(cls, times, dimension: int) -> "PictureTransform":
+        """The Schrodinger picture V(t) = I, referred to the first grid time."""
         times = np.asarray(times, dtype=float)
-        t0 = float(times[0]) if reference_time is None else float(reference_time)
         mats = np.broadcast_to(np.eye(dimension, dtype=complex),
                                (times.size, dimension, dimension)).copy()
-        return cls(t0, times, mats)
+        return cls(float(times[0]), times, mats)
 
     @classmethod
     def from_transport(cls, transport: EvolutionTransport, reference_time: float
@@ -89,18 +88,17 @@ class PictureTransform:
         return cls(reference_time, transport.times, mats)
 
     @classmethod
-    def random_unitary(cls, times, dimension: int, seed: int,
-                       reference_time: Optional[float] = None, scale: float = 0.7,
-                       frequency: float = 3.0) -> "PictureTransform":
-        """Seeded smooth unitary family V(t) = exp(s K1) exp(sin(w s) K2), s = t - t0.
+    def random_unitary(cls, times, dimension: int, seed: int) -> "PictureTransform":
+        """Seeded smooth unitary family V(t) = exp(s K1) exp(sin(3 s) K2), s = t - t0.
 
-        The generators come from the same seeded helper as
-        `random_smooth_unitary_trivialization` (own RNG key), so each is
-        diagonalized once and V(t0) is the identity to rounding.
+        t0 is the first grid time and the generators have scale 0.7.  They
+        come from the same seeded helper as `random_smooth_unitary_trivialization`
+        (own RNG key), so each is diagonalized once and V(t0) is the identity
+        to rounding.
         """
         times = np.asarray(times, dtype=float)
-        t0 = float(times[0]) if reference_time is None else float(reference_time)
-        values, _ = _seeded_smooth_unitary(dimension, [int(seed), 0x9C], scale, frequency)
+        t0 = float(times[0])
+        values, _ = _seeded_smooth_unitary(dimension, [int(seed), 0x9C], 0.7, 3.0)
         return cls(t0, times, values(times - t0))
 
 
@@ -155,29 +153,23 @@ class IntegralOfMotionReport:
     criteria_agree: bool
 
 
-def is_integral_of_motion(a: ObservableFamily, h: HamiltonianFamily,
-                          transport: EvolutionTransport, l: TrivializationFamily,
-                          times, tol: float = 1e-6,
-                          constants: PhysicalConstants = PhysicalConstants()
-                          ) -> IntegralOfMotionReport:
+def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
+                          tol: float = 1e-6) -> IntegralOfMotionReport:
     """Decide whether an observable family is an integral of motion.
 
-    Evaluates the conventional residual i hbar dA/dt + [A, H] on the grid
-    and, for time-independent observables, the invariance of the lifted
-    morphism under transport conjugation; certification requires every
-    applicable criterion to pass.  `l` must be the transport's own
-    trivialization: the lift reads the frames the transport already sampled
-    on the grid.
+    Evaluates the conventional residual i hbar dA/dt + [A, H] on the
+    transport's grid, with the Hamiltonian and hbar its propagators were
+    built from, and, for time-independent observables, the invariance of the
+    lifted morphism under transport conjugation (the lift reads the frames
+    the transport already sampled); certification requires every applicable
+    criterion to pass.
     """
-    times = np.asarray(times, dtype=float)
-    if not np.array_equal(times, transport.times):
-        raise ValueError("integral-of-motion grid must be the transport grid")
-    if l is not transport.trivialization:
-        raise ValueError("integral-of-motion trivialization must be the transport's")
+    times = transport.times
     a_vals = a.at_many(times)
-    h_vals = h.at_many(times)
+    h_vals = transport.propagators.family.at_many(times)
     da_vals = a.derivative_on_grid(times)
-    residuals = (1j * constants.hbar) * da_vals + (a_vals @ h_vals - h_vals @ a_vals)
+    hbar = transport.propagators.constants.hbar
+    residuals = (1j * hbar) * da_vals + (a_vals @ h_vals - h_vals @ a_vals)
     per_time = np.max(np.abs(residuals), axis=(1, 2))
     comm_res = float(np.max(per_time))
     worst_time = float(times[int(np.argmax(per_time))])

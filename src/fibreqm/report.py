@@ -114,12 +114,6 @@ class SuiteReport:
     def overall_pass(self) -> bool:
         return all(r.overall_pass for r in self.reports)
 
-    def failures(self) -> List[CheckRecord]:
-        out = []
-        for rep in self.reports:
-            out.extend(r for r in rep.records if not r.passed)
-        return out
-
     def to_dict(self, include_timing: bool = True) -> dict:
         d = {
             "kind": "suite-report",

@@ -117,10 +117,6 @@ class ScenarioConfig:
     faults: Dict[str, bool]
     echo: dict = field(default_factory=dict)
 
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 # --- JSON plumbing ---------------------------------------------------------
 
@@ -147,10 +143,13 @@ def _complex_entry(obj, where: str) -> complex:
     return complex(float(obj[0]), float(obj[1]))
 
 
+def _real_vector(obj, n: int, where: str) -> np.ndarray:
+    _require(isinstance(obj, list) and len(obj) == n, f"{where}: need a list of {n} numbers")
+    return np.array([_real(x, f"{where}[{i}]") for i, x in enumerate(obj)])
+
+
 def _real_diagonal(entries, n: int, where: str) -> np.ndarray:
-    _require(isinstance(entries, list) and len(entries) == n,
-             f"{where}: need {n} diagonal entries")
-    return np.diag([_real(e, f"{where}[{i}]") for i, e in enumerate(entries)]).astype(complex)
+    return np.diag(_real_vector(entries, n, where)).astype(complex)
 
 
 def parse_complex_vector(obj, n: int, where: str) -> np.ndarray:
@@ -204,7 +203,8 @@ def _build_base(spec: dict) -> BaseSpace:
         bounds = spec.get("bounds")
         _require(isinstance(bounds, list) and len(bounds) == 2,
                  "base_space.bounds: need [lower, upper]")
-        return Interval(float(bounds[0]), float(bounds[1]))
+        return Interval(_real(bounds[0], "base_space.bounds[0]"),
+                        _real(bounds[1], "base_space.bounds[1]"))
     if variant == "single-point":
         return SinglePoint()
     raise ConfigError(f"base_space.variant: unknown variant {variant!r}")
@@ -223,17 +223,16 @@ def _build_path(spec: dict, base: BaseSpace, t0: float, t1: float, samples: int)
     if kind == "line":
         _require(isinstance(base, Euclidean), "path.line requires a Euclidean base")
         d = base.dim
-        origin = np.asarray(spec.get("origin", [0.0] * d), dtype=float)
-        velocity = np.asarray(spec.get("velocity", [1.0] + [0.0] * (d - 1)), dtype=float)
-        _require(origin.shape == (d,) and velocity.shape == (d,),
-                 f"path.line: origin/velocity must have length {d}")
+        origin = _real_vector(spec.get("origin", [0.0] * d), d, "path.origin")
+        velocity = _real_vector(spec.get("velocity", [1.0] + [0.0] * (d - 1)), d,
+                                "path.velocity")
         return make_path(base, (t0, t1), lambda ts: origin + ts[:, None] * velocity, samples,
                          forbid_self_intersections=forbid)
     if kind == "circle":
         _require(isinstance(base, Euclidean) and base.dim >= 2,
                  "path.circle requires a Euclidean base of dim >= 2")
-        radius = float(spec.get("radius", 1.0))
-        turns = float(spec.get("turns", 1.0))
+        radius = _real(spec.get("radius", 1.0), "path.radius")
+        turns = _real(spec.get("turns", 1.0), "path.turns")
         d = base.dim
         rate = 2.0 * np.pi * turns / (t1 - t0)
 
@@ -264,19 +263,19 @@ def _build_hamiltonian(spec: dict, n: int, seed: int) -> HamiltonianFamily:
     if kind == "pauli":
         _require(n == 2, "hamiltonian.pauli requires dimension 2")
         coeffs = spec.get("coefficients", {})
+        _require(isinstance(coeffs, dict), "hamiltonian.coefficients: need an object")
         m = np.zeros((2, 2), dtype=complex)
-        for axis, mat in _PAULI.items():
-            m = m + float(coeffs.get(axis, 0.0)) * mat
-        m = m + float(coeffs.get("i", 0.0)) * np.eye(2)
+        for axis, mat in (*_PAULI.items(), ("i", np.eye(2))):
+            m = m + _real(coeffs.get(axis, 0.0), f"hamiltonian.coefficients.{axis}") * mat
         return HamiltonianFamily.constant(m, name="pauli")
     if kind == "random-hermitian":
-        scale = float(spec.get("scale", 1.0))
+        scale = _real(spec.get("scale", 1.0), "hamiltonian.scale")
         m = _random_hermitian(n, [seed, 0x48], scale)
         return HamiltonianFamily.constant(m, name="random-hermitian")
     if kind == "circular-drive":
         _require(n == 2, "hamiltonian.circular-drive requires dimension 2")
-        omega0 = float(spec.get("level_splitting", np.pi))
-        rabi = float(spec.get("rabi_frequency", np.pi))
+        omega0 = _real(spec.get("level_splitting", np.pi), "hamiltonian.level_splitting")
+        rabi = _real(spec.get("rabi_frequency", np.pi), "hamiltonian.rabi_frequency")
 
         def sample(ts: np.ndarray) -> np.ndarray:
             phase = (omega0 * ts)[:, None, None]
@@ -291,7 +290,7 @@ def _build_hamiltonian(spec: dict, n: int, seed: int) -> HamiltonianFamily:
                  "hamiltonian.cosine-drive needs 'static' and 'drive' matrices")
         h0 = parse_complex_matrix(static_spec, n, "hamiltonian.static")
         v = parse_complex_matrix(drive_spec, n, "hamiltonian.drive")
-        omega = float(spec.get("omega", 1.0))
+        omega = _real(spec.get("omega", 1.0), "hamiltonian.omega")
         hermitian = bool(is_hermitian(h0, 1e-12) and is_hermitian(v, 1e-12))
         return HamiltonianFamily(lambda ts: h0 + np.cos(omega * ts)[:, None, None] * v, n,
                                  hermitian, "cosine-drive")
@@ -306,12 +305,14 @@ def _build_trivialization(spec: dict, n: int, seed: int) -> TrivializationFamily
     if kind == "identity":
         return identity_trivialization(n)
     if kind == "global-phase":
-        return global_phase_trivialization(n, float(spec.get("omega", 2.0 * np.pi)))
+        return global_phase_trivialization(
+            n, _real(spec.get("omega", 2.0 * np.pi), "trivialization.omega"))
     if kind == "diagonal-phase":
         omegas = spec.get("omegas")
         _require(isinstance(omegas, list) and len(omegas) == n,
                  f"trivialization.omegas: need {n} frequencies")
-        return diagonal_phase_trivialization([float(w) for w in omegas])
+        return diagonal_phase_trivialization(
+            [_real(w, f"trivialization.omegas[{i}]") for i, w in enumerate(omegas)])
     if kind == "constant-diagonal":
         return constant_trivialization(
             _real_diagonal(spec.get("entries"), n, "trivialization.entries"),
@@ -320,8 +321,8 @@ def _build_trivialization(spec: dict, n: int, seed: int) -> TrivializationFamily
         m = parse_complex_matrix(spec.get("matrix"), n, "trivialization.matrix")
         return constant_trivialization(m)
     if kind == "random-smooth-unitary":
-        scale = float(spec.get("scale", 0.6))
-        frequency = float(spec.get("frequency", 2.5))
+        scale = _real(spec.get("scale", 0.6), "trivialization.scale")
+        frequency = _real(spec.get("frequency", 2.5), "trivialization.frequency")
         return random_smooth_unitary_trivialization(n, seed, scale, frequency)
     raise ConfigError(f"trivialization.kind: unknown kind {kind!r}")
 
@@ -331,7 +332,8 @@ def _build_observable(spec: dict, n: int, seed: int, index: int) -> ObservableFa
 
     A constant observable broadcasts one matrix over any batch of times; the
     optional "modulation" key, {"omega": w, "offset": c}, makes the
-    observable (c + cos(w t)) * base.
+    observable (c + cos(w t)) * base, with the exact derivative
+    (-w sin(w t)) * base.
     """
     kind = spec.get("kind")
     name = spec.get("name", f"obs{index}")
@@ -345,7 +347,7 @@ def _build_observable(spec: dict, n: int, seed: int, index: int) -> ObservableFa
     elif kind == "diagonal":
         base = _real_diagonal(spec.get("entries"), n, f"observables[{index}].entries")
     elif kind == "random-hermitian":
-        scale = float(spec.get("scale", 1.0))
+        scale = _real(spec.get("scale", 1.0), f"observables[{index}].scale")
         base = _random_hermitian(n, [seed, 0xA0, index], scale)
     else:
         raise ConfigError(f"observables[{index}].kind: unknown kind {kind!r}")
@@ -354,9 +356,10 @@ def _build_observable(spec: dict, n: int, seed: int, index: int) -> ObservableFa
     if modulation is None:
         return ObservableFamily.constant(base, name=name)
     _require(isinstance(modulation, dict), f"observables[{index}].modulation: need an object")
-    omega = float(modulation.get("omega", 1.0))
-    offset = float(modulation.get("offset", 0.0))
+    omega = _real(modulation.get("omega", 1.0), f"observables[{index}].modulation.omega")
+    offset = _real(modulation.get("offset", 0.0), f"observables[{index}].modulation.offset")
     return ObservableFamily(lambda ts: (offset + np.cos(omega * ts))[:, None, None] * base, n,
+                            lambda ts: (-omega * np.sin(omega * ts))[:, None, None] * base,
                             name=name)
 
 
@@ -464,6 +467,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         _require(isinstance(physics_check, dict) and physics_check.get("kind") == "rabi-flip",
                  "physics_check.kind: only 'rabi-flip' is supported")
         _require(n == 2, "physics_check.rabi-flip requires dimension 2")
+        _real(physics_check.get("omega", np.pi), "physics_check.omega")
 
     tol_spec = raw.get("tolerances", {})
     _require(isinstance(tol_spec, dict), "tolerances: must be an object")

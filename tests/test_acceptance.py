@@ -187,9 +187,8 @@ def test_criterion_7_integrals_of_motion(acceptance):
     transport = EvolutionTransport(grid, l)
 
     certified = is_integral_of_motion(ObservableFamily.constant(SIGMA_Z, name="energy"),
-                                      h, transport, l, times)
-    rejected = is_integral_of_motion(ObservableFamily.constant(SIGMA_X), h,
-                                     transport, l, times)
+                                      transport)
+    rejected = is_integral_of_motion(ObservableFamily.constant(SIGMA_X), transport)
     # [sigma_x, sigma_z] has Frobenius norm 2*sqrt(2) and max-entry 2
     residual_ok = abs(rejected.commutator_residual - 2.0) <= 1e-12
 

@@ -118,7 +118,7 @@ def test_matrices_by_index_match_single_queries(artifacts):
                           transport.propagators.prefixes[last])
 
 
-def looped_transport_axioms(transport, sample, tol) -> TransportAxiomReport:
+def looped_transport_axioms(transport, sample) -> TransportAxiomReport:
     """One triple at a time, one single-pair query per matrix."""
     eye = np.eye(transport.dimension, dtype=complex)
     id_dev, id_worst = -1.0, float(transport.times[0])
@@ -141,14 +141,13 @@ def looped_transport_axioms(transport, sample, tol) -> TransportAxiomReport:
             comp_dev, comp_worst = dev, (float(r), float(s), float(t))
     if id_dev < 0:
         raise ValueError("sample must contain at least one triple")
-    return TransportAxiomReport(id_dev, comp_dev, id_worst, comp_worst, tol)
+    return TransportAxiomReport(id_dev, comp_dev, id_worst, comp_worst)
 
 
 def test_batched_axioms_match_the_triple_loop(artifacts):
     triples = _sample_triples(artifacts.times, artifacts.cfg.seed)
-    for tol in (0.0, 1e-10):
-        batched = check_transport_axioms(artifacts.transport, triples, tol)
-        assert batched == looped_transport_axioms(artifacts.transport, triples, tol)
+    batched = check_transport_axioms(artifacts.transport, triples)
+    assert batched == looped_transport_axioms(artifacts.transport, triples)
 
 
 # --- vectorized catalog Hamiltonians ----------------------------------------------

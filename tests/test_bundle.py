@@ -31,7 +31,9 @@ def random_invertible_family(n, seed, non_unitary=True):
     if not non_unitary:
         return base
     stretch = np.diag(1.0 + rng.uniform(0.2, 1.3, size=n)).astype(complex)
-    return TrivializationFamily(lambda ts: base.at_many(ts) @ stretch, n, name="stretched")
+    return TrivializationFamily(lambda ts: base.at_many(ts) @ stretch, n,
+                                lambda ts: base.derivative_at_many(ts) @ stretch,
+                                name="stretched")
 
 
 class TestLifting:
@@ -91,7 +93,8 @@ class TestLifting:
 
     def test_singular_trivialization_rejected(self):
         sick = TrivializationFamily(
-            lambda ts: np.stack([np.diag([t, 1.0]) for t in ts]).astype(complex), 2)
+            lambda ts: np.stack([np.diag([t, 1.0]) for t in ts]).astype(complex), 2,
+            lambda ts: np.broadcast_to(np.diag([1.0, 0.0]).astype(complex), (ts.size, 2, 2)))
         with pytest.raises(SingularTrivializationError):
             lift_trajectory(sick, [0.0], [[1.0, 1.0]])
 
@@ -291,7 +294,8 @@ class TestTrivializationValidation:
 
     def test_grid_validation_catches_singularity(self):
         sick = TrivializationFamily(
-            lambda ts: np.stack([np.diag([t - 0.5, 1.0]) for t in ts]).astype(complex), 2)
+            lambda ts: np.stack([np.diag([t - 0.5, 1.0]) for t in ts]).astype(complex), 2,
+            lambda ts: np.broadcast_to(np.diag([1.0, 0.0]).astype(complex), (ts.size, 2, 2)))
         with pytest.raises(SingularTrivializationError):
             sick.validate_on_grid(np.linspace(0.0, 1.0, 11))
 
@@ -311,20 +315,6 @@ class TestTrivializationValidation:
                        constant_trivialization(np.diag([1.0, 2.0, 3.0]).astype(complex)),
                        random_smooth_unitary_trivialization(3, 71)):
             family.validate_on_grid(times)
-
-    def test_fd_fallback_matches_analytic(self):
-        omega = 2.0
-        analytic = global_phase_trivialization(2, omega)
-        fd_only = TrivializationFamily(analytic.at_many, 2, fd_step=1e-5)
-        times = np.array([0.1, 0.7])
-        assert max_abs(fd_only.derivative_at_many(times)
-                       - analytic.derivative_at_many(times)) <= 1e-8
-
-    def test_missing_fd_step_is_an_error(self):
-        bare = TrivializationFamily(
-            lambda ts: np.broadcast_to(np.eye(2, dtype=complex), (ts.size, 2, 2)), 2)
-        with pytest.raises(ValueError, match="fd_step"):
-            bare.derivative_at_many([0.5])
 
 
 @pytest.mark.parametrize("sampler, derivative, query", [

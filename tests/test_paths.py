@@ -73,7 +73,7 @@ class TestMakePath:
         with pytest.raises(ValueError, match="self-intersects"):
             make_path(base, (0.0, 4 * np.pi),
                       lambda t: np.stack([np.cos(t), np.sin(t), 0 * t, 0 * t], axis=1), 101,
-                      forbid_self_intersections=True, intersection_tol=1e-9)
+                      forbid_self_intersections=True)
         path = make_path(base, (0.0, 1.0), lambda t: np.stack([t, 0 * t, 0 * t, 0 * t], axis=1),
                          101,
                          forbid_self_intersections=True)

@@ -280,7 +280,7 @@ class TestIntegralsOfMotion:
         l = random_smooth_unitary_trivialization(2, 33)
         _, _, _, transport = evolved_setup(l)
         fam = ObservableFamily.constant(H.at(0.0), name="hamiltonian")
-        report = is_integral_of_motion(fam, H, transport, l, TIMES)
+        report = is_integral_of_motion(fam, transport)
         assert report.certified
         assert report.commutator_residual <= 1e-12
         assert report.transport_residual is not None
@@ -291,8 +291,7 @@ class TestIntegralsOfMotion:
         h = HamiltonianFamily.constant(SIGMA_Z)
         l = identity_trivialization(2)
         _, _, _, transport = evolved_setup(l, h)
-        report = is_integral_of_motion(ObservableFamily.constant(SIGMA_X), h,
-                                       transport, l, TIMES)
+        report = is_integral_of_motion(ObservableFamily.constant(SIGMA_X), transport)
         assert not report.certified
         # [sigma_x, sigma_z] has max-entry 2 (Frobenius norm 2*sqrt(2))
         assert abs(report.commutator_residual - 2.0) <= 1e-12
@@ -308,8 +307,14 @@ class TestIntegralsOfMotion:
             u = grid.operators(grid_indices(grid.times, ts), 0)
             return u @ SIGMA_X @ np.linalg.inv(u)
 
-        fam = ObservableFamily(evolved_observable, 2, time_dependent=True)
-        report = is_integral_of_motion(fam, h, transport, l, times, tol=1e-5)
+        def heisenberg_derivative(ts: np.ndarray) -> np.ndarray:
+            # dA/dt = -(i / hbar) [H, A(t)], hbar = 1
+            a = evolved_observable(ts)
+            return -1j * (SIGMA_Z @ a - a @ SIGMA_Z)
+
+        fam = ObservableFamily(evolved_observable, 2, heisenberg_derivative,
+                               time_dependent=True)
+        report = is_integral_of_motion(fam, transport, tol=1e-5)
         assert report.certified
         assert report.transport_residual is None  # time-dependent: criterion (a) only
 
@@ -318,7 +323,7 @@ class TestIntegralsOfMotion:
         l = identity_trivialization(2)
         grid, _, _, transport = evolved_setup(l)
         fam = ObservableFamily.constant(H.at(0.0))
-        report = is_integral_of_motion(fam, H, transport, l, TIMES, tol=1e-6)
+        report = is_integral_of_motion(fam, transport, tol=1e-6)
         assert report.certified
         for _ in range(10):
             psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -326,17 +331,3 @@ class TestIntegralsOfMotion:
             sampled = states[::40]
             means = expectations(sampled, apply(H.at(0.0), sampled))
             assert max_abs(means - means[0]) <= 10 * 1e-6
-
-    def test_grid_must_match_transport(self):
-        l = identity_trivialization(2)
-        _, _, _, transport = evolved_setup(l)
-        with pytest.raises(ValueError, match="grid"):
-            is_integral_of_motion(ObservableFamily.constant(SIGMA_Z), H, transport, l,
-                                  uniform_grid(0.0, 1.0, 10))
-
-    def test_trivialization_must_match_transport(self):
-        _, _, _, transport = evolved_setup(random_smooth_unitary_trivialization(2, 33))
-        other = random_smooth_unitary_trivialization(2, 34)
-        with pytest.raises(ValueError, match="trivialization"):
-            is_integral_of_motion(ObservableFamily.constant(H.at(0.0)), H, transport, other,
-                                  TIMES)

@@ -1,4 +1,5 @@
-"""Every exported name is used, and the README library sketch runs as written.
+"""Every exported name is used, every optional parameter is set by some caller,
+and the README library sketch runs as written.
 
 A name in a module's `__all__` must be referenced somewhere in `src/` outside
 its own definition (the package `__init__` re-exports do not count), or be
@@ -87,6 +88,86 @@ def test_every_exported_name_is_used():
             if not (used or name in readme or (fname, name) in wrapped):
                 unused.append(f"{fname[:-3]}.{name}")
     assert not unused, f"exported but unused: {unused}"
+
+
+def _optional_parameters(tree):
+    """(qualified name, call name, position, parameter) of each optional parameter.
+
+    Covers the public top-level functions and the public methods (and
+    `__init__`) of public classes.  The position counts the arguments a call
+    passes, so `self`/`cls` are skipped; keyword-only parameters have none.
+    A constructor is called by its class name.
+    """
+    def optional(fn, skip):
+        args = fn.args.posonlyargs + fn.args.args
+        positional = list(enumerate(a.arg for a in args))[len(args) - len(fn.args.defaults):]
+        keyword = [(None, a.arg) for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                   if default is not None]
+        return [(None if i is None else i - skip, name) for i, name in positional + keyword]
+
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            found += [(node.name, node.name, i, p) for i, p in optional(node, 0)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef) or (
+                        fn.name.startswith("_") and fn.name != "__init__"):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                called_as = node.name if fn.name == "__init__" else fn.name
+                found += [(f"{node.name}.{fn.name}", called_as, i, p)
+                          for i, p in optional(fn, 0 if static else 1)]
+    return found
+
+
+def _calls(tree):
+    """(called name, positional count, has */** unpacking, keyword names) of each call.
+
+    `import ... as` aliases are resolved, and `cls(...)` inside a class body
+    counts as a call of that class.
+    """
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names if alias.asname}
+    found = []
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            name = cls if name == "cls" else aliases.get(name, name)
+            unpacked = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+            found.append((name, len(node.args), unpacked, {k.arg for k in node.keywords}))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    """An optional parameter that no call in src/, tests/ or the README sketch passes
+    should be a constant of its function."""
+    sources = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = list(sources.values())
+    trees += [ast.parse(path.read_text()) for path in sorted((ROOT / "tests").glob("*.py"))]
+    trees += [ast.parse(block) for block in _library_sketch_blocks()]
+    calls = [call for tree in trees for call in _calls(tree)]
+    never_set = [
+        f"{path.stem}.{qualified}({parameter})"
+        for path, tree in sources.items()
+        for qualified, called_as, position, parameter in _optional_parameters(tree)
+        if not any(name == called_as and (unpacked or parameter in keywords
+                                          or (position is not None and position < count))
+                   for name, count, unpacked, keywords in calls)
+    ]
+    assert not never_set, f"optional parameters no caller sets: {never_set}"
 
 
 def test_library_sketch_runs_and_prints_small_residuals():

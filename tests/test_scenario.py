@@ -55,11 +55,53 @@ BAD_VALUES = {
     "t1 infinite": ({"grid": {"t0": 0.0, "t1": INF, "steps": 50}}, r"^grid\.t1"),
     "seed string": ({"seed": "abc"}, r"^seed"),
     "omega string": ({"trivialization": {"kind": "global-phase", "omega": "fast"}},
-                     r"^trivialization: .*'fast'"),
+                     r"^trivialization\.omega: .*'fast'"),
     "interval NaN": ({"base_space": {"variant": "interval", "bounds": [NAN, 1.0]}},
                      r"^base_space"),
     "dimension bool": ({"dimension": True}, r"^dimension"),
     "bool complex entry": ({"initial_state": [[True, False], [0, 0]]}, r"^initial_state"),
+    # every scalar parameter of a section is read as a finite number
+    "phase omega bool": ({"trivialization": {"kind": "global-phase", "omega": True}},
+                         r"^trivialization\.omega"),
+    "omegas NaN": ({"trivialization": {"kind": "diagonal-phase", "omegas": [1.0, NAN]}},
+                   r"^trivialization\.omegas\[1\]"),
+    "gauge scale infinite": ({"trivialization": {"kind": "random-smooth-unitary", "scale": INF}},
+                             r"^trivialization\.scale"),
+    "gauge frequency string": (
+        {"trivialization": {"kind": "random-smooth-unitary", "frequency": "fast"}},
+        r"^trivialization\.frequency"),
+    "pauli coefficient bool": ({"hamiltonian": {"kind": "pauli", "coefficients": {"x": True}}},
+                               r"^hamiltonian\.coefficients\.x"),
+    "pauli coefficients list": ({"hamiltonian": {"kind": "pauli", "coefficients": [1.0]}},
+                                r"^hamiltonian\.coefficients"),
+    "level splitting NaN": ({"hamiltonian": {"kind": "circular-drive", "level_splitting": NAN}},
+                            r"^hamiltonian\.level_splitting"),
+    "rabi frequency infinite": (
+        {"hamiltonian": {"kind": "circular-drive", "rabi_frequency": -INF}},
+        r"^hamiltonian\.rabi_frequency"),
+    "drive omega bool": ({"hamiltonian": {"kind": "cosine-drive", "omega": False,
+                                          "static": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+                                          "drive": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}},
+                         r"^hamiltonian\.omega"),
+    "hamiltonian scale string": ({"hamiltonian": {"kind": "random-hermitian", "scale": "big"}},
+                                 r"^hamiltonian\.scale"),
+    "observable scale NaN": (
+        {"observables": [{"kind": "random-hermitian", "scale": NAN, "name": "r"}]},
+        r"^observables\[0\]\.scale"),
+    "modulation omega infinite": (
+        {"observables": [{"kind": "pauli", "axis": "z", "modulation": {"omega": INF}}]},
+        r"^observables\[0\]\.modulation\.omega"),
+    "modulation offset bool": (
+        {"observables": [{"kind": "pauli", "axis": "z", "modulation": {"offset": True}}]},
+        r"^observables\[0\]\.modulation\.offset"),
+    "circle radius NaN": ({"path": {"kind": "circle", "radius": NAN}}, r"^path\.radius"),
+    "circle turns string": ({"path": {"kind": "circle", "turns": "two"}}, r"^path\.turns"),
+    "line origin bool": ({"path": {"kind": "line", "origin": [True, 0.0, 0.0]}},
+                         r"^path\.origin\[0\]"),
+    "interval bound bool": ({"base_space": {"variant": "interval", "bounds": [0.0, True]}},
+                            r"^base_space\.bounds\[1\]"),
+    "physics omega string": ({"physics_check": {"kind": "rabi-flip", "omega": "x"}},
+                             r"^physics_check\.omega"),
 }
 
 
@@ -157,6 +199,18 @@ class TestLoading:
         report = run_scenario(cfg)
         assert report.record("mean_value_invariance").passed
 
+    def test_modulated_observable_derivative_matches_its_samples(self):
+        # A(t) = (1.5 + cos 3t) diag(1, 0, -1): central differences of its own
+        # samples agree with the exact derivative to within h^2 w^3 max|A_0| / 6
+        cfg = load_catalog_scenario("driven-three-level")
+        family = next(f for f in cfg.observables if f.name == "modulated_ladder")
+        times = cfg.times
+        values = family.at_many(times)
+        central = (values[2:] - values[:-2]) / (times[2:] - times[:-2])[:, None, None]
+        h = float(times[1] - times[0])
+        deviation = np.max(np.abs(family.derivative_on_grid(times[1:-1]) - central))
+        assert deviation <= h ** 2 * 3.0 ** 3 / 6 + 1e-9
+
     @pytest.mark.parametrize("changes, match", [
         ({"observables": []}, "observables"),
         ({"observables": [], "checks": ["mean_value_invariance"]}, "observables"),
@@ -227,6 +281,7 @@ class TestRunScenario:
         cfg = scenario_from_dict(dict(MINIMAL))
         cfg.trivialization = TrivializationFamily(
             lambda ts: np.stack([np.diag([t - 0.5, 1.0]) for t in ts]).astype(complex), 2,
+            lambda ts: np.broadcast_to(np.diag([1.0, 0.0]).astype(complex), (ts.size, 2, 2)),
             name="singular-mid")
         report = run_scenario(cfg)
         assert not report.overall_pass

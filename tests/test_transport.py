@@ -23,6 +23,11 @@ from fibreqm.transport import (
 TIMES = uniform_grid(0.0, 1.0, 200)
 
 
+def axioms_hold(report, tol):
+    """Both transport axioms within `tol`; a NaN deviation never holds."""
+    return report.max_identity_deviation <= tol and report.max_composition_deviation <= tol
+
+
 class TestBundleHamiltonian:
     """The similarity conjugate l^-1 H l is the lift of H(t)."""
 
@@ -97,11 +102,9 @@ class TestTransportCoefficients:
     """The coefficients Gamma = (i / hbar) Hm drive the bundle integrator, one step
     exp(-h Gamma(t + h/2)) per grid interval; these pin how hbar enters it."""
 
-    STEP = float(TIMES[1] - TIMES[0])
-
     def section(self, h, l, hbar, psi0):
         hm = MatrixBundleHamiltonian(h, l, TIMES, PhysicalConstants(hbar=hbar))
-        return integrate_bundle_schrodinger(hm, psi0, 0.0, 1.0, self.STEP)
+        return integrate_bundle_schrodinger(hm, psi0)
 
     def test_phase_gauge_value(self):
         # l = e^{i w t} I: hbar multiplies the gauge term and divides it out again
@@ -168,14 +171,14 @@ class TestBuildTransport:
         l = random_smooth_unitary_trivialization(2, 87)
         transport = EvolutionTransport(PropagatorGrid(h, TIMES), l)
         triples = [(0.0, 0.25, 0.5), (0.1, 0.5, 0.9), (0.25, 0.25, 0.75), (0.0, 0.0, 0.0)]
-        report = check_transport_axioms(transport, triples, 1e-10)
-        assert report.passed
+        report = check_transport_axioms(transport, triples)
+        assert axioms_hold(report, 1e-10)
         assert report.max_identity_deviation <= 1e-12
 
     def test_axioms_exactly_zero_for_free_identity_case(self):
         transport = EvolutionTransport(PropagatorGrid(HamiltonianFamily.zero(2), TIMES),
                                        identity_trivialization(2))
-        report = check_transport_axioms(transport, [(0.0, 0.5, 1.0)], 1e-10)
+        report = check_transport_axioms(transport, [(0.0, 0.5, 1.0)])
         assert report.max_identity_deviation == 0.0
         assert report.max_composition_deviation == 0.0
 
@@ -192,8 +195,8 @@ class TestBuildTransport:
                 value[:, 0, 0] += 1e-3 * (j - i)
                 return value
 
-        report = check_transport_axioms(Corrupted(), [(0.0, 0.5, 1.0)], 1e-10)
-        assert not report.passed
+        report = check_transport_axioms(Corrupted(), [(0.0, 0.5, 1.0)])
+        assert not axioms_hold(report, 1e-10)
 
     def test_nan_compositions_fail_axioms(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X)
@@ -209,11 +212,11 @@ class TestBuildTransport:
                 return value
 
         triples = [(0.0, 0.0, 0.0), (0.0, 0.5, 1.0), (0.25, 0.25, 0.75)]
-        report = check_transport_axioms(NanAcrossTimes(), triples, 1e-10)
+        report = check_transport_axioms(NanAcrossTimes(), triples)
         assert report.max_identity_deviation <= 1e-15
         assert np.isnan(report.max_composition_deviation)
         assert report.worst_composition_triple == (0.0, 0.5, 1.0)  # the first NaN
-        assert not report.passed
+        assert not axioms_hold(report, 1e-10)
 
     def test_nan_identity_fails_axioms(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X)
@@ -226,16 +229,16 @@ class TestBuildTransport:
             def matrices_by_index(self, j, i):
                 return np.full(np.broadcast(j, i).shape + (2, 2), np.nan, dtype=complex)
 
-        report = check_transport_axioms(NanEverywhere(), [(0.0, 0.5, 1.0)], 1e-10)
+        report = check_transport_axioms(NanEverywhere(), [(0.0, 0.5, 1.0)])
         assert np.isnan(report.max_identity_deviation)
         assert report.worst_identity_time == 0.0
-        assert not report.passed
+        assert not axioms_hold(report, 1e-10)
 
     def test_unordered_triple_rejected(self):
         h = HamiltonianFamily.constant(SIGMA_Z)
         transport = EvolutionTransport(PropagatorGrid(h, TIMES), identity_trivialization(2))
         with pytest.raises(ValueError, match="r <= s <= t"):
-            check_transport_axioms(transport, [(0.5, 0.25, 1.0)], 1e-10)
+            check_transport_axioms(transport, [(0.5, 0.25, 1.0)])
 
     def test_unitary_bundle_map_property(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.4 * SIGMA_Z)
@@ -261,8 +264,7 @@ class TestBundleIntegration:
     def test_zero_generator_constant_section(self):
         hm = MatrixBundleHamiltonian(HamiltonianFamily.zero(2),
                                      identity_trivialization(2), TIMES)
-        section = integrate_bundle_schrodinger(hm, [0.3, 0.4j], 0.0, 1.0,
-                                               float(TIMES[1] - TIMES[0]))
+        section = integrate_bundle_schrodinger(hm, [0.3, 0.4j])
         assert max_abs(section.values - section.values[0]) == 0
 
     def test_phase_gauge_closed_form(self):
@@ -270,8 +272,7 @@ class TestBundleIntegration:
         hm = MatrixBundleHamiltonian(HamiltonianFamily.zero(2),
                                      global_phase_trivialization(2, omega), TIMES)
         psi0 = np.array([0.6, 0.8], dtype=complex)
-        section = integrate_bundle_schrodinger(hm, psi0, 0.0, 1.0,
-                                               float(TIMES[1] - TIMES[0]))
+        section = integrate_bundle_schrodinger(hm, psi0)
         expected = np.exp(-1j * omega * section.times)[:, None] * psi0
         assert max_abs(section.values - expected) <= 1e-9
 
@@ -283,14 +284,8 @@ class TestBundleIntegration:
         states = propagate_states(grid.step_matrices, np.array([1.0, 0.0], dtype=complex))
         lifted = lift_trajectory(l, times, states)
         hm = MatrixBundleHamiltonian(h, l, times)
-        section = integrate_bundle_schrodinger(hm, lifted.values[0], 0.0, 1.0, 1e-3)
+        section = integrate_bundle_schrodinger(hm, lifted.values[0])
         assert max_abs(section.values - lifted.values) <= 1e-6
-
-    def test_grid_mismatch_rejected(self):
-        hm = MatrixBundleHamiltonian(HamiltonianFamily.zero(2),
-                                     identity_trivialization(2), TIMES)
-        with pytest.raises(ValueError, match="grid"):
-            integrate_bundle_schrodinger(hm, [1.0, 0.0], 0.0, 1.0, 2e-3)
 
 
 class TestTransportSection:
