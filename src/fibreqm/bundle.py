@@ -276,30 +276,35 @@ def _same_grid(a: np.ndarray, b: np.ndarray) -> None:
 
 # --- lifting --------------------------------------------------------------
 
-def lift_operators(frames: np.ndarray, a) -> np.ndarray:
-    """l(t_k)^-1 A_k l(t_k) over a stack of checked frames; A may be one operator."""
-    a = np.asarray(a, dtype=complex)
-    stacked = a if a.ndim == frames.ndim else np.broadcast_to(a, frames.shape)
-    return np.linalg.solve(frames, stacked @ frames)
+def lift_operators(frames: np.ndarray, inverse_frames: np.ndarray, a) -> np.ndarray:
+    """l(t_k)^-1 A_k l(t_k) over stacks of checked frames; one frame or A broadcasts.
+
+    Takes the inverses l^-1 the caller already holds (a transport's
+    `inverse_frames`), in the argument order of `bundle_adjoint_maps`, so a
+    lift is two batched products and nothing is solved per call.
+    """
+    return inverse_frames @ (np.asarray(a, dtype=complex) @ frames)
 
 
 def lift_operator(l: TrivializationFamily, t: float, a) -> np.ndarray:
     """l(t)^-1 A l(t): the fibre morphism of a typical-fibre operator."""
-    return lift_operators(l.invertible_at_many(t)[0], as_operator(a))
+    frame = l.invertible_at_many(t)[0]
+    return lift_operators(frame, np.linalg.inv(frame), as_operator(a))
 
 
 def lift_trajectory(l: TrivializationFamily, times, states) -> SectionAlongPath:
-    """Lift a whole state history into the fibres with one batched solve."""
+    """Lift a whole state history into the fibres, inverting the frames once."""
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
     frames = l.invertible_at_many(times)
-    return SectionAlongPath(times, np.linalg.solve(frames, states[..., None])[..., 0])
+    return SectionAlongPath(times, apply(np.linalg.inv(frames), states))
 
 
 def lift_operator_on_grid(l: TrivializationFamily, times, a) -> MorphismAlongPath:
     """Lift one operator (or a stack, one per time) at every grid time."""
     times = np.asarray(times, dtype=float)
-    return MorphismAlongPath(times, lift_operators(l.invertible_at_many(times), a))
+    frames = l.invertible_at_many(times)
+    return MorphismAlongPath(times, lift_operators(frames, np.linalg.inv(frames), a))
 
 
 # --- fibre metric and adjoints ---------------------------------------------

@@ -91,30 +91,32 @@ def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
     Each time set is sampled once: the trivialization's grid values come
     from `validate_on_grid` (which also samples the interior derivatives it
     compares against them, and checks invertibility once), and those frames
-    feed the lift kernels, the transport and the densities directly.  The
-    bundle generator samples values and derivatives on the midpoints once,
-    inside the shared midpoint stepper.
+    feed the transport, which inverts them once.  Every lift then reads the
+    transport's frames and inverse frames, and the densities and the
+    transported section share its t0 stacks.  The bundle generator samples
+    values and derivatives on the midpoints once, inside the shared midpoint
+    stepper.
     """
     times = cfg.times
     t0 = float(times[0])
     l = cfg.trivialization
     frames = l.validate_on_grid(times)
-
     propagators = PropagatorGrid(cfg.hamiltonian, times, cfg.constants)
+    transport = EvolutionTransport(propagators, l, frames)
+    inverse_frames = transport.inverse_frames
+
     states = propagate_states(propagators.step_matrices, cfg.initial_state)
     trajectory = Trajectory(times, states)
-    lifted = SectionAlongPath(times, np.linalg.solve(frames, states[..., None])[..., 0])
+    lifted = SectionAlongPath(times, apply(inverse_frames, states))
 
     bundle_generator = MatrixBundleHamiltonian(
         cfg.hamiltonian, l, times, cfg.constants,
         include_derivative_term=not cfg.faults.get("drop_trivialization_derivative", False))
     bundle_section = integrate_bundle_schrodinger(bundle_generator, lifted.values[0])
 
-    transport = EvolutionTransport(propagators, l, frames)
-
     observables = {family.name: family.at_many(times) for family in cfg.observables}
     lifted_observables = {
-        name: MorphismAlongPath(times, lift_operators(frames, stack))
+        name: MorphismAlongPath(times, lift_operators(frames, inverse_frames, stack))
         for name, stack in observables.items()
     }
 
@@ -124,9 +126,10 @@ def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
         psi0 = cfg.initial_state
         rho0 = np.outer(psi0, psi0.conj()) / np.vdot(psi0, psi0).real
     density_lifted = lift_operators(
-        frames, conjugate_by(propagators.prefixes, rho0, propagators.inverse_prefixes))
+        frames, inverse_frames,
+        conjugate_by(propagators.prefixes, rho0, propagators.inverse_prefixes))
     density_transported = evolve_density_morphisms(
-        lift_operators(frames[0], rho0), transport, t0)
+        lift_operators(frames[0], inverse_frames[0], rho0), transport, t0)
     transported_section = SectionAlongPath(
         times, apply(transport.matrices_from(t0), lifted.values[0]))
 
@@ -222,9 +225,9 @@ def _check_hermiticity_correspondence(art: ScenarioArtifacts, tol: float,
     frames, inv = art.transport.frames, art.transport.inverse_frames
     per_observable = []
     for name, stack in art.observables.items():
-        bundle_adj = bundle_adjoint_maps(frames, inv, art.lifted_observables[name].matrices)
-        lift_of_adj = lift_operators(frames, np.swapaxes(stack.conj(), -2, -1))
-        per_time = np.max(np.abs(bundle_adj - lift_of_adj), axis=(1, 2))
+        deviation = lift_operators(frames, inv, np.swapaxes(stack.conj(), -2, -1))
+        deviation -= bundle_adjoint_maps(frames, inv, art.lifted_observables[name].matrices)
+        per_time = np.max(np.abs(deviation), axis=(1, 2))
         per_observable.append((*_worst(art.times, per_time), name))
     worst, worst_at, worst_obs = _worst_observable(per_observable)
     return CheckRecord("hermiticity_correspondence", worst, tol, worst <= tol, worst_at,
@@ -247,20 +250,26 @@ def _check_unitary_bundle_map(art: ScenarioArtifacts, tol: float,
 def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
                               series: Dict[str, np.ndarray]) -> CheckRecord:
     t0 = float(art.times[0])
+    frames = art.transport.frames
     into_t0 = art.transport.matrices_into(t0)
     from_t0 = art.transport.matrices_from(t0)
     psi_t = art.transported_section.values
     psi_h = apply(into_t0, psi_t)
-    v = PictureTransform.random_unitary(art.times, art.cfg.dimension, art.cfg.seed).matrices
+    # The Heisenberg means are finished before V and V^-1 are built, so no
+    # Heisenberg observable stack is alive beside them.
+    heisenberg = {
+        name: fibre_means(frames[0], conjugate_by(into_t0, lifted.matrices, from_t0), psi_h)
+        for name, lifted in art.lifted_observables.items()
+    }
+    picture = PictureTransform.random_unitary(art.times, art.cfg.dimension, art.cfg.seed)
+    v, v_inv = picture.matrices, picture.inverse_matrices
     psi_v = apply(v, psi_t)
-    frames = art.transport.frames
     per_observable = []
-    for name in art.observables:
+    for name, heis in heisenberg.items():
         a_lift = art.lifted_observables[name].matrices
         schro = fibre_means(frames, a_lift, psi_t)
-        heis = fibre_means(frames[0], conjugate_by(into_t0, a_lift, from_t0), psi_h)
-        general = general_picture_means(v, frames, to_general_picture_observables(v, a_lift),
-                                        psi_v)
+        general = general_picture_means(
+            v_inv, frames, to_general_picture_observables(v, v_inv, a_lift), psi_v)
         series[f"mean_heisenberg:{name}"] = heis.real
         dev = np.maximum(np.abs(schro - heis), np.abs(schro - general))
         per_observable.append((*_worst(art.times, dev), name))

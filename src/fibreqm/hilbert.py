@@ -147,8 +147,9 @@ def matrix_exponential(a) -> np.ndarray:
     term = eye.copy()
     result = eye.copy()
     for k in range(1, _MAX_TAYLOR_TERMS + 1):
-        term = term @ x / k
-        result = result + term
+        term = term @ x
+        term /= k
+        result += term
         if max_abs(term) <= 1e-18 * max(1.0, max_abs(result)):
             break
     else:

@@ -13,13 +13,14 @@ generator is Hermitian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .bundle import _seeded_smooth_unitary, lift_operators
-from .dynamics import ObservableFamily, grid_index
-from .hilbert import apply, expectations, max_abs
+from .dynamics import ObservableFamily, conjugate_by, grid_index
+from .hilbert import _frozen, apply, expectations, max_abs
 from .transport import EvolutionTransport
 
 __all__ = [
@@ -72,6 +73,11 @@ class PictureTransform:
     def dimension(self) -> int:
         return self.matrices.shape[1]
 
+    @cached_property
+    def inverse_matrices(self) -> np.ndarray:
+        """V(t)^-1 at every grid time, inverted once and read only."""
+        return _frozen(np.linalg.inv(self.matrices))
+
     @classmethod
     def identity(cls, times, dimension: int) -> "PictureTransform":
         """The Schrodinger picture V(t) = I, referred to the first grid time."""
@@ -102,22 +108,19 @@ class PictureTransform:
         return cls(t0, times, values(times - t0))
 
 
-def to_general_picture_observables(v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """V A V^-1 over stacks, solved as (V^-dagger (V A)^dagger)^dagger (no inverse)."""
-    daggered = np.linalg.solve(np.swapaxes(v.conj(), -2, -1),
-                               np.swapaxes((v @ a).conj(), -2, -1))
-    return np.swapaxes(daggered.conj(), -2, -1)
+def to_general_picture_observables(v: np.ndarray, v_inv: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """V A V^-1 over stacks, with the inverses V^-1 the caller holds."""
+    return conjugate_by(v, a, v_inv)
 
 
-def general_picture_means(v: np.ndarray, frames: np.ndarray, a_v: np.ndarray,
+def general_picture_means(v_inv: np.ndarray, frames: np.ndarray, a_v: np.ndarray,
                           psi_v: np.ndarray) -> np.ndarray:
     """Means of transformed pairs under the V-pulled-back fibre metric, over stacks.
 
-    <V^-1 Psi_V | V^-1 A_V Psi_V>_t / <V^-1 Psi_V | V^-1 Psi_V>_t; one V or frame broadcasts.
+    <V^-1 Psi_V | V^-1 A_V Psi_V>_t / <V^-1 Psi_V | V^-1 Psi_V>_t, with the
+    inverses V^-1 the caller holds; one V^-1 or frame broadcasts.
     """
-    x = np.linalg.solve(v, psi_v[..., None])[..., 0]
-    ax = np.linalg.solve(v, apply(a_v, psi_v)[..., None])[..., 0]
-    return _fibre_expectations(frames, x, ax)
+    return _fibre_expectations(frames, apply(v_inv, psi_v), apply(v_inv, apply(a_v, psi_v)))
 
 
 # --- density morphisms -----------------------------------------------------
@@ -161,15 +164,18 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     transport's grid, with the Hamiltonian and hbar its propagators were
     built from, and, for time-independent observables, the invariance of the
     lifted morphism under transport conjugation (the lift reads the frames
-    the transport already sampled); certification requires every applicable
-    criterion to pass.
+    the transport already sampled and inverted, and the conjugation its
+    shared t0 stacks); certification requires every applicable criterion to
+    pass.
     """
     times = transport.times
     a_vals = a.at_many(times)
     h_vals = transport.propagators.family.at_many(times)
     da_vals = a.derivative_on_grid(times)
     hbar = transport.propagators.constants.hbar
-    residuals = (1j * hbar) * da_vals + (a_vals @ h_vals - h_vals @ a_vals)
+    residuals = a_vals @ h_vals
+    residuals -= h_vals @ a_vals
+    residuals += (1j * hbar) * da_vals
     per_time = np.max(np.abs(residuals), axis=(1, 2))
     comm_res = float(np.max(per_time))
     worst_time = float(times[int(np.argmax(per_time))])
@@ -179,10 +185,11 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     transported_ok = True
     if not a.time_dependent:
         t0 = float(transport.times[0])
-        a0_fibre = lift_operators(transport.frames[0], a.at(t0))
-        lifted = lift_operators(transport.frames, a_vals)
-        carried = evolve_density_morphisms(a0_fibre, transport, t0)
-        transport_res = max_abs(lifted - carried)
+        frames, inverse_frames = transport.frames, transport.inverse_frames
+        a0_fibre = lift_operators(frames[0], inverse_frames[0], a.at(t0))
+        deviation = lift_operators(frames, inverse_frames, a_vals)
+        deviation -= evolve_density_morphisms(a0_fibre, transport, t0)
+        transport_res = max_abs(deviation)
         transported_ok = transport_res <= tol
 
     # a vacuous bundle criterion (time-dependent observable) never disagrees

@@ -212,7 +212,9 @@ def _build_base(spec: dict) -> BaseSpace:
 
 def _build_path(spec: dict, base: BaseSpace, t0: float, t1: float, samples: int) -> Path:
     kind = spec.get("kind")
-    forbid = bool(spec.get("forbid_self_intersections", False))
+    forbid = spec.get("forbid_self_intersections", False)
+    _require(isinstance(forbid, bool),
+             f"path.forbid_self_intersections: need a bool, got {forbid!r}")
     if kind == "constant":
         _require(isinstance(base, SinglePoint), "path.constant requires a single-point base")
         return make_path(base, (t0, t1), None, samples)
@@ -337,6 +339,7 @@ def _build_observable(spec: dict, n: int, seed: int, index: int) -> ObservableFa
     """
     kind = spec.get("kind")
     name = spec.get("name", f"obs{index}")
+    _require(isinstance(name, str), f"observables[{index}].name: need a string, got {name!r}")
     if kind == "pauli":
         _require(n == 2, "observable.pauli requires dimension 2")
         axis = spec.get("axis")
@@ -379,8 +382,10 @@ def _build_candidate(spec: dict, n: int, seed: int, index: int,
             ObservableFamily.constant(_PAULI[axis], name=f"sigma_{axis}"), expected)
     if kind == "matrix":
         m = parse_complex_matrix(spec.get("matrix"), n, f"integral_candidates[{index}].matrix")
-        return IntegralCandidate(
-            ObservableFamily.constant(m, name=spec.get("name", f"candidate{index}")), expected)
+        name = spec.get("name", f"candidate{index}")
+        _require(isinstance(name, str),
+                 f"integral_candidates[{index}].name: need a string, got {name!r}")
+        return IntegralCandidate(ObservableFamily.constant(m, name=name), expected)
     raise ConfigError(f"integral_candidates[{index}].kind: unknown kind {kind!r}")
 
 

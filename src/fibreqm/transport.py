@@ -35,7 +35,7 @@ from .dynamics import (
     midpoint_propagators,
     propagate_states,
 )
-from .hilbert import PhysicalConstants, as_state
+from .hilbert import PhysicalConstants, _frozen, as_state
 
 __all__ = [
     "EvolutionTransport",
@@ -48,11 +48,11 @@ __all__ = [
 
 def _bundle_generator(frames: np.ndarray, h_vals: np.ndarray,
                       frame_derivatives: Optional[np.ndarray], hbar: float) -> np.ndarray:
-    """l^-1 H l - i hbar l^-1 dl/dt over checked frames; no derivative term if None."""
-    conjugated = np.linalg.solve(frames, h_vals @ frames)
-    if frame_derivatives is None:
-        return conjugated
-    return conjugated - 1j * hbar * np.linalg.solve(frames, frame_derivatives)
+    """l^-1 (H l - i hbar dl/dt) over checked frames, one solve; no derivative term if None."""
+    rhs = h_vals @ frames
+    if frame_derivatives is not None:
+        rhs -= 1j * hbar * frame_derivatives
+    return np.linalg.solve(frames, rhs)
 
 
 class MatrixBundleHamiltonian:
@@ -98,6 +98,9 @@ class EvolutionTransport:
     trivialization already sampled on the propagator grid and checked
     invertible (as `validate_on_grid` returns it), so it is not sampled again;
     by default the transport samples and checks it itself.
+
+    `matrices_from` and `matrices_into` each keep their latest stack, read
+    only, so every reader of the t0 stacks of a scenario shares one copy.
     """
 
     def __init__(self, propagators: PropagatorGrid, trivialization: TrivializationFamily,
@@ -113,6 +116,8 @@ class EvolutionTransport:
         self.inverse_frames = np.linalg.inv(self.frames)
         for a in (self.frames, self.inverse_frames):
             a.setflags(write=False)
+        self._latest_from: Tuple[int, Optional[np.ndarray]] = (-1, None)
+        self._latest_into: Tuple[int, Optional[np.ndarray]] = (-1, None)
 
     @property
     def dimension(self) -> int:
@@ -130,14 +135,20 @@ class EvolutionTransport:
         return self.matrices_by_index([j], [i])[0]
 
     def matrices_from(self, s: float) -> np.ndarray:
-        """All U(t_j, s) stacked over the grid index j."""
+        """All U(t_j, s) stacked over the grid index j (read only)."""
         i = self.index_of(s)
-        return self.inverse_frames @ (self.propagators.operators_from(i) @ self.frames[i])
+        if self._latest_from[0] != i:
+            self._latest_from = (i, _frozen(
+                self.inverse_frames @ (self.propagators.operators_from(i) @ self.frames[i])))
+        return self._latest_from[1]
 
     def matrices_into(self, t: float) -> np.ndarray:
-        """All U(t, t_j) stacked over the grid index j."""
+        """All U(t, t_j) stacked over the grid index j (read only)."""
         j = self.index_of(t)
-        return self.inverse_frames[j] @ (self.propagators.operators_into(j) @ self.frames)
+        if self._latest_into[0] != j:
+            self._latest_into = (j, _frozen(
+                self.inverse_frames[j] @ (self.propagators.operators_into(j) @ self.frames)))
+        return self._latest_into[1]
 
 
 def integrate_bundle_schrodinger(hm: MatrixBundleHamiltonian, psi0) -> SectionAlongPath:

@@ -14,6 +14,7 @@ from fibreqm.bundle import (
     global_phase_trivialization,
     identity_trivialization,
     lift_operator,
+    lift_operators,
     lift_trajectory,
     module_combine,
     morphism_as_section_operator,
@@ -90,6 +91,24 @@ class TestLifting:
         section = lift_trajectory(l, times, states)
         for k, t in enumerate(times):
             assert max_abs(section.values[k] - np.linalg.solve(l.at(t), states[k])) <= 1e-13
+
+    def test_lift_operators_match_a_solve_on_ill_conditioned_frames(self):
+        # The product with held inverses and a solve differ by rounding only,
+        # within the forward-error scale cond(l) eps |A| of either.
+        base = random_smooth_unitary_trivialization(3, 41)
+        stretch = np.diag([1.0, 1e-3, 1e3]).astype(complex)
+        l = TrivializationFamily(lambda ts: base.at_many(ts) @ stretch, 3,
+                                 lambda ts: base.derivative_at_many(ts) @ stretch,
+                                 name="ill-conditioned")
+        times = np.linspace(0.0, 1.0, 9)
+        frames = l.invertible_at_many(times)
+        cond = float(np.max(np.linalg.cond(frames)))
+        assert 5e5 <= cond <= 2e6
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(times.size, 3, 3)) + 1j * rng.normal(size=(times.size, 3, 3))
+        lifted = lift_operators(frames, np.linalg.inv(frames), a)
+        solved = np.linalg.solve(frames, a @ frames)
+        assert max_abs(lifted - solved) <= 1e3 * cond * np.finfo(float).eps * max_abs(a)
 
     def test_singular_trivialization_rejected(self):
         sick = TrivializationFamily(

@@ -134,7 +134,8 @@ class TestGeneralPicture:
         psi = np.array([0.6, 0.8j])
         assert np.array_equal(apply(v.matrices[k], psi), psi)
         a = 0.3 * SIGMA_X + 0.1 * SIGMA_Z
-        assert max_abs(to_general_picture_observables(v.matrices[k], a) - a) <= 1e-15
+        assert max_abs(to_general_picture_observables(
+            v.matrices[k], v.inverse_matrices[k], a) - a) <= 1e-15
 
     def test_transport_frame_recovers_heisenberg(self):
         l = random_smooth_unitary_trivialization(2, 17)
@@ -143,7 +144,7 @@ class TestGeneralPicture:
         a = lift_operator_on_grid(l, TIMES, SIGMA_X)
         into_t0, from_t0 = transport.matrices_into(0.0), transport.matrices_from(0.0)
         state_v = apply(v.matrices, section.values)
-        obs_v = to_general_picture_observables(v.matrices, a.matrices)
+        obs_v = to_general_picture_observables(v.matrices, v.inverse_matrices, a.matrices)
         psi_h = apply(into_t0, section.values)
         a_h = conjugate_by(into_t0, a.matrices, from_t0)
         for k in (200, 400):  # t = 0.5, 1.0
@@ -160,10 +161,11 @@ class TestGeneralPicture:
         a = lift_operator_on_grid(l, times, SIGMA_Z)
         k = 200  # t = 0.5
         frames = l.at_many(times)
-        obs_v = to_general_picture_observables(v.matrices[k], a.matrices[k])
+        obs_v = to_general_picture_observables(v.matrices[k], v.inverse_matrices[k],
+                                               a.matrices[k])
         assert max_abs(obs_v - a.matrices[k]) <= 1e-13
         state_v = apply(v.matrices[k], section.values[k])
-        mean_v = general_picture_means(v.matrices[k], frames[k], obs_v, state_v)
+        mean_v = general_picture_means(v.inverse_matrices[k], frames[k], obs_v, state_v)
         plain = fibre_means(frames[k], a.matrices[k], section.values[k])
         assert abs(mean_v - plain) <= 1e-12
 
@@ -177,11 +179,35 @@ class TestGeneralPicture:
         _, _, section, transport = evolved_setup(l)
         a = lift_operator_on_grid(l, TIMES, SIGMA_X)
         plain = fibre_means(transport.frames, a.matrices, section.values)
-        obs_v = to_general_picture_observables(v.matrices, a.matrices)
+        obs_v = to_general_picture_observables(v.matrices, v.inverse_matrices, a.matrices)
         state_v = apply(v.matrices, section.values)
-        general = general_picture_means(v.matrices, transport.frames, obs_v, state_v)
+        general = general_picture_means(v.inverse_matrices, transport.frames, obs_v, state_v)
         for k in (100, 300):  # t = 0.25, 0.75
             assert abs(general[k] - plain[k]) <= 1e-10
+
+    def test_kernels_agree_with_their_solve_based_forms(self):
+        rng = np.random.default_rng(29)
+        mats = np.tile(np.eye(2, dtype=complex), (TIMES.size, 1, 1))
+        mats[1:] += 0.3 * (rng.normal(size=(TIMES.size - 1, 2, 2))
+                           + 1j * rng.normal(size=(TIMES.size - 1, 2, 2)))
+        v = PictureTransform(0.0, TIMES, mats)
+        l = random_smooth_unitary_trivialization(2, 31)
+        _, _, section, transport = evolved_setup(l)
+        a = lift_operator_on_grid(l, TIMES, 0.3 * SIGMA_X + 0.1 * SIGMA_Z).matrices
+
+        def dagger(x):
+            return np.swapaxes(x.conj(), -2, -1)
+
+        obs_v = to_general_picture_observables(v.matrices, v.inverse_matrices, a)
+        solved_obs = dagger(np.linalg.solve(dagger(v.matrices), dagger(v.matrices @ a)))
+        assert max_abs(obs_v - solved_obs) <= 1e-14 * max(1.0, max_abs(solved_obs))
+
+        state_v = apply(v.matrices, section.values)
+        means = general_picture_means(v.inverse_matrices, transport.frames, obs_v, state_v)
+        x = np.linalg.solve(v.matrices, state_v[..., None])[..., 0]
+        ax = np.linalg.solve(v.matrices, apply(obs_v, state_v)[..., None])[..., 0]
+        solved_means = expectations(apply(transport.frames, x), apply(transport.frames, ax))
+        assert max_abs(means - solved_means) <= 1e-14
 
     def test_reference_anchor_enforced(self):
         mats = np.tile(2.0 * np.eye(2, dtype=complex), (TIMES.size, 1, 1))

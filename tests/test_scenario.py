@@ -9,7 +9,7 @@ import fibreqm.scenario as scenario_module
 from fibreqm.bundle import TrivializationFamily
 from fibreqm.checks import _CHECK_TABLE, build_artifacts, run_scenario
 from fibreqm.cli import main as cli_main
-from fibreqm.dynamics import ObservableFamily
+from fibreqm.dynamics import ObservableFamily, PropagatorGrid
 from fibreqm.report import emit, report_from_dict, suite_from_dict
 from fibreqm.scenario import (
     ALL_CHECKS,
@@ -102,6 +102,27 @@ BAD_VALUES = {
                             r"^base_space\.bounds\[1\]"),
     "physics omega string": ({"physics_check": {"kind": "rabi-flip", "omega": "x"}},
                              r"^physics_check\.omega"),
+    # a flag is a JSON boolean and a name is a string, never read by truthiness
+    "self-intersection flag string": (
+        {"path": {"kind": "circle", "turns": 2.0, "forbid_self_intersections": "false"}},
+        r"^path\.forbid_self_intersections: .*'false'"),
+    "self-intersection flag number": (
+        {"path": {"kind": "line", "forbid_self_intersections": 1}},
+        r"^path\.forbid_self_intersections"),
+    "observable name list": (
+        {"observables": [{"kind": "pauli", "axis": "z", "name": ["a"]}]},
+        r"^observables\[0\]\.name"),
+    "observable name number": (
+        {"observables": [{"kind": "pauli", "axis": "z", "name": 5}]},
+        r"^observables\[0\]\.name"),
+    "matrix candidate name list": (
+        {"integral_candidates": [{"kind": "matrix", "expected": True, "name": ["c"],
+                                  "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
+        r"^integral_candidates\[0\]\.name"),
+    "matrix candidate name number": (
+        {"integral_candidates": [{"kind": "matrix", "expected": True, "name": 7,
+                                  "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
+        r"^integral_candidates\[0\]\.name"),
 }
 
 
@@ -384,6 +405,16 @@ class TestSampleOnce:
         for kind, sampled in calls.items():
             assert sampled, kind
             assert len(sampled) == len(set(sampled)), f"a time set was resampled ({kind})"
+
+    def test_each_t0_transport_stack_computed_once(self, monkeypatch):
+        calls = []
+        for method in ("operators_from", "operators_into"):
+            def counting(grid, i, real=getattr(PropagatorGrid, method), method=method):
+                calls.append((method, i))
+                return real(grid, i)
+            monkeypatch.setattr(PropagatorGrid, method, counting)
+        assert run_scenario(load_catalog_scenario("random-unitary-gauge")).overall_pass
+        assert sorted(calls) == [("operators_from", 0), ("operators_into", 0)]
 
     def test_paths_and_observables_sampled_once(self, monkeypatch):
         point_batches = []

@@ -319,6 +319,20 @@ class TestTransportSection:
         for k in (50, 100, 200):  # t = 0.25, 0.5, 1.0
             assert abs(norms[k] - start) <= 1e-8
 
+    def test_latest_stack_is_shared_and_read_only(self):
+        h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.4 * SIGMA_Z)
+        transport = EvolutionTransport(PropagatorGrid(h, TIMES),
+                                       random_smooth_unitary_trivialization(2, 93))
+        for query in (transport.matrices_from, transport.matrices_into):
+            stack = query(0.0)
+            assert query(0.0) is stack
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 1.0
+            other = query(0.5)
+            assert not np.array_equal(other, stack)
+            assert np.array_equal(query(0.0), stack)
+
     def test_off_grid_time_rejected(self):
         h = HamiltonianFamily.constant(SIGMA_Z)
         transport = EvolutionTransport(PropagatorGrid(h, TIMES), identity_trivialization(2))
