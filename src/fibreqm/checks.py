@@ -9,7 +9,6 @@ mutable state, so suites can run them in any order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Dict, List, Tuple
@@ -19,6 +18,7 @@ import numpy as np
 from .bundle import (
     MorphismAlongPath,
     SectionAlongPath,
+    TrivializationFamily,
     bundle_adjoint_maps,
     lift_operators,
     module_combine,
@@ -48,31 +48,78 @@ from .transport import (
 __all__ = ["run_scenario", "ScenarioArtifacts", "build_artifacts"]
 
 
-@dataclass
 class ScenarioArtifacts:
-    """Everything a check needs, computed once per scenario.
+    """Both pipelines of one scenario, and the nodes the checks compare.
 
-    The grid frames l(t_k) and their inverses live on the transport
-    (`transport.frames`, `transport.inverse_frames`) and every check reads
-    them there.  Stacks that only one check needs (the picture frames) are
-    built inside that check; only scalar results are cached here.
+    The constructor does everything that can reject the scenario: it checks
+    the trivialization on the grid (its values are the frames the transport
+    inverts once), builds the propagators and the transport, propagates and
+    lifts the trajectory, integrates the bundle equation, and samples every
+    observable family once.  Each other artifact is a cached property, built
+    when a check first reads it and shared by every later reader.
     """
 
-    cfg: ScenarioConfig
-    trajectory: Trajectory
-    lifted: SectionAlongPath
-    bundle_section: SectionAlongPath
-    transport: EvolutionTransport
-    observables: Dict[str, np.ndarray]  # name -> grid samples (N, n, n), each sampled once
-    lifted_observables: Dict[str, MorphismAlongPath]
-    rho0: np.ndarray
-    density_lifted: np.ndarray    # (N, n, n)
-    density_transported: np.ndarray  # (N, n, n)
-    transported_section: SectionAlongPath
+    def __init__(self, cfg: ScenarioConfig):
+        times = cfg.times
+        l = cfg.trivialization
+        frames = l.validate_on_grid(times)
+        propagators = PropagatorGrid(cfg.hamiltonian, times, cfg.constants)
+        self.cfg = cfg
+        self.times = times
+        self.transport = EvolutionTransport(propagators, l, frames)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.cfg.times
+        states = propagate_states(propagators.step_matrices, cfg.initial_state)
+        self.trajectory = Trajectory(times, states)
+        self.lifted = SectionAlongPath(times, apply(self.transport.inverse_frames, states))
+
+        # The fault is an input: the bundle side sees l with dl/dt = 0.
+        if cfg.faults.get("drop_trivialization_derivative", False):
+            n = l.dimension
+            l = TrivializationFamily(
+                l.at_many, n, lambda ts: np.zeros((ts.size, n, n), dtype=complex), name=l.name)
+        self.bundle_section = integrate_bundle_schrodinger(
+            MatrixBundleHamiltonian(cfg.hamiltonian, l, times, cfg.constants),
+            self.lifted.values[0])
+        # name -> grid samples (N, n, n), each family sampled once
+        self.observables = {family.name: family.at_many(times) for family in cfg.observables}
+
+    @cached_property
+    def lifted_observables(self) -> Dict[str, MorphismAlongPath]:
+        t = self.transport
+        return {name: MorphismAlongPath(self.times,
+                                        lift_operators(t.frames, t.inverse_frames, stack))
+                for name, stack in self.observables.items()}
+
+    @cached_property
+    def rho0(self) -> np.ndarray:
+        if self.cfg.initial_density is not None:
+            return self.cfg.initial_density
+        psi0 = self.cfg.initial_state
+        return np.outer(psi0, psi0.conj()) / np.vdot(psi0, psi0).real
+
+    @cached_property
+    def density_lifted(self) -> np.ndarray:
+        """l^-1 rho(t) l with rho(t) conjugated by the conventional propagators, (N, n, n)."""
+        t, p = self.transport, self.transport.propagators
+        return lift_operators(t.frames, t.inverse_frames,
+                              conjugate_by(p.prefixes, self.rho0, p.inverse_prefixes))
+
+    @cached_property
+    def density_transported(self) -> np.ndarray:
+        """The lifted rho0 carried by transport conjugation, (N, n, n)."""
+        t = self.transport
+        return evolve_density_morphisms(
+            lift_operators(t.frames[0], t.inverse_frames[0], self.rho0), t)
+
+    @cached_property
+    def transported_section(self) -> SectionAlongPath:
+        """U(t, t0) Psi(t0) over the grid."""
+        return SectionAlongPath(self.times, apply(self.transport.from_t0, self.lifted.values[0]))
+
+    @cached_property
+    def heisenberg_values(self) -> np.ndarray:
+        """U(t0, t) Psi(t) over the grid: the transported section carried back to t0."""
+        return apply(self.transport.into_t0, self.transported_section.values)
 
     @cached_property
     def _transport_axioms(self) -> Tuple[int, TransportAxiomReport]:
@@ -86,59 +133,8 @@ class ScenarioArtifacts:
 
 
 def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
-    """Run both pipelines once and keep what the checks compare.
-
-    Each time set is sampled once: the trivialization's grid values come
-    from `validate_on_grid` (which also samples the interior derivatives it
-    compares against them, and checks invertibility once), and those frames
-    feed the transport, which inverts them once.  Every lift then reads the
-    transport's frames and inverse frames, and the densities and the
-    transported section share its t0 stacks.  The bundle generator samples
-    values and derivatives on the midpoints once, inside the shared midpoint
-    stepper.
-    """
-    times = cfg.times
-    t0 = float(times[0])
-    l = cfg.trivialization
-    frames = l.validate_on_grid(times)
-    propagators = PropagatorGrid(cfg.hamiltonian, times, cfg.constants)
-    transport = EvolutionTransport(propagators, l, frames)
-    inverse_frames = transport.inverse_frames
-
-    states = propagate_states(propagators.step_matrices, cfg.initial_state)
-    trajectory = Trajectory(times, states)
-    lifted = SectionAlongPath(times, apply(inverse_frames, states))
-
-    bundle_generator = MatrixBundleHamiltonian(
-        cfg.hamiltonian, l, times, cfg.constants,
-        include_derivative_term=not cfg.faults.get("drop_trivialization_derivative", False))
-    bundle_section = integrate_bundle_schrodinger(bundle_generator, lifted.values[0])
-
-    observables = {family.name: family.at_many(times) for family in cfg.observables}
-    lifted_observables = {
-        name: MorphismAlongPath(times, lift_operators(frames, inverse_frames, stack))
-        for name, stack in observables.items()
-    }
-
-    if cfg.initial_density is not None:
-        rho0 = cfg.initial_density
-    else:
-        psi0 = cfg.initial_state
-        rho0 = np.outer(psi0, psi0.conj()) / np.vdot(psi0, psi0).real
-    density_lifted = lift_operators(
-        frames, inverse_frames,
-        conjugate_by(propagators.prefixes, rho0, propagators.inverse_prefixes))
-    density_transported = evolve_density_morphisms(
-        lift_operators(frames[0], inverse_frames[0], rho0), transport, t0)
-    transported_section = SectionAlongPath(
-        times, apply(transport.matrices_from(t0), lifted.values[0]))
-
-    return ScenarioArtifacts(
-        cfg=cfg, trajectory=trajectory, lifted=lifted, bundle_section=bundle_section,
-        transport=transport, observables=observables,
-        lifted_observables=lifted_observables, rho0=rho0,
-        density_lifted=density_lifted, density_transported=density_transported,
-        transported_section=transported_section)
+    """Run both pipelines once; the checks build the rest on first read."""
+    return ScenarioArtifacts(cfg)
 
 
 # --- helpers ----------------------------------------------------------------
@@ -249,16 +245,15 @@ def _check_unitary_bundle_map(art: ScenarioArtifacts, tol: float,
 
 def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
                               series: Dict[str, np.ndarray]) -> CheckRecord:
-    t0 = float(art.times[0])
-    frames = art.transport.frames
-    into_t0 = art.transport.matrices_into(t0)
-    from_t0 = art.transport.matrices_from(t0)
+    transport = art.transport
+    frames = transport.frames
     psi_t = art.transported_section.values
-    psi_h = apply(into_t0, psi_t)
     # The Heisenberg means are finished before V and V^-1 are built, so no
     # Heisenberg observable stack is alive beside them.
     heisenberg = {
-        name: fibre_means(frames[0], conjugate_by(into_t0, lifted.matrices, from_t0), psi_h)
+        name: fibre_means(frames[0],
+                          conjugate_by(transport.into_t0, lifted.matrices, transport.from_t0),
+                          art.heisenberg_values)
         for name, lifted in art.lifted_observables.items()
     }
     picture = PictureTransform.random_unitary(art.times, art.cfg.dimension, art.cfg.seed)
@@ -280,9 +275,8 @@ def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
 
 def _check_heisenberg_constancy(art: ScenarioArtifacts, tol: float,
                                 series: Dict[str, np.ndarray]) -> CheckRecord:
-    psi_t = art.transported_section.values
-    psi_h = apply(art.transport.matrices_into(float(art.times[0])), psi_t)  # U(t0, t) Psi(t)
-    per_time = np.max(np.abs(psi_h - psi_t[0]), axis=1)
+    psi_t0 = art.transported_section.values[0]
+    per_time = np.max(np.abs(art.heisenberg_values - psi_t0), axis=1)
     worst, at = _worst(art.times, per_time)
     return CheckRecord("heisenberg_constancy", worst, tol, worst <= tol, at)
 

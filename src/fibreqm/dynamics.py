@@ -119,21 +119,19 @@ class ObservableFamily:
     """
 
     def __init__(self, sample: Callable[[np.ndarray], np.ndarray], dimension: int,
-                 derivative: Callable[[np.ndarray], np.ndarray],
-                 time_dependent: bool = True, name: str = "observable"):
+                 derivative: Callable[[np.ndarray], np.ndarray], name: str = "observable"):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self._sample = sample
         self._derivative = derivative
         self.dimension = int(dimension)
-        self.time_dependent = bool(time_dependent)
         self.name = name
 
     @classmethod
     def constant(cls, matrix, name: str = "constant") -> "ObservableFamily":
         m = as_operator(matrix)
         return cls(_constant_sampler(m), m.shape[0], _constant_sampler(np.zeros_like(m)),
-                   time_dependent=False, name=name)
+                   name=name)
 
     def at(self, t: float) -> np.ndarray:
         return self.at_many(np.array([float(t)]))[0]

@@ -125,14 +125,13 @@ def general_picture_means(v_inv: np.ndarray, frames: np.ndarray, a_v: np.ndarray
 
 # --- density morphisms -----------------------------------------------------
 
-def evolve_density_morphisms(p0, transport: EvolutionTransport, t0: float) -> np.ndarray:
+def evolve_density_morphisms(p0, transport: EvolutionTransport) -> np.ndarray:
     """Transport conjugation U(t_k, t0) P0 U(t0, t_k) over the whole grid.
 
-    U(t_k, t0) P0 is formed before U(t0, t_k) is sampled, so one transport
-    stack is alive beside the product.
+    t0 is the first grid time; the conjugation reads the transport's shared
+    t0 stacks.
     """
-    carried = transport.matrices_from(t0) @ p0
-    return carried @ transport.matrices_into(t0)
+    return conjugate_by(transport.from_t0, p0, transport.into_t0)
 
 
 # --- integrals of motion -----------------------------------------------------
@@ -143,9 +142,9 @@ class IntegralOfMotionReport:
 
     `commutator_residual` is the conventional criterion
     max_t |i hbar dA/dt + [A(t), H(t)]|; `transport_residual` is the
-    transported-invariance criterion, evaluated only for time-independent
-    observables (None otherwise, the conventional criterion is then
-    authoritative).
+    transported-invariance criterion, evaluated only for observables whose
+    sampled derivative dA/dt is zero on the whole grid (None otherwise, the
+    conventional criterion is then authoritative).
     """
 
     certified: bool
@@ -162,11 +161,11 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
 
     Evaluates the conventional residual i hbar dA/dt + [A, H] on the
     transport's grid, with the Hamiltonian and hbar its propagators were
-    built from, and, for time-independent observables, the invariance of the
-    lifted morphism under transport conjugation (the lift reads the frames
-    the transport already sampled and inverted, and the conjugation its
-    shared t0 stacks); certification requires every applicable criterion to
-    pass.
+    built from, and, for observables whose sampled derivative is zero on the
+    grid, the invariance of the lifted morphism under transport conjugation
+    (the lift reads the frames the transport already sampled and inverted,
+    and the conjugation its shared t0 stacks); certification requires every
+    applicable criterion to pass.
     """
     times = transport.times
     a_vals = a.at_many(times)
@@ -183,16 +182,15 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
 
     transport_res = None
     transported_ok = True
-    if not a.time_dependent:
-        t0 = float(transport.times[0])
+    if not np.any(da_vals):
         frames, inverse_frames = transport.frames, transport.inverse_frames
-        a0_fibre = lift_operators(frames[0], inverse_frames[0], a.at(t0))
+        a0_fibre = lift_operators(frames[0], inverse_frames[0], a_vals[0])
         deviation = lift_operators(frames, inverse_frames, a_vals)
-        deviation -= evolve_density_morphisms(a0_fibre, transport, t0)
+        deviation -= evolve_density_morphisms(a0_fibre, transport)
         transport_res = max_abs(deviation)
         transported_ok = transport_res <= tol
 
-    # a vacuous bundle criterion (time-dependent observable) never disagrees
+    # a vacuous bundle criterion (nonzero dA/dt) never disagrees
     agree = transport_res is None or conventional_ok == transported_ok
     return IntegralOfMotionReport(
         certified=conventional_ok and transported_ok,

@@ -22,6 +22,7 @@ so integrator mismatch never contaminates equivalence measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,11 +48,10 @@ __all__ = [
 
 
 def _bundle_generator(frames: np.ndarray, h_vals: np.ndarray,
-                      frame_derivatives: Optional[np.ndarray], hbar: float) -> np.ndarray:
-    """l^-1 (H l - i hbar dl/dt) over checked frames, one solve; no derivative term if None."""
+                      frame_derivatives: np.ndarray, hbar: float) -> np.ndarray:
+    """l^-1 (H l - i hbar dl/dt) over checked frames, one solve."""
     rhs = h_vals @ frames
-    if frame_derivatives is not None:
-        rhs -= 1j * hbar * frame_derivatives
+    rhs -= 1j * hbar * frame_derivatives
     return np.linalg.solve(frames, rhs)
 
 
@@ -60,20 +60,16 @@ class MatrixBundleHamiltonian:
 
     The midpoint stepper needs values between grid points, so the closed form
     is kept callable (`at_many`) rather than sampled on the grid.
-    `include_derivative_term=False` drops the trivialization-derivative term;
-    it exists only as a negative control for the check suite.
     """
 
     def __init__(self, hamiltonian: HamiltonianFamily, trivialization: TrivializationFamily,
-                 times, constants: PhysicalConstants = PhysicalConstants(),
-                 include_derivative_term: bool = True):
+                 times, constants: PhysicalConstants = PhysicalConstants()):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be a strictly increasing grid with >= 2 points")
         self.hamiltonian = hamiltonian
         self.trivialization = trivialization
         self.constants = constants
-        self.include_derivative_term = bool(include_derivative_term)
         self.times = times
         self.times.setflags(write=False)
 
@@ -86,8 +82,7 @@ class MatrixBundleHamiltonian:
         l = self.trivialization
         values = l.invertible_at_many(times)
         h_vals = self.hamiltonian.at_many(times)
-        dl = l.derivative_at_many(times) if self.include_derivative_term else None
-        return _bundle_generator(values, h_vals, dl, self.constants.hbar)
+        return _bundle_generator(values, h_vals, l.derivative_at_many(times), self.constants.hbar)
 
 
 class EvolutionTransport:
@@ -99,8 +94,9 @@ class EvolutionTransport:
     invertible (as `validate_on_grid` returns it), so it is not sampled again;
     by default the transport samples and checks it itself.
 
-    `matrices_from` and `matrices_into` each keep their latest stack, read
-    only, so every reader of the t0 stacks of a scenario shares one copy.
+    `matrices_from` and `matrices_into` compute a stack on every call; the
+    stacks at the first grid time are the read-only cached properties
+    `from_t0` and `into_t0`, which every reader of them shares.
     """
 
     def __init__(self, propagators: PropagatorGrid, trivialization: TrivializationFamily,
@@ -116,8 +112,6 @@ class EvolutionTransport:
         self.inverse_frames = np.linalg.inv(self.frames)
         for a in (self.frames, self.inverse_frames):
             a.setflags(write=False)
-        self._latest_from: Tuple[int, Optional[np.ndarray]] = (-1, None)
-        self._latest_into: Tuple[int, Optional[np.ndarray]] = (-1, None)
 
     @property
     def dimension(self) -> int:
@@ -135,20 +129,24 @@ class EvolutionTransport:
         return self.matrices_by_index([j], [i])[0]
 
     def matrices_from(self, s: float) -> np.ndarray:
-        """All U(t_j, s) stacked over the grid index j (read only)."""
+        """All U(t_j, s) stacked over the grid index j."""
         i = self.index_of(s)
-        if self._latest_from[0] != i:
-            self._latest_from = (i, _frozen(
-                self.inverse_frames @ (self.propagators.operators_from(i) @ self.frames[i])))
-        return self._latest_from[1]
+        return self.inverse_frames @ (self.propagators.operators_from(i) @ self.frames[i])
 
     def matrices_into(self, t: float) -> np.ndarray:
-        """All U(t, t_j) stacked over the grid index j (read only)."""
+        """All U(t, t_j) stacked over the grid index j."""
         j = self.index_of(t)
-        if self._latest_into[0] != j:
-            self._latest_into = (j, _frozen(
-                self.inverse_frames[j] @ (self.propagators.operators_into(j) @ self.frames)))
-        return self._latest_into[1]
+        return self.inverse_frames[j] @ (self.propagators.operators_into(j) @ self.frames)
+
+    @cached_property
+    def from_t0(self) -> np.ndarray:
+        """All U(t_j, t0) at the first grid time t0, computed once and read only."""
+        return _frozen(self.matrices_from(self.times[0]))
+
+    @cached_property
+    def into_t0(self) -> np.ndarray:
+        """All U(t0, t_j) at the first grid time t0, computed once and read only."""
+        return _frozen(self.matrices_into(self.times[0]))
 
 
 def integrate_bundle_schrodinger(hm: MatrixBundleHamiltonian, psi0) -> SectionAlongPath:

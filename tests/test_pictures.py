@@ -238,7 +238,7 @@ class TestDensityMorphisms:
         psi0 = states[0]
         rho0 = np.outer(psi0, psi0.conj())
         p0 = lift_operator(l, 0.0, rho0)
-        carried = evolve_density_morphisms(p0, transport, 0.0)
+        carried = evolve_density_morphisms(p0, transport)
         for idx in (0, 200, 400):
             t = float(TIMES[idx])
             u = grid.operators(idx, 0)
@@ -249,7 +249,7 @@ class TestDensityMorphisms:
         l = identity_trivialization(2)
         transport = EvolutionTransport(PropagatorGrid(HamiltonianFamily.zero(2), TIMES), l)
         p0 = np.diag([0.25, 0.75]).astype(complex)
-        assert max_abs(evolve_density_morphisms(p0, transport, 0.0)[-1] - p0) == 0
+        assert max_abs(evolve_density_morphisms(p0, transport)[-1] - p0) == 0
 
     def test_fibre_trace_is_frame_independent(self):
         l = constant_trivialization(np.diag([1.0, 3.0]).astype(complex))
@@ -338,8 +338,7 @@ class TestIntegralsOfMotion:
             a = evolved_observable(ts)
             return -1j * (SIGMA_Z @ a - a @ SIGMA_Z)
 
-        fam = ObservableFamily(evolved_observable, 2, heisenberg_derivative,
-                               time_dependent=True)
+        fam = ObservableFamily(evolved_observable, 2, heisenberg_derivative)
         report = is_integral_of_motion(fam, transport, tol=1e-5)
         assert report.certified
         assert report.transport_residual is None  # time-dependent: criterion (a) only

@@ -1,15 +1,20 @@
+import dataclasses
 import json
 import tracemalloc
+from collections import Counter
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import fibreqm.checks as checks_module
 import fibreqm.scenario as scenario_module
 from fibreqm.bundle import TrivializationFamily
-from fibreqm.checks import _CHECK_TABLE, build_artifacts, run_scenario
+from fibreqm.checks import _CHECK_TABLE, ScenarioArtifacts, build_artifacts, run_scenario
 from fibreqm.cli import main as cli_main
 from fibreqm.dynamics import ObservableFamily, PropagatorGrid
+from fibreqm.pictures import PictureTransform
 from fibreqm.report import emit, report_from_dict, suite_from_dict
 from fibreqm.scenario import (
     ALL_CHECKS,
@@ -20,6 +25,7 @@ from fibreqm.scenario import (
     scenario_from_dict,
 )
 from fibreqm.suite import run_suite
+from fibreqm.transport import EvolutionTransport
 
 MINIMAL = {
     "name": "minimal",
@@ -440,7 +446,8 @@ class TestSampleOnce:
         assert sampled == []
         names = [family.name for family in cfg.observables]
         assert len(names) == 3
-        assert [family.time_dependent for family in cfg.observables] == [False, False, True]
+        assert [bool(np.any(family.derivative_on_grid(cfg.times)))
+                for family in cfg.observables] == [False, False, True]
         assert run_scenario(cfg).overall_pass
         assert sorted(sampled) == sorted(names)
 
@@ -457,6 +464,66 @@ class TestSampleOnce:
         n = cfg.dimension
         one_stack = cfg.times.size * n * n * np.dtype(complex).itemsize
         assert peak < one_stack
+
+
+class TestArtifactNodes:
+    """Artifacts past the constructor are built when a check first reads them."""
+
+    def test_state_equivalence_alone_builds_no_t0_stack_or_lift(self, monkeypatch):
+        calls = []
+        for method in ("matrices_from", "matrices_into"):
+            def counting(transport, t, real=getattr(EvolutionTransport, method), method=method):
+                calls.append(method)
+                return real(transport, t)
+            monkeypatch.setattr(EvolutionTransport, method, counting)
+        lift = checks_module.lift_operators
+
+        def counting_lift(*args):
+            calls.append("lift_operators")
+            return lift(*args)
+
+        monkeypatch.setattr(checks_module, "lift_operators", counting_lift)
+        root = resources.files("fibreqm") / "catalog"
+        raw = json.loads((root / "random-unitary-gauge.json").read_text())
+        report = run_scenario(scenario_from_dict(dict(raw, checks=["state_equivalence"])))
+        assert [r.check for r in report.records] == ["state_equivalence"]
+        assert report.overall_pass
+        assert calls == []
+        # the counters see the density nodes when a check reads them
+        assert run_scenario(scenario_from_dict(dict(raw, checks=["density_consistency"]))
+                            ).overall_pass
+        assert sorted(set(calls)) == ["lift_operators", "matrices_from", "matrices_into"]
+
+    def test_each_check_alone_gives_its_full_run_record(self, catalog_suite):
+        full = {report.scenario: report for report in catalog_suite[0].reports}
+        for name, _ in catalog_names():
+            cfg = load_catalog_scenario(name)
+            records = {r.check: r.to_dict() for r in full[cfg.name].records}
+            for check_id in cfg.checks:
+                alone = run_scenario(dataclasses.replace(cfg, checks=[check_id]))
+                assert [r.to_dict() for r in alone.records] == [records[check_id]], \
+                    (name, check_id)
+
+    def test_every_node_computed_at_most_once(self, monkeypatch):
+        computed = []  # (instance, node name); holding the instances keeps ids distinct
+        nodes = set()
+        for cls in (ScenarioArtifacts, EvolutionTransport, PictureTransform):
+            for name, node in list(vars(cls).items()):
+                if not isinstance(node, cached_property):
+                    continue
+
+                def counting(instance, build=node.func, name=name):
+                    computed.append((instance, name))
+                    return build(instance)
+
+                wrapped = cached_property(counting)
+                wrapped.__set_name__(cls, name)
+                monkeypatch.setattr(cls, name, wrapped)
+                nodes.add(name)
+        assert run_suite("catalog").overall_pass
+        assert {name for _, name in computed} == nodes
+        repeats = Counter((id(instance), name) for instance, name in computed)
+        assert max(repeats.values()) == 1, [k for k, v in repeats.items() if v > 1]
 
 
 class TestSuite:

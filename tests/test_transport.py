@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fibreqm.bundle import (
+    TrivializationFamily,
     bundle_adjoint_maps,
     constant_trivialization,
     fibre_inner_products,
@@ -69,7 +70,9 @@ class TestMatrixBundleHamiltonian:
         h = HamiltonianFamily.constant(SIGMA_Z + 0.4 * SIGMA_X)
         l = constant_trivialization(np.diag([1.0, 3.0]).astype(complex))
         full = MatrixBundleHamiltonian(h, l, TIMES).at_many([0.5])
-        conjugate = MatrixBundleHamiltonian(h, l, TIMES, include_derivative_term=False)
+        zero_derivative = TrivializationFamily(
+            l.at_many, 2, lambda ts: np.zeros((ts.size, 2, 2), dtype=complex))
+        conjugate = MatrixBundleHamiltonian(h, zero_derivative, TIMES)
         assert max_abs(full - conjugate.at_many([0.5])) <= 1e-15
 
     def test_hbar_scales_gauge_term(self):
@@ -319,19 +322,20 @@ class TestTransportSection:
         for k in (50, 100, 200):  # t = 0.25, 0.5, 1.0
             assert abs(norms[k] - start) <= 1e-8
 
-    def test_latest_stack_is_shared_and_read_only(self):
+    def test_t0_stacks_are_shared_and_read_only(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.4 * SIGMA_Z)
         transport = EvolutionTransport(PropagatorGrid(h, TIMES),
                                        random_smooth_unitary_trivialization(2, 93))
-        for query in (transport.matrices_from, transport.matrices_into):
-            stack = query(0.0)
-            assert query(0.0) is stack
+        for name, query in (("from_t0", transport.matrices_from),
+                            ("into_t0", transport.matrices_into)):
+            stack = getattr(transport, name)
+            assert getattr(transport, name) is stack
             assert not stack.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 stack[0, 0, 0] = 1.0
-            other = query(0.5)
-            assert not np.array_equal(other, stack)
             assert np.array_equal(query(0.0), stack)
+            assert query(0.0) is not stack
+            assert not np.array_equal(query(0.5), stack)
 
     def test_off_grid_time_rejected(self):
         h = HamiltonianFamily.constant(SIGMA_Z)
