@@ -25,7 +25,7 @@ from .bundle import (
     morphism_as_section_operator,
     section_operator_as_morphism,
 )
-from .dynamics import PropagatorGrid, Trajectory, conjugate_by, propagate_states
+from .dynamics import PropagatorGrid, Trajectory, propagate_states
 from .hilbert import apply, expectations, max_abs
 from .pictures import (
     PictureTransform,
@@ -96,13 +96,6 @@ class ScenarioArtifacts:
             return self.cfg.initial_density
         psi0 = self.cfg.initial_state
         return np.outer(psi0, psi0.conj()) / np.vdot(psi0, psi0).real
-
-    @cached_property
-    def density_lifted(self) -> np.ndarray:
-        """l^-1 rho(t) l with rho(t) conjugated by the conventional propagators, (N, n, n)."""
-        t, p = self.transport, self.transport.propagators
-        return lift_operators(t.frames, t.inverse_frames,
-                              conjugate_by(p.prefixes, self.rho0, p.inverse_prefixes))
 
     @cached_property
     def density_transported(self) -> np.ndarray:
@@ -248,11 +241,13 @@ def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
     transport = art.transport
     frames = transport.frames
     psi_t = art.transported_section.values
-    # The Heisenberg means are finished before V and V^-1 are built, so no
-    # Heisenberg observable stack is alive beside them.
+    # The Heisenberg picture is V = U(t0, t).  Its means are finished before
+    # the random V and V^-1 are built, so no Heisenberg observable stack is
+    # alive beside them.
     heisenberg = {
         name: fibre_means(frames[0],
-                          conjugate_by(transport.into_t0, lifted.matrices, transport.from_t0),
+                          to_general_picture_observables(transport.into_t0, transport.from_t0,
+                                                         lifted.matrices),
                           art.heisenberg_values)
         for name, lifted in art.lifted_observables.items()
     }
@@ -283,7 +278,11 @@ def _check_heisenberg_constancy(art: ScenarioArtifacts, tol: float,
 
 def _check_density_consistency(art: ScenarioArtifacts, tol: float,
                                series: Dict[str, np.ndarray]) -> CheckRecord:
-    per_time = np.max(np.abs(art.density_transported - art.density_lifted), axis=(1, 2))
+    t = art.transport
+    # rho(t) by the conventional propagators, lifted: l^-1 rho(t) l over the grid
+    lifted = lift_operators(t.frames, t.inverse_frames,
+                            evolve_density_morphisms(art.rho0, t.propagators))
+    per_time = np.max(np.abs(art.density_transported - lifted), axis=(1, 2))
     series["density_residual"] = per_time
     worst, at = _worst(art.times, per_time)
     return CheckRecord("density_consistency", worst, tol, worst <= tol, at)

@@ -257,9 +257,9 @@ def conjugate_by(u: np.ndarray, x: np.ndarray, u_inv: np.ndarray) -> np.ndarray:
 class PropagatorGrid:
     """Ordered step-propagator products over a fixed grid.
 
-    Prefix products C[j] = E[j-1] ... E[0] give U(t_j, t_0); a two-time
-    operator is U(t_j, t_i) = C[j] @ inv(C[i]), with the empty product at
-    i == 0 short-circuited to C[j] itself.
+    `from_t0[j]` = E[j-1] ... E[0] is U(t_j, t0) and `into_t0` = inv(from_t0)
+    is U(t0, t_j), inverted once; every two-time operator is the product
+    U(t_j, t_i) = from_t0[j] @ into_t0[i].
     """
 
     def __init__(self, family: HamiltonianFamily, times: np.ndarray,
@@ -270,18 +270,18 @@ class PropagatorGrid:
         steps = midpoint_propagators(_hermitian_checked(family), times, constants)
 
         n = family.dimension
-        prefixes = np.empty((times.size, n, n), dtype=complex)
-        prefixes[0] = np.eye(n, dtype=complex)
+        from_t0 = np.empty((times.size, n, n), dtype=complex)
+        from_t0[0] = np.eye(n, dtype=complex)
         for k in range(steps.shape[0]):
-            prefixes[k + 1] = steps[k] @ prefixes[k]
+            from_t0[k + 1] = steps[k] @ from_t0[k]
 
         self.family = family
         self.constants = constants
         self.times = times
         self.step_matrices = steps
-        self.prefixes = prefixes
-        self.inverse_prefixes = np.linalg.inv(prefixes)
-        for a in (self.times, self.step_matrices, self.prefixes, self.inverse_prefixes):
+        self.from_t0 = from_t0
+        self.into_t0 = np.linalg.inv(from_t0)
+        for a in (self.times, self.step_matrices, self.from_t0, self.into_t0):
             a.setflags(write=False)
 
     @property
@@ -289,26 +289,8 @@ class PropagatorGrid:
         return self.family.dimension
 
     def operators(self, j, i) -> np.ndarray:
-        """U(t_j, t_i) stacked over index arrays `j`, `i` (broadcast together).
-
-        Pairs with i == 0 take the prefix C[j] itself; only the others form
-        a product.
-        """
-        j, i = np.broadcast_arrays(np.asarray(j, dtype=np.intp), np.asarray(i, dtype=np.intp))
-        out = self.prefixes[j]
-        later = i != 0
-        out[later] = self.prefixes[j[later]] @ self.inverse_prefixes[i[later]]
-        return out
-
-    def operators_from(self, i: int) -> np.ndarray:
-        """All U(t_j, t_i) stacked over j."""
-        if i == 0:
-            return self.prefixes
-        return self.prefixes @ self.inverse_prefixes[i]
-
-    def operators_into(self, i: int) -> np.ndarray:
-        """All U(t_i, t_j) stacked over j."""
-        return self.prefixes[i] @ self.inverse_prefixes
+        """U(t_j, t_i) stacked over index arrays `j`, `i` (broadcast together)."""
+        return self.from_t0[j] @ self.into_t0[i]
 
 
 def evolve_state(family: HamiltonianFamily, psi0, t0: float, t1: float, step: float,

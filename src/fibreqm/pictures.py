@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .bundle import _seeded_smooth_unitary, lift_operators
-from .dynamics import ObservableFamily, conjugate_by, grid_index
+from .dynamics import ObservableFamily, PropagatorGrid, conjugate_by, grid_index
 from .hilbert import _frozen, apply, expectations, max_abs
 from .transport import EvolutionTransport
 
@@ -125,13 +125,15 @@ def general_picture_means(v_inv: np.ndarray, frames: np.ndarray, a_v: np.ndarray
 
 # --- density morphisms -----------------------------------------------------
 
-def evolve_density_morphisms(p0, transport: EvolutionTransport) -> np.ndarray:
-    """Transport conjugation U(t_k, t0) P0 U(t0, t_k) over the whole grid.
+def evolve_density_morphisms(p0, two_time: Union[PropagatorGrid, EvolutionTransport]
+                             ) -> np.ndarray:
+    """Conjugation U(t_k, t0) P0 U(t0, t_k) over the whole grid.
 
-    t0 is the first grid time; the conjugation reads the transport's shared
-    t0 stacks.
+    `two_time` is a `PropagatorGrid` (P0 a conventional density operator) or
+    an `EvolutionTransport` (P0 a density morphism at t0); either way t0 is
+    the first grid time and the conjugation reads its shared t0 stacks.
     """
-    return conjugate_by(transport.from_t0, p0, transport.into_t0)
+    return conjugate_by(two_time.from_t0, p0, two_time.into_t0)
 
 
 # --- integrals of motion -----------------------------------------------------

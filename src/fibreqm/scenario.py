@@ -366,7 +366,7 @@ def _build_observable(spec: dict, n: int, seed: int, index: int) -> ObservableFa
                             name=name)
 
 
-def _build_candidate(spec: dict, n: int, seed: int, index: int,
+def _build_candidate(spec: dict, n: int, index: int,
                      hamiltonian: HamiltonianFamily, t0: float) -> IntegralCandidate:
     kind = spec.get("kind")
     expected = spec.get("expected")
@@ -463,7 +463,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     candidate_specs = raw.get("integral_candidates", [])
     _require(isinstance(candidate_specs, list), "integral_candidates: must be a list")
     candidates = [
-        _build(f"integral_candidates[{i}]", _build_candidate, spec, n, seed, i, hamiltonian, t0)
+        _build(f"integral_candidates[{i}]", _build_candidate, spec, n, i, hamiltonian, t0)
         for i, spec in enumerate(candidate_specs)
     ]
 
@@ -492,8 +492,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
 
     checks = raw.get("checks")
     if checks is None:
-        checks = _default_checks(hamiltonian, candidates, physics_check,
-                                 initial_density, initial_state)
+        checks = _default_checks(hamiltonian, candidates, physics_check, initial_density)
     else:
         _require(isinstance(checks, list) and checks, "checks: must be a non-empty list")
         for c in checks:
@@ -550,7 +549,7 @@ def _default_observable_specs(n: int) -> list:
 
 
 def _default_checks(hamiltonian: HamiltonianFamily, candidates, physics_check,
-                    initial_density, initial_state) -> List[str]:
+                    initial_density) -> List[str]:
     checks = ["state_equivalence"]
     if hamiltonian.hermitian_expected:
         checks.append("norm_drift")
@@ -594,29 +593,21 @@ def load_scenario(path) -> ScenarioConfig:
 
 # --- built-in catalog --------------------------------------------------------
 
-def _catalog_root():
-    return resources.files("fibreqm") / "catalog"
+def _catalog_raws() -> List[Tuple[str, dict]]:
+    """(manifest entry, raw config) of every built-in scenario, manifest order."""
+    root = resources.files("fibreqm") / "catalog"
+    manifest = json.loads((root / "manifest.json").read_text())
+    return [(entry, json.loads((root / entry).read_text())) for entry in manifest["scenarios"]]
 
 
 def catalog_names() -> List[Tuple[str, str]]:
     """(name, description) pairs of the built-in scenarios, manifest order."""
-    manifest = json.loads((_catalog_root() / "manifest.json").read_text())
-    out = []
-    for entry in manifest["scenarios"]:
-        raw = json.loads((_catalog_root() / entry).read_text())
-        out.append((raw["name"], raw.get("description", "")))
-    return out
-
-
-def catalog_files() -> List[str]:
-    manifest = json.loads((_catalog_root() / "manifest.json").read_text())
-    return list(manifest["scenarios"])
+    return [(raw["name"], raw.get("description", "")) for _, raw in _catalog_raws()]
 
 
 def load_catalog_scenario(name: str) -> ScenarioConfig:
     """Load a built-in scenario by its config name."""
-    for entry in catalog_files():
-        raw = json.loads((_catalog_root() / entry).read_text())
+    for entry, raw in _catalog_raws():
         if raw.get("name") == name:
             return scenario_from_dict(raw, f"catalog:{entry}")
     raise ConfigError(f"unknown catalog scenario {name!r}")
@@ -624,8 +615,4 @@ def load_catalog_scenario(name: str) -> ScenarioConfig:
 
 def load_catalog() -> List[ScenarioConfig]:
     """All built-in scenarios in manifest order."""
-    out = []
-    for entry in catalog_files():
-        raw = json.loads((_catalog_root() / entry).read_text())
-        out.append(scenario_from_dict(raw, f"catalog:{entry}"))
-    return out
+    return [scenario_from_dict(raw, f"catalog:{entry}") for entry, raw in _catalog_raws()]

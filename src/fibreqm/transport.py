@@ -117,9 +117,6 @@ class EvolutionTransport:
     def dimension(self) -> int:
         return self.propagators.dimension
 
-    def index_of(self, t: float) -> int:
-        return grid_index(self.times, t)
-
     def matrices_by_index(self, j, i) -> np.ndarray:
         """U(t_j, t_i) stacked over index arrays `j`, `i` (broadcast together)."""
         j, i = np.broadcast_arrays(np.asarray(j, dtype=np.intp), np.asarray(i, dtype=np.intp))
@@ -130,13 +127,15 @@ class EvolutionTransport:
 
     def matrices_from(self, s: float) -> np.ndarray:
         """All U(t_j, s) stacked over the grid index j."""
-        i = self.index_of(s)
-        return self.inverse_frames @ (self.propagators.operators_from(i) @ self.frames[i])
+        i = grid_index(self.times, s)
+        p = self.propagators
+        return self.inverse_frames @ (p.from_t0 @ (p.into_t0[i] @ self.frames[i]))
 
     def matrices_into(self, t: float) -> np.ndarray:
         """All U(t, t_j) stacked over the grid index j."""
-        j = self.index_of(t)
-        return self.inverse_frames[j] @ (self.propagators.operators_into(j) @ self.frames)
+        j = grid_index(self.times, t)
+        p = self.propagators
+        return self.inverse_frames[j] @ (p.from_t0[j] @ (p.into_t0 @ self.frames))
 
     @cached_property
     def from_t0(self) -> np.ndarray:

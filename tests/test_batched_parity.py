@@ -100,7 +100,7 @@ def artifacts(request):
 def pointwise_transport(transport: EvolutionTransport, j: int, i: int) -> np.ndarray:
     """One U(t_j, t_i) as the single-pair query formed it, i == 0 short-circuited."""
     grid = transport.propagators
-    operator = grid.prefixes[j] if i == 0 else grid.prefixes[j] @ grid.inverse_prefixes[i]
+    operator = grid.from_t0[j] if i == 0 else grid.from_t0[j] @ grid.into_t0[i]
     return transport.inverse_frames[j] @ (operator @ transport.frames[i])
 
 
@@ -115,7 +115,7 @@ def test_matrices_by_index_match_single_queries(artifacts):
     assert np.array_equal(np.stack([transport.matrix_by_index(a, b) for a, b in zip(j, i)]),
                           expected)
     assert np.array_equal(transport.propagators.operators(last, 0),
-                          transport.propagators.prefixes[last])
+                          transport.propagators.from_t0[last])
 
 
 def looped_transport_axioms(transport, sample) -> TransportAxiomReport:
@@ -127,7 +127,7 @@ def looped_transport_axioms(transport, sample) -> TransportAxiomReport:
     for (r, s, t) in sample:
         if not (r <= s <= t):
             raise ValueError(f"triple must satisfy r <= s <= t, got {(r, s, t)}")
-        ir, isx, it = (transport.index_of(x) for x in (r, s, t))
+        ir, isx, it = (grid_index(transport.times, x) for x in (r, s, t))
         for x, ix in ((r, ir), (s, isx), (t, it)):
             if ix in seen_times:
                 continue

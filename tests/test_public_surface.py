@@ -1,5 +1,6 @@
 """Every exported name is used, every optional parameter is set by some caller,
-and the README library sketch runs as written.
+every parameter of a module-level function is read, and the README library
+sketch runs as written.
 
 A name in a module's `__all__` must be referenced somewhere in `src/` outside
 its own definition (the package `__init__` re-exports do not count), or be
@@ -168,6 +169,32 @@ def test_every_optional_parameter_is_set_by_a_caller():
                    for name, count, unpacked, keywords in calls)
     ]
     assert not never_set, f"optional parameters no caller sets: {never_set}"
+
+
+# The check-table contract: every check takes (artifacts, tolerance, timeseries sink).
+_CHECK_CONTRACT = {"art", "tol", "series"}
+
+
+def test_every_parameter_of_a_module_function_is_read():
+    """A parameter its function never reads should not be a parameter.
+
+    Exempt are the check-table contract `_check_*(art, tol, series)` and the
+    argparse handlers `_cmd_*`, whose signatures their dispatchers fix.
+    """
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_cmd_"):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            if fn.name.startswith("_check_"):
+                params = [p for p in params if p not in _CHECK_CONTRACT]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.stem}.{fn.name}({p})" for p in params if p not in read]
+    assert not unread, f"parameters never read: {unread}"
 
 
 def test_library_sketch_runs_and_prints_small_residuals():

@@ -13,7 +13,7 @@ import fibreqm.scenario as scenario_module
 from fibreqm.bundle import TrivializationFamily
 from fibreqm.checks import _CHECK_TABLE, ScenarioArtifacts, build_artifacts, run_scenario
 from fibreqm.cli import main as cli_main
-from fibreqm.dynamics import ObservableFamily, PropagatorGrid
+from fibreqm.dynamics import ObservableFamily, PropagatorGrid, grid_index
 from fibreqm.pictures import PictureTransform
 from fibreqm.report import emit, report_from_dict, suite_from_dict
 from fibreqm.scenario import (
@@ -414,13 +414,13 @@ class TestSampleOnce:
 
     def test_each_t0_transport_stack_computed_once(self, monkeypatch):
         calls = []
-        for method in ("operators_from", "operators_into"):
-            def counting(grid, i, real=getattr(PropagatorGrid, method), method=method):
-                calls.append((method, i))
-                return real(grid, i)
-            monkeypatch.setattr(PropagatorGrid, method, counting)
+        for method in ("matrices_from", "matrices_into"):
+            def counting(transport, t, real=getattr(EvolutionTransport, method), method=method):
+                calls.append((method, grid_index(transport.times, t)))
+                return real(transport, t)
+            monkeypatch.setattr(EvolutionTransport, method, counting)
         assert run_scenario(load_catalog_scenario("random-unitary-gauge")).overall_pass
-        assert sorted(calls) == [("operators_from", 0), ("operators_into", 0)]
+        assert sorted(calls) == [("matrices_from", 0), ("matrices_into", 0)]
 
     def test_paths_and_observables_sampled_once(self, monkeypatch):
         point_batches = []
@@ -493,6 +493,21 @@ class TestArtifactNodes:
         assert run_scenario(scenario_from_dict(dict(raw, checks=["density_consistency"]))
                             ).overall_pass
         assert sorted(set(calls)) == ["lift_operators", "matrices_from", "matrices_into"]
+
+    def test_both_densities_run_through_one_kernel(self, monkeypatch):
+        two_times = []
+        kernel = checks_module.evolve_density_morphisms
+
+        def recording(p0, two_time):
+            two_times.append(type(two_time))
+            return kernel(p0, two_time)
+
+        monkeypatch.setattr(checks_module, "evolve_density_morphisms", recording)
+        root = resources.files("fibreqm") / "catalog"
+        raw = json.loads((root / "random-unitary-gauge.json").read_text())
+        assert run_scenario(scenario_from_dict(dict(raw, checks=["density_consistency"]))
+                            ).overall_pass
+        assert Counter(two_times) == {PropagatorGrid: 1, EvolutionTransport: 1}
 
     def test_each_check_alone_gives_its_full_run_record(self, catalog_suite):
         full = {report.scenario: report for report in catalog_suite[0].reports}
