@@ -90,6 +90,11 @@ class TrivializationFamily:
         self.dimension = int(dimension)
         self.name = name
 
+    def with_derivative(self, derivative: Callable[[np.ndarray], np.ndarray]
+                        ) -> "TrivializationFamily":
+        """The same values, dimension and name with another derivative sampler."""
+        return TrivializationFamily(self._sample, self.dimension, derivative, self.name)
+
     def at(self, t: float) -> np.ndarray:
         return self.at_many(np.array([float(t)]))[0]
 

@@ -18,7 +18,6 @@ import numpy as np
 from .bundle import (
     MorphismAlongPath,
     SectionAlongPath,
-    TrivializationFamily,
     bundle_adjoint_maps,
     lift_operators,
     module_combine,
@@ -73,10 +72,9 @@ class ScenarioArtifacts:
         self.lifted = SectionAlongPath(times, apply(self.transport.inverse_frames, states))
 
         # The fault is an input: the bundle side sees l with dl/dt = 0.
-        if cfg.faults.get("drop_trivialization_derivative", False):
+        if "drop_trivialization_derivative" in cfg.faults:
             n = l.dimension
-            l = TrivializationFamily(
-                l.at_many, n, lambda ts: np.zeros((ts.size, n, n), dtype=complex), name=l.name)
+            l = l.with_derivative(lambda ts: np.zeros((ts.size, n, n), dtype=complex))
         self.bundle_section = integrate_bundle_schrodinger(
             MatrixBundleHamiltonian(cfg.hamiltonian, l, times, cfg.constants),
             self.lifted.values[0])
@@ -91,18 +89,11 @@ class ScenarioArtifacts:
                 for name, stack in self.observables.items()}
 
     @cached_property
-    def rho0(self) -> np.ndarray:
-        if self.cfg.initial_density is not None:
-            return self.cfg.initial_density
-        psi0 = self.cfg.initial_state
-        return np.outer(psi0, psi0.conj()) / np.vdot(psi0, psi0).real
-
-    @cached_property
     def density_transported(self) -> np.ndarray:
         """The lifted rho0 carried by transport conjugation, (N, n, n)."""
         t = self.transport
         return evolve_density_morphisms(
-            lift_operators(t.frames[0], t.inverse_frames[0], self.rho0), t)
+            lift_operators(t.frames[0], t.inverse_frames[0], self.cfg.initial_density), t)
 
     @cached_property
     def transported_section(self) -> SectionAlongPath:
@@ -132,15 +123,24 @@ def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
 
 # --- helpers ----------------------------------------------------------------
 
-def _worst(times: np.ndarray, per_time: np.ndarray) -> Tuple[float, float]:
-    """First maximum and its time; a NaN counts as the maximum."""
+def _judged(check_id: str, times: np.ndarray, per_time: np.ndarray, tol: float,
+            detail: str = "") -> CheckRecord:
+    """The record of a residual series: its first maximum and that maximum's time.
+
+    A NaN counts as the maximum, so a NaN anywhere fails the check at the time
+    of the first NaN.
+    """
     idx = int(np.argmax(per_time))
-    return float(per_time[idx]), float(times[idx])
+    worst = float(per_time[idx])
+    return CheckRecord(check_id, worst, tol, worst <= tol, float(times[idx]), detail)
 
 
-def _worst_observable(per_observable: List[Tuple[float, float, str]]) -> Tuple[float, float, str]:
-    """The (residual, time, name) with the first largest residual; a NaN wins."""
-    return per_observable[int(np.argmax([dev for dev, _, _ in per_observable]))]
+def _judged_per_observable(check_id: str, times: np.ndarray,
+                           per_observable: Dict[str, np.ndarray], tol: float) -> CheckRecord:
+    """The record of the observable with the first largest residual; a NaN wins."""
+    records = [_judged(check_id, times, per_time, tol, f"worst observable: {name}")
+               for name, per_time in per_observable.items()]
+    return records[int(np.argmax([record.max_residual for record in records]))]
 
 
 def _coarse_indices(n_times: int, count: int = 9) -> np.ndarray:
@@ -163,19 +163,18 @@ def _check_state_equivalence(art: ScenarioArtifacts, tol: float,
                              series: Dict[str, np.ndarray]) -> CheckRecord:
     residual = np.max(np.abs(art.bundle_section.values - art.lifted.values), axis=1)
     series["state_equivalence_residual"] = residual
-    worst, at = _worst(art.times, residual)
-    return CheckRecord("state_equivalence", worst, tol, worst <= tol, at)
+    return _judged("state_equivalence", art.times, residual, tol)
 
 
 def _check_norm_drift(art: ScenarioArtifacts, tol: float,
                       series: Dict[str, np.ndarray]) -> CheckRecord:
     norms = art.trajectory.norm_sq()
     series["norm_sq"] = norms
-    drift = np.abs(norms - norms[0])
-    worst, at = _worst(art.times, drift)
-    return CheckRecord("norm_drift", worst, tol, worst <= tol, at)
+    return _judged("norm_drift", art.times, np.abs(norms - norms[0]), tol)
 
 
+# The transport checks build their own record: the worst value and its place
+# come from the TransportAxiomReport, not from a residual series.
 def _check_transport_identity(art: ScenarioArtifacts, tol: float,
                               series: Dict[str, np.ndarray]) -> CheckRecord:
     triples, report = art._transport_axioms
@@ -196,31 +195,26 @@ def _check_transport_composition(art: ScenarioArtifacts, tol: float,
 def _check_mean_value_invariance(art: ScenarioArtifacts, tol: float,
                                  series: Dict[str, np.ndarray]) -> CheckRecord:
     psi = art.trajectory.states
-    per_observable = []
+    per_observable = {}
     for name, stack in art.observables.items():
         conv = expectations(psi, apply(stack, psi))
         bundle = fibre_means(art.transport.frames, art.lifted_observables[name].matrices,
                              art.lifted.values)
         series[f"mean_conventional:{name}"] = conv.real
         series[f"mean_bundle:{name}"] = bundle.real
-        per_observable.append((*_worst(art.times, np.abs(conv - bundle)), name))
-    worst, worst_at, worst_obs = _worst_observable(per_observable)
-    return CheckRecord("mean_value_invariance", worst, tol, worst <= tol, worst_at,
-                       detail=f"worst observable: {worst_obs}")
+        per_observable[name] = np.abs(conv - bundle)
+    return _judged_per_observable("mean_value_invariance", art.times, per_observable, tol)
 
 
 def _check_hermiticity_correspondence(art: ScenarioArtifacts, tol: float,
                                       series: Dict[str, np.ndarray]) -> CheckRecord:
     frames, inv = art.transport.frames, art.transport.inverse_frames
-    per_observable = []
+    per_observable = {}
     for name, stack in art.observables.items():
         deviation = lift_operators(frames, inv, np.swapaxes(stack.conj(), -2, -1))
         deviation -= bundle_adjoint_maps(frames, inv, art.lifted_observables[name].matrices)
-        per_time = np.max(np.abs(deviation), axis=(1, 2))
-        per_observable.append((*_worst(art.times, per_time), name))
-    worst, worst_at, worst_obs = _worst_observable(per_observable)
-    return CheckRecord("hermiticity_correspondence", worst, tol, worst <= tol, worst_at,
-                       detail=f"worst observable: {worst_obs}")
+        per_observable[name] = np.max(np.abs(deviation), axis=(1, 2))
+    return _judged_per_observable("hermiticity_correspondence", art.times, per_observable, tol)
 
 
 def _check_unitary_bundle_map(art: ScenarioArtifacts, tol: float,
@@ -232,8 +226,7 @@ def _check_unitary_bundle_map(art: ScenarioArtifacts, tol: float,
     adjoints = bundle_adjoint_maps(art.transport.frames[i], art.transport.inverse_frames[j],
                                    forward)
     per_pair = np.max(np.abs(adjoints - backward), axis=(1, 2))
-    worst, at = _worst(art.times[j], per_pair)
-    return CheckRecord("unitary_bundle_map", worst, tol, worst <= tol, at)
+    return _judged("unitary_bundle_map", art.times[j], per_pair, tol)
 
 
 def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
@@ -254,26 +247,22 @@ def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
     picture = PictureTransform.random_unitary(art.times, art.cfg.dimension, art.cfg.seed)
     v, v_inv = picture.matrices, picture.inverse_matrices
     psi_v = apply(v, psi_t)
-    per_observable = []
+    per_observable = {}
     for name, heis in heisenberg.items():
         a_lift = art.lifted_observables[name].matrices
         schro = fibre_means(frames, a_lift, psi_t)
         general = general_picture_means(
             v_inv, frames, to_general_picture_observables(v, v_inv, a_lift), psi_v)
         series[f"mean_heisenberg:{name}"] = heis.real
-        dev = np.maximum(np.abs(schro - heis), np.abs(schro - general))
-        per_observable.append((*_worst(art.times, dev), name))
-    worst, worst_at, worst_obs = _worst_observable(per_observable)
-    return CheckRecord("picture_invariance", worst, tol, worst <= tol, worst_at,
-                       detail=f"worst observable: {worst_obs}")
+        per_observable[name] = np.maximum(np.abs(schro - heis), np.abs(schro - general))
+    return _judged_per_observable("picture_invariance", art.times, per_observable, tol)
 
 
 def _check_heisenberg_constancy(art: ScenarioArtifacts, tol: float,
                                 series: Dict[str, np.ndarray]) -> CheckRecord:
     psi_t0 = art.transported_section.values[0]
     per_time = np.max(np.abs(art.heisenberg_values - psi_t0), axis=1)
-    worst, at = _worst(art.times, per_time)
-    return CheckRecord("heisenberg_constancy", worst, tol, worst <= tol, at)
+    return _judged("heisenberg_constancy", art.times, per_time, tol)
 
 
 def _check_density_consistency(art: ScenarioArtifacts, tol: float,
@@ -281,29 +270,27 @@ def _check_density_consistency(art: ScenarioArtifacts, tol: float,
     t = art.transport
     # rho(t) by the conventional propagators, lifted: l^-1 rho(t) l over the grid
     lifted = lift_operators(t.frames, t.inverse_frames,
-                            evolve_density_morphisms(art.rho0, t.propagators))
+                            evolve_density_morphisms(art.cfg.initial_density, t.propagators))
     per_time = np.max(np.abs(art.density_transported - lifted), axis=(1, 2))
     series["density_residual"] = per_time
-    worst, at = _worst(art.times, per_time)
-    return CheckRecord("density_consistency", worst, tol, worst <= tol, at)
+    return _judged("density_consistency", art.times, per_time, tol)
 
 
 def _check_density_purity(art: ScenarioArtifacts, tol: float,
                           series: Dict[str, np.ndarray]) -> CheckRecord:
     p = art.density_transported
-    per_time = np.max(np.abs(p @ p - p), axis=(1, 2))
-    worst, at = _worst(art.times, per_time)
-    return CheckRecord("density_purity", worst, tol, worst <= tol, at)
+    return _judged("density_purity", art.times, np.max(np.abs(p @ p - p), axis=(1, 2)), tol)
 
 
 def _check_fibre_trace(art: ScenarioArtifacts, tol: float,
                        series: Dict[str, np.ndarray]) -> CheckRecord:
     traces = np.trace(art.density_transported, axis1=1, axis2=2)
-    per_time = np.abs(traces - np.trace(art.rho0))
-    worst, at = _worst(art.times, per_time)
-    return CheckRecord("fibre_trace_preservation", worst, tol, worst <= tol, at)
+    per_time = np.abs(traces - np.trace(art.cfg.initial_density))
+    return _judged("fibre_trace_preservation", art.times, per_time, tol)
 
 
+# module_dualities and integrals_of_motion build their own record: each has a
+# second pass condition besides the residual, and no worst time.
 def _check_module_dualities(art: ScenarioArtifacts, tol: float,
                             series: Dict[str, np.ndarray]) -> CheckRecord:
     times = art.times[_coarse_indices(art.times.size)]
@@ -368,9 +355,8 @@ def _check_physics_closed_form(art: ScenarioArtifacts, tol: float,
     target = np.sin(omega * (art.times - art.times[0]) / 2.0) ** 2
     series["flip_probability"] = flip
     series["flip_probability_closed_form"] = target
-    worst, at = _worst(art.times, np.abs(flip - target))
-    return CheckRecord("physics_closed_form", worst, tol, worst <= tol, at,
-                       detail=f"rabi flip vs sin^2({omega:g} t / 2)")
+    return _judged("physics_closed_form", art.times, np.abs(flip - target), tol,
+                   f"rabi flip vs sin^2({omega:g} t / 2)")
 
 
 # Check id -> check; every check takes (artifacts, tolerance, timeseries sink).

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path as FsPath
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,30 +45,14 @@ class ConfigError(ValueError):
     """A scenario config failed to parse or validate; names the field."""
 
 
-# Check ids in execution order; defaults depend on scenario content.
-ALL_CHECKS = (
-    "state_equivalence",
-    "norm_drift",
-    "transport_identity",
-    "transport_composition",
-    "mean_value_invariance",
-    "hermiticity_correspondence",
-    "unitary_bundle_map",
-    "picture_invariance",
-    "heisenberg_constancy",
-    "density_consistency",
-    "density_purity",
-    "fibre_trace_preservation",
-    "module_dualities",
-    "integrals_of_motion",
-    "physics_closed_form",
-)
-
 _PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
 def default_tolerances(eq_tol: float = 1e-6, prop_tol: float = 1e-8) -> Dict[str, float]:
-    """Per-check tolerances; eq_tol and prop_tol are the two headline knobs."""
+    """Per-check tolerances; eq_tol and prop_tol are the two headline knobs.
+
+    The keys are every check id, in execution order.
+    """
     return {
         "state_equivalence": eq_tol,
         "norm_drift": prop_tol,
@@ -86,6 +70,10 @@ def default_tolerances(eq_tol: float = 1e-6, prop_tol: float = 1e-8) -> Dict[str
         "integrals_of_motion": 1e-6,
         "physics_closed_form": eq_tol,
     }
+
+
+# Check ids in execution order; defaults depend on scenario content.
+ALL_CHECKS = tuple(default_tolerances())
 
 
 @dataclass(frozen=True)
@@ -108,13 +96,13 @@ class ScenarioConfig:
     trivialization: TrivializationFamily
     observables: List[ObservableFamily]  # each named by its family
     initial_state: np.ndarray
-    initial_density: Optional[np.ndarray]
+    initial_density: np.ndarray  # derived from the initial state when the config gives none
     integral_candidates: List[IntegralCandidate]
     physics_check: Optional[dict]
     checks: List[str]
     tolerances: Dict[str, float]
     seed: int
-    faults: Dict[str, bool]
+    faults: FrozenSet[str]  # the faults that are on
     echo: dict = field(default_factory=dict)
 
 
@@ -452,8 +440,10 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
                  "initial_state: must be nonzero")
 
     density_spec = raw.get("initial_density")
-    initial_density = None
-    if density_spec is not None:
+    if density_spec is None:
+        initial_density = (np.outer(initial_state, initial_state.conj())
+                           / np.vdot(initial_state, initial_state).real)
+    else:
         initial_density = parse_complex_matrix(density_spec, n, "initial_density")
         try:
             validate_density(initial_density)
@@ -489,14 +479,19 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     faults = dict(faults)
     unknown_faults = set(faults) - {"drop_trivialization_derivative"}
     _require(not unknown_faults, f"faults: unknown keys {sorted(unknown_faults)}")
+    for key, on in faults.items():
+        _require(isinstance(on, bool), f"faults.{key}: need a bool, got {on!r}")
 
     checks = raw.get("checks")
     if checks is None:
-        checks = _default_checks(hamiltonian, candidates, physics_check, initial_density)
+        checks = _default_checks(hamiltonian, candidates, physics_check,
+                                 density_spec is None or _density_is_pure(initial_density))
     else:
         _require(isinstance(checks, list) and checks, "checks: must be a non-empty list")
         for c in checks:
             _require(c in ALL_CHECKS, f"checks: unknown check id {c!r}")
+        repeated = sorted({c for c in checks if checks.count(c) > 1})
+        _require(not repeated, f"checks: duplicate check ids {repeated}")
         _require("integrals_of_motion" not in checks or candidates,
                  "checks: integrals_of_motion needs integral_candidates")
         _require("physics_closed_form" not in checks or physics_check is not None,
@@ -529,7 +524,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         observables=observables, initial_state=initial_state,
         initial_density=initial_density, integral_candidates=candidates,
         physics_check=physics_check, checks=list(checks), tolerances=tolerances,
-        seed=seed, faults=faults, echo=echo)
+        seed=seed, faults=frozenset(key for key, on in faults.items() if on), echo=echo)
 
 
 def _default_path_spec(base: BaseSpace) -> dict:
@@ -549,7 +544,7 @@ def _default_observable_specs(n: int) -> list:
 
 
 def _default_checks(hamiltonian: HamiltonianFamily, candidates, physics_check,
-                    initial_density) -> List[str]:
+                    pure_density: bool) -> List[str]:
     checks = ["state_equivalence"]
     if hamiltonian.hermitian_expected:
         checks.append("norm_drift")
@@ -558,7 +553,7 @@ def _default_checks(hamiltonian: HamiltonianFamily, candidates, physics_check,
     if hamiltonian.hermitian_expected:
         checks += ["unitary_bundle_map", "picture_invariance", "heisenberg_constancy"]
     checks += ["density_consistency"]
-    if _density_is_pure(initial_density):
+    if pure_density:
         checks.append("density_purity")
     checks.append("fibre_trace_preservation")
     if candidates:
@@ -568,27 +563,29 @@ def _default_checks(hamiltonian: HamiltonianFamily, candidates, physics_check,
     return checks
 
 
-def _density_is_pure(initial_density: Optional[np.ndarray]) -> bool:
-    if initial_density is None:
-        return True  # derived from the initial state
+def _density_is_pure(initial_density: np.ndarray) -> bool:
     rho = as_operator(initial_density)
     return bool(np.max(np.abs(rho @ rho - rho)) <= 1e-10)
+
+
+def _read_json(path: FsPath):
+    """The JSON value in a file; an unreadable or malformed file is a ConfigError naming it."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config ({exc})") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
 
 
 def load_scenario(path) -> ScenarioConfig:
     """Load and resolve a scenario config file."""
     fs_path = FsPath(path)
-    try:
-        text = fs_path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"{fs_path}: cannot read config ({exc})") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{fs_path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return scenario_from_dict(raw, str(fs_path))
+    return scenario_from_dict(_read_json(fs_path), str(fs_path))
 
 
 # --- built-in catalog --------------------------------------------------------

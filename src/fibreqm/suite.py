@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path as FsPath
 from typing import List, Sequence
 
 from .checks import run_scenario
 from .report import SuiteReport
-from .scenario import ConfigError, ScenarioConfig, load_catalog, load_scenario
+from .scenario import ConfigError, ScenarioConfig, _read_json, load_catalog, load_scenario
 
 __all__ = ["resolve_suite_inputs", "run_configs", "run_suite"]
 
@@ -27,12 +26,7 @@ def resolve_suite_inputs(target) -> List[ScenarioConfig]:
     if path.is_dir():
         return [load_scenario(p) for p in sorted(path.glob("*.json"))]
     if path.is_file():
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+        raw = _read_json(path)
         if not isinstance(raw, dict) or "scenarios" not in raw:
             raise ConfigError(f"{path}: manifest must be an object with a 'scenarios' list")
         entries = raw["scenarios"]

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import pathlib
+import re
 import tracemalloc
 from collections import Counter
 from functools import cached_property
@@ -8,14 +10,22 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import fibreqm.bundle as bundle_module
 import fibreqm.checks as checks_module
 import fibreqm.scenario as scenario_module
 from fibreqm.bundle import TrivializationFamily
-from fibreqm.checks import _CHECK_TABLE, ScenarioArtifacts, build_artifacts, run_scenario
+from fibreqm.checks import (
+    _CHECK_TABLE,
+    ScenarioArtifacts,
+    _judged,
+    _judged_per_observable,
+    build_artifacts,
+    run_scenario,
+)
 from fibreqm.cli import main as cli_main
 from fibreqm.dynamics import ObservableFamily, PropagatorGrid, grid_index
 from fibreqm.pictures import PictureTransform
-from fibreqm.report import emit, report_from_dict, suite_from_dict
+from fibreqm.report import CheckRecord, emit, report_from_dict, suite_from_dict
 from fibreqm.scenario import (
     ALL_CHECKS,
     ConfigError,
@@ -129,6 +139,13 @@ BAD_VALUES = {
         {"integral_candidates": [{"kind": "matrix", "expected": True, "name": 7,
                                   "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
         r"^integral_candidates\[0\]\.name"),
+    "fault flag string": ({"faults": {"drop_trivialization_derivative": "false"}},
+                          r"^faults\.drop_trivialization_derivative: need a bool, got 'false'$"),
+    "fault flag number": ({"faults": {"drop_trivialization_derivative": 0}},
+                          r"^faults\.drop_trivialization_derivative"),
+    # a check id names one record, so it is requested once
+    "duplicate check ids": ({"checks": ["norm_drift", "state_equivalence", "norm_drift"]},
+                            r"^checks: duplicate check ids \['norm_drift'\]$"),
 }
 
 
@@ -145,6 +162,8 @@ class TestLoading:
         assert cfg.tolerances["density_consistency"] == 1e-8
         assert cfg.seed == 0
         assert cfg.initial_state[0] == 1.0
+        assert np.array_equal(cfg.initial_density, np.diag([1.0, 0.0]))
+        assert cfg.faults == frozenset()
         assert "state_equivalence" in cfg.checks
         assert cfg.echo["tolerances"]["eq_tol"] == 1e-6
         assert cfg.echo["tolerances"]["prop_tol"] == 1e-8
@@ -389,6 +408,39 @@ class TestRunScenario:
         assert setup.detail.startswith("ValueError: trivialization 'poisoned'")
 
 
+class TestJudge:
+    """Every check that judges a residual series forms its record in one place."""
+
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+
+    def test_first_maximum_and_its_time(self):
+        record = _judged("norm_drift", self.times, np.array([1e-9, 3e-9, 3e-9, 2e-9]), 1e-8)
+        assert record == CheckRecord("norm_drift", 3e-9, 1e-8, True, 0.5)
+
+    def test_a_nan_anywhere_fails_at_the_first_nan(self):
+        record = _judged("norm_drift", self.times, np.array([1e-9, 5.0, np.nan, np.nan]), 10.0)
+        assert not record.passed
+        assert np.isnan(record.max_residual)
+        assert record.worst_time == 1.0
+
+    def test_a_nan_observable_wins_over_a_larger_finite_one(self):
+        record = _judged_per_observable("picture_invariance", self.times, {
+            "big": np.array([0.0, 7.0, 0.0, 0.0]),
+            "nan": np.array([0.0, 0.0, 0.0, np.nan]),
+        }, 1e-8)
+        assert not record.passed
+        assert np.isnan(record.max_residual)
+        assert (record.worst_time, record.detail) == (1.5, "worst observable: nan")
+
+    def test_a_tie_goes_to_the_first_observable(self):
+        record = _judged_per_observable("picture_invariance", self.times, {
+            "first": np.array([0.0, 0.0, 2.0, 0.0]),
+            "second": np.array([2.0, 0.0, 0.0, 0.0]),
+        }, 1e-8)
+        assert record == CheckRecord("picture_invariance", 2.0, 1e-8, False, 1.0,
+                                     "worst observable: first")
+
+
 class TestSampleOnce:
     def test_each_time_set_sampled_once(self):
         cfg = load_catalog_scenario("random-unitary-gauge")
@@ -421,6 +473,21 @@ class TestSampleOnce:
             monkeypatch.setattr(EvolutionTransport, method, counting)
         assert run_scenario(load_catalog_scenario("random-unitary-gauge")).overall_pass
         assert sorted(calls) == [("matrices_from", 0), ("matrices_into", 0)]
+
+    def test_fault_family_checks_each_batch_once(self, monkeypatch):
+        batches = []
+        real = bundle_module.checked_stack
+
+        def counting(stack, times, dimension, what):
+            if what == "trivialization 'global-phase'":
+                batches.append(times.size)
+            return real(stack, times, dimension, what)
+
+        monkeypatch.setattr(bundle_module, "checked_stack", counting)
+        raw = dict(MINIMAL, trivialization={"kind": "global-phase"},
+                   faults={"drop_trivialization_derivative": True})
+        assert not run_scenario(scenario_from_dict(raw)).record("state_equivalence").passed
+        assert batches == [51, 50]  # the grid, then the midpoints
 
     def test_paths_and_observables_sampled_once(self, monkeypatch):
         point_batches = []
@@ -564,6 +631,17 @@ class TestSuite:
         report = run_suite(manifest)
         assert report.overall_pass
         assert len(report.reports) == 2
+
+    def test_unreadable_manifest_is_a_config_error_naming_it(self, tmp_path, monkeypatch):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"scenarios": []}))
+
+        def unreadable(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(pathlib.Path, "read_text", unreadable)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(manifest))}: cannot read"):
+            run_suite(manifest)
 
     def test_empty_manifest_vacuous_pass_with_warning(self, tmp_path):
         manifest = tmp_path / "manifest.json"
