@@ -76,9 +76,9 @@ class TrivializationFamily:
     """Differentiable family t -> l(t) of invertible fibre-to-typical-fibre maps.
 
     `sample` maps a 1-D array of N times to the stack l(t_k), shape (N, n, n),
-    and `derivative` maps them to the exact dl/dt(t_k).  Each batch is
-    shape- and finiteness-checked once (ValueError naming the family);
-    single-time queries are batches of one.
+    and `derivative` maps them to the exact dl/dt(t_k).  Each batch is checked
+    once: its shape and finiteness (ValueError naming the family) and, for
+    values, invertibility; single-time queries are batches of one.
     """
 
     def __init__(self, sample: Callable[[np.ndarray], np.ndarray], dimension: int,
@@ -99,21 +99,17 @@ class TrivializationFamily:
         return self.at_many(np.array([float(t)]))[0]
 
     def at_many(self, times) -> np.ndarray:
+        """The stack l(t_k), sampled once and checked invertible once."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        return checked_stack(self._sample(times), times, self.dimension,
-                             f"trivialization '{self.name}'")
+        values = checked_stack(self._sample(times), times, self.dimension,
+                               f"trivialization '{self.name}'")
+        _require_invertible(values, self.name, times)
+        return values
 
     def derivative_at_many(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         return checked_stack(self._derivative(times), times, self.dimension,
                              f"trivialization '{self.name}' derivative")
-
-    def invertible_at_many(self, times) -> np.ndarray:
-        """The stack l(t_k), sampled once and checked invertible once."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        values = self.at_many(times)
-        _require_invertible(values, self.name, times)
-        return values
 
     def validate_on_grid(self, times) -> np.ndarray:
         """Check invertibility at every grid time and derivative consistency.
@@ -129,7 +125,7 @@ class TrivializationFamily:
         sampling the grid again.
         """
         times = np.asarray(times, dtype=float)
-        values = self.invertible_at_many(times)
+        values = self.at_many(times)
         if times.size >= 3:
             supplied = self.derivative_at_many(times[1:-1])
             fd = (values[2:] - values[:-2]) / (times[2:] - times[:-2])[:, None, None]
@@ -293,7 +289,7 @@ def lift_operators(frames: np.ndarray, inverse_frames: np.ndarray, a) -> np.ndar
 
 def lift_operator(l: TrivializationFamily, t: float, a) -> np.ndarray:
     """l(t)^-1 A l(t): the fibre morphism of a typical-fibre operator."""
-    frame = l.invertible_at_many(t)[0]
+    frame = l.at_many(t)[0]
     return lift_operators(frame, np.linalg.inv(frame), as_operator(a))
 
 
@@ -301,14 +297,14 @@ def lift_trajectory(l: TrivializationFamily, times, states) -> SectionAlongPath:
     """Lift a whole state history into the fibres, inverting the frames once."""
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
-    frames = l.invertible_at_many(times)
+    frames = l.at_many(times)
     return SectionAlongPath(times, apply(np.linalg.inv(frames), states))
 
 
 def lift_operator_on_grid(l: TrivializationFamily, times, a) -> MorphismAlongPath:
     """Lift one operator (or a stack, one per time) at every grid time."""
     times = np.asarray(times, dtype=float)
-    frames = l.invertible_at_many(times)
+    frames = l.at_many(times)
     return MorphismAlongPath(times, lift_operators(frames, np.linalg.inv(frames), a))
 
 

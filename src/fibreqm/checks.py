@@ -65,7 +65,7 @@ class ScenarioArtifacts:
         propagators = PropagatorGrid(cfg.hamiltonian, times, cfg.constants)
         self.cfg = cfg
         self.times = times
-        self.transport = EvolutionTransport(propagators, l, frames)
+        self.transport = EvolutionTransport(propagators, frames)
 
         states = propagate_states(propagators.step_matrices, cfg.initial_state)
         self.trajectory = Trajectory(times, states)
@@ -348,8 +348,7 @@ def _check_integrals_of_motion(art: ScenarioArtifacts, tol: float,
 
 def _check_physics_closed_form(art: ScenarioArtifacts, tol: float,
                                series: Dict[str, np.ndarray]) -> CheckRecord:
-    spec = art.cfg.physics_check or {}
-    omega = float(spec.get("omega", np.pi))
+    omega = art.cfg.rabi_omega
     states = art.trajectory.states
     flip = np.abs(states[:, 1]) ** 2 / art.trajectory.norm_sq()
     target = np.sin(omega * (art.times - art.times[0]) / 2.0) ** 2

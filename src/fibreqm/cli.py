@@ -14,14 +14,13 @@ default output directory for written report files.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path as FsPath
 
 from .checks import run_scenario
 from .report import emit, report_from_dict, suite_from_dict
-from .scenario import ConfigError, catalog_names, load_catalog_scenario, load_scenario
+from .scenario import ConfigError, _read_json, catalog_names, load_catalog_scenario, load_scenario
 from .suite import run_suite
 
 _FORMATS = ("table", "records", "timeseries")
@@ -72,13 +71,19 @@ def _cmd_catalog(_args) -> int:
     return 0
 
 
+def _read_report(path: FsPath):
+    """The report saved in a records file; any other content is a ConfigError naming it."""
+    raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a records file must hold a JSON object")
+    try:
+        return suite_from_dict(raw) if raw.get("kind") == "suite-report" else report_from_dict(raw)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a report records file ({exc!r})") from exc
+
+
 def _cmd_emit(args) -> int:
-    raw = json.loads(FsPath(args.records).read_text())
-    kind = raw.get("kind")
-    if kind == "suite-report":
-        report = suite_from_dict(raw)
-    else:
-        report = report_from_dict(raw)
+    report = _read_report(FsPath(args.records))
     sys.stdout.write(emit(report, args.format).decode())
     return 0 if report.overall_pass else 1
 
@@ -121,7 +126,7 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 0  # downstream consumer closed the pipe; not our error
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

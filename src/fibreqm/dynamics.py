@@ -33,7 +33,6 @@ __all__ = [
     "OffGridTimeError",
     "PropagatorGrid",
     "Trajectory",
-    "conjugate_by",
     "evolve_state",
     "grid_index",
     "grid_indices",
@@ -243,15 +242,6 @@ def propagate_states(propagators: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     for k in range(propagators.shape[0]):
         states[k + 1] = propagators[k] @ states[k]
     return states
-
-
-def conjugate_by(u: np.ndarray, x: np.ndarray, u_inv: np.ndarray) -> np.ndarray:
-    """(u @ x) @ u_inv with a fixed association order.
-
-    Both density-evolution routes go through this helper so that identical
-    operands yield bitwise-identical results.
-    """
-    return (u @ x) @ u_inv
 
 
 class PropagatorGrid:

@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bundle import _seeded_smooth_unitary, lift_operators
-from .dynamics import ObservableFamily, PropagatorGrid, conjugate_by, grid_index
+from .dynamics import ObservableFamily, PropagatorGrid, grid_index
 from .hilbert import _frozen, apply, expectations, max_abs
 from .transport import EvolutionTransport
 
@@ -109,8 +109,8 @@ class PictureTransform:
 
 
 def to_general_picture_observables(v: np.ndarray, v_inv: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """V A V^-1 over stacks, with the inverses V^-1 the caller holds."""
-    return conjugate_by(v, a, v_inv)
+    """V A V^-1 as (V A) V^-1 over stacks, with the inverses V^-1 the caller holds."""
+    return (v @ a) @ v_inv
 
 
 def general_picture_means(v_inv: np.ndarray, frames: np.ndarray, a_v: np.ndarray,
@@ -133,7 +133,7 @@ def evolve_density_morphisms(p0, two_time: Union[PropagatorGrid, EvolutionTransp
     an `EvolutionTransport` (P0 a density morphism at t0); either way t0 is
     the first grid time and the conjugation reads its shared t0 stacks.
     """
-    return conjugate_by(two_time.from_t0, p0, two_time.into_t0)
+    return to_general_picture_observables(two_time.from_t0, two_time.into_t0, p0)
 
 
 # --- integrals of motion -----------------------------------------------------

@@ -131,7 +131,7 @@ def suite_from_dict(d: dict) -> SuiteReport:
     if d.get("kind") != "suite-report":
         raise ValueError("not a suite-report record file")
     return SuiteReport(
-        reports=[report_from_dict(r) for r in d.get("scenarios", [])],
+        reports=[report_from_dict(r) for r in d["scenarios"]],
         warnings=d.get("warnings", []),
         timing_seconds=d.get("timing_seconds", 0.0),
     )

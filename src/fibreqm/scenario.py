@@ -98,7 +98,7 @@ class ScenarioConfig:
     initial_state: np.ndarray
     initial_density: np.ndarray  # derived from the initial state when the config gives none
     integral_candidates: List[IntegralCandidate]
-    physics_check: Optional[dict]
+    rabi_omega: Optional[float]  # omega of the rabi-flip physics check; None without one
     checks: List[str]
     tolerances: Dict[str, float]
     seed: int
@@ -458,11 +458,12 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     ]
 
     physics_check = raw.get("physics_check")
+    rabi_omega = None
     if physics_check is not None:
         _require(isinstance(physics_check, dict) and physics_check.get("kind") == "rabi-flip",
                  "physics_check.kind: only 'rabi-flip' is supported")
         _require(n == 2, "physics_check.rabi-flip requires dimension 2")
-        _real(physics_check.get("omega", np.pi), "physics_check.omega")
+        rabi_omega = _real(physics_check.get("omega", np.pi), "physics_check.omega")
 
     tol_spec = raw.get("tolerances", {})
     _require(isinstance(tol_spec, dict), "tolerances: must be an object")
@@ -484,7 +485,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
 
     checks = raw.get("checks")
     if checks is None:
-        checks = _default_checks(hamiltonian, candidates, physics_check,
+        checks = _default_checks(hamiltonian, candidates, rabi_omega,
                                  density_spec is None or _density_is_pure(initial_density))
     else:
         _require(isinstance(checks, list) and checks, "checks: must be a non-empty list")
@@ -494,7 +495,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         _require(not repeated, f"checks: duplicate check ids {repeated}")
         _require("integrals_of_motion" not in checks or candidates,
                  "checks: integrals_of_motion needs integral_candidates")
-        _require("physics_closed_form" not in checks or physics_check is not None,
+        _require("physics_closed_form" not in checks or rabi_omega is not None,
                  "checks: physics_closed_form needs physics_check")
 
     echo = {
@@ -523,7 +524,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         times=times, hamiltonian=hamiltonian, trivialization=trivialization,
         observables=observables, initial_state=initial_state,
         initial_density=initial_density, integral_candidates=candidates,
-        physics_check=physics_check, checks=list(checks), tolerances=tolerances,
+        rabi_omega=rabi_omega, checks=list(checks), tolerances=tolerances,
         seed=seed, faults=frozenset(key for key, on in faults.items() if on), echo=echo)
 
 
@@ -543,7 +544,7 @@ def _default_observable_specs(n: int) -> list:
             {"kind": "random-hermitian", "name": "random_obs"}]
 
 
-def _default_checks(hamiltonian: HamiltonianFamily, candidates, physics_check,
+def _default_checks(hamiltonian: HamiltonianFamily, candidates, rabi_omega,
                     pure_density: bool) -> List[str]:
     checks = ["state_equivalence"]
     if hamiltonian.hermitian_expected:
@@ -558,7 +559,7 @@ def _default_checks(hamiltonian: HamiltonianFamily, candidates, physics_check,
     checks.append("fibre_trace_preservation")
     if candidates:
         checks.append("integrals_of_motion")
-    if physics_check is not None:
+    if rabi_omega is not None:
         checks.append("physics_closed_form")
     return checks
 
@@ -569,11 +570,13 @@ def _density_is_pure(initial_density: np.ndarray) -> bool:
 
 
 def _read_json(path: FsPath):
-    """The JSON value in a file; an unreadable or malformed file is a ConfigError naming it."""
+    """The JSON value in a UTF-8 file; any failure to read it is a ConfigError naming it."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

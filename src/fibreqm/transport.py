@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class MatrixBundleHamiltonian:
     def at_many(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         l = self.trivialization
-        values = l.invertible_at_many(times)
+        values = l.at_many(times)
         h_vals = self.hamiltonian.at_many(times)
         return _bundle_generator(values, h_vals, l.derivative_at_many(times), self.constants.hbar)
 
@@ -88,26 +88,24 @@ class MatrixBundleHamiltonian:
 class EvolutionTransport:
     """Two-time fibre transport U(t, s) on a grid, any order of arguments.
 
-    Built from the conventional propagator products and the trivialization;
-    queries off the grid are errors, never interpolations.  `frames` takes the
-    trivialization already sampled on the propagator grid and checked
-    invertible (as `validate_on_grid` returns it), so it is not sampled again;
-    by default the transport samples and checks it itself.
+    Built from the conventional propagator products and the frames l(t_k) on
+    their grid alone, checked invertible (as `TrivializationFamily.at_many`
+    returns them) and of shape (N, n, n) for the grid's N times and the
+    propagators' dimension n; they are inverted once.  Queries off the grid
+    are errors, never interpolations.
 
     `matrices_from` and `matrices_into` compute a stack on every call; the
     stacks at the first grid time are the read-only cached properties
     `from_t0` and `into_t0`, which every reader of them shares.
     """
 
-    def __init__(self, propagators: PropagatorGrid, trivialization: TrivializationFamily,
-                 frames: Optional[np.ndarray] = None):
+    def __init__(self, propagators: PropagatorGrid, frames: np.ndarray):
         self.propagators = propagators
         self.times = propagators.times
-        if frames is None:
-            frames = trivialization.invertible_at_many(self.times)
-        expected = (self.times.size, trivialization.dimension, trivialization.dimension)
+        expected = (self.times.size, propagators.dimension, propagators.dimension)
         if frames.shape != expected:
-            raise ValueError(f"frames must have shape {expected}, got {frames.shape}")
+            raise ValueError(f"frames must have shape {expected} (the propagator grid's "
+                             f"times and dimension), got {frames.shape}")
         self.frames = frames
         self.inverse_frames = np.linalg.inv(self.frames)
         for a in (self.frames, self.inverse_frames):

@@ -143,7 +143,7 @@ def test_criterion_4_hermiticity_unitarity_correspondence(catalog_suite, accepta
     # negative control: non-Hermitian generator breaks the unitary bundle map
     times = uniform_grid(0.0, 1.0, 200)
     bad_h = HamiltonianFamily.constant(SIGMA_Z + 0.4j * SIGMA_X, hermitian_expected=False)
-    transport = EvolutionTransport(PropagatorGrid(bad_h, times), l)
+    transport = EvolutionTransport(PropagatorGrid(bad_h, times), l.at_many(times))
     forward, backward = transport.matrices_by_index([0, 200], [200, 0])  # U(0, 1), U(1, 0)
     adj = bundle_adjoint_maps(transport.frames[0], transport.inverse_frames[200], forward)
     neg_transport = max_abs(adj - backward) > 1e-3
@@ -184,7 +184,7 @@ def test_criterion_7_integrals_of_motion(acceptance):
     h = HamiltonianFamily.constant(SIGMA_Z)
     l = identity_trivialization(2)
     grid = PropagatorGrid(h, times)
-    transport = EvolutionTransport(grid, l)
+    transport = EvolutionTransport(grid, l.at_many(times))
 
     certified = is_integral_of_motion(ObservableFamily.constant(SIGMA_Z, name="energy"),
                                       transport)
@@ -222,7 +222,7 @@ def test_criterion_9_rabi_closed_form_and_convergence(catalog_suite, acceptance)
                   if r.scenario == "rabi-drive").record("physics_closed_form")
 
     cfg = scenario_from_dict(_catalog_raw("rabi-drive"))
-    omega = cfg.physics_check["omega"]
+    omega = cfg.rabi_omega
     errors = []
     for step in (1e-3, 5e-4):
         traj = evolve_state(cfg.hamiltonian, cfg.initial_state, 0.0, 1.0, step)

@@ -101,7 +101,7 @@ class TestLifting:
                                  lambda ts: base.derivative_at_many(ts) @ stretch,
                                  name="ill-conditioned")
         times = np.linspace(0.0, 1.0, 9)
-        frames = l.invertible_at_many(times)
+        frames = l.at_many(times)
         cond = float(np.max(np.linalg.cond(frames)))
         assert 5e5 <= cond <= 2e6
         rng = np.random.default_rng(4)

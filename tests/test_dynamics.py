@@ -7,7 +7,6 @@ from fibreqm.dynamics import (
     OffGridTimeError,
     PropagatorGrid,
     Trajectory,
-    conjugate_by,
     evolve_state,
     grid_index,
     uniform_grid,
@@ -22,6 +21,7 @@ from fibreqm.hilbert import (
     expectations,
     max_abs,
 )
+from fibreqm.pictures import to_general_picture_observables
 
 
 def circular_drive(omega0: float, rabi: float) -> HamiltonianFamily:
@@ -135,13 +135,13 @@ class TestEvolutionOperator:
 
 
 class TestEvolveDensity:
-    """rho(t_k) = U(t_k, t_0) rho0 U(t_0, t_k) through `conjugate_by`."""
+    """rho(t_k) = U(t_k, t_0) rho0 U(t_0, t_k) through `to_general_picture_observables`."""
 
     def test_zero_hamiltonian_constant(self):
         rho0 = np.diag([0.25, 0.75]).astype(complex)
         grid = PropagatorGrid(HamiltonianFamily.zero(2), uniform_grid(0.0, 1.0, 100))
         k = np.arange(grid.times.size)
-        mats = conjugate_by(grid.operators(k, 0), rho0, grid.operators(0, k))
+        mats = to_general_picture_observables(grid.operators(k, 0), grid.operators(0, k), rho0)
         assert max_abs(mats - rho0) == 0
 
     def test_pure_state_matches_state_oracle(self):
@@ -151,7 +151,7 @@ class TestEvolveDensity:
         grid = PropagatorGrid(h, traj.times)
         k = np.arange(grid.times.size)
         rho0 = np.outer(psi0, psi0.conj())
-        mats = conjugate_by(grid.operators(k, 0), rho0, grid.operators(0, k))
+        mats = to_general_picture_observables(grid.operators(k, 0), grid.operators(0, k), rho0)
         projectors = np.einsum("ki,kj->kij", traj.states, traj.states.conj())
         assert max_abs(mats - projectors) <= 1e-8
 
@@ -160,7 +160,7 @@ class TestEvolveDensity:
         rho0 = np.diag([0.7, 0.3]).astype(complex)
         grid = PropagatorGrid(h, uniform_grid(0.0, 1.0, 100))
         k = np.arange(grid.times.size)
-        mats = conjugate_by(grid.operators(k, 0), rho0, grid.operators(0, k))
+        mats = to_general_picture_observables(grid.operators(k, 0), grid.operators(0, k), rho0)
         assert max_abs(mats - rho0) <= 1e-12
 
     def test_trace_preserved(self):
@@ -168,7 +168,7 @@ class TestEvolveDensity:
         rho0 = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
         grid = PropagatorGrid(h, uniform_grid(0.0, 1.0, 1000))
         k = np.arange(grid.times.size)
-        mats = conjugate_by(grid.operators(k, 0), rho0, grid.operators(0, k))
+        mats = to_general_picture_observables(grid.operators(k, 0), grid.operators(0, k), rho0)
         traces = np.trace(mats, axis1=1, axis2=2)
         assert max_abs(traces - 1.0) <= 1e-8
 
@@ -180,7 +180,7 @@ class TestEvolveDensity:
         rho0 = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
         grid = PropagatorGrid(h, uniform_grid(0.0, 1.0, 1000))
         k = np.arange(grid.times.size)
-        mats = conjugate_by(grid.operators(k, 0), rho0, grid.operators(0, k))
+        mats = to_general_picture_observables(grid.operators(k, 0), grid.operators(0, k), rho0)
         dt = grid.times[1] - grid.times[0]
         drho = (mats[2:] - mats[:-2]) / (2 * dt)
         comm = matrix @ mats[1:-1] - mats[1:-1] @ matrix

@@ -14,7 +14,6 @@ from fibreqm.dynamics import (
     HamiltonianFamily,
     ObservableFamily,
     PropagatorGrid,
-    conjugate_by,
     grid_indices,
     propagate_states,
     uniform_grid,
@@ -38,7 +37,7 @@ def evolved_setup(l, h=H, times=TIMES, psi0=(1.0, 0.0)):
     grid = PropagatorGrid(h, times)
     states = propagate_states(grid.step_matrices, np.array(psi0, dtype=complex))
     section = lift_trajectory(l, times, states)
-    transport = EvolutionTransport(grid, l)
+    transport = EvolutionTransport(grid, l.at_many(times))
     return grid, states, section, transport
 
 
@@ -100,7 +99,7 @@ class TestHeisenbergPicture:
         a = lift_operator_on_grid(l, TIMES, SIGMA_Z)
         into_t0, from_t0 = transport.matrices_into(0.0), transport.matrices_from(0.0)
         psi_h = apply(into_t0, section.values)
-        a_h = conjugate_by(into_t0, a.matrices, from_t0)
+        a_h = to_general_picture_observables(into_t0, from_t0, a.matrices)
         for k in (100, 400):  # t = 0.25, 1.0
             assert max_abs(psi_h[k] - section.values[k]) <= 1e-12
             assert max_abs(a_h[k] - SIGMA_Z) <= 1e-12
@@ -119,7 +118,7 @@ class TestHeisenbergPicture:
         into_t0, from_t0 = transport.matrices_into(0.0), transport.matrices_from(0.0)
         schro = fibre_means(transport.frames, a.matrices, section.values)
         psi_h = apply(into_t0, section.values)
-        a_h = conjugate_by(into_t0, a.matrices, from_t0)
+        a_h = to_general_picture_observables(into_t0, from_t0, a.matrices)
         heis = fibre_means(transport.frames[0], a_h, psi_h)
         for k in (100, 300, 400):  # t = 0.25, 0.75, 1.0
             assert abs(schro[k] - heis[k]) <= 1e-8
@@ -146,7 +145,7 @@ class TestGeneralPicture:
         state_v = apply(v.matrices, section.values)
         obs_v = to_general_picture_observables(v.matrices, v.inverse_matrices, a.matrices)
         psi_h = apply(into_t0, section.values)
-        a_h = conjugate_by(into_t0, a.matrices, from_t0)
+        a_h = to_general_picture_observables(into_t0, from_t0, a.matrices)
         for k in (200, 400):  # t = 0.5, 1.0
             assert max_abs(state_v[k] - psi_h[k]) <= 1e-12
             assert max_abs(obs_v[k] - a_h[k]) <= 1e-10
@@ -247,7 +246,8 @@ class TestDensityMorphisms:
 
     def test_zero_hamiltonian_constant_morphism(self):
         l = identity_trivialization(2)
-        transport = EvolutionTransport(PropagatorGrid(HamiltonianFamily.zero(2), TIMES), l)
+        transport = EvolutionTransport(PropagatorGrid(HamiltonianFamily.zero(2), TIMES),
+                                       l.at_many(TIMES))
         p0 = np.diag([0.25, 0.75]).astype(complex)
         assert max_abs(evolve_density_morphisms(p0, transport)[-1] - p0) == 0
 

@@ -217,6 +217,12 @@ class TestLoading:
         with pytest.raises(ConfigError, match="line 3"):
             load_scenario(path)
 
+    def test_non_utf8_config_is_a_config_error_naming_it(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_scenario(path)
+
     def test_complex_entry_format_enforced(self):
         raw = dict(MINIMAL)
         raw["initial_state"] = [[1.0], [0.0]]
@@ -444,6 +450,7 @@ class TestJudge:
 class TestSampleOnce:
     def test_each_time_set_sampled_once(self):
         cfg = load_catalog_scenario("random-unitary-gauge")
+        cfg.rabi_omega = np.pi  # so physics_closed_form can run too, as every check does here
         family = cfg.trivialization
         calls = {"values": [], "derivatives": []}
 
@@ -473,6 +480,18 @@ class TestSampleOnce:
             monkeypatch.setattr(EvolutionTransport, method, counting)
         assert run_scenario(load_catalog_scenario("random-unitary-gauge")).overall_pass
         assert sorted(calls) == [("matrices_from", 0), ("matrices_into", 0)]
+
+    def test_each_frame_batch_checked_invertible_once(self, monkeypatch):
+        batches = []
+        real = bundle_module._require_invertible
+
+        def counting(mats, name, times):
+            batches.append(mats.shape[0])
+            return real(mats, name, times)
+
+        monkeypatch.setattr(bundle_module, "_require_invertible", counting)
+        assert run_scenario(load_catalog_scenario("random-unitary-gauge")).overall_pass
+        assert batches == [1001, 1000]  # the grid, then the midpoints
 
     def test_fault_family_checks_each_batch_once(self, monkeypatch):
         batches = []
@@ -643,6 +662,13 @@ class TestSuite:
         with pytest.raises(ConfigError, match=f"^{re.escape(str(manifest))}: cannot read"):
             run_suite(manifest)
 
+    def test_non_utf8_config_in_a_directory_suite_is_named(self, tmp_path):
+        write_config(tmp_path, dict(MINIMAL, name="good"), "a.json")
+        bad = tmp_path / "b.json"
+        bad.write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(bad))}: not UTF-8 text"):
+            run_suite(tmp_path)
+
     def test_empty_manifest_vacuous_pass_with_warning(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"scenarios": []}))
@@ -757,6 +783,22 @@ class TestCli:
         assert cli_main(["emit", str(out_dir / "minimal.records.json"),
                          "--format", "table"]) == 0
         assert "state_equivalence" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content, message", [
+        (b"[]", "must hold a JSON object"),
+        (b'{"kind": "scenario-report"}', "KeyError('scenario')"),
+        (b'{"kind": "suite-report"}', "KeyError('scenarios')"),
+        (b'{"kind": "suite-report", "scenarios": [1]}', "not a report records file"),
+        (b"{nope", "parse error at line 1"),
+        (b'{"kind": "\xff"}', "not UTF-8 text"),
+    ])
+    def test_emit_rejects_a_file_that_is_not_a_report(self, tmp_path, capsys, content,
+                                                      message):
+        path = tmp_path / "not-a-report.json"
+        path.write_bytes(content)
+        assert cli_main(["emit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err
 
     def test_suite_of_catalog(self, tmp_path, capsys):
         # a tiny directory suite keeps this fast; catalog suite runs in acceptance

@@ -140,31 +140,34 @@ class TestTransportCoefficients:
 class TestBuildTransport:
     def test_zero_hamiltonian_identity_gauge(self):
         transport = EvolutionTransport(PropagatorGrid(HamiltonianFamily.zero(2), TIMES),
-                                       identity_trivialization(2))
+                                       identity_trivialization(2).at_many(TIMES))
         assert max_abs(transport.matrices_by_index(100, 50) - np.eye(2)) == 0
 
     def test_identity_gauge_equals_conventional_operator(self):
         h = HamiltonianFamily.constant(0.9 * SIGMA_X + 0.3 * SIGMA_Z)
         grid = PropagatorGrid(h, TIMES)
-        transport = EvolutionTransport(grid, identity_trivialization(2))
+        transport = EvolutionTransport(grid, identity_trivialization(2).at_many(TIMES))
         for (j, i) in [(10, 0), (150, 40), (40, 150)]:
             assert np.array_equal(transport.matrix_by_index(j, i), grid.operators(j, i))
 
-    def test_given_frames_match_sampled_frames(self):
+    def test_frames_of_another_grid_length_rejected(self):
         h = HamiltonianFamily.constant(0.9 * SIGMA_X + 0.3 * SIGMA_Z)
         grid = PropagatorGrid(h, TIMES)
-        l = random_smooth_unitary_trivialization(2, 85)
-        sampled = EvolutionTransport(grid, l)
-        given = EvolutionTransport(grid, l, l.validate_on_grid(TIMES))
-        assert np.array_equal(given.frames, sampled.frames)
-        assert np.array_equal(given.matrix_by_index(150, 40), sampled.matrix_by_index(150, 40))
+        frames = random_smooth_unitary_trivialization(2, 85).validate_on_grid(TIMES)
         with pytest.raises(ValueError, match="shape"):
-            EvolutionTransport(grid, l, sampled.frames[1:])
+            EvolutionTransport(grid, frames[1:])
+
+    def test_gauge_of_another_dimension_rejected(self):
+        # A 3-level gauge on a 2-level Hamiltonian fails when the transport is
+        # built, naming both shapes, not later inside a query.
+        grid = PropagatorGrid(HamiltonianFamily.constant(SIGMA_Z), TIMES)
+        with pytest.raises(ValueError, match=r"\(201, 2, 2\).*\(201, 3, 3\)"):
+            EvolutionTransport(grid, identity_trivialization(3).at_many(TIMES))
 
     def test_zero_hamiltonian_phase_gauge(self):
         omega = 2.0
         transport = EvolutionTransport(PropagatorGrid(HamiltonianFamily.zero(2), TIMES),
-                                       global_phase_trivialization(2, omega))
+                                       global_phase_trivialization(2, omega).at_many(TIMES))
         s, t = 0.25, 0.75
         expected = np.exp(1j * omega * (s - t)) * np.eye(2)
         assert max_abs(transport.matrices_by_index(150, 50) - expected) <= 1e-13
@@ -172,7 +175,7 @@ class TestBuildTransport:
     def test_identity_and_composition_axioms(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.4 * SIGMA_Z)
         l = random_smooth_unitary_trivialization(2, 87)
-        transport = EvolutionTransport(PropagatorGrid(h, TIMES), l)
+        transport = EvolutionTransport(PropagatorGrid(h, TIMES), l.at_many(TIMES))
         triples = [(0.0, 0.25, 0.5), (0.1, 0.5, 0.9), (0.25, 0.25, 0.75), (0.0, 0.0, 0.0)]
         report = check_transport_axioms(transport, triples)
         assert axioms_hold(report, 1e-10)
@@ -180,14 +183,15 @@ class TestBuildTransport:
 
     def test_axioms_exactly_zero_for_free_identity_case(self):
         transport = EvolutionTransport(PropagatorGrid(HamiltonianFamily.zero(2), TIMES),
-                                       identity_trivialization(2))
+                                       identity_trivialization(2).at_many(TIMES))
         report = check_transport_axioms(transport, [(0.0, 0.5, 1.0)])
         assert report.max_identity_deviation == 0.0
         assert report.max_composition_deviation == 0.0
 
     def test_corrupted_transport_fails_axioms(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X)
-        transport = EvolutionTransport(PropagatorGrid(h, TIMES), identity_trivialization(2))
+        transport = EvolutionTransport(PropagatorGrid(h, TIMES),
+                                       identity_trivialization(2).at_many(TIMES))
 
         class Corrupted:
             times = transport.times
@@ -203,7 +207,8 @@ class TestBuildTransport:
 
     def test_nan_compositions_fail_axioms(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X)
-        transport = EvolutionTransport(PropagatorGrid(h, TIMES), identity_trivialization(2))
+        transport = EvolutionTransport(PropagatorGrid(h, TIMES),
+                                       identity_trivialization(2).at_many(TIMES))
 
         class NanAcrossTimes:
             times = transport.times
@@ -223,7 +228,8 @@ class TestBuildTransport:
 
     def test_nan_identity_fails_axioms(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X)
-        transport = EvolutionTransport(PropagatorGrid(h, TIMES), identity_trivialization(2))
+        transport = EvolutionTransport(PropagatorGrid(h, TIMES),
+                                       identity_trivialization(2).at_many(TIMES))
 
         class NanEverywhere:
             times = transport.times
@@ -239,14 +245,15 @@ class TestBuildTransport:
 
     def test_unordered_triple_rejected(self):
         h = HamiltonianFamily.constant(SIGMA_Z)
-        transport = EvolutionTransport(PropagatorGrid(h, TIMES), identity_trivialization(2))
+        transport = EvolutionTransport(PropagatorGrid(h, TIMES),
+                                       identity_trivialization(2).at_many(TIMES))
         with pytest.raises(ValueError, match="r <= s <= t"):
             check_transport_axioms(transport, [(0.5, 0.25, 1.0)])
 
     def test_unitary_bundle_map_property(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.4 * SIGMA_Z)
         l = random_smooth_unitary_trivialization(2, 89)
-        transport = EvolutionTransport(PropagatorGrid(h, TIMES), l)
+        transport = EvolutionTransport(PropagatorGrid(h, TIMES), l.at_many(TIMES))
         s, t = 50, 180  # grid indices of 0.25 and 0.9
         # forward carries fibre(t) -> fibre(s), backward fibre(s) -> fibre(t)
         forward, backward = transport.matrices_by_index([s, t], [t, s])
@@ -256,7 +263,7 @@ class TestBuildTransport:
     def test_non_hermitian_generator_breaks_unitarity(self):
         h = HamiltonianFamily.constant(SIGMA_Z + 0.4j * SIGMA_X, hermitian_expected=False)
         l = identity_trivialization(2)
-        transport = EvolutionTransport(PropagatorGrid(h, TIMES), l)
+        transport = EvolutionTransport(PropagatorGrid(h, TIMES), l.at_many(TIMES))
         s, t = 0, 200  # grid indices of 0.0 and 1.0
         forward, backward = transport.matrices_by_index([s, t], [t, s])
         adj = bundle_adjoint_maps(transport.frames[s], transport.inverse_frames[t], forward)
@@ -296,7 +303,8 @@ class TestTransportSection:
 
     def test_equal_times_is_identity(self):
         h = HamiltonianFamily.constant(SIGMA_Z)
-        transport = EvolutionTransport(PropagatorGrid(h, TIMES), identity_trivialization(2))
+        transport = EvolutionTransport(PropagatorGrid(h, TIMES),
+                                       identity_trivialization(2).at_many(TIMES))
         psi = np.array([0.6, 0.8], dtype=complex)
         carried = apply(transport.matrices_from(0.5), psi)
         assert max_abs(carried[100] - psi) <= 1e-12
@@ -304,7 +312,7 @@ class TestTransportSection:
     def test_two_step_composition(self):
         h = HamiltonianFamily.constant(0.7 * SIGMA_X)
         transport = EvolutionTransport(PropagatorGrid(h, TIMES),
-                                       global_phase_trivialization(2, 1.0))
+                                       global_phase_trivialization(2, 1.0).at_many(TIMES))
         psi = np.array([1.0, 0.0], dtype=complex)
         one_hop = apply(transport.matrices_from(0.0), psi)[200]
         half_way = apply(transport.matrices_from(0.0), psi)[100]
@@ -314,7 +322,7 @@ class TestTransportSection:
     def test_fibre_norm_preserved_for_hermitian_generator(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.4 * SIGMA_Z)
         l = random_smooth_unitary_trivialization(2, 93)
-        transport = EvolutionTransport(PropagatorGrid(h, TIMES), l)
+        transport = EvolutionTransport(PropagatorGrid(h, TIMES), l.at_many(TIMES))
         psi0 = np.array([0.6, 0.8j], dtype=complex)
         start = fibre_inner_products(transport.frames[0], psi0, psi0)
         carried = apply(transport.matrices_from(0.0), psi0)
@@ -325,7 +333,7 @@ class TestTransportSection:
     def test_t0_stacks_are_shared_and_read_only(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.4 * SIGMA_Z)
         transport = EvolutionTransport(PropagatorGrid(h, TIMES),
-                                       random_smooth_unitary_trivialization(2, 93))
+                                       random_smooth_unitary_trivialization(2, 93).at_many(TIMES))
         for name, query in (("from_t0", transport.matrices_from),
                             ("into_t0", transport.matrices_into)):
             stack = getattr(transport, name)
@@ -339,6 +347,7 @@ class TestTransportSection:
 
     def test_off_grid_time_rejected(self):
         h = HamiltonianFamily.constant(SIGMA_Z)
-        transport = EvolutionTransport(PropagatorGrid(h, TIMES), identity_trivialization(2))
+        transport = EvolutionTransport(PropagatorGrid(h, TIMES),
+                                       identity_trivialization(2).at_many(TIMES))
         with pytest.raises(ValueError, match="grid"):
             transport.matrices_from(0.00123)
