@@ -245,9 +245,6 @@ class SectionAlongPath:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[1]
 
 @dataclass(frozen=True)
 class MorphismAlongPath:
@@ -266,9 +263,6 @@ class MorphismAlongPath:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "matrices", mats)
 
-    @property
-    def dimension(self) -> int:
-        return self.matrices.shape[1]
 
 def _same_grid(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape or not np.array_equal(a, b):

@@ -80,6 +80,8 @@ class ScenarioArtifacts:
             self.lifted.values[0])
         # name -> grid samples (N, n, n), each family sampled once
         self.observables = {family.name: family.at_many(times) for family in cfg.observables}
+        # quantity -> values over the grid, for the report; a check may add its own
+        self.series: Dict[str, np.ndarray] = {"time": times}
 
     @cached_property
     def lifted_observables(self) -> Dict[str, MorphismAlongPath]:
@@ -143,8 +145,8 @@ def _judged_per_observable(check_id: str, times: np.ndarray,
     return records[int(np.argmax([record.max_residual for record in records]))]
 
 
-def _coarse_indices(n_times: int, count: int = 9) -> np.ndarray:
-    return np.unique(np.round(np.linspace(0, n_times - 1, count)).astype(int))
+def _coarse_indices(n_times: int) -> np.ndarray:
+    return np.unique(np.round(np.linspace(0, n_times - 1, 9)).astype(int))
 
 
 def _sample_triples(times: np.ndarray, seed: int) -> List[Tuple[float, float, float]]:
@@ -159,32 +161,28 @@ def _sample_triples(times: np.ndarray, seed: int) -> List[Tuple[float, float, fl
 
 # --- individual checks --------------------------------------------------------
 
-def _check_state_equivalence(art: ScenarioArtifacts, tol: float,
-                             series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_state_equivalence(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     residual = np.max(np.abs(art.bundle_section.values - art.lifted.values), axis=1)
-    series["state_equivalence_residual"] = residual
+    art.series["state_equivalence_residual"] = residual
     return _judged("state_equivalence", art.times, residual, tol)
 
 
-def _check_norm_drift(art: ScenarioArtifacts, tol: float,
-                      series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_norm_drift(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     norms = art.trajectory.norm_sq()
-    series["norm_sq"] = norms
+    art.series["norm_sq"] = norms
     return _judged("norm_drift", art.times, np.abs(norms - norms[0]), tol)
 
 
 # The transport checks build their own record: the worst value and its place
 # come from the TransportAxiomReport, not from a residual series.
-def _check_transport_identity(art: ScenarioArtifacts, tol: float,
-                              series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_transport_identity(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     triples, report = art._transport_axioms
     worst, at = report.max_identity_deviation, report.worst_identity_time
     return CheckRecord("transport_identity", worst, tol, worst <= tol, at,
                        detail=f"{triples} sampled triples")
 
 
-def _check_transport_composition(art: ScenarioArtifacts, tol: float,
-                                 series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_transport_composition(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     _, report = art._transport_axioms
     worst = report.max_composition_deviation
     at = report.worst_composition_triple[2]
@@ -192,22 +190,20 @@ def _check_transport_composition(art: ScenarioArtifacts, tol: float,
                        detail=f"worst triple {report.worst_composition_triple}")
 
 
-def _check_mean_value_invariance(art: ScenarioArtifacts, tol: float,
-                                 series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_mean_value_invariance(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     psi = art.trajectory.states
     per_observable = {}
     for name, stack in art.observables.items():
         conv = expectations(psi, apply(stack, psi))
         bundle = fibre_means(art.transport.frames, art.lifted_observables[name].matrices,
                              art.lifted.values)
-        series[f"mean_conventional:{name}"] = conv.real
-        series[f"mean_bundle:{name}"] = bundle.real
+        art.series[f"mean_conventional:{name}"] = conv.real
+        art.series[f"mean_bundle:{name}"] = bundle.real
         per_observable[name] = np.abs(conv - bundle)
     return _judged_per_observable("mean_value_invariance", art.times, per_observable, tol)
 
 
-def _check_hermiticity_correspondence(art: ScenarioArtifacts, tol: float,
-                                      series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_hermiticity_correspondence(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     frames, inv = art.transport.frames, art.transport.inverse_frames
     per_observable = {}
     for name, stack in art.observables.items():
@@ -217,8 +213,7 @@ def _check_hermiticity_correspondence(art: ScenarioArtifacts, tol: float,
     return _judged_per_observable("hermiticity_correspondence", art.times, per_observable, tol)
 
 
-def _check_unitary_bundle_map(art: ScenarioArtifacts, tol: float,
-                              series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_unitary_bundle_map(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     idx = _coarse_indices(art.times.size)
     i, j = (k.ravel() for k in np.meshgrid(idx, idx, indexing="ij"))
     forward = art.transport.matrices_by_index(i, j)    # fibre(t_j) -> fibre(t_i)
@@ -229,8 +224,7 @@ def _check_unitary_bundle_map(art: ScenarioArtifacts, tol: float,
     return _judged("unitary_bundle_map", art.times[j], per_pair, tol)
 
 
-def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
-                              series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_picture_invariance(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     transport = art.transport
     frames = transport.frames
     psi_t = art.transported_section.values
@@ -253,37 +247,33 @@ def _check_picture_invariance(art: ScenarioArtifacts, tol: float,
         schro = fibre_means(frames, a_lift, psi_t)
         general = general_picture_means(
             v_inv, frames, to_general_picture_observables(v, v_inv, a_lift), psi_v)
-        series[f"mean_heisenberg:{name}"] = heis.real
+        art.series[f"mean_heisenberg:{name}"] = heis.real
         per_observable[name] = np.maximum(np.abs(schro - heis), np.abs(schro - general))
     return _judged_per_observable("picture_invariance", art.times, per_observable, tol)
 
 
-def _check_heisenberg_constancy(art: ScenarioArtifacts, tol: float,
-                                series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_heisenberg_constancy(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     psi_t0 = art.transported_section.values[0]
     per_time = np.max(np.abs(art.heisenberg_values - psi_t0), axis=1)
     return _judged("heisenberg_constancy", art.times, per_time, tol)
 
 
-def _check_density_consistency(art: ScenarioArtifacts, tol: float,
-                               series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_density_consistency(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     t = art.transport
     # rho(t) by the conventional propagators, lifted: l^-1 rho(t) l over the grid
     lifted = lift_operators(t.frames, t.inverse_frames,
                             evolve_density_morphisms(art.cfg.initial_density, t.propagators))
     per_time = np.max(np.abs(art.density_transported - lifted), axis=(1, 2))
-    series["density_residual"] = per_time
+    art.series["density_residual"] = per_time
     return _judged("density_consistency", art.times, per_time, tol)
 
 
-def _check_density_purity(art: ScenarioArtifacts, tol: float,
-                          series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_density_purity(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     p = art.density_transported
     return _judged("density_purity", art.times, np.max(np.abs(p @ p - p), axis=(1, 2)), tol)
 
 
-def _check_fibre_trace(art: ScenarioArtifacts, tol: float,
-                       series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_fibre_trace(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     traces = np.trace(art.density_transported, axis1=1, axis2=2)
     per_time = np.abs(traces - np.trace(art.cfg.initial_density))
     return _judged("fibre_trace_preservation", art.times, per_time, tol)
@@ -291,8 +281,7 @@ def _check_fibre_trace(art: ScenarioArtifacts, tol: float,
 
 # module_dualities and integrals_of_motion build their own record: each has a
 # second pass condition besides the residual, and no worst time.
-def _check_module_dualities(art: ScenarioArtifacts, tol: float,
-                            series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_module_dualities(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     times = art.times[_coarse_indices(art.times.size)]
     n = art.cfg.dimension
     rng = np.random.default_rng([art.cfg.seed, 0x4D])
@@ -327,8 +316,7 @@ def _check_module_dualities(art: ScenarioArtifacts, tol: float,
     return CheckRecord("module_dualities", worst, tol, passed, None, detail=detail)
 
 
-def _check_integrals_of_motion(art: ScenarioArtifacts, tol: float,
-                               series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_integrals_of_motion(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     outcomes = []
     all_match = True
     worst = 0.0
@@ -346,19 +334,19 @@ def _check_integrals_of_motion(art: ScenarioArtifacts, tol: float,
                        None, detail="; ".join(outcomes))
 
 
-def _check_physics_closed_form(art: ScenarioArtifacts, tol: float,
-                               series: Dict[str, np.ndarray]) -> CheckRecord:
+def _check_physics_closed_form(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     omega = art.cfg.rabi_omega
     states = art.trajectory.states
     flip = np.abs(states[:, 1]) ** 2 / art.trajectory.norm_sq()
     target = np.sin(omega * (art.times - art.times[0]) / 2.0) ** 2
-    series["flip_probability"] = flip
-    series["flip_probability_closed_form"] = target
+    art.series["flip_probability"] = flip
+    art.series["flip_probability_closed_form"] = target
     return _judged("physics_closed_form", art.times, np.abs(flip - target), tol,
                    f"rabi flip vs sin^2({omega:g} t / 2)")
 
 
-# Check id -> check; every check takes (artifacts, tolerance, timeseries sink).
+# Check id -> check; every check takes (artifacts, tolerance) and returns its
+# record, and one that tracks a quantity over the grid adds it to `art.series`.
 _CHECK_TABLE = {
     "state_equivalence": _check_state_equivalence,
     "norm_drift": _check_norm_drift,
@@ -381,7 +369,6 @@ _CHECK_TABLE = {
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     """Run the conventional oracle, the bundle pipeline, and all requested checks."""
     started = time.perf_counter()
-    series: Dict[str, np.ndarray] = {}
     records: List[CheckRecord] = []
     try:
         art = build_artifacts(cfg)
@@ -391,15 +378,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         return ScenarioReport(cfg.name, records, cfg.echo, {},
                               time.perf_counter() - started)
 
-    series["time"] = cfg.times.copy()
     for check_id in cfg.checks:
         tol = cfg.tolerances[check_id]
         try:
-            records.append(_CHECK_TABLE[check_id](art, tol, series))
+            records.append(_CHECK_TABLE[check_id](art, tol))
         except Exception as exc:
             records.append(CheckRecord(check_id, float("inf"), tol, False, None,
                                        detail=f"{type(exc).__name__}: {exc}"))
     timeseries = {key: np.asarray(value, dtype=float).tolist()
-                  for key, value in series.items()}
+                  for key, value in art.series.items()}
     return ScenarioReport(cfg.name, records, cfg.echo, timeseries,
                           time.perf_counter() - started)

@@ -97,11 +97,8 @@ class SinglePoint(BaseSpace):
 
 @dataclass(frozen=True)
 class Path:
-    """Parameterized curve gamma: [t_start, t_end] -> base with a sample grid."""
+    """A parameterized curve gamma sampled on a grid; its ends are grid[0] and grid[-1]."""
 
-    base: BaseSpace
-    t_start: float
-    t_end: float
     grid: np.ndarray     # strictly increasing sample times
     points: np.ndarray   # (N, k) coordinates, k = 0 for a single-point base
 
@@ -138,7 +135,7 @@ def make_path(base: BaseSpace, domain: Tuple[float, float],
     single = isinstance(base, SinglePoint)
     if point_fn is None and not single:
         raise ValueError("point_fn is required unless the base is a single point")
-    path = Path(base, t0, t1, grid, base.coerce_points(None if single else point_fn(grid), grid))
+    path = Path(grid, base.coerce_points(None if single else point_fn(grid), grid))
     if forbid_self_intersections and self_intersections(path, 1e-9):
         raise ValueError("path self-intersects but the base forbids self-intersections")
     return path

@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bundle import _seeded_smooth_unitary, lift_operators
-from .dynamics import ObservableFamily, PropagatorGrid, grid_index
+from .dynamics import ObservableFamily, PropagatorGrid
 from .hilbert import _frozen, apply, expectations, max_abs
 from .transport import EvolutionTransport
 
@@ -50,9 +50,8 @@ def fibre_means(frames: np.ndarray, a: np.ndarray, values: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class PictureTransform:
-    """Invertible frame family V(t, t0) on a grid with V(t0, t0) = I."""
+    """Invertible frame family V(t, t0) on a grid, t0 its first time, with V(t0, t0) = I."""
 
-    reference_time: float
     times: np.ndarray
     matrices: np.ndarray  # (N, n, n)
 
@@ -61,17 +60,13 @@ class PictureTransform:
         mats = np.asarray(self.matrices, dtype=complex)
         if mats.shape[0] != times.shape[0] or mats.shape[1] != mats.shape[2]:
             raise ValueError("need one square matrix per grid time")
-        anchor = mats[grid_index(times, self.reference_time)]
-        if max_abs(anchor - np.eye(mats.shape[1])) > 1e-12:
-            raise ValueError("picture transform must be the identity at the reference time")
+        if max_abs(mats[0] - np.eye(mats.shape[1])) > 1e-12:
+            raise ValueError("picture transform must be the identity at the reference time, "
+                             "the first grid time")
         times.setflags(write=False)
         mats.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "matrices", mats)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrices.shape[1]
 
     @cached_property
     def inverse_matrices(self) -> np.ndarray:
@@ -84,14 +79,12 @@ class PictureTransform:
         times = np.asarray(times, dtype=float)
         mats = np.broadcast_to(np.eye(dimension, dtype=complex),
                                (times.size, dimension, dimension)).copy()
-        return cls(float(times[0]), times, mats)
+        return cls(times, mats)
 
     @classmethod
-    def from_transport(cls, transport: EvolutionTransport, reference_time: float
-                       ) -> "PictureTransform":
-        """Heisenberg frame family V(t) = U(t0, t)."""
-        mats = transport.matrices_into(reference_time)
-        return cls(reference_time, transport.times, mats)
+    def from_transport(cls, transport: EvolutionTransport) -> "PictureTransform":
+        """Heisenberg frame family V(t) = U(t0, t), read from the transport's `into_t0`."""
+        return cls(transport.times, transport.into_t0)
 
     @classmethod
     def random_unitary(cls, times, dimension: int, seed: int) -> "PictureTransform":
@@ -105,7 +98,7 @@ class PictureTransform:
         times = np.asarray(times, dtype=float)
         t0 = float(times[0])
         values, _ = _seeded_smooth_unitary(dimension, [int(seed), 0x9C], 0.7, 3.0)
-        return cls(t0, times, values(times - t0))
+        return cls(times, values(times - t0))
 
 
 def to_general_picture_observables(v: np.ndarray, v_inv: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -152,8 +145,6 @@ class IntegralOfMotionReport:
     certified: bool
     commutator_residual: float
     transport_residual: Optional[float]
-    worst_time: float
-    tolerance: float
     criteria_agree: bool
 
 
@@ -177,9 +168,8 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     residuals = a_vals @ h_vals
     residuals -= h_vals @ a_vals
     residuals += (1j * hbar) * da_vals
-    per_time = np.max(np.abs(residuals), axis=(1, 2))
-    comm_res = float(np.max(per_time))
-    worst_time = float(times[int(np.argmax(per_time))])
+    comm_res = max_abs(residuals)
+    del residuals  # released before the transport criterion builds its stacks
     conventional_ok = comm_res <= tol
 
     transport_res = None
@@ -198,7 +188,5 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
         certified=conventional_ok and transported_ok,
         commutator_residual=comm_res,
         transport_residual=transport_res,
-        worst_time=worst_time,
-        tolerance=tol,
         criteria_agree=agree,
     )

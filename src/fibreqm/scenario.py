@@ -89,8 +89,6 @@ class ScenarioConfig:
     name: str
     dimension: int
     constants: PhysicalConstants
-    base: BaseSpace
-    path: Path
     times: np.ndarray
     hamiltonian: HamiltonianFamily
     trivialization: TrivializationFamily
@@ -157,20 +155,49 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+class _ReadKeys(dict):
+    """A section's spec that records the keys its builder reads; a nested object does too."""
+
+    __slots__ = ("read", "nested")
+
+    def __init__(self, spec: dict):
+        super().__init__(spec)
+        self.read = set()
+        self.nested: Dict[str, _ReadKeys] = {}
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        value = dict.get(self, key, default)
+        if isinstance(value, dict):
+            value = self.nested[key] = _ReadKeys(value)
+        return value
+
+    def reject_unread(self, where: str) -> None:
+        unknown = self.keys() - self.read
+        if unknown:
+            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        for key, value in self.nested.items():
+            value.reject_unread(f"{where}.{key}")
+
+
 def _build(where: str, builder: Callable, spec, *args):
     """Run one section's builder; its ValueError or TypeError becomes a ConfigError.
 
     The message is prefixed with the section's field, so every error a config
-    can cause names where it is.
+    can cause names where it is.  A key the builder does not read, here or in
+    a nested object, is unknown, so a misspelled key never falls back to its default.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: need an object, got {spec!r}")
+    spec = _ReadKeys(spec)
     try:
-        return builder(spec, *args)
+        built = builder(spec, *args)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    spec.reject_unread(where)
+    return built
 
 
 def _tolerance(value, where: str) -> float:
@@ -180,6 +207,15 @@ def _tolerance(value, where: str) -> float:
 
 
 # --- builders ---------------------------------------------------------------
+
+def _build_grid(spec: dict) -> Tuple[float, float, int]:
+    t0 = _real(spec.get("t0", 0.0), "grid.t0")
+    t1 = _real(spec.get("t1", 1.0), "grid.t1")
+    steps = spec.get("steps")
+    _require(_is_int(steps) and steps >= 2, "grid.steps: need an integer >= 2")
+    _require(t0 < t1, "grid: need t0 < t1")
+    return t0, t1, steps
+
 
 def _build_base(spec: dict) -> BaseSpace:
     variant = spec.get("variant")
@@ -377,6 +413,12 @@ def _build_candidate(spec: dict, n: int, index: int,
     raise ConfigError(f"integral_candidates[{index}].kind: unknown kind {kind!r}")
 
 
+def _build_physics_check(spec: dict, n: int) -> float:
+    _require(spec.get("kind") == "rabi-flip", "physics_check.kind: only 'rabi-flip' is supported")
+    _require(n == 2, "physics_check.rabi-flip requires dimension 2")
+    return _real(spec.get("omega", np.pi), "physics_check.omega")
+
+
 # --- resolution --------------------------------------------------------------
 
 _KNOWN_KEYS = {
@@ -403,20 +445,15 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     seed = raw.get("seed", 0)
     _require(_is_int(seed) and seed >= 0, f"seed: need an integer >= 0, got {seed!r}")
 
-    grid_spec = raw.get("grid")
-    _require(isinstance(grid_spec, dict), "grid: required object with t0, t1, steps")
-    t0 = _real(grid_spec.get("t0", 0.0), "grid.t0")
-    t1 = _real(grid_spec.get("t1", 1.0), "grid.t1")
-    steps = grid_spec.get("steps")
-    _require(_is_int(steps) and steps >= 2, "grid.steps: need an integer >= 2")
-    _require(t0 < t1, "grid: need t0 < t1")
+    t0, t1, steps = _build("grid", _build_grid, raw.get("grid"))
     times = uniform_grid(t0, t1, steps)
 
     # Each default is stated once: the echo reports the specs that were built.
     base_spec = raw.get("base_space", {"variant": "euclidean", "dim": 3})
     base = _build("base_space", _build_base, base_spec)
     path_spec = raw.get("path", _default_path_spec(base))
-    path = _build("path", _build_path, path_spec, base, t0, t1, steps + 1)
+    # The run never reads the path: it is built to be validated, and the echo keeps its spec.
+    _build("path", _build_path, path_spec, base, t0, t1, steps + 1)
 
     hamiltonian_spec = raw.get("hamiltonian", {"kind": "zero"})
     hamiltonian = _build("hamiltonian", _build_hamiltonian, hamiltonian_spec, n, seed)
@@ -458,12 +495,8 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     ]
 
     physics_check = raw.get("physics_check")
-    rabi_omega = None
-    if physics_check is not None:
-        _require(isinstance(physics_check, dict) and physics_check.get("kind") == "rabi-flip",
-                 "physics_check.kind: only 'rabi-flip' is supported")
-        _require(n == 2, "physics_check.rabi-flip requires dimension 2")
-        rabi_omega = _real(physics_check.get("omega", np.pi), "physics_check.omega")
+    rabi_omega = (None if physics_check is None
+                  else _build("physics_check", _build_physics_check, physics_check, n))
 
     tol_spec = raw.get("tolerances", {})
     _require(isinstance(tol_spec, dict), "tolerances: must be an object")
@@ -520,9 +553,8 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     }
 
     return ScenarioConfig(
-        name=name, dimension=n, constants=constants, base=base, path=path,
-        times=times, hamiltonian=hamiltonian, trivialization=trivialization,
-        observables=observables, initial_state=initial_state,
+        name=name, dimension=n, constants=constants, times=times, hamiltonian=hamiltonian,
+        trivialization=trivialization, observables=observables, initial_state=initial_state,
         initial_density=initial_density, integral_candidates=candidates,
         rabi_omega=rabi_omega, checks=list(checks), tolerances=tolerances,
         seed=seed, faults=frozenset(key for key, on in faults.items() if on), echo=echo)
@@ -574,7 +606,7 @@ def _read_json(path: FsPath):
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config ({exc})") from exc
+        raise ConfigError(f"{path}: cannot read ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     try:

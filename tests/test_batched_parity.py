@@ -12,6 +12,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from fibreqm import scenario as scenario_module
 from fibreqm.checks import _sample_triples, build_artifacts, run_scenario
 from fibreqm.dynamics import (
     HamiltonianFamily,
@@ -21,6 +22,7 @@ from fibreqm.dynamics import (
     uniform_grid,
 )
 from fibreqm.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, max_abs
+from fibreqm.paths import make_path
 from fibreqm.scenario import catalog_names, parse_complex_matrix, scenario_from_dict
 from fibreqm.transport import EvolutionTransport, TransportAxiomReport, check_transport_axioms
 
@@ -209,11 +211,18 @@ def pointwise_path_point(spec, base, t0, t1, t):
 
 
 @pytest.mark.parametrize("name", [name for name, _ in catalog_names()])
-def test_batched_path_matches_pointwise_formula(name):
+def test_batched_path_matches_pointwise_formula(name, monkeypatch):
+    built = []  # (base, path) of each make_path call; resolution keeps only the path spec
+
+    def recording_make_path(base, *args, **kwargs):
+        built.append((base, make_path(base, *args, **kwargs)))
+        return built[-1][1]
+
+    monkeypatch.setattr(scenario_module, "make_path", recording_make_path)
     cfg = scenario_from_dict(catalog_raw(name))
-    path = cfg.path
-    expected = np.stack([pointwise_path_point(cfg.echo["path"], cfg.base, path.t_start,
-                                              path.t_end, float(t)) for t in path.grid])
+    [(base, path)] = built
+    expected = np.stack([pointwise_path_point(cfg.echo["path"], base, path.grid[0],
+                                              path.grid[-1], float(t)) for t in path.grid])
     assert path.points.shape == expected.shape
     assert np.array_equal(path.points, expected)
 

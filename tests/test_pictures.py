@@ -139,7 +139,7 @@ class TestGeneralPicture:
     def test_transport_frame_recovers_heisenberg(self):
         l = random_smooth_unitary_trivialization(2, 17)
         _, _, section, transport = evolved_setup(l)
-        v = PictureTransform.from_transport(transport, 0.0)
+        v = PictureTransform.from_transport(transport)
         a = lift_operator_on_grid(l, TIMES, SIGMA_X)
         into_t0, from_t0 = transport.matrices_into(0.0), transport.matrices_from(0.0)
         state_v = apply(v.matrices, section.values)
@@ -154,7 +154,7 @@ class TestGeneralPicture:
         times = TIMES
         phases = np.exp(1j * np.sin(2 * times))[:, None, None] * np.eye(2)
         phases[0] = np.eye(2)
-        v = PictureTransform(0.0, times, phases)
+        v = PictureTransform(times, phases)
         l = constant_trivialization(np.diag([1.0, 2.0]).astype(complex))
         _, _, section, _ = evolved_setup(l)
         a = lift_operator_on_grid(l, times, SIGMA_Z)
@@ -173,7 +173,7 @@ class TestGeneralPicture:
         mats = np.tile(np.eye(2, dtype=complex), (TIMES.size, 1, 1))
         mats[1:] += 0.3 * (rng.normal(size=(TIMES.size - 1, 2, 2))
                            + 1j * rng.normal(size=(TIMES.size - 1, 2, 2)))
-        v = PictureTransform(0.0, TIMES, mats)
+        v = PictureTransform(TIMES, mats)
         l = random_smooth_unitary_trivialization(2, 21)
         _, _, section, transport = evolved_setup(l)
         a = lift_operator_on_grid(l, TIMES, SIGMA_X)
@@ -189,7 +189,7 @@ class TestGeneralPicture:
         mats = np.tile(np.eye(2, dtype=complex), (TIMES.size, 1, 1))
         mats[1:] += 0.3 * (rng.normal(size=(TIMES.size - 1, 2, 2))
                            + 1j * rng.normal(size=(TIMES.size - 1, 2, 2)))
-        v = PictureTransform(0.0, TIMES, mats)
+        v = PictureTransform(TIMES, mats)
         l = random_smooth_unitary_trivialization(2, 31)
         _, _, section, transport = evolved_setup(l)
         a = lift_operator_on_grid(l, TIMES, 0.3 * SIGMA_X + 0.1 * SIGMA_Z).matrices
@@ -211,7 +211,7 @@ class TestGeneralPicture:
     def test_reference_anchor_enforced(self):
         mats = np.tile(2.0 * np.eye(2, dtype=complex), (TIMES.size, 1, 1))
         with pytest.raises(ValueError, match="identity at the reference"):
-            PictureTransform(0.0, TIMES, mats)
+            PictureTransform(TIMES, mats)
 
 
 class TestDensityMorphisms:

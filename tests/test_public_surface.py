@@ -171,15 +171,12 @@ def test_every_optional_parameter_is_set_by_a_caller():
     assert not never_set, f"optional parameters no caller sets: {never_set}"
 
 
-# The check-table contract: every check takes (artifacts, tolerance, timeseries sink).
-_CHECK_CONTRACT = {"art", "tol", "series"}
-
-
 def test_every_parameter_of_a_module_function_is_read():
     """A parameter its function never reads should not be a parameter.
 
-    Exempt are the check-table contract `_check_*(art, tol, series)` and the
-    argparse handlers `_cmd_*`, whose signatures their dispatchers fix.
+    This holds for the checks too: each `_check_*(art, tol)` reads both.
+    Exempt are the argparse handlers `_cmd_*`, whose signatures their
+    dispatchers fix.
     """
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -189,8 +186,6 @@ def test_every_parameter_of_a_module_function_is_read():
             args = fn.args
             params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
             params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
-            if fn.name.startswith("_check_"):
-                params = [p for p in params if p not in _CHECK_CONTRACT]
             read = {node.id for stmt in fn.body for node in ast.walk(stmt)
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             unread += [f"{path.stem}.{fn.name}({p})" for p in params if p not in read]

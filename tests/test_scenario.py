@@ -148,6 +148,34 @@ BAD_VALUES = {
                             r"^checks: duplicate check ids \['norm_drift'\]$"),
 }
 
+# One misspelled key per section object, and a key only another kind reads:
+# each is a ConfigError naming the section and the key, never a silent fall
+# back to the key's default.  case -> (section, unread key, config changes)
+UNREAD_KEYS = {
+    "base_space": ("base_space", "dimm", {"base_space": {"variant": "euclidean", "dimm": 2}}),
+    "path": ("path", "velocty", {"path": {"kind": "line", "velocty": [0.0, 1.0, 0.0]}}),
+    "grid": ("grid", "tl", {"grid": {"t0": 0.0, "tl": 2.0, "steps": 50}}),
+    "hamiltonian": ("hamiltonian", "coefficents",
+                    {"hamiltonian": {"kind": "pauli", "coefficents": {"x": 3.0}}}),
+    "hamiltonian.coefficients": ("hamiltonian.coefficients", "xx",
+                                 {"hamiltonian": {"kind": "pauli", "coefficients": {"xx": 3.0}}}),
+    "trivialization": ("trivialization", "omgea",
+                       {"trivialization": {"kind": "global-phase", "omgea": 1}}),
+    "observables[0]": ("observables[0]", "nmae",
+                       {"observables": [{"kind": "pauli", "axis": "z", "nmae": "s"}]}),
+    "observables[0].modulation": (
+        "observables[0].modulation", "omgea",
+        {"observables": [{"kind": "pauli", "axis": "z", "modulation": {"omgea": 2.0}}]}),
+    "integral_candidates[0]": (
+        "integral_candidates[0]", "expectd",
+        {"integral_candidates": [{"kind": "pauli", "axis": "z", "expected": True,
+                                  "expectd": False}]}),
+    "physics_check": ("physics_check", "omgea",
+                      {"physics_check": {"kind": "rabi-flip", "omgea": 2.0}}),
+    "key of another kind": ("hamiltonian", "coefficients",
+                            {"hamiltonian": {"kind": "zero", "coefficients": {"z": 1.0}}}),
+}
+
 
 def write_config(tmp_path, raw, name="cfg.json"):
     path = tmp_path / name
@@ -292,6 +320,12 @@ class TestLoading:
     @pytest.mark.parametrize("changes, match", list(BAD_VALUES.values()), ids=list(BAD_VALUES))
     def test_bad_value_is_a_config_error_naming_its_field(self, changes, match):
         with pytest.raises(ConfigError, match=match):
+            scenario_from_dict(dict(MINIMAL, **changes))
+
+    @pytest.mark.parametrize("where, key, changes", list(UNREAD_KEYS.values()),
+                             ids=list(UNREAD_KEYS))
+    def test_unread_key_is_a_config_error_naming_it(self, where, key, changes):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: unknown keys \['{key}'\]$"):
             scenario_from_dict(dict(MINIMAL, **changes))
 
     def test_integer_beyond_float_range_rejected(self):
@@ -464,8 +498,7 @@ class TestSampleOnce:
         family.derivative_at_many = recording("derivatives", family.derivative_at_many)
 
         art = build_artifacts(cfg)
-        series = {}
-        records = [_CHECK_TABLE[c](art, cfg.tolerances[c], series) for c in ALL_CHECKS]
+        records = [_CHECK_TABLE[c](art, cfg.tolerances[c]) for c in ALL_CHECKS]
         assert all(r.passed for r in records if r.check in cfg.checks)
         for kind, sampled in calls.items():
             assert sampled, kind
@@ -604,6 +637,25 @@ class TestArtifactNodes:
                 alone = run_scenario(dataclasses.replace(cfg, checks=[check_id]))
                 assert [r.to_dict() for r in alone.records] == [records[check_id]], \
                     (name, check_id)
+
+    def test_integrals_of_motion_keeps_no_commutator_stack_alive(self):
+        root = resources.files("fibreqm") / "catalog"
+        raw = json.loads((root / "random-unitary-gauge.json").read_text())
+        raw["dimension"], raw["grid"]["steps"] = 16, 400
+        cfg = scenario_from_dict(raw)
+        art = build_artifacts(cfg)
+        check, tol = _CHECK_TABLE["integrals_of_motion"], cfg.tolerances["integrals_of_motion"]
+        assert check(art, tol).passed  # and the t0 stacks now exist
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            check(art, tol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_stack = cfg.times.size * 16 * 16 * np.dtype(complex).itemsize
+        # the transport criterion's three stacks, and no commutator stack beside them
+        assert (peak - start) / one_stack < 3.5
 
     def test_every_node_computed_at_most_once(self, monkeypatch):
         computed = []  # (instance, node name); holding the instances keeps ids distinct
@@ -799,6 +851,10 @@ class TestCli:
         assert cli_main(["emit", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{path}: " in err and message in err
+
+    def test_emit_of_a_directory_names_it_as_unreadable(self, tmp_path, capsys):
+        assert cli_main(["emit", str(tmp_path)]) == 2
+        assert f"{tmp_path}: cannot read ([Errno " in capsys.readouterr().err
 
     def test_suite_of_catalog(self, tmp_path, capsys):
         # a tiny directory suite keeps this fast; catalog suite runs in acceptance
