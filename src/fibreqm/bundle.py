@@ -8,6 +8,13 @@ metric is induced through it:
     <u | v>_t = <l(t) u | l(t) v>
 
 which makes every l(t) an isometry onto the typical fibre by construction.
+
+Every frame stack S the package inverts (the trivialization on the grid and at
+the midpoints, the random picture) is inverted by one rule, decided from the
+samples alone: if max|S^dagger S - I| <= 1e-13, S is unitary to rounding and
+S^-1 = S^dagger, which also proves it invertible, so no SVD, `inv` or solve
+runs; otherwise the SVD ratio check and `np.linalg.inv` run as for any
+invertible matrix.
 """
 
 from __future__ import annotations
@@ -61,9 +68,33 @@ class NonPointwiseOperatorError(ValueError):
 _INVERTIBILITY_TOL = 1e-8
 # Scaled allowance of the analytic-versus-finite-difference derivative comparison.
 _DERIVATIVE_FD_TOL = 1e-3
+# Largest max|S^dagger S - I| at which a frame stack S counts as unitary.  With
+# S^-1 = S^dagger the transport identity U(t, t) = I reads S^dagger S directly,
+# so this stays below that check's 1e-12 tolerance; real gauges measure <= 3.1e-15.
+_UNITARY_TOL = 1e-13
+
+
+def _unitary_adjoint(mats: np.ndarray) -> np.ndarray | None:
+    """S^dagger if the samples prove S unitary (max|S^dagger S - I| <= 1e-13), else None.
+
+    Within that bound S^dagger is S^-1 to rounding, and every singular value of
+    S lies within 1 +- n 1e-13, so S also passes the 1e-8 invertibility ratio.
+    """
+    adjoint = np.conjugate(np.swapaxes(mats, -2, -1), order="C")
+    gram = adjoint @ mats
+    gram -= np.eye(mats.shape[-1])
+    return adjoint if max_abs(gram) <= _UNITARY_TOL else None
+
+
+def _frame_inverse(mats: np.ndarray) -> np.ndarray:
+    """S^-1 over a stack: S^dagger where the samples prove S unitary, else `np.linalg.inv`."""
+    adjoint = _unitary_adjoint(mats)
+    return np.linalg.inv(mats) if adjoint is None else adjoint
 
 
 def _require_invertible(mats: np.ndarray, name: str, times) -> None:
+    if _unitary_adjoint(mats) is not None:
+        return
     svals = np.linalg.svd(mats, compute_uv=False)
     ratios = svals[..., -1] / np.maximum(svals[..., 0], 1e-300)
     worst = int(np.argmin(ratios))
@@ -114,12 +145,12 @@ class TrivializationFamily:
     def validate_on_grid(self, times) -> np.ndarray:
         """Check invertibility at every grid time and derivative consistency.
 
-        The smallest singular value must stay >= 1e-8 * largest at every grid
-        time.  The derivative must match central finite differences of the
-        values at interior grid points; the allowance is 1e-3 (scaled) plus
-        the finite-difference truncation floor estimated from the sampled
-        third derivative, so correct derivatives pass on coarse grids while
-        order-one mistakes are still caught.
+        Every grid value must be unitary to 1e-13 or keep its smallest singular
+        value >= 1e-8 * largest.  The derivative must match central finite
+        differences of the values at interior grid points; the allowance is
+        1e-3 (scaled) plus the finite-difference truncation floor estimated from
+        the sampled third derivative, so correct derivatives pass on coarse
+        grids while order-one mistakes are still caught.
 
         Returns the checked grid values, so callers can reuse them instead of
         sampling the grid again.

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bundle import _seeded_smooth_unitary, lift_operators
+from .bundle import _frame_inverse, _seeded_smooth_unitary, lift_operators
 from .dynamics import ObservableFamily, PropagatorGrid
 from .hilbert import _frozen, apply, expectations, max_abs
 from .transport import EvolutionTransport
@@ -70,8 +70,12 @@ class PictureTransform:
 
     @cached_property
     def inverse_matrices(self) -> np.ndarray:
-        """V(t)^-1 at every grid time, inverted once and read only."""
-        return _frozen(np.linalg.inv(self.matrices))
+        """V(t)^-1 at every grid time, inverted once and read only.
+
+        V^dagger where max|V^dagger V - I| <= 1e-13 (the random unitary
+        picture), else `np.linalg.inv` (`bundle._frame_inverse`).
+        """
+        return _frozen(_frame_inverse(self.matrices))
 
     @classmethod
     def identity(cls, times, dimension: int) -> "PictureTransform":

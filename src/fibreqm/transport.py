@@ -27,7 +27,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .bundle import SectionAlongPath, TrivializationFamily
+from .bundle import SectionAlongPath, TrivializationFamily, _frame_inverse
 from .dynamics import (
     HamiltonianFamily,
     PropagatorGrid,
@@ -49,10 +49,14 @@ __all__ = [
 
 def _bundle_generator(frames: np.ndarray, h_vals: np.ndarray,
                       frame_derivatives: np.ndarray, hbar: float) -> np.ndarray:
-    """l^-1 (H l - i hbar dl/dt) over checked frames, one solve."""
+    """l^-1 (H l - i hbar dl/dt) over checked frames, as one product with l^-1.
+
+    l^-1 is l^dagger where max|l^dagger l - I| <= 1e-13, else `np.linalg.inv`
+    (`bundle._frame_inverse`).
+    """
     rhs = h_vals @ frames
     rhs -= 1j * hbar * frame_derivatives
-    return np.linalg.solve(frames, rhs)
+    return _frame_inverse(frames) @ rhs
 
 
 class MatrixBundleHamiltonian:
@@ -91,8 +95,10 @@ class EvolutionTransport:
     Built from the conventional propagator products and the frames l(t_k) on
     their grid alone, checked invertible (as `TrivializationFamily.at_many`
     returns them) and of shape (N, n, n) for the grid's N times and the
-    propagators' dimension n; they are inverted once.  Queries off the grid
-    are errors, never interpolations.
+    propagators' dimension n; they are inverted once, by their adjoint where
+    max|l^dagger l - I| <= 1e-13 and by `np.linalg.inv` otherwise
+    (`bundle._frame_inverse`).  Queries off the grid are errors, never
+    interpolations.
 
     `matrices_from` and `matrices_into` compute a stack on every call; the
     stacks at the first grid time are the read-only cached properties
@@ -107,7 +113,7 @@ class EvolutionTransport:
             raise ValueError(f"frames must have shape {expected} (the propagator grid's "
                              f"times and dimension), got {frames.shape}")
         self.frames = frames
-        self.inverse_frames = np.linalg.inv(self.frames)
+        self.inverse_frames = _frame_inverse(self.frames)
         for a in (self.frames, self.inverse_frames):
             a.setflags(write=False)
 

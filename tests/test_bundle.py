@@ -1,5 +1,10 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibreqm.bundle import (
     MorphismAlongPath,
@@ -20,8 +25,15 @@ from fibreqm.bundle import (
     morphism_as_section_operator,
     random_smooth_unitary_trivialization,
     section_operator_as_morphism,
+    _frame_inverse,
+    _require_invertible,
 )
+from fibreqm.checks import build_artifacts
+from fibreqm.dynamics import HamiltonianFamily, PropagatorGrid
 from fibreqm.hilbert import inner_products, max_abs
+from fibreqm.pictures import PictureTransform
+from fibreqm.scenario import catalog_names, load_catalog_scenario
+from fibreqm.transport import EvolutionTransport
 
 DIAG12 = constant_trivialization(np.diag([1.0, 2.0]).astype(complex))
 
@@ -347,3 +359,85 @@ def test_wrong_sampler_shape_rejected(sampler, derivative, query):
     family = TrivializationFamily(sampler, 2, derivative, name="misshapen")
     with pytest.raises(ValueError, match="misshapen"):
         getattr(family, query)(np.linspace(0.0, 1.0, 4) if query != "at" else 0.5)
+
+
+def unitary_stack(rng, count, n):
+    """`count` unitary n x n matrices, the Q factors of complex Gaussian matrices."""
+    q, _ = np.linalg.qr(rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n)))
+    return q
+
+
+@st.composite
+def unitary_stacks(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return unitary_stack(rng, draw(st.integers(2, 6)), draw(st.integers(1, 8)))
+
+
+def count_svd_and_inv(monkeypatch) -> Counter:
+    """Counts of np.linalg.svd and np.linalg.inv calls, keyed by (routine, calling module)."""
+    calls = Counter()
+    for routine in ("svd", "inv"):
+        def counting(*args, real=getattr(np.linalg, routine), routine=routine, **kwargs):
+            calls[routine, sys._getframe(1).f_globals["__name__"]] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, routine, counting)
+    return calls
+
+
+class TestFrameInverse:
+    """A frame stack proven unitary to 1e-13 by its samples is inverted by its adjoint."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in catalog_names()])
+    def test_only_the_non_unitary_gauge_takes_the_svd_and_inv_path(self, name, monkeypatch):
+        cfg = load_catalog_scenario(name)
+        calls = count_svd_and_inv(monkeypatch)
+        build_artifacts(cfg)  # the grid frames, the transport and the midpoint generator
+        PictureTransform.random_unitary(cfg.times, cfg.dimension, cfg.seed).inverse_matrices
+        frame_calls = {routine: k for (routine, module), k in calls.items()
+                       if module == "fibreqm.bundle"}
+        if name == "nonunitary-constant-gauge":
+            # the grid and the midpoints, each checked by its SVD and inverted once
+            assert frame_calls == {"svd": 2, "inv": 2}
+        else:
+            assert frame_calls == {}
+        assert calls["inv", "fibreqm.dynamics"] == 1  # PropagatorGrid.into_t0 keeps inv
+
+    def test_a_stack_past_the_unitarity_bound_takes_the_svd_and_inv_path(self, monkeypatch):
+        q = unitary_stack(np.random.default_rng(5), 6, 4)
+        times = np.linspace(0.0, 1.0, 6)
+        calls = count_svd_and_inv(monkeypatch)
+        for scale, expected in ((1 + 2.5e-14, {}), (1 + 2.5e-13, {"svd": 1, "inv": 1})):
+            stack = scale * q
+            gram = np.swapaxes(stack.conj(), -2, -1) @ stack
+            assert 0.8 * (scale ** 2 - 1) <= max_abs(gram - np.eye(4)) <= 1.2 * (scale ** 2 - 1)
+            calls.clear()
+            _require_invertible(stack, "scaled", times)
+            inverse = _frame_inverse(stack)
+            assert {routine: k for (routine, _), k in calls.items()} == expected
+            assert max_abs(inverse @ stack - np.eye(4)) <= 1e-12
+
+    def test_a_singular_stack_is_rejected_at_its_time(self):
+        sick = TrivializationFamily(
+            lambda ts: np.stack([np.diag([t, 1.0]) for t in ts]).astype(complex), 2,
+            lambda ts: np.broadcast_to(np.diag([1.0, 0.0]).astype(complex), (ts.size, 2, 2)),
+            name="sick")
+        with pytest.raises(SingularTrivializationError, match=r"'sick' is singular at t=1e-09$"):
+            sick.at_many([0.5, 0.25, 1e-9, 0.75])
+
+    @given(unitary_stacks())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_unitary_stacks_are_inverted_by_their_adjoint(self, stack):
+        count, n = stack.shape[:2]
+        expected = np.linalg.inv(stack)
+        adjoint = np.swapaxes(stack.conj(), -2, -1)
+        inverse = _frame_inverse(stack)
+        assert np.array_equal(inverse, adjoint)
+        assert max_abs(inverse - expected) <= 1e-13
+
+        times = np.arange(count, dtype=float)
+        transport = EvolutionTransport(PropagatorGrid(HamiltonianFamily.zero(n), times), stack)
+        picture = PictureTransform(np.arange(count + 1, dtype=float),
+                                   np.concatenate([np.eye(n)[None], stack]))
+        for held in (transport.inverse_frames, picture.inverse_matrices[1:]):
+            assert max_abs(held - expected) <= 1e-13
+            assert not held.flags.writeable

@@ -850,11 +850,22 @@ class TestCli:
         path.write_bytes(content)
         assert cli_main(["emit", str(path)]) == 2
         err = capsys.readouterr().err
-        assert f"{path}: " in err and message in err
+        assert err.startswith(f"error: {path}: ") and message in err
 
     def test_emit_of_a_directory_names_it_as_unreadable(self, tmp_path, capsys):
         assert cli_main(["emit", str(tmp_path)]) == 2
-        assert f"{tmp_path}: cannot read ([Errno " in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read ([Errno ")
+
+    def test_diff_of_a_directory_names_it_as_unreadable(self, tmp_path, capsys):
+        assert cli_main(["diff", str(tmp_path), str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read ([Errno ")
+
+    def test_diff_rejects_a_file_that_is_not_a_report(self, tmp_path, capsys):
+        path = tmp_path / "not-a-report.json"
+        path.write_bytes(b'{"kind": "scenario-report"}')
+        assert cli_main(["diff", str(path), str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not a report records file (KeyError('scenario'))\n")
 
     def test_suite_of_catalog(self, tmp_path, capsys):
         # a tiny directory suite keeps this fast; catalog suite runs in acceptance
@@ -870,3 +881,70 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         suite = suite_from_dict(payload)
         assert suite.overall_pass
+
+
+class TestDiff:
+    """`fibreqm diff OLD NEW` on saved catalog records files."""
+
+    @pytest.fixture
+    def saved(self, catalog_suite, tmp_path):
+        path = tmp_path / "old.records.json"
+        path.write_bytes(emit(catalog_suite[0], "records"))
+        return path
+
+    @staticmethod
+    def edited(saved, edit):
+        payload = json.loads(saved.read_text())
+        edit(payload["scenarios"][0]["records"])
+        path = saved.with_name("new.records.json")
+        path.write_text(json.dumps(payload))
+        return path
+
+    @staticmethod
+    def summary(records, flips=0, moved=0, largest=0.0, one_sided=0):
+        return (f"{records} records on both sides: {flips} verdict changes, {moved} moved "
+                f"residuals (largest move {largest:.3e}), 0 moved worst times, "
+                f"{one_sided} records on one side only\n")
+
+    def test_identical_files_differ_nowhere(self, saved, catalog_suite, capsys):
+        total = sum(len(rep.records) for rep in catalog_suite[0].reports)
+        assert cli_main(["diff", str(saved), str(saved)]) == 0
+        assert capsys.readouterr().out == self.summary(total)
+
+    def test_a_moved_residual_is_listed_and_passes(self, saved, catalog_suite, capsys):
+        first = catalog_suite[0].reports[0]
+        old = first.records[0].max_residual
+
+        def move(records):
+            records[0]["max_residual"] = 3 * old
+
+        assert cli_main(["diff", str(saved), str(self.edited(saved, move))]) == 0
+        total = sum(len(rep.records) for rep in catalog_suite[0].reports)
+        assert capsys.readouterr().out == (
+            f"{first.scenario} {first.records[0].check}: residual {old!r} -> {3 * old!r} "
+            f"(abs {2 * old:.3e}, rel 2.000e+00)\n"
+            + self.summary(total, moved=1, largest=2 * old))
+
+    def test_a_flipped_verdict_fails(self, saved, catalog_suite, capsys):
+        first = catalog_suite[0].reports[0]
+
+        def flip(records):
+            records[1]["passed"] = False
+
+        assert cli_main(["diff", str(saved), str(self.edited(saved, flip))]) == 1
+        total = sum(len(rep.records) for rep in catalog_suite[0].reports)
+        assert capsys.readouterr().out == (
+            f"{first.scenario} {first.records[1].check}: verdict pass -> FAIL\n"
+            + self.summary(total, flips=1))
+
+    def test_a_record_on_one_side_only_fails(self, saved, catalog_suite, capsys):
+        first = catalog_suite[0].reports[0]
+
+        def drop(records):
+            del records[-1]
+
+        assert cli_main(["diff", str(saved), str(self.edited(saved, drop))]) == 1
+        total = sum(len(rep.records) for rep in catalog_suite[0].reports)
+        assert capsys.readouterr().out == (
+            f"{first.scenario} {first.records[-1].check}: only in {saved}\n"
+            + self.summary(total - 1, one_sided=1))
