@@ -315,7 +315,7 @@ def lift_operators(frames: np.ndarray, inverse_frames: np.ndarray, a) -> np.ndar
 def lift_operator(l: TrivializationFamily, t: float, a) -> np.ndarray:
     """l(t)^-1 A l(t): the fibre morphism of a typical-fibre operator."""
     frame = l.at_many(t)[0]
-    return lift_operators(frame, np.linalg.inv(frame), as_operator(a))
+    return lift_operators(frame, _frame_inverse(frame), as_operator(a))
 
 
 def lift_trajectory(l: TrivializationFamily, times, states) -> SectionAlongPath:
@@ -323,14 +323,14 @@ def lift_trajectory(l: TrivializationFamily, times, states) -> SectionAlongPath:
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
     frames = l.at_many(times)
-    return SectionAlongPath(times, apply(np.linalg.inv(frames), states))
+    return SectionAlongPath(times, apply(_frame_inverse(frames), states))
 
 
 def lift_operator_on_grid(l: TrivializationFamily, times, a) -> MorphismAlongPath:
     """Lift one operator (or a stack, one per time) at every grid time."""
     times = np.asarray(times, dtype=float)
     frames = l.at_many(times)
-    return MorphismAlongPath(times, lift_operators(frames, np.linalg.inv(frames), a))
+    return MorphismAlongPath(times, lift_operators(frames, _frame_inverse(frames), a))
 
 
 # --- fibre metric and adjoints ---------------------------------------------

@@ -36,36 +36,27 @@ def _output_dir(args) -> FsPath | None:
     return FsPath(env) if env else None
 
 
-def _write_records(report, out_dir: FsPath, stem: str) -> FsPath:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / f"{stem}.records.json"
-    target.write_bytes(emit(report, "records"))
-    return target
+def _finish(report, args, stem: str) -> int:
+    """Print the report, write its records file if asked to, and return the exit status."""
+    sys.stdout.write(emit(report, args.format).decode())
+    out_dir = _output_dir(args)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        target = out_dir / f"{stem}.records.json"
+        target.write_bytes(emit(report, "records"))
+        print(f"records written to {target}", file=sys.stderr)
+    return 0 if report.overall_pass else 1
 
 
 def _cmd_run(args) -> int:
     path = FsPath(args.config)
-    if path.exists():
-        cfg = load_scenario(path)
-    else:
-        cfg = load_catalog_scenario(args.config)
+    cfg = load_scenario(path) if path.exists() else load_catalog_scenario(args.config)
     report = run_scenario(cfg)
-    sys.stdout.write(emit(report, args.format).decode())
-    out_dir = _output_dir(args)
-    if out_dir is not None:
-        written = _write_records(report, out_dir, report.scenario)
-        print(f"records written to {written}", file=sys.stderr)
-    return 0 if report.overall_pass else 1
+    return _finish(report, args, report.scenario)
 
 
 def _cmd_suite(args) -> int:
-    report = run_suite(args.target)
-    sys.stdout.write(emit(report, args.format).decode())
-    out_dir = _output_dir(args)
-    if out_dir is not None:
-        written = _write_records(report, out_dir, "suite")
-        print(f"records written to {written}", file=sys.stderr)
-    return 0 if report.overall_pass else 1
+    return _finish(run_suite(args.target), args, "suite")
 
 
 def _cmd_catalog(_args) -> int:

@@ -8,7 +8,7 @@ two runs differ only in the timing field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 SCHEMA_VERSION = 1
@@ -37,14 +37,7 @@ class CheckRecord:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "worst_time": self.worst_time,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckRecord":
@@ -104,7 +97,6 @@ class SuiteReport:
     """Aggregate over scenario reports, sorted by scenario name."""
 
     reports: List[ScenarioReport]
-    warnings: List[str] = field(default_factory=list)
     timing_seconds: float = 0.0
 
     def __post_init__(self):
@@ -113,6 +105,10 @@ class SuiteReport:
     @property
     def overall_pass(self) -> bool:
         return all(r.overall_pass for r in self.reports)
+
+    @property
+    def warnings(self) -> List[str]:
+        return [] if self.reports else ["suite is empty; overall pass is vacuous"]
 
     def to_dict(self, include_timing: bool = True) -> dict:
         d = {
@@ -132,7 +128,6 @@ def suite_from_dict(d: dict) -> SuiteReport:
         raise ValueError("not a suite-report record file")
     return SuiteReport(
         reports=[report_from_dict(r) for r in d["scenarios"]],
-        warnings=d.get("warnings", []),
         timing_seconds=d.get("timing_seconds", 0.0),
     )
 

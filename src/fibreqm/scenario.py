@@ -7,6 +7,8 @@ echo dict (defaults filled, seed fixed) that reports embed verbatim.
 
 from __future__ import annotations
 
+import copy
+import difflib
 import json
 import sys
 from dataclasses import dataclass, field
@@ -25,7 +27,7 @@ from .bundle import (
     random_smooth_unitary_trivialization,
 )
 from .dynamics import HamiltonianFamily, ObservableFamily, uniform_grid, validate_density
-from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, PhysicalConstants, as_operator, is_hermitian
+from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, PhysicalConstants, is_hermitian, max_abs
 from .paths import BaseSpace, Euclidean, Interval, Path, SinglePoint, make_path
 
 __all__ = [
@@ -134,10 +136,6 @@ def _real_vector(obj, n: int, where: str) -> np.ndarray:
     return np.array([_real(x, f"{where}[{i}]") for i, x in enumerate(obj)])
 
 
-def _real_diagonal(entries, n: int, where: str) -> np.ndarray:
-    return np.diag(_real_vector(entries, n, where)).astype(complex)
-
-
 def parse_complex_vector(obj, n: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != n:
         raise ConfigError(f"{where}: expected a list of {n} [re, im] pairs")
@@ -172,6 +170,12 @@ class _ReadKeys(dict):
             value = self.nested[key] = _ReadKeys(value)
         return value
 
+    def near_misses(self) -> List[str]:
+        """Unread keys close to a key the builder asked for and did not find."""
+        unread = list(self.keys() - self.read)
+        return sorted({near for key in self.read - self.keys()
+                       for near in difflib.get_close_matches(key, unread)})
+
     def reject_unread(self, where: str) -> None:
         unknown = self.keys() - self.read
         if unknown:
@@ -185,17 +189,21 @@ def _build(where: str, builder: Callable, spec, *args):
 
     The message is prefixed with the section's field, so every error a config
     can cause names where it is.  A key the builder does not read, here or in
-    a nested object, is unknown, so a misspelled key never falls back to its default.
+    a nested object, is unknown, so a misspelled key never falls back to its
+    default; if the builder fails for want of a key the section holds a near
+    miss of, the error names the near miss first.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: need an object, got {spec!r}")
     spec = _ReadKeys(spec)
     try:
         built = builder(spec, *args)
-    except ConfigError:
-        raise
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        message = str(exc) if isinstance(exc, ConfigError) else f"{where}: {exc}"
+        near = spec.near_misses()
+        if near:
+            message = f"{where}: unknown keys {near} ({message})"
+        raise ConfigError(message) from exc
     spec.reject_unread(where)
     return built
 
@@ -340,9 +348,8 @@ def _build_trivialization(spec: dict, n: int, seed: int) -> TrivializationFamily
         return diagonal_phase_trivialization(
             [_real(w, f"trivialization.omegas[{i}]") for i, w in enumerate(omegas)])
     if kind == "constant-diagonal":
-        return constant_trivialization(
-            _real_diagonal(spec.get("entries"), n, "trivialization.entries"),
-            name="constant-diagonal")
+        entries = _real_vector(spec.get("entries"), n, "trivialization.entries")
+        return constant_trivialization(np.diag(entries).astype(complex), name="constant-diagonal")
     if kind == "constant":
         m = parse_complex_matrix(spec.get("matrix"), n, "trivialization.matrix")
         return constant_trivialization(m)
@@ -372,7 +379,8 @@ def _build_observable(spec: dict, n: int, seed: int, index: int) -> ObservableFa
     elif kind == "matrix":
         base = parse_complex_matrix(spec.get("matrix"), n, f"observables[{index}].matrix")
     elif kind == "diagonal":
-        base = _real_diagonal(spec.get("entries"), n, f"observables[{index}].entries")
+        entries = _real_vector(spec.get("entries"), n, f"observables[{index}].entries")
+        base = np.diag(entries).astype(complex)
     elif kind == "random-hermitian":
         scale = _real(spec.get("scale", 1.0), f"observables[{index}].scale")
         base = _random_hermitian(n, [seed, 0xA0, index], scale)
@@ -421,151 +429,8 @@ def _build_physics_check(spec: dict, n: int) -> float:
 
 # --- resolution --------------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "name", "description", "dimension", "hbar", "base_space", "path", "grid",
-    "hamiltonian", "trivialization", "observables", "initial_state",
-    "initial_density", "integral_candidates", "physics_check", "checks",
-    "tolerances", "seed", "faults",
-}
-
-
-def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
-    """Validate and resolve a raw config dict into a runnable scenario."""
-    _require(isinstance(raw, dict), f"{source}: config must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
-    _require(not unknown, f"{source}: unknown config keys {sorted(unknown)}")
-
-    name = raw.get("name")
-    _require(isinstance(name, str) and name, "name: required non-empty string")
-    n = raw.get("dimension")
-    _require(_is_int(n) and n >= 1, "dimension: need an integer >= 1")
-    hbar = _real(raw.get("hbar", 1.0), "hbar")
-    _require(hbar > 0, f"hbar: need a positive number, got {hbar!r}")
-    constants = PhysicalConstants(hbar)
-    seed = raw.get("seed", 0)
-    _require(_is_int(seed) and seed >= 0, f"seed: need an integer >= 0, got {seed!r}")
-
-    t0, t1, steps = _build("grid", _build_grid, raw.get("grid"))
-    times = uniform_grid(t0, t1, steps)
-
-    # Each default is stated once: the echo reports the specs that were built.
-    base_spec = raw.get("base_space", {"variant": "euclidean", "dim": 3})
-    base = _build("base_space", _build_base, base_spec)
-    path_spec = raw.get("path", _default_path_spec(base))
-    # The run never reads the path: it is built to be validated, and the echo keeps its spec.
-    _build("path", _build_path, path_spec, base, t0, t1, steps + 1)
-
-    hamiltonian_spec = raw.get("hamiltonian", {"kind": "zero"})
-    hamiltonian = _build("hamiltonian", _build_hamiltonian, hamiltonian_spec, n, seed)
-    trivialization_spec = raw.get("trivialization", {"kind": "identity"})
-    trivialization = _build("trivialization", _build_trivialization, trivialization_spec, n, seed)
-
-    obs_specs = raw.get("observables", _default_observable_specs(n))
-    _require(isinstance(obs_specs, list) and obs_specs, "observables: must be a non-empty list")
-    observables = [_build(f"observables[{i}]", _build_observable, spec, n, seed, i)
-                   for i, spec in enumerate(obs_specs)]
-    names = [family.name for family in observables]
-    _require(len(set(names)) == len(names), "observables: names must be unique")
-
-    state_spec = raw.get("initial_state")
-    if state_spec is None:
-        initial_state = np.zeros(n, dtype=complex)
-        initial_state[0] = 1.0
-    else:
-        initial_state = parse_complex_vector(state_spec, n, "initial_state")
-        _require(bool(np.vdot(initial_state, initial_state).real > 0),
-                 "initial_state: must be nonzero")
-
-    density_spec = raw.get("initial_density")
-    if density_spec is None:
-        initial_density = (np.outer(initial_state, initial_state.conj())
-                           / np.vdot(initial_state, initial_state).real)
-    else:
-        initial_density = parse_complex_matrix(density_spec, n, "initial_density")
-        try:
-            validate_density(initial_density)
-        except ValueError as exc:
-            raise ConfigError(f"initial_density: {exc}") from exc
-
-    candidate_specs = raw.get("integral_candidates", [])
-    _require(isinstance(candidate_specs, list), "integral_candidates: must be a list")
-    candidates = [
-        _build(f"integral_candidates[{i}]", _build_candidate, spec, n, i, hamiltonian, t0)
-        for i, spec in enumerate(candidate_specs)
-    ]
-
-    physics_check = raw.get("physics_check")
-    rabi_omega = (None if physics_check is None
-                  else _build("physics_check", _build_physics_check, physics_check, n))
-
-    tol_spec = raw.get("tolerances", {})
-    _require(isinstance(tol_spec, dict), "tolerances: must be an object")
-    tol_spec = dict(tol_spec)
-    eq_tol = _tolerance(tol_spec.pop("eq_tol", 1e-6), "tolerances.eq_tol")
-    prop_tol = _tolerance(tol_spec.pop("prop_tol", 1e-8), "tolerances.prop_tol")
-    tolerances = default_tolerances(eq_tol, prop_tol)
-    for key, value in tol_spec.items():
-        _require(key in tolerances, f"tolerances: unknown check id {key!r}")
-        tolerances[key] = _tolerance(value, f"tolerances.{key}")
-
-    faults = raw.get("faults", {})
-    _require(isinstance(faults, dict), "faults: must be an object")
-    faults = dict(faults)
-    unknown_faults = set(faults) - {"drop_trivialization_derivative"}
-    _require(not unknown_faults, f"faults: unknown keys {sorted(unknown_faults)}")
-    for key, on in faults.items():
-        _require(isinstance(on, bool), f"faults.{key}: need a bool, got {on!r}")
-
-    checks = raw.get("checks")
-    if checks is None:
-        checks = _default_checks(hamiltonian, candidates, rabi_omega,
-                                 density_spec is None or _density_is_pure(initial_density))
-    else:
-        _require(isinstance(checks, list) and checks, "checks: must be a non-empty list")
-        for c in checks:
-            _require(c in ALL_CHECKS, f"checks: unknown check id {c!r}")
-        repeated = sorted({c for c in checks if checks.count(c) > 1})
-        _require(not repeated, f"checks: duplicate check ids {repeated}")
-        _require("integrals_of_motion" not in checks or candidates,
-                 "checks: integrals_of_motion needs integral_candidates")
-        _require("physics_closed_form" not in checks or rabi_omega is not None,
-                 "checks: physics_closed_form needs physics_check")
-
-    echo = {
-        "name": name,
-        "description": raw.get("description", ""),
-        "dimension": n,
-        "hbar": hbar,
-        "base_space": base_spec,
-        "path": path_spec,
-        "grid": {"t0": t0, "t1": t1, "steps": steps},
-        "hamiltonian": hamiltonian_spec,
-        "trivialization": trivialization_spec,
-        "observables": obs_specs,
-        "initial_state": state_spec,
-        "initial_density": density_spec,
-        "integral_candidates": candidate_specs,
-        "physics_check": physics_check,
-        "checks": list(checks),
-        "tolerances": {"eq_tol": eq_tol, "prop_tol": prop_tol, **tol_spec},
-        "seed": seed,
-        "faults": faults,
-    }
-
-    return ScenarioConfig(
-        name=name, dimension=n, constants=constants, times=times, hamiltonian=hamiltonian,
-        trivialization=trivialization, observables=observables, initial_state=initial_state,
-        initial_density=initial_density, integral_candidates=candidates,
-        rabi_omega=rabi_omega, checks=list(checks), tolerances=tolerances,
-        seed=seed, faults=frozenset(key for key, on in faults.items() if on), echo=echo)
-
-
 def _default_path_spec(base: BaseSpace) -> dict:
-    if isinstance(base, SinglePoint):
-        return {"kind": "constant"}
-    if isinstance(base, Interval):
-        return {"kind": "identity"}
-    return {"kind": "line"}
+    return {"kind": {SinglePoint: "constant", Interval: "identity"}.get(type(base), "line")}
 
 
 def _default_observable_specs(n: int) -> list:
@@ -576,29 +441,162 @@ def _default_observable_specs(n: int) -> list:
             {"kind": "random-hermitian", "name": "random_obs"}]
 
 
-def _default_checks(hamiltonian: HamiltonianFamily, candidates, rabi_omega,
-                    pure_density: bool) -> List[str]:
-    checks = ["state_equivalence"]
-    if hamiltonian.hermitian_expected:
-        checks.append("norm_drift")
-    checks += ["transport_identity", "transport_composition", "mean_value_invariance",
-               "hermiticity_correspondence"]
-    if hamiltonian.hermitian_expected:
-        checks += ["unitary_bundle_map", "picture_invariance", "heisenberg_constancy"]
-    checks += ["density_consistency"]
-    if pure_density:
-        checks.append("density_purity")
-    checks.append("fibre_trace_preservation")
-    if candidates:
-        checks.append("integrals_of_motion")
-    if rabi_omega is not None:
-        checks.append("physics_closed_form")
-    return checks
+# Every top-level config key and its default, in echo order (README.md's table is
+# tested against it).  A function default is computed, and only for an absent key;
+# an absent _REQUIRED key resolves to None, which its own check rejects.
+_REQUIRED = object()
+_CONFIG_KEYS = {
+    "name": _REQUIRED,
+    "description": "",
+    "dimension": _REQUIRED,
+    "hbar": 1.0,
+    "base_space": {"variant": "euclidean", "dim": 3},
+    "path": _default_path_spec,
+    "grid": _REQUIRED,
+    "hamiltonian": {"kind": "zero"},
+    "trivialization": {"kind": "identity"},
+    "observables": _default_observable_specs,
+    "initial_state": None,  # the first basis vector
+    "initial_density": None,  # the pure density of initial_state
+    "integral_candidates": [],
+    "physics_check": None,
+    "checks": None,  # chosen from the scenario's content
+    "tolerances": {},
+    "seed": 0,
+    "faults": {},
+}
+
+# Every fault a config can switch on, each off unless its flag is true.
+FAULTS = ("drop_trivialization_derivative",)
 
 
-def _density_is_pure(initial_density: np.ndarray) -> bool:
-    rho = as_operator(initial_density)
-    return bool(np.max(np.abs(rho @ rho - rho)) <= 1e-10)
+def _build_tolerances(spec: dict) -> Tuple[dict, Dict[str, float]]:
+    """(echo, tolerance of each check): eq_tol and prop_tol set defaults a check id overrides."""
+    echo = dict(spec, eq_tol=_tolerance(spec.get("eq_tol", 1e-6), "tolerances.eq_tol"),
+                prop_tol=_tolerance(spec.get("prop_tol", 1e-8), "tolerances.prop_tol"))
+    tolerances = default_tolerances(echo["eq_tol"], echo["prop_tol"])
+    for key in spec:
+        if key in tolerances:
+            tolerances[key] = _tolerance(spec.get(key), f"tolerances.{key}")
+    return echo, tolerances
+
+
+def _build_faults(spec: dict) -> FrozenSet[str]:
+    flags = {name: spec.get(name, False) for name in FAULTS}
+    for name, on in flags.items():
+        _require(isinstance(on, bool), f"faults.{name}: need a bool, got {on!r}")
+    return frozenset(name for name, on in flags.items() if on)
+
+
+def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
+    """Validate and resolve a raw config dict into a runnable scenario.
+
+    The echo is the config with every default filled in: the computed path,
+    observables and checks, and hbar, grid and tolerances as resolved.
+    """
+    _require(isinstance(raw, dict), f"{source}: config must be a JSON object")
+    unknown = raw.keys() - _CONFIG_KEYS.keys()
+    _require(not unknown, f"{source}: unknown config keys {sorted(unknown)}")
+    # An absent key takes a copy of its default (each is flat, so a shallow copy is
+    # whole) and no two configs share one; a required or computed key starts as None.
+    echo = {key: raw[key] if key in raw else
+            None if default is _REQUIRED or callable(default) else copy.copy(default)
+            for key, default in _CONFIG_KEYS.items()}
+
+    name = echo["name"]
+    _require(isinstance(name, str) and name, "name: required non-empty string")
+    n = echo["dimension"]
+    _require(_is_int(n) and n >= 1, "dimension: need an integer >= 1")
+    hbar = echo["hbar"] = _real(echo["hbar"], "hbar")
+    _require(hbar > 0, f"hbar: need a positive number, got {hbar!r}")
+    seed = echo["seed"]
+    _require(_is_int(seed) and seed >= 0, f"seed: need an integer >= 0, got {seed!r}")
+
+    t0, t1, steps = _build("grid", _build_grid, echo["grid"])
+    echo["grid"] = {"t0": t0, "t1": t1, "steps": steps}
+    times = uniform_grid(t0, t1, steps)
+
+    base = _build("base_space", _build_base, echo["base_space"])
+    if "path" not in raw:
+        echo["path"] = _CONFIG_KEYS["path"](base)
+    # The run never reads the path: it is built to be validated, and the echo keeps its spec.
+    _build("path", _build_path, echo["path"], base, t0, t1, steps + 1)
+
+    hamiltonian = _build("hamiltonian", _build_hamiltonian, echo["hamiltonian"], n, seed)
+    trivialization = _build("trivialization", _build_trivialization, echo["trivialization"],
+                            n, seed)
+
+    if "observables" not in raw:
+        echo["observables"] = _CONFIG_KEYS["observables"](n)
+    obs_specs = echo["observables"]
+    _require(isinstance(obs_specs, list) and obs_specs, "observables: must be a non-empty list")
+    observables = [_build(f"observables[{i}]", _build_observable, spec, n, seed, i)
+                   for i, spec in enumerate(obs_specs)]
+    names = [family.name for family in observables]
+    _require(len(set(names)) == len(names), "observables: names must be unique")
+
+    if echo["initial_state"] is None:
+        initial_state = np.zeros(n, dtype=complex)
+        initial_state[0] = 1.0
+    else:
+        initial_state = parse_complex_vector(echo["initial_state"], n, "initial_state")
+        _require(bool(np.vdot(initial_state, initial_state).real > 0),
+                 "initial_state: must be nonzero")
+
+    if echo["initial_density"] is None:
+        initial_density = (np.outer(initial_state, initial_state.conj())
+                           / np.vdot(initial_state, initial_state).real)
+    else:
+        initial_density = parse_complex_matrix(echo["initial_density"], n, "initial_density")
+        try:
+            validate_density(initial_density)
+        except ValueError as exc:
+            raise ConfigError(f"initial_density: {exc}") from exc
+
+    candidate_specs = echo["integral_candidates"]
+    _require(isinstance(candidate_specs, list), "integral_candidates: must be a list")
+    candidates = [_build(f"integral_candidates[{i}]", _build_candidate, c, n, i, hamiltonian, t0)
+                  for i, c in enumerate(candidate_specs)]
+
+    rabi_omega = (None if echo["physics_check"] is None
+                  else _build("physics_check", _build_physics_check, echo["physics_check"], n))
+    echo["tolerances"], tolerances = _build("tolerances", _build_tolerances, echo["tolerances"])
+    faults = _build("faults", _build_faults, echo["faults"])
+
+    checks = echo["checks"]
+    if checks is None:
+        pure = echo["initial_density"] is None or bool(
+            max_abs(initial_density @ initial_density - initial_density) <= 1e-10)
+        checks = _default_checks(hamiltonian.hermitian_expected, pure, bool(candidates),
+                                 rabi_omega is not None)
+    else:
+        _require(isinstance(checks, list) and checks, "checks: must be a non-empty list")
+        for c in checks:
+            _require(c in ALL_CHECKS, f"checks: unknown check id {c!r}")
+        repeated = sorted({c for c in checks if checks.count(c) > 1})
+        _require(not repeated, f"checks: duplicate check ids {repeated}")
+        _require("integrals_of_motion" not in checks or candidates,
+                 "checks: integrals_of_motion needs integral_candidates")
+        _require("physics_closed_form" not in checks or rabi_omega is not None,
+                 "checks: physics_closed_form needs physics_check")
+    echo["checks"] = list(checks)
+
+    return ScenarioConfig(
+        name=name, dimension=n, constants=PhysicalConstants(hbar), times=times,
+        hamiltonian=hamiltonian, trivialization=trivialization, observables=observables,
+        initial_state=initial_state, initial_density=initial_density,
+        integral_candidates=candidates, rabi_omega=rabi_omega, checks=list(checks),
+        tolerances=tolerances, seed=seed, faults=faults, echo=echo)
+
+
+def _default_checks(hermitian: bool, pure_density: bool, candidates: bool,
+                    physics: bool) -> List[str]:
+    """Each check the scenario has inputs for, in execution order; module_dualities by request."""
+    only_if = {"norm_drift": hermitian, "unitary_bundle_map": hermitian,
+               "picture_invariance": hermitian, "heisenberg_constancy": hermitian,
+               "density_purity": pure_density, "module_dualities": False,
+               "integrals_of_motion": candidates, "physics_closed_form": physics}
+    return [check for check in ALL_CHECKS if only_if.get(check, True)]
 
 
 def _read_json(path: FsPath):
@@ -634,7 +632,8 @@ def _catalog_raws() -> List[Tuple[str, dict]]:
 
 def catalog_names() -> List[Tuple[str, str]]:
     """(name, description) pairs of the built-in scenarios, manifest order."""
-    return [(raw["name"], raw.get("description", "")) for _, raw in _catalog_raws()]
+    return [(raw["name"], raw.get("description", _CONFIG_KEYS["description"]))
+            for _, raw in _catalog_raws()]
 
 
 def load_catalog_scenario(name: str) -> ScenarioConfig:

@@ -37,13 +37,18 @@ def resolve_suite_inputs(target) -> List[ScenarioConfig]:
 
 
 def run_configs(configs: Sequence[ScenarioConfig]) -> SuiteReport:
-    """Run scenarios in order; isolation means order never affects records."""
+    """Run scenarios in order; isolation means order never affects records.
+
+    Records are keyed by scenario name, so a name given twice is a ConfigError
+    before any scenario runs.
+    """
+    names = [cfg.name for cfg in configs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"suite: duplicate scenario names {repeated}")
     started = time.perf_counter()
-    warnings = []
-    if not configs:
-        warnings.append("suite is empty; overall pass is vacuous")
     reports = [run_scenario(cfg) for cfg in configs]
-    return SuiteReport(reports, warnings, time.perf_counter() - started)
+    return SuiteReport(reports, time.perf_counter() - started)
 
 
 def run_suite(target) -> SuiteReport:

@@ -1,5 +1,7 @@
+import ast
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fibreqm.bundle import (
     global_phase_trivialization,
     identity_trivialization,
     lift_operator,
+    lift_operator_on_grid,
     lift_operators,
     lift_trajectory,
     module_combine,
@@ -402,6 +405,29 @@ class TestFrameInverse:
             assert frame_calls == {}
         assert calls["inv", "fibreqm.dynamics"] == 1  # PropagatorGrid.into_t0 keeps inv
 
+    @pytest.mark.parametrize("name", [name for name, _ in catalog_names()])
+    def test_the_lift_helpers_follow_the_one_inverse_rule(self, name, monkeypatch):
+        cfg = load_catalog_scenario(name)
+        n, times = cfg.dimension, cfg.times
+        a = np.arange(n * n).reshape(n, n) + 1j * np.eye(n)
+        calls = count_svd_and_inv(monkeypatch)
+        lifted = [lift_operator(cfg.trivialization, times[3], a),
+                  lift_operator_on_grid(cfg.trivialization, times, a).matrices[3],
+                  lift_trajectory(cfg.trivialization, times, np.tile(a[0], (times.size, 1)))
+                  .values[3]]
+        frame_calls = {routine: k for (routine, module), k in calls.items()
+                       if module == "fibreqm.bundle"}
+        if name == "nonunitary-constant-gauge":
+            assert frame_calls == {"svd": 3, "inv": 3}  # each helper checks and inverts once
+        else:
+            assert frame_calls == {}
+        frame = cfg.trivialization.at_many(times[3])[0]
+        expected = np.linalg.solve(frame, a @ frame)
+        scale = max_abs(expected)
+        assert max_abs(lifted[0] - expected) <= 1e-13 * scale
+        assert max_abs(lifted[1] - expected) <= 1e-13 * scale
+        assert max_abs(lifted[2] - np.linalg.solve(frame, a[0])) <= 1e-13 * max_abs(a)
+
     def test_a_stack_past_the_unitarity_bound_takes_the_svd_and_inv_path(self, monkeypatch):
         q = unitary_stack(np.random.default_rng(5), 6, 4)
         times = np.linspace(0.0, 1.0, 6)
@@ -441,3 +467,22 @@ class TestFrameInverse:
         for held in (transport.inverse_frames, picture.inverse_matrices[1:]):
             assert max_abs(held - expected) <= 1e-13
             assert not held.flags.writeable
+
+
+def test_np_linalg_inv_runs_only_in_the_two_inverters():
+    """`_frame_inverse` inverts every frame stack; `PropagatorGrid.__init__` forms `into_t0`."""
+    sites = set()
+
+    def visit(node, fname, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Attribute) and child.attr == "inv"
+                    and ast.unparse(child.value) == "np.linalg"):
+                sites.add((fname, scope))
+            visit(child, fname, inner)
+
+    for path in (Path(__file__).resolve().parent.parent / "src" / "fibreqm").glob("*.py"):
+        visit(ast.parse(path.read_text()), path.name, "")
+    assert sites == {("bundle.py", "_frame_inverse"), ("dynamics.py", "PropagatorGrid.__init__")}

@@ -13,6 +13,7 @@ import pytest
 import fibreqm.bundle as bundle_module
 import fibreqm.checks as checks_module
 import fibreqm.scenario as scenario_module
+import fibreqm.suite as suite_module
 from fibreqm.bundle import TrivializationFamily
 from fibreqm.checks import (
     _CHECK_TABLE,
@@ -34,7 +35,7 @@ from fibreqm.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from fibreqm.suite import run_suite
+from fibreqm.suite import run_configs, run_suite
 from fibreqm.transport import EvolutionTransport
 
 MINIMAL = {
@@ -146,6 +147,15 @@ BAD_VALUES = {
     # a check id names one record, so it is requested once
     "duplicate check ids": ({"checks": ["norm_drift", "state_equivalence", "norm_drift"]},
                             r"^checks: duplicate check ids \['norm_drift'\]$"),
+    # tolerances and faults are sections, read like any other
+    "tolerances list": ({"tolerances": [1e-6]}, r"^tolerances: need an object, got \[1e-06\]$"),
+    "faults list": ({"faults": ["drop_trivialization_derivative"]},
+                    r"^faults: need an object, got \['drop_trivialization_derivative'\]$"),
+    "tolerance null": ({"tolerances": {"norm_drift": None}},
+                       r"^tolerances\.norm_drift: need a finite number, got None$"),
+    # a computed default is computed only for an absent key, never for null
+    "path null": ({"path": None}, r"^path: need an object, got None$"),
+    "observables null": ({"observables": None}, r"^observables: must be a non-empty list$"),
 }
 
 # One misspelled key per section object, and a key only another kind reads:
@@ -174,6 +184,32 @@ UNREAD_KEYS = {
                       {"physics_check": {"kind": "rabi-flip", "omgea": 2.0}}),
     "key of another kind": ("hamiltonian", "coefficients",
                             {"hamiltonian": {"kind": "zero", "coefficients": {"z": 1.0}}}),
+    "tolerances": ("tolerances", "nonsense", {"tolerances": {"eq_tol": 1e-5, "nonsense": 1.0}}),
+    "faults": ("faults", "drop_trivialisation_derivative",
+               {"faults": {"drop_trivialisation_derivative": True}}),
+}
+
+
+# A builder that fails for want of a key names the section's near miss of it;
+# any other unread key leaves the builder's own message alone.
+CONSTANT_2X2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+NEAR_MISSES = {
+    "hamiltonian": (
+        {"hamiltonian": {"kind": "constant", "matrx": CONSTANT_2X2}},
+        "hamiltonian: unknown keys ['matrx'] "
+        "(hamiltonian.matrix: expected an 2x2 matrix of [re, im] pairs)"),
+    "observables[0]": (
+        {"observables": [{"kind": "matrix", "matrx": CONSTANT_2X2, "name": "m"}]},
+        "observables[0]: unknown keys ['matrx'] "
+        "(observables[0].matrix: expected an 2x2 matrix of [re, im] pairs)"),
+    "circle on a 1-D base": (
+        {"base_space": {"variant": "euclidean", "dim": 1},
+         "path": {"kind": "circle", "radius": 2.0, "turns": 1.0}},
+        "path.circle requires a Euclidean base of dim >= 2"),
+    "bad static, valid omega": (
+        {"hamiltonian": {"kind": "cosine-drive", "static": [[1, 0]], "drive": CONSTANT_2X2,
+                         "omega": 2.0}},
+        "hamiltonian.static: expected an 2x2 matrix of [re, im] pairs"),
 }
 
 
@@ -344,6 +380,52 @@ class TestLoading:
         assert not run_scenario(scenario_from_dict(raw)).record("state_equivalence").passed
         with pytest.raises(ConfigError, match=r"^tolerances\.eq_tol"):
             scenario_from_dict(dict(raw, tolerances={"eq_tol": INF}))
+
+    @pytest.mark.parametrize("changes, message", list(NEAR_MISSES.values()), ids=list(NEAR_MISSES))
+    def test_a_near_miss_of_a_missing_key_is_named(self, changes, message):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+            scenario_from_dict(dict(MINIMAL, **changes))
+
+    def test_the_echo_is_the_config_with_every_default_filled_in(self):
+        cfg = scenario_from_dict(dict(MINIMAL, hbar=2, checks=None))
+        assert list(cfg.echo) == list(scenario_module._CONFIG_KEYS)
+        assert cfg.echo["hbar"] == 2.0 and isinstance(cfg.echo["hbar"], float)
+        assert cfg.echo["path"] == {"kind": "line"}
+        assert cfg.echo["observables"][0] == {"kind": "pauli", "axis": "z", "name": "sigma_z"}
+        assert cfg.echo["checks"] == cfg.checks
+        assert cfg.echo["tolerances"] == {"eq_tol": 1e-6, "prop_tol": 1e-8}
+        assert {key: cfg.echo[key] for key in ("description", "base_space", "initial_state",
+                                               "integral_candidates", "seed", "faults")} == {
+            "description": "", "base_space": {"variant": "euclidean", "dim": 3},
+            "initial_state": None, "integral_candidates": [], "seed": 0, "faults": {}}
+
+    def test_readme_key_table_matches_the_resolution_table(self):
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Scenario configs", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| (.*?) \|", section, re.M)
+
+        def documented(default):
+            if default is scenario_module._REQUIRED:
+                return "required"
+            return "computed" if callable(default) else f"`{json.dumps(default)}`"
+
+        assert rows == [(key, documented(default))
+                        for key, default in scenario_module._CONFIG_KEYS.items()]
+
+    def test_no_default_object_is_shared_between_configs(self):
+        bare = {"name": "bare", "dimension": 2, "grid": {"steps": 10}}  # every other key defaulted
+        one, two = (scenario_from_dict(dict(bare)).echo for _ in range(2))
+        for key in ("base_space", "path", "hamiltonian", "trivialization", "tolerances", "faults"):
+            one[key]["poked"] = True
+        for key in ("observables", "integral_candidates", "checks"):
+            one[key].append("poked")
+        assert "poked" not in json.dumps(two)
+        assert "poked" not in json.dumps(scenario_from_dict(dict(bare)).echo)  # nor the table
+        # resolution copies a default shallowly, which is a whole copy while each is flat
+        for default in scenario_module._CONFIG_KEYS.values():
+            if isinstance(default, (dict, list)):
+                values = default.values() if isinstance(default, dict) else default
+                assert not any(isinstance(v, (dict, list)) for v in values), default
 
 
 class TestRunScenario:
@@ -729,6 +811,18 @@ class TestSuite:
         assert report.warnings
         assert "empty" in report.warnings[0]
 
+    def test_duplicate_scenario_names_rejected_before_any_runs(self, tmp_path, monkeypatch):
+        write_config(tmp_path, dict(MINIMAL, name="same"), "a.json")
+        write_config(tmp_path, dict(MINIMAL, name="other"), "b.json")
+        write_config(tmp_path, dict(MINIMAL, name="same", seed=4), "c.json")
+
+        def never(cfg):
+            raise AssertionError(f"ran {cfg.name}")
+
+        monkeypatch.setattr(suite_module, "run_scenario", never)
+        with pytest.raises(ConfigError, match=r"^suite: duplicate scenario names \['same'\]$"):
+            run_suite(tmp_path)
+
     def test_order_independence(self, tmp_path):
         raw_a = dict(MINIMAL, name="s-a", seed=1)
         raw_b = dict(MINIMAL, name="s-b", seed=2)
@@ -775,6 +869,13 @@ class TestEmission:
         with pytest.raises(ValueError, match="format"):
             emit(report, "yaml")
 
+    @pytest.mark.parametrize("fmt", ["records", "table", "timeseries"])
+    def test_empty_suite_emit_roundtrip_is_byte_identical(self, fmt):
+        report = run_configs([])
+        loaded = suite_from_dict(json.loads(emit(report, "records")))
+        assert loaded.warnings == ["suite is empty; overall pass is vacuous"]
+        assert emit(loaded, fmt) == emit(report, fmt)
+
     def test_schema_version_embedded(self):
         report = run_scenario(scenario_from_dict(dict(MINIMAL)))
         payload = json.loads(emit(report, "records"))
@@ -810,6 +911,14 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text("{nope}")
         assert cli_main(["run", str(path)]) == 2
+
+    def test_suite_of_two_copies_of_one_config_exits_2(self, tmp_path, capsys):
+        write_config(tmp_path, dict(MINIMAL), "a.json")
+        write_config(tmp_path, dict(MINIMAL), "b.json")
+        assert cli_main(["suite", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: suite: duplicate scenario names ['minimal']\n"
 
     def test_output_dir_writes_records(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path, dict(MINIMAL))
