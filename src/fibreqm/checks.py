@@ -1,17 +1,19 @@
 """Scenario execution: conventional oracle vs bundle pipeline, check by check.
 
-Every check produces one record (id, max residual, tolerance, pass/fail,
-grid location of the worst residual).  A numerical failure inside a check is
-surfaced as a failed record, never as a silent pass.  Scenarios share no
-mutable state, so suites can run them in any order.
+Setup builds the nodes that can reject a scenario.  Every other node is a build
+in `_NODES` and every check a function in `_CHECK_TABLE`, whose parameters are
+the nodes it reads.  A node is built on first read, never twice, and dropped
+after its last reader.  Each check gives one record, and a numerical failure is
+a failed record, never a silent pass.  Scenarios share no mutable state, so
+suites can run them in any order.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
-from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
@@ -44,83 +46,36 @@ from .transport import (
     integrate_bundle_schrodinger,
 )
 
-__all__ = ["run_scenario", "ScenarioArtifacts", "build_artifacts"]
+__all__ = ["run_scenario", "build_artifacts"]
 
 
-class ScenarioArtifacts:
-    """Both pipelines of one scenario, and the nodes the checks compare.
+def build_artifacts(cfg: ScenarioConfig) -> dict:
+    """The setup nodes: everything that can reject the scenario, run once.
 
-    The constructor does everything that can reject the scenario: it checks
-    the trivialization on the grid (its values are the frames the transport
-    inverts once), builds the propagators and the transport, propagates and
-    lifts the trajectory, integrates the bundle equation, and samples every
-    observable family once.  Each other artifact is a cached property, built
-    when a check first reads it and shared by every later reader.
+    The frames are the trivialization checked on the grid; the transport inverts them once.
     """
+    times = cfg.times
+    l = cfg.trivialization
+    frames = l.validate_on_grid(times)
+    propagators = PropagatorGrid(cfg.hamiltonian, times, cfg.constants)
+    transport = EvolutionTransport(propagators, frames)
 
-    def __init__(self, cfg: ScenarioConfig):
-        times = cfg.times
-        l = cfg.trivialization
-        frames = l.validate_on_grid(times)
-        propagators = PropagatorGrid(cfg.hamiltonian, times, cfg.constants)
-        self.cfg = cfg
-        self.times = times
-        self.transport = EvolutionTransport(propagators, frames)
+    states = propagate_states(propagators.step_matrices, cfg.initial_state)
+    trajectory = Trajectory(times, states)
+    lifted = SectionAlongPath(times, apply(transport.inverse_frames, states))
 
-        states = propagate_states(propagators.step_matrices, cfg.initial_state)
-        self.trajectory = Trajectory(times, states)
-        self.lifted = SectionAlongPath(times, apply(self.transport.inverse_frames, states))
-
-        # The fault is an input: the bundle side sees l with dl/dt = 0.
-        if "drop_trivialization_derivative" in cfg.faults:
-            n = l.dimension
-            l = l.with_derivative(lambda ts: np.zeros((ts.size, n, n), dtype=complex))
-        self.bundle_section = integrate_bundle_schrodinger(
-            MatrixBundleHamiltonian(cfg.hamiltonian, l, times, cfg.constants),
-            self.lifted.values[0])
-        # name -> grid samples (N, n, n), each family sampled once
-        self.observables = {family.name: family.at_many(times) for family in cfg.observables}
-        # quantity -> values over the grid, for the report; a check may add its own
-        self.series: Dict[str, np.ndarray] = {"time": times}
-
-    @cached_property
-    def lifted_observables(self) -> Dict[str, MorphismAlongPath]:
-        t = self.transport
-        return {name: MorphismAlongPath(self.times,
-                                        lift_operators(t.frames, t.inverse_frames, stack))
-                for name, stack in self.observables.items()}
-
-    @cached_property
-    def density_transported(self) -> np.ndarray:
-        """The lifted rho0 carried by transport conjugation, (N, n, n)."""
-        t = self.transport
-        return evolve_density_morphisms(
-            lift_operators(t.frames[0], t.inverse_frames[0], self.cfg.initial_density), t)
-
-    @cached_property
-    def transported_section(self) -> SectionAlongPath:
-        """U(t, t0) Psi(t0) over the grid."""
-        return SectionAlongPath(self.times, apply(self.transport.from_t0, self.lifted.values[0]))
-
-    @cached_property
-    def heisenberg_values(self) -> np.ndarray:
-        """U(t0, t) Psi(t) over the grid: the transported section carried back to t0."""
-        return apply(self.transport.into_t0, self.transported_section.values)
-
-    @cached_property
-    def _transport_axioms(self) -> Tuple[int, TransportAxiomReport]:
-        """Sampled triple count and transport-axiom deviations, measured once.
-
-        Both transport checks read the deviations and judge them against
-        their own tolerances.
-        """
-        triples = _sample_triples(self.times, self.cfg.seed)
-        return len(triples), check_transport_axioms(self.transport, triples)
-
-
-def build_artifacts(cfg: ScenarioConfig) -> ScenarioArtifacts:
-    """Run both pipelines once; the checks build the rest on first read."""
-    return ScenarioArtifacts(cfg)
+    # The fault is an input: the bundle side sees l with dl/dt = 0.
+    if "drop_trivialization_derivative" in cfg.faults:
+        n = l.dimension
+        l = l.with_derivative(lambda ts: np.zeros((ts.size, n, n), dtype=complex))
+    bundle_section = integrate_bundle_schrodinger(
+        MatrixBundleHamiltonian(cfg.hamiltonian, l, times, cfg.constants), lifted.values[0])
+    # observables: name -> grid samples (N, n, n), each family sampled once;
+    # series: quantity -> values over the grid, for the report; a check may add its own
+    return {"cfg": cfg, "times": times, "transport": transport, "trajectory": trajectory,
+            "lifted": lifted, "bundle_section": bundle_section,
+            "observables": {family.name: family.at_many(times) for family in cfg.observables},
+            "series": {"time": times}}
 
 
 # --- helpers ----------------------------------------------------------------
@@ -159,132 +114,170 @@ def _sample_triples(times: np.ndarray, seed: int) -> List[Tuple[float, float, fl
     return [(float(r), float(s), float(t)) for (r, s, t) in triples]
 
 
+# --- nodes built on first read ------------------------------------------------
+
+def _lifted_observables(times, transport, observables) -> Dict[str, MorphismAlongPath]:
+    frames, inv = transport.frames, transport.inverse_frames
+    return {name: MorphismAlongPath(times, lift_operators(frames, inv, stack))
+            for name, stack in observables.items()}
+
+
+def _density_transported(cfg, transport) -> np.ndarray:
+    """The lifted rho0 carried by transport conjugation, (N, n, n)."""
+    return evolve_density_morphisms(lift_operators(
+        transport.frames[0], transport.inverse_frames[0], cfg.initial_density), transport)
+
+
+def _transported_section(times, transport, lifted) -> SectionAlongPath:
+    """U(t, t0) Psi(t0) over the grid."""
+    return SectionAlongPath(times, apply(transport.from_t0, lifted.values[0]))
+
+
+def _heisenberg_values(transport, transported_section) -> np.ndarray:
+    """U(t0, t) Psi(t) over the grid: the transported section carried back to t0."""
+    return apply(transport.into_t0, transported_section.values)
+
+
+def _transport_axioms(cfg, times, transport) -> Tuple[int, TransportAxiomReport]:
+    """Sampled triple count and transport-axiom deviations, judged by both transport checks."""
+    triples = _sample_triples(times, cfg.seed)
+    return len(triples), check_transport_axioms(transport, triples)
+
+
+# Node name -> build.  Its parameters, like a check's after `tol`, are the nodes it
+# reads, unannotated: each node's type is stated once, by its build or by setup.
+_NODES = {
+    "lifted_observables": _lifted_observables,
+    "density_transported": _density_transported,
+    "transported_section": _transported_section,
+    "heisenberg_values": _heisenberg_values,
+    "transport_axioms": _transport_axioms,
+}
+
+
 # --- individual checks --------------------------------------------------------
 
-def _check_state_equivalence(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    residual = np.max(np.abs(art.bundle_section.values - art.lifted.values), axis=1)
-    art.series["state_equivalence_residual"] = residual
-    return _judged("state_equivalence", art.times, residual, tol)
+def _check_state_equivalence(tol: float, times, lifted, bundle_section, series) -> CheckRecord:
+    residual = np.max(np.abs(bundle_section.values - lifted.values), axis=1)
+    series["state_equivalence_residual"] = residual
+    return _judged("state_equivalence", times, residual, tol)
 
 
-def _check_norm_drift(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    norms = art.trajectory.norm_sq()
-    art.series["norm_sq"] = norms
-    return _judged("norm_drift", art.times, np.abs(norms - norms[0]), tol)
+def _check_norm_drift(tol: float, times, trajectory, series) -> CheckRecord:
+    norms = trajectory.norm_sq()
+    series["norm_sq"] = norms
+    return _judged("norm_drift", times, np.abs(norms - norms[0]), tol)
 
 
 # The transport checks build their own record: the worst value and its place
 # come from the TransportAxiomReport, not from a residual series.
-def _check_transport_identity(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    triples, report = art._transport_axioms
+def _check_transport_identity(tol: float, transport_axioms) -> CheckRecord:
+    triples, report = transport_axioms
     worst, at = report.max_identity_deviation, report.worst_identity_time
     return CheckRecord("transport_identity", worst, tol, worst <= tol, at,
                        detail=f"{triples} sampled triples")
 
 
-def _check_transport_composition(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    _, report = art._transport_axioms
+def _check_transport_composition(tol: float, transport_axioms) -> CheckRecord:
+    _, report = transport_axioms
     worst = report.max_composition_deviation
     at = report.worst_composition_triple[2]
     return CheckRecord("transport_composition", worst, tol, worst <= tol, at,
                        detail=f"worst triple {report.worst_composition_triple}")
 
 
-def _check_mean_value_invariance(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    psi = art.trajectory.states
+def _check_mean_value_invariance(tol: float, times, transport, trajectory, lifted, observables,
+                                 lifted_observables, series) -> CheckRecord:
+    psi = trajectory.states
     per_observable = {}
-    for name, stack in art.observables.items():
+    for name, stack in observables.items():
         conv = expectations(psi, apply(stack, psi))
-        bundle = fibre_means(art.transport.frames, art.lifted_observables[name].matrices,
-                             art.lifted.values)
-        art.series[f"mean_conventional:{name}"] = conv.real
-        art.series[f"mean_bundle:{name}"] = bundle.real
+        bundle = fibre_means(transport.frames, lifted_observables[name].matrices, lifted.values)
+        series[f"mean_conventional:{name}"] = conv.real
+        series[f"mean_bundle:{name}"] = bundle.real
         per_observable[name] = np.abs(conv - bundle)
-    return _judged_per_observable("mean_value_invariance", art.times, per_observable, tol)
+    return _judged_per_observable("mean_value_invariance", times, per_observable, tol)
 
 
-def _check_hermiticity_correspondence(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    frames, inv = art.transport.frames, art.transport.inverse_frames
+def _check_hermiticity_correspondence(tol: float, times, transport, observables,
+                                      lifted_observables) -> CheckRecord:
+    frames, inv = transport.frames, transport.inverse_frames
     per_observable = {}
-    for name, stack in art.observables.items():
+    for name, stack in observables.items():
         deviation = lift_operators(frames, inv, np.swapaxes(stack.conj(), -2, -1))
-        deviation -= bundle_adjoint_maps(frames, inv, art.lifted_observables[name].matrices)
+        deviation -= bundle_adjoint_maps(frames, inv, lifted_observables[name].matrices)
         per_observable[name] = np.max(np.abs(deviation), axis=(1, 2))
-    return _judged_per_observable("hermiticity_correspondence", art.times, per_observable, tol)
+    return _judged_per_observable("hermiticity_correspondence", times, per_observable, tol)
 
 
-def _check_unitary_bundle_map(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    idx = _coarse_indices(art.times.size)
+def _check_unitary_bundle_map(tol: float, times, transport) -> CheckRecord:
+    idx = _coarse_indices(times.size)
     i, j = (k.ravel() for k in np.meshgrid(idx, idx, indexing="ij"))
-    forward = art.transport.matrices_by_index(i, j)    # fibre(t_j) -> fibre(t_i)
-    backward = art.transport.matrices_by_index(j, i)
-    adjoints = bundle_adjoint_maps(art.transport.frames[i], art.transport.inverse_frames[j],
-                                   forward)
+    forward = transport.matrices_by_index(i, j)    # fibre(t_j) -> fibre(t_i)
+    backward = transport.matrices_by_index(j, i)
+    adjoints = bundle_adjoint_maps(transport.frames[i], transport.inverse_frames[j], forward)
     per_pair = np.max(np.abs(adjoints - backward), axis=(1, 2))
-    return _judged("unitary_bundle_map", art.times[j], per_pair, tol)
+    return _judged("unitary_bundle_map", times[j], per_pair, tol)
 
 
-def _check_picture_invariance(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    transport = art.transport
-    frames = transport.frames
-    psi_t = art.transported_section.values
+def _check_picture_invariance(tol: float, cfg, times, transport, transported_section,
+                              lifted_observables, heisenberg_values, series) -> CheckRecord:
+    frames, into_t0, from_t0 = transport.frames, transport.into_t0, transport.from_t0
+    psi_t = transported_section.values
     # The Heisenberg picture is V = U(t0, t).  Its means are finished before
     # the random V and V^-1 are built, so no Heisenberg observable stack is
     # alive beside them.
-    heisenberg = {
-        name: fibre_means(frames[0],
-                          to_general_picture_observables(transport.into_t0, transport.from_t0,
-                                                         lifted.matrices),
-                          art.heisenberg_values)
-        for name, lifted in art.lifted_observables.items()
-    }
-    picture = PictureTransform.random_unitary(art.times, art.cfg.dimension, art.cfg.seed)
+    heisenberg = {name: fibre_means(frames[0], to_general_picture_observables(
+                      into_t0, from_t0, lifted.matrices), heisenberg_values)
+                  for name, lifted in lifted_observables.items()}
+    picture = PictureTransform.random_unitary(times, cfg.dimension, cfg.seed)
     v, v_inv = picture.matrices, picture.inverse_matrices
     psi_v = apply(v, psi_t)
     per_observable = {}
     for name, heis in heisenberg.items():
-        a_lift = art.lifted_observables[name].matrices
+        a_lift = lifted_observables[name].matrices
         schro = fibre_means(frames, a_lift, psi_t)
         general = general_picture_means(
             v_inv, frames, to_general_picture_observables(v, v_inv, a_lift), psi_v)
-        art.series[f"mean_heisenberg:{name}"] = heis.real
+        series[f"mean_heisenberg:{name}"] = heis.real
         per_observable[name] = np.maximum(np.abs(schro - heis), np.abs(schro - general))
-    return _judged_per_observable("picture_invariance", art.times, per_observable, tol)
+    return _judged_per_observable("picture_invariance", times, per_observable, tol)
 
 
-def _check_heisenberg_constancy(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    psi_t0 = art.transported_section.values[0]
-    per_time = np.max(np.abs(art.heisenberg_values - psi_t0), axis=1)
-    return _judged("heisenberg_constancy", art.times, per_time, tol)
+def _check_heisenberg_constancy(tol: float, times, transported_section,
+                                heisenberg_values) -> CheckRecord:
+    psi_t0 = transported_section.values[0]
+    per_time = np.max(np.abs(heisenberg_values - psi_t0), axis=1)
+    return _judged("heisenberg_constancy", times, per_time, tol)
 
 
-def _check_density_consistency(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    t = art.transport
+def _check_density_consistency(tol: float, cfg, times, transport, density_transported,
+                               series) -> CheckRecord:
     # rho(t) by the conventional propagators, lifted: l^-1 rho(t) l over the grid
-    lifted = lift_operators(t.frames, t.inverse_frames,
-                            evolve_density_morphisms(art.cfg.initial_density, t.propagators))
-    per_time = np.max(np.abs(art.density_transported - lifted), axis=(1, 2))
-    art.series["density_residual"] = per_time
-    return _judged("density_consistency", art.times, per_time, tol)
+    lifted = lift_operators(transport.frames, transport.inverse_frames,
+                            evolve_density_morphisms(cfg.initial_density, transport.propagators))
+    per_time = np.max(np.abs(density_transported - lifted), axis=(1, 2))
+    series["density_residual"] = per_time
+    return _judged("density_consistency", times, per_time, tol)
 
 
-def _check_density_purity(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    p = art.density_transported
-    return _judged("density_purity", art.times, np.max(np.abs(p @ p - p), axis=(1, 2)), tol)
+def _check_density_purity(tol: float, times, density_transported) -> CheckRecord:
+    p = density_transported
+    return _judged("density_purity", times, np.max(np.abs(p @ p - p), axis=(1, 2)), tol)
 
 
-def _check_fibre_trace(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    traces = np.trace(art.density_transported, axis1=1, axis2=2)
-    per_time = np.abs(traces - np.trace(art.cfg.initial_density))
-    return _judged("fibre_trace_preservation", art.times, per_time, tol)
+def _check_fibre_trace(tol: float, cfg, times, density_transported) -> CheckRecord:
+    traces = np.trace(density_transported, axis1=1, axis2=2)
+    per_time = np.abs(traces - np.trace(cfg.initial_density))
+    return _judged("fibre_trace_preservation", times, per_time, tol)
 
 
 # module_dualities and integrals_of_motion build their own record: each has a
 # second pass condition besides the residual, and no worst time.
-def _check_module_dualities(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    times = art.times[_coarse_indices(art.times.size)]
-    n = art.cfg.dimension
-    rng = np.random.default_rng([art.cfg.seed, 0x4D])
+def _check_module_dualities(tol: float, cfg, times) -> CheckRecord:
+    times = times[_coarse_indices(times.size)]
+    n = cfg.dimension
+    rng = np.random.default_rng([cfg.seed, 0x4D])
     worst = 0.0
     roundtrip_exact = True
     for _ in range(5):
@@ -316,12 +309,12 @@ def _check_module_dualities(art: ScenarioArtifacts, tol: float) -> CheckRecord:
     return CheckRecord("module_dualities", worst, tol, passed, None, detail=detail)
 
 
-def _check_integrals_of_motion(art: ScenarioArtifacts, tol: float) -> CheckRecord:
+def _check_integrals_of_motion(tol: float, cfg, transport) -> CheckRecord:
     outcomes = []
     all_match = True
     worst = 0.0
-    for cand in art.cfg.integral_candidates:
-        report = is_integral_of_motion(cand.family, art.transport, tol)
+    for cand in cfg.integral_candidates:
+        report = is_integral_of_motion(cand.family, transport, tol)
         match = report.certified == cand.expected and report.criteria_agree
         all_match = all_match and match
         if cand.expected:
@@ -334,19 +327,19 @@ def _check_integrals_of_motion(art: ScenarioArtifacts, tol: float) -> CheckRecor
                        None, detail="; ".join(outcomes))
 
 
-def _check_physics_closed_form(art: ScenarioArtifacts, tol: float) -> CheckRecord:
-    omega = art.cfg.rabi_omega
-    states = art.trajectory.states
-    flip = np.abs(states[:, 1]) ** 2 / art.trajectory.norm_sq()
-    target = np.sin(omega * (art.times - art.times[0]) / 2.0) ** 2
-    art.series["flip_probability"] = flip
-    art.series["flip_probability_closed_form"] = target
-    return _judged("physics_closed_form", art.times, np.abs(flip - target), tol,
+def _check_physics_closed_form(tol: float, cfg, times, trajectory, series) -> CheckRecord:
+    omega = cfg.rabi_omega
+    states = trajectory.states
+    flip = np.abs(states[:, 1]) ** 2 / trajectory.norm_sq()
+    target = np.sin(omega * (times - times[0]) / 2.0) ** 2
+    series["flip_probability"] = flip
+    series["flip_probability_closed_form"] = target
+    return _judged("physics_closed_form", times, np.abs(flip - target), tol,
                    f"rabi flip vs sin^2({omega:g} t / 2)")
 
 
-# Check id -> check; every check takes (artifacts, tolerance) and returns its
-# record, and one that tracks a quantity over the grid adds it to `art.series`.
+# Check id -> check(tol, <nodes it reads>) -> its record; a check that tracks a
+# quantity over the grid adds it to the `series` node.
 _CHECK_TABLE = {
     "state_equivalence": _check_state_equivalence,
     "norm_drift": _check_norm_drift,
@@ -365,27 +358,50 @@ _CHECK_TABLE = {
     "physics_closed_form": _check_physics_closed_form,
 }
 
+# Check id or node name -> the nodes it reads, from its parameters at import: a
+# traced run wraps the table's functions afresh on every pass.
+_READS = {key: tuple(name for name in inspect.signature(build).parameters if name != "tol")
+          for key, build in {**_NODES, **_CHECK_TABLE}.items()}
+
+
+def _lazy_reads(key: str) -> FrozenSet[str]:
+    """The `_NODES` entries `key` reads, directly or through another node."""
+    return frozenset(name for read in _READS[key] if read in _NODES
+                     for name in (read, *_lazy_reads(read)))
+
+
+_LAZY_READS = {key: _lazy_reads(key) for key in _READS}
+
+
+def _read(nodes: dict, name: str):
+    """Node `name`, built from its reads on first use; a build that raises stores nothing."""
+    if name not in nodes:
+        nodes[name] = _NODES[name](*[_read(nodes, read) for read in _READS[name]])
+    return nodes[name]
+
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     """Run the conventional oracle, the bundle pipeline, and all requested checks."""
     started = time.perf_counter()
     records: List[CheckRecord] = []
     try:
-        art = build_artifacts(cfg)
+        nodes = build_artifacts(cfg)
     except Exception as exc:  # surface as a failed record, never a silent pass
         records.append(CheckRecord("setup", float("inf"), 0.0, False, None,
                                    detail=f"{type(exc).__name__}: {exc}"))
-        return ScenarioReport(cfg.name, records, cfg.echo, {},
-                              time.perf_counter() - started)
+        return ScenarioReport(cfg.name, records, cfg.echo, {}, time.perf_counter() - started)
 
-    for check_id in cfg.checks:
+    for k, check_id in enumerate(cfg.checks):
         tol = cfg.tolerances[check_id]
         try:
-            records.append(_CHECK_TABLE[check_id](art, tol))
+            records.append(_CHECK_TABLE[check_id](
+                tol, *[_read(nodes, name) for name in _READS[check_id]]))
         except Exception as exc:
             records.append(CheckRecord(check_id, float("inf"), tol, False, None,
                                        detail=f"{type(exc).__name__}: {exc}"))
+        for name in _LAZY_READS[check_id]:  # dropped once no later requested check reads it
+            if not any(name in _LAZY_READS[later] for later in cfg.checks[k + 1:]):
+                nodes.pop(name, None)  # a build that raised stored nothing
     timeseries = {key: np.asarray(value, dtype=float).tolist()
-                  for key, value in art.series.items()}
-    return ScenarioReport(cfg.name, records, cfg.echo, timeseries,
-                          time.perf_counter() - started)
+                  for key, value in nodes["series"].items()}
+    return ScenarioReport(cfg.name, records, cfg.echo, timeseries, time.perf_counter() - started)

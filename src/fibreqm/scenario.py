@@ -505,6 +505,8 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
 
     name = echo["name"]
     _require(isinstance(name, str) and name, "name: required non-empty string")
+    description = echo["description"]
+    _require(isinstance(description, str), f"description: need a string, got {description!r}")
     n = echo["dimension"]
     _require(_is_int(n) and n >= 1, "dimension: need an integer >= 1")
     hbar = echo["hbar"] = _real(echo["hbar"], "hbar")

@@ -107,7 +107,7 @@ def pointwise_transport(transport: EvolutionTransport, j: int, i: int) -> np.nda
 
 
 def test_matrices_by_index_match_single_queries(artifacts):
-    transport = artifacts.transport
+    transport = artifacts["transport"]
     last = transport.times.size - 1
     idx = np.array([0, 1, 7, last // 2, last])
     j, i = (k.ravel() for k in np.meshgrid(idx, idx, indexing="ij"))
@@ -147,9 +147,9 @@ def looped_transport_axioms(transport, sample) -> TransportAxiomReport:
 
 
 def test_batched_axioms_match_the_triple_loop(artifacts):
-    triples = _sample_triples(artifacts.times, artifacts.cfg.seed)
-    batched = check_transport_axioms(artifacts.transport, triples)
-    assert batched == looped_transport_axioms(artifacts.transport, triples)
+    triples = _sample_triples(artifacts["times"], artifacts["cfg"].seed)
+    batched = check_transport_axioms(artifacts["transport"], triples)
+    assert batched == looped_transport_axioms(artifacts["transport"], triples)
 
 
 # --- vectorized catalog Hamiltonians ----------------------------------------------

@@ -174,7 +174,8 @@ def test_every_optional_parameter_is_set_by_a_caller():
 def test_every_parameter_of_a_module_function_is_read():
     """A parameter its function never reads should not be a parameter.
 
-    This holds for the checks too: each `_check_*(art, tol)` reads both.
+    This holds for the checks and nodes too: each `_check_*(tol, ...)` reads
+    its tolerance and every node it names.
     Exempt are the argparse handlers `_cmd_*`, whose signatures their
     dispatchers fix.
     """

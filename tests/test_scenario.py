@@ -1,8 +1,10 @@
 import dataclasses
+import inspect
 import json
 import pathlib
 import re
 import tracemalloc
+import weakref
 from collections import Counter
 from functools import cached_property
 from importlib import resources
@@ -17,7 +19,7 @@ import fibreqm.suite as suite_module
 from fibreqm.bundle import TrivializationFamily
 from fibreqm.checks import (
     _CHECK_TABLE,
-    ScenarioArtifacts,
+    _NODES,
     _judged,
     _judged_per_observable,
     build_artifacts,
@@ -140,6 +142,9 @@ BAD_VALUES = {
         {"integral_candidates": [{"kind": "matrix", "expected": True, "name": 7,
                                   "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
         r"^integral_candidates\[0\]\.name"),
+    "description NaN": ({"description": NAN}, r"^description: need a string, got nan$"),
+    "description list": ({"description": ["a"]}, r"^description: need a string, got \['a'\]$"),
+    "description number": ({"description": 3}, r"^description: need a string, got 3$"),
     "fault flag string": ({"faults": {"drop_trivialization_derivative": "false"}},
                           r"^faults\.drop_trivialization_derivative: need a bool, got 'false'$"),
     "fault flag number": ({"faults": {"drop_trivialization_derivative": 0}},
@@ -579,8 +584,7 @@ class TestSampleOnce:
         family.at_many = recording("values", family.at_many)
         family.derivative_at_many = recording("derivatives", family.derivative_at_many)
 
-        art = build_artifacts(cfg)
-        records = [_CHECK_TABLE[c](art, cfg.tolerances[c]) for c in ALL_CHECKS]
+        records = run_scenario(dataclasses.replace(cfg, checks=list(ALL_CHECKS))).records
         assert all(r.passed for r in records if r.check in cfg.checks)
         for kind, sampled in calls.items():
             assert sampled, kind
@@ -668,7 +672,55 @@ class TestSampleOnce:
 
 
 class TestArtifactNodes:
-    """Artifacts past the constructor are built when a check first reads them."""
+    """Nodes past setup are built when a check first reads them, and dropped after."""
+
+    def test_every_read_names_a_node_and_the_reads_have_no_cycle(self):
+        setup = set(build_artifacts(scenario_from_dict(MINIMAL)))
+        assert not setup & set(_NODES)
+        params = {key: list(inspect.signature(fn).parameters)
+                  for key, fn in {**_NODES, **_CHECK_TABLE}.items()}
+        assert all(params[check_id][0] == "tol" for check_id in _CHECK_TABLE)
+        reads = {key: [name for name in names if name != "tol"] for key, names in params.items()}
+        assert all(len(reads[name]) == len(params[name]) for name in _NODES)
+        unknown = {key: sorted(set(names) - setup - set(_NODES)) for key, names in reads.items()}
+        assert not any(unknown.values()), unknown
+        assert checks_module._READS == {key: tuple(names) for key, names in reads.items()}
+
+        def lazy_reads(name, path=()):  # the lazy nodes `name` reads, through others too
+            assert name not in path, f"read cycle {path + (name,)}"
+            return {node for read in reads[name] if read in _NODES
+                    for node in {read} | lazy_reads(read, path + (name,))}
+
+        assert checks_module._LAZY_READS == {key: lazy_reads(key) for key in reads}
+
+    def test_a_node_is_dropped_after_its_last_reader(self, monkeypatch):
+        root = resources.files("fibreqm") / "catalog"
+        raw = json.loads((root / "random-unitary-gauge.json").read_text())
+        raw["dimension"], raw["grid"]["steps"] = 16, 400
+        cfg = scenario_from_dict(raw)
+        assert {"fibre_trace_preservation", "integrals_of_motion"} <= set(cfg.checks)
+        refs, alive = [], {}
+        build = _NODES["density_transported"]
+
+        def recording(*reads):
+            density = build(*reads)
+            refs.append(weakref.ref(density))
+            return density
+
+        def probing(check_id):
+            check = _CHECK_TABLE[check_id]
+
+            def probe(tol, *reads):
+                alive[check_id] = refs[0]() is not None
+                return check(tol, *reads)
+            return probe
+
+        monkeypatch.setitem(_NODES, "density_transported", recording)
+        for check_id in ("fibre_trace_preservation", "integrals_of_motion"):
+            monkeypatch.setitem(_CHECK_TABLE, check_id, probing(check_id))
+        assert run_scenario(cfg).overall_pass
+        assert len(refs) == 1
+        assert alive == {"fibre_trace_preservation": True, "integrals_of_motion": False}
 
     def test_state_equivalence_alone_builds_no_t0_stack_or_lift(self, monkeypatch):
         calls = []
@@ -725,13 +777,14 @@ class TestArtifactNodes:
         raw = json.loads((root / "random-unitary-gauge.json").read_text())
         raw["dimension"], raw["grid"]["steps"] = 16, 400
         cfg = scenario_from_dict(raw)
-        art = build_artifacts(cfg)
+        nodes = build_artifacts(cfg)
         check, tol = _CHECK_TABLE["integrals_of_motion"], cfg.tolerances["integrals_of_motion"]
-        assert check(art, tol).passed  # and the t0 stacks now exist
+        reads = [nodes[name] for name in checks_module._READS["integrals_of_motion"]]
+        assert check(tol, *reads).passed  # and the t0 stacks now exist
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            check(art, tol)
+            check(tol, *reads)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -740,9 +793,23 @@ class TestArtifactNodes:
         assert (peak - start) / one_stack < 3.5
 
     def test_every_node_computed_at_most_once(self, monkeypatch):
-        computed = []  # (instance, node name); holding the instances keeps ids distinct
-        nodes = set()
-        for cls in (ScenarioArtifacts, EvolutionTransport, PictureTransform):
+        computed = []  # (owner, node name); holding the owners keeps ids distinct
+        nodes = set(_NODES)
+        scenarios = []  # each scenario's setup nodes own its lazy nodes
+        setup = checks_module.build_artifacts
+
+        def recording(cfg):
+            scenarios.append(setup(cfg))
+            return scenarios[-1]
+
+        monkeypatch.setattr(checks_module, "build_artifacts", recording)
+        for name, build in list(_NODES.items()):
+            def counting(*reads, build=build, name=name):
+                computed.append((scenarios[-1], name))
+                return build(*reads)
+
+            monkeypatch.setitem(_NODES, name, counting)
+        for cls in (EvolutionTransport, PictureTransform):
             for name, node in list(vars(cls).items()):
                 if not isinstance(node, cached_property):
                     continue
