@@ -1,11 +1,11 @@
 """Scenario execution: conventional oracle vs bundle pipeline, check by check.
 
-Setup builds the nodes that can reject a scenario.  Every other node is a build
-in `_NODES` and every check a function in `_CHECK_TABLE`, whose parameters are
-the nodes it reads.  A node is built on first read, never twice, and dropped
-after its last reader.  Each check gives one record, and a numerical failure is
-a failed record, never a silent pass.  Scenarios share no mutable state, so
-suites can run them in any order.
+Besides the seeds `cfg`, `times` and `series`, every node is a build in `_NODES`
+and every check a function in `_CHECK_TABLE`, whose parameters are the nodes it
+reads.  Setup reads the `_SETUP` nodes, which can reject the scenario; a fault
+that is on swaps a node's build (`_FAULTS`).  A node is built on first read and
+dropped after its last reader.  A failure is a failed record, never a silent
+pass.  Scenarios share no mutable state, so suites run them in any order.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .bundle import (
     MorphismAlongPath,
     SectionAlongPath,
+    TrivializationFamily,
     bundle_adjoint_maps,
     lift_operators,
     module_combine,
@@ -47,35 +48,6 @@ from .transport import (
 )
 
 __all__ = ["run_scenario", "build_artifacts"]
-
-
-def build_artifacts(cfg: ScenarioConfig) -> dict:
-    """The setup nodes: everything that can reject the scenario, run once.
-
-    The frames are the trivialization checked on the grid; the transport inverts them once.
-    """
-    times = cfg.times
-    l = cfg.trivialization
-    frames = l.validate_on_grid(times)
-    propagators = PropagatorGrid(cfg.hamiltonian, times, cfg.constants)
-    transport = EvolutionTransport(propagators, frames)
-
-    states = propagate_states(propagators.step_matrices, cfg.initial_state)
-    trajectory = Trajectory(times, states)
-    lifted = SectionAlongPath(times, apply(transport.inverse_frames, states))
-
-    # The fault is an input: the bundle side sees l with dl/dt = 0.
-    if "drop_trivialization_derivative" in cfg.faults:
-        n = l.dimension
-        l = l.with_derivative(lambda ts: np.zeros((ts.size, n, n), dtype=complex))
-    bundle_section = integrate_bundle_schrodinger(
-        MatrixBundleHamiltonian(cfg.hamiltonian, l, times, cfg.constants), lifted.values[0])
-    # observables: name -> grid samples (N, n, n), each family sampled once;
-    # series: quantity -> values over the grid, for the report; a check may add its own
-    return {"cfg": cfg, "times": times, "transport": transport, "trajectory": trajectory,
-            "lifted": lifted, "bundle_section": bundle_section,
-            "observables": {family.name: family.at_many(times) for family in cfg.observables},
-            "series": {"time": times}}
 
 
 # --- helpers ----------------------------------------------------------------
@@ -108,13 +80,46 @@ def _sample_triples(times: np.ndarray, seed: int) -> List[Tuple[float, float, fl
     idx = _coarse_indices(times.size)
     triples = [tuple(times[list(c)]) for c in combinations_with_replacement(idx, 3)]
     rng = np.random.default_rng([seed, 0x73])
-    for _ in range(40):
-        picks = np.sort(rng.integers(0, times.size, size=3))
-        triples.append(tuple(times[picks]))
+    triples += [tuple(times[np.sort(rng.integers(0, times.size, size=3))]) for _ in range(40)]
     return [(float(r), float(s), float(t)) for (r, s, t) in triples]
 
 
 # --- nodes built on first read ------------------------------------------------
+
+def _transport(cfg, times) -> EvolutionTransport:
+    frames = cfg.trivialization.validate_on_grid(times)  # checked before the propagators
+    return EvolutionTransport(PropagatorGrid(cfg.hamiltonian, times, cfg.constants), frames)
+
+
+def _trajectory(cfg, times, transport) -> Trajectory:
+    """The conventional oracle: psi0 carried by the step propagators."""
+    return Trajectory(times, propagate_states(transport.propagators.step_matrices,
+                                              cfg.initial_state))
+
+
+def _lifted(times, transport, trajectory) -> SectionAlongPath:
+    return SectionAlongPath(times, apply(transport.inverse_frames, trajectory.states))
+
+
+def _bundle_trivialization(cfg) -> TrivializationFamily:
+    return cfg.trivialization  # the frames that the bundle generator reads
+
+
+def _bundle_section(cfg, times, bundle_trivialization, lifted) -> SectionAlongPath:
+    return integrate_bundle_schrodinger(MatrixBundleHamiltonian(
+        cfg.hamiltonian, bundle_trivialization, times, cfg.constants), lifted.values[0])
+
+
+def _observables(cfg, times) -> Dict[str, np.ndarray]:
+    """Name -> grid samples (N, n, n), each family sampled once."""
+    return {family.name: family.at_many(times) for family in cfg.observables}
+
+
+def _without_derivative(cfg) -> TrivializationFamily:
+    """The same frames l(t) with dl/dt = 0, which drops the frame-derivative term."""
+    n = cfg.trivialization.dimension
+    return cfg.trivialization.with_derivative(lambda ts: np.zeros((ts.size, n, n), dtype=complex))
+
 
 def _lifted_observables(times, transport, observables) -> Dict[str, MorphismAlongPath]:
     frames, inv = transport.frames, transport.inverse_frames
@@ -145,14 +150,24 @@ def _transport_axioms(cfg, times, transport) -> Tuple[int, TransportAxiomReport]
 
 
 # Node name -> build.  Its parameters, like a check's after `tol`, are the nodes it
-# reads, unannotated: each node's type is stated once, by its build or by setup.
+# reads, unannotated: each node's type is stated once, by its build.
 _NODES = {
+    "transport": _transport,
+    "trajectory": _trajectory,
+    "lifted": _lifted,
+    "bundle_trivialization": _bundle_trivialization,
+    "bundle_section": _bundle_section,
+    "observables": _observables,
     "lifted_observables": _lifted_observables,
     "density_transported": _density_transported,
     "transported_section": _transported_section,
     "heisenberg_values": _heisenberg_values,
     "transport_axioms": _transport_axioms,
 }
+# Read in this order before any check; a failure among them is the `setup` record.
+_SETUP = ("transport", "trajectory", "lifted", "bundle_section", "observables")
+# Fault name -> (node, the build that replaces its own, with the same parameters).
+_FAULTS = {"drop_trivialization_derivative": ("bundle_trivialization", _without_derivative)}
 
 
 # --- individual checks --------------------------------------------------------
@@ -295,18 +310,15 @@ def _check_module_dualities(tol: float, cfg, times) -> CheckRecord:
         f_gphi = module_combine(f, module_combine(g, phi, 0.0, psi), 0.0, psi)
         worst = max(worst, max_abs(fg_phi.values - f_gphi.values))
         one_phi = module_combine(np.ones(times.size), phi, np.zeros(times.size), psi)
-        if not np.array_equal(one_phi.values, phi.values):
-            roundtrip_exact = False
 
         mats = rng.normal(size=(times.size, n, n)) + 1j * rng.normal(size=(times.size, n, n))
         morphism = MorphismAlongPath(times, mats)
         recovered = section_operator_as_morphism(
             lambda sec: morphism_as_section_operator(morphism, sec), times, n)
-        if not np.array_equal(recovered.matrices, morphism.matrices):
-            roundtrip_exact = False
-    detail = "round trips exact" if roundtrip_exact else "round trips NOT exact"
-    passed = worst <= tol and roundtrip_exact
-    return CheckRecord("module_dualities", worst, tol, passed, None, detail=detail)
+        roundtrip_exact = (roundtrip_exact and np.array_equal(one_phi.values, phi.values)
+                           and np.array_equal(recovered.matrices, morphism.matrices))
+    return CheckRecord("module_dualities", worst, tol, worst <= tol and roundtrip_exact, None,
+                       detail="round trips exact" if roundtrip_exact else "round trips NOT exact")
 
 
 def _check_integrals_of_motion(tol: float, cfg, transport) -> CheckRecord:
@@ -315,8 +327,7 @@ def _check_integrals_of_motion(tol: float, cfg, transport) -> CheckRecord:
     worst = 0.0
     for cand in cfg.integral_candidates:
         report = is_integral_of_motion(cand.family, transport, tol)
-        match = report.certified == cand.expected and report.criteria_agree
-        all_match = all_match and match
+        all_match = all_match and report.certified == cand.expected and report.criteria_agree
         if cand.expected:
             worst = max(worst, report.commutator_residual,
                         report.transport_residual or 0.0)
@@ -364,20 +375,29 @@ _READS = {key: tuple(name for name in inspect.signature(build).parameters if nam
           for key, build in {**_NODES, **_CHECK_TABLE}.items()}
 
 
-def _lazy_reads(key: str) -> FrozenSet[str]:
+def _node_reads(key: str) -> FrozenSet[str]:
     """The `_NODES` entries `key` reads, directly or through another node."""
     return frozenset(name for read in _READS[key] if read in _NODES
-                     for name in (read, *_lazy_reads(read)))
+                     for name in (read, *_node_reads(read)))
 
 
-_LAZY_READS = {key: _lazy_reads(key) for key in _READS}
+_NODE_READS = {key: _node_reads(key) for key in _READS}
 
 
 def _read(nodes: dict, name: str):
     """Node `name`, built from its reads on first use; a build that raises stores nothing."""
     if name not in nodes:
-        nodes[name] = _NODES[name](*[_read(nodes, read) for read in _READS[name]])
+        build = dict(_FAULTS[fault] for fault in nodes["cfg"].faults).get(name, _NODES[name])
+        nodes[name] = build(*[_read(nodes, read) for read in _READS[name]])
     return nodes[name]
+
+
+def build_artifacts(cfg: ScenarioConfig) -> dict:
+    """The seeds and the `_SETUP` nodes, with the nodes those read."""
+    nodes = {"cfg": cfg, "times": cfg.times, "series": {"time": cfg.times}}
+    for name in _SETUP:
+        _read(nodes, name)
+    return nodes
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
@@ -399,8 +419,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         except Exception as exc:
             records.append(CheckRecord(check_id, float("inf"), tol, False, None,
                                        detail=f"{type(exc).__name__}: {exc}"))
-        for name in _LAZY_READS[check_id]:  # dropped once no later requested check reads it
-            if not any(name in _LAZY_READS[later] for later in cfg.checks[k + 1:]):
+        for name in _NODE_READS[check_id]:  # dropped once no later requested check reads it
+            if not any(name in _NODE_READS[later] for later in cfg.checks[k + 1:]):
                 nodes.pop(name, None)  # a build that raised stored nothing
     timeseries = {key: np.asarray(value, dtype=float).tolist()
                   for key, value in nodes["series"].items()}

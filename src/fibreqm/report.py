@@ -2,12 +2,15 @@
 
 The structured-record JSON is deterministic for a fixed config and seed:
 keys are sorted and floats use their shortest round-trip representation, so
-two runs differ only in the timing field.
+two runs differ only in the timing field.  It is standard JSON: a non-finite
+residual or series value is written as the string "inf", "-inf" or "nan", and
+read back as that float.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
@@ -25,6 +28,22 @@ __all__ = [
 ]
 
 
+def _to_json(x: float):
+    """`x`, or its str ("inf", "-inf" or "nan") if it is not finite."""
+    return x if math.isfinite(x) else str(x)
+
+
+def _to_json_series(values: List[float]) -> list:
+    # A non-finite value makes the sum non-finite; a finite series whose sum
+    # overflows takes the slow path and comes out unchanged.
+    return values if math.isfinite(sum(values)) else [_to_json(x) for x in values]
+
+
+def _from_json(x):
+    """The float that `_to_json` wrote."""
+    return float(x) if isinstance(x, str) else x
+
+
 @dataclass
 class CheckRecord:
     """One executed check: residual, tolerance, verdict, worst grid location."""
@@ -37,11 +56,11 @@ class CheckRecord:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(asdict(self), max_residual=_to_json(self.max_residual))
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckRecord":
-        return cls(d["check"], d["max_residual"], d["tolerance"], d["passed"],
+        return cls(d["check"], _from_json(d["max_residual"]), d["tolerance"], d["passed"],
                    d.get("worst_time"), d.get("detail", ""))
 
 
@@ -73,7 +92,8 @@ class ScenarioReport:
             "overall_pass": self.overall_pass,
             "records": [r.to_dict() for r in self.records],
             "config": self.config_echo,
-            "timeseries": self.timeseries,
+            "timeseries": {key: _to_json_series(values)
+                           for key, values in self.timeseries.items()},
         }
         if include_timing:
             d["timing_seconds"] = self.timing_seconds
@@ -87,7 +107,8 @@ def report_from_dict(d: dict) -> ScenarioReport:
         scenario=d["scenario"],
         records=[CheckRecord.from_dict(r) for r in d["records"]],
         config_echo=d.get("config", {}),
-        timeseries=d.get("timeseries", {}),
+        timeseries={key: [_from_json(x) for x in values]
+                    for key, values in d.get("timeseries", {}).items()},
         timing_seconds=d.get("timing_seconds", 0.0),
     )
 
@@ -197,7 +218,8 @@ def render_timeseries_csv(report) -> str:
 def emit(report, fmt: str) -> bytes:
     """Serialize a report: 'records' (JSON), 'table' (text), 'timeseries' (CSV)."""
     if fmt == "records":
-        return (json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n").encode()
+        return (json.dumps(report.to_dict(), sort_keys=True, indent=1, allow_nan=False)
+                + "\n").encode()
     if fmt == "table":
         return render_table(report).encode()
     if fmt == "timeseries":

@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+import functools
 import inspect
 import json
 import pathlib
 import re
 import tracemalloc
+import types
 import weakref
 from collections import Counter
 from functools import cached_property
@@ -26,7 +29,7 @@ from fibreqm.checks import (
     run_scenario,
 )
 from fibreqm.cli import main as cli_main
-from fibreqm.dynamics import ObservableFamily, PropagatorGrid, grid_index
+from fibreqm.dynamics import HamiltonianFamily, ObservableFamily, PropagatorGrid, grid_index
 from fibreqm.pictures import PictureTransform
 from fibreqm.report import CheckRecord, emit, report_from_dict, suite_from_dict
 from fibreqm.scenario import (
@@ -672,55 +675,80 @@ class TestSampleOnce:
 
 
 class TestArtifactNodes:
-    """Nodes past setup are built when a check first reads them, and dropped after."""
+    """Every node, setup ones too, is built on first read and dropped after its last reader."""
 
     def test_every_read_names_a_node_and_the_reads_have_no_cycle(self):
-        setup = set(build_artifacts(scenario_from_dict(MINIMAL)))
-        assert not setup & set(_NODES)
+        built = build_artifacts(scenario_from_dict(MINIMAL))
+        seeds = set(built) - set(_NODES)
+        assert seeds == {"cfg", "times", "series"}
+        assert set(checks_module._SETUP) <= set(_NODES) & set(built)
         params = {key: list(inspect.signature(fn).parameters)
                   for key, fn in {**_NODES, **_CHECK_TABLE}.items()}
         assert all(params[check_id][0] == "tol" for check_id in _CHECK_TABLE)
         reads = {key: [name for name in names if name != "tol"] for key, names in params.items()}
         assert all(len(reads[name]) == len(params[name]) for name in _NODES)
-        unknown = {key: sorted(set(names) - setup - set(_NODES)) for key, names in reads.items()}
+        unknown = {key: sorted(set(names) - seeds - set(_NODES)) for key, names in reads.items()}
         assert not any(unknown.values()), unknown
         assert checks_module._READS == {key: tuple(names) for key, names in reads.items()}
 
-        def lazy_reads(name, path=()):  # the lazy nodes `name` reads, through others too
+        def node_reads(name, path=()):  # the nodes `name` reads, through others too
             assert name not in path, f"read cycle {path + (name,)}"
             return {node for read in reads[name] if read in _NODES
-                    for node in {read} | lazy_reads(read, path + (name,))}
+                    for node in {read} | node_reads(read, path + (name,))}
 
-        assert checks_module._LAZY_READS == {key: lazy_reads(key) for key in reads}
+        assert checks_module._NODE_READS == {key: node_reads(key) for key in reads}
+
+    def test_the_frame_error_is_the_setup_record_when_the_hamiltonian_fails_too(self):
+        # the frames fail `validate_on_grid` on this coarse grid, and this
+        # Hamiltonian, flagged Hermitian, would fail `PropagatorGrid`
+        flagged = HamiltonianFamily.constant([[0, 1], [0, 0]], hermitian_expected=True)
+        cfg = scenario_from_dict(dict(MINIMAL, grid={"steps": 3},
+                                      trivialization={"kind": "global-phase"}))
+        frame_error = "ValueError: trivialization 'global-phase': analytic derivative deviates"
+        hamiltonian_error = "ValueError: Hamiltonian family 'constant' flagged Hermitian"
+        assert run_scenario(cfg).record("setup").detail.startswith(frame_error)
+        ok_frames = scenario_from_dict(dict(MINIMAL))
+        assert run_scenario(dataclasses.replace(ok_frames, hamiltonian=flagged)).record(
+            "setup").detail.startswith(hamiltonian_error)
+        report = run_scenario(dataclasses.replace(cfg, hamiltonian=flagged))
+        assert [r.check for r in report.records] == ["setup"]
+        assert report.record("setup").detail.startswith(frame_error)
 
     def test_a_node_is_dropped_after_its_last_reader(self, monkeypatch):
         root = resources.files("fibreqm") / "catalog"
         raw = json.loads((root / "random-unitary-gauge.json").read_text())
         raw["dimension"], raw["grid"]["steps"] = 16, 400
         cfg = scenario_from_dict(raw)
-        assert {"fibre_trace_preservation", "integrals_of_motion"} <= set(cfg.checks)
-        refs, alive = [], {}
-        build = _NODES["density_transported"]
+        probed = ("norm_drift", "fibre_trace_preservation", "integrals_of_motion")
+        assert cfg.checks[:2] == ["state_equivalence", "norm_drift"]
+        assert set(probed) <= set(cfg.checks)
+        refs, alive = {}, {}  # node name -> weak references to its builds; check id -> alive
 
-        def recording(*reads):
-            density = build(*reads)
-            refs.append(weakref.ref(density))
-            return density
+        def recording(*reads, name, build):
+            node = build(*reads)
+            refs.setdefault(name, []).append(weakref.ref(node))
+            return node
 
         def probing(check_id):
             check = _CHECK_TABLE[check_id]
 
             def probe(tol, *reads):
-                alive[check_id] = refs[0]() is not None
+                alive[check_id] = {name for name, built in refs.items()
+                                   if any(ref() is not None for ref in built)}
                 return check(tol, *reads)
             return probe
 
-        monkeypatch.setitem(_NODES, "density_transported", recording)
-        for check_id in ("fibre_trace_preservation", "integrals_of_motion"):
+        # the bundle section is a setup node that only state_equivalence reads
+        for name in ("bundle_section", "density_transported"):
+            monkeypatch.setitem(_NODES, name, functools.partial(
+                recording, name=name, build=_NODES[name]))
+        for check_id in probed:
             monkeypatch.setitem(_CHECK_TABLE, check_id, probing(check_id))
         assert run_scenario(cfg).overall_pass
-        assert len(refs) == 1
-        assert alive == {"fibre_trace_preservation": True, "integrals_of_motion": False}
+        assert {name: len(built) for name, built in refs.items()} == {
+            "bundle_section": 1, "density_transported": 1}
+        assert alive == {"norm_drift": set(), "fibre_trace_preservation": {"density_transported"},
+                         "integrals_of_motion": set()}
 
     def test_state_equivalence_alone_builds_no_t0_stack_or_lift(self, monkeypatch):
         calls = []
@@ -795,12 +823,12 @@ class TestArtifactNodes:
     def test_every_node_computed_at_most_once(self, monkeypatch):
         computed = []  # (owner, node name); holding the owners keeps ids distinct
         nodes = set(_NODES)
-        scenarios = []  # each scenario's setup nodes own its lazy nodes
+        scenarios = []  # each scenario's config owns its nodes, the setup ones too
         setup = checks_module.build_artifacts
 
         def recording(cfg):
-            scenarios.append(setup(cfg))
-            return scenarios[-1]
+            scenarios.append(cfg)
+            return setup(cfg)
 
         monkeypatch.setattr(checks_module, "build_artifacts", recording)
         for name, build in list(_NODES.items()):
@@ -823,9 +851,97 @@ class TestArtifactNodes:
                 monkeypatch.setattr(cls, name, wrapped)
                 nodes.add(name)
         assert run_suite("catalog").overall_pass
+        assert len(scenarios) == len(catalog_names())
         assert {name for _, name in computed} == nodes
+        for cfg in scenarios:  # setup built each of its nodes for this scenario
+            assert set(checks_module._SETUP) <= {name for owner, name in computed
+                                                 if owner is cfg}, cfg.name
         repeats = Counter((id(instance), name) for instance, name in computed)
         assert max(repeats.values()) == 1, [k for k, v in repeats.items() if v > 1]
+
+
+def _leaves(obj, seen):
+    """The arrays (as bytes), numbers and strings reachable from `obj`, in a fixed order.
+
+    Containers and objects are walked once each; functions are skipped.
+    """
+    if isinstance(obj, np.ndarray):
+        return [(obj.dtype.str, obj.shape, obj.tobytes())]
+    if obj is None or isinstance(obj, (bool, int, float, complex, str, np.generic)):
+        return [repr(obj)]
+    if isinstance(obj, (types.FunctionType, types.MethodType)) or id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        items = sorted(vars(obj).items())
+    return [leaf for key, value in items for leaf in [repr(key), *_leaves(value, seen)]]
+
+
+class TestFaultSeam:
+    """A fault swaps the build of one node; nothing else in `checks` names it."""
+
+    def test_the_fault_table_names_every_fault(self):
+        assert set(checks_module._FAULTS) == set(scenario_module.FAULTS)
+
+    def test_each_swapped_build_takes_the_parameters_of_the_build_it_replaces(self):
+        for fault, (node, build) in checks_module._FAULTS.items():
+            assert (list(inspect.signature(build).parameters)
+                    == list(inspect.signature(_NODES[node]).parameters)), fault
+
+    def test_each_fault_name_appears_only_in_the_fault_tables(self):
+        package = pathlib.Path(checks_module.__file__).parent
+        found = []  # (module, line) of each string that holds a fault name
+        allowed = set()
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str) and any(
+                        fault in node.value for fault in scenario_module.FAULTS):
+                    found.append((path.stem, node.lineno, node.col_offset))
+                if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)):
+                    continue
+                target = (path.stem, node.targets[0].id)
+                if target == ("scenario", "FAULTS"):
+                    allowed |= {(path.stem, e.lineno, e.col_offset) for e in node.value.elts}
+                elif target == ("checks", "_FAULTS"):
+                    allowed |= {(path.stem, k.lineno, k.col_offset) for k in node.value.keys}
+        assert len(allowed) == 2 * len(scenario_module.FAULTS)
+        assert sorted(found) == sorted(allowed)
+
+    def test_a_fault_changes_only_its_node_and_the_nodes_that_read_it(self, monkeypatch):
+        built = []  # one dict per run: node name -> the node its `_NODES` build made
+
+        def recording(*reads, name, build):
+            built[-1][name] = build(*reads)
+            return built[-1][name]
+
+        for name, build in list(_NODES.items()):
+            monkeypatch.setitem(_NODES, name, functools.partial(
+                recording, name=name, build=build))
+        root = resources.files("fibreqm") / "catalog"
+        raw = json.loads((root / "phase-gauge-rabi.json").read_text())
+        reports = []
+        for faults in ({}, {"drop_trivialization_derivative": True}):
+            built.append({})
+            reports.append(run_scenario(scenario_from_dict(dict(raw, faults=faults))))
+        assert reports[0].overall_pass
+        assert not reports[1].record("state_equivalence").passed
+
+        (swapped, _), = checks_module._FAULTS.values()
+        changed = {swapped} | {name for name in _NODES
+                               if swapped in checks_module._NODE_READS[name]}
+        assert changed == {"bundle_trivialization", "bundle_section"}
+        assert set(built[0]) == set(_NODES)
+        assert set(built[1]) == set(_NODES) - {swapped}
+        for name in set(_NODES) - changed:
+            assert _leaves(built[0][name], set()) == _leaves(built[1][name], set()), name
+        assert (_leaves(built[0]["bundle_section"], set())
+                != _leaves(built[1]["bundle_section"], set()))
 
 
 class TestSuite:
@@ -1042,6 +1158,43 @@ class TestCli:
         assert cli_main(["diff", str(path), str(path)]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: not a report records file (KeyError('scenario'))\n")
+
+    @pytest.mark.parametrize("raw, non_finite", [
+        # the frames fail on this coarse grid: the setup record's residual is inf
+        ({"name": "g", "dimension": 2, "grid": {"steps": 3},
+          "trivialization": {"kind": "global-phase"}}, {'"inf"': 1}),
+        # the products of this generator's steps overflow: residuals and series are nan
+        ({"name": "g", "dimension": 2, "grid": {"steps": 100},
+          "hamiltonian": {"kind": "non-hermitian",
+                          "matrix": [[[0, 800], [0, 0]], [[0, 0], [0, 0]]]}},
+         {'"nan"': 167}),
+    ], ids=["setup-failure", "overflow"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_records_are_standard_json_and_read_back(self, tmp_path, capsys, raw,
+                                                                non_finite):
+        out_dir = tmp_path / "reports"
+        assert cli_main(["run", str(write_config(tmp_path, raw)), "--format", "records",
+                         "--output", str(out_dir)]) == 1
+        path = out_dir / "g.records.json"
+        text = path.read_text()
+
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(text, parse_constant=reject)
+        assert {token: text.count(token) for token in non_finite} == non_finite
+        written = [record["max_residual"] for record in payload["records"]]
+        assert any(isinstance(x, str) for x in written)
+        loaded = [r.max_residual for r in report_from_dict(payload).records]
+        assert all(isinstance(x, float) for x in loaded)
+        assert list(map(str, loaded)) == list(map(str, written))
+        capsys.readouterr()
+        assert cli_main(["emit", str(path), "--format", "records"]) == 1
+        assert capsys.readouterr().out == text
+        assert cli_main(["diff", str(path), str(path)]) == 0
+        assert capsys.readouterr().out.endswith(
+            "0 verdict changes, 0 moved residuals (largest move 0.000e+00), "
+            "0 moved worst times, 0 records on one side only\n")
 
     def test_suite_of_catalog(self, tmp_path, capsys):
         # a tiny directory suite keeps this fast; catalog suite runs in acceptance
