@@ -20,7 +20,7 @@ invertible matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -106,41 +106,47 @@ def _require_invertible(mats: np.ndarray, name: str, times) -> None:
 class TrivializationFamily:
     """Differentiable family t -> l(t) of invertible fibre-to-typical-fibre maps.
 
-    `sample` maps a 1-D array of N times to the stack l(t_k), shape (N, n, n),
-    and `derivative` maps them to the exact dl/dt(t_k).  Each batch is checked
-    once: its shape and finiteness (ValueError naming the family) and, for
-    values, invertibility; single-time queries are batches of one.
+    `sample` maps a 1-D array of N times to the pair of stacks
+    (l(t_k), dl/dt(t_k)), each of shape (N, n, n), from one evaluation.  Each
+    batch is checked once: both shapes and finiteness (ValueError naming the
+    family) and the invertibility of the values; single-time queries are
+    batches of one.
     """
 
-    def __init__(self, sample: Callable[[np.ndarray], np.ndarray], dimension: int,
-                 derivative: Callable[[np.ndarray], np.ndarray], name: str = "custom"):
+    def __init__(self, sample: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+                 dimension: int, name: str = "custom"):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self._sample = sample
-        self._derivative = derivative
         self.dimension = int(dimension)
         self.name = name
 
     def with_derivative(self, derivative: Callable[[np.ndarray], np.ndarray]
                         ) -> "TrivializationFamily":
         """The same values, dimension and name with another derivative sampler."""
-        return TrivializationFamily(self._sample, self.dimension, derivative, self.name)
+        sample = self._sample
+        return TrivializationFamily(lambda ts: (sample(ts)[0], derivative(ts)),
+                                    self.dimension, self.name)
 
     def at(self, t: float) -> np.ndarray:
         return self.at_many(np.array([float(t)]))[0]
 
     def at_many(self, times) -> np.ndarray:
         """The stack l(t_k), sampled once and checked invertible once."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        values = checked_stack(self._sample(times), times, self.dimension,
-                               f"trivialization '{self.name}'")
-        _require_invertible(values, self.name, times)
-        return values
+        return self._checked(times)[0]
 
-    def derivative_at_many(self, times) -> np.ndarray:
+    def derivative_at_many(self, times) -> Tuple[np.ndarray, np.ndarray]:
+        """The stacks l(t_k) and dl/dt(t_k) from one evaluation; l checked invertible once."""
+        return self._checked(times)
+
+    def _checked(self, times) -> Tuple[np.ndarray, np.ndarray]:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        return checked_stack(self._derivative(times), times, self.dimension,
-                             f"trivialization '{self.name}' derivative")
+        values, derivative = self._sample(times)
+        what = f"trivialization '{self.name}'"
+        values = checked_stack(values, times, self.dimension, what)
+        derivative = checked_stack(derivative, times, self.dimension, f"{what} derivative")
+        _require_invertible(values, self.name, times)
+        return values, derivative
 
     def validate_on_grid(self, times) -> np.ndarray:
         """Check invertibility at every grid time and derivative consistency.
@@ -152,13 +158,14 @@ class TrivializationFamily:
         the sampled third derivative, so correct derivatives pass on coarse
         grids while order-one mistakes are still caught.
 
-        Returns the checked grid values, so callers can reuse them instead of
-        sampling the grid again.
+        Values and derivative come from one evaluation on the grid; returns the
+        checked grid values, so callers can reuse them instead of sampling the
+        grid again.
         """
         times = np.asarray(times, dtype=float)
-        values = self.at_many(times)
+        values, derivative = self.derivative_at_many(times)
         if times.size >= 3:
-            supplied = self.derivative_at_many(times[1:-1])
+            supplied = derivative[1:-1]
             fd = (values[2:] - values[:-2]) / (times[2:] - times[:-2])[:, None, None]
             allowance = _DERIVATIVE_FD_TOL * max(1.0, max_abs(supplied))
             if times.size >= 5:
@@ -176,20 +183,25 @@ class TrivializationFamily:
 
 # --- catalog families ---------------------------------------------------
 
+def _constant_frames(m: np.ndarray) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """ts -> (a copy of m at every time, zero derivative)."""
+    return lambda ts: (np.broadcast_to(m, (ts.size,) + m.shape).copy(),
+                       np.zeros((ts.size,) + m.shape, dtype=complex))
+
+
 def identity_trivialization(dimension: int) -> TrivializationFamily:
-    eye = np.eye(dimension, dtype=complex)
-    return TrivializationFamily(
-        lambda ts: np.broadcast_to(eye, (ts.size, dimension, dimension)).copy(), dimension,
-        lambda ts: np.zeros((ts.size, dimension, dimension), dtype=complex),
-        name="identity")
+    return TrivializationFamily(_constant_frames(np.eye(dimension, dtype=complex)), dimension,
+                                name="identity")
 
 
 def global_phase_trivialization(dimension: int, omega: float) -> TrivializationFamily:
     eye = np.eye(dimension, dtype=complex)
-    return TrivializationFamily(
-        lambda ts: np.exp(1j * omega * ts)[:, None, None] * eye, dimension,
-        lambda ts: (1j * omega * np.exp(1j * omega * ts))[:, None, None] * eye,
-        name="global-phase")
+
+    def sample(ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        phases = np.exp(1j * omega * ts)
+        return phases[:, None, None] * eye, (1j * omega * phases)[:, None, None] * eye
+
+    return TrivializationFamily(sample, dimension, name="global-phase")
 
 
 def diagonal_phase_trivialization(omegas: Sequence[float]) -> TrivializationFamily:
@@ -197,30 +209,31 @@ def diagonal_phase_trivialization(omegas: Sequence[float]) -> TrivializationFami
     if freqs.ndim != 1 or freqs.size < 1:
         raise ValueError("omegas must be a non-empty 1-D sequence")
     eye = np.eye(freqs.size)
-    return TrivializationFamily(
-        lambda ts: np.exp(1j * np.outer(ts, freqs))[:, :, None] * eye, freqs.size,
-        lambda ts: (1j * freqs * np.exp(1j * np.outer(ts, freqs)))[:, :, None] * eye,
-        name="diagonal-phase")
+
+    def sample(ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        phases = np.exp(1j * np.outer(ts, freqs))
+        return phases[:, :, None] * eye, (1j * freqs * phases)[:, :, None] * eye
+
+    return TrivializationFamily(sample, freqs.size, name="diagonal-phase")
 
 
 def constant_trivialization(matrix, name: str = "constant") -> TrivializationFamily:
     m = as_operator(matrix)
     _require_invertible(m, name, 0.0)
-    return TrivializationFamily(
-        lambda ts: np.broadcast_to(m, (ts.size,) + m.shape).copy(), m.shape[0],
-        lambda ts: np.zeros((ts.size,) + m.shape, dtype=complex),
-        name=name)
+    return TrivializationFamily(_constant_frames(m), m.shape[0], name=name)
 
 
 def _seeded_smooth_unitary(dimension: int, seed_key: Sequence[int], scale: float,
                            frequency: float):
-    """Samplers of s -> exp(s K1) exp(sin(w s) K2) and of its s-derivative.
+    """Samplers of V(s) = exp(s K1) exp(sin(w s) K2): of V alone, and of (V, dV/ds).
 
     K1, K2 are anti-Hermitian generators drawn in turn from
     `default_rng(seed_key)`.  Each is diagonalized once
-    (`antihermitian_exponentials`), so a whole stack of samples costs two
+    (`antihermitian_exponentials`), so a whole stack of values costs two
     batched products per factor and every sample is unitary to rounding.
-    The random gauge family and the random picture of motion share it.
+    Each generator commutes with its own factor, so the derivative is
+    K1 V + w cos(w s) V K2, two products on the values.  The random gauge
+    family and the random picture of motion (values only) share it.
     """
     rng = np.random.default_rng(list(seed_key))
     gens = []
@@ -234,13 +247,14 @@ def _seeded_smooth_unitary(dimension: int, seed_key: Sequence[int], scale: float
     def values(s: np.ndarray) -> np.ndarray:
         return exp1(s) @ exp2(np.sin(frequency * s))
 
-    def derivative(s: np.ndarray) -> np.ndarray:
-        f1 = exp1(s)
-        f2 = exp2(np.sin(frequency * s))
-        rate = (frequency * np.cos(frequency * s))[:, None, None]
-        return (k1 @ f1) @ f2 + f1 @ (rate * (k2 @ f2))
+    def with_derivative(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        v = values(s)
+        derivative = v @ k2
+        derivative *= (frequency * np.cos(frequency * s))[:, None, None]
+        derivative += k1 @ v
+        return v, derivative
 
-    return values, derivative
+    return values, with_derivative
 
 
 def random_smooth_unitary_trivialization(dimension: int, seed: int, scale: float = 0.6,
@@ -249,12 +263,13 @@ def random_smooth_unitary_trivialization(dimension: int, seed: int, scale: float
 
     K1, K2 are anti-Hermitian, so every value is unitary; each factor is a
     single-generator exponential whose derivative is elementary, and the
-    product rule gives the family's analytic derivative.  Both generators are
-    diagonalized once when the family is built, and every frame stack is
-    V diag(exp(i s lam)) V^dagger per factor (no series exponentials).
+    product rule gives the family's analytic derivative, formed from the
+    values in the same evaluation.  Both generators are diagonalized once when
+    the family is built, and every frame stack is V diag(exp(i s lam)) V^dagger
+    per factor (no series exponentials).
     """
-    values, derivative = _seeded_smooth_unitary(dimension, [int(seed), 0x51], scale, frequency)
-    return TrivializationFamily(values, dimension, derivative, name="random-smooth-unitary")
+    _, sample = _seeded_smooth_unitary(dimension, [int(seed), 0x51], scale, frequency)
+    return TrivializationFamily(sample, dimension, name="random-smooth-unitary")
 
 
 # --- sections and morphisms along paths ----------------------------------

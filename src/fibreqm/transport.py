@@ -83,10 +83,9 @@ class MatrixBundleHamiltonian:
 
     def at_many(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        l = self.trivialization
-        values = l.at_many(times)
-        h_vals = self.hamiltonian.at_many(times)
-        return _bundle_generator(values, h_vals, l.derivative_at_many(times), self.constants.hbar)
+        values, derivative = self.trivialization.derivative_at_many(times)
+        return _bundle_generator(values, self.hamiltonian.at_many(times), derivative,
+                                 self.constants.hbar)
 
 
 class EvolutionTransport:

@@ -33,12 +33,26 @@ from fibreqm.bundle import (
 )
 from fibreqm.checks import build_artifacts
 from fibreqm.dynamics import HamiltonianFamily, PropagatorGrid
-from fibreqm.hilbert import inner_products, max_abs
+from fibreqm.hilbert import antihermitian_exponentials, inner_products, max_abs
 from fibreqm.pictures import PictureTransform
 from fibreqm.scenario import catalog_names, load_catalog_scenario
 from fibreqm.transport import EvolutionTransport
 
 DIAG12 = constant_trivialization(np.diag([1.0, 2.0]).astype(complex))
+
+
+def stretched(base, stretch, name):
+    """The family l(t) S of `base` and a constant matrix S, sampled through `base`."""
+    return TrivializationFamily(lambda ts: tuple(m @ stretch for m in base.derivative_at_many(ts)),
+                                base.dimension, name=name)
+
+
+def singular_at(offset, name="custom"):
+    """diag(t - offset, 1): singular at t = offset, with derivative diag(1, 0)."""
+    return TrivializationFamily(
+        lambda ts: (np.stack([np.diag([t - offset, 1.0]) for t in ts]).astype(complex),
+                    np.broadcast_to(np.diag([1.0, 0.0]).astype(complex), (ts.size, 2, 2))),
+        2, name=name)
 
 
 def random_invertible_family(n, seed, non_unitary=True):
@@ -47,9 +61,7 @@ def random_invertible_family(n, seed, non_unitary=True):
     if not non_unitary:
         return base
     stretch = np.diag(1.0 + rng.uniform(0.2, 1.3, size=n)).astype(complex)
-    return TrivializationFamily(lambda ts: base.at_many(ts) @ stretch, n,
-                                lambda ts: base.derivative_at_many(ts) @ stretch,
-                                name="stretched")
+    return stretched(base, stretch, "stretched")
 
 
 class TestLifting:
@@ -112,9 +124,7 @@ class TestLifting:
         # within the forward-error scale cond(l) eps |A| of either.
         base = random_smooth_unitary_trivialization(3, 41)
         stretch = np.diag([1.0, 1e-3, 1e3]).astype(complex)
-        l = TrivializationFamily(lambda ts: base.at_many(ts) @ stretch, 3,
-                                 lambda ts: base.derivative_at_many(ts) @ stretch,
-                                 name="ill-conditioned")
+        l = stretched(base, stretch, "ill-conditioned")
         times = np.linspace(0.0, 1.0, 9)
         frames = l.at_many(times)
         cond = float(np.max(np.linalg.cond(frames)))
@@ -126,9 +136,7 @@ class TestLifting:
         assert max_abs(lifted - solved) <= 1e3 * cond * np.finfo(float).eps * max_abs(a)
 
     def test_singular_trivialization_rejected(self):
-        sick = TrivializationFamily(
-            lambda ts: np.stack([np.diag([t, 1.0]) for t in ts]).astype(complex), 2,
-            lambda ts: np.broadcast_to(np.diag([1.0, 0.0]).astype(complex), (ts.size, 2, 2)))
+        sick = singular_at(0.0)
         with pytest.raises(SingularTrivializationError):
             lift_trajectory(sick, [0.0], [[1.0, 1.0]])
 
@@ -327,19 +335,33 @@ class TestTrivializationValidation:
             constant_trivialization(np.diag([1.0, 0.0]).astype(complex))
 
     def test_grid_validation_catches_singularity(self):
-        sick = TrivializationFamily(
-            lambda ts: np.stack([np.diag([t - 0.5, 1.0]) for t in ts]).astype(complex), 2,
-            lambda ts: np.broadcast_to(np.diag([1.0, 0.0]).astype(complex), (ts.size, 2, 2)))
+        sick = singular_at(0.5)
         with pytest.raises(SingularTrivializationError):
             sick.validate_on_grid(np.linspace(0.0, 1.0, 11))
 
     def test_wrong_analytic_derivative_detected(self):
         liar = TrivializationFamily(
-            lambda ts: np.stack([np.diag([np.exp(1j * t), 1.0]) for t in ts]),
-            2,
-            derivative=lambda ts: np.zeros((ts.size, 2, 2), dtype=complex))
+            lambda ts: (np.stack([np.diag([np.exp(1j * t), 1.0]) for t in ts]),
+                        np.zeros((ts.size, 2, 2), dtype=complex)),
+            2)
         with pytest.raises(ValueError, match="derivative"):
             liar.validate_on_grid(np.linspace(0.0, 1.0, 101))
+
+    def test_random_family_derivative_matches_the_product_rule(self):
+        # dl/ds = K1 V + w cos(w s) V K2 on the values V, against the product rule
+        # over both exponential factors, with the family's own generators.
+        n, seed, scale, frequency = 32, 5, 0.6, 2.5
+        rng = np.random.default_rng([seed, 0x51])
+        k1, k2 = (1j * scale * (m + m.conj().T) / 2.0 / np.sqrt(n)
+                  for m in (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                            for _ in range(2)))
+        s = np.linspace(-1.0, 2.0, 61)
+        f1 = antihermitian_exponentials(k1)(s)
+        f2 = antihermitian_exponentials(k2)(np.sin(frequency * s))
+        rate = (frequency * np.cos(frequency * s))[:, None, None]
+        values, derivative = random_smooth_unitary_trivialization(n, seed).derivative_at_many(s)
+        assert np.array_equal(values, f1 @ f2)
+        assert max_abs(derivative - ((k1 @ f1) @ f2 + f1 @ (rate * (k2 @ f2)))) <= 1e-14
 
     def test_catalog_families_validate(self):
         times = np.linspace(0.0, 1.0, 101)
@@ -351,15 +373,16 @@ class TestTrivializationValidation:
             family.validate_on_grid(times)
 
 
-@pytest.mark.parametrize("sampler, derivative, query", [
+@pytest.mark.parametrize("values, derivative, query", [
     (lambda ts: np.zeros((ts.size, 3, 3), dtype=complex), None, "at_many"),
     (lambda ts: np.eye(2, dtype=complex), None, "at_many"),
     (lambda ts: np.eye(2, dtype=complex), None, "at"),
     (lambda ts: np.ones((ts.size, 2, 2), dtype=complex),
      lambda ts: np.zeros((ts.size + 1, 2, 2), dtype=complex), "derivative_at_many"),
 ])
-def test_wrong_sampler_shape_rejected(sampler, derivative, query):
-    family = TrivializationFamily(sampler, 2, derivative, name="misshapen")
+def test_wrong_sampler_shape_rejected(values, derivative, query):
+    derivative = derivative or (lambda ts: np.zeros((ts.size, 2, 2), dtype=complex))
+    family = TrivializationFamily(lambda ts: (values(ts), derivative(ts)), 2, name="misshapen")
     with pytest.raises(ValueError, match="misshapen"):
         getattr(family, query)(np.linspace(0.0, 1.0, 4) if query != "at" else 0.5)
 
@@ -443,10 +466,7 @@ class TestFrameInverse:
             assert max_abs(inverse @ stack - np.eye(4)) <= 1e-12
 
     def test_a_singular_stack_is_rejected_at_its_time(self):
-        sick = TrivializationFamily(
-            lambda ts: np.stack([np.diag([t, 1.0]) for t in ts]).astype(complex), 2,
-            lambda ts: np.broadcast_to(np.diag([1.0, 0.0]).astype(complex), (ts.size, 2, 2)),
-            name="sick")
+        sick = singular_at(0.0, name="sick")
         with pytest.raises(SingularTrivializationError, match=r"'sick' is singular at t=1e-09$"):
             sick.at_many([0.5, 0.25, 1e-9, 0.75])
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,7 @@ from fibreqm.bundle import bundle_adjoint_maps
 from fibreqm.hilbert import (
     SIGMA_X,
     PhysicalConstants,
+    _taylor_plan,
     antihermitian_exponentials,
     inner_products,
     is_hermitian,
@@ -166,6 +169,72 @@ class TestMatrixExponential:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             matrix_exponential(np.zeros((2, 3)))
+
+    @given(square_matrices(), st.floats(0.0, 50.0), st.booleans())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_against_scipy_up_to_norm_50(self, m, theta, upper):
+        # Random matrices are non-normal; their upper triangles are far from normal.
+        m = np.triu(m) if upper else m
+        norm = float(np.max(np.sum(np.abs(m), axis=0)))
+        a = m * (theta / norm) if norm > 0 else m
+        expected = scipy.linalg.expm(a)
+        assert max_abs(matrix_exponential(a) - expected) <= 1e-12 * max(1.0, max_abs(expected))
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-300, 1e-9, 3e-3, 0.00603, 0.0088, 0.1, 0.25,
+                                       0.5, np.nextafter(0.5, 1.0), 0.7, 1.0, 3.3, 16.0, 50.0,
+                                       1e6])
+    def test_plan_is_the_smallest_degree_meeting_the_bound(self, theta):
+        degree, squarings = _taylor_plan(theta)
+        assert (degree, squarings) == _taylor_plan(float(theta))  # theta alone decides
+        x = theta / 2.0 ** squarings
+        assert x <= 0.5 and (squarings == 0 or 2.0 * x > 0.5)
+
+        def first_omitted(m):
+            return x ** (m + 1) / math.factorial(m + 1)
+
+        assert first_omitted(degree) <= 2.0 ** -53 * 1e-2
+        assert degree == 0 or first_omitted(degree - 1) > 2.0 ** -53 * 1e-2
+        assert degree <= 15
+
+    def test_plan_depends_on_the_batch_norm_only(self):
+        # Two batches that share their largest 1-norm give each matrix the same bits,
+        # whatever else they hold.
+        rng = np.random.default_rng(21)
+        batch = rng.normal(size=(40, 6, 6)) + 1j * rng.normal(size=(40, 6, 6))
+        batch *= 0.8 / np.max(np.sum(np.abs(batch), axis=-2), axis=-1)[:, None, None]
+        batch[0] *= 1.2
+        batch[39] = batch[0]  # the largest 1-norm, about 0.96, sits in both halves
+        full = matrix_exponential(batch)
+        assert np.array_equal(matrix_exponential(batch[:20]), full[:20])
+        assert np.array_equal(matrix_exponential(batch[20:]), full[20:])
+        assert np.array_equal(matrix_exponential(batch[[39, 5, 0]]), full[[39, 5, 0]])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 5, 5), (2, 3, 8, 8)])
+    def test_zero_is_exactly_identity(self, shape):
+        n = shape[-1]
+        assert _taylor_plan(0.0) == (0, 0)
+        assert np.array_equal(matrix_exponential(np.zeros(shape)),
+                              np.broadcast_to(np.eye(n), shape))
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 0.3])
+    def test_a_transposed_view_is_read_not_written(self, scale):
+        rng = np.random.default_rng(3)
+        base = scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        view = base.T  # not C-contiguous; at 1e-9 the degree is 1 or 2, with no product
+        result = matrix_exponential(view)
+        assert np.array_equal(view, base.T)
+        assert max_abs(result - scipy.linalg.expm(view)) <= 1e-15
+
+    def test_anti_hermitian_batch_gives_unitary_stack(self):
+        rng = np.random.default_rng(32)
+        m = rng.normal(size=(1000, 32, 32)) + 1j * rng.normal(size=(1000, 32, 32))
+        k = 1j * (m + np.swapaxes(m.conj(), -2, -1))
+        # 1-norms spread over [0, 2], so the batch is squared twice
+        norms = np.max(np.sum(np.abs(k), axis=-2), axis=-1)
+        k *= (np.linspace(0.0, 2.0, 1000) / norms)[:, None, None]
+        assert _taylor_plan(float(np.max(np.sum(np.abs(k), axis=-2))))[1] == 2
+        u = matrix_exponential(k)
+        assert max_abs(np.swapaxes(u.conj(), -2, -1) @ u - np.eye(32)) <= 1e-14
 
 
 def seeded_antihermitian(n, seed):

@@ -456,9 +456,9 @@ class TestRunScenario:
         from fibreqm.bundle import TrivializationFamily
         cfg = scenario_from_dict(dict(MINIMAL))
         cfg.trivialization = TrivializationFamily(
-            lambda ts: np.stack([np.diag([t - 0.5, 1.0]) for t in ts]).astype(complex), 2,
-            lambda ts: np.broadcast_to(np.diag([1.0, 0.0]).astype(complex), (ts.size, 2, 2)),
-            name="singular-mid")
+            lambda ts: (np.stack([np.diag([t - 0.5, 1.0]) for t in ts]).astype(complex),
+                        np.broadcast_to(np.diag([1.0, 0.0]).astype(complex), (ts.size, 2, 2))),
+            2, name="singular-mid")
         report = run_scenario(cfg)
         assert not report.overall_pass
         setup = report.record("setup")
@@ -526,8 +526,8 @@ class TestRunScenario:
                 return out
             return sample
 
-        family = TrivializationFamily(sampler("values"), 2, sampler("derivative"),
-                                      name="poisoned")
+        family = TrivializationFamily(lambda ts: (sampler("values")(ts),
+                                                  sampler("derivative")(ts)), 2, name="poisoned")
         with pytest.raises(ValueError, match="trivialization 'poisoned'.* non-finite"):
             getattr(family, query)(np.linspace(0.0, 1.0, 5))
 
@@ -573,25 +573,24 @@ class TestJudge:
 
 class TestSampleOnce:
     def test_each_time_set_sampled_once(self):
+        # The family's one sampler gives values and derivative together, so the
+        # grid (for validation and the frames) and the midpoints (for the bundle
+        # generator) are each evaluated once, every check run included.
         cfg = load_catalog_scenario("random-unitary-gauge")
         cfg.rabi_omega = np.pi  # so physics_closed_form can run too, as every check does here
         family = cfg.trivialization
-        calls = {"values": [], "derivatives": []}
+        sampled = []
+        sample = family._sample
 
-        def recording(kind, sampler):
-            def wrapper(times, *args, **kwargs):
-                calls[kind].append(np.atleast_1d(np.asarray(times, dtype=float)).tobytes())
-                return sampler(times, *args, **kwargs)
-            return wrapper
+        def recording(times):
+            sampled.append(np.asarray(times, dtype=float).tobytes())
+            return sample(times)
 
-        family.at_many = recording("values", family.at_many)
-        family.derivative_at_many = recording("derivatives", family.derivative_at_many)
-
+        family._sample = recording
         records = run_scenario(dataclasses.replace(cfg, checks=list(ALL_CHECKS))).records
         assert all(r.passed for r in records if r.check in cfg.checks)
-        for kind, sampled in calls.items():
-            assert sampled, kind
-            assert len(sampled) == len(set(sampled)), f"a time set was resampled ({kind})"
+        midpoints = (cfg.times[:-1] + cfg.times[1:]) / 2.0
+        assert sampled == [cfg.times.tobytes(), midpoints.tobytes()]
 
     def test_each_t0_transport_stack_computed_once(self, monkeypatch):
         calls = []
@@ -818,6 +817,48 @@ class TestArtifactNodes:
             tracemalloc.stop()
         one_stack = cfg.times.size * 16 * 16 * np.dtype(complex).itemsize
         # the transport criterion's three stacks, and no commutator stack beside them
+        assert (peak - start) / one_stack < 3.5
+
+    def test_a_setup_node_no_requested_check_reads_is_dropped_after_setup(self, monkeypatch):
+        built = []  # the node dict of the run
+        setup = checks_module.build_artifacts
+
+        def recording(cfg):
+            built.append(setup(cfg))
+            return built[-1]
+
+        held = []
+        dualities = _CHECK_TABLE["module_dualities"]
+
+        def probe(tol, *reads):
+            held.append(set(built[-1]))
+            return dualities(tol, *reads)
+
+        monkeypatch.setattr(checks_module, "build_artifacts", recording)
+        monkeypatch.setitem(_CHECK_TABLE, "module_dualities", probe)
+        cfg = dataclasses.replace(load_catalog_scenario("random-unitary-gauge"),
+                                  checks=["module_dualities"])
+        assert run_scenario(cfg).overall_pass
+        assert held == [{"cfg", "times", "series"}]
+
+    def test_hermiticity_correspondence_conjugates_a_broadcast_observable_once(self):
+        root = resources.files("fibreqm") / "catalog"
+        raw = json.loads((root / "random-unitary-gauge.json").read_text())
+        raw["dimension"], raw["grid"]["steps"] = 16, 400
+        cfg = scenario_from_dict(raw)
+        nodes = build_artifacts(cfg)
+        check_id = "hermiticity_correspondence"
+        reads = [checks_module._read(nodes, name) for name in checks_module._READS[check_id]]
+        assert all(stack.strides[0] == 0 for stack in nodes["observables"].values())
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            assert _CHECK_TABLE[check_id](cfg.tolerances[check_id], *reads).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_stack = cfg.times.size * 16 * 16 * np.dtype(complex).itemsize
+        # three stacks in the bundle adjoint beside the deviation; no conjugate copy
         assert (peak - start) / one_stack < 3.5
 
     def test_every_node_computed_at_most_once(self, monkeypatch):

@@ -71,7 +71,7 @@ class TestMatrixBundleHamiltonian:
         l = constant_trivialization(np.diag([1.0, 3.0]).astype(complex))
         full = MatrixBundleHamiltonian(h, l, TIMES).at_many([0.5])
         zero_derivative = TrivializationFamily(
-            l.at_many, 2, lambda ts: np.zeros((ts.size, 2, 2), dtype=complex))
+            lambda ts: (l.at_many(ts), np.zeros((ts.size, 2, 2), dtype=complex)), 2)
         conjugate = MatrixBundleHamiltonian(h, zero_derivative, TIMES)
         assert max_abs(full - conjugate.at_many([0.5])) <= 1e-15
 
