@@ -28,6 +28,7 @@ from .hilbert import (
     antihermitian_exponentials,
     apply,
     as_operator,
+    broadcast_sampler,
     checked_stack,
     inner_products,
     max_abs,
@@ -183,14 +184,9 @@ class TrivializationFamily:
 
 # --- catalog families ---------------------------------------------------
 
-def _constant_frames(m: np.ndarray) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """ts -> (a copy of m at every time, zero derivative)."""
-    return lambda ts: (np.broadcast_to(m, (ts.size,) + m.shape).copy(),
-                       np.zeros((ts.size,) + m.shape, dtype=complex))
-
-
 def identity_trivialization(dimension: int) -> TrivializationFamily:
-    return TrivializationFamily(_constant_frames(np.eye(dimension, dtype=complex)), dimension,
+    """l(t) = I, sampled as read-only broadcasts (`hilbert.broadcast_sampler`)."""
+    return TrivializationFamily(broadcast_sampler(np.eye(dimension, dtype=complex)), dimension,
                                 name="identity")
 
 
@@ -218,9 +214,10 @@ def diagonal_phase_trivialization(omegas: Sequence[float]) -> TrivializationFami
 
 
 def constant_trivialization(matrix, name: str = "constant") -> TrivializationFamily:
+    """l(t) = M, checked invertible here and sampled as read-only broadcasts."""
     m = as_operator(matrix)
     _require_invertible(m, name, 0.0)
-    return TrivializationFamily(_constant_frames(m), m.shape[0], name=name)
+    return TrivializationFamily(broadcast_sampler(m), m.shape[0], name=name)
 
 
 def _seeded_smooth_unitary(dimension: int, seed_key: Sequence[int], scale: float,

@@ -28,7 +28,7 @@ from .bundle import (
     section_operator_as_morphism,
 )
 from .dynamics import PropagatorGrid, Trajectory, propagate_states
-from .hilbert import apply, expectations, max_abs
+from .hilbert import apply, distinct_matrices, expectations, max_abs
 from .pictures import (
     PictureTransform,
     evolve_density_morphisms,
@@ -219,7 +219,7 @@ def _check_hermiticity_correspondence(tol: float, times, transport, observables,
     frames, inv = transport.frames, transport.inverse_frames
     per_observable = {}
     for name, stack in observables.items():
-        one = stack[:1] if stack.strides[0] == 0 else stack  # a broadcast is conjugated once
+        one = distinct_matrices(stack)  # a broadcast is conjugated once
         adjoint = np.broadcast_to(np.swapaxes(one.conj(), -2, -1), stack.shape)
         deviation = lift_operators(frames, inv, adjoint)
         deviation -= bundle_adjoint_maps(frames, inv, lifted_observables[name].matrices)

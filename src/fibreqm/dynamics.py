@@ -12,7 +12,7 @@ materialized as ordered products of the step propagators on the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -20,7 +20,9 @@ from .hilbert import (
     PhysicalConstants,
     as_operator,
     as_state,
+    broadcast_sampler,
     checked_stack,
+    distinct_matrices,
     inner_products,
     is_hermitian,
     matrix_exponential,
@@ -62,20 +64,15 @@ def _steps_from(t0: float, t1: float, step: float) -> int:
     return max(steps, 1)
 
 
-def _constant_sampler(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """ts -> the read-only broadcast of one matrix over the batch (no copy)."""
-    return lambda ts: np.broadcast_to(matrix, (ts.size,) + matrix.shape)
-
-
 class HamiltonianFamily:
     """Time-indexed Hamiltonian t -> H(t) of a fixed dimension.
 
     `sample` maps a 1-D array of N times to the stack H(t_k), shape (N, n, n).
-    Each batch is shape- and finiteness-checked once (ValueError naming the
-    family); single-time queries are batches of one.  `hermitian_expected`
-    declares whether H(t) should pass the Hermiticity predicate wherever it
-    is sampled; non-Hermitian families are allowed but unitarity-based
-    checks are skipped for them downstream.
+    `at_many` checks each batch wherever it is sampled: shape, finiteness and,
+    if `hermitian_expected`, max|H - H^dagger| <= 1e-10 max(1, max|H|), with a
+    ValueError naming the family; a broadcast is checked on its one matrix.
+    Non-Hermitian families are allowed but unitarity-based checks are skipped
+    for them downstream.
     """
 
     def __init__(self, sample: Callable[[np.ndarray], np.ndarray], dimension: int,
@@ -93,57 +90,58 @@ class HamiltonianFamily:
         m = as_operator(matrix)
         if hermitian_expected is None:
             hermitian_expected = is_hermitian(m, 1e-12 * max(1.0, max_abs(m)))
-        return cls(_constant_sampler(m), m.shape[0], hermitian_expected, name)
+        sample = broadcast_sampler(m)
+        return cls(lambda ts: sample(ts)[0], m.shape[0], hermitian_expected, name)
 
     @classmethod
     def zero(cls, dimension: int) -> "HamiltonianFamily":
-        z = np.zeros((dimension, dimension), dtype=complex)
-        return cls(_constant_sampler(z), dimension, True, "zero")
+        return cls.constant(np.zeros((dimension, dimension)), True, "zero")
 
     def at(self, t: float) -> np.ndarray:
         return self.at_many(np.array([float(t)]))[0]
 
     def at_many(self, times: np.ndarray) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        return checked_stack(self._sample(times), times, self.dimension,
-                             f"Hamiltonian family '{self.name}'")
+        what = f"Hamiltonian family '{self.name}'"
+        stack = checked_stack(self._sample(times), times, self.dimension, what)
+        if self.hermitian_expected:
+            one = distinct_matrices(stack)
+            dev = max_abs(one - np.swapaxes(one.conj(), -2, -1))
+            if dev > 1e-10 * max(1.0, max_abs(one)):
+                raise ValueError(f"{what} flagged Hermitian deviates by {dev:.3e}")
+        return stack
 
 
 class ObservableFamily:
-    """Observable t -> A(t) with an explicit time derivative.
+    """Observable t -> A(t) and its exact time derivative, from one sampler.
 
-    `sample` maps a 1-D array of N times to the stack A(t_k), shape (N, n, n),
-    and `derivative` maps them to the exact dA/dt(t_k).  Both are checked like
-    `HamiltonianFamily` samples.
+    `sample` maps a 1-D array of N times to the pair (A(t_k), dA/dt(t_k)) of
+    (N, n, n) stacks; each is checked like `HamiltonianFamily` samples.
     """
 
-    def __init__(self, sample: Callable[[np.ndarray], np.ndarray], dimension: int,
-                 derivative: Callable[[np.ndarray], np.ndarray], name: str = "observable"):
+    def __init__(self, sample: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+                 dimension: int, name: str = "observable"):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self._sample = sample
-        self._derivative = derivative
         self.dimension = int(dimension)
         self.name = name
 
     @classmethod
     def constant(cls, matrix, name: str = "constant") -> "ObservableFamily":
         m = as_operator(matrix)
-        return cls(_constant_sampler(m), m.shape[0], _constant_sampler(np.zeros_like(m)),
-                   name=name)
-
-    def at(self, t: float) -> np.ndarray:
-        return self.at_many(np.array([float(t)]))[0]
+        return cls(broadcast_sampler(m), m.shape[0], name=name)
 
     def at_many(self, times: np.ndarray) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        return checked_stack(self._sample(times), times, self.dimension,
-                             f"observable '{self.name}'")
+        return self.derivative_at_many(times)[0]
 
-    def derivative_on_grid(self, times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        return checked_stack(self._derivative(times), times, self.dimension,
-                             f"observable '{self.name}' derivative")
+    def derivative_at_many(self, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The stacks A(t_k) and dA/dt(t_k) from one evaluation, each checked once."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        values, derivative = self._sample(times)
+        what = f"observable '{self.name}'"
+        return (checked_stack(values, times, self.dimension, what),
+                checked_stack(derivative, times, self.dimension, f"{what} derivative"))
 
 
 @dataclass(frozen=True)
@@ -215,26 +213,6 @@ def midpoint_propagators(matrix_at_many: Callable[[np.ndarray], np.ndarray],
     return matrix_exponential(-1j * h[:, None, None] * mats / constants.hbar)
 
 
-def _hermitian_checked(family: HamiltonianFamily) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap a family's sampler to enforce its declared Hermiticity.
-
-    A family flagged Hermitian may deviate from H = H^dagger by at most
-    1e-10 * max(1, max|H|) in any sampled entry.
-    """
-
-    def at_many(times: np.ndarray) -> np.ndarray:
-        sampled = family.at_many(times)
-        if family.hermitian_expected:
-            dev = max_abs(sampled - np.swapaxes(sampled.conj(), -2, -1))
-            if dev > 1e-10 * max(1.0, max_abs(sampled)):
-                raise ValueError(
-                    f"Hamiltonian family '{family.name}' flagged Hermitian "
-                    f"deviates by {dev:.3e}")
-        return sampled
-
-    return at_many
-
-
 def propagate_states(propagators: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     """Apply step propagators sequentially; returns (N + 1, n) states."""
     states = np.empty((propagators.shape[0] + 1, psi0.shape[0]), dtype=complex)
@@ -257,7 +235,7 @@ class PropagatorGrid:
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be a strictly increasing grid with >= 2 points")
-        steps = midpoint_propagators(_hermitian_checked(family), times, constants)
+        steps = midpoint_propagators(family.at_many, times, constants)
 
         n = family.dimension
         from_t0 = np.empty((times.size, n, n), dtype=complex)
@@ -292,7 +270,7 @@ def evolve_state(family: HamiltonianFamily, psi0, t0: float, t1: float, step: fl
     if np.vdot(psi0, psi0).real == 0.0:
         raise ValueError("initial state must be nonzero")
     times = uniform_grid(t0, t1, _steps_from(t0, t1, step))
-    props = midpoint_propagators(_hermitian_checked(family), times, constants)
+    props = midpoint_propagators(family.at_many, times, constants)
     return Trajectory(times, propagate_states(props, psi0))
 
 

@@ -23,7 +23,9 @@ __all__ = [
     "apply",
     "as_operator",
     "as_state",
+    "broadcast_sampler",
     "checked_stack",
+    "distinct_matrices",
     "expectations",
     "inner_products",
     "is_hermitian",
@@ -72,13 +74,27 @@ def as_operator(a) -> np.ndarray:
     return m
 
 
+def distinct_matrices(stack: np.ndarray) -> np.ndarray:
+    """The matrices of a stack that can differ: if its first axis has stride 0, the first."""
+    return stack[:1] if stack.strides[0] == 0 else stack
+
+
+def broadcast_sampler(matrix: np.ndarray) -> Callable[[np.ndarray], Tuple[np.ndarray, ...]]:
+    """ts -> (A, dA/dt = 0) of every constant family, as read-only 0-stride broadcasts."""
+    return lambda ts: (np.broadcast_to(matrix, (ts.size,) + matrix.shape),
+                       np.broadcast_to(0j, (ts.size,) + matrix.shape))
+
+
 def checked_stack(stack, times: np.ndarray, dimension: int, what: str) -> np.ndarray:
-    """A sampler's output as a complex (N, n, n) stack; shape and finiteness checked once."""
+    """A sampler's output as a complex (N, n, n) stack; shape and finiteness checked once.
+
+    A broadcast is checked on its one matrix (`distinct_matrices`).
+    """
     stack = np.asarray(stack, dtype=complex)
     expected = (times.size, dimension, dimension)
     if stack.shape != expected:
         raise ValueError(f"{what} returned shape {stack.shape}, expected {expected}")
-    if not np.all(np.isfinite(stack)):
+    if not np.all(np.isfinite(distinct_matrices(stack))):
         raise ValueError(f"{what} returned non-finite entries")
     return stack
 

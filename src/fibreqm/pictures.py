@@ -165,9 +165,8 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     applicable criterion to pass.
     """
     times = transport.times
-    a_vals = a.at_many(times)
+    a_vals, da_vals = a.derivative_at_many(times)
     h_vals = transport.propagators.family.at_many(times)
-    da_vals = a.derivative_on_grid(times)
     hbar = transport.propagators.constants.hbar
     residuals = a_vals @ h_vals
     residuals -= h_vals @ a_vals

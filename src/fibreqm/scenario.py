@@ -372,9 +372,9 @@ def _build_observable(spec: dict, n: int, seed: int, index: int) -> ObservableFa
     name = spec.get("name", f"obs{index}")
     _require(isinstance(name, str), f"observables[{index}].name: need a string, got {name!r}")
     if kind == "pauli":
-        _require(n == 2, "observable.pauli requires dimension 2")
+        _require(n == 2, f"observables[{index}].pauli requires dimension 2")
         axis = spec.get("axis")
-        _require(axis in _PAULI, f"observable.axis: unknown axis {axis!r}")
+        _require(axis in _PAULI, f"observables[{index}].axis: unknown axis {axis!r}")
         base = _PAULI[axis]
     elif kind == "matrix":
         base = parse_complex_matrix(spec.get("matrix"), n, f"observables[{index}].matrix")
@@ -393,9 +393,9 @@ def _build_observable(spec: dict, n: int, seed: int, index: int) -> ObservableFa
     _require(isinstance(modulation, dict), f"observables[{index}].modulation: need an object")
     omega = _real(modulation.get("omega", 1.0), f"observables[{index}].modulation.omega")
     offset = _real(modulation.get("offset", 0.0), f"observables[{index}].modulation.offset")
-    return ObservableFamily(lambda ts: (offset + np.cos(omega * ts))[:, None, None] * base, n,
-                            lambda ts: (-omega * np.sin(omega * ts))[:, None, None] * base,
-                            name=name)
+    return ObservableFamily(lambda ts: ((offset + np.cos(omega * ts))[:, None, None] * base,
+                                        (-omega * np.sin(omega * ts))[:, None, None] * base),
+                            n, name=name)
 
 
 def _build_candidate(spec: dict, n: int, index: int,
@@ -407,7 +407,7 @@ def _build_candidate(spec: dict, n: int, index: int,
         return IntegralCandidate(
             ObservableFamily.constant(hamiltonian.at(t0), name="hamiltonian"), expected)
     if kind == "pauli":
-        _require(n == 2, "integral_candidates.pauli requires dimension 2")
+        _require(n == 2, f"integral_candidates[{index}].pauli requires dimension 2")
         axis = spec.get("axis")
         _require(axis in _PAULI, f"integral_candidates[{index}].axis: unknown axis {axis!r}")
         return IntegralCandidate(

@@ -2,8 +2,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from fibreqm.suite import run_suite
+
+# Every property test draws the same examples on every run: each test's
+# examples are seeded from the test itself, and no example database is kept.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 _ACCEPTANCE_RESULTS = []
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -286,24 +288,76 @@ class TestSamplerValidation:
     def test_observable_sampler_checked(self):
         zero = ObservableFamily.constant(np.zeros((2, 2))).at_many
         for kind, sample in self.bad_samplers().items():
-            fam = ObservableFamily(sample, 2, zero, name=f"bad-{kind}")
+            fam = ObservableFamily(lambda ts, sample=sample: (sample(ts), zero(ts)), 2,
+                                   name=f"bad-{kind}")
             with pytest.raises(ValueError, match=f"observable 'bad-{kind}'"):
                 fam.at_many(self.TIMES)
 
     def test_observable_derivative_checked(self):
+        # one sampler: a bad derivative fails the whole evaluation, values too
         good = ObservableFamily.constant(SIGMA_Z).at_many
         for kind, derivative in self.bad_samplers().items():
-            fam = ObservableFamily(good, 2, derivative=derivative, name=f"bad-{kind}")
-            assert np.array_equal(fam.at_many(self.TIMES)[3], SIGMA_Z)
+            fam = ObservableFamily(lambda ts, derivative=derivative: (good(ts), derivative(ts)),
+                                   2, name=f"bad-{kind}")
             with pytest.raises(ValueError, match=f"observable 'bad-{kind}' derivative"):
-                fam.derivative_on_grid(self.TIMES)
+                fam.at_many(self.TIMES)
+            with pytest.raises(ValueError, match=f"observable 'bad-{kind}' derivative"):
+                fam.derivative_at_many(self.TIMES)
 
     def test_constant_families_broadcast_one_matrix(self):
         h = HamiltonianFamily.constant(SIGMA_X).at_many(self.TIMES)
         a = ObservableFamily.constant(SIGMA_Z)
         assert h.shape == (self.TIMES.size, 2, 2) and np.array_equal(h[7], SIGMA_X)
-        assert np.array_equal(a.derivative_on_grid(self.TIMES), np.zeros((self.TIMES.size, 2, 2)))
+        assert np.array_equal(a.derivative_at_many(self.TIMES)[1],
+                              np.zeros((self.TIMES.size, 2, 2)))
         assert not HamiltonianFamily.zero(2).at_many(self.TIMES).any()
+
+    def test_flagged_hamiltonian_checked_at_one_time(self):
+        flagged = HamiltonianFamily.constant(SIGMA_Z + 0.5j * SIGMA_X, hermitian_expected=True)
+        with pytest.raises(ValueError, match=r"^Hamiltonian family 'constant' flagged "
+                                             r"Hermitian deviates by 1\.000e\+00$"):
+            flagged.at(0.0)
+
+    def test_constant_families_are_read_only_broadcasts(self):
+        observable = ObservableFamily.constant(SIGMA_Z).derivative_at_many(self.TIMES)
+        for stack in (HamiltonianFamily.constant(SIGMA_X).at_many(self.TIMES),
+                      HamiltonianFamily.zero(2).at_many(self.TIMES), *observable):
+            assert stack.shape == (self.TIMES.size, 2, 2)
+            assert stack.strides[0] == 0 and not stack.flags.writeable
+
+    def test_a_broadcast_is_checked_on_its_one_matrix(self):
+        def broadcast(matrix):
+            return lambda ts: np.broadcast_to(matrix, (ts.size, 2, 2))
+
+        nan = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+        zero = np.zeros((2, 2), dtype=complex)
+        with pytest.raises(ValueError, match="^Hamiltonian family 'nan' returned non-finite"):
+            HamiltonianFamily(broadcast(nan), 2, name="nan").at_many(self.TIMES)
+        skew = HamiltonianFamily(broadcast(SIGMA_Z + 0.5j * SIGMA_X), 2, True, "skew")
+        with pytest.raises(ValueError, match="^Hamiltonian family 'skew' flagged Hermitian"):
+            skew.at_many(self.TIMES)
+        for values, derivative, what in [(nan, zero, "'nan'"), (zero, nan, "'nan' derivative")]:
+            fam = ObservableFamily(lambda ts, v=values, d=derivative: (broadcast(v)(ts),
+                                                                       broadcast(d)(ts)),
+                                   2, name="nan")
+            with pytest.raises(ValueError, match=f"^observable {what} returned non-finite"):
+                fam.derivative_at_many(self.TIMES)
+
+    def test_checking_a_broadcast_allocates_no_stack(self):
+        times = np.linspace(0.0, 1.0, 10 ** 5)
+        matrix = 0.7 * np.kron(SIGMA_X, SIGMA_Z) + np.diag([1.0, 2.0, 3.0, 4.0])
+        hamiltonian = HamiltonianFamily.constant(matrix)
+        observable = ObservableFamily.constant(matrix)
+        assert hamiltonian.hermitian_expected
+        tracemalloc.start()
+        try:
+            hamiltonian.at_many(times)
+            observable.derivative_at_many(times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one byte per entry: below a boolean mask of the stack, let alone a complex copy
+        assert peak < times.size * 4 * 4
 
 
 # H = sigma_z + i g sigma_x on [0, 5]: every U(t, s) is well defined, so every

@@ -171,7 +171,7 @@ class TestMatrixExponential:
             matrix_exponential(np.zeros((2, 3)))
 
     @given(square_matrices(), st.floats(0.0, 50.0), st.booleans())
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_against_scipy_up_to_norm_50(self, m, theta, upper):
         # Random matrices are non-normal; their upper triangles are far from normal.
         m = np.triu(m) if upper else m

@@ -338,10 +338,36 @@ class TestIntegralsOfMotion:
             a = evolved_observable(ts)
             return -1j * (SIGMA_Z @ a - a @ SIGMA_Z)
 
-        fam = ObservableFamily(evolved_observable, 2, heisenberg_derivative)
+        fam = ObservableFamily(lambda ts: (evolved_observable(ts), heisenberg_derivative(ts)), 2)
         report = is_integral_of_motion(fam, transport, tol=1e-5)
         assert report.certified
         assert report.transport_residual is None  # time-dependent: criterion (a) only
+
+    def test_flagged_hamiltonian_checked_on_the_grid(self):
+        # Hermitian at the midpoints, where the steppers sample it, but not at
+        # the grid times, where the commutator criterion does
+        step = TIMES[1] - TIMES[0]
+
+        def sample(ts: np.ndarray) -> np.ndarray:
+            return SIGMA_Z + 0.5j * np.cos(np.pi * ts / step)[:, None, None] * SIGMA_X
+
+        flagged = HamiltonianFamily(sample, 2, True, "grid-skew")
+        _, _, _, transport = evolved_setup(identity_trivialization(2), flagged)
+        with pytest.raises(ValueError,
+                           match="^Hamiltonian family 'grid-skew' flagged Hermitian deviates"):
+            is_integral_of_motion(ObservableFamily.constant(SIGMA_Z), transport)
+
+    def test_each_candidate_sampled_once(self):
+        calls = []
+        energy = ObservableFamily.constant(H.at(0.0))
+
+        def sample(ts: np.ndarray):
+            calls.append(ts.size)
+            return energy.derivative_at_many(ts)
+
+        _, _, _, transport = evolved_setup(identity_trivialization(2))
+        assert is_integral_of_motion(ObservableFamily(sample, 2, "counted"), transport).certified
+        assert calls == [TIMES.size]
 
     def test_certified_integral_has_constant_mean(self):
         rng = np.random.default_rng(35)

@@ -145,6 +145,20 @@ BAD_VALUES = {
         {"integral_candidates": [{"kind": "matrix", "expected": True, "name": 7,
                                   "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
         r"^integral_candidates\[0\]\.name"),
+    # an entry's own check names the entry, here the second of its list
+    "pauli observable in dimension 3": (
+        {"dimension": 3, "hamiltonian": {"kind": "zero"},
+         "observables": [{"kind": "diagonal", "entries": [1, 2, 3]},
+                         {"kind": "pauli", "axis": "z"}]},
+        r"^observables\[1\]\.pauli requires dimension 2$"),
+    "observable axis unknown": (
+        {"observables": [{"kind": "pauli", "axis": "z"}, {"kind": "pauli", "axis": "w"}]},
+        r"^observables\[1\]\.axis: unknown axis 'w'$"),
+    "pauli candidate in dimension 3": (
+        {"dimension": 3, "hamiltonian": {"kind": "zero"},
+         "integral_candidates": [{"kind": "hamiltonian", "expected": True},
+                                 {"kind": "pauli", "axis": "z", "expected": False}]},
+        r"^integral_candidates\[1\]\.pauli requires dimension 2$"),
     "description NaN": ({"description": NAN}, r"^description: need a string, got nan$"),
     "description list": ({"description": ["a"]}, r"^description: need a string, got \['a'\]$"),
     "description number": ({"description": 3}, r"^description: need a string, got 3$"),
@@ -332,7 +346,7 @@ class TestLoading:
         values = family.at_many(times)
         central = (values[2:] - values[:-2]) / (times[2:] - times[:-2])[:, None, None]
         h = float(times[1] - times[0])
-        deviation = np.max(np.abs(family.derivative_on_grid(times[1:-1]) - central))
+        deviation = np.max(np.abs(family.derivative_at_many(times[1:-1])[1] - central))
         assert deviation <= h ** 2 * 3.0 ** 3 / 6 + 1e-9
 
     @pytest.mark.parametrize("changes, match", [
@@ -653,7 +667,7 @@ class TestSampleOnce:
         assert sampled == []
         names = [family.name for family in cfg.observables]
         assert len(names) == 3
-        assert [bool(np.any(family.derivative_on_grid(cfg.times)))
+        assert [bool(np.any(family.derivative_at_many(cfg.times)[1]))
                 for family in cfg.observables] == [False, False, True]
         assert run_scenario(cfg).overall_pass
         assert sorted(sampled) == sorted(names)

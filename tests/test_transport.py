@@ -66,6 +66,14 @@ class TestMatrixBundleHamiltonian:
         values = hm.at_many([0.0, 0.3, 0.9])
         assert max_abs(values - omega * np.eye(2)) <= 1e-13
 
+    def test_flagged_hamiltonian_checked_by_the_bundle_integrator(self):
+        flagged = HamiltonianFamily.constant(SIGMA_Z + 0.5j * SIGMA_X, hermitian_expected=True)
+        hm = MatrixBundleHamiltonian(flagged, identity_trivialization(2),
+                                     uniform_grid(0.0, 1.0, 100))
+        with pytest.raises(ValueError, match=r"^Hamiltonian family 'constant' flagged "
+                                             r"Hermitian deviates by 1\.000e\+00$"):
+            integrate_bundle_schrodinger(hm, [1, 0])
+
     def test_constant_family_drops_derivative_term(self):
         h = HamiltonianFamily.constant(SIGMA_Z + 0.4 * SIGMA_X)
         l = constant_trivialization(np.diag([1.0, 3.0]).astype(complex))
