@@ -14,7 +14,9 @@ the midpoints, the random picture) is inverted by one rule, decided from the
 samples alone: if max|S^dagger S - I| <= 1e-13, S is unitary to rounding and
 S^-1 = S^dagger, which also proves it invertible, so no SVD, `inv` or solve
 runs; otherwise the SVD ratio check and `np.linalg.inv` run as for any
-invertible matrix.
+invertible matrix.  A family's stack is proven and inverted once, when it is
+sampled, and every reader takes that inverse; a broadcast is proven and
+inverted on its one matrix.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from .hilbert import (
     as_operator,
     broadcast_sampler,
     checked_stack,
+    distinct_matrices,
     inner_products,
     max_abs,
+    time_blocks,
 )
 
 __all__ = [
@@ -80,28 +84,52 @@ def _unitary_adjoint(mats: np.ndarray) -> np.ndarray | None:
 
     Within that bound S^dagger is S^-1 to rounding, and every singular value of
     S lies within 1 +- n 1e-13, so S also passes the 1e-8 invertibility ratio.
+    The Gram product is formed one `time_blocks` slice of the (N, n, n) stack at
+    a time, beside the adjoint it returns.
     """
-    adjoint = np.conjugate(np.swapaxes(mats, -2, -1), order="C")
-    gram = adjoint @ mats
-    gram -= np.eye(mats.shape[-1])
-    return adjoint if max_abs(gram) <= _UNITARY_TOL else None
+    adjoint = np.empty(mats.shape, dtype=complex)
+    eye = np.eye(mats.shape[-1])
+    for part in time_blocks(*mats.shape[:2]):
+        np.conjugate(np.swapaxes(mats[part], -2, -1), out=adjoint[part])
+        gram = adjoint[part] @ mats[part]
+        gram -= eye
+        if max_abs(gram) > _UNITARY_TOL:
+            return None
+    return adjoint
 
 
-def _frame_inverse(mats: np.ndarray) -> np.ndarray:
-    """S^-1 over a stack: S^dagger where the samples prove S unitary, else `np.linalg.inv`."""
-    adjoint = _unitary_adjoint(mats)
-    return np.linalg.inv(mats) if adjoint is None else adjoint
+def _frame_inverse(mats: np.ndarray,
+                   prove: Callable[[np.ndarray], None] = lambda distinct: None) -> np.ndarray:
+    """S^-1 over an (N, n, n) stack: S^dagger where the samples prove S unitary, else
+    `np.linalg.inv`, after `prove` has passed on the matrices that are not.
+
+    A broadcast is tested and inverted on its one matrix (`distinct_matrices`),
+    and its inverse is a read-only broadcast.
+    """
+    distinct = distinct_matrices(mats)
+    inverse = _unitary_adjoint(distinct)
+    if inverse is None:
+        prove(distinct)
+        inverse = np.linalg.inv(distinct)
+    return inverse if distinct is mats else np.broadcast_to(inverse, mats.shape)
 
 
-def _require_invertible(mats: np.ndarray, name: str, times) -> None:
-    if _unitary_adjoint(mats) is not None:
-        return
-    svals = np.linalg.svd(mats, compute_uv=False)
-    ratios = svals[..., -1] / np.maximum(svals[..., 0], 1e-300)
-    worst = int(np.argmin(ratios))
-    if float(ratios.flat[worst]) < _INVERTIBILITY_TOL:
-        at = np.atleast_1d(np.asarray(times, dtype=float))[worst]
-        raise SingularTrivializationError(f"trivialization '{name}' is singular at t={at:g}")
+def _require_invertible(mats: np.ndarray, name: str, times) -> np.ndarray:
+    """The inverse of a family's frame stack (`_frame_inverse`), once it is proven invertible.
+
+    A stack unitary to 1e-13 is proven by that test.  Any other must keep each
+    smallest singular value >= 1e-8 times the largest, else
+    SingularTrivializationError names the family and the first worst time.
+    """
+    def prove(distinct: np.ndarray) -> None:
+        svals = np.linalg.svd(distinct, compute_uv=False)
+        ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
+        worst = int(np.argmin(ratios))
+        if float(ratios[worst]) < _INVERTIBILITY_TOL:
+            at = np.atleast_1d(np.asarray(times, dtype=float))[worst]
+            raise SingularTrivializationError(f"trivialization '{name}' is singular at t={at:g}")
+
+    return _frame_inverse(mats, prove)
 
 
 class TrivializationFamily:
@@ -110,8 +138,8 @@ class TrivializationFamily:
     `sample` maps a 1-D array of N times to the pair of stacks
     (l(t_k), dl/dt(t_k)), each of shape (N, n, n), from one evaluation.  Each
     batch is checked once: both shapes and finiteness (ValueError naming the
-    family) and the invertibility of the values; single-time queries are
-    batches of one.
+    family) and the invertibility of the values, which also inverts them
+    (`_require_invertible`); single-time queries are batches of one.
     """
 
     def __init__(self, sample: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
@@ -136,20 +164,23 @@ class TrivializationFamily:
         """The stack l(t_k), sampled once and checked invertible once."""
         return self._checked(times)[0]
 
-    def derivative_at_many(self, times) -> Tuple[np.ndarray, np.ndarray]:
-        """The stacks l(t_k) and dl/dt(t_k) from one evaluation; l checked invertible once."""
+    def derivative_at_many(self, times) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stacks l(t_k), dl/dt(t_k) and l(t_k)^-1 from one evaluation.
+
+        l is checked invertible once, and that check decides the inverse, so no
+        reader inverts the stack again.
+        """
         return self._checked(times)
 
-    def _checked(self, times) -> Tuple[np.ndarray, np.ndarray]:
+    def _checked(self, times) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         values, derivative = self._sample(times)
         what = f"trivialization '{self.name}'"
         values = checked_stack(values, times, self.dimension, what)
         derivative = checked_stack(derivative, times, self.dimension, f"{what} derivative")
-        _require_invertible(values, self.name, times)
-        return values, derivative
+        return values, derivative, _require_invertible(values, self.name, times)
 
-    def validate_on_grid(self, times) -> np.ndarray:
+    def validate_on_grid(self, times) -> Tuple[np.ndarray, np.ndarray]:
         """Check invertibility at every grid time and derivative consistency.
 
         Every grid value must be unitary to 1e-13 or keep its smallest singular
@@ -160,26 +191,32 @@ class TrivializationFamily:
         grids while order-one mistakes are still caught.
 
         Values and derivative come from one evaluation on the grid; returns the
-        checked grid values, so callers can reuse them instead of sampling the
-        grid again.
+        checked grid values and their inverses, so callers can reuse them
+        instead of sampling or inverting the grid again.  Each stencil is
+        formed one `time_blocks` slice at a time.
         """
         times = np.asarray(times, dtype=float)
-        values, derivative = self.derivative_at_many(times)
+        values, derivative, inverse = self.derivative_at_many(times)
+
+        def largest(count: int, entries: Callable[[slice], np.ndarray]) -> float:
+            return max(max_abs(entries(part)) for part in time_blocks(count, self.dimension))
+
         if times.size >= 3:
-            supplied = derivative[1:-1]
-            fd = (values[2:] - values[:-2]) / (times[2:] - times[:-2])[:, None, None]
-            allowance = _DERIVATIVE_FD_TOL * max(1.0, max_abs(supplied))
+            supplied, spans = derivative[1:-1], times[2:] - times[:-2]
+            scale = largest(times.size - 2, lambda part: supplied[part])
+            allowance = _DERIVATIVE_FD_TOL * max(1.0, scale)
             if times.size >= 5:
                 h = float(np.mean(np.diff(times)))
-                third = (values[4:] - 2 * values[3:-1] + 2 * values[1:-3]
-                         - values[:-4]) / (2 * h ** 3)
-                allowance += (h * h / 6.0) * max_abs(third) * 4.0
-            dev = max_abs(supplied - fd)
+                allowance += (h * h / 6.0) * largest(times.size - 4, lambda part: (
+                    values[4:][part] - 2 * values[3:-1][part] + 2 * values[1:-3][part]
+                    - values[:-4][part]) / (2 * h ** 3)) * 4.0
+            dev = largest(times.size - 2, lambda part: supplied[part] - (
+                values[2:][part] - values[:-2][part]) / spans[part, None, None])
             if dev > allowance:
                 raise ValueError(
                     f"trivialization '{self.name}': analytic derivative deviates from "
                     f"finite differences by {dev:.3e} (allowed {allowance:.3e})")
-        return values
+        return values, inverse
 
 
 # --- catalog families ---------------------------------------------------
@@ -216,7 +253,7 @@ def diagonal_phase_trivialization(omegas: Sequence[float]) -> TrivializationFami
 def constant_trivialization(matrix, name: str = "constant") -> TrivializationFamily:
     """l(t) = M, checked invertible here and sampled as read-only broadcasts."""
     m = as_operator(matrix)
-    _require_invertible(m, name, 0.0)
+    _require_invertible(m[None], name, 0.0)
     return TrivializationFamily(broadcast_sampler(m), m.shape[0], name=name)
 
 
@@ -326,23 +363,23 @@ def lift_operators(frames: np.ndarray, inverse_frames: np.ndarray, a) -> np.ndar
 
 def lift_operator(l: TrivializationFamily, t: float, a) -> np.ndarray:
     """l(t)^-1 A l(t): the fibre morphism of a typical-fibre operator."""
-    frame = l.at_many(t)[0]
-    return lift_operators(frame, _frame_inverse(frame), as_operator(a))
+    frames, _, inverse = l.derivative_at_many(t)
+    return lift_operators(frames[0], inverse[0], as_operator(a))
 
 
 def lift_trajectory(l: TrivializationFamily, times, states) -> SectionAlongPath:
     """Lift a whole state history into the fibres, inverting the frames once."""
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
-    frames = l.at_many(times)
-    return SectionAlongPath(times, apply(_frame_inverse(frames), states))
+    _, _, inverse = l.derivative_at_many(times)
+    return SectionAlongPath(times, apply(inverse, states))
 
 
 def lift_operator_on_grid(l: TrivializationFamily, times, a) -> MorphismAlongPath:
     """Lift one operator (or a stack, one per time) at every grid time."""
     times = np.asarray(times, dtype=float)
-    frames = l.at_many(times)
-    return MorphismAlongPath(times, lift_operators(frames, _frame_inverse(frames), a))
+    frames, _, inverse = l.derivative_at_many(times)
+    return MorphismAlongPath(times, lift_operators(frames, inverse, a))
 
 
 # --- fibre metric and adjoints ---------------------------------------------

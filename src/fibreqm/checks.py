@@ -13,7 +13,7 @@ from __future__ import annotations
 import inspect
 import time
 from itertools import combinations_with_replacement
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +27,16 @@ from .bundle import (
     morphism_as_section_operator,
     section_operator_as_morphism,
 )
-from .dynamics import PropagatorGrid, Trajectory, propagate_states
-from .hilbert import apply, distinct_matrices, expectations, max_abs
+from .dynamics import PropagatorGrid, Trajectory, midpoint_propagators, propagate_states
+from .hilbert import (
+    apply,
+    distinct_matrices,
+    expectations,
+    max_abs,
+    series_by_blocks,
+    stack_by_blocks,
+    time_blocks,
+)
 from .pictures import (
     PictureTransform,
     evolve_density_morphisms,
@@ -86,15 +94,25 @@ def _sample_triples(times: np.ndarray, seed: int) -> List[Tuple[float, float, fl
 
 # --- nodes built on first read ------------------------------------------------
 
-def _transport(cfg, times) -> EvolutionTransport:
-    frames = cfg.trivialization.validate_on_grid(times)  # checked before the propagators
-    return EvolutionTransport(PropagatorGrid(cfg.hamiltonian, times, cfg.constants), frames)
+def _grid_frames(cfg, times) -> Tuple[np.ndarray, np.ndarray]:
+    """The checked frames l(t_k) on the grid and the inverses their check decided."""
+    return cfg.trivialization.validate_on_grid(times)
 
 
-def _trajectory(cfg, times, transport) -> Trajectory:
+def _steps(cfg, times) -> np.ndarray:
+    """The conventional step propagators, read by the transport and the oracle only."""
+    return midpoint_propagators(cfg.hamiltonian.at_many, times, cfg.constants)
+
+
+def _transport(cfg, times, grid_frames, steps) -> EvolutionTransport:
+    # the frames are read, so checked, before the Hamiltonian is sampled
+    return EvolutionTransport(PropagatorGrid(cfg.hamiltonian, times, cfg.constants, steps),
+                              *grid_frames)
+
+
+def _trajectory(cfg, times, steps) -> Trajectory:
     """The conventional oracle: psi0 carried by the step propagators."""
-    return Trajectory(times, propagate_states(transport.propagators.step_matrices,
-                                              cfg.initial_state))
+    return Trajectory(times, propagate_states(steps, cfg.initial_state))
 
 
 def _lifted(times, transport, trajectory) -> SectionAlongPath:
@@ -123,8 +141,12 @@ def _without_derivative(cfg) -> TrivializationFamily:
 
 def _lifted_observables(times, transport, observables) -> Dict[str, MorphismAlongPath]:
     frames, inv = transport.frames, transport.inverse_frames
-    return {name: MorphismAlongPath(times, lift_operators(frames, inv, stack))
-            for name, stack in observables.items()}
+
+    def lifted(stack: np.ndarray) -> np.ndarray:
+        return stack_by_blocks(*stack.shape[:2], lambda part: (
+            lift_operators(frames[part], inv[part], stack[part])))
+
+    return {name: MorphismAlongPath(times, lifted(stack)) for name, stack in observables.items()}
 
 
 def _density_transported(cfg, transport) -> np.ndarray:
@@ -152,6 +174,8 @@ def _transport_axioms(cfg, times, transport) -> Tuple[int, TransportAxiomReport]
 # Node name -> build.  Its parameters, like a check's after `tol`, are the nodes it
 # reads, unannotated: each node's type is stated once, by its build.
 _NODES = {
+    "grid_frames": _grid_frames,
+    "steps": _steps,
     "transport": _transport,
     "trajectory": _trajectory,
     "lifted": _lifted,
@@ -219,11 +243,17 @@ def _check_hermiticity_correspondence(tol: float, times, transport, observables,
     frames, inv = transport.frames, transport.inverse_frames
     per_observable = {}
     for name, stack in observables.items():
-        one = distinct_matrices(stack)  # a broadcast is conjugated once
-        adjoint = np.broadcast_to(np.swapaxes(one.conj(), -2, -1), stack.shape)
-        deviation = lift_operators(frames, inv, adjoint)
-        deviation -= bundle_adjoint_maps(frames, inv, lifted_observables[name].matrices)
-        per_observable[name] = np.max(np.abs(deviation), axis=(1, 2))
+        lifted = lifted_observables[name].matrices
+
+        def residual(part: slice) -> np.ndarray:
+            block = stack[part]
+            one = distinct_matrices(block)  # a broadcast is conjugated once per block
+            adjoint = np.broadcast_to(np.swapaxes(one.conj(), -2, -1), block.shape)
+            deviation = lift_operators(frames[part], inv[part], adjoint)
+            deviation -= bundle_adjoint_maps(frames[part], inv[part], lifted[part])
+            return np.max(np.abs(deviation), axis=(1, 2))
+
+        per_observable[name] = series_by_blocks(*stack.shape[:2], residual)
     return _judged_per_observable("hermiticity_correspondence", times, per_observable, tol)
 
 
@@ -241,23 +271,28 @@ def _check_picture_invariance(tol: float, cfg, times, transport, transported_sec
                               lifted_observables, heisenberg_values, series) -> CheckRecord:
     frames, into_t0, from_t0 = transport.frames, transport.into_t0, transport.from_t0
     psi_t = transported_section.values
-    # The Heisenberg picture is V = U(t0, t).  Its means are finished before
-    # the random V and V^-1 are built, so no Heisenberg observable stack is
-    # alive beside them.
-    heisenberg = {name: fibre_means(frames[0], to_general_picture_observables(
-                      into_t0, from_t0, lifted.matrices), heisenberg_values)
-                  for name, lifted in lifted_observables.items()}
-    picture = PictureTransform.random_unitary(times, cfg.dimension, cfg.seed)
-    v, v_inv = picture.matrices, picture.inverse_matrices
-    psi_v = apply(v, psi_t)
-    per_observable = {}
+    heisenberg = {name: np.empty(times.size, dtype=complex) for name in lifted_observables}
+    per_observable = {name: np.empty(times.size) for name in lifted_observables}
+    for part in time_blocks(times.size, cfg.dimension):
+        # The random V and V^-1 of this block, sampled after V(t0), which the
+        # transform checks to be the identity.
+        picture = PictureTransform.random_unitary(np.concatenate([times[:1], times[part]]),
+                                                  cfg.dimension, cfg.seed)
+        v, v_inv = picture.matrices[1:], picture.inverse_matrices[1:]
+        psi_v = apply(v, psi_t[part])
+        for name, lifted in lifted_observables.items():
+            a_lift = lifted.matrices[part]
+            # the Heisenberg picture is V = U(t0, t)
+            heis = fibre_means(frames[0], to_general_picture_observables(
+                into_t0[part], from_t0[part], a_lift), heisenberg_values[part])
+            schro = fibre_means(frames[part], a_lift, psi_t[part])
+            general = general_picture_means(
+                v_inv, frames[part], to_general_picture_observables(v, v_inv, a_lift), psi_v)
+            heisenberg[name][part] = heis
+            per_observable[name][part] = np.maximum(np.abs(schro - heis),
+                                                    np.abs(schro - general))
     for name, heis in heisenberg.items():
-        a_lift = lifted_observables[name].matrices
-        schro = fibre_means(frames, a_lift, psi_t)
-        general = general_picture_means(
-            v_inv, frames, to_general_picture_observables(v, v_inv, a_lift), psi_v)
         series[f"mean_heisenberg:{name}"] = heis.real
-        per_observable[name] = np.maximum(np.abs(schro - heis), np.abs(schro - general))
     return _judged_per_observable("picture_invariance", times, per_observable, tol)
 
 
@@ -271,16 +306,25 @@ def _check_heisenberg_constancy(tol: float, times, transported_section,
 def _check_density_consistency(tol: float, cfg, times, transport, density_transported,
                                series) -> CheckRecord:
     # rho(t) by the conventional propagators, lifted: l^-1 rho(t) l over the grid
-    lifted = lift_operators(transport.frames, transport.inverse_frames,
-                            evolve_density_morphisms(cfg.initial_density, transport.propagators))
-    per_time = np.max(np.abs(density_transported - lifted), axis=(1, 2))
+    conventional = evolve_density_morphisms(cfg.initial_density, transport.propagators)
+    frames, inv = transport.frames, transport.inverse_frames
+
+    def residual(part: slice) -> np.ndarray:
+        lifted = lift_operators(frames[part], inv[part], conventional[part])
+        return np.max(np.abs(density_transported[part] - lifted), axis=(1, 2))
+
+    per_time = series_by_blocks(*conventional.shape[:2], residual)
     series["density_residual"] = per_time
     return _judged("density_consistency", times, per_time, tol)
 
 
 def _check_density_purity(tol: float, times, density_transported) -> CheckRecord:
-    p = density_transported
-    return _judged("density_purity", times, np.max(np.abs(p @ p - p), axis=(1, 2)), tol)
+    def residual(part: slice) -> np.ndarray:
+        p = density_transported[part]
+        return np.max(np.abs(p @ p - p), axis=(1, 2))
+
+    per_time = series_by_blocks(*density_transported.shape[:2], residual)
+    return _judged("density_purity", times, per_time, tol)
 
 
 def _check_fibre_trace(tol: float, cfg, times, density_transported) -> CheckRecord:
@@ -377,15 +421,6 @@ _READS = {key: tuple(name for name in inspect.signature(build).parameters if nam
           for key, build in {**_NODES, **_CHECK_TABLE}.items()}
 
 
-def _node_reads(key: str) -> FrozenSet[str]:
-    """The `_NODES` entries `key` reads, directly or through another node."""
-    return frozenset(name for read in _READS[key] if read in _NODES
-                     for name in (read, *_node_reads(read)))
-
-
-_NODE_READS = {key: _node_reads(key) for key in _READS}
-
-
 def _read(nodes: dict, name: str):
     """Node `name`, built from its reads on first use; a build that raises stores nothing."""
     if name not in nodes:
@@ -394,11 +429,30 @@ def _read(nodes: dict, name: str):
     return nodes[name]
 
 
+def _drop_unread(nodes: dict, pending: Sequence[str], keep: Sequence[str] = ()) -> None:
+    """Drop every node but `keep` that no pending check or node build still reads.
+
+    A pending check or unbuilt node reads its own reads, and through each of
+    them that is not built yet, that node's reads; a node already built reads
+    nothing more.  A build that raised stored nothing, so it is read again.
+    """
+    needed, todo = set(), [key for key in pending if key not in nodes]
+    while todo:
+        for read in _READS[todo.pop()]:
+            if read in _NODES and read not in needed:
+                needed.add(read)
+                if read not in nodes:
+                    todo.append(read)
+    for name in set(_NODES) - needed - set(keep):
+        nodes.pop(name, None)
+
+
 def build_artifacts(cfg: ScenarioConfig) -> dict:
-    """The seeds and the `_SETUP` nodes, with the nodes those read."""
+    """The seeds and the `_SETUP` nodes; a node that only setup reads is dropped once read."""
     nodes = {"cfg": cfg, "times": cfg.times, "series": {"time": cfg.times}}
-    for name in _SETUP:
+    for k, name in enumerate(_SETUP):
         _read(nodes, name)
+        _drop_unread(nodes, _SETUP[k + 1:] + tuple(cfg.checks), keep=_SETUP)
     return nodes
 
 
@@ -413,8 +467,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
                                    detail=f"{type(exc).__name__}: {exc}"))
         return ScenarioReport(cfg.name, records, cfg.echo, {}, time.perf_counter() - started)
 
-    for name in set(_NODES) - set().union(*(_NODE_READS[c] for c in cfg.checks)):
-        nodes.pop(name, None)  # a setup node that no requested check reads
+    _drop_unread(nodes, cfg.checks)  # a setup node that no requested check reads
     for k, check_id in enumerate(cfg.checks):
         tol = cfg.tolerances[check_id]
         try:
@@ -423,9 +476,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         except Exception as exc:
             records.append(CheckRecord(check_id, float("inf"), tol, False, None,
                                        detail=f"{type(exc).__name__}: {exc}"))
-        for name in _NODE_READS[check_id]:  # dropped once no later requested check reads it
-            if not any(name in _NODE_READS[later] for later in cfg.checks[k + 1:]):
-                nodes.pop(name, None)  # a build that raised stored nothing
+        _drop_unread(nodes, cfg.checks[k + 1:])
     timeseries = {key: np.asarray(value, dtype=float).tolist()
                   for key, value in nodes["series"].items()}
     return ScenarioReport(cfg.name, records, cfg.echo, timeseries, time.perf_counter() - started)

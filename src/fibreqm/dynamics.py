@@ -27,6 +27,7 @@ from .hilbert import (
     is_hermitian,
     matrix_exponential,
     max_abs,
+    stack_by_blocks,
 )
 
 __all__ = [
@@ -204,13 +205,18 @@ def midpoint_propagators(matrix_at_many: Callable[[np.ndarray], np.ndarray],
     """Step propagators exp(-i h H(t + h/2) / hbar) for every grid interval.
 
     Shared by the conventional and the bundle integrators so that identical
-    generator samples produce bitwise-identical steps.
+    generator samples produce bitwise-identical steps.  The generator is
+    scaled one `time_blocks` slice at a time into the one stack that the
+    exponential reads, and the samples are released before it runs.
     """
     times = np.asarray(times, dtype=float)
     mids = (times[:-1] + times[1:]) / 2.0
     h = np.diff(times)
     mats = matrix_at_many(mids)
-    return matrix_exponential(-1j * h[:, None, None] * mats / constants.hbar)
+    scaled = stack_by_blocks(*mats.shape[:2], lambda part: (
+        -1j * h[part, None, None] * mats[part] / constants.hbar))
+    del mats
+    return matrix_exponential(scaled)
 
 
 def propagate_states(propagators: np.ndarray, psi0: np.ndarray) -> np.ndarray:
@@ -227,17 +233,24 @@ class PropagatorGrid:
 
     `from_t0[j]` = E[j-1] ... E[0] is U(t_j, t0) and `into_t0` = inv(from_t0)
     is U(t0, t_j), inverted once; every two-time operator is the product
-    U(t_j, t_i) = from_t0[j] @ into_t0[i].
+    U(t_j, t_i) = from_t0[j] @ into_t0[i].  The steps E_k are the family's
+    `midpoint_propagators` on the grid with these constants, taken from a
+    caller that already holds them (checked to be one (n, n) step per grid
+    interval) or computed here; the grid keeps only their products.
     """
 
     def __init__(self, family: HamiltonianFamily, times: np.ndarray,
-                 constants: PhysicalConstants = PhysicalConstants()):
+                 constants: PhysicalConstants = PhysicalConstants(),
+                 steps: Optional[np.ndarray] = None):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be a strictly increasing grid with >= 2 points")
-        steps = midpoint_propagators(family.at_many, times, constants)
-
         n = family.dimension
+        if steps is None:
+            steps = midpoint_propagators(family.at_many, times, constants)
+        elif steps.shape != (times.size - 1, n, n):
+            raise ValueError(f"steps must have shape {(times.size - 1, n, n)} (one per grid "
+                             f"interval, of the family's dimension), got {steps.shape}")
         from_t0 = np.empty((times.size, n, n), dtype=complex)
         from_t0[0] = np.eye(n, dtype=complex)
         for k in range(steps.shape[0]):
@@ -246,10 +259,9 @@ class PropagatorGrid:
         self.family = family
         self.constants = constants
         self.times = times
-        self.step_matrices = steps
         self.from_t0 = from_t0
         self.into_t0 = np.linalg.inv(from_t0)
-        for a in (self.times, self.step_matrices, self.from_t0, self.into_t0):
+        for a in (self.times, self.from_t0, self.into_t0):
             a.setflags(write=False)
 
     @property

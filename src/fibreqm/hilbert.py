@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -31,6 +31,9 @@ __all__ = [
     "is_hermitian",
     "matrix_exponential",
     "max_abs",
+    "series_by_blocks",
+    "stack_by_blocks",
+    "time_blocks",
 ]
 
 
@@ -72,6 +75,37 @@ def as_operator(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("operator has non-finite entries")
     return m
+
+
+# Largest complex (b, n, n) block of a temporary: a constant, not a setting.
+_BLOCK_BYTES = 2 ** 20
+
+
+def time_blocks(n_times: int, n: int) -> List[slice]:
+    """Consecutive slices that cover 0 .. n_times - 1 once, in order.
+
+    Each slice holds as many times as fit an (n, n) complex matrix per time into
+    1 MiB (64 at n = 32), and at least one.  A pointwise kernel fills its whole
+    output, or its per-time series, one slice at a time, so its temporaries are
+    blocks, not (N, n, n) stacks.  A matmul, an einsum or an elementwise op gives
+    each matrix the same bits at any batch size, so blocking moves no result.
+    """
+    size = max(1, _BLOCK_BYTES // (16 * n * n))
+    return [slice(start, min(start + size, n_times)) for start in range(0, n_times, size)]
+
+
+def stack_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """The complex (n_times, n, n) stack whose slice `part` is block(part), for each
+    `time_blocks` slice in turn: the one stack is the only whole one."""
+    out = np.empty((n_times, n, n), dtype=complex)
+    for part in time_blocks(n_times, n):
+        out[part] = block(part)
+    return out
+
+
+def series_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """The per-time series whose slice `part` is block(part), for each `time_blocks` slice."""
+    return np.concatenate([block(part) for part in time_blocks(n_times, n)])
 
 
 def distinct_matrices(stack: np.ndarray) -> np.ndarray:
@@ -163,20 +197,36 @@ def matrix_exponential(a) -> np.ndarray:
     Accepts a single matrix or a stacked batch (..., n, n).  The batch's
     largest 1-norm theta fixes, once, the squarings s and the degree m
     (`_taylor_plan`): there is no adaptive tail, and the plan is a function of
-    theta alone.  The polynomial is evaluated by Paterson-Stockmeyer: the
-    powers X ... X^r of X = A / 2^s with r ~ sqrt(m), then Horner in X^r over
-    blocks of degree < r, each with its identity coefficient added on the
-    diagonal only.  For m >= 1 that costs r - 1 + floor((m - 1) / r) batched
-    products (3 at m = 6), and s more to square.
+    theta alone.  The polynomial is then evaluated one `time_blocks` slice at a
+    time into the one output stack, so its work stacks are blocks, and every
+    block uses the whole batch's plan, so each matrix gets the bits of a single
+    call (`_planned_exponential`).
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    parts = time_blocks(stack.shape[0], n)
+    if not all(np.all(np.isfinite(stack[part])) for part in parts):
         raise ValueError("matrix exponential of non-finite input")
 
-    theta = float(np.max(np.sum(np.abs(a), axis=-2)))  # the batch's largest 1-norm
+    theta = max((float(np.max(np.sum(np.abs(stack[part]), axis=-2))) for part in parts),
+                default=0.0)  # the batch's largest 1-norm
     degree, squarings = _taylor_plan(theta)
+    out = stack_by_blocks(*stack.shape[:2],
+                          lambda part: _planned_exponential(stack[part], degree, squarings))
+    return out.reshape(a.shape)
+
+
+def _planned_exponential(a: np.ndarray, degree: int, squarings: int) -> np.ndarray:
+    """exp(A) over a batch by the plan (m, s): Paterson-Stockmeyer, then s squarings.
+
+    The powers X ... X^r of X = A / 2^s with r ~ sqrt(m), then Horner in X^r
+    over blocks of degree < r, each with its identity coefficient added on the
+    diagonal only.  For m >= 1 that costs r - 1 + floor((m - 1) / r) batched
+    products (3 at m = 6), and s more to square.
+    """
     x = a / 2.0 ** squarings if squarings else a
     coeffs = [1.0 / math.factorial(k) for k in range(degree + 1)]
     r = max(1, round(math.sqrt(degree)))

@@ -20,7 +20,15 @@ import numpy as np
 
 from .bundle import _frame_inverse, _seeded_smooth_unitary, lift_operators
 from .dynamics import ObservableFamily, PropagatorGrid
-from .hilbert import _frozen, apply, expectations, max_abs
+from .hilbert import (
+    _frozen,
+    apply,
+    distinct_matrices,
+    expectations,
+    max_abs,
+    series_by_blocks,
+    stack_by_blocks,
+)
 from .transport import EvolutionTransport
 
 __all__ = [
@@ -97,7 +105,9 @@ class PictureTransform:
         t0 is the first grid time and the generators have scale 0.7.  They
         come from the same seeded helper as `random_smooth_unitary_trivialization`
         (own RNG key), so each is diagonalized once and V(t0) is the identity
-        to rounding.
+        to rounding.  A time block of a longer grid is sampled as t0 followed
+        by the block's times, so the block is still referred to, and checked
+        at, t0 (`picture_invariance` does this).
         """
         times = np.asarray(times, dtype=float)
         t0 = float(times[0])
@@ -128,9 +138,12 @@ def evolve_density_morphisms(p0, two_time: Union[PropagatorGrid, EvolutionTransp
 
     `two_time` is a `PropagatorGrid` (P0 a conventional density operator) or
     an `EvolutionTransport` (P0 a density morphism at t0); either way t0 is
-    the first grid time and the conjugation reads its shared t0 stacks.
+    the first grid time and the conjugation reads its shared t0 stacks, one
+    `time_blocks` slice at a time.
     """
-    return to_general_picture_observables(two_time.from_t0, two_time.into_t0, p0)
+    from_t0, into_t0 = two_time.from_t0, two_time.into_t0
+    return stack_by_blocks(*from_t0.shape[:2], lambda part: (
+        to_general_picture_observables(from_t0[part], into_t0[part], p0)))
 
 
 # --- integrals of motion -----------------------------------------------------
@@ -159,30 +172,42 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     Evaluates the conventional residual i hbar dA/dt + [A, H] on the
     transport's grid, with the Hamiltonian and hbar its propagators were
     built from, and, for observables whose sampled derivative is zero on the
-    grid, the invariance of the lifted morphism under transport conjugation
-    (the lift reads the frames the transport already sampled and inverted,
-    and the conjugation its shared t0 stacks); certification requires every
-    applicable criterion to pass.
+    grid (decided on a broadcast's one matrix; a zero dA/dt adds no term),
+    the invariance of the lifted morphism under transport conjugation (the
+    lift reads the frames the transport already sampled and inverted, and
+    the conjugation its shared t0 stacks); certification requires every
+    applicable criterion to pass.  Both residuals are formed one
+    `time_blocks` slice at a time, beside the one transported stack.
     """
     times = transport.times
     a_vals, da_vals = a.derivative_at_many(times)
     h_vals = transport.propagators.family.at_many(times)
     hbar = transport.propagators.constants.hbar
-    residuals = a_vals @ h_vals
-    residuals -= h_vals @ a_vals
-    residuals += (1j * hbar) * da_vals
-    comm_res = max_abs(residuals)
-    del residuals  # released before the transport criterion builds its stacks
+    constant = not np.any(distinct_matrices(da_vals))  # dA/dt is zero on the grid
+
+    def commutator(part: slice) -> np.ndarray:
+        residuals = a_vals[part] @ h_vals[part]
+        residuals -= h_vals[part] @ a_vals[part]
+        if not constant:
+            residuals += (1j * hbar) * da_vals[part]
+        return np.max(np.abs(residuals), axis=(1, 2))
+
+    comm_res = max_abs(series_by_blocks(*a_vals.shape[:2], commutator))
     conventional_ok = comm_res <= tol
 
     transport_res = None
     transported_ok = True
-    if not np.any(da_vals):
+    if constant:
         frames, inverse_frames = transport.frames, transport.inverse_frames
         a0_fibre = lift_operators(frames[0], inverse_frames[0], a_vals[0])
-        deviation = lift_operators(frames, inverse_frames, a_vals)
-        deviation -= evolve_density_morphisms(a0_fibre, transport)
-        transport_res = max_abs(deviation)
+        transported = evolve_density_morphisms(a0_fibre, transport)
+
+        def deviation(part: slice) -> np.ndarray:
+            lifted = lift_operators(frames[part], inverse_frames[part], a_vals[part])
+            lifted -= transported[part]
+            return np.max(np.abs(lifted), axis=(1, 2))
+
+        transport_res = max_abs(series_by_blocks(*a_vals.shape[:2], deviation))
         transported_ok = transport_res <= tol
 
     # a vacuous bundle criterion (nonzero dA/dt) never disagrees

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .dynamics import (
     midpoint_propagators,
     propagate_states,
 )
-from .hilbert import PhysicalConstants, _frozen, as_state
+from .hilbert import PhysicalConstants, _frozen, as_state, stack_by_blocks
 
 __all__ = [
     "EvolutionTransport",
@@ -47,16 +47,20 @@ __all__ = [
 ]
 
 
-def _bundle_generator(frames: np.ndarray, h_vals: np.ndarray,
+def _bundle_generator(frames: np.ndarray, inverse_frames: np.ndarray, h_vals: np.ndarray,
                       frame_derivatives: np.ndarray, hbar: float) -> np.ndarray:
     """l^-1 (H l - i hbar dl/dt) over checked frames, as one product with l^-1.
 
-    l^-1 is l^dagger where max|l^dagger l - I| <= 1e-13, else `np.linalg.inv`
-    (`bundle._frame_inverse`).
+    Takes the inverses l^-1 that the frames' check decided (l^dagger where
+    max|l^dagger l - I| <= 1e-13, else `np.linalg.inv`), and fills the stack
+    one `time_blocks` slice at a time.
     """
-    rhs = h_vals @ frames
-    rhs -= 1j * hbar * frame_derivatives
-    return _frame_inverse(frames) @ rhs
+    def block(part: slice) -> np.ndarray:
+        rhs = h_vals[part] @ frames[part]
+        rhs -= 1j * hbar * frame_derivatives[part]
+        return inverse_frames[part] @ rhs
+
+    return stack_by_blocks(*frames.shape[:2], block)
 
 
 class MatrixBundleHamiltonian:
@@ -83,8 +87,8 @@ class MatrixBundleHamiltonian:
 
     def at_many(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        values, derivative = self.trivialization.derivative_at_many(times)
-        return _bundle_generator(values, self.hamiltonian.at_many(times), derivative,
+        values, derivative, inverse = self.trivialization.derivative_at_many(times)
+        return _bundle_generator(values, inverse, self.hamiltonian.at_many(times), derivative,
                                  self.constants.hbar)
 
 
@@ -94,25 +98,34 @@ class EvolutionTransport:
     Built from the conventional propagator products and the frames l(t_k) on
     their grid alone, checked invertible (as `TrivializationFamily.at_many`
     returns them) and of shape (N, n, n) for the grid's N times and the
-    propagators' dimension n; they are inverted once, by their adjoint where
-    max|l^dagger l - I| <= 1e-13 and by `np.linalg.inv` otherwise
-    (`bundle._frame_inverse`).  Queries off the grid are errors, never
+    propagators' dimension n.  `inverse_frames` are the inverses that the
+    frames' check decided (`TrivializationFamily.validate_on_grid` returns
+    both), of the frames' shape; without them the frames are inverted here,
+    by their adjoint where max|l^dagger l - I| <= 1e-13 and by
+    `np.linalg.inv` otherwise (`bundle._frame_inverse`).  Queries off the grid are errors, never
     interpolations.
 
-    `matrices_from` and `matrices_into` compute a stack on every call; the
-    stacks at the first grid time are the read-only cached properties
-    `from_t0` and `into_t0`, which every reader of them shares.
+    `matrices_from` and `matrices_into` compute a stack on every call, one
+    `time_blocks` slice at a time; the stacks at the first grid time are the
+    read-only cached properties `from_t0` and `into_t0`, which every reader of
+    them shares.
     """
 
-    def __init__(self, propagators: PropagatorGrid, frames: np.ndarray):
+    def __init__(self, propagators: PropagatorGrid, frames: np.ndarray,
+                 inverse_frames: Optional[np.ndarray] = None):
         self.propagators = propagators
         self.times = propagators.times
         expected = (self.times.size, propagators.dimension, propagators.dimension)
         if frames.shape != expected:
             raise ValueError(f"frames must have shape {expected} (the propagator grid's "
                              f"times and dimension), got {frames.shape}")
+        if inverse_frames is None:
+            inverse_frames = _frame_inverse(frames)
+        elif inverse_frames.shape != frames.shape:
+            raise ValueError(f"inverse_frames must have the frames' shape {frames.shape}, "
+                             f"got {inverse_frames.shape}")
         self.frames = frames
-        self.inverse_frames = _frame_inverse(self.frames)
+        self.inverse_frames = inverse_frames
         for a in (self.frames, self.inverse_frames):
             a.setflags(write=False)
 
@@ -132,13 +145,17 @@ class EvolutionTransport:
         """All U(t_j, s) stacked over the grid index j."""
         i = grid_index(self.times, s)
         p = self.propagators
-        return self.inverse_frames @ (p.from_t0 @ (p.into_t0[i] @ self.frames[i]))
+        tail = p.into_t0[i] @ self.frames[i]
+        return stack_by_blocks(*self.frames.shape[:2], lambda part: (
+            self.inverse_frames[part] @ (p.from_t0[part] @ tail)))
 
     def matrices_into(self, t: float) -> np.ndarray:
         """All U(t, t_j) stacked over the grid index j."""
         j = grid_index(self.times, t)
         p = self.propagators
-        return self.inverse_frames[j] @ (p.from_t0[j] @ (p.into_t0 @ self.frames))
+        inverse, head = self.inverse_frames[j], p.from_t0[j]
+        return stack_by_blocks(*self.frames.shape[:2], lambda part: (
+            inverse @ (head @ (p.into_t0[part] @ self.frames[part]))))
 
     @cached_property
     def from_t0(self) -> np.ndarray:

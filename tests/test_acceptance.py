@@ -30,6 +30,7 @@ from fibreqm.dynamics import (
     ObservableFamily,
     PropagatorGrid,
     evolve_state,
+    midpoint_propagators,
     propagate_states,
     uniform_grid,
 )
@@ -92,9 +93,10 @@ def test_criterion_2_mean_value_invariance_random_triples(acceptance):
             else:
                 l = constant_trivialization(
                     np.diag(1.0 + rng.uniform(0.1, 2.0, size=n)).astype(complex))
-            grid = PropagatorGrid(hamiltonian, times)
+            steps = midpoint_propagators(hamiltonian.at_many, times)
+            grid = PropagatorGrid(hamiltonian, times, steps=steps)
             psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-            states = propagate_states(grid.step_matrices, psi0)
+            states = propagate_states(steps, psi0)
             section = lift_trajectory(l, times, states)
             lifted = lift_operator_on_grid(l, times, a)
             frames = l.at_many(times)
@@ -183,8 +185,8 @@ def test_criterion_7_integrals_of_motion(acceptance):
     times = uniform_grid(0.0, 1.0, 1000)
     h = HamiltonianFamily.constant(SIGMA_Z)
     l = identity_trivialization(2)
-    grid = PropagatorGrid(h, times)
-    transport = EvolutionTransport(grid, l.at_many(times))
+    steps = midpoint_propagators(h.at_many, times)
+    transport = EvolutionTransport(PropagatorGrid(h, times, steps=steps), l.at_many(times))
 
     certified = is_integral_of_motion(ObservableFamily.constant(SIGMA_Z, name="energy"),
                                       transport)
@@ -196,7 +198,7 @@ def test_criterion_7_integrals_of_motion(acceptance):
     drift = 0.0
     for _ in range(10):
         psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        states = propagate_states(grid.step_matrices, psi0)
+        states = propagate_states(steps, psi0)
         means = np.einsum("ki,ij,kj->k", states.conj(), SIGMA_Z, states).real \
             / np.einsum("ki,ki->k", states.conj(), states).real
         drift = max(drift, float(np.max(np.abs(means - means[0]))))

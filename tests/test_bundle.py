@@ -1,5 +1,6 @@
 import ast
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -43,8 +44,9 @@ DIAG12 = constant_trivialization(np.diag([1.0, 2.0]).astype(complex))
 
 def stretched(base, stretch, name):
     """The family l(t) S of `base` and a constant matrix S, sampled through `base`."""
-    return TrivializationFamily(lambda ts: tuple(m @ stretch for m in base.derivative_at_many(ts)),
-                                base.dimension, name=name)
+    return TrivializationFamily(
+        lambda ts: tuple(m @ stretch for m in base.derivative_at_many(ts)[:2]),
+        base.dimension, name=name)
 
 
 def singular_at(offset, name="custom"):
@@ -368,7 +370,8 @@ class TestTrivializationValidation:
         f1 = antihermitian_exponentials(k1)(s)
         f2 = antihermitian_exponentials(k2)(np.sin(frequency * s))
         rate = (frequency * np.cos(frequency * s))[:, None, None]
-        values, derivative = random_smooth_unitary_trivialization(n, seed).derivative_at_many(s)
+        family = random_smooth_unitary_trivialization(n, seed)
+        values, derivative = family.derivative_at_many(s)[:2]
         assert np.array_equal(values, f1 @ f2)
         assert max_abs(derivative - ((k1 @ f1) @ f2 + f1 @ (rate * (k2 @ f2)))) <= 1e-14
 
@@ -469,10 +472,38 @@ class TestFrameInverse:
             gram = np.swapaxes(stack.conj(), -2, -1) @ stack
             assert 0.8 * (scale ** 2 - 1) <= max_abs(gram - np.eye(4)) <= 1.2 * (scale ** 2 - 1)
             calls.clear()
-            _require_invertible(stack, "scaled", times)
-            inverse = _frame_inverse(stack)
+            inverse = _require_invertible(stack, "scaled", times)  # proven, then inverted
             assert {routine: k for (routine, _), k in calls.items()} == expected
             assert max_abs(inverse @ stack - np.eye(4)) <= 1e-12
+            assert np.array_equal(_frame_inverse(stack), inverse)  # by the one rule
+
+    @pytest.mark.parametrize("family", [
+        identity_trivialization(32),
+        constant_trivialization(np.diag(np.arange(1.0, 33.0)).astype(complex))])
+    def test_a_broadcast_is_proven_and_inverted_on_its_one_matrix(self, family, monkeypatch):
+        times = np.linspace(0.0, 1.0, 1001)
+        one_stack = times.size * 32 * 32 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            family.at_many(times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * one_stack  # no adjoint, Gram or inverse stack
+        calls = count_svd_and_inv(monkeypatch)
+        values, _, inverse = family.derivative_at_many(times)
+        assert inverse.strides[0] == 0 and not inverse.flags.writeable
+        assert max_abs(inverse[0] @ values[0] - np.eye(32)) <= 1e-15
+        unitary = family.name == "identity"
+        assert sum(calls.values()) == (0 if unitary else 2)  # one SVD, one inv, each on one matrix
+
+    def test_a_singular_broadcast_is_rejected_at_the_first_time(self):
+        singular = np.diag([1.0, 0.0]).astype(complex)
+        family = TrivializationFamily(lambda ts: (np.broadcast_to(singular, (ts.size, 2, 2)),
+                                                  np.zeros((ts.size, 2, 2), dtype=complex)),
+                                      2, name="flat")
+        with pytest.raises(SingularTrivializationError, match=r"'flat' is singular at t=0.25$"):
+            family.at_many([0.25, 0.5])
 
     def test_a_singular_stack_is_rejected_at_its_time(self):
         sick = singular_at(0.0, name="sick")

@@ -129,6 +129,13 @@ class TestEvolutionOperator:
             kj, ji, ki = grid.operators([k, j, k], [j, i, i])
             assert max_abs(kj @ ji - ki) <= 1e-10
 
+    def test_steps_of_another_shape_rejected(self):
+        h = HamiltonianFamily.constant(0.9 * SIGMA_X)
+        times = uniform_grid(0.0, 1.0, 10)
+        steps = np.broadcast_to(np.eye(2, dtype=complex), (9, 2, 2))
+        with pytest.raises(ValueError, match=r"\(10, 2, 2\).*\(9, 2, 2\)"):
+            PropagatorGrid(h, times, steps=steps)
+
     def test_consistent_with_evolve_state(self):
         h = circular_drive(np.pi, np.pi)
         traj = evolve_state(h, [1, 0], 0.0, 1.0, 1e-2)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fibreqm.bundle import bundle_adjoint_maps
+from fibreqm import hilbert
 from fibreqm.hilbert import (
     SIGMA_X,
     PhysicalConstants,
@@ -17,7 +18,9 @@ from fibreqm.hilbert import (
     is_hermitian,
     matrix_exponential,
     max_abs,
+    time_blocks,
 )
+from fibreqm.scenario import catalog_names, load_catalog_scenario
 
 _entries = st.floats(-5, 5, allow_nan=False, allow_infinity=False, width=64)
 
@@ -282,3 +285,39 @@ class TestPhysicalConstants:
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             PhysicalConstants(bad)
+
+
+class TestTimeBlocks:
+    """Temporaries are (b, n, n) blocks of at most 1 MiB, cut from the grid by one helper."""
+
+    @given(st.integers(0, 5000), st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_cover_every_time_once_in_order_and_fit_the_bound(self, n_times, n):
+        blocks = time_blocks(n_times, n)
+        assert [k for part in blocks for k in range(part.start, part.stop)] == list(range(n_times))
+        assert all(part.step is None and part.stop > part.start for part in blocks)
+        one = 16 * n * n  # bytes of one complex (n, n) matrix
+        assert all((part.stop - part.start) * one <= max(hilbert._BLOCK_BYTES, one)
+                   for part in blocks)
+        if n_times * one <= hilbert._BLOCK_BYTES:  # a stack that fits is one block
+            assert blocks == ([slice(0, n_times)] if n_times else [])
+
+    def test_the_bound_is_one_mebibyte(self):
+        assert hilbert._BLOCK_BYTES == 2 ** 20
+        assert time_blocks(1001, 32)[0] == slice(0, 64)
+
+    def test_every_catalog_stack_is_one_block(self):
+        for name, _ in catalog_names():
+            cfg = load_catalog_scenario(name)
+            assert time_blocks(cfg.times.size, cfg.dimension) == [slice(0, cfg.times.size)], name
+
+    def test_a_blocked_exponential_gives_the_bits_of_one_call_per_block(self):
+        # 200 matrices at n = 32 are four blocks; each is planned from the whole batch
+        rng = np.random.default_rng(4)
+        batch = 0.05 * (rng.normal(size=(200, 32, 32)) + 1j * rng.normal(size=(200, 32, 32)))
+        batch[150] *= 40  # the batch's largest 1-norm sits in the third block
+        theta = float(np.max(np.sum(np.abs(batch), axis=-2)))
+        degree, squarings = _taylor_plan(theta)
+        assert len(time_blocks(200, 32)) == 4
+        assert np.array_equal(matrix_exponential(batch),
+                              hilbert._planned_exponential(batch, degree, squarings))

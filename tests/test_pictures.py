@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,11 @@ from fibreqm.dynamics import (
     ObservableFamily,
     PropagatorGrid,
     grid_indices,
+    midpoint_propagators,
     propagate_states,
     uniform_grid,
 )
-from fibreqm.hilbert import SIGMA_X, SIGMA_Z, apply, expectations, max_abs
+from fibreqm.hilbert import _BLOCK_BYTES, SIGMA_X, SIGMA_Z, apply, expectations, max_abs
 from fibreqm.pictures import (
     PictureTransform,
     evolve_density_morphisms,
@@ -34,8 +37,9 @@ H = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.5 * SIGMA_Z)
 
 
 def evolved_setup(l, h=H, times=TIMES, psi0=(1.0, 0.0)):
-    grid = PropagatorGrid(h, times)
-    states = propagate_states(grid.step_matrices, np.array(psi0, dtype=complex))
+    steps = midpoint_propagators(h.at_many, times)
+    grid = PropagatorGrid(h, times, steps=steps)
+    states = propagate_states(steps, np.array(psi0, dtype=complex))
     section = lift_trajectory(l, times, states)
     transport = EvolutionTransport(grid, l.at_many(times))
     return grid, states, section, transport
@@ -357,6 +361,28 @@ class TestIntegralsOfMotion:
                            match="^Hamiltonian family 'grid-skew' flagged Hermitian deviates"):
             is_integral_of_motion(ObservableFamily.constant(SIGMA_Z), transport)
 
+    def test_a_constant_candidate_holds_one_stack_beside_its_blocks(self):
+        # n = 32, N = 1000: a stack is 16.4 MB and a block 64 times.  The zero
+        # broadcast dA/dt is tested on its one matrix and adds nothing.
+        rng = np.random.default_rng(36)
+        m = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        h = HamiltonianFamily.constant((m + m.conj().T) / 8.0)
+        times = uniform_grid(0.0, 1.0, 1000)
+        transport = EvolutionTransport(PropagatorGrid(h, times),
+                                       random_smooth_unitary_trivialization(32, 36).at_many(times))
+        assert transport.from_t0.shape == transport.into_t0.shape  # the shared t0 stacks
+        one_stack = times.size * 32 * 32 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            report = is_integral_of_motion(ObservableFamily.constant(h.at(0.0)), transport)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.certified and report.transport_residual is not None
+        # the transported morphism stack; no commutator, dA/dt or deviation stack
+        assert peak - start <= one_stack + 4 * _BLOCK_BYTES
+
     def test_each_candidate_sampled_once(self):
         calls = []
         energy = ObservableFamily.constant(H.at(0.0))
@@ -372,13 +398,14 @@ class TestIntegralsOfMotion:
     def test_certified_integral_has_constant_mean(self):
         rng = np.random.default_rng(35)
         l = identity_trivialization(2)
-        grid, _, _, transport = evolved_setup(l)
+        _, _, _, transport = evolved_setup(l)
+        steps = midpoint_propagators(H.at_many, TIMES)
         fam = ObservableFamily.constant(H.at(0.0))
         report = is_integral_of_motion(fam, transport, tol=1e-6)
         assert report.certified
         for _ in range(10):
             psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
-            states = propagate_states(grid.step_matrices, psi0)
+            states = propagate_states(steps, psi0)
             sampled = states[::40]
             means = expectations(sampled, apply(H.at(0.0), sampled))
             assert max_abs(means - means[0]) <= 10 * 1e-6

@@ -12,7 +12,13 @@ from fibreqm.bundle import (
     lift_trajectory,
     random_smooth_unitary_trivialization,
 )
-from fibreqm.dynamics import HamiltonianFamily, PropagatorGrid, propagate_states, uniform_grid
+from fibreqm.dynamics import (
+    HamiltonianFamily,
+    PropagatorGrid,
+    midpoint_propagators,
+    propagate_states,
+    uniform_grid,
+)
 from fibreqm.hilbert import SIGMA_X, SIGMA_Z, PhysicalConstants, apply, max_abs
 from fibreqm.transport import (
     EvolutionTransport,
@@ -96,8 +102,8 @@ class TestMatrixBundleHamiltonian:
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.5 * SIGMA_Z)
         l = random_smooth_unitary_trivialization(2, 83)
         times = uniform_grid(0.0, 1.0, 2000)
-        grid = PropagatorGrid(h, times)
-        states = propagate_states(grid.step_matrices, np.array([1.0, 0.0], dtype=complex))
+        states = propagate_states(midpoint_propagators(h.at_many, times),
+                                  np.array([1.0, 0.0], dtype=complex))
         section = lift_trajectory(l, times, states)
         hm = MatrixBundleHamiltonian(h, l, times)
         dt = times[1] - times[0]
@@ -141,8 +147,14 @@ class TestTransportCoefficients:
         h = HamiltonianFamily.constant(0.7 * SIGMA_X + 0.2 * SIGMA_Z)
         psi0 = np.array([1.0, 0.0], dtype=complex)
         section = self.section(h, identity_trivialization(2), hbar, psi0)
+        steps = midpoint_propagators(h.at_many, TIMES, PhysicalConstants(hbar=hbar))
+        assert max_abs(section.values - propagate_states(steps, psi0)) == 0
+        # and the grid that computes its own steps takes them with its constants
         grid = PropagatorGrid(h, TIMES, PhysicalConstants(hbar=hbar))
-        assert max_abs(section.values - propagate_states(grid.step_matrices, psi0)) == 0
+        products = [np.eye(2, dtype=complex)]
+        for step in steps:
+            products.append(step @ products[-1])
+        assert np.array_equal(grid.from_t0, np.stack(products))
 
 
 class TestBuildTransport:
@@ -161,9 +173,15 @@ class TestBuildTransport:
     def test_frames_of_another_grid_length_rejected(self):
         h = HamiltonianFamily.constant(0.9 * SIGMA_X + 0.3 * SIGMA_Z)
         grid = PropagatorGrid(h, TIMES)
-        frames = random_smooth_unitary_trivialization(2, 85).validate_on_grid(TIMES)
+        frames, _ = random_smooth_unitary_trivialization(2, 85).validate_on_grid(TIMES)
         with pytest.raises(ValueError, match="shape"):
             EvolutionTransport(grid, frames[1:])
+
+    def test_inverse_frames_of_another_shape_rejected(self):
+        grid = PropagatorGrid(HamiltonianFamily.constant(SIGMA_Z), TIMES)
+        frames, inverse = random_smooth_unitary_trivialization(2, 85).validate_on_grid(TIMES)
+        with pytest.raises(ValueError, match=r"\(201, 2, 2\).*\(200, 2, 2\)"):
+            EvolutionTransport(grid, frames, inverse[1:])
 
     def test_gauge_of_another_dimension_rejected(self):
         # A 3-level gauge on a 2-level Hamiltonian fails when the transport is
@@ -298,8 +316,8 @@ class TestBundleIntegration:
         h = HamiltonianFamily.constant((np.pi / 2) * SIGMA_X)
         l = random_smooth_unitary_trivialization(2, 91)
         times = uniform_grid(0.0, 1.0, 1000)
-        grid = PropagatorGrid(h, times)
-        states = propagate_states(grid.step_matrices, np.array([1.0, 0.0], dtype=complex))
+        states = propagate_states(midpoint_propagators(h.at_many, times),
+                                  np.array([1.0, 0.0], dtype=complex))
         lifted = lift_trajectory(l, times, states)
         hm = MatrixBundleHamiltonian(h, l, times)
         section = integrate_bundle_schrodinger(hm, lifted.values[0])
