@@ -1,11 +1,13 @@
 """Scenario execution: conventional oracle vs bundle pipeline, check by check.
 
-Besides the seeds `cfg`, `times` and `series`, every node is a build in `_NODES`
-and every check a function in `_CHECK_TABLE`, whose parameters are the nodes it
-reads.  Setup reads the `_SETUP` nodes, which can reject the scenario; a fault
-that is on swaps a node's build (`_FAULTS`).  A node is built on first read and
-dropped after its last reader.  A failure is a failed record, never a silent
-pass.  Scenarios share no mutable state, so suites run them in any order.
+Besides the seeds `cfg` and `times`, every node is a build in `_NODES` and every
+check a function in `_CHECK_TABLE`; the parameters of each, after a check's
+first, are the nodes it reads.  Setup reads the `_SETUP` nodes, which can reject
+the scenario; a fault that is on swaps a node's build (`_FAULTS`).  A node is
+built on first read and dropped after its last reader.  One runner, `_run_check`,
+calls a pointwise check on each time block and judges the concatenated residuals
+once.  A failure is a failed record, never a silent pass.  Scenarios share no
+mutable state, so suites run them in any order.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .hilbert import (
     apply,
     distinct_matrices,
     expectations,
+    inner_products,
     max_abs,
-    series_by_blocks,
     stack_by_blocks,
     time_blocks,
 )
@@ -60,24 +62,15 @@ __all__ = ["run_scenario", "build_artifacts"]
 
 # --- helpers ----------------------------------------------------------------
 
-def _judged(check_id: str, times: np.ndarray, per_time: np.ndarray, tol: float,
-            detail: str = "") -> CheckRecord:
-    """The record of a residual series: its first maximum and that maximum's time.
-
-    A NaN counts as the maximum, so a NaN anywhere fails the check at the time
-    of the first NaN.
-    """
-    idx = int(np.argmax(per_time))
-    worst = float(per_time[idx])
-    return CheckRecord(check_id, worst, tol, worst <= tol, float(times[idx]), detail)
-
-
-def _judged_per_observable(check_id: str, times: np.ndarray,
-                           per_observable: Dict[str, np.ndarray], tol: float) -> CheckRecord:
-    """The record of the observable with the first largest residual; a NaN wins."""
-    records = [_judged(check_id, times, per_time, tol, f"worst observable: {name}")
-               for name, per_time in per_observable.items()]
-    return records[int(np.argmax([record.max_residual for record in records]))]
+def _judged(check_id: str, times: np.ndarray, residuals: Dict[str, np.ndarray],
+            tol: float) -> CheckRecord:
+    """The record of the largest of the residuals (detail -> per-time series): the
+    first in time, of the first detail that reaches it.  A NaN counts as the
+    largest, so a NaN anywhere fails the check."""
+    worst = [(detail, int(np.argmax(per_time))) for detail, per_time in residuals.items()]
+    detail, idx = worst[int(np.argmax([residuals[d][i] for d, i in worst]))]
+    value = float(residuals[detail][idx])
+    return CheckRecord(check_id, value, tol, value <= tol, float(times[idx]), detail)
 
 
 def _coarse_indices(n_times: int) -> np.ndarray:
@@ -155,6 +148,11 @@ def _density_transported(cfg, transport) -> np.ndarray:
         transport.frames[0], transport.inverse_frames[0], cfg.initial_density), transport)
 
 
+def _density_conventional(cfg, transport) -> np.ndarray:
+    """rho0 carried by the conventional propagators, (N, n, n), by the same kernel."""
+    return evolve_density_morphisms(cfg.initial_density, transport.propagators)
+
+
 def _transported_section(times, transport, lifted) -> SectionAlongPath:
     """U(t, t0) Psi(t0) over the grid."""
     return SectionAlongPath(times, apply(transport.from_t0, lifted.values[0]))
@@ -171,8 +169,8 @@ def _transport_axioms(cfg, times, transport) -> Tuple[int, TransportAxiomReport]
     return len(triples), check_transport_axioms(transport, triples)
 
 
-# Node name -> build.  Its parameters, like a check's after `tol`, are the nodes it
-# reads, unannotated: each node's type is stated once, by its build.
+# Node name -> build.  Its parameters, like a check's after its first, are the nodes
+# it reads, unannotated: each node's type is stated once, by its build.
 _NODES = {
     "grid_frames": _grid_frames,
     "steps": _steps,
@@ -184,6 +182,7 @@ _NODES = {
     "observables": _observables,
     "lifted_observables": _lifted_observables,
     "density_transported": _density_transported,
+    "density_conventional": _density_conventional,
     "transported_section": _transported_section,
     "heisenberg_values": _heisenberg_values,
     "transport_axioms": _transport_axioms,
@@ -194,22 +193,110 @@ _SETUP = ("transport", "trajectory", "lifted", "bundle_section", "observables")
 _FAULTS = {"drop_trivialization_derivative": ("bundle_trivialization", _without_derivative)}
 
 
-# --- individual checks --------------------------------------------------------
+# --- pointwise checks ----------------------------------------------------------
 
-def _check_state_equivalence(tol: float, times, lifted, bundle_section, series) -> CheckRecord:
-    residual = np.max(np.abs(bundle_section.values - lifted.values), axis=1)
-    series["state_equivalence_residual"] = residual
-    return _judged("state_equivalence", times, residual, tol)
+# check(part, <nodes>) -> (residuals, series) for the time block `part`: detail ->
+# the block's per-time residual, and timeseries name -> the block's values.
 
-
-def _check_norm_drift(tol: float, times, trajectory, series) -> CheckRecord:
-    norms = trajectory.norm_sq()
-    series["norm_sq"] = norms
-    return _judged("norm_drift", times, np.abs(norms - norms[0]), tol)
+def _check_state_equivalence(part: slice, lifted, bundle_section):
+    residual = np.max(np.abs(bundle_section.values[part] - lifted.values[part]), axis=1)
+    return {"": residual}, {"state_equivalence_residual": residual}
 
 
-# The transport checks build their own record: the worst value and its place
-# come from the TransportAxiomReport, not from a residual series.
+def _check_norm_drift(part: slice, trajectory):
+    states = trajectory.states
+    norms = inner_products(states[part], states[part]).real
+    return {"": np.abs(norms - inner_products(states[0], states[0]).real)}, {"norm_sq": norms}
+
+
+def _check_mean_value_invariance(part: slice, transport, trajectory, lifted, observables,
+                                 lifted_observables):
+    psi, frames, values = trajectory.states[part], transport.frames[part], lifted.values[part]
+    residuals, series = {}, {}
+    for name, stack in observables.items():
+        conv = expectations(psi, apply(stack[part], psi))
+        bundle = fibre_means(frames, lifted_observables[name].matrices[part], values)
+        series[f"mean_conventional:{name}"] = conv.real
+        series[f"mean_bundle:{name}"] = bundle.real
+        residuals[f"worst observable: {name}"] = np.abs(conv - bundle)
+    return residuals, series
+
+
+def _check_hermiticity_correspondence(part: slice, transport, observables, lifted_observables):
+    frames, inv = transport.frames[part], transport.inverse_frames[part]
+    residuals = {}
+    for name, stack in observables.items():
+        block = stack[part]
+        one = distinct_matrices(block)  # a broadcast is conjugated once per block
+        adjoint = np.broadcast_to(np.swapaxes(one.conj(), -2, -1), block.shape)
+        deviation = lift_operators(frames, inv, adjoint)
+        deviation -= bundle_adjoint_maps(frames, inv, lifted_observables[name].matrices[part])
+        residuals[f"worst observable: {name}"] = np.max(np.abs(deviation), axis=(1, 2))
+    return residuals, {}
+
+
+def _check_picture_invariance(part: slice, cfg, times, transport, transported_section,
+                              lifted_observables, heisenberg_values):
+    frames, psi_t = transport.frames, transported_section.values[part]
+    into_t0, from_t0 = transport.into_t0[part], transport.from_t0[part]
+    # The random V and V^-1 of this block, sampled after V(t0), which the
+    # transform checks to be the identity.
+    picture = PictureTransform.random_unitary(np.concatenate([times[:1], times[part]]),
+                                              cfg.dimension, cfg.seed)
+    v, v_inv = picture.matrices[1:], picture.inverse_matrices[1:]
+    psi_v = apply(v, psi_t)
+    residuals, series = {}, {}
+    for name, lifted in lifted_observables.items():
+        a_lift = lifted.matrices[part]
+        # the Heisenberg picture is V = U(t0, t)
+        heis = fibre_means(frames[0], to_general_picture_observables(into_t0, from_t0, a_lift),
+                           heisenberg_values[part])
+        schro = fibre_means(frames[part], a_lift, psi_t)
+        general = general_picture_means(
+            v_inv, frames[part], to_general_picture_observables(v, v_inv, a_lift), psi_v)
+        series[f"mean_heisenberg:{name}"] = heis.real
+        residuals[f"worst observable: {name}"] = np.maximum(np.abs(schro - heis),
+                                                            np.abs(schro - general))
+    return residuals, series
+
+
+def _check_heisenberg_constancy(part: slice, transported_section, heisenberg_values):
+    psi_t0 = transported_section.values[0]
+    return {"": np.max(np.abs(heisenberg_values[part] - psi_t0), axis=1)}, {}
+
+
+def _check_density_consistency(part: slice, transport, density_transported, density_conventional):
+    # rho(t) by the conventional propagators, lifted: l^-1 rho(t) l
+    lifted = lift_operators(transport.frames[part], transport.inverse_frames[part],
+                            density_conventional[part])
+    residual = np.max(np.abs(density_transported[part] - lifted), axis=(1, 2))
+    return {"": residual}, {"density_residual": residual}
+
+
+def _check_density_purity(part: slice, density_transported):
+    p = density_transported[part]
+    return {"": np.max(np.abs(p @ p - p), axis=(1, 2))}, {}
+
+
+def _check_fibre_trace(part: slice, cfg, density_transported):
+    traces = np.trace(density_transported[part], axis1=1, axis2=2)
+    return {"": np.abs(traces - np.trace(cfg.initial_density))}, {}
+
+
+def _check_physics_closed_form(part: slice, cfg, times, trajectory):
+    states = trajectory.states[part]
+    flip = np.abs(states[:, 1]) ** 2 / inner_products(states, states).real
+    target = np.sin(cfg.rabi_omega * (times[part] - times[0]) / 2.0) ** 2
+    return ({f"rabi flip vs sin^2({cfg.rabi_omega:g} t / 2)": np.abs(flip - target)},
+            {"flip_probability": flip, "flip_probability_closed_form": target})
+
+
+# --- checks that build their own record -----------------------------------------
+
+# check(tol, <nodes>) -> CheckRecord.  The transport checks take the worst value
+# and its place from the TransportAxiomReport, unitary_bundle_map judges pairs of
+# coarse times, and the last two have a second pass condition and no worst time.
+
 def _check_transport_identity(tol: float, transport_axioms) -> CheckRecord:
     triples, report = transport_axioms
     worst, at = report.max_identity_deviation, report.worst_identity_time
@@ -225,38 +312,6 @@ def _check_transport_composition(tol: float, transport_axioms) -> CheckRecord:
                        detail=f"worst triple {report.worst_composition_triple}")
 
 
-def _check_mean_value_invariance(tol: float, times, transport, trajectory, lifted, observables,
-                                 lifted_observables, series) -> CheckRecord:
-    psi = trajectory.states
-    per_observable = {}
-    for name, stack in observables.items():
-        conv = expectations(psi, apply(stack, psi))
-        bundle = fibre_means(transport.frames, lifted_observables[name].matrices, lifted.values)
-        series[f"mean_conventional:{name}"] = conv.real
-        series[f"mean_bundle:{name}"] = bundle.real
-        per_observable[name] = np.abs(conv - bundle)
-    return _judged_per_observable("mean_value_invariance", times, per_observable, tol)
-
-
-def _check_hermiticity_correspondence(tol: float, times, transport, observables,
-                                      lifted_observables) -> CheckRecord:
-    frames, inv = transport.frames, transport.inverse_frames
-    per_observable = {}
-    for name, stack in observables.items():
-        lifted = lifted_observables[name].matrices
-
-        def residual(part: slice) -> np.ndarray:
-            block = stack[part]
-            one = distinct_matrices(block)  # a broadcast is conjugated once per block
-            adjoint = np.broadcast_to(np.swapaxes(one.conj(), -2, -1), block.shape)
-            deviation = lift_operators(frames[part], inv[part], adjoint)
-            deviation -= bundle_adjoint_maps(frames[part], inv[part], lifted[part])
-            return np.max(np.abs(deviation), axis=(1, 2))
-
-        per_observable[name] = series_by_blocks(*stack.shape[:2], residual)
-    return _judged_per_observable("hermiticity_correspondence", times, per_observable, tol)
-
-
 def _check_unitary_bundle_map(tol: float, times, transport) -> CheckRecord:
     idx = _coarse_indices(times.size)
     i, j = (k.ravel() for k in np.meshgrid(idx, idx, indexing="ij"))
@@ -264,77 +319,11 @@ def _check_unitary_bundle_map(tol: float, times, transport) -> CheckRecord:
     backward = transport.matrices_by_index(j, i)
     adjoints = bundle_adjoint_maps(transport.frames[i], transport.inverse_frames[j], forward)
     per_pair = np.max(np.abs(adjoints - backward), axis=(1, 2))
-    return _judged("unitary_bundle_map", times[j], per_pair, tol)
+    first = int(np.argmax(per_pair))  # the first largest pair; a NaN wins
+    worst = float(per_pair[first])
+    return CheckRecord("unitary_bundle_map", worst, tol, worst <= tol, float(times[j[first]]))
 
 
-def _check_picture_invariance(tol: float, cfg, times, transport, transported_section,
-                              lifted_observables, heisenberg_values, series) -> CheckRecord:
-    frames, into_t0, from_t0 = transport.frames, transport.into_t0, transport.from_t0
-    psi_t = transported_section.values
-    heisenberg = {name: np.empty(times.size, dtype=complex) for name in lifted_observables}
-    per_observable = {name: np.empty(times.size) for name in lifted_observables}
-    for part in time_blocks(times.size, cfg.dimension):
-        # The random V and V^-1 of this block, sampled after V(t0), which the
-        # transform checks to be the identity.
-        picture = PictureTransform.random_unitary(np.concatenate([times[:1], times[part]]),
-                                                  cfg.dimension, cfg.seed)
-        v, v_inv = picture.matrices[1:], picture.inverse_matrices[1:]
-        psi_v = apply(v, psi_t[part])
-        for name, lifted in lifted_observables.items():
-            a_lift = lifted.matrices[part]
-            # the Heisenberg picture is V = U(t0, t)
-            heis = fibre_means(frames[0], to_general_picture_observables(
-                into_t0[part], from_t0[part], a_lift), heisenberg_values[part])
-            schro = fibre_means(frames[part], a_lift, psi_t[part])
-            general = general_picture_means(
-                v_inv, frames[part], to_general_picture_observables(v, v_inv, a_lift), psi_v)
-            heisenberg[name][part] = heis
-            per_observable[name][part] = np.maximum(np.abs(schro - heis),
-                                                    np.abs(schro - general))
-    for name, heis in heisenberg.items():
-        series[f"mean_heisenberg:{name}"] = heis.real
-    return _judged_per_observable("picture_invariance", times, per_observable, tol)
-
-
-def _check_heisenberg_constancy(tol: float, times, transported_section,
-                                heisenberg_values) -> CheckRecord:
-    psi_t0 = transported_section.values[0]
-    per_time = np.max(np.abs(heisenberg_values - psi_t0), axis=1)
-    return _judged("heisenberg_constancy", times, per_time, tol)
-
-
-def _check_density_consistency(tol: float, cfg, times, transport, density_transported,
-                               series) -> CheckRecord:
-    # rho(t) by the conventional propagators, lifted: l^-1 rho(t) l over the grid
-    conventional = evolve_density_morphisms(cfg.initial_density, transport.propagators)
-    frames, inv = transport.frames, transport.inverse_frames
-
-    def residual(part: slice) -> np.ndarray:
-        lifted = lift_operators(frames[part], inv[part], conventional[part])
-        return np.max(np.abs(density_transported[part] - lifted), axis=(1, 2))
-
-    per_time = series_by_blocks(*conventional.shape[:2], residual)
-    series["density_residual"] = per_time
-    return _judged("density_consistency", times, per_time, tol)
-
-
-def _check_density_purity(tol: float, times, density_transported) -> CheckRecord:
-    def residual(part: slice) -> np.ndarray:
-        p = density_transported[part]
-        return np.max(np.abs(p @ p - p), axis=(1, 2))
-
-    per_time = series_by_blocks(*density_transported.shape[:2], residual)
-    return _judged("density_purity", times, per_time, tol)
-
-
-def _check_fibre_trace(tol: float, cfg, times, density_transported) -> CheckRecord:
-    traces = np.trace(density_transported, axis1=1, axis2=2)
-    per_time = np.abs(traces - np.trace(cfg.initial_density))
-    return _judged("fibre_trace_preservation", times, per_time, tol)
-
-
-# module_dualities and integrals_of_motion build their own record: each has a
-# second pass condition besides the residual, and no worst time.
 def _check_module_dualities(tol: float, cfg, times) -> CheckRecord:
     times = times[_coarse_indices(times.size)]
     n = cfg.dimension
@@ -384,19 +373,7 @@ def _check_integrals_of_motion(tol: float, cfg, transport) -> CheckRecord:
                        None, detail="; ".join(outcomes))
 
 
-def _check_physics_closed_form(tol: float, cfg, times, trajectory, series) -> CheckRecord:
-    omega = cfg.rabi_omega
-    states = trajectory.states
-    flip = np.abs(states[:, 1]) ** 2 / trajectory.norm_sq()
-    target = np.sin(omega * (times - times[0]) / 2.0) ** 2
-    series["flip_probability"] = flip
-    series["flip_probability_closed_form"] = target
-    return _judged("physics_closed_form", times, np.abs(flip - target), tol,
-                   f"rabi flip vs sin^2({omega:g} t / 2)")
-
-
-# Check id -> check(tol, <nodes it reads>) -> its record; a check that tracks a
-# quantity over the grid adds it to the `series` node.
+# Check id -> check, pointwise or building its own record, in execution order.
 _CHECK_TABLE = {
     "state_equivalence": _check_state_equivalence,
     "norm_drift": _check_norm_drift,
@@ -415,10 +392,13 @@ _CHECK_TABLE = {
     "physics_closed_form": _check_physics_closed_form,
 }
 
-# Check id or node name -> the nodes it reads, from its parameters at import: a
-# traced run wraps the table's functions afresh on every pass.
-_READS = {key: tuple(name for name in inspect.signature(build).parameters if name != "tol")
+# Check id or node name -> the nodes it reads, and the pointwise checks, from their
+# parameters at import: a traced run wraps the table's functions afresh on every pass.
+_READS = {key: tuple(name for name in inspect.signature(build).parameters
+                     if name not in ("tol", "part"))
           for key, build in {**_NODES, **_CHECK_TABLE}.items()}
+_POINTWISE = frozenset(check_id for check_id, check in _CHECK_TABLE.items()
+                       if "part" in inspect.signature(check).parameters)
 
 
 def _read(nodes: dict, name: str):
@@ -449,11 +429,25 @@ def _drop_unread(nodes: dict, pending: Sequence[str], keep: Sequence[str] = ()) 
 
 def build_artifacts(cfg: ScenarioConfig) -> dict:
     """The seeds and the `_SETUP` nodes; a node that only setup reads is dropped once read."""
-    nodes = {"cfg": cfg, "times": cfg.times, "series": {"time": cfg.times}}
+    nodes = {"cfg": cfg, "times": cfg.times}
     for k, name in enumerate(_SETUP):
         _read(nodes, name)
         _drop_unread(nodes, _SETUP[k + 1:] + tuple(cfg.checks), keep=_SETUP)
     return nodes
+
+
+def _run_check(check_id: str, tol: float, cfg: ScenarioConfig,
+               reads: list) -> Tuple[CheckRecord, Dict[str, np.ndarray]]:
+    """A check's record and the timeseries it tracks.  A pointwise check runs on
+    each `time_blocks` slice in turn, and its residuals, concatenated, are judged once."""
+    check = _CHECK_TABLE[check_id]
+    if check_id not in _POINTWISE:
+        return check(tol, *reads), {}
+    outputs = [check(part, *reads) for part in time_blocks(cfg.times.size, cfg.dimension)]
+    # the residuals, then the series, of every block, concatenated key by key
+    residuals, series = ({key: np.concatenate([block[key] for block in blocks])
+                          for key in blocks[0]} for blocks in zip(*outputs))
+    return _judged(check_id, cfg.times, residuals, tol), series
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
@@ -468,15 +462,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         return ScenarioReport(cfg.name, records, cfg.echo, {}, time.perf_counter() - started)
 
     _drop_unread(nodes, cfg.checks)  # a setup node that no requested check reads
+    timeseries = {"time": cfg.times}
     for k, check_id in enumerate(cfg.checks):
         tol = cfg.tolerances[check_id]
         try:
-            records.append(_CHECK_TABLE[check_id](
-                tol, *[_read(nodes, name) for name in _READS[check_id]]))
+            record, series = _run_check(check_id, tol, cfg,
+                                        [_read(nodes, name) for name in _READS[check_id]])
+            records.append(record)
+            timeseries.update(series)
         except Exception as exc:
             records.append(CheckRecord(check_id, float("inf"), tol, False, None,
                                        detail=f"{type(exc).__name__}: {exc}"))
         _drop_unread(nodes, cfg.checks[k + 1:])
-    timeseries = {key: np.asarray(value, dtype=float).tolist()
-                  for key, value in nodes["series"].items()}
+    timeseries = {key: np.asarray(values, dtype=float).tolist()
+                  for key, values in timeseries.items()}
     return ScenarioReport(cfg.name, records, cfg.echo, timeseries, time.perf_counter() - started)

@@ -1,6 +1,8 @@
 """The timing-free records of every catalog scenario are pinned by sha256.
 
-Reads the session's shared catalog run, so it adds no scenario run.  A change
+The catalog digests read the session's shared catalog run, so they add no
+scenario run.  Every catalog stack is one time block (n <= 8), so one more
+scenario, cut into two blocks, is pinned beside them.  A change
 that moves a record on purpose regenerates `record_digests.json`; one that
 moves it by accident fails here.  The digests depend on the numpy and BLAS
 builds too, so a failure names both, beside the builds the file was made with.
@@ -8,11 +10,20 @@ builds too, so a failure names both, beside the builds the file was made with.
 
 import hashlib
 import json
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from fibreqm.checks import run_scenario
+from fibreqm.hilbert import time_blocks
+from fibreqm.scenario import scenario_from_dict
+
 DIGESTS = Path(__file__).resolve().parent / "record_digests.json"
+# random-unitary-gauge at n = 16 and N = 400, its shipped seed: two blocks of
+# 256 and 145 times.
+TWO_BLOCK_SHA256 = "b83d6319122d016a2d672306f2f2290cc4b18ed86dd32f51d57f5f8047ade605"
+TWO_BLOCK_BUILDS = "numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0"
 
 
 def _timing_free_sha256(report) -> str:
@@ -34,3 +45,15 @@ def test_catalog_records_match_their_pinned_digests(catalog_suite):
     assert not moved, (
         f"timing-free records moved for {moved}; here numpy {np.__version__}, BLAS {_blas()}; "
         f"pinned with numpy {pinned['numpy']}, BLAS {pinned['blas']}")
+
+
+def test_a_two_block_record_matches_its_pinned_digest():
+    root = resources.files("fibreqm") / "catalog"
+    raw = json.loads((root / "random-unitary-gauge.json").read_text())
+    raw["dimension"], raw["grid"]["steps"] = 16, 400
+    cfg = scenario_from_dict(raw)
+    assert len(time_blocks(cfg.times.size, cfg.dimension)) == 2
+    digest = _timing_free_sha256(run_scenario(cfg))
+    assert digest == TWO_BLOCK_SHA256, (
+        f"the two-block record moved; here numpy {np.__version__}, BLAS {_blas()}; "
+        f"pinned with {TWO_BLOCK_BUILDS}")

@@ -20,17 +20,23 @@ import fibreqm.checks as checks_module
 import fibreqm.hilbert as hilbert_module
 import fibreqm.scenario as scenario_module
 import fibreqm.suite as suite_module
-from fibreqm.bundle import TrivializationFamily
+from fibreqm.bundle import MorphismAlongPath, TrivializationFamily
 from fibreqm.checks import (
     _CHECK_TABLE,
     _NODES,
     _judged,
-    _judged_per_observable,
     build_artifacts,
     run_scenario,
 )
 from fibreqm.cli import main as cli_main
-from fibreqm.dynamics import HamiltonianFamily, ObservableFamily, PropagatorGrid, grid_index
+from fibreqm.dynamics import (
+    HamiltonianFamily,
+    ObservableFamily,
+    PropagatorGrid,
+    Trajectory,
+    grid_index,
+)
+from fibreqm.hilbert import time_blocks
 from fibreqm.pictures import PictureTransform
 from fibreqm.report import CheckRecord, emit, report_from_dict, suite_from_dict
 from fibreqm.scenario import (
@@ -554,36 +560,165 @@ class TestRunScenario:
 
 
 class TestJudge:
-    """Every check that judges a residual series forms its record in one place."""
+    """Every pointwise check's residuals are judged in one place."""
 
     times = np.array([0.0, 0.5, 1.0, 1.5])
 
     def test_first_maximum_and_its_time(self):
-        record = _judged("norm_drift", self.times, np.array([1e-9, 3e-9, 3e-9, 2e-9]), 1e-8)
+        record = _judged("norm_drift", self.times, {"": np.array([1e-9, 3e-9, 3e-9, 2e-9])},
+                         1e-8)
         assert record == CheckRecord("norm_drift", 3e-9, 1e-8, True, 0.5)
 
     def test_a_nan_anywhere_fails_at_the_first_nan(self):
-        record = _judged("norm_drift", self.times, np.array([1e-9, 5.0, np.nan, np.nan]), 10.0)
+        record = _judged("norm_drift", self.times, {"": np.array([1e-9, 5.0, np.nan, np.nan])},
+                         10.0)
         assert not record.passed
         assert np.isnan(record.max_residual)
         assert record.worst_time == 1.0
 
     def test_a_nan_observable_wins_over_a_larger_finite_one(self):
-        record = _judged_per_observable("picture_invariance", self.times, {
-            "big": np.array([0.0, 7.0, 0.0, 0.0]),
-            "nan": np.array([0.0, 0.0, 0.0, np.nan]),
+        record = _judged("picture_invariance", self.times, {
+            "worst observable: big": np.array([0.0, 7.0, 0.0, 0.0]),
+            "worst observable: nan": np.array([0.0, 0.0, 0.0, np.nan]),
         }, 1e-8)
         assert not record.passed
         assert np.isnan(record.max_residual)
         assert (record.worst_time, record.detail) == (1.5, "worst observable: nan")
 
     def test_a_tie_goes_to_the_first_observable(self):
-        record = _judged_per_observable("picture_invariance", self.times, {
-            "first": np.array([0.0, 0.0, 2.0, 0.0]),
-            "second": np.array([2.0, 0.0, 0.0, 0.0]),
+        record = _judged("picture_invariance", self.times, {
+            "worst observable: first": np.array([0.0, 0.0, 2.0, 0.0]),
+            "worst observable: second": np.array([2.0, 0.0, 0.0, 0.0]),
         }, 1e-8)
         assert record == CheckRecord("picture_invariance", 2.0, 1e-8, False, 1.0,
                                      "worst observable: first")
+
+
+def two_block_gauge():
+    """random-unitary-gauge at n = 16 and N = 400: two time blocks, of 256 and 145 times."""
+    root = resources.files("fibreqm") / "catalog"
+    raw = json.loads((root / "random-unitary-gauge.json").read_text())
+    raw["dimension"], raw["grid"]["steps"] = 16, 400
+    cfg = scenario_from_dict(raw)
+    assert [part.stop - part.start for part in time_blocks(cfg.times.size, 16)] == [256, 145]
+    return cfg
+
+
+POINTWISE_CHECKS = {"state_equivalence", "norm_drift", "mean_value_invariance",
+                    "hermiticity_correspondence", "picture_invariance", "heisenberg_constancy",
+                    "density_consistency", "density_purity", "fibre_trace_preservation",
+                    "physics_closed_form"}
+
+
+class TestPointwiseRunner:
+    """`_run_check` calls a pointwise check on each time block, concatenates and judges once."""
+
+    @pytest.fixture
+    def judge(self, monkeypatch):
+        """(detail -> {block: {index in block: residual}}) -> the record and series of a
+        norm_drift entry that returns those residuals, zero elsewhere, on the two blocks."""
+        cfg = two_block_gauge()
+        parts = time_blocks(cfg.times.size, cfg.dimension)
+
+        def run(placed):
+            def controlled(part, trajectory):
+                assert trajectory is None
+                block = parts.index(part)
+                residuals = {}
+                for detail, per_block in placed.items():
+                    residuals[detail] = np.zeros(part.stop - part.start)
+                    for idx, value in per_block.get(block, {}).items():
+                        residuals[detail][idx] = value
+                return residuals, {"index": np.arange(part.start, part.stop)}
+
+            monkeypatch.setitem(_CHECK_TABLE, "norm_drift", controlled)
+            return checks_module._run_check("norm_drift", 1e-8, cfg, [None])
+
+        return run, cfg.times
+
+    def test_a_maximum_in_the_second_block_is_reported_at_its_time(self, judge):
+        run, times = judge
+        record, series = run({"": {0: {10: 1.0}, 1: {7: 3.0, 9: 2.0}}})
+        assert record == CheckRecord("norm_drift", 3.0, 1e-8, False, float(times[256 + 7]))
+        assert list(series) == ["index"]
+        assert np.array_equal(series["index"], np.arange(times.size))
+
+    def test_a_nan_in_the_second_block_beats_a_larger_value_in_the_first(self, judge):
+        run, times = judge
+        record, _ = run({"": {0: {3: 7.0}, 1: {5: np.nan, 9: np.nan}}})
+        assert not record.passed
+        assert np.isnan(record.max_residual)
+        assert record.worst_time == float(times[256 + 5])
+
+    def test_a_tie_across_blocks_or_details_goes_to_the_first(self, judge):
+        run, times = judge
+        record, _ = run({"": {0: {100: 2.0}, 1: {3: 2.0}}})
+        assert (record.max_residual, record.worst_time) == (2.0, float(times[100]))
+        record, _ = run({"worst observable: a": {1: {3: 2.0}},
+                         "worst observable: b": {0: {50: 2.0}}})
+        assert (record.max_residual, record.worst_time, record.detail) == (
+            2.0, float(times[256 + 3]), "worst observable: a")
+
+
+def test_no_check_cuts_blocks_judges_itself_or_takes_a_series():
+    tree = ast.parse(pathlib.Path(checks_module.__file__).read_text())
+    checks = [fn for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_check_")]
+    assert sorted(fn.name for fn in checks) == sorted(f.__name__ for f in _CHECK_TABLE.values())
+    assert checks_module._POINTWISE == POINTWISE_CHECKS
+    for fn in checks:
+        named = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+        assert not named & {"time_blocks", "series_by_blocks", "_judged"}, fn.name
+        assert "series" not in [arg.arg for arg in fn.args.args], fn.name
+
+
+def _ramp(n_times):
+    return np.linspace(0.0, 1.0, n_times)
+
+
+# (scenario, node, what its build returns -> the perturbed node, the checks that
+# must catch it).  The comments give the residuals each perturbation reaches.
+NEGATIVE_CONTROLS = [
+    ("two-block", "trajectory",  # norm_drift 2.0e-6
+     lambda t: Trajectory(t.times, t.states * (1 + 1e-6 * _ramp(t.times.size))[:, None]),
+     ["norm_drift"]),
+    ("two-block", "lifted_observables",  # 1.6e-5
+     lambda lifted: {name: MorphismAlongPath(a.times, a.matrices * (1 + 1e-6))
+                     for name, a in lifted.items()},
+     ["mean_value_invariance"]),
+    ("two-block", "lifted_observables",  # 1.0e-6
+     lambda lifted: {name: MorphismAlongPath(a.times, a.matrices + 1e-6j * np.eye(16))
+                     for name, a in lifted.items()},
+     ["hermiticity_correspondence"]),
+    # along e_{n-1}: a bump along e_0 only rescales this scenario's state
+    ("two-block", "heisenberg_values", lambda v: v + 1e-6 * np.eye(16)[-1],  # 4.75e-6, 1.0e-6
+     ["picture_invariance", "heisenberg_constancy"]),
+    ("two-block", "density_transported",  # 1.0e-6
+     lambda rho: rho + 1e-6 * _ramp(len(rho))[:, None, None] * np.eye(16),
+     ["density_consistency"]),
+    ("two-block", "density_transported", lambda rho: rho * (1 + 1e-6),  # 1.0e-6 each
+     ["density_purity", "fibre_trace_preservation"]),
+    ("rabi-drive", "trajectory", lambda t: Trajectory(t.times, t.states * [1.0, 1.0 + 1e-4]),
+     ["physics_closed_form"]),  # 5.0e-5
+]
+
+
+@pytest.mark.parametrize("scenario, node, perturbed, caught", NEGATIVE_CONTROLS,
+                         ids=[f"{node}-{'-'.join(caught)}"
+                              for _, node, _, caught in NEGATIVE_CONTROLS])
+def test_a_perturbed_node_fails_the_pointwise_checks_that_read_it(monkeypatch, scenario, node,
+                                                                  perturbed, caught):
+    cfg = two_block_gauge() if scenario == "two-block" else load_catalog_scenario(scenario)
+    cfg = dataclasses.replace(cfg, checks=caught)
+    assert run_scenario(cfg).overall_pass
+    build = _NODES[node]
+    monkeypatch.setitem(_NODES, node, lambda *reads: perturbed(build(*reads)))
+    records = run_scenario(cfg).records
+    assert [record.check for record in records] == caught
+    for record in records:
+        assert not record.passed, record.check
+        assert np.isfinite(record.max_residual), record  # judged, not raised
 
 
 class TestSampleOnce:
@@ -716,12 +851,13 @@ class TestArtifactNodes:
     def test_every_read_names_a_node_and_the_reads_have_no_cycle(self):
         built = build_artifacts(scenario_from_dict(MINIMAL))
         seeds = set(built) - set(_NODES)
-        assert seeds == {"cfg", "times", "series"}
+        assert seeds == {"cfg", "times"}
         assert set(checks_module._SETUP) <= set(_NODES) & set(built)
         params = {key: list(inspect.signature(fn).parameters)
                   for key, fn in {**_NODES, **_CHECK_TABLE}.items()}
-        assert all(params[check_id][0] == "tol" for check_id in _CHECK_TABLE)
-        reads = {key: [name for name in names if name != "tol"] for key, names in params.items()}
+        assert all(params[check_id][0] in ("tol", "part") for check_id in _CHECK_TABLE)
+        reads = {key: [name for name in names if name not in ("tol", "part")]
+                 for key, names in params.items()}
         assert all(len(reads[name]) == len(params[name]) for name in _NODES)
         unknown = {key: sorted(set(names) - seeds - set(_NODES)) for key, names in reads.items()}
         assert not any(unknown.values()), unknown
@@ -746,10 +882,7 @@ class TestArtifactNodes:
         assert report.record("setup").detail.startswith(frame_error)
 
     def test_a_node_is_dropped_after_its_last_reader(self, monkeypatch):
-        root = resources.files("fibreqm") / "catalog"
-        raw = json.loads((root / "random-unitary-gauge.json").read_text())
-        raw["dimension"], raw["grid"]["steps"] = 16, 400
-        cfg = scenario_from_dict(raw)
+        cfg = two_block_gauge()
         probed = ("norm_drift", "fibre_trace_preservation", "integrals_of_motion")
         assert cfg.checks[:2] == ["state_equivalence", "norm_drift"]
         assert set(probed) <= set(cfg.checks)
@@ -763,10 +896,10 @@ class TestArtifactNodes:
         def probing(check_id):
             check = _CHECK_TABLE[check_id]
 
-            def probe(tol, *reads):
+            def probe(*args):  # (tol or a time block, *reads)
                 alive[check_id] = {name for name, built in refs.items()
                                    if any(ref() is not None for ref in built)}
-                return check(tol, *reads)
+                return check(*args)
             return probe
 
         # the bundle section is a setup node that only state_equivalence reads
@@ -832,10 +965,7 @@ class TestArtifactNodes:
                     (name, check_id)
 
     def test_integrals_of_motion_keeps_no_commutator_stack_alive(self):
-        root = resources.files("fibreqm") / "catalog"
-        raw = json.loads((root / "random-unitary-gauge.json").read_text())
-        raw["dimension"], raw["grid"]["steps"] = 16, 400
-        cfg = scenario_from_dict(raw)
+        cfg = two_block_gauge()
         nodes = build_artifacts(cfg)
         check, tol = _CHECK_TABLE["integrals_of_motion"], cfg.tolerances["integrals_of_motion"]
         reads = [nodes[name] for name in checks_module._READS["integrals_of_motion"]]
@@ -872,13 +1002,10 @@ class TestArtifactNodes:
         cfg = dataclasses.replace(load_catalog_scenario("random-unitary-gauge"),
                                   checks=["module_dualities"])
         assert run_scenario(cfg).overall_pass
-        assert held == [{"cfg", "times", "series"}]
+        assert held == [{"cfg", "times"}]
 
     def test_hermiticity_correspondence_conjugates_a_broadcast_observable_once(self):
-        root = resources.files("fibreqm") / "catalog"
-        raw = json.loads((root / "random-unitary-gauge.json").read_text())
-        raw["dimension"], raw["grid"]["steps"] = 16, 400
-        cfg = scenario_from_dict(raw)
+        cfg = two_block_gauge()
         nodes = build_artifacts(cfg)
         check_id = "hermiticity_correspondence"
         reads = [checks_module._read(nodes, name) for name in checks_module._READS[check_id]]
@@ -886,7 +1013,8 @@ class TestArtifactNodes:
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            assert _CHECK_TABLE[check_id](cfg.tolerances[check_id], *reads).passed
+            record, _ = checks_module._run_check(check_id, cfg.tolerances[check_id], cfg, reads)
+            assert record.passed
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -919,9 +1047,12 @@ class TestArtifactNodes:
                     above[key] = peak - max(entry, left)
             return probe
 
-        for table in (_NODES, _CHECK_TABLE):
-            for key, build in list(table.items()):
-                monkeypatch.setitem(table, key, probed(key, build))
+        for key, build in list(_NODES.items()):
+            monkeypatch.setitem(_NODES, key, probed(key, build))
+        # a check is measured over its whole run: every block and the judge
+        run_check = checks_module._run_check
+        monkeypatch.setattr(checks_module, "_run_check", lambda check_id, *args: (
+            probed(check_id, run_check)(check_id, *args)))
         tracemalloc.start()
         try:
             assert run_scenario(cfg).overall_pass
