@@ -319,9 +319,7 @@ def _check_unitary_bundle_map(tol: float, times, transport) -> CheckRecord:
     backward = transport.matrices_by_index(j, i)
     adjoints = bundle_adjoint_maps(transport.frames[i], transport.inverse_frames[j], forward)
     per_pair = np.max(np.abs(adjoints - backward), axis=(1, 2))
-    first = int(np.argmax(per_pair))  # the first largest pair; a NaN wins
-    worst = float(per_pair[first])
-    return CheckRecord("unitary_bundle_map", worst, tol, worst <= tol, float(times[j[first]]))
+    return _judged("unitary_bundle_map", times[j], {"": per_pair}, tol)
 
 
 def _check_module_dualities(tol: float, cfg, times) -> CheckRecord:

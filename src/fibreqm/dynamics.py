@@ -23,7 +23,6 @@ from .hilbert import (
     broadcast_sampler,
     checked_stack,
     distinct_matrices,
-    inner_products,
     is_hermitian,
     matrix_exponential,
     max_abs,
@@ -163,9 +162,6 @@ class Trajectory:
         states.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-
-    def norm_sq(self) -> np.ndarray:
-        return inner_products(self.states, self.states).real
 
 
 def grid_indices(times: np.ndarray, ts) -> np.ndarray:

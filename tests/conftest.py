@@ -1,9 +1,13 @@
+import json
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+from fibreqm.hilbert import time_blocks
+from fibreqm.scenario import scenario_from_dict
 from fibreqm.suite import run_suite
 
 # Every property test draws the same examples on every run: each test's
@@ -21,6 +25,18 @@ def catalog_suite():
     report = run_suite("catalog")
     elapsed = time.perf_counter() - started
     return report, elapsed
+
+
+@pytest.fixture
+def two_block_gauge():
+    """random-unitary-gauge at n = 16 and N = 400: two time blocks, of 256 and 145 times.
+    Every catalog stack is one block (n <= 8), so this is the runner's multi-block case."""
+    root = resources.files("fibreqm") / "catalog"
+    raw = json.loads((root / "random-unitary-gauge.json").read_text())
+    raw["dimension"], raw["grid"]["steps"] = 16, 400
+    cfg = scenario_from_dict(raw)
+    assert [part.stop - part.start for part in time_blocks(cfg.times.size, 16)] == [256, 145]
+    return cfg
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,7 @@ from fibreqm.dynamics import (
     propagate_states,
     uniform_grid,
 )
-from fibreqm.hilbert import SIGMA_X, SIGMA_Z, is_hermitian, max_abs
+from fibreqm.hilbert import SIGMA_X, SIGMA_Z, inner_products, is_hermitian, max_abs
 from fibreqm.pictures import is_integral_of_motion
 from fibreqm.scenario import scenario_from_dict
 from fibreqm.transport import EvolutionTransport
@@ -228,7 +228,7 @@ def test_criterion_9_rabi_closed_form_and_convergence(catalog_suite, acceptance)
     errors = []
     for step in (1e-3, 5e-4):
         traj = evolve_state(cfg.hamiltonian, cfg.initial_state, 0.0, 1.0, step)
-        flip = np.abs(traj.states[:, 1]) ** 2 / traj.norm_sq()
+        flip = np.abs(traj.states[:, 1]) ** 2 / inner_products(traj.states, traj.states).real
         target = np.sin(omega * traj.times / 2) ** 2
         errors.append(max_abs(flip - target))
     ratio = errors[0] / errors[1]

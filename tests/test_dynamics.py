@@ -22,6 +22,7 @@ from fibreqm.hilbert import (
     PhysicalConstants,
     apply,
     expectations,
+    inner_products,
     max_abs,
 )
 from fibreqm.pictures import to_general_picture_observables
@@ -63,7 +64,7 @@ class TestEvolveState:
     def test_norm_conservation_hermitian(self):
         h = HamiltonianFamily.constant(0.7 * SIGMA_X + 1.1 * SIGMA_Z)
         traj = evolve_state(h, [0.3, 0.9], 0.0, 1.0, 1e-3)
-        norms = traj.norm_sq()
+        norms = inner_products(traj.states, traj.states).real
         drift = max_abs(norms - norms[0])
         assert drift <= 1e-8
         assert drift <= 1e-12 * 1000  # one part in 1e12 per step, 1000 steps
@@ -74,7 +75,7 @@ class TestEvolveState:
         errors = []
         for step in (1e-3, 5e-4):
             traj = evolve_state(h, [1, 0], 0.0, 1.0, step)
-            flip = np.abs(traj.states[:, 1]) ** 2 / traj.norm_sq()
+            flip = np.abs(traj.states[:, 1]) ** 2 / inner_products(traj.states, traj.states).real
             target = np.sin(np.pi * traj.times / 2) ** 2
             errors.append(max_abs(flip - target))
         assert errors[0] / errors[1] >= 3.5

@@ -10,18 +10,14 @@ builds too, so a failure names both, beside the builds the file was made with.
 
 import hashlib
 import json
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from fibreqm.checks import run_scenario
-from fibreqm.hilbert import time_blocks
-from fibreqm.scenario import scenario_from_dict
 
 DIGESTS = Path(__file__).resolve().parent / "record_digests.json"
-# random-unitary-gauge at n = 16 and N = 400, its shipped seed: two blocks of
-# 256 and 145 times.
+# the `two_block_gauge` fixture's record, at its shipped seed
 TWO_BLOCK_SHA256 = "b83d6319122d016a2d672306f2f2290cc4b18ed86dd32f51d57f5f8047ade605"
 TWO_BLOCK_BUILDS = "numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0"
 
@@ -47,13 +43,8 @@ def test_catalog_records_match_their_pinned_digests(catalog_suite):
         f"pinned with numpy {pinned['numpy']}, BLAS {pinned['blas']}")
 
 
-def test_a_two_block_record_matches_its_pinned_digest():
-    root = resources.files("fibreqm") / "catalog"
-    raw = json.loads((root / "random-unitary-gauge.json").read_text())
-    raw["dimension"], raw["grid"]["steps"] = 16, 400
-    cfg = scenario_from_dict(raw)
-    assert len(time_blocks(cfg.times.size, cfg.dimension)) == 2
-    digest = _timing_free_sha256(run_scenario(cfg))
+def test_a_two_block_record_matches_its_pinned_digest(two_block_gauge):
+    digest = _timing_free_sha256(run_scenario(two_block_gauge))
     assert digest == TWO_BLOCK_SHA256, (
         f"the two-block record moved; here numpy {np.__version__}, BLAS {_blas()}; "
         f"pinned with {TWO_BLOCK_BUILDS}")
