@@ -14,9 +14,10 @@ the midpoints, the random picture) is inverted by one rule, decided from the
 samples alone: if max|S^dagger S - I| <= 1e-13, S is unitary to rounding and
 S^-1 = S^dagger, which also proves it invertible, so no SVD, `inv` or solve
 runs; otherwise the SVD ratio check and `np.linalg.inv` run as for any
-invertible matrix.  A family's stack is proven and inverted once, when it is
-sampled, and every reader takes that inverse; a broadcast is proven and
-inverted on its one matrix.
+invertible matrix.  Each batch a family samples (the grid, or one time block
+of midpoints) is proven and inverted once, when it is sampled, and every
+reader takes that inverse; a broadcast is proven and inverted on its one
+matrix.
 """
 
 from __future__ import annotations

@@ -1,13 +1,19 @@
 """Scenario execution: conventional oracle vs bundle pipeline, check by check.
 
 Besides the seeds `cfg` and `times`, every node is a build in `_NODES` and every
-check a function in `_CHECK_TABLE`; the parameters of each, after a check's
-first, are the nodes it reads.  Setup reads the `_SETUP` nodes, which can reject
-the scenario; a fault that is on swaps a node's build (`_FAULTS`).  A node is
-built on first read and dropped after its last reader.  One runner, `_run_check`,
-calls a pointwise check on each time block and judges the concatenated residuals
-once.  A failure is a failed record, never a silent pass.  Scenarios share no
-mutable state, so suites run them in any order.
+check a function in `_CHECK_TABLE`; the parameters of each, after a check's or a
+block node's first, are the nodes it reads.  Setup reads the `_SETUP` nodes,
+which can reject the scenario; a fault that is on swaps a node's build
+(`_FAULTS`).  A node is built on first read and dropped after its last reader.
+
+The checks that build their own record run first, in the scenario's order.  Then
+one sweep, `_sweep`, runs every pointwise check on each `time_blocks` slice in
+turn.  A block node, a build whose first parameter is the slice `part`, is built
+on its first read in a slice, shared by every check of that slice and dropped
+with it; only pointwise checks and other block nodes read one.  Each pointwise
+check's residuals, concatenated, are judged once.  A failure is a failed record
+of its check alone, never a silent pass.  Scenarios share no mutable state, so
+suites run them in any order.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .hilbert import (
     expectations,
     inner_products,
     max_abs,
-    stack_by_blocks,
     time_blocks,
 )
 from .pictures import (
@@ -94,7 +99,7 @@ def _grid_frames(cfg, times) -> Tuple[np.ndarray, np.ndarray]:
 
 def _steps(cfg, times) -> np.ndarray:
     """The conventional step propagators, read by the transport and the oracle only."""
-    return midpoint_propagators(cfg.hamiltonian.at_many, times, cfg.constants)
+    return midpoint_propagators(cfg.hamiltonian, times, cfg.constants)
 
 
 def _transport(cfg, times, grid_frames, steps) -> EvolutionTransport:
@@ -132,25 +137,23 @@ def _without_derivative(cfg) -> TrivializationFamily:
     return cfg.trivialization.with_derivative(lambda ts: np.zeros((ts.size, n, n), dtype=complex))
 
 
-def _lifted_observables(times, transport, observables) -> Dict[str, MorphismAlongPath]:
-    frames, inv = transport.frames, transport.inverse_frames
+# A block node: build(part, <nodes>) -> its value on the time block `part` alone.
 
-    def lifted(stack: np.ndarray) -> np.ndarray:
-        return stack_by_blocks(*stack.shape[:2], lambda part: (
-            lift_operators(frames[part], inv[part], stack[part])))
-
-    return {name: MorphismAlongPath(times, lifted(stack)) for name, stack in observables.items()}
+def _lifted_observables(part: slice, transport, observables) -> Dict[str, np.ndarray]:
+    """Name -> the lifted morphisms l^-1 A l of the block, (b, n, n)."""
+    frames, inv = transport.frames[part], transport.inverse_frames[part]
+    return {name: lift_operators(frames, inv, stack[part]) for name, stack in observables.items()}
 
 
-def _density_transported(cfg, transport) -> np.ndarray:
-    """The lifted rho0 carried by transport conjugation, (N, n, n)."""
+def _density_transported(part: slice, cfg, transport) -> np.ndarray:
+    """The lifted rho0 carried by transport conjugation over the block, (b, n, n)."""
     return evolve_density_morphisms(lift_operators(
-        transport.frames[0], transport.inverse_frames[0], cfg.initial_density), transport)
+        transport.frames[0], transport.inverse_frames[0], cfg.initial_density), transport, part)
 
 
-def _density_conventional(cfg, transport) -> np.ndarray:
-    """rho0 carried by the conventional propagators, (N, n, n), by the same kernel."""
-    return evolve_density_morphisms(cfg.initial_density, transport.propagators)
+def _density_conventional(part: slice, cfg, transport) -> np.ndarray:
+    """rho0 carried by the conventional propagators over the block, by the same kernel."""
+    return evolve_density_morphisms(cfg.initial_density, transport.propagators, part)
 
 
 def _transported_section(times, transport, lifted) -> SectionAlongPath:
@@ -169,8 +172,9 @@ def _transport_axioms(cfg, times, transport) -> Tuple[int, TransportAxiomReport]
     return len(triples), check_transport_axioms(transport, triples)
 
 
-# Node name -> build.  Its parameters, like a check's after its first, are the nodes
-# it reads, unannotated: each node's type is stated once, by its build.
+# Node name -> build.  Its parameters, like a check's or a block node's after its
+# first, are the nodes it reads, unannotated: each node's type is stated once, by
+# its build.
 _NODES = {
     "grid_frames": _grid_frames,
     "steps": _steps,
@@ -215,7 +219,7 @@ def _check_mean_value_invariance(part: slice, transport, trajectory, lifted, obs
     residuals, series = {}, {}
     for name, stack in observables.items():
         conv = expectations(psi, apply(stack[part], psi))
-        bundle = fibre_means(frames, lifted_observables[name].matrices[part], values)
+        bundle = fibre_means(frames, lifted_observables[name], values)
         series[f"mean_conventional:{name}"] = conv.real
         series[f"mean_bundle:{name}"] = bundle.real
         residuals[f"worst observable: {name}"] = np.abs(conv - bundle)
@@ -230,7 +234,7 @@ def _check_hermiticity_correspondence(part: slice, transport, observables, lifte
         one = distinct_matrices(block)  # a broadcast is conjugated once per block
         adjoint = np.broadcast_to(np.swapaxes(one.conj(), -2, -1), block.shape)
         deviation = lift_operators(frames, inv, adjoint)
-        deviation -= bundle_adjoint_maps(frames, inv, lifted_observables[name].matrices[part])
+        deviation -= bundle_adjoint_maps(frames, inv, lifted_observables[name])
         residuals[f"worst observable: {name}"] = np.max(np.abs(deviation), axis=(1, 2))
     return residuals, {}
 
@@ -246,8 +250,7 @@ def _check_picture_invariance(part: slice, cfg, times, transport, transported_se
     v, v_inv = picture.matrices[1:], picture.inverse_matrices[1:]
     psi_v = apply(v, psi_t)
     residuals, series = {}, {}
-    for name, lifted in lifted_observables.items():
-        a_lift = lifted.matrices[part]
+    for name, a_lift in lifted_observables.items():
         # the Heisenberg picture is V = U(t0, t)
         heis = fibre_means(frames[0], to_general_picture_observables(into_t0, from_t0, a_lift),
                            heisenberg_values[part])
@@ -268,18 +271,18 @@ def _check_heisenberg_constancy(part: slice, transported_section, heisenberg_val
 def _check_density_consistency(part: slice, transport, density_transported, density_conventional):
     # rho(t) by the conventional propagators, lifted: l^-1 rho(t) l
     lifted = lift_operators(transport.frames[part], transport.inverse_frames[part],
-                            density_conventional[part])
-    residual = np.max(np.abs(density_transported[part] - lifted), axis=(1, 2))
+                            density_conventional)
+    residual = np.max(np.abs(density_transported - lifted), axis=(1, 2))
     return {"": residual}, {"density_residual": residual}
 
 
 def _check_density_purity(part: slice, density_transported):
-    p = density_transported[part]
+    p = density_transported
     return {"": np.max(np.abs(p @ p - p), axis=(1, 2))}, {}
 
 
 def _check_fibre_trace(part: slice, cfg, density_transported):
-    traces = np.trace(density_transported[part], axis1=1, axis2=2)
+    traces = np.trace(density_transported, axis1=1, axis2=2)
     return {"": np.abs(traces - np.trace(cfg.initial_density))}, {}
 
 
@@ -390,21 +393,30 @@ _CHECK_TABLE = {
     "physics_closed_form": _check_physics_closed_form,
 }
 
-# Check id or node name -> the nodes it reads, and the pointwise checks, from their
-# parameters at import: a traced run wraps the table's functions afresh on every pass.
+# Check id or node name -> the nodes it reads, the pointwise checks and the block
+# nodes, from their parameters at import: a traced run wraps the table's functions
+# afresh on every pass.
 _READS = {key: tuple(name for name in inspect.signature(build).parameters
                      if name not in ("tol", "part"))
           for key, build in {**_NODES, **_CHECK_TABLE}.items()}
 _POINTWISE = frozenset(check_id for check_id, check in _CHECK_TABLE.items()
                        if "part" in inspect.signature(check).parameters)
+_BLOCK_NODES = frozenset(name for name, build in _NODES.items()
+                         if "part" in inspect.signature(build).parameters)
 
 
-def _read(nodes: dict, name: str):
-    """Node `name`, built from its reads on first use; a build that raises stores nothing."""
-    if name not in nodes:
+def _read(nodes: dict, name: str, block: dict | None = None):
+    """Node `name`, built from its reads on first use; a build that raises stores nothing.
+
+    A block node is built into `block`, the nodes of one time block, whose seed
+    "part" is that block's slice; every other node into `nodes`.
+    """
+    store = block if name in _BLOCK_NODES else nodes
+    if name not in store:
         build = dict(_FAULTS[fault] for fault in nodes["cfg"].faults).get(name, _NODES[name])
-        nodes[name] = build(*[_read(nodes, read) for read in _READS[name]])
-    return nodes[name]
+        reads = [_read(nodes, read, block) for read in _READS[name]]
+        store[name] = build(block["part"], *reads) if name in _BLOCK_NODES else build(*reads)
+    return store[name]
 
 
 def _drop_unread(nodes: dict, pending: Sequence[str], keep: Sequence[str] = ()) -> None:
@@ -434,44 +446,81 @@ def build_artifacts(cfg: ScenarioConfig) -> dict:
     return nodes
 
 
-def _run_check(check_id: str, tol: float, cfg: ScenarioConfig,
-               reads: list) -> Tuple[CheckRecord, Dict[str, np.ndarray]]:
-    """A check's record and the timeseries it tracks.  A pointwise check runs on
-    each `time_blocks` slice in turn, and its residuals, concatenated, are judged once."""
-    check = _CHECK_TABLE[check_id]
-    if check_id not in _POINTWISE:
-        return check(tol, *reads), {}
-    outputs = [check(part, *reads) for part in time_blocks(cfg.times.size, cfg.dimension)]
+def _failed(check_id: str, tol: float, exc: Exception) -> CheckRecord:
+    """The record of a check, or of setup, that raised: a failure, never a silent pass."""
+    return CheckRecord(check_id, float("inf"), tol, False, None,
+                       detail=f"{type(exc).__name__}: {exc}")
+
+
+def _judged_blocks(check_id: str, tol: float, times: np.ndarray,
+                   outputs: list) -> Tuple[CheckRecord, Dict[str, np.ndarray]]:
+    """A pointwise check's record and timeseries from its (residuals, series) per block."""
     # the residuals, then the series, of every block, concatenated key by key
     residuals, series = ({key: np.concatenate([block[key] for block in blocks])
                           for key in blocks[0]} for blocks in zip(*outputs))
-    return _judged(check_id, cfg.times, residuals, tol), series
+    return _judged(check_id, times, residuals, tol), series
+
+
+def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
+    """Check id -> (record, series) of each pointwise check, from one pass over the
+    `time_blocks` slices.
+
+    In each slice the checks not yet failed run in `check_ids` order, and the block
+    nodes they read are built once, into the slice's dict, and dropped with it.  A
+    check that raises is a failed record and runs no more; the others' blocks are
+    judged once at the end.
+    """
+    cfg = nodes["cfg"]
+    outputs = {check_id: [] for check_id in check_ids}  # each block's (residuals, series)
+    outcomes = {}
+    for part in time_blocks(cfg.times.size, cfg.dimension):
+        block = {"part": part}
+        for check_id in check_ids:
+            if check_id in outcomes:  # failed in an earlier block
+                continue
+            try:
+                reads = [_read(nodes, name, block) for name in _READS[check_id]]
+                outputs[check_id].append(_CHECK_TABLE[check_id](part, *reads))
+            except Exception as exc:
+                outcomes[check_id] = _failed(check_id, cfg.tolerances[check_id], exc), {}
+    for check_id in check_ids:
+        if check_id not in outcomes:
+            tol = cfg.tolerances[check_id]
+            try:
+                outcomes[check_id] = _judged_blocks(check_id, tol, cfg.times, outputs[check_id])
+            except Exception as exc:
+                outcomes[check_id] = _failed(check_id, tol, exc), {}
+    return outcomes
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     """Run the conventional oracle, the bundle pipeline, and all requested checks."""
     started = time.perf_counter()
-    records: List[CheckRecord] = []
     try:
         nodes = build_artifacts(cfg)
-    except Exception as exc:  # surface as a failed record, never a silent pass
-        records.append(CheckRecord("setup", float("inf"), 0.0, False, None,
-                                   detail=f"{type(exc).__name__}: {exc}"))
-        return ScenarioReport(cfg.name, records, cfg.echo, {}, time.perf_counter() - started)
+    except Exception as exc:
+        return ScenarioReport(cfg.name, [_failed("setup", 0.0, exc)], cfg.echo, {},
+                              time.perf_counter() - started)
 
     _drop_unread(nodes, cfg.checks)  # a setup node that no requested check reads
-    timeseries = {"time": cfg.times}
-    for k, check_id in enumerate(cfg.checks):
+    own = [check_id for check_id in cfg.checks if check_id not in _POINTWISE]
+    pointwise = [check_id for check_id in cfg.checks if check_id in _POINTWISE]
+    outcomes = {}  # check id -> (record, series)
+    for k, check_id in enumerate(own):
         tol = cfg.tolerances[check_id]
         try:
-            record, series = _run_check(check_id, tol, cfg,
-                                        [_read(nodes, name) for name in _READS[check_id]])
-            records.append(record)
-            timeseries.update(series)
+            reads = [_read(nodes, name) for name in _READS[check_id]]
+            outcomes[check_id] = _CHECK_TABLE[check_id](tol, *reads), {}
         except Exception as exc:
-            records.append(CheckRecord(check_id, float("inf"), tol, False, None,
-                                       detail=f"{type(exc).__name__}: {exc}"))
-        _drop_unread(nodes, cfg.checks[k + 1:])
+            outcomes[check_id] = _failed(check_id, tol, exc), {}
+        _drop_unread(nodes, own[k + 1:] + pointwise)
+    outcomes.update(_sweep(nodes, pointwise))
+    del nodes  # no check reads a node any more
+
+    timeseries = {"time": cfg.times}
+    for check_id in cfg.checks:
+        timeseries.update(outcomes[check_id][1])
     timeseries = {key: np.asarray(values, dtype=float).tolist()
                   for key, values in timeseries.items()}
-    return ScenarioReport(cfg.name, records, cfg.echo, timeseries, time.perf_counter() - started)
+    return ScenarioReport(cfg.name, [outcomes[check_id][0] for check_id in cfg.checks],
+                          cfg.echo, timeseries, time.perf_counter() - started)

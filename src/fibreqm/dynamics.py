@@ -195,23 +195,25 @@ def grid_index(times: np.ndarray, t: float) -> int:
     return int(grid_indices(times, t))
 
 
-def midpoint_propagators(matrix_at_many: Callable[[np.ndarray], np.ndarray],
-                         times: np.ndarray,
+def midpoint_propagators(family, times: np.ndarray,
                          constants: PhysicalConstants = PhysicalConstants()) -> np.ndarray:
     """Step propagators exp(-i h H(t + h/2) / hbar) for every grid interval.
 
-    Shared by the conventional and the bundle integrators so that identical
-    generator samples produce bitwise-identical steps.  The generator is
-    scaled one `time_blocks` slice at a time into the one stack that the
-    exponential reads, and the samples are released before it runs.
+    `family` is the generator: anything with a `dimension` and an `at_many`
+    sampler, a `HamiltonianFamily` or a `MatrixBundleHamiltonian`.  Shared by
+    the conventional and the bundle integrators so that identical generator
+    samples produce bitwise-identical steps.  The generator is sampled one
+    `time_blocks` slice of the midpoints at a time and scaled into the one
+    stack that the exponential reads, so its samples, and what sampling them
+    needs (the bundle generator's midpoint frames, their derivatives and
+    inverses), are never whole stacks.  A sampler gives each time the same
+    values in any batch, so the steps do not depend on the slicing.
     """
     times = np.asarray(times, dtype=float)
     mids = (times[:-1] + times[1:]) / 2.0
     h = np.diff(times)
-    mats = matrix_at_many(mids)
-    scaled = stack_by_blocks(*mats.shape[:2], lambda part: (
-        -1j * h[part, None, None] * mats[part] / constants.hbar))
-    del mats
+    scaled = stack_by_blocks(mids.size, family.dimension, lambda part: (
+        -1j * h[part, None, None] * family.at_many(mids[part]) / constants.hbar))
     return matrix_exponential(scaled)
 
 
@@ -243,7 +245,7 @@ class PropagatorGrid:
             raise ValueError("times must be a strictly increasing grid with >= 2 points")
         n = family.dimension
         if steps is None:
-            steps = midpoint_propagators(family.at_many, times, constants)
+            steps = midpoint_propagators(family, times, constants)
         elif steps.shape != (times.size - 1, n, n):
             raise ValueError(f"steps must have shape {(times.size - 1, n, n)} (one per grid "
                              f"interval, of the family's dimension), got {steps.shape}")
@@ -278,7 +280,7 @@ def evolve_state(family: HamiltonianFamily, psi0, t0: float, t1: float, step: fl
     if np.vdot(psi0, psi0).real == 0.0:
         raise ValueError("initial state must be nonzero")
     times = uniform_grid(t0, t1, _steps_from(t0, t1, step))
-    props = midpoint_propagators(family.at_many, times, constants)
+    props = midpoint_propagators(family, times, constants)
     return Trajectory(times, propagate_states(props, psi0))
 
 

@@ -27,7 +27,6 @@ from .hilbert import (
     expectations,
     max_abs,
     series_by_blocks,
-    stack_by_blocks,
 )
 from .transport import EvolutionTransport
 
@@ -132,18 +131,17 @@ def general_picture_means(v_inv: np.ndarray, frames: np.ndarray, a_v: np.ndarray
 
 # --- density morphisms -----------------------------------------------------
 
-def evolve_density_morphisms(p0, two_time: Union[PropagatorGrid, EvolutionTransport]
-                             ) -> np.ndarray:
-    """Conjugation U(t_k, t0) P0 U(t0, t_k) over the whole grid.
+def evolve_density_morphisms(p0, two_time: Union[PropagatorGrid, EvolutionTransport],
+                             part: slice = slice(None)) -> np.ndarray:
+    """Conjugation U(t_k, t0) P0 U(t0, t_k) at the grid times `part`, all of them by default.
 
     `two_time` is a `PropagatorGrid` (P0 a conventional density operator) or
     an `EvolutionTransport` (P0 a density morphism at t0); either way t0 is
-    the first grid time and the conjugation reads its shared t0 stacks, one
-    `time_blocks` slice at a time.
+    the first grid time and the conjugation reads the `part` rows of its
+    shared t0 stacks.  The engine calls it on one `time_blocks` slice at a
+    time, so no conjugated stack is ever whole.
     """
-    from_t0, into_t0 = two_time.from_t0, two_time.into_t0
-    return stack_by_blocks(*from_t0.shape[:2], lambda part: (
-        to_general_picture_observables(from_t0[part], into_t0[part], p0)))
+    return to_general_picture_observables(two_time.from_t0[part], two_time.into_t0[part], p0)
 
 
 # --- integrals of motion -----------------------------------------------------
@@ -175,9 +173,12 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     grid (decided on a broadcast's one matrix; a zero dA/dt adds no term),
     the invariance of the lifted morphism under transport conjugation (the
     lift reads the frames the transport already sampled and inverted, and
-    the conjugation its shared t0 stacks); certification requires every
-    applicable criterion to pass.  Both residuals are formed one
-    `time_blocks` slice at a time, beside the one transported stack.
+    the conjugation `evolve_density_morphisms` its shared t0 stacks);
+    certification requires every applicable criterion to pass.  Both
+    residuals are formed one `time_blocks` slice at a time, so neither
+    criterion holds a whole stack.  Where A and H (and a nonzero dA/dt) are
+    broadcasts, every time has the one commutator residual of their one
+    matrices, so it is formed once.
     """
     times = transport.times
     a_vals, da_vals = a.derivative_at_many(times)
@@ -185,14 +186,19 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     hbar = transport.propagators.constants.hbar
     constant = not np.any(distinct_matrices(da_vals))  # dA/dt is zero on the grid
 
+    operands = [a_vals, h_vals] + ([] if constant else [da_vals])
+    if all(distinct_matrices(stack).shape[0] == 1 for stack in operands):
+        operands = [distinct_matrices(stack) for stack in operands]
+
     def commutator(part: slice) -> np.ndarray:
-        residuals = a_vals[part] @ h_vals[part]
-        residuals -= h_vals[part] @ a_vals[part]
-        if not constant:
-            residuals += (1j * hbar) * da_vals[part]
+        a_part, h_part, *da_part = (stack[part] for stack in operands)
+        residuals = a_part @ h_part
+        residuals -= h_part @ a_part
+        for derivative in da_part:
+            residuals += (1j * hbar) * derivative
         return np.max(np.abs(residuals), axis=(1, 2))
 
-    comm_res = max_abs(series_by_blocks(*a_vals.shape[:2], commutator))
+    comm_res = max_abs(series_by_blocks(*operands[0].shape[:2], commutator))
     conventional_ok = comm_res <= tol
 
     transport_res = None
@@ -200,11 +206,10 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     if constant:
         frames, inverse_frames = transport.frames, transport.inverse_frames
         a0_fibre = lift_operators(frames[0], inverse_frames[0], a_vals[0])
-        transported = evolve_density_morphisms(a0_fibre, transport)
 
         def deviation(part: slice) -> np.ndarray:
             lifted = lift_operators(frames[part], inverse_frames[part], a_vals[part])
-            lifted -= transported[part]
+            lifted -= evolve_density_morphisms(a0_fibre, transport, part)
             return np.max(np.abs(lifted), axis=(1, 2))
 
         transport_res = max_abs(series_by_blocks(*a_vals.shape[:2], deviation))

@@ -176,7 +176,7 @@ def integrate_bundle_schrodinger(hm: MatrixBundleHamiltonian, psi0) -> SectionAl
     psi0 = as_state(psi0)
     if psi0.shape[0] != hm.dimension:
         raise ValueError("initial fibre vector dimension does not match")
-    props = midpoint_propagators(hm.at_many, hm.times, hm.constants)
+    props = midpoint_propagators(hm, hm.times, hm.constants)
     return SectionAlongPath(hm.times, propagate_states(props, psi0))
 
 

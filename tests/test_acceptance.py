@@ -93,7 +93,7 @@ def test_criterion_2_mean_value_invariance_random_triples(acceptance):
             else:
                 l = constant_trivialization(
                     np.diag(1.0 + rng.uniform(0.1, 2.0, size=n)).astype(complex))
-            steps = midpoint_propagators(hamiltonian.at_many, times)
+            steps = midpoint_propagators(hamiltonian, times)
             grid = PropagatorGrid(hamiltonian, times, steps=steps)
             psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
             states = propagate_states(steps, psi0)
@@ -185,7 +185,7 @@ def test_criterion_7_integrals_of_motion(acceptance):
     times = uniform_grid(0.0, 1.0, 1000)
     h = HamiltonianFamily.constant(SIGMA_Z)
     l = identity_trivialization(2)
-    steps = midpoint_propagators(h.at_many, times)
+    steps = midpoint_propagators(h, times)
     transport = EvolutionTransport(PropagatorGrid(h, times, steps=steps), l.at_many(times))
 
     certified = is_integral_of_motion(ObservableFamily.constant(SIGMA_Z, name="energy"),

@@ -5,14 +5,15 @@ For each drawn config: (a) `scenario_from_dict` raises nothing but
 named by its check (or `setup`); (e) the emitted records are standard JSON.
 About half of the configs have one entry replaced by a malformed value (NaN,
 an infinity, a boolean, a string, null or an empty container), so both the
-resolution errors and the runs are exercised.  The examples are fixed by the
-deterministic hypothesis profile in `conftest.py`.
+resolution errors and the runs are exercised.  (d) Two runs of each of 20
+configs that resolve give byte-identical timing-free records.  The examples
+are fixed by the deterministic hypothesis profile in `conftest.py`.
 """
 
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibreqm.checks import run_scenario
@@ -227,3 +228,17 @@ def test_generated_config_resolves_runs_and_emits_standard_json(raw):
     # (e) the records are standard JSON and name every failure
     payload = json.loads(emit(report, "records"), parse_constant=_reject)
     assert [record["check"] for record in payload["records"]] == checks
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an overflowing run records nan
+@settings(max_examples=20, deadline=None)
+@given(configs())
+def test_a_generated_config_runs_to_byte_identical_records_twice(raw):
+    try:
+        scenario_from_dict(raw)
+    except ConfigError:
+        assume(False)  # 20 configs that run
+    # (d) each run resolves the config afresh and shares nothing with the other
+    first, second = (json.dumps(run_scenario(scenario_from_dict(raw)).to_dict(
+        include_timing=False), sort_keys=True).encode() for _ in range(2))
+    assert first == second

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fibreqm.pictures as pictures_module
+
 from fibreqm.bundle import (
     SectionAlongPath,
     constant_trivialization,
@@ -34,10 +36,12 @@ from fibreqm.transport import EvolutionTransport
 
 TIMES = uniform_grid(0.0, 1.0, 400)
 H = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.5 * SIGMA_Z)
+COSINE_H = HamiltonianFamily(lambda ts: SIGMA_Z + np.cos(ts)[:, None, None] * SIGMA_X, 2,
+                             name="cosine")
 
 
 def evolved_setup(l, h=H, times=TIMES, psi0=(1.0, 0.0)):
-    steps = midpoint_propagators(h.at_many, times)
+    steps = midpoint_propagators(h, times)
     grid = PropagatorGrid(h, times, steps=steps)
     states = propagate_states(steps, np.array(psi0, dtype=complex))
     section = lift_trajectory(l, times, states)
@@ -371,7 +375,6 @@ class TestIntegralsOfMotion:
         transport = EvolutionTransport(PropagatorGrid(h, times),
                                        random_smooth_unitary_trivialization(32, 36).at_many(times))
         assert transport.from_t0.shape == transport.into_t0.shape  # the shared t0 stacks
-        one_stack = times.size * 32 * 32 * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -380,8 +383,31 @@ class TestIntegralsOfMotion:
         finally:
             tracemalloc.stop()
         assert report.certified and report.transport_residual is not None
-        # the transported morphism stack; no commutator, dA/dt or deviation stack
-        assert peak - start <= one_stack + 4 * _BLOCK_BYTES
+        # blocks alone: no commutator, dA/dt, deviation or transported stack
+        assert peak - start <= 4 * _BLOCK_BYTES
+
+    @pytest.mark.parametrize("h, batches", [(H, [1, TIMES.size]),  # A and H broadcast
+                                            (COSINE_H, [TIMES.size, TIMES.size])])
+    def test_the_commutator_of_broadcasts_is_formed_once(self, monkeypatch, h, batches):
+        sizes = []  # the batch of each block of products, its per-time residual's size
+        real = pictures_module.series_by_blocks
+
+        def recording(n_times, n, block):
+            def sized(part):
+                residuals = block(part)
+                sizes.append(residuals.size)
+                return residuals
+            return real(n_times, n, sized)
+
+        monkeypatch.setattr(pictures_module, "series_by_blocks", recording)
+        _, _, _, transport = evolved_setup(identity_trivialization(2), h)
+        report = is_integral_of_motion(ObservableFamily.constant(SIGMA_X), transport)
+        assert sizes == batches  # the commutator's, then the transport criterion's
+        # the bits of the products over the whole grid
+        a, h_vals = np.broadcast_to(SIGMA_X, (TIMES.size, 2, 2)), h.at_many(TIMES)
+        whole = a @ h_vals
+        whole -= h_vals @ a
+        assert report.commutator_residual == max_abs(whole)
 
     def test_each_candidate_sampled_once(self):
         calls = []
@@ -399,7 +425,7 @@ class TestIntegralsOfMotion:
         rng = np.random.default_rng(35)
         l = identity_trivialization(2)
         _, _, _, transport = evolved_setup(l)
-        steps = midpoint_propagators(H.at_many, TIMES)
+        steps = midpoint_propagators(H, TIMES)
         fam = ObservableFamily.constant(H.at(0.0))
         report = is_integral_of_motion(fam, transport, tol=1e-6)
         assert report.certified

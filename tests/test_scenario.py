@@ -18,9 +18,10 @@ import pytest
 import fibreqm.bundle as bundle_module
 import fibreqm.checks as checks_module
 import fibreqm.hilbert as hilbert_module
+import fibreqm.pictures as pictures_module
 import fibreqm.scenario as scenario_module
 import fibreqm.suite as suite_module
-from fibreqm.bundle import MorphismAlongPath, TrivializationFamily
+from fibreqm.bundle import TrivializationFamily
 from fibreqm.checks import (
     _CHECK_TABLE,
     _NODES,
@@ -601,7 +602,7 @@ POINTWISE_CHECKS = {"state_equivalence", "norm_drift", "mean_value_invariance",
 
 
 class TestPointwiseRunner:
-    """`_run_check` calls a pointwise check on each time block, concatenates and judges once."""
+    """`_sweep` calls a pointwise check on each time block, concatenates and judges once."""
 
     @pytest.fixture
     def judge(self, monkeypatch, two_block_gauge):
@@ -622,7 +623,9 @@ class TestPointwiseRunner:
                 return residuals, {"index": np.arange(part.start, part.stop)}
 
             monkeypatch.setitem(_CHECK_TABLE, "norm_drift", controlled)
-            return checks_module._run_check("norm_drift", 1e-8, cfg, [None])
+            assert cfg.tolerances["norm_drift"] == 1e-8
+            nodes = {"cfg": cfg, "times": cfg.times, "trajectory": None}
+            return checks_module._sweep(nodes, ["norm_drift"])["norm_drift"]
 
         return run, cfg.times
 
@@ -648,6 +651,77 @@ class TestPointwiseRunner:
                          "worst observable: b": {0: {50: 2.0}}})
         assert (record.max_residual, record.worst_time, record.detail) == (
             2.0, float(times[256 + 3]), "worst observable: a")
+
+
+class TestSweep:
+    """One pass over the time blocks runs every pointwise check, block nodes live one block,
+    and a failure in it fails its own checks alone."""
+
+    def test_each_block_node_is_built_once_per_block(self, monkeypatch, two_block_gauge):
+        cfg = two_block_gauge
+        block_nodes = checks_module._BLOCK_NODES
+        readers = {name: [c for c in cfg.checks if name in checks_module._READS[c]]
+                   for name in block_nodes}
+        assert readers == {
+            "lifted_observables": ["mean_value_invariance", "hermiticity_correspondence",
+                                   "picture_invariance"],
+            "density_transported": ["density_consistency", "density_purity",
+                                    "fibre_trace_preservation"],
+            "density_conventional": ["density_consistency"]}
+        built = []  # (block node, the first time index of its block)
+
+        def counting(part, *reads, name, build):
+            built.append((name, part.start))
+            return build(part, *reads)
+
+        for name in block_nodes:
+            monkeypatch.setitem(_NODES, name, functools.partial(
+                counting, name=name, build=_NODES[name]))
+        assert run_scenario(cfg).overall_pass
+        assert Counter(built) == {(name, start): 1 for name in block_nodes for start in (0, 256)}
+
+    @staticmethod
+    def assert_fails_alone(clean, report, failed, detail, series):
+        """`report` is the `clean` run but for the checks `failed`, each a failed record
+        with `detail`, and their timeseries `series`, which it lacks."""
+        assert [r.to_dict() for r in report.records] == [
+            CheckRecord(r.check, float("inf"), r.tolerance, False, None, detail).to_dict()
+            if r.check in failed else r.to_dict() for r in clean.records]
+        assert set(clean.timeseries) - set(report.timeseries) == series
+        assert all(report.timeseries[key] == clean.timeseries[key] for key in report.timeseries)
+
+    def test_a_check_that_raises_in_one_block_fails_alone(self, monkeypatch, two_block_gauge):
+        cfg = two_block_gauge
+        clean = run_scenario(cfg)
+        check = _CHECK_TABLE["picture_invariance"]
+
+        def raises_in_the_second_block(part, *reads):
+            if part.start:
+                raise FloatingPointError("overflow in the second block")
+            return check(part, *reads)
+
+        monkeypatch.setitem(_CHECK_TABLE, "picture_invariance", raises_in_the_second_block)
+        self.assert_fails_alone(clean, run_scenario(cfg), {"picture_invariance"},
+                                "FloatingPointError: overflow in the second block",
+                                {key for key in clean.timeseries
+                                 if key.startswith("mean_heisenberg:")})
+
+    def test_a_block_node_that_raises_fails_its_readers_alone(self, monkeypatch,
+                                                              two_block_gauge):
+        cfg = two_block_gauge
+        clean = run_scenario(cfg)
+        build = _NODES["density_transported"]
+
+        def raises_in_the_second_block(part, *reads):
+            if part.start:
+                raise FloatingPointError("overflow in the second block")
+            return build(part, *reads)
+
+        monkeypatch.setitem(_NODES, "density_transported", raises_in_the_second_block)
+        self.assert_fails_alone(
+            clean, run_scenario(cfg),
+            {"density_consistency", "density_purity", "fibre_trace_preservation"},
+            "FloatingPointError: overflow in the second block", {"density_residual"})
 
 
 def test_no_check_cuts_blocks_judges_itself_or_takes_a_series():
@@ -677,12 +751,10 @@ NEGATIVE_CONTROLS = [
      lambda t: Trajectory(t.times, t.states * (1 + 1e-6 * _ramp(t.times.size))[:, None]),
      ["norm_drift"]),
     ("two-block", "lifted_observables",  # 1.6e-5
-     lambda lifted: {name: MorphismAlongPath(a.times, a.matrices * (1 + 1e-6))
-                     for name, a in lifted.items()},
+     lambda lifted: {name: a * (1 + 1e-6) for name, a in lifted.items()},
      ["mean_value_invariance"]),
     ("two-block", "lifted_observables",  # 1.0e-6
-     lambda lifted: {name: MorphismAlongPath(a.times, a.matrices + 1e-6j * np.eye(16))
-                     for name, a in lifted.items()},
+     lambda lifted: {name: a + 1e-6j * np.eye(16) for name, a in lifted.items()},
      ["hermiticity_correspondence"]),
     # along e_{n-1}: a bump along e_0 only rescales this scenario's state
     ("two-block", "heisenberg_values", lambda v: v + 1e-6 * np.eye(16)[-1],  # 4.75e-6, 1.0e-6
@@ -852,12 +924,23 @@ class TestArtifactNodes:
         assert all(params[check_id][0] in ("tol", "part") for check_id in _CHECK_TABLE)
         reads = {key: [name for name in names if name not in ("tol", "part")]
                  for key, names in params.items()}
-        assert all(len(reads[name]) == len(params[name]) for name in _NODES)
+        # a block node's first parameter is its time block, and no other node has one
+        block_nodes = {name for name in _NODES if params[name][:1] == ["part"]}
+        assert block_nodes == checks_module._BLOCK_NODES == {
+            "lifted_observables", "density_transported", "density_conventional"}
+        assert all(len(reads[name]) == len(params[name]) - (name in block_nodes)
+                   for name in _NODES)
         unknown = {key: sorted(set(names) - seeds - set(_NODES)) for key, names in reads.items()}
         assert not any(unknown.values()), unknown
         assert checks_module._READS == {key: tuple(names) for key, names in reads.items()}
         for key in reads:
             node_reads(key)
+        # Only a pointwise check or another block node reads a block node: a check
+        # that builds its own record, and every other node, has no time block.
+        readers = {key for key, names in reads.items() if set(names) & block_nodes}
+        assert readers, "no block node is read"
+        assert readers <= POINTWISE_CHECKS | block_nodes, readers - POINTWISE_CHECKS
+        assert not block_nodes & set(checks_module._SETUP)
 
     def test_the_frame_error_is_the_setup_record_when_the_hamiltonian_fails_too(self):
         # the frames fail `validate_on_grid` on this coarse grid, and this
@@ -877,36 +960,57 @@ class TestArtifactNodes:
 
     def test_a_node_is_dropped_after_its_last_reader(self, monkeypatch, two_block_gauge):
         cfg = two_block_gauge
-        probed = ("norm_drift", "fibre_trace_preservation", "integrals_of_motion")
+        # the checks that build their own record run first, then the sweep of the
+        # pointwise checks over the two blocks
+        assert [c for c in cfg.checks if c not in POINTWISE_CHECKS] == [
+            "transport_identity", "transport_composition", "unitary_bundle_map",
+            "integrals_of_motion"]
         assert cfg.checks[:2] == ["state_equivalence", "norm_drift"]
-        assert set(probed) <= set(cfg.checks)
-        refs, alive = {}, {}  # node name -> weak references to its builds; check id -> alive
+        assert cfg.checks.index("norm_drift") < cfg.checks.index("density_consistency")
+        probed = ("transport_composition", "unitary_bundle_map", "norm_drift",
+                  "fibre_trace_preservation")
+        refs, alive = {}, {}  # node name -> weak references to its builds; check id ->
+        # the builds alive at each of its calls, by node name
 
         def recording(*reads, name, build):
             node = build(*reads)
-            refs.setdefault(name, []).append(weakref.ref(node))
+            # a tuple has no weak reference; the axioms' is the report in their pair
+            refs.setdefault(name, []).append(weakref.ref(node[1] if name == "transport_axioms"
+                                                         else node))
             return node
+
+        def live(built):
+            return sum(ref() is not None for ref in built)
 
         def probing(check_id):
             check = _CHECK_TABLE[check_id]
 
             def probe(*args):  # (tol or a time block, *reads)
-                alive[check_id] = {name for name, built in refs.items()
-                                   if any(ref() is not None for ref in built)}
+                alive.setdefault(check_id, []).append(
+                    {name: live(built) for name, built in refs.items() if live(built)})
                 return check(*args)
             return probe
 
-        # the bundle section is a setup node that only state_equivalence reads
-        for name in ("bundle_section", "density_transported"):
+        # the bundle section is a setup node that only state_equivalence reads, the
+        # axiom report is read by the two transport checks, and the transported
+        # density is a block node
+        for name in ("bundle_section", "transport_axioms", "density_transported"):
             monkeypatch.setitem(_NODES, name, functools.partial(
                 recording, name=name, build=_NODES[name]))
         for check_id in probed:
             monkeypatch.setitem(_CHECK_TABLE, check_id, probing(check_id))
         assert run_scenario(cfg).overall_pass
         assert {name: len(built) for name, built in refs.items()} == {
-            "bundle_section": 1, "density_transported": 1}
-        assert alive == {"norm_drift": set(), "fibre_trace_preservation": {"density_transported"},
-                         "integrals_of_motion": set()}
+            "bundle_section": 1, "transport_axioms": 1, "density_transported": 2}
+        held = {"bundle_section": 1}  # until the sweep, its last reader, is done
+        assert alive == {
+            "transport_composition": [dict(held, transport_axioms=1)],
+            "unitary_bundle_map": [held],
+            # the first block's density is dropped with its block
+            "norm_drift": [held, held],
+            "fibre_trace_preservation": [dict(held, density_transported=1)] * 2,
+        }
+        assert not any(live(built) for built in refs.values())
 
     def test_state_equivalence_alone_builds_no_t0_stack_or_lift(self, monkeypatch):
         calls = []
@@ -937,16 +1041,18 @@ class TestArtifactNodes:
         two_times = []
         kernel = checks_module.evolve_density_morphisms
 
-        def recording(p0, two_time):
+        def recording(p0, two_time, part):
             two_times.append(type(two_time))
-            return kernel(p0, two_time)
+            return kernel(p0, two_time, part)
 
+        # the integral-of-motion criterion conjugates by the same kernel
         monkeypatch.setattr(checks_module, "evolve_density_morphisms", recording)
+        monkeypatch.setattr(pictures_module, "evolve_density_morphisms", recording)
         root = resources.files("fibreqm") / "catalog"
         raw = json.loads((root / "random-unitary-gauge.json").read_text())
-        assert run_scenario(scenario_from_dict(dict(raw, checks=["density_consistency"]))
-                            ).overall_pass
-        assert Counter(two_times) == {PropagatorGrid: 1, EvolutionTransport: 1}
+        assert run_scenario(scenario_from_dict(dict(
+            raw, checks=["density_consistency", "integrals_of_motion"]))).overall_pass
+        assert Counter(two_times) == {PropagatorGrid: 1, EvolutionTransport: 2}
 
     def test_each_check_alone_gives_its_full_run_record(self, catalog_suite):
         full = {report.scenario: report for report in catalog_suite[0].reports}
@@ -971,10 +1077,9 @@ class TestArtifactNodes:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        one_stack = cfg.times.size * 16 * 16 * np.dtype(complex).itemsize
-        # the transported stack and the blocks of both criteria (two blocks of
-        # 256 times here), and no commutator or deviation stack beside them
-        assert (peak - start) / one_stack < 2.5
+        # blocks of both criteria (of 256 and 145 times here, 1 MiB at most), and
+        # no commutator, deviation or transported stack beside them
+        assert peak - start <= 4 * hilbert_module._BLOCK_BYTES
 
     def test_a_setup_node_no_requested_check_reads_is_dropped_after_setup(self, monkeypatch):
         built = []  # the node dict of the run
@@ -998,25 +1103,33 @@ class TestArtifactNodes:
         assert run_scenario(cfg).overall_pass
         assert held == [{"cfg", "times"}]
 
-    def test_hermiticity_correspondence_conjugates_a_broadcast_observable_once(self,
-                                                                               two_block_gauge):
+    def test_hermiticity_correspondence_conjugates_a_broadcast_observable_once(
+            self, monkeypatch, two_block_gauge):
         cfg = two_block_gauge
         nodes = build_artifacts(cfg)
         check_id = "hermiticity_correspondence"
-        reads = [checks_module._read(nodes, name) for name in checks_module._READS[check_id]]
         assert all(stack.strides[0] == 0 for stack in nodes["observables"].values())
+        check, above = _CHECK_TABLE[check_id], []  # each block's peak above its call's entry
+
+        def probe(*args):  # (a time block, *reads)
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = check(*args)
+            above.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        monkeypatch.setitem(_CHECK_TABLE, check_id, probe)
         tracemalloc.start()
         try:
-            start, _ = tracemalloc.get_traced_memory()
-            record, _ = checks_module._run_check(check_id, cfg.tolerances[check_id], cfg, reads)
-            assert record.passed
-            _, peak = tracemalloc.get_traced_memory()
+            record, _ = checks_module._sweep(nodes, [check_id])[check_id]
         finally:
             tracemalloc.stop()
+        assert record.passed
+        assert len(above) == 2
         one_stack = cfg.times.size * 16 * 16 * np.dtype(complex).itemsize
-        # the bundle adjoint's and the deviation's blocks (two blocks of 256
-        # times here); no conjugate copy and no whole stack
-        assert (peak - start) / one_stack < 2.5
+        # the bundle adjoint's and the deviation's blocks (of 256 and 145 times
+        # here); no conjugate copy and no whole stack
+        assert max(above) / one_stack < 2.5
 
     def test_the_wide_gauge_holds_its_nodes_and_blocks_of_temporaries(self, monkeypatch):
         # random-unitary-gauge at n = 32 and N = 1000, the scale of the benchmark's
@@ -1027,7 +1140,9 @@ class TestArtifactNodes:
         cfg = scenario_from_dict(raw)
         one_stack = cfg.times.size * 32 * 32 * np.dtype(complex).itemsize
         peaks = [0]  # the scenario's peak, kept across each build's `reset_peak`
-        above = {}  # check id or node name -> its peak above the heap it found and left
+        above = {}  # check id or node name -> its largest peak, over its calls (a
+        # check's blocks and judge, a block node's blocks), above the heap each
+        # call found and left
 
         def probed(key, build):
             def probe(*reads):
@@ -1039,15 +1154,17 @@ class TestArtifactNodes:
                 finally:
                     left, peak = tracemalloc.get_traced_memory()
                     peaks.append(peak)
-                    above[key] = peak - max(entry, left)
+                    above[key] = max(above.get(key, 0), peak - max(entry, left))
             return probe
 
         for key, build in list(_NODES.items()):
             monkeypatch.setitem(_NODES, key, probed(key, build))
         # a check is measured over its whole run: every block and the judge
-        run_check = checks_module._run_check
-        monkeypatch.setattr(checks_module, "_run_check", lambda check_id, *args: (
-            probed(check_id, run_check)(check_id, *args)))
+        for check_id in cfg.checks:
+            monkeypatch.setitem(_CHECK_TABLE, check_id, probed(check_id, _CHECK_TABLE[check_id]))
+        judged = checks_module._judged_blocks
+        monkeypatch.setattr(checks_module, "_judged_blocks", lambda check_id, *args: (
+            probed(check_id, judged)(check_id, *args)))
         tracemalloc.start()
         try:
             assert run_scenario(cfg).overall_pass
@@ -1055,21 +1172,20 @@ class TestArtifactNodes:
         finally:
             tracemalloc.stop()
         assert set(above) == set(_NODES) | set(cfg.checks)
-        # The parent design peaked at 13.2 stacks, 4.0 of them temporaries of
-        # picture_invariance.  Held now: the frames, their inverses, the two
-        # conventional t0 stacks, the two lifted observables and the two
-        # transport t0 stacks.
-        assert max(peaks) <= 9.5 * one_stack
-        # Every check and node build, setup ones too, keeps at most one whole
-        # temporary stack beside its blocks: a density conjugation's, the step
+        # Held through the sweep: the frames, their inverses, the two conventional
+        # t0 stacks and the two transport t0 stacks (6.65 stacks measured); the
+        # lifted observables and both densities are blocks of the sweep.
+        assert max(peaks) <= 7.0 * one_stack
+        # Every check block, judge and node build, setup ones too, keeps at most
+        # one whole temporary stack beside its blocks: a t0 stack, the step
         # exponential's input, or the grid frames' derivative.  What a node keeps
         # counts once built, so a build is measured above the larger of the heap
-        # it found and the heap it left.  bundle_section alone also holds the
-        # midpoint frame batch whole (values, derivative and inverse), as that
-        # batch is sampled and checked once.
+        # it found and the heap it left.  bundle_section alone holds two: the
+        # scaled steps and their exponentials, as its midpoint frames are
+        # sampled one block at a time.
         block = hilbert_module._BLOCK_BYTES
         allowance = dict.fromkeys(above, one_stack + 5 * block)
-        allowance["bundle_section"] = 4 * one_stack + 5 * block
+        allowance["bundle_section"] = 2 * one_stack + 5 * block
         heavy = {key: round(extra / one_stack, 2) for key, extra in above.items()
                  if extra > allowance[key]}
         assert not heavy, heavy

@@ -102,7 +102,7 @@ class TestMatrixBundleHamiltonian:
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.5 * SIGMA_Z)
         l = random_smooth_unitary_trivialization(2, 83)
         times = uniform_grid(0.0, 1.0, 2000)
-        states = propagate_states(midpoint_propagators(h.at_many, times),
+        states = propagate_states(midpoint_propagators(h, times),
                                   np.array([1.0, 0.0], dtype=complex))
         section = lift_trajectory(l, times, states)
         hm = MatrixBundleHamiltonian(h, l, times)
@@ -147,7 +147,7 @@ class TestTransportCoefficients:
         h = HamiltonianFamily.constant(0.7 * SIGMA_X + 0.2 * SIGMA_Z)
         psi0 = np.array([1.0, 0.0], dtype=complex)
         section = self.section(h, identity_trivialization(2), hbar, psi0)
-        steps = midpoint_propagators(h.at_many, TIMES, PhysicalConstants(hbar=hbar))
+        steps = midpoint_propagators(h, TIMES, PhysicalConstants(hbar=hbar))
         assert max_abs(section.values - propagate_states(steps, psi0)) == 0
         # and the grid that computes its own steps takes them with its constants
         grid = PropagatorGrid(h, TIMES, PhysicalConstants(hbar=hbar))
@@ -316,7 +316,7 @@ class TestBundleIntegration:
         h = HamiltonianFamily.constant((np.pi / 2) * SIGMA_X)
         l = random_smooth_unitary_trivialization(2, 91)
         times = uniform_grid(0.0, 1.0, 1000)
-        states = propagate_states(midpoint_propagators(h.at_many, times),
+        states = propagate_states(midpoint_propagators(h, times),
                                   np.array([1.0, 0.0], dtype=complex))
         lifted = lift_trajectory(l, times, states)
         hm = MatrixBundleHamiltonian(h, l, times)
