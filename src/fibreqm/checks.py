@@ -6,14 +6,17 @@ block node's first, are the nodes it reads.  Setup reads the `_SETUP` nodes,
 which can reject the scenario; a fault that is on swaps a node's build
 (`_FAULTS`).  A node is built on first read and dropped after its last reader.
 
-The checks that build their own record run first, in the scenario's order.  Then
-one sweep, `_sweep`, runs every pointwise check on each `time_blocks` slice in
-turn.  A block node, a build whose first parameter is the slice `part`, is built
-on its first read in a slice, shared by every check of that slice and dropped
-with it; only pointwise checks and other block nodes read one.  Each pointwise
-check's residuals, concatenated, are judged once.  A failure is a failed record
-of its check alone, never a silent pass.  Scenarios share no mutable state, so
-suites run them in any order.
+The checks that build their own record and read no block node run first, in the
+scenario's order.  Then one sweep, `_sweep`, runs every other check on each
+`time_blocks` slice in turn.  A block node, a build whose first parameter is the
+slice `part`, is built on its first read in a slice, shared by every check of
+that slice and dropped with it; only pointwise checks, other block nodes and a
+check that builds its record from a block node's per-time series read one.  The
+transport's t0 stacks are such a node, `transport_t0`, so no whole one is formed.
+Each pointwise check's residuals, concatenated, are judged once; a check that
+builds its own record runs once after the last slice, on its block nodes'
+series concatenated.  A failure is a failed record of its check alone, never a
+silent pass.  Scenarios share no mutable state, so suites run them in any order.
 """
 
 from __future__ import annotations
@@ -45,12 +48,14 @@ from .hilbert import (
     time_blocks,
 )
 from .pictures import (
+    IntegralOfMotionReport,
     PictureTransform,
+    commutator_criterion,
     evolve_density_morphisms,
     fibre_means,
     general_picture_means,
-    is_integral_of_motion,
     to_general_picture_observables,
+    transport_criterion,
 )
 from .report import CheckRecord, ScenarioReport
 from .scenario import ScenarioConfig
@@ -103,7 +108,6 @@ def _steps(cfg, times) -> np.ndarray:
 
 
 def _transport(cfg, times, grid_frames, steps) -> EvolutionTransport:
-    # the frames are read, so checked, before the Hamiltonian is sampled
     return EvolutionTransport(PropagatorGrid(cfg.hamiltonian, times, cfg.constants, steps),
                               *grid_frames)
 
@@ -113,8 +117,9 @@ def _trajectory(cfg, times, steps) -> Trajectory:
     return Trajectory(times, propagate_states(steps, cfg.initial_state))
 
 
-def _lifted(times, transport, trajectory) -> SectionAlongPath:
-    return SectionAlongPath(times, apply(transport.inverse_frames, trajectory.states))
+def _lifted(times, grid_frames, trajectory) -> SectionAlongPath:
+    # the frames are read, so checked, before the Hamiltonian is sampled
+    return SectionAlongPath(times, apply(grid_frames[1], trajectory.states))
 
 
 def _bundle_trivialization(cfg) -> TrivializationFamily:
@@ -131,6 +136,26 @@ def _observables(cfg, times) -> Dict[str, np.ndarray]:
     return {family.name: family.at_many(times) for family in cfg.observables}
 
 
+def _section_t0(transport, lifted) -> np.ndarray:
+    """U(t0, t0) Psi(t0), the transported section's first row, by that one row of the
+    transport: the reference every Heisenberg state is compared with."""
+    return apply(transport.matrices_from(transport.times[0], slice(0, 1)), lifted.values[0])[0]
+
+
+def _integral_commutators(cfg, transport) -> List[tuple]:
+    """Per integral candidate: its commutator residual and, where dA/dt is zero on the
+    grid, its samples A(t_k) and the lifted A(t0) that the transport criterion reads
+    (None and None elsewhere)."""
+    frames, inverse_frames = transport.frames, transport.inverse_frames
+    out = []
+    for cand in cfg.integral_candidates:
+        residual, a_vals = commutator_criterion(cand.family, transport)
+        a0_fibre = (None if a_vals is None
+                    else lift_operators(frames[0], inverse_frames[0], a_vals[0]))
+        out.append((residual, a_vals, a0_fibre))
+    return out
+
+
 def _without_derivative(cfg) -> TrivializationFamily:
     """The same frames l(t) with dl/dt = 0, which drops the frame-derivative term."""
     n = cfg.trivialization.dimension
@@ -139,31 +164,48 @@ def _without_derivative(cfg) -> TrivializationFamily:
 
 # A block node: build(part, <nodes>) -> its value on the time block `part` alone.
 
+def _transport_t0(part: slice, transport) -> Tuple[np.ndarray, np.ndarray]:
+    """The block's rows of the t0 stacks: (U(t, t0), U(t0, t)), each (b, n, n)."""
+    t0 = transport.times[0]
+    return transport.matrices_from(t0, part), transport.matrices_into(t0, part)
+
+
 def _lifted_observables(part: slice, transport, observables) -> Dict[str, np.ndarray]:
     """Name -> the lifted morphisms l^-1 A l of the block, (b, n, n)."""
     frames, inv = transport.frames[part], transport.inverse_frames[part]
     return {name: lift_operators(frames, inv, stack[part]) for name, stack in observables.items()}
 
 
-def _density_transported(part: slice, cfg, transport) -> np.ndarray:
+def _density_transported(part: slice, cfg, transport, transport_t0) -> np.ndarray:
     """The lifted rho0 carried by transport conjugation over the block, (b, n, n)."""
     return evolve_density_morphisms(lift_operators(
-        transport.frames[0], transport.inverse_frames[0], cfg.initial_density), transport, part)
+        transport.frames[0], transport.inverse_frames[0], cfg.initial_density), *transport_t0)
 
 
 def _density_conventional(part: slice, cfg, transport) -> np.ndarray:
     """rho0 carried by the conventional propagators over the block, by the same kernel."""
-    return evolve_density_morphisms(cfg.initial_density, transport.propagators, part)
+    grid = transport.propagators
+    return evolve_density_morphisms(cfg.initial_density, grid.from_t0[part], grid.into_t0[part])
 
 
-def _transported_section(times, transport, lifted) -> SectionAlongPath:
-    """U(t, t0) Psi(t0) over the grid."""
-    return SectionAlongPath(times, apply(transport.from_t0, lifted.values[0]))
+def _transported_section(part: slice, lifted, transport_t0) -> np.ndarray:
+    """U(t, t0) Psi(t0) over the block, (b, n)."""
+    return apply(transport_t0[0], lifted.values[0])
 
 
-def _heisenberg_values(transport, transported_section) -> np.ndarray:
-    """U(t0, t) Psi(t) over the grid: the transported section carried back to t0."""
-    return apply(transport.into_t0, transported_section.values)
+def _heisenberg_values(part: slice, transport_t0, transported_section) -> np.ndarray:
+    """U(t0, t) Psi(t) over the block: the transported section carried back to t0."""
+    return apply(transport_t0[1], transported_section)
+
+
+def _integral_deviations(part: slice, transport, integral_commutators,
+                         transport_t0) -> Dict[int, np.ndarray]:
+    """Candidate index -> the transport criterion's deviation at each time of the block,
+    for each candidate whose dA/dt is zero on the grid."""
+    frames, inverse_frames = transport.frames[part], transport.inverse_frames[part]
+    return {k: transport_criterion(frames, inverse_frames, a_vals[part], a0_fibre, *transport_t0)
+            for k, (_, a_vals, a0_fibre) in enumerate(integral_commutators)
+            if a_vals is not None}
 
 
 def _transport_axioms(cfg, times, transport) -> Tuple[int, TransportAxiomReport]:
@@ -184,15 +226,21 @@ _NODES = {
     "bundle_trivialization": _bundle_trivialization,
     "bundle_section": _bundle_section,
     "observables": _observables,
+    "section_t0": _section_t0,
+    "integral_commutators": _integral_commutators,
+    "transport_t0": _transport_t0,
     "lifted_observables": _lifted_observables,
     "density_transported": _density_transported,
     "density_conventional": _density_conventional,
     "transported_section": _transported_section,
     "heisenberg_values": _heisenberg_values,
+    "integral_deviations": _integral_deviations,
     "transport_axioms": _transport_axioms,
 }
-# Read in this order before any check; a failure among them is the `setup` record.
-_SETUP = ("transport", "trajectory", "lifted", "bundle_section", "observables")
+# Read in this order before any check; a failure among them is the `setup` record.  The
+# bundle section's steps are formed before the transport's products, so the two
+# never coexist.
+_SETUP = ("lifted", "trajectory", "bundle_section", "transport", "observables")
 # Fault name -> (node, the build that replaces its own, with the same parameters).
 _FAULTS = {"drop_trivialization_derivative": ("bundle_trivialization", _without_derivative)}
 
@@ -239,10 +287,10 @@ def _check_hermiticity_correspondence(part: slice, transport, observables, lifte
     return residuals, {}
 
 
-def _check_picture_invariance(part: slice, cfg, times, transport, transported_section,
-                              lifted_observables, heisenberg_values):
-    frames, psi_t = transport.frames, transported_section.values[part]
-    into_t0, from_t0 = transport.into_t0[part], transport.from_t0[part]
+def _check_picture_invariance(part: slice, cfg, times, transport, transport_t0,
+                              transported_section, lifted_observables, heisenberg_values):
+    frames, psi_t = transport.frames, transported_section
+    from_t0, into_t0 = transport_t0
     # The random V and V^-1 of this block, sampled after V(t0), which the
     # transform checks to be the identity.
     picture = PictureTransform.random_unitary(np.concatenate([times[:1], times[part]]),
@@ -253,7 +301,7 @@ def _check_picture_invariance(part: slice, cfg, times, transport, transported_se
     for name, a_lift in lifted_observables.items():
         # the Heisenberg picture is V = U(t0, t)
         heis = fibre_means(frames[0], to_general_picture_observables(into_t0, from_t0, a_lift),
-                           heisenberg_values[part])
+                           heisenberg_values)
         schro = fibre_means(frames[part], a_lift, psi_t)
         general = general_picture_means(
             v_inv, frames[part], to_general_picture_observables(v, v_inv, a_lift), psi_v)
@@ -263,9 +311,8 @@ def _check_picture_invariance(part: slice, cfg, times, transport, transported_se
     return residuals, series
 
 
-def _check_heisenberg_constancy(part: slice, transported_section, heisenberg_values):
-    psi_t0 = transported_section.values[0]
-    return {"": np.max(np.abs(heisenberg_values[part] - psi_t0), axis=1)}, {}
+def _check_heisenberg_constancy(part: slice, section_t0, heisenberg_values):
+    return {"": np.max(np.abs(heisenberg_values - section_t0), axis=1)}, {}
 
 
 def _check_density_consistency(part: slice, transport, density_transported, density_conventional):
@@ -299,6 +346,8 @@ def _check_physics_closed_form(part: slice, cfg, times, trajectory):
 # check(tol, <nodes>) -> CheckRecord.  The transport checks take the worst value
 # and its place from the TransportAxiomReport, unitary_bundle_map judges pairs of
 # coarse times, and the last two have a second pass condition and no worst time.
+# integrals_of_motion reads a block node, so it runs after the sweep, on that
+# node's per-time series concatenated over the blocks.
 
 def _check_transport_identity(tol: float, transport_axioms) -> CheckRecord:
     triples, report = transport_axioms
@@ -357,12 +406,16 @@ def _check_module_dualities(tol: float, cfg, times) -> CheckRecord:
                        detail="round trips exact" if roundtrip_exact else "round trips NOT exact")
 
 
-def _check_integrals_of_motion(tol: float, cfg, transport) -> CheckRecord:
+def _check_integrals_of_motion(tol: float, cfg, integral_commutators,
+                               integral_deviations) -> CheckRecord:
     outcomes = []
     all_match = True
     worst = 0.0
-    for cand in cfg.integral_candidates:
-        report = is_integral_of_motion(cand.family, transport, tol)
+    for k, cand in enumerate(cfg.integral_candidates):
+        transport_residual = (max_abs(integral_deviations[k]) if k in integral_deviations
+                              else None)
+        report = IntegralOfMotionReport.decided(integral_commutators[k][0], transport_residual,
+                                                tol)
         all_match = all_match and report.certified == cand.expected and report.criteria_agree
         if cand.expected:
             worst = max(worst, report.commutator_residual,
@@ -403,6 +456,10 @@ _POINTWISE = frozenset(check_id for check_id, check in _CHECK_TABLE.items()
                        if "part" in inspect.signature(check).parameters)
 _BLOCK_NODES = frozenset(name for name, build in _NODES.items()
                          if "part" in inspect.signature(build).parameters)
+# The checks the sweep runs: the pointwise ones, and those that build their own
+# record from a block node.
+_SWEPT = _POINTWISE | {check_id for check_id in _CHECK_TABLE
+                       if set(_READS[check_id]) & _BLOCK_NODES}
 
 
 def _read(nodes: dict, name: str, block: dict | None = None):
@@ -452,26 +509,30 @@ def _failed(check_id: str, tol: float, exc: Exception) -> CheckRecord:
                        detail=f"{type(exc).__name__}: {exc}")
 
 
+def _concatenated(blocks: Sequence[dict]) -> dict:
+    """The per-time series of every block, each a dict, concatenated key by key."""
+    return {key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
+
+
 def _judged_blocks(check_id: str, tol: float, times: np.ndarray,
                    outputs: list) -> Tuple[CheckRecord, Dict[str, np.ndarray]]:
     """A pointwise check's record and timeseries from its (residuals, series) per block."""
-    # the residuals, then the series, of every block, concatenated key by key
-    residuals, series = ({key: np.concatenate([block[key] for block in blocks])
-                          for key in blocks[0]} for blocks in zip(*outputs))
+    residuals, series = (_concatenated(blocks) for blocks in zip(*outputs))
     return _judged(check_id, times, residuals, tol), series
 
 
 def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
-    """Check id -> (record, series) of each pointwise check, from one pass over the
+    """Check id -> (record, series) of each swept check, from one pass over the
     `time_blocks` slices.
 
     In each slice the checks not yet failed run in `check_ids` order, and the block
     nodes they read are built once, into the slice's dict, and dropped with it.  A
-    check that raises is a failed record and runs no more; the others' blocks are
-    judged once at the end.
+    check that raises is a failed record and runs no more.  After the last slice a
+    pointwise check's blocks are judged once, and a check that builds its own record
+    runs once, on each block node it reads concatenated over the slices.
     """
     cfg = nodes["cfg"]
-    outputs = {check_id: [] for check_id in check_ids}  # each block's (residuals, series)
+    outputs = {check_id: [] for check_id in check_ids}  # each block's output or reads
     outcomes = {}
     for part in time_blocks(cfg.times.size, cfg.dimension):
         block = {"part": part}
@@ -479,15 +540,23 @@ def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
             if check_id in outcomes:  # failed in an earlier block
                 continue
             try:
-                reads = [_read(nodes, name, block) for name in _READS[check_id]]
-                outputs[check_id].append(_CHECK_TABLE[check_id](part, *reads))
+                reads = {name: _read(nodes, name, block) for name in _READS[check_id]}
+                outputs[check_id].append(_CHECK_TABLE[check_id](part, *reads.values())
+                                         if check_id in _POINTWISE else reads)
             except Exception as exc:
                 outcomes[check_id] = _failed(check_id, cfg.tolerances[check_id], exc), {}
     for check_id in check_ids:
         if check_id not in outcomes:
             tol = cfg.tolerances[check_id]
             try:
-                outcomes[check_id] = _judged_blocks(check_id, tol, cfg.times, outputs[check_id])
+                if check_id in _POINTWISE:
+                    outcomes[check_id] = _judged_blocks(check_id, tol, cfg.times,
+                                                        outputs[check_id])
+                else:
+                    reads = [_concatenated([block[name] for block in outputs[check_id]])
+                             if name in _BLOCK_NODES else _read(nodes, name)
+                             for name in _READS[check_id]]
+                    outcomes[check_id] = _CHECK_TABLE[check_id](tol, *reads), {}
             except Exception as exc:
                 outcomes[check_id] = _failed(check_id, tol, exc), {}
     return outcomes
@@ -503,8 +572,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
                               time.perf_counter() - started)
 
     _drop_unread(nodes, cfg.checks)  # a setup node that no requested check reads
-    own = [check_id for check_id in cfg.checks if check_id not in _POINTWISE]
-    pointwise = [check_id for check_id in cfg.checks if check_id in _POINTWISE]
+    own = [check_id for check_id in cfg.checks if check_id not in _SWEPT]
+    swept = [check_id for check_id in cfg.checks if check_id in _SWEPT]
     outcomes = {}  # check id -> (record, series)
     for k, check_id in enumerate(own):
         tol = cfg.tolerances[check_id]
@@ -513,8 +582,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
             outcomes[check_id] = _CHECK_TABLE[check_id](tol, *reads), {}
         except Exception as exc:
             outcomes[check_id] = _failed(check_id, tol, exc), {}
-        _drop_unread(nodes, own[k + 1:] + pointwise)
-    outcomes.update(_sweep(nodes, pointwise))
+        _drop_unread(nodes, own[k + 1:] + swept)
+    outcomes.update(_sweep(nodes, swept))
     del nodes  # no check reads a node any more
 
     timeseries = {"time": cfg.times}

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .bundle import _frame_inverse, _seeded_smooth_unitary, lift_operators
-from .dynamics import ObservableFamily, PropagatorGrid
+from .dynamics import ObservableFamily
 from .hilbert import (
     _frozen,
     apply,
@@ -33,11 +33,13 @@ from .transport import EvolutionTransport
 __all__ = [
     "IntegralOfMotionReport",
     "PictureTransform",
+    "commutator_criterion",
     "evolve_density_morphisms",
     "fibre_means",
     "general_picture_means",
     "is_integral_of_motion",
     "to_general_picture_observables",
+    "transport_criterion",
 ]
 
 
@@ -131,17 +133,15 @@ def general_picture_means(v_inv: np.ndarray, frames: np.ndarray, a_v: np.ndarray
 
 # --- density morphisms -----------------------------------------------------
 
-def evolve_density_morphisms(p0, two_time: Union[PropagatorGrid, EvolutionTransport],
-                             part: slice = slice(None)) -> np.ndarray:
-    """Conjugation U(t_k, t0) P0 U(t0, t_k) at the grid times `part`, all of them by default.
+def evolve_density_morphisms(p0, from_t0: np.ndarray, into_t0: np.ndarray) -> np.ndarray:
+    """Conjugation U(t_k, t0) P0 U(t0, t_k) over the t0 stacks `from_t0` (the U(t_k, t0))
+    and `into_t0` (the U(t0, t_k)), t0 the first grid time.
 
-    `two_time` is a `PropagatorGrid` (P0 a conventional density operator) or
-    an `EvolutionTransport` (P0 a density morphism at t0); either way t0 is
-    the first grid time and the conjugation reads the `part` rows of its
-    shared t0 stacks.  The engine calls it on one `time_blocks` slice at a
-    time, so no conjugated stack is ever whole.
+    They are a `PropagatorGrid`'s for a conventional density operator P0, or an
+    `EvolutionTransport`'s for a density morphism at t0.  The engine passes
+    the rows of one `time_blocks` slice, so no conjugated stack is ever whole.
     """
-    return to_general_picture_observables(two_time.from_t0[part], two_time.into_t0[part], p0)
+    return to_general_picture_observables(from_t0, into_t0, p0)
 
 
 # --- integrals of motion -----------------------------------------------------
@@ -162,23 +162,29 @@ class IntegralOfMotionReport:
     transport_residual: Optional[float]
     criteria_agree: bool
 
+    @classmethod
+    def decided(cls, commutator_residual: float, transport_residual: Optional[float],
+                tol: float) -> "IntegralOfMotionReport":
+        """The decision on both residuals: certified when every applicable one is <= tol."""
+        conventional_ok = commutator_residual <= tol
+        transported_ok = transport_residual is None or transport_residual <= tol
+        # a vacuous bundle criterion (nonzero dA/dt) never disagrees
+        agree = transport_residual is None or conventional_ok == transported_ok
+        return cls(conventional_ok and transported_ok, commutator_residual, transport_residual,
+                   agree)
 
-def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
-                          tol: float = 1e-6) -> IntegralOfMotionReport:
-    """Decide whether an observable family is an integral of motion.
 
-    Evaluates the conventional residual i hbar dA/dt + [A, H] on the
-    transport's grid, with the Hamiltonian and hbar its propagators were
-    built from, and, for observables whose sampled derivative is zero on the
-    grid (decided on a broadcast's one matrix; a zero dA/dt adds no term),
-    the invariance of the lifted morphism under transport conjugation (the
-    lift reads the frames the transport already sampled and inverted, and
-    the conjugation `evolve_density_morphisms` its shared t0 stacks);
-    certification requires every applicable criterion to pass.  Both
-    residuals are formed one `time_blocks` slice at a time, so neither
-    criterion holds a whole stack.  Where A and H (and a nonzero dA/dt) are
-    broadcasts, every time has the one commutator residual of their one
-    matrices, so it is formed once.
+def commutator_criterion(a: ObservableFamily,
+                         transport: EvolutionTransport) -> Tuple[float, Optional[np.ndarray]]:
+    """The conventional residual max_t |i hbar dA/dt + [A, H]| on the transport's grid,
+    and the samples A(t_k) when dA/dt is zero on the whole grid (None otherwise).
+
+    H and hbar are those the transport's propagators were built from.  dA/dt
+    is decided zero on a broadcast's one matrix, and a zero dA/dt adds no
+    term.  The residual is formed one `time_blocks` slice at a time; where A
+    and H (and a nonzero dA/dt) are broadcasts, every time has the one
+    residual of their one matrices, so it is formed once.  Only when dA/dt is
+    zero does the transport criterion (`transport_criterion`) apply.
     """
     times = transport.times
     a_vals, da_vals = a.derivative_at_many(times)
@@ -198,28 +204,44 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
             residuals += (1j * hbar) * derivative
         return np.max(np.abs(residuals), axis=(1, 2))
 
-    comm_res = max_abs(series_by_blocks(*operands[0].shape[:2], commutator))
-    conventional_ok = comm_res <= tol
+    residual = max_abs(series_by_blocks(*operands[0].shape[:2], commutator))
+    return residual, (a_vals if constant else None)
 
-    transport_res = None
-    transported_ok = True
-    if constant:
+
+def transport_criterion(frames: np.ndarray, inverse_frames: np.ndarray, a_vals: np.ndarray,
+                        a0_fibre: np.ndarray, from_t0: np.ndarray,
+                        into_t0: np.ndarray) -> np.ndarray:
+    """max |l^-1 A l - U(t, t0) A0 U(t0, t)| at each time of the stacks, A0 the lifted A(t0).
+
+    The deviation of the lifted morphism from its transport conjugation
+    (`evolve_density_morphisms`), over stacks of one slice of grid times: the
+    frames, their inverses, the samples A(t_k) and the t0 stacks.
+    """
+    lifted = lift_operators(frames, inverse_frames, a_vals)
+    lifted -= evolve_density_morphisms(a0_fibre, from_t0, into_t0)
+    return np.max(np.abs(lifted), axis=(1, 2))
+
+
+def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
+                          tol: float = 1e-6) -> IntegralOfMotionReport:
+    """Decide whether an observable family is an integral of motion.
+
+    Evaluates the conventional residual i hbar dA/dt + [A, H]
+    (`commutator_criterion`) and, for observables whose sampled derivative is
+    zero on the grid, the invariance of the lifted morphism under transport
+    conjugation (`transport_criterion`: the lift reads the frames the
+    transport already sampled and inverted, and the conjugation the rows of
+    the transport's cached t0 stacks); certification requires every
+    applicable criterion to pass (`IntegralOfMotionReport.decided`).  Both
+    residuals are formed one `time_blocks` slice at a time, so neither
+    criterion holds a whole stack beside the t0 stacks.
+    """
+    commutator_residual, a_vals = commutator_criterion(a, transport)
+    transport_residual = None
+    if a_vals is not None:
         frames, inverse_frames = transport.frames, transport.inverse_frames
         a0_fibre = lift_operators(frames[0], inverse_frames[0], a_vals[0])
-
-        def deviation(part: slice) -> np.ndarray:
-            lifted = lift_operators(frames[part], inverse_frames[part], a_vals[part])
-            lifted -= evolve_density_morphisms(a0_fibre, transport, part)
-            return np.max(np.abs(lifted), axis=(1, 2))
-
-        transport_res = max_abs(series_by_blocks(*a_vals.shape[:2], deviation))
-        transported_ok = transport_res <= tol
-
-    # a vacuous bundle criterion (nonzero dA/dt) never disagrees
-    agree = transport_res is None or conventional_ok == transported_ok
-    return IntegralOfMotionReport(
-        certified=conventional_ok and transported_ok,
-        commutator_residual=comm_res,
-        transport_residual=transport_res,
-        criteria_agree=agree,
-    )
+        transport_residual = max_abs(series_by_blocks(*a_vals.shape[:2], lambda part: (
+            transport_criterion(frames[part], inverse_frames[part], a_vals[part], a0_fibre,
+                                transport.from_t0[part], transport.into_t0[part]))))
+    return IntegralOfMotionReport.decided(commutator_residual, transport_residual, tol)

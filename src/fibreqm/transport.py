@@ -105,10 +105,12 @@ class EvolutionTransport:
     `np.linalg.inv` otherwise (`bundle._frame_inverse`).  Queries off the grid are errors, never
     interpolations.
 
-    `matrices_from` and `matrices_into` compute a stack on every call, one
-    `time_blocks` slice at a time; the stacks at the first grid time are the
-    read-only cached properties `from_t0` and `into_t0`, which every reader of
-    them shares.
+    `matrices_from` and `matrices_into` compute their rows on every call: the
+    rows of one slice of grid indices as one block, or the whole grid one
+    `time_blocks` slice at a time.  A row has the same bits either way.  The
+    engine forms the t0 rows one time block at a time and never holds a
+    whole t0 stack; a library caller that wants them whole reads the
+    read-only cached properties `from_t0` and `into_t0`, formed on first use.
     """
 
     def __init__(self, propagators: PropagatorGrid, frames: np.ndarray,
@@ -141,21 +143,24 @@ class EvolutionTransport:
     def matrix_by_index(self, j: int, i: int) -> np.ndarray:
         return self.matrices_by_index([j], [i])[0]
 
-    def matrices_from(self, s: float) -> np.ndarray:
-        """All U(t_j, s) stacked over the grid index j."""
+    def _rows(self, part: Optional[slice], block) -> np.ndarray:
+        """block(part), or the whole grid's stack one `time_blocks` slice at a time."""
+        return stack_by_blocks(*self.frames.shape[:2], block) if part is None else block(part)
+
+    def matrices_from(self, s: float, part: Optional[slice] = None) -> np.ndarray:
+        """U(t_j, s) stacked over the grid indices j of the slice `part`, all by default."""
         i = grid_index(self.times, s)
         p = self.propagators
         tail = p.into_t0[i] @ self.frames[i]
-        return stack_by_blocks(*self.frames.shape[:2], lambda part: (
-            self.inverse_frames[part] @ (p.from_t0[part] @ tail)))
+        return self._rows(part, lambda rows: self.inverse_frames[rows] @ (p.from_t0[rows] @ tail))
 
-    def matrices_into(self, t: float) -> np.ndarray:
-        """All U(t, t_j) stacked over the grid index j."""
+    def matrices_into(self, t: float, part: Optional[slice] = None) -> np.ndarray:
+        """U(t, t_j) stacked over the grid indices j of the slice `part`, all by default."""
         j = grid_index(self.times, t)
         p = self.propagators
         inverse, head = self.inverse_frames[j], p.from_t0[j]
-        return stack_by_blocks(*self.frames.shape[:2], lambda part: (
-            inverse @ (head @ (p.into_t0[part] @ self.frames[part]))))
+        return self._rows(part, lambda rows: (
+            inverse @ (head @ (p.into_t0[rows] @ self.frames[rows]))))
 
     @cached_property
     def from_t0(self) -> np.ndarray:

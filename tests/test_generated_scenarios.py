@@ -6,14 +6,22 @@ named by its check (or `setup`); (e) the emitted records are standard JSON.
 About half of the configs have one entry replaced by a malformed value (NaN,
 an infinity, a boolean, a string, null or an empty container), so both the
 resolution errors and the runs are exercised.  (d) Two runs of each of 20
-configs that resolve give byte-identical timing-free records.  The examples
-are fixed by the deterministic hypothesis profile in `conftest.py`.
+configs that resolve give byte-identical timing-free records.  (c) The
+positive control: every config with a Hermitian H, a unitary gauge and a grid
+step h with h max||H|| <= 0.05 should pass every default check.  It does not
+yet (ROADMAP items 4 and 6 (c)), so that property and two fixed
+counterexamples are strict expected failures, and what does hold is tested:
+no check fails but state_equivalence, or setup when the grid does not
+resolve the gauge.  The examples are fixed by the deterministic hypothesis
+profile in `conftest.py`.
 """
 
 import json
+import math
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from fibreqm.checks import run_scenario
@@ -242,3 +250,133 @@ def test_a_generated_config_runs_to_byte_identical_records_twice(raw):
     first, second = (json.dumps(run_scenario(scenario_from_dict(raw)).to_dict(
         include_timing=False), sort_keys=True).encode() for _ in range(2))
     assert first == second
+
+
+# --- (c) the positive control ------------------------------------------------------
+
+@st.composite
+def hermitian_matrices(draw, n):
+    """(M + M^dagger) / 2 of a drawn complex matrix M, as [re, im] entries."""
+    m = np.array([[complex(*z) for z in row] for row in draw(
+        st.lists(complex_vectors(n), min_size=n, max_size=n))])
+    return [[[z.real, z.imag] for z in row] for row in (m + m.conj().T) / 2.0]
+
+
+def hermitian_hamiltonians(n):
+    """(spec, whether H is constant in time) of every Hermitian Hamiltonian kind."""
+    constant = st.one_of(
+        st.just({"kind": "zero"}),
+        st.fixed_dictionaries({"kind": st.just("constant"), "matrix": hermitian_matrices(n)}),
+        st.fixed_dictionaries({"kind": st.just("random-hermitian")},
+                              optional={"scale": positive}),
+        *([st.fixed_dictionaries({"kind": st.just("pauli")}, optional={
+            "coefficients": st.dictionaries(st.sampled_from("xyzi"), reals)})]
+          if n == 2 else []))
+    driven = st.one_of(
+        st.fixed_dictionaries({"kind": st.just("cosine-drive"), "static": hermitian_matrices(n),
+                               "drive": hermitian_matrices(n)}, optional={"omega": reals}),
+        *([st.fixed_dictionaries({"kind": st.just("circular-drive")}, optional={
+            "level_splitting": reals, "rabi_frequency": reals})] if n == 2 else []))
+    return st.one_of(constant.map(lambda h: (h, True)), driven.map(lambda h: (h, False)))
+
+
+def unitary_trivializations(n):
+    return st.one_of(
+        st.just({"kind": "identity"}),
+        st.fixed_dictionaries({"kind": st.just("global-phase")}, optional={"omega": reals}),
+        st.fixed_dictionaries({"kind": st.just("diagonal-phase"), "omegas": real_vectors(n)}),
+        st.fixed_dictionaries({"kind": st.just("random-smooth-unitary")}, optional={
+            "scale": positive, "frequency": reals}),
+    )
+
+
+def _largest_norm(hamiltonian, times) -> float:
+    return float(np.max(np.linalg.norm(hamiltonian.at_many(times), 2, axis=(1, 2)), initial=0.0))
+
+
+@st.composite
+def resolved_steps(draw):
+    """A raw config in (c)'s domain.  Its step count is the least that keeps
+    h max||H|| <= 0.045 with max||H|| taken over 4097 times, at least 2."""
+    n = draw(st.sampled_from([1, 2, 2, 3, 4]))
+    hamiltonian, constant = draw(hermitian_hamiltonians(n))
+    raw = {
+        "name": "positive-control", "dimension": n, "hamiltonian": hamiltonian,
+        "trivialization": draw(unitary_trivializations(n)),
+        "grid": {**draw(grids()), "steps": 2},
+        "observables": [dict(spec, name=f"o{i}") for i, spec in enumerate(  # unique names
+            draw(st.lists(observables(n), min_size=1, max_size=3)))],
+        "initial_state": draw(complex_vectors(n).filter(  # a state, so nonzero
+            lambda v: sum(x * x + y * y for x, y in v) > 0.0)),
+        "seed": draw(st.integers(0, 5)),
+    }
+    if constant:  # H(t0) is then an integral of motion
+        raw["integral_candidates"] = [{"kind": "hamiltonian", "expected": True}]
+    grid = raw["grid"]
+    dense = np.linspace(grid["t0"], grid["t1"], 4097)
+    largest = _largest_norm(scenario_from_dict(raw).hamiltonian, dense)
+    grid["steps"] = max(2, math.ceil((grid["t1"] - grid["t0"]) * largest / 0.045))
+    return raw
+
+
+# The counterexamples below are the first failing draws of the property, by hand
+# made smaller.  No open item makes either pass; each names the item that has to
+# decide it.
+UNRESOLVED = [
+    # ROADMAP item 4: the O(h^2) difference of the two midpoint integrations,
+    # 9.9e-4 here at h max||H|| = 0.043, is judged by a fixed 1e-6
+    pytest.param({"name": "c-steps", "dimension": 2,
+                  "hamiltonian": {"kind": "pauli", "coefficients": {"x": 1.0}},
+                  "trivialization": {"kind": "diagonal-phase", "omegas": [0.0, 3.0]},
+                  "grid": {"t0": 0.0, "t1": 1.0, "steps": 23}},
+                 "state_equivalence", id="state_equivalence-at-the-bound"),
+    # ROADMAP item 6 (c): its premise bounds H alone, and a gauge the grid does not
+    # resolve fails setup's finite-difference check of its derivative
+    pytest.param({"name": "c-gauge", "dimension": 1, "hamiltonian": {"kind": "zero"},
+                  "trivialization": {"kind": "global-phase"},
+                  "grid": {"t0": 0.0, "t1": 1.0, "steps": 2}},
+                 "setup", id="unresolved-gauge"),
+]
+
+
+def _failed_checks(raw):
+    """The checks a config in (c)'s domain fails."""
+    cfg = scenario_from_dict(raw)
+    times = cfg.times
+    mids = (times[:-1] + times[1:]) / 2.0
+    assert float(np.max(np.diff(times))) * _largest_norm(cfg.hamiltonian, mids) <= 0.05
+    return {r.check: (r.max_residual, r.detail) for r in run_scenario(cfg).records
+            if not r.passed}
+
+
+@pytest.mark.parametrize("raw, failing", UNRESOLVED)
+def test_a_counterexample_fails_its_named_check_alone(raw, failing):
+    assert list(_failed_checks(raw)) == [failing]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 4 and 6 (c): see UNRESOLVED")
+@pytest.mark.parametrize("raw, failing", UNRESOLVED)
+def test_a_counterexample_passes_every_default_check(raw, failing):
+    assert not _failed_checks(raw)
+
+
+# Item 4's order check (state_equivalence shrinking 4x when h halves) does not
+# exist yet, so "every default check" is every check the scenario has the inputs
+# for today.  The property fails as UNRESOLVED's configs do, and the next test
+# holds what does hold.  Neither is shrunk: an expected failure costs no more
+# than its draws.
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 4 and 6 (c): see UNRESOLVED")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.generate])
+@given(resolved_steps())
+def test_a_hermitian_h_under_a_unitary_gauge_passes_every_default_check(raw):
+    failed = _failed_checks(raw)
+    assert not failed, (raw, failed)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.generate])
+@given(resolved_steps())
+def test_a_hermitian_h_under_a_unitary_gauge_fails_no_check_but_unresolved_ones(raw):
+    failed = _failed_checks(raw)
+    assert list(failed) in ([], ["state_equivalence"], ["setup"]), (raw, failed)

@@ -245,7 +245,7 @@ class TestDensityMorphisms:
         psi0 = states[0]
         rho0 = np.outer(psi0, psi0.conj())
         p0 = lift_operator(l, 0.0, rho0)
-        carried = evolve_density_morphisms(p0, transport)
+        carried = evolve_density_morphisms(p0, transport.from_t0, transport.into_t0)
         for idx in (0, 200, 400):
             t = float(TIMES[idx])
             u = grid.operators(idx, 0)
@@ -257,7 +257,8 @@ class TestDensityMorphisms:
         transport = EvolutionTransport(PropagatorGrid(HamiltonianFamily.zero(2), TIMES),
                                        l.at_many(TIMES))
         p0 = np.diag([0.25, 0.75]).astype(complex)
-        assert max_abs(evolve_density_morphisms(p0, transport)[-1] - p0) == 0
+        assert max_abs(evolve_density_morphisms(p0, transport.from_t0,
+                                                transport.into_t0)[-1] - p0) == 0
 
     def test_fibre_trace_is_frame_independent(self):
         l = constant_trivialization(np.diag([1.0, 3.0]).astype(complex))

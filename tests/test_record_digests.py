@@ -1,8 +1,9 @@
 """The timing-free records of every catalog scenario are pinned by sha256.
 
 The catalog digests read the session's shared catalog run, so they add no
-scenario run.  Every catalog stack is one time block (n <= 8), so one more
-scenario, cut into two blocks, is pinned beside them.  A change
+scenario run.  Every catalog stack is one time block (n <= 8), so two more
+scenarios are pinned beside them: one cut into two blocks, and one cut into
+five, so that byte-identity holds across more than one block boundary.  A change
 that moves a record on purpose regenerates `record_digests.json`; one that
 moves it by accident fails here.  The digests depend on the numpy and BLAS
 builds too, so a failure names both, beside the builds the file was made with.
@@ -10,16 +11,21 @@ builds too, so a failure names both, beside the builds the file was made with.
 
 import hashlib
 import json
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from fibreqm.checks import run_scenario
+from fibreqm.hilbert import time_blocks
+from fibreqm.scenario import scenario_from_dict
 
 DIGESTS = Path(__file__).resolve().parent / "record_digests.json"
 # the `two_block_gauge` fixture's record, at its shipped seed
 TWO_BLOCK_SHA256 = "b83d6319122d016a2d672306f2f2290cc4b18ed86dd32f51d57f5f8047ade605"
 TWO_BLOCK_BUILDS = "numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0"
+# random-unitary-gauge at n = 32 and N = 300, at its shipped seed: five time blocks
+FIVE_BLOCK_SHA256 = "0404cca0fd798060a3519ca0997aaa59cbcdd77765a1274b699d7c4b8b184362"
 
 
 def _timing_free_sha256(report) -> str:
@@ -47,4 +53,19 @@ def test_a_two_block_record_matches_its_pinned_digest(two_block_gauge):
     digest = _timing_free_sha256(run_scenario(two_block_gauge))
     assert digest == TWO_BLOCK_SHA256, (
         f"the two-block record moved; here numpy {np.__version__}, BLAS {_blas()}; "
+        f"pinned with {TWO_BLOCK_BUILDS}")
+
+
+def test_a_five_block_record_matches_its_pinned_digest():
+    root = resources.files("fibreqm") / "catalog"
+    raw = json.loads((root / "random-unitary-gauge.json").read_text())
+    raw["dimension"], raw["grid"]["steps"] = 32, 300
+    cfg = scenario_from_dict(raw)
+    assert [part.stop - part.start for part in time_blocks(cfg.times.size, 32)] == [
+        64, 64, 64, 64, 45]
+    report = run_scenario(cfg)
+    assert report.overall_pass
+    digest = _timing_free_sha256(report)
+    assert digest == FIVE_BLOCK_SHA256, (
+        f"the five-block record moved; here numpy {np.__version__}, BLAS {_blas()}; "
         f"pinned with {TWO_BLOCK_BUILDS}")

@@ -660,14 +660,20 @@ class TestSweep:
     def test_each_block_node_is_built_once_per_block(self, monkeypatch, two_block_gauge):
         cfg = two_block_gauge
         block_nodes = checks_module._BLOCK_NODES
-        readers = {name: [c for c in cfg.checks if name in checks_module._READS[c]]
+        readers = {name: sorted(key for key in [*cfg.checks, *block_nodes]
+                                if name in checks_module._READS[key])
                    for name in block_nodes}
         assert readers == {
-            "lifted_observables": ["mean_value_invariance", "hermiticity_correspondence",
+            "transport_t0": ["density_transported", "heisenberg_values", "integral_deviations",
+                             "picture_invariance", "transported_section"],
+            "lifted_observables": ["hermiticity_correspondence", "mean_value_invariance",
                                    "picture_invariance"],
             "density_transported": ["density_consistency", "density_purity",
                                     "fibre_trace_preservation"],
-            "density_conventional": ["density_consistency"]}
+            "density_conventional": ["density_consistency"],
+            "transported_section": ["heisenberg_values", "picture_invariance"],
+            "heisenberg_values": ["heisenberg_constancy", "picture_invariance"],
+            "integral_deviations": ["integrals_of_motion"]}
         built = []  # (block node, the first time index of its block)
 
         def counting(part, *reads, name, build):
@@ -766,6 +772,17 @@ NEGATIVE_CONTROLS = [
      ["density_purity", "fibre_trace_preservation"]),
     ("rabi-drive", "trajectory", lambda t: Trajectory(t.times, t.states * [1.0, 1.0 + 1e-4]),
      ["physics_closed_form"]),  # 5.0e-5
+    # the t0 rows (U(t, t0), U(t0, t)) of each block: the from-rows carry the
+    # transported section and both t0-stack conjugations
+    ("two-block", "transport_t0", lambda t0: (t0[0] * (1 + 1e-6), t0[1]),  # 1.6e-5, 1.0e-6 each
+     ["picture_invariance", "density_consistency", "density_purity",
+      "fibre_trace_preservation"]),
+    # the into-rows carry the Heisenberg states back to t0, where Psi(t0) is its own row
+    ("two-block", "transport_t0", lambda t0: (t0[0], t0[1] * (1 + 1e-6)),  # 1.6e-5, 1.0e-6
+     ["picture_invariance", "heisenberg_constancy"]),
+    # the transport criterion alone: the commutator residual does not read the rows
+    ("two-block", "transport_t0", lambda t0: (t0[0], t0[1] * (1 + 1e-5)),  # 7.0e-6
+     ["integrals_of_motion"]),
 ]
 
 
@@ -808,15 +825,35 @@ class TestSampleOnce:
         midpoints = (cfg.times[:-1] + cfg.times[1:]) / 2.0
         assert sampled == [cfg.times.tobytes(), midpoints.tobytes()]
 
-    def test_each_t0_transport_stack_computed_once(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("scenario", ["two-block", "random-unitary-gauge"])
+    def test_each_t0_block_formed_once_per_pass(self, monkeypatch, two_block_gauge, scenario):
+        cfg = two_block_gauge if scenario == "two-block" else load_catalog_scenario(scenario)
+        assert {"picture_invariance", "heisenberg_constancy", "density_consistency",
+                "integrals_of_motion"} <= set(cfg.checks)
+        calls = []  # (query, grid index of its fixed time, rows formed)
         for method in ("matrices_from", "matrices_into"):
-            def counting(transport, t, real=getattr(EvolutionTransport, method), method=method):
-                calls.append((method, grid_index(transport.times, t)))
-                return real(transport, t)
+            def counting(transport, t, part=None, real=getattr(EvolutionTransport, method),
+                         method=method):
+                calls.append((method, grid_index(transport.times, t),
+                              None if part is None else (part.start, part.stop)))
+                return real(transport, t, part)
             monkeypatch.setattr(EvolutionTransport, method, counting)
-        assert run_scenario(load_catalog_scenario("random-unitary-gauge")).overall_pass
-        assert sorted(calls) == [("matrices_from", 0), ("matrices_into", 0)]
+        assert run_scenario(cfg).overall_pass
+        blocks = [(part.start, part.stop) for part in time_blocks(cfg.times.size, cfg.dimension)]
+        # every reader of the t0 stacks shares each block; the one other query is
+        # the row U(t0, t0), for the Heisenberg states' reference Psi(t0)
+        assert Counter(calls) == Counter(
+            [(method, 0, rows) for method in ("matrices_from", "matrices_into")
+             for rows in blocks] + [("matrices_from", 0, (0, 1))])
+
+    def test_the_catalog_passes_without_the_whole_t0_stacks(self, monkeypatch):
+        def unreadable(transport):
+            raise AssertionError("a whole t0 stack was read")
+
+        for name in ("from_t0", "into_t0"):
+            monkeypatch.setattr(EvolutionTransport, name, property(unreadable))
+        for name, _ in catalog_names():
+            assert run_scenario(load_catalog_scenario(name)).overall_pass, name
 
     def test_each_frame_batch_checked_invertible_once(self, monkeypatch):
         batches = []
@@ -927,7 +964,8 @@ class TestArtifactNodes:
         # a block node's first parameter is its time block, and no other node has one
         block_nodes = {name for name in _NODES if params[name][:1] == ["part"]}
         assert block_nodes == checks_module._BLOCK_NODES == {
-            "lifted_observables", "density_transported", "density_conventional"}
+            "transport_t0", "lifted_observables", "density_transported", "density_conventional",
+            "transported_section", "heisenberg_values", "integral_deviations"}
         assert all(len(reads[name]) == len(params[name]) - (name in block_nodes)
                    for name in _NODES)
         unknown = {key: sorted(set(names) - seeds - set(_NODES)) for key, names in reads.items()}
@@ -935,11 +973,14 @@ class TestArtifactNodes:
         assert checks_module._READS == {key: tuple(names) for key, names in reads.items()}
         for key in reads:
             node_reads(key)
-        # Only a pointwise check or another block node reads a block node: a check
-        # that builds its own record, and every other node, has no time block.
+        # Only a pointwise check or another block node reads a block node, and one
+        # check that builds its own record: it reads its block node's per-time
+        # series concatenated after the sweep.  Every other node has no time block.
         readers = {key for key, names in reads.items() if set(names) & block_nodes}
         assert readers, "no block node is read"
-        assert readers <= POINTWISE_CHECKS | block_nodes, readers - POINTWISE_CHECKS
+        own_readers = readers - POINTWISE_CHECKS - block_nodes
+        assert own_readers == {"integrals_of_motion"}, own_readers
+        assert checks_module._SWEPT == POINTWISE_CHECKS | own_readers
         assert not block_nodes & set(checks_module._SETUP)
 
     def test_the_frame_error_is_the_setup_record_when_the_hamiltonian_fails_too(self):
@@ -1015,9 +1056,10 @@ class TestArtifactNodes:
     def test_state_equivalence_alone_builds_no_t0_stack_or_lift(self, monkeypatch):
         calls = []
         for method in ("matrices_from", "matrices_into"):
-            def counting(transport, t, real=getattr(EvolutionTransport, method), method=method):
+            def counting(transport, t, part=None, real=getattr(EvolutionTransport, method),
+                         method=method):
                 calls.append(method)
-                return real(transport, t)
+                return real(transport, t, part)
             monkeypatch.setattr(EvolutionTransport, method, counting)
         lift = checks_module.lift_operators
 
@@ -1038,16 +1080,25 @@ class TestArtifactNodes:
         assert sorted(set(calls)) == ["lift_operators", "matrices_from", "matrices_into"]
 
     def test_both_densities_run_through_one_kernel(self, monkeypatch):
-        two_times = []
-        kernel = checks_module.evolve_density_morphisms
+        grids, two_times = [], []  # the run's propagator grid; whose t0 rows each call reads
+        kernel, transport = checks_module.evolve_density_morphisms, _NODES["transport"]
 
-        def recording(p0, two_time, part):
-            two_times.append(type(two_time))
-            return kernel(p0, two_time, part)
+        def recording(p0, from_t0, into_t0):
+            conventional = [np.shares_memory(rows, stack) for rows, stack in
+                            ((from_t0, grids[0].from_t0), (into_t0, grids[0].into_t0))]
+            assert len(set(conventional)) == 1
+            two_times.append(PropagatorGrid if conventional[0] else EvolutionTransport)
+            return kernel(p0, from_t0, into_t0)
+
+        def keeping(*reads):
+            built = transport(*reads)
+            grids.append(built.propagators)
+            return built
 
         # the integral-of-motion criterion conjugates by the same kernel
         monkeypatch.setattr(checks_module, "evolve_density_morphisms", recording)
         monkeypatch.setattr(pictures_module, "evolve_density_morphisms", recording)
+        monkeypatch.setitem(_NODES, "transport", keeping)
         root = resources.files("fibreqm") / "catalog"
         raw = json.loads((root / "random-unitary-gauge.json").read_text())
         assert run_scenario(scenario_from_dict(dict(
@@ -1064,22 +1115,38 @@ class TestArtifactNodes:
                 assert [r.to_dict() for r in alone.records] == [records[check_id]], \
                     (name, check_id)
 
-    def test_integrals_of_motion_keeps_no_commutator_stack_alive(self, two_block_gauge):
+    def test_integrals_of_motion_keeps_no_commutator_stack_alive(self, monkeypatch,
+                                                                 two_block_gauge):
         cfg = two_block_gauge
         nodes = build_artifacts(cfg)
-        check, tol = _CHECK_TABLE["integrals_of_motion"], cfg.tolerances["integrals_of_motion"]
-        reads = [nodes[name] for name in checks_module._READS["integrals_of_motion"]]
-        assert check(tol, *reads).passed  # and the t0 stacks now exist
+        above = {}  # the check, or a node of its criteria -> its largest peak over its
+        # calls, above the heap each call found
+
+        def probed(key, build):
+            def probe(*args):
+                start, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                out = build(*args)
+                above[key] = max(above.get(key, 0), tracemalloc.get_traced_memory()[1] - start)
+                return out
+            return probe
+
+        # the commutator criterion, each block's transport criterion (beside the
+        # block's t0 rows, which the sweep shares), and the record
+        for name in ("integral_commutators", "integral_deviations"):
+            monkeypatch.setitem(_NODES, name, probed(name, _NODES[name]))
+        monkeypatch.setitem(_CHECK_TABLE, "integrals_of_motion",
+                            probed("integrals_of_motion", _CHECK_TABLE["integrals_of_motion"]))
         tracemalloc.start()
         try:
-            start, _ = tracemalloc.get_traced_memory()
-            check(tol, *reads)
-            _, peak = tracemalloc.get_traced_memory()
+            outcomes = checks_module._sweep(nodes, ["integrals_of_motion"])
         finally:
             tracemalloc.stop()
+        assert outcomes["integrals_of_motion"][0].passed
+        assert set(above) == {"integral_commutators", "integral_deviations", "integrals_of_motion"}
         # blocks of both criteria (of 256 and 145 times here, 1 MiB at most), and
         # no commutator, deviation or transported stack beside them
-        assert peak - start <= 4 * hilbert_module._BLOCK_BYTES
+        assert max(above.values()) <= 4 * hilbert_module._BLOCK_BYTES
 
     def test_a_setup_node_no_requested_check_reads_is_dropped_after_setup(self, monkeypatch):
         built = []  # the node dict of the run
@@ -1172,10 +1239,13 @@ class TestArtifactNodes:
         finally:
             tracemalloc.stop()
         assert set(above) == set(_NODES) | set(cfg.checks)
-        # Held through the sweep: the frames, their inverses, the two conventional
-        # t0 stacks and the two transport t0 stacks (6.65 stacks measured); the
-        # lifted observables and both densities are blocks of the sweep.
-        assert max(peaks) <= 7.0 * one_stack
+        # Held through the sweep: the frames, their inverses and the two conventional
+        # t0 stacks; the transport's t0 rows, the transported section and its
+        # Heisenberg states, the lifted observables and both densities are blocks
+        # of the sweep.  The peak is bundle_section's setup: the frames, their
+        # inverses, the conventional steps and its own two stacks (5.32 stacks
+        # measured).
+        assert max(peaks) <= 5.6 * one_stack
         # Every check block, judge and node build, setup ones too, keeps at most
         # one whole temporary stack beside its blocks: a t0 stack, the step
         # exponential's input, or the grid frames' derivative.  What a node keeps
@@ -1207,6 +1277,7 @@ class TestArtifactNodes:
                 return build(*reads)
 
             monkeypatch.setitem(_NODES, name, counting)
+        cached = set()
         for cls in (EvolutionTransport, PictureTransform):
             for name, node in list(vars(cls).items()):
                 if not isinstance(node, cached_property):
@@ -1219,10 +1290,13 @@ class TestArtifactNodes:
                 wrapped = cached_property(counting)
                 wrapped.__set_name__(cls, name)
                 monkeypatch.setattr(cls, name, wrapped)
-                nodes.add(name)
+                cached.add(name)
         assert run_suite("catalog").overall_pass
         assert len(scenarios) == len(catalog_names())
-        assert {name for _, name in computed} == nodes
+        # the transport's whole t0 stacks are for library callers; the engine
+        # forms their rows block by block, by the block node `transport_t0`
+        assert cached == {"from_t0", "into_t0", "inverse_matrices"}
+        assert {name for _, name in computed} == nodes | {"inverse_matrices"}
         for cfg in scenarios:  # setup built each of its nodes for this scenario
             assert set(checks_module._SETUP) <= {name for owner, name in computed
                                                  if owner is cfg}, cfg.name
@@ -1295,6 +1369,8 @@ class TestFaultSeam:
                 recording, name=name, build=build))
         root = resources.files("fibreqm") / "catalog"
         raw = json.loads((root / "phase-gauge-rabi.json").read_text())
+        # an integral candidate, so that every node is built
+        raw["integral_candidates"] = [{"kind": "hamiltonian", "expected": True}]
         reports = []
         for faults in ({}, {"drop_trivialization_derivative": True}):
             built.append({})
