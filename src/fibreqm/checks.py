@@ -8,21 +8,28 @@ which can reject the scenario; a fault that is on swaps a node's build
 
 The checks that build their own record and read no block node run first, in the
 scenario's order.  Then one sweep, `_sweep`, runs every other check on each
-`time_blocks` slice in turn.  A block node, a build whose first parameter is the
-slice `part`, is built on its first read in a slice, shared by every check of
-that slice and dropped with it; only pointwise checks, other block nodes and a
-check that builds its record from a block node's per-time series read one.  The
-transport's t0 stacks are such a node, `transport_t0`, so no whole one is formed.
-Each pointwise check's residuals, concatenated, are judged once; a check that
-builds its own record runs once after the last slice, on its block nodes'
-series concatenated.  A failure is a failed record of its check alone, never a
-silent pass.  Scenarios share no mutable state, so suites run them in any order.
+`time_blocks` slice.  A block node, a build whose first parameter is the slice
+`part`, is built on its first read in a slice, shared by every check of that
+slice and dropped after its last reader there; only pointwise checks, other
+block nodes and a check that builds its record from a block node's per-time
+series read one.  The transport's t0 stacks are such a node, `transport_t0`, so
+no whole one is formed.  The slices run concurrently on `_WORKERS` threads, the
+calling thread among them, so one slice's block nodes are in flight per thread;
+every whole node they read is built before them, and their outputs are folded
+in block order: each pointwise check's residuals, concatenated, are judged
+once; a check that builds its own record runs once after the last slice, on its
+block nodes' series concatenated.  A failure is a failed record of its check
+alone, that of its first failing block, never a silent pass.  Scenarios share
+no mutable state, so suites run them in any order.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
@@ -521,30 +528,112 @@ def _judged_blocks(check_id: str, tol: float, times: np.ndarray,
     return _judged(check_id, times, residuals, tol), series
 
 
+# Threads that run the sweep's time blocks, the calling thread among them: one per
+# available core, at most two, read once.  A constant, not a setting.  The blocks'
+# batched products release the GIL, and threads share the whole nodes every block
+# reads.  Each thread holds one slice's block nodes, about half a stack at n = 32,
+# N = 1000: at two the sweep's peak (5.15 stacks) stays below setup's (5.32), and
+# each more would add about half a stack; larger counts are unmeasured.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+    os.cpu_count() or 1))
+
+
+def _whole_reads(check_ids: Sequence[str]) -> List[str]:
+    """The nodes without a time block that the checks, or the block nodes they read,
+    read, in the order a slice first reads them."""
+    found = []
+
+    def visit(key):
+        for read in _READS[key]:
+            if read in _BLOCK_NODES:
+                visit(read)
+            elif read in _NODES and read not in found:
+                found.append(read)
+
+    for check_id in check_ids:
+        visit(check_id)
+    return found
+
+
+def _run_block(nodes: dict, check_ids: Sequence[str], part: slice) -> dict:
+    """Check id -> its output on the time block `part`, or its failed record.
+
+    The checks run in `check_ids` order; the block nodes they read are built
+    once, into the slice's own dict, and each is dropped after its last reader
+    in the slice.  A pointwise check's output is its (residuals, series), that
+    of a check that builds its own record its reads.
+    """
+    block, out = {"part": part}, {}
+    for k, check_id in enumerate(check_ids):
+        try:
+            out[check_id] = _block_output(nodes, check_id, block)
+        except Exception as exc:
+            out[check_id] = _failed(check_id, nodes["cfg"].tolerances[check_id], exc)
+        _drop_unread(block, check_ids[k + 1:])
+    return out
+
+
+def _block_output(nodes: dict, check_id: str, block: dict):
+    """A swept check's output on the slice of `block`; its reads are held no longer
+    than its call, unless they are its output."""
+    reads = {name: _read(nodes, name, block) for name in _READS[check_id]}
+    return (_CHECK_TABLE[check_id](block["part"], *reads.values()) if check_id in _POINTWISE
+            else reads)
+
+
+def _in_block_order(run, parts: Sequence[slice], workers: int) -> list:
+    """[run(part) for part in parts], on up to `workers` threads, the calling thread
+    among them: thread w runs the slices w, w + workers, ...  One slice or one
+    worker runs on the calling thread alone, and no thread outlives the call."""
+    workers = min(workers, len(parts))
+    if workers <= 1:
+        return [run(part) for part in parts]
+    out = [None] * len(parts)
+
+    def share(first: int) -> None:
+        for k in range(first, len(parts), workers):
+            out[k] = run(parts[k])
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(share, first) for first in range(1, workers)]
+        share(0)
+        for helper in helpers:
+            helper.result()
+    return out
+
+
 def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
     """Check id -> (record, series) of each swept check, from one pass over the
     `time_blocks` slices.
 
-    In each slice the checks not yet failed run in `check_ids` order, and the block
-    nodes they read are built once, into the slice's dict, and dropped with it.  A
-    check that raises is a failed record and runs no more.  After the last slice a
-    pointwise check's blocks are judged once, and a check that builds its own record
-    runs once, on each block node it reads concatenated over the slices.
+    Every whole node that the checks or their block nodes read is built first, on
+    the calling thread; then the slices run on `_WORKERS` threads (`_run_block`),
+    on the calling thread alone if one of those builds raised, so that each reader
+    builds it again and fails by its error.  The outputs are folded in block order:
+    a check's first failed record is its record and its later blocks are
+    discarded.  After the last slice a pointwise check's blocks are judged once,
+    and a check that builds its own record runs once, on each block node it reads
+    concatenated over the slices.
     """
     cfg = nodes["cfg"]
+    workers = _WORKERS
+    try:
+        for name in _whole_reads(check_ids):
+            _read(nodes, name)
+    except Exception:
+        workers = 1
+    blocks = _in_block_order(functools.partial(_run_block, nodes, check_ids),
+                             time_blocks(cfg.times.size, cfg.dimension), workers)
     outputs = {check_id: [] for check_id in check_ids}  # each block's output or reads
     outcomes = {}
-    for part in time_blocks(cfg.times.size, cfg.dimension):
-        block = {"part": part}
-        for check_id in check_ids:
+    for block in blocks:
+        for check_id, output in block.items():
             if check_id in outcomes:  # failed in an earlier block
                 continue
-            try:
-                reads = {name: _read(nodes, name, block) for name in _READS[check_id]}
-                outputs[check_id].append(_CHECK_TABLE[check_id](part, *reads.values())
-                                         if check_id in _POINTWISE else reads)
-            except Exception as exc:
-                outcomes[check_id] = _failed(check_id, cfg.tolerances[check_id], exc), {}
+            if isinstance(output, CheckRecord):
+                outcomes[check_id] = output, {}
+            else:
+                outputs[check_id].append(output)
     for check_id in check_ids:
         if check_id not in outcomes:
             tol = cfg.tolerances[check_id]

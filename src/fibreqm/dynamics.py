@@ -26,7 +26,7 @@ from .hilbert import (
     is_hermitian,
     matrix_exponential,
     max_abs,
-    stack_by_blocks,
+    time_blocks,
 )
 
 __all__ = [
@@ -207,14 +207,53 @@ def midpoint_propagators(family, times: np.ndarray,
     stack that the exponential reads, so its samples, and what sampling them
     needs (the bundle generator's midpoint frames, their derivatives and
     inverses), are never whole stacks.  A sampler gives each time the same
-    values in any batch, so the steps do not depend on the slicing.
+    values in any batch, so the steps do not depend on the slicing.  Where
+    every sample is one matrix (a constant family's 0-stride broadcast), no
+    scaled stack is formed: one step is exponentiated per distinct step length
+    and gathered.  Their largest 1-norm is the whole batch's, so is the plan
+    (`matrix_exponential`), and each step keeps the bits it has in the batch.
     """
     times = np.asarray(times, dtype=float)
+    one, stack = _scaled_generator(family, times, constants.hbar)
+    if stack is not None:
+        return matrix_exponential(stack)
+    lengths, step_of = np.unique(np.diff(times), return_inverse=True)
+    return matrix_exponential(_scaled(lengths, one, constants.hbar))[step_of]
+
+
+def _scaled(h: np.ndarray, sample: np.ndarray, hbar: float) -> np.ndarray:
+    """-i h_k H_k / hbar over the step lengths h_k; one H broadcasts."""
+    return -1j * h[:, None, None] * sample / hbar
+
+
+def _scaled_generator(family, times: np.ndarray,
+                      hbar: float) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """(the one matrix of every midpoint sample, None), or (None, the scaled stack).
+
+    The midpoints are sampled one `time_blocks` slice at a time.  While each
+    sample is one matrix, and the same one, nothing is scaled; from the first
+    that is not, the stack is formed, the blocks before it from that matrix.
+    """
     mids = (times[:-1] + times[1:]) / 2.0
     h = np.diff(times)
-    scaled = stack_by_blocks(mids.size, family.dimension, lambda part: (
-        -1j * h[part, None, None] * family.at_many(mids[part]) / constants.hbar))
-    return matrix_exponential(scaled)
+    n = family.dimension
+    parts = time_blocks(mids.size, n)
+    one, stack = None, None
+    for k, part in enumerate(parts):
+        sample = family.at_many(mids[part])
+        if stack is None:
+            if (distinct_matrices(sample).shape[0] == 1
+                    and (one is None or np.array_equal(sample[0], one))):
+                one = sample[0]
+                continue
+            stack = np.empty((mids.size, n, n), dtype=complex)
+            for done in parts[:k]:  # each sample of these blocks is `one`
+                stack[done] = _scaled(h[done], one, hbar)
+        stack[part] = _scaled(h[part], sample, hbar)
+        del sample  # no block of samples outlives its scaling
+    if one is None and stack is None:  # no midpoints
+        stack = np.empty((0, n, n), dtype=complex)
+    return (one, None) if stack is None else (None, stack)
 
 
 def propagate_states(propagators: np.ndarray, psi0: np.ndarray) -> np.ndarray:

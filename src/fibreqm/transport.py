@@ -107,9 +107,12 @@ class EvolutionTransport:
 
     `matrices_from` and `matrices_into` compute their rows on every call: the
     rows of one slice of grid indices as one block, or the whole grid one
-    `time_blocks` slice at a time.  A row has the same bits either way.  The
-    engine forms the t0 rows one time block at a time and never holds a
-    whole t0 stack; a library caller that wants them whole reads the
+    `time_blocks` slice at a time.  A row has the same bits either way.  Their
+    fixed time is looked up on the grid; the first grid time t0, the fixed
+    time of every t0 row, is looked up once, when the transport is built, so
+    the t0 queries of many blocks scan the grid once.  The engine and
+    `is_integral_of_motion` form the t0 rows one time block at a time and never
+    hold a whole t0 stack; a library caller that wants them whole reads the
     read-only cached properties `from_t0` and `into_t0`, formed on first use.
     """
 
@@ -130,6 +133,7 @@ class EvolutionTransport:
         self.inverse_frames = inverse_frames
         for a in (self.frames, self.inverse_frames):
             a.setflags(write=False)
+        self._t0_index = grid_index(self.times, self.times[0])
 
     @property
     def dimension(self) -> int:
@@ -147,16 +151,20 @@ class EvolutionTransport:
         """block(part), or the whole grid's stack one `time_blocks` slice at a time."""
         return stack_by_blocks(*self.frames.shape[:2], block) if part is None else block(part)
 
+    def _index(self, t: float) -> int:
+        """The grid index of `t`, that of t0 as looked up when the transport was built."""
+        return self._t0_index if t == self.times[0] else grid_index(self.times, t)
+
     def matrices_from(self, s: float, part: Optional[slice] = None) -> np.ndarray:
         """U(t_j, s) stacked over the grid indices j of the slice `part`, all by default."""
-        i = grid_index(self.times, s)
+        i = self._index(s)
         p = self.propagators
         tail = p.into_t0[i] @ self.frames[i]
         return self._rows(part, lambda rows: self.inverse_frames[rows] @ (p.from_t0[rows] @ tail))
 
     def matrices_into(self, t: float, part: Optional[slice] = None) -> np.ndarray:
         """U(t, t_j) stacked over the grid indices j of the slice `part`, all by default."""
-        j = grid_index(self.times, t)
+        j = self._index(t)
         p = self.propagators
         inverse, head = self.inverse_frames[j], p.from_t0[j]
         return self._rows(part, lambda rows: (

@@ -27,16 +27,29 @@ def catalog_suite():
     return report, elapsed
 
 
+def _scaled_gauge(dimension, steps, blocks):
+    """random-unitary-gauge at its shipped seed, of `dimension` and `steps`, cut into time
+    blocks of the sizes `blocks`."""
+    root = resources.files("fibreqm") / "catalog"
+    raw = json.loads((root / "random-unitary-gauge.json").read_text())
+    raw["dimension"], raw["grid"]["steps"] = dimension, steps
+    cfg = scenario_from_dict(raw)
+    assert [part.stop - part.start for part in time_blocks(cfg.times.size, dimension)] == blocks
+    return cfg
+
+
 @pytest.fixture
 def two_block_gauge():
     """random-unitary-gauge at n = 16 and N = 400: two time blocks, of 256 and 145 times.
     Every catalog stack is one block (n <= 8), so this is the runner's multi-block case."""
-    root = resources.files("fibreqm") / "catalog"
-    raw = json.loads((root / "random-unitary-gauge.json").read_text())
-    raw["dimension"], raw["grid"]["steps"] = 16, 400
-    cfg = scenario_from_dict(raw)
-    assert [part.stop - part.start for part in time_blocks(cfg.times.size, 16)] == [256, 145]
-    return cfg
+    return _scaled_gauge(16, 400, [256, 145])
+
+
+@pytest.fixture
+def five_block_gauge():
+    """random-unitary-gauge at n = 32 and N = 300: five time blocks, of 64 times but the
+    last, of 45."""
+    return _scaled_gauge(32, 300, [64, 64, 64, 64, 45])
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fibreqm.dynamics as dynamics_module
 from fibreqm.checks import run_scenario
 from fibreqm.dynamics import (
     HamiltonianFamily,
@@ -12,6 +13,7 @@ from fibreqm.dynamics import (
     Trajectory,
     evolve_state,
     grid_index,
+    midpoint_propagators,
     uniform_grid,
     validate_density,
 )
@@ -265,6 +267,65 @@ class TestGridPlumbing:
         fast = evolve_state(HamiltonianFamily.constant(0.5 * SIGMA_Z), [0.6, 0.8],
                             0.0, 1.0, 1e-3)
         assert max_abs(slow.states - fast.states) <= 1e-12
+
+
+class TestMidpointSteps:
+    """A generator whose samples are one matrix is exponentiated once per step length."""
+
+    @staticmethod
+    def hermitian(seed, n=32):
+        m = np.random.default_rng(seed).normal(size=(n, n, 2)) @ [1.0, 1j]
+        return (m + m.conj().T) / 8.0
+
+    def sizes_and_steps(self, monkeypatch, family, times):
+        """The batch size of each exponential, and the steps."""
+        sizes, real = [], dynamics_module.matrix_exponential
+
+        def recording(a):
+            sizes.append(a.shape[0])
+            return real(a)
+
+        monkeypatch.setattr(dynamics_module, "matrix_exponential", recording)
+        return sizes, midpoint_propagators(family, times)
+
+    def test_a_broadcast_keeps_the_bits_of_the_batch(self, monkeypatch):
+        m = self.hermitian(7)
+        times = uniform_grid(0.0, 1.0, 1000)  # 16 blocks of midpoints at n = 32
+        lengths = np.unique(np.diff(times)).size
+        assert 1 < lengths < 20
+        copies = HamiltonianFamily(lambda ts: np.repeat(m[None], ts.size, axis=0), 32)
+        sizes, steps = self.sizes_and_steps(monkeypatch, copies, times)
+        assert sizes == [1000]
+        sizes, once = self.sizes_and_steps(monkeypatch, HamiltonianFamily.constant(m), times)
+        assert sizes == [lengths]
+        assert np.array_equal(once, steps)
+
+    @pytest.mark.parametrize("case", ["another matrix at a block boundary",
+                                      "another matrix within a block", "copies of the one"])
+    def test_samples_that_stop_being_one_matrix_are_scaled_whole(self, monkeypatch, case):
+        # H(t) is m before a cut and `other` (or copies of m) after it; a batch wholly
+        # before the cut is a broadcast of m, and one wholly after it a broadcast of
+        # `other`, so with the cut at a block boundary every block is one matrix,
+        # but not every block the same one
+        m, other = self.hermitian(7), self.hermitian(8)
+        times = uniform_grid(0.0, 1.0, 1000)
+        mids = (times[:-1] + times[1:]) / 2.0
+        cut = mids[512 if case == "another matrix at a block boundary" else 500]
+        after = m if case == "copies of the one" else other
+
+        def values(ts):
+            return np.where((ts < cut)[:, None, None], m, after)
+
+        def sample(ts):
+            if ts[-1] < cut:
+                return np.broadcast_to(m, (ts.size, 32, 32))
+            if ts[0] >= cut and case != "copies of the one":
+                return np.broadcast_to(other, (ts.size, 32, 32))
+            return values(ts)
+
+        sizes, steps = self.sizes_and_steps(monkeypatch, HamiltonianFamily(sample, 32), times)
+        assert sizes == [1000]
+        assert np.array_equal(steps, midpoint_propagators(HamiltonianFamily(values, 32), times))
 
 
 class TestSamplerValidation:

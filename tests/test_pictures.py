@@ -11,6 +11,7 @@ from fibreqm.bundle import (
     identity_trivialization,
     lift_operator,
     lift_operator_on_grid,
+    lift_operators,
     lift_trajectory,
     random_smooth_unitary_trivialization,
 )
@@ -26,11 +27,13 @@ from fibreqm.dynamics import (
 from fibreqm.hilbert import _BLOCK_BYTES, SIGMA_X, SIGMA_Z, apply, expectations, max_abs
 from fibreqm.pictures import (
     PictureTransform,
+    commutator_criterion,
     evolve_density_morphisms,
     fibre_means,
     general_picture_means,
     is_integral_of_motion,
     to_general_picture_observables,
+    transport_criterion,
 )
 from fibreqm.transport import EvolutionTransport
 
@@ -366,26 +369,60 @@ class TestIntegralsOfMotion:
                            match="^Hamiltonian family 'grid-skew' flagged Hermitian deviates"):
             is_integral_of_motion(ObservableFamily.constant(SIGMA_Z), transport)
 
-    def test_a_constant_candidate_holds_one_stack_beside_its_blocks(self):
-        # n = 32, N = 1000: a stack is 16.4 MB and a block 64 times.  The zero
-        # broadcast dA/dt is tested on its one matrix and adds nothing.
+    @staticmethod
+    def wide_constant_candidate():
+        """n = 32, N = 1000: a stack is 16.4 MB and a block 64 times.  A constant H, its
+        candidate H(t0) and a fresh transport."""
         rng = np.random.default_rng(36)
         m = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
         h = HamiltonianFamily.constant((m + m.conj().T) / 8.0)
         times = uniform_grid(0.0, 1.0, 1000)
         transport = EvolutionTransport(PropagatorGrid(h, times),
                                        random_smooth_unitary_trivialization(32, 36).at_many(times))
-        assert transport.from_t0.shape == transport.into_t0.shape  # the shared t0 stacks
+        return ObservableFamily.constant(h.at(0.0)), transport
+
+    def test_a_constant_candidate_holds_one_stack_beside_its_blocks(self):
+        # The zero broadcast dA/dt is tested on its one matrix and adds nothing.
+        candidate, transport = self.wide_constant_candidate()
+        # whole t0 stacks already cached: the criterion forms its own rows anyway
+        assert transport.from_t0.shape == transport.into_t0.shape
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            report = is_integral_of_motion(ObservableFamily.constant(h.at(0.0)), transport)
+            report = is_integral_of_motion(candidate, transport)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert report.certified and report.transport_residual is not None
         # blocks alone: no commutator, dA/dt, deviation or transported stack
         assert peak - start <= 4 * _BLOCK_BYTES
+
+    def test_a_fresh_transport_forms_no_whole_t0_stack(self):
+        candidate, transport = self.wide_constant_candidate()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            report = is_integral_of_motion(candidate, transport)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.certified and report.transport_residual is not None
+        # the t0 rows of each block (the from-rows dropped once multiplied), beside
+        # the lift's blocks; the transport's cached whole stacks are never formed
+        assert peak - start <= 4 * _BLOCK_BYTES
+        assert not {"from_t0", "into_t0"} & set(vars(transport))
+
+    def test_its_inline_conjugation_has_the_bits_of_the_transport_criterion(self):
+        # is_integral_of_motion conjugates A0 by per-block t0 rows, inline;
+        # transport_criterion, which the engine calls, by evolve_density_morphisms
+        candidate, transport = self.wide_constant_candidate()
+        report = is_integral_of_motion(candidate, transport)
+        _, a_vals = commutator_criterion(candidate, transport)
+        frames, inverse_frames = transport.frames, transport.inverse_frames
+        a0_fibre = lift_operators(frames[0], inverse_frames[0], a_vals[0])
+        deviation = transport_criterion(frames, inverse_frames, a_vals, a0_fibre,
+                                        transport.from_t0, transport.into_t0)
+        assert 0 < report.transport_residual == max_abs(deviation)
 
     @pytest.mark.parametrize("h, batches", [(H, [1, TIMES.size]),  # A and H broadcast
                                             (COSINE_H, [TIMES.size, TIMES.size])])

@@ -208,3 +208,22 @@ def test_library_sketch_runs_and_prints_small_residuals():
     printed = [float(x) for x in out.getvalue().split()]
     assert printed, "the library sketch prints no residual"
     assert all(x < 1e-6 for x in printed), printed
+
+
+def test_only_the_checks_runner_imports_threads():
+    """The sweep in `checks` is the one place that runs threads, so it alone may import
+    `threading` or `concurrent.futures`."""
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [f"{node.module}.{alias.name}"
+                                                 for alias in node.names]
+            else:
+                continue
+            if any(module.split(".")[0] == "threading" or module.startswith("concurrent.futures")
+                   for module in modules):
+                importers.add(path.name)
+    assert importers == {"checks.py"}

@@ -3,21 +3,24 @@
 The catalog digests read the session's shared catalog run, so they add no
 scenario run.  Every catalog stack is one time block (n <= 8), so two more
 scenarios are pinned beside them: one cut into two blocks, and one cut into
-five, so that byte-identity holds across more than one block boundary.  A change
-that moves a record on purpose regenerates `record_digests.json`; one that
-moves it by accident fails here.  The digests depend on the numpy and BLAS
-builds too, so a failure names both, beside the builds the file was made with.
+five, so that byte-identity holds across more than one block boundary, and at
+any number of threads running the blocks.  A change that moves a record on
+purpose regenerates `record_digests.json`; one that moves it by accident fails
+here.  The digests depend on the numpy and BLAS builds too, so a failure names
+both, beside the builds the file was made with.
 """
 
 import hashlib
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import fibreqm.checks as checks_module
 from fibreqm.checks import run_scenario
-from fibreqm.hilbert import time_blocks
 from fibreqm.scenario import scenario_from_dict
 
 DIGESTS = Path(__file__).resolve().parent / "record_digests.json"
@@ -56,16 +59,41 @@ def test_a_two_block_record_matches_its_pinned_digest(two_block_gauge):
         f"pinned with {TWO_BLOCK_BUILDS}")
 
 
-def test_a_five_block_record_matches_its_pinned_digest():
-    root = resources.files("fibreqm") / "catalog"
-    raw = json.loads((root / "random-unitary-gauge.json").read_text())
-    raw["dimension"], raw["grid"]["steps"] = 32, 300
-    cfg = scenario_from_dict(raw)
-    assert [part.stop - part.start for part in time_blocks(cfg.times.size, 32)] == [
-        64, 64, 64, 64, 45]
-    report = run_scenario(cfg)
+def test_a_five_block_record_matches_its_pinned_digest(five_block_gauge):
+    report = run_scenario(five_block_gauge)
     assert report.overall_pass
     digest = _timing_free_sha256(report)
     assert digest == FIVE_BLOCK_SHA256, (
         f"the five-block record moved; here numpy {np.__version__}, BLAS {_blas()}; "
         f"pinned with {TWO_BLOCK_BUILDS}")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_pinned_records_do_not_depend_on_the_worker_count(monkeypatch, two_block_gauge,
+                                                              five_block_gauge, workers):
+    # the sweep's time blocks run on `workers` threads and fold in block order; a
+    # short switch interval interleaves the threads often, so a block output lost
+    # or misplaced would move a record
+    monkeypatch.setattr(checks_module, "_WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert _timing_free_sha256(run_scenario(two_block_gauge)) == TWO_BLOCK_SHA256
+        assert _timing_free_sha256(run_scenario(five_block_gauge)) == FIVE_BLOCK_SHA256
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_wide_gauge_record_does_not_depend_on_the_worker_count(monkeypatch):
+    # random-unitary-gauge at n = 32 and N = 1000, the benchmark's wide-gauge size: 16 blocks
+    root = resources.files("fibreqm") / "catalog"
+    raw = json.loads((root / "random-unitary-gauge.json").read_text())
+    raw["dimension"], raw["grid"]["steps"] = 32, 1000
+    cfg = scenario_from_dict(raw)
+    digests = set()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(checks_module, "_WORKERS", workers)
+        report = run_scenario(cfg)
+        assert report.overall_pass
+        digests.add(_timing_free_sha256(report))
+    assert len(digests) == 1
