@@ -28,6 +28,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .hilbert import (
+    _in_block_order,
     antihermitian_exponentials,
     apply,
     as_operator,
@@ -86,17 +87,23 @@ def _unitary_adjoint(mats: np.ndarray) -> np.ndarray | None:
     Within that bound S^dagger is S^-1 to rounding, and every singular value of
     S lies within 1 +- n 1e-13, so S also passes the 1e-8 invertibility ratio.
     The Gram product is formed one `time_blocks` slice of the (N, n, n) stack at
-    a time, beside the adjoint it returns.
+    a time, on the workers, beside the adjoint it returns; once one slice fails
+    the test, the slices not yet started skip it.
     """
     adjoint = np.empty(mats.shape, dtype=complex)
     eye = np.eye(mats.shape[-1])
-    for part in time_blocks(*mats.shape[:2]):
-        np.conjugate(np.swapaxes(mats[part], -2, -1), out=adjoint[part])
-        gram = adjoint[part] @ mats[part]
-        gram -= eye
-        if max_abs(gram) > _UNITARY_TOL:
-            return None
-    return adjoint
+    unitary = [True]
+
+    def gram_test(part: slice) -> None:
+        if unitary[0]:
+            np.conjugate(np.swapaxes(mats[part], -2, -1), out=adjoint[part])
+            gram = adjoint[part] @ mats[part]
+            gram -= eye
+            if max_abs(gram) > _UNITARY_TOL:
+                unitary[0] = False
+
+    _in_block_order(gram_test, time_blocks(*mats.shape[:2]))
+    return adjoint if unitary[0] else None
 
 
 def _frame_inverse(mats: np.ndarray,
@@ -174,11 +181,36 @@ class TrivializationFamily:
         return self._checked(times)
 
     def _checked(self, times) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The checked values, derivative and inverse of one sampled batch.
+
+        A batch of several `time_blocks` slices is sampled one slice per call,
+        on the workers, into its two stacks; each slice is checked as it is
+        sampled.  If the first slice's values or derivative are a 0-stride
+        broadcast, the whole batch is sampled in one call instead, so a constant
+        family stays one broadcast.
+        """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        values, derivative = self._sample(times)
         what = f"trivialization '{self.name}'"
-        values = checked_stack(values, times, self.dimension, what)
-        derivative = checked_stack(derivative, times, self.dimension, f"{what} derivative")
+
+        def checked(ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            values, derivative = self._sample(ts)
+            return (checked_stack(values, ts, self.dimension, what),
+                    checked_stack(derivative, ts, self.dimension, f"{what} derivative"))
+
+        parts = time_blocks(times.size, self.dimension)
+        first = checked(times[parts[0]]) if len(parts) > 1 else None
+        if first is None or any(stack.strides[0] == 0 for stack in first):
+            values, derivative = checked(times)
+        else:
+            values, derivative = (np.empty((times.size,) + stack.shape[1:], dtype=complex)
+                                  for stack in first)
+            values[parts[0]], derivative[parts[0]] = first
+            del first
+
+            def sample(part: slice) -> None:
+                values[part], derivative[part] = checked(times[part])
+
+            _in_block_order(sample, parts[1:])
         return values, derivative, _require_invertible(values, self.name, times)
 
     def validate_on_grid(self, times) -> Tuple[np.ndarray, np.ndarray]:
@@ -194,13 +226,14 @@ class TrivializationFamily:
         Values and derivative come from one evaluation on the grid; returns the
         checked grid values and their inverses, so callers can reuse them
         instead of sampling or inverting the grid again.  Each stencil is
-        formed one `time_blocks` slice at a time.
+        formed one `time_blocks` slice at a time, on the workers.
         """
         times = np.asarray(times, dtype=float)
         values, derivative, inverse = self.derivative_at_many(times)
 
         def largest(count: int, entries: Callable[[slice], np.ndarray]) -> float:
-            return max(max_abs(entries(part)) for part in time_blocks(count, self.dimension))
+            return max(_in_block_order(lambda part: max_abs(entries(part)),
+                                       time_blocks(count, self.dimension)))
 
         if times.size >= 3:
             supplied, spans = derivative[1:-1], times[2:] - times[:-2]

@@ -13,13 +13,17 @@ scenario's order.  Then one sweep, `_sweep`, runs every other check on each
 slice and dropped after its last reader there; only pointwise checks, other
 block nodes and a check that builds its record from a block node's per-time
 series read one.  The transport's t0 stacks are such a node, `transport_t0`, so
-no whole one is formed.  The slices run concurrently on `_WORKERS` threads, the
-calling thread among them, so one slice's block nodes are in flight per thread;
-every whole node they read is built before them, and their outputs are folded
-in block order: each pointwise check's residuals, concatenated, are judged
-once; a check that builds its own record runs once after the last slice, on its
-block nodes' series concatenated.  A failure is a failed record of its check
-alone, that of its first failing block, never a silent pass.  Scenarios share
+no whole one is formed.  The slices run concurrently on the workers of the pool
+helper `hilbert._in_block_order`, the calling thread among them, so one slice's
+block nodes are in flight per thread; every whole node they read is built
+before them, and their outputs are folded in block order: each pointwise
+check's residuals, concatenated, are judged once; a check that builds its own
+record runs once after the last slice, on its block nodes' series
+concatenated.  A failure is a failed record of its check alone, that of its
+first failing block, never a silent pass.  The whole nodes' own block loops
+(sampling, exponentials, inverses) run on the same helper, on the calling
+thread's behalf, and raise their first failing block's error, so a failed
+`setup` record does not depend on the worker count either.  Scenarios share
 no mutable state, so suites run them in any order.
 """
 
@@ -27,9 +31,7 @@ from __future__ import annotations
 
 import functools
 import inspect
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
@@ -47,6 +49,7 @@ from .bundle import (
 )
 from .dynamics import PropagatorGrid, Trajectory, midpoint_propagators, propagate_states
 from .hilbert import (
+    _in_block_order,
     apply,
     distinct_matrices,
     expectations,
@@ -528,16 +531,6 @@ def _judged_blocks(check_id: str, tol: float, times: np.ndarray,
     return _judged(check_id, times, residuals, tol), series
 
 
-# Threads that run the sweep's time blocks, the calling thread among them: one per
-# available core, at most two, read once.  A constant, not a setting.  The blocks'
-# batched products release the GIL, and threads share the whole nodes every block
-# reads.  Each thread holds one slice's block nodes, about half a stack at n = 32,
-# N = 1000: at two the sweep's peak (5.15 stacks) stays below setup's (5.32), and
-# each more would add about half a stack; larger counts are unmeasured.
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-    os.cpu_count() or 1))
-
-
 def _whole_reads(check_ids: Sequence[str]) -> List[str]:
     """The nodes without a time block that the checks, or the block nodes they read,
     read, in the order a slice first reads them."""
@@ -581,49 +574,29 @@ def _block_output(nodes: dict, check_id: str, block: dict):
             else reads)
 
 
-def _in_block_order(run, parts: Sequence[slice], workers: int) -> list:
-    """[run(part) for part in parts], on up to `workers` threads, the calling thread
-    among them: thread w runs the slices w, w + workers, ...  One slice or one
-    worker runs on the calling thread alone, and no thread outlives the call."""
-    workers = min(workers, len(parts))
-    if workers <= 1:
-        return [run(part) for part in parts]
-    out = [None] * len(parts)
-
-    def share(first: int) -> None:
-        for k in range(first, len(parts), workers):
-            out[k] = run(parts[k])
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(share, first) for first in range(1, workers)]
-        share(0)
-        for helper in helpers:
-            helper.result()
-    return out
-
-
 def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
     """Check id -> (record, series) of each swept check, from one pass over the
     `time_blocks` slices.
 
     Every whole node that the checks or their block nodes read is built first, on
-    the calling thread; then the slices run on `_WORKERS` threads (`_run_block`),
-    on the calling thread alone if one of those builds raised, so that each reader
-    builds it again and fails by its error.  The outputs are folded in block order:
+    the calling thread; then the slices run on the workers (`_run_block`,
+    `hilbert._in_block_order`), on the calling thread alone if one of those
+    builds raised, so that each reader builds it again and fails by its error.  The outputs are folded in block order:
     a check's first failed record is its record and its later blocks are
     discarded.  After the last slice a pointwise check's blocks are judged once,
     and a check that builds its own record runs once, on each block node it reads
     concatenated over the slices.
     """
     cfg = nodes["cfg"]
-    workers = _WORKERS
+    run = functools.partial(_run_block, nodes, check_ids)
+    parts = time_blocks(cfg.times.size, cfg.dimension)
     try:
         for name in _whole_reads(check_ids):
             _read(nodes, name)
     except Exception:
-        workers = 1
-    blocks = _in_block_order(functools.partial(_run_block, nodes, check_ids),
-                             time_blocks(cfg.times.size, cfg.dimension), workers)
+        blocks = [run(part) for part in parts]
+    else:
+        blocks = _in_block_order(run, parts)
     outputs = {check_id: [] for check_id in check_ids}  # each block's output or reads
     outcomes = {}
     for block in blocks:

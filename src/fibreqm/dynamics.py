@@ -18,6 +18,7 @@ import numpy as np
 
 from .hilbert import (
     PhysicalConstants,
+    _in_block_order,
     as_operator,
     as_state,
     broadcast_sampler,
@@ -26,6 +27,7 @@ from .hilbert import (
     is_hermitian,
     matrix_exponential,
     max_abs,
+    stack_by_blocks,
     time_blocks,
 )
 
@@ -207,16 +209,18 @@ def midpoint_propagators(family, times: np.ndarray,
     stack that the exponential reads, so its samples, and what sampling them
     needs (the bundle generator's midpoint frames, their derivatives and
     inverses), are never whole stacks.  A sampler gives each time the same
-    values in any batch, so the steps do not depend on the slicing.  Where
-    every sample is one matrix (a constant family's 0-stride broadcast), no
-    scaled stack is formed: one step is exponentiated per distinct step length
-    and gathered.  Their largest 1-norm is the whole batch's, so is the plan
-    (`matrix_exponential`), and each step keeps the bits it has in the batch.
+    values in any batch, so the steps do not depend on the slicing.  The
+    scaled stack is this function's own, so it is exponentiated in place and
+    the steps are the one stack.  Where every sample is one matrix (a constant
+    family's 0-stride broadcast), no scaled stack is formed: one step is
+    exponentiated per distinct step length and gathered.  Their largest 1-norm
+    is the whole batch's, so is the plan (`matrix_exponential`), and each step
+    keeps the bits it has in the batch.
     """
     times = np.asarray(times, dtype=float)
     one, stack = _scaled_generator(family, times, constants.hbar)
     if stack is not None:
-        return matrix_exponential(stack)
+        return matrix_exponential(stack, out=stack)
     lengths, step_of = np.unique(np.diff(times), return_inverse=True)
     return matrix_exponential(_scaled(lengths, one, constants.hbar))[step_of]
 
@@ -232,28 +236,34 @@ def _scaled_generator(family, times: np.ndarray,
 
     The midpoints are sampled one `time_blocks` slice at a time.  While each
     sample is one matrix, and the same one, nothing is scaled; from the first
-    that is not, the stack is formed, the blocks before it from that matrix.
+    that is not, the stack is formed, the blocks before it from that matrix,
+    and the blocks after it on the workers (`hilbert._in_block_order`).
     """
     mids = (times[:-1] + times[1:]) / 2.0
     h = np.diff(times)
     n = family.dimension
     parts = time_blocks(mids.size, n)
-    one, stack = None, None
+    one = None
     for k, part in enumerate(parts):
         sample = family.at_many(mids[part])
-        if stack is None:
-            if (distinct_matrices(sample).shape[0] == 1
-                    and (one is None or np.array_equal(sample[0], one))):
-                one = sample[0]
-                continue
-            stack = np.empty((mids.size, n, n), dtype=complex)
-            for done in parts[:k]:  # each sample of these blocks is `one`
-                stack[done] = _scaled(h[done], one, hbar)
+        if (distinct_matrices(sample).shape[0] == 1
+                and (one is None or np.array_equal(sample[0], one))):
+            one = sample[0]
+            continue
+        stack = np.empty((mids.size, n, n), dtype=complex)
+        for done in parts[:k]:  # each sample of these blocks is `one`
+            stack[done] = _scaled(h[done], one, hbar)
         stack[part] = _scaled(h[part], sample, hbar)
         del sample  # no block of samples outlives its scaling
-    if one is None and stack is None:  # no midpoints
-        stack = np.empty((0, n, n), dtype=complex)
-    return (one, None) if stack is None else (None, stack)
+
+        def scale(rest: slice) -> None:
+            stack[rest] = _scaled(h[rest], family.at_many(mids[rest]), hbar)
+
+        _in_block_order(scale, parts[k + 1:])
+        return None, stack
+    if one is None:  # no midpoints
+        return None, np.empty((0, n, n), dtype=complex)
+    return one, None
 
 
 def propagate_states(propagators: np.ndarray, psi0: np.ndarray) -> np.ndarray:
@@ -297,7 +307,9 @@ class PropagatorGrid:
         self.constants = constants
         self.times = times
         self.from_t0 = from_t0
-        self.into_t0 = np.linalg.inv(from_t0)
+        # inverted one time block per call, on the workers: each matrix has the bits
+        # of one whole-stack call
+        self.into_t0 = stack_by_blocks(times.size, n, lambda part: np.linalg.inv(from_t0[part]))
         for a in (self.times, self.from_t0, self.into_t0):
             a.setflags(write=False)
 

@@ -1,16 +1,26 @@
-"""Finite-dimensional complex Hilbert-space primitives.
+"""Finite-dimensional complex Hilbert-space primitives, and the time blocks.
 
 Vectors are 1-D complex arrays, operators are square complex matrices.
 All comparisons use the max-absolute-entry metric so tolerances are
 dimension independent.
+
+A pointwise kernel over an (N, n, n) stack is cut into `time_blocks` slices,
+and every loop over those slices but `series_by_blocks` runs them through one
+pool helper, `_in_block_order`: on up to `_WORKERS` threads, the calling thread
+among them, its results and its first failure taken in block order.  This
+module is the one place that starts threads.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,17 +104,80 @@ def time_blocks(n_times: int, n: int) -> List[slice]:
     return [slice(start, min(start + size, n_times)) for start in range(0, n_times, size)]
 
 
-def stack_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """The complex (n_times, n, n) stack whose slice `part` is block(part), for each
-    `time_blocks` slice in turn: the one stack is the only whole one."""
-    out = np.empty((n_times, n, n), dtype=complex)
-    for part in time_blocks(n_times, n):
-        out[part] = block(part)
+# Threads that run a loop's time blocks, the calling thread among them: one per
+# available core, at most two, read once.  A constant, not a setting.  The blocks'
+# batched products release the GIL, and threads share the whole stacks every block
+# reads.  Each thread holds one slice's temporaries, and in the checks' sweep one
+# slice's block nodes, about half a stack at n = 32, N = 1000; larger counts are
+# unmeasured.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+    os.cpu_count() or 1))
+# `busy` is set on each thread while it runs the slices of a block loop.
+_worker = threading.local()
+
+
+def _in_block_order(run: Callable[[slice], object], parts: Sequence[slice]) -> list:
+    """[run(part) for part in parts], on up to `_WORKERS` threads, the calling thread
+    among them: thread w runs the slices w, w + workers, ... and stops at its first
+    failure.  The first failing slice in block order raises, whichever fails first.
+
+    One slice, one worker, or a loop entered on a thread that already runs a
+    loop's slices runs serially on the calling thread, so at most `_WORKERS`
+    threads ever run, and no thread outlives the call.  Each helper thread runs
+    its slices in a copy of the caller's context, so a caller's `np.errstate`
+    holds for every slice, whichever thread runs it.
+    """
+    workers = min(_WORKERS, len(parts))
+    if workers <= 1 or getattr(_worker, "busy", False):
+        return [run(part) for part in parts]
+    out, failures = [None] * len(parts), {}  # slice index -> its exception
+
+    def share(first: int) -> None:
+        _worker.busy = True
+        try:
+            for k in range(first, len(parts), workers):
+                try:
+                    out[k] = run(parts[k])
+                except Exception as exc:
+                    failures[k] = exc
+                    return
+        finally:
+            _worker.busy = False
+
+    caller = contextvars.copy_context()  # e.g. `np.errstate`, on every thread alike
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(caller.copy().run, share, first) for first in range(1, workers)]
+        share(0)
+        for helper in helpers:
+            helper.result()
+    if failures:
+        raise failures[min(failures)]
     return out
 
 
+def stack_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """The complex (n_times, n, n) stack whose slice `part` is block(part), for each
+    `time_blocks` slice, filled on the workers (`_in_block_order`): the one stack is
+    the only whole one."""
+    out = np.empty((n_times, n, n), dtype=complex)
+    _fill_by_blocks(out, block)
+    return out
+
+
+def _fill_by_blocks(out: np.ndarray, block: Callable[[slice], np.ndarray]) -> None:
+    """out[part] = block(part) for each `time_blocks` slice of the stack `out`, on the
+    workers."""
+    def fill(part: slice) -> None:
+        out[part] = block(part)
+
+    _in_block_order(fill, time_blocks(*out.shape[:2]))
+
+
 def series_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """The per-time series whose slice `part` is block(part), for each `time_blocks` slice."""
+    """The per-time series whose slice `part` is block(part), for each `time_blocks` slice
+    in turn on the calling thread, concatenated.  Serial, so only one slice's
+    temporaries are ever held: the integral-of-motion criteria, its callers, stay
+    within a few blocks above entry."""
     return np.concatenate([block(part) for part in time_blocks(n_times, n)])
 
 
@@ -191,32 +264,44 @@ def _taylor_plan(theta: float) -> Tuple[int, int]:
     return degree, squarings
 
 
-def matrix_exponential(a) -> np.ndarray:
+def matrix_exponential(a, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Matrix exponential by scaling and squaring of a Taylor polynomial of fixed degree.
 
     Accepts a single matrix or a stacked batch (..., n, n).  The batch's
     largest 1-norm theta fixes, once, the squarings s and the degree m
     (`_taylor_plan`): there is no adaptive tail, and the plan is a function of
     theta alone.  The polynomial is then evaluated one `time_blocks` slice at a
-    time into the one output stack, so its work stacks are blocks, and every
-    block uses the whole batch's plan, so each matrix gets the bits of a single
-    call (`_planned_exponential`).
+    time, on the workers (`_in_block_order`), into the one output stack, so its
+    work stacks are blocks, and every block uses the whole batch's plan, so each
+    matrix gets the bits of a single call (`_planned_exponential`).
+
+    `out`, a C-contiguous complex array of the input's shape, receives the
+    exponentials; it may be the input itself, which is then overwritten: theta
+    is read from the whole input first, and each slice reads its own input
+    whole before it writes its output.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
+    if out is not None and (out.shape != a.shape or out.dtype != complex
+                            or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous complex array of shape {a.shape}")
     n = a.shape[-1]
     stack = a.reshape(-1, n, n)
-    parts = time_blocks(stack.shape[0], n)
-    if not all(np.all(np.isfinite(stack[part])) for part in parts):
-        raise ValueError("matrix exponential of non-finite input")
 
-    theta = max((float(np.max(np.sum(np.abs(stack[part]), axis=-2))) for part in parts),
-                default=0.0)  # the batch's largest 1-norm
-    degree, squarings = _taylor_plan(theta)
-    out = stack_by_blocks(*stack.shape[:2],
-                          lambda part: _planned_exponential(stack[part], degree, squarings))
-    return out.reshape(a.shape)
+    def one_norm(part: slice) -> Tuple[bool, float]:
+        """Whether the block is finite, and its largest 1-norm."""
+        block = stack[part]
+        return bool(np.all(np.isfinite(block))), float(np.max(np.sum(np.abs(block), axis=-2)))
+
+    blocks = _in_block_order(one_norm, time_blocks(stack.shape[0], n))
+    if not all(finite for finite, _ in blocks):
+        raise ValueError("matrix exponential of non-finite input")
+    degree, squarings = _taylor_plan(max((norm for _, norm in blocks), default=0.0))
+    result = np.empty(a.shape, dtype=complex) if out is None else out
+    _fill_by_blocks(result.reshape(stack.shape),
+                    lambda part: _planned_exponential(stack[part], degree, squarings))
+    return result
 
 
 def _planned_exponential(a: np.ndarray, degree: int, squarings: int) -> np.ndarray:

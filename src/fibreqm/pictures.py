@@ -240,8 +240,9 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     transport already sampled and inverted, and the conjugation the t0 rows
     of each block, `matrices_from`/`matrices_into`); certification requires
     every applicable criterion to pass (`IntegralOfMotionReport.decided`).
-    Both residuals are formed one `time_blocks` slice at a time, so neither
-    criterion holds a whole stack, and no whole t0 stack is formed.
+    Both residuals are formed one `time_blocks` slice at a time, on the calling
+    thread (`series_by_blocks`), so neither criterion holds more than one
+    slice's blocks, and no whole t0 stack is formed.
     """
     commutator_residual, a_vals = commutator_criterion(a, transport)
     transport_residual = None

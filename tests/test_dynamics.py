@@ -281,9 +281,9 @@ class TestMidpointSteps:
         """The batch size of each exponential, and the steps."""
         sizes, real = [], dynamics_module.matrix_exponential
 
-        def recording(a):
+        def recording(a, **kwargs):
             sizes.append(a.shape[0])
-            return real(a)
+            return real(a, **kwargs)
 
         monkeypatch.setattr(dynamics_module, "matrix_exponential", recording)
         return sizes, midpoint_propagators(family, times)

@@ -243,6 +243,25 @@ class TestMatrixExponential:
         assert np.array_equal(view, base.T)
         assert max_abs(result - scipy.linalg.expm(view)) <= 1e-15
 
+    @pytest.mark.parametrize("scale", [1e-9, 0.3, 3.0])  # no squaring, and two
+    def test_in_place_gives_the_bits_of_a_new_stack(self, scale):
+        # 200 matrices of 32 x 32, four time blocks: each block is read whole before
+        # it is overwritten, and the plan is the whole batch's
+        rng = np.random.default_rng(5)
+        batch = scale * (rng.normal(size=(200, 32, 32)) + 1j * rng.normal(size=(200, 32, 32)))
+        assert len(time_blocks(200, 32)) == 4
+        expected = matrix_exponential(batch)
+        result = matrix_exponential(batch, out=batch)
+        assert result is batch
+        assert np.array_equal(batch, expected)
+
+    @pytest.mark.parametrize("out", [np.empty((3, 4, 4), dtype=complex),
+                                     np.empty((2, 4, 4)),
+                                     np.empty((2, 4, 4), dtype=complex)[:, :, ::-1]])
+    def test_out_must_be_a_complex_array_of_the_input_shape(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            matrix_exponential(np.zeros((2, 4, 4)), out=out)
+
     def test_anti_hermitian_batch_gives_unitary_stack(self):
         rng = np.random.default_rng(32)
         m = rng.normal(size=(1000, 32, 32)) + 1j * rng.normal(size=(1000, 32, 32))
@@ -325,6 +344,22 @@ class TestTimeBlocks:
         for name, _ in catalog_names():
             cfg = load_catalog_scenario(name)
             assert time_blocks(cfg.times.size, cfg.dimension) == [slice(0, cfg.times.size)], name
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_callers_errstate_holds_on_every_worker(self, monkeypatch, workers):
+        # four blocks; only the second overflows, and at 2 and 3 workers a helper
+        # thread runs it
+        monkeypatch.setattr(hilbert, "_WORKERS", workers)
+        parts = time_blocks(200, 32)
+        assert len(parts) == 4
+
+        def block(part: slice) -> np.ndarray:
+            scale = 1e300 if part == parts[1] else 1.0
+            return np.full((part.stop - part.start, 32, 32), scale) * scale
+
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError):
+                hilbert.stack_by_blocks(200, 32, block)
 
     def test_a_blocked_exponential_gives_the_bits_of_one_call_per_block(self):
         # 200 matrices at n = 32 are four blocks; each is planned from the whole batch

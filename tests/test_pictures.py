@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fibreqm.hilbert as hilbert_module
 import fibreqm.pictures as pictures_module
 
 from fibreqm.bundle import (
@@ -381,8 +382,10 @@ class TestIntegralsOfMotion:
                                        random_smooth_unitary_trivialization(32, 36).at_many(times))
         return ObservableFamily.constant(h.at(0.0)), transport
 
-    def test_a_constant_candidate_holds_one_stack_beside_its_blocks(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_constant_candidate_holds_one_stack_beside_its_blocks(self, monkeypatch, workers):
         # The zero broadcast dA/dt is tested on its one matrix and adds nothing.
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         candidate, transport = self.wide_constant_candidate()
         # whole t0 stacks already cached: the criterion forms its own rows anyway
         assert transport.from_t0.shape == transport.into_t0.shape
@@ -394,10 +397,13 @@ class TestIntegralsOfMotion:
         finally:
             tracemalloc.stop()
         assert report.certified and report.transport_residual is not None
-        # blocks alone: no commutator, dA/dt, deviation or transported stack
+        # blocks alone, of one slice at any worker count: no commutator, dA/dt,
+        # deviation or transported stack
         assert peak - start <= 4 * _BLOCK_BYTES
 
-    def test_a_fresh_transport_forms_no_whole_t0_stack(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_fresh_transport_forms_no_whole_t0_stack(self, monkeypatch, workers):
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         candidate, transport = self.wide_constant_candidate()
         tracemalloc.start()
         try:
@@ -408,7 +414,8 @@ class TestIntegralsOfMotion:
             tracemalloc.stop()
         assert report.certified and report.transport_residual is not None
         # the t0 rows of each block (the from-rows dropped once multiplied), beside
-        # the lift's blocks; the transport's cached whole stacks are never formed
+        # the lift's blocks, of one slice at any worker count; the transport's cached
+        # whole stacks are never formed
         assert peak - start <= 4 * _BLOCK_BYTES
         assert not {"from_t0", "into_t0"} & set(vars(transport))
 

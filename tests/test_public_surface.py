@@ -210,8 +210,9 @@ def test_library_sketch_runs_and_prints_small_residuals():
     assert all(x < 1e-6 for x in printed), printed
 
 
-def test_only_the_checks_runner_imports_threads():
-    """The sweep in `checks` is the one place that runs threads, so it alone may import
+def test_only_the_pool_helper_imports_threads():
+    """The pool helper in `hilbert`, which runs the time blocks of setup and of the
+    checks' sweep, is the one place that runs threads, so it alone may import
     `threading` or `concurrent.futures`."""
     importers = set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -226,4 +227,4 @@ def test_only_the_checks_runner_imports_threads():
             if any(module.split(".")[0] == "threading" or module.startswith("concurrent.futures")
                    for module in modules):
                 importers.add(path.name)
-    assert importers == {"checks.py"}
+    assert importers == {"hilbert.py"}

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import fibreqm.checks as checks_module
+import fibreqm.hilbert as hilbert_module
 from fibreqm.checks import run_scenario
 from fibreqm.scenario import scenario_from_dict
 
@@ -74,7 +74,7 @@ def test_the_pinned_records_do_not_depend_on_the_worker_count(monkeypatch, two_b
     # the sweep's time blocks run on `workers` threads and fold in block order; a
     # short switch interval interleaves the threads often, so a block output lost
     # or misplaced would move a record
-    monkeypatch.setattr(checks_module, "_WORKERS", workers)
+    monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -92,7 +92,7 @@ def test_the_wide_gauge_record_does_not_depend_on_the_worker_count(monkeypatch):
     cfg = scenario_from_dict(raw)
     digests = set()
     for workers in (1, 2, 3):
-        monkeypatch.setattr(checks_module, "_WORKERS", workers)
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         report = run_scenario(cfg)
         assert report.overall_pass
         digests.add(_timing_free_sha256(report))

@@ -19,6 +19,7 @@ import pytest
 
 import fibreqm.bundle as bundle_module
 import fibreqm.checks as checks_module
+import fibreqm.dynamics as dynamics_module
 import fibreqm.hilbert as hilbert_module
 import fibreqm.pictures as pictures_module
 import fibreqm.scenario as scenario_module
@@ -39,8 +40,9 @@ from fibreqm.dynamics import (
     PropagatorGrid,
     Trajectory,
     grid_index,
+    midpoint_propagators,
 )
-from fibreqm.hilbert import time_blocks
+from fibreqm.hilbert import matrix_exponential, time_blocks
 from fibreqm.pictures import PictureTransform
 from fibreqm.report import CheckRecord, emit, report_from_dict, suite_from_dict
 from fibreqm.scenario import (
@@ -52,7 +54,7 @@ from fibreqm.scenario import (
     scenario_from_dict,
 )
 from fibreqm.suite import run_configs, run_suite
-from fibreqm.transport import EvolutionTransport
+from fibreqm.transport import EvolutionTransport, MatrixBundleHamiltonian
 
 MINIMAL = {
     "name": "minimal",
@@ -692,7 +694,7 @@ class TestSweep:
     def test_a_block_node_is_dropped_after_its_last_reader_in_its_block(self, monkeypatch,
                                                                         two_block_gauge):
         cfg = two_block_gauge
-        monkeypatch.setattr(checks_module, "_WORKERS", 1)  # one block in flight
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 1)  # one block in flight
         # the transport criterion's block node is built after every other swept check
         # has run in its block
         swept = [c for c in cfg.checks if c in checks_module._SWEPT]
@@ -772,7 +774,7 @@ class TestConcurrentSweep:
     def test_a_failure_is_that_of_the_first_failing_block_whichever_finishes_first(
             self, monkeypatch, five_block_gauge):
         cfg = dataclasses.replace(five_block_gauge, checks=["state_equivalence", "norm_drift"])
-        monkeypatch.setattr(checks_module, "_WORKERS", 3)
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 3)
         starts = [part.start for part in time_blocks(cfg.times.size, cfg.dimension)]
         third_done = threading.Event()
         waited = []  # whether the second block saw the third one finish first
@@ -798,7 +800,7 @@ class TestConcurrentSweep:
 
     def test_each_whole_node_is_built_once_per_pass_at_two_workers(self, monkeypatch,
                                                                    two_block_gauge):
-        monkeypatch.setattr(checks_module, "_WORKERS", 2)
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 2)
         built = []
 
         def counting(*reads, name, build):
@@ -818,7 +820,7 @@ class TestConcurrentSweep:
 
     def test_a_whole_node_that_raises_fails_its_readers_alone(self, monkeypatch,
                                                               two_block_gauge):
-        monkeypatch.setattr(checks_module, "_WORKERS", 2)
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 2)
         clean = run_scenario(two_block_gauge)
 
         def raises(*reads):
@@ -832,7 +834,7 @@ class TestConcurrentSweep:
                                      "FloatingPointError: overflow in the reference state", set())
 
     def test_no_thread_outlives_the_sweep(self, monkeypatch, two_block_gauge):
-        monkeypatch.setattr(checks_module, "_WORKERS", 2)
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 2)
         during = []  # the live threads at each block of one check
         check = _CHECK_TABLE["norm_drift"]
 
@@ -847,8 +849,8 @@ class TestConcurrentSweep:
         assert len(during) == 2 and max(during) == before + 1  # one helper thread
 
     def test_a_one_block_scenario_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(checks_module, "_WORKERS", 2)
-        monkeypatch.setattr(checks_module, "ThreadPoolExecutor", None)  # unusable
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 2)
+        monkeypatch.setattr(hilbert_module, "ThreadPoolExecutor", None)  # unusable
         assert run_scenario(load_catalog_scenario("random-unitary-gauge")).overall_pass
 
     def test_the_t0_lookups_do_not_grow_with_the_blocks(self, monkeypatch, two_block_gauge,
@@ -870,6 +872,142 @@ class TestConcurrentSweep:
         # t0 is looked up once, when the transport is built; the t0 rows of every
         # block and the row U(t0, t0) reuse its index
         assert per_run == [1, 1, 1]
+
+
+class TestConcurrentSetup:
+    """Setup's block loops run on the workers of `hilbert._in_block_order` too: the
+    same bits at any worker count, the first failing block's error, and never more
+    than `_WORKERS` threads."""
+
+    @staticmethod
+    def kernels(cfg) -> dict:
+        """Every setup kernel whose blocks run on the workers, on the config's grid."""
+        times, constants = cfg.times, cfg.constants
+        bundle_generator = MatrixBundleHamiltonian(cfg.hamiltonian, cfg.trivialization, times,
+                                                   constants)
+        h0 = cfg.hamiltonian.at(times[0])
+        varying = HamiltonianFamily(lambda ts: np.cos(ts)[:, None, None] * h0, cfg.dimension)
+        values, inverses = cfg.trivialization.validate_on_grid(times)
+        _, scaled = dynamics_module._scaled_generator(bundle_generator, times, constants.hbar)
+        grid = PropagatorGrid(varying, times, constants)
+        return {
+            "bundle steps": midpoint_propagators(bundle_generator, times, constants),
+            "conventional steps": midpoint_propagators(cfg.hamiltonian, times, constants),
+            "time-dependent steps": midpoint_propagators(varying, times, constants),
+            "grid values": values,
+            "grid inverses": inverses,
+            "into_t0": grid.into_t0,
+            "whole-stack inverse": np.linalg.inv(grid.from_t0),
+            "exponentials": matrix_exponential(scaled),
+        }
+
+    def test_the_setup_kernels_do_not_depend_on_the_worker_count(self, monkeypatch,
+                                                                 five_block_gauge):
+        cfg = five_block_gauge
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
+            outputs.append(self.kernels(cfg))
+        serial = outputs[0]
+        assert serial["bundle steps"].shape == (300, 32, 32)
+        for concurrent in outputs[1:]:
+            for key, value in serial.items():
+                assert np.array_equal(concurrent[key], value), key
+        # the inverse per block has the bits of one whole-stack call
+        assert np.array_equal(serial["into_t0"], serial["whole-stack inverse"])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_setup_failure_is_that_of_the_first_failing_block(self, monkeypatch,
+                                                                 five_block_gauge, workers):
+        # l(t) = diag(f(t), 1, ..., 1) with f = (t - a)(t - b) vanishing at the midpoints
+        # a and b of the second and fourth blocks of midpoints: the grid frames are
+        # invertible, and the bundle generator's midpoint frames of those two blocks
+        # are singular
+        cfg = five_block_gauge
+        mids = (cfg.times[:-1] + cfg.times[1:]) / 2.0
+        starts = [part.start for part in time_blocks(mids.size, cfg.dimension)]
+        a, b = mids[starts[1] + 36], mids[starts[3] + 28]
+        eye = np.eye(cfg.dimension, dtype=complex)
+
+        def sample(ts):
+            values = np.repeat(eye[None], ts.size, axis=0)
+            derivative = np.zeros_like(values)
+            values[:, 0, 0] = (ts - a) * (ts - b)
+            derivative[:, 0, 0] = 2 * ts - a - b
+            return values, derivative
+
+        cfg = dataclasses.replace(cfg, trivialization=TrivializationFamily(sample, 32, "twice"))
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
+        # at three workers the fourth block runs beside the second: its failure is
+        # made to come first
+        fourth_failed = threading.Event()
+        waited = []
+        real = bundle_module._require_invertible
+
+        def ordered(mats, name, times):
+            times = np.atleast_1d(times)
+            if workers == 3 and a in times:
+                waited.append(fourth_failed.wait(timeout=30))
+            try:
+                return real(mats, name, times)
+            finally:
+                if b in times:
+                    fourth_failed.set()
+
+        monkeypatch.setattr(bundle_module, "_require_invertible", ordered)
+        report = run_scenario(cfg)
+        assert waited == ([True] if workers == 3 else [])
+        assert [record.to_dict() for record in report.records] == [CheckRecord(
+            "setup", INF, 0.0, False, None,
+            f"SingularTrivializationError: trivialization 'twice' is singular at t={a:g}"
+        ).to_dict()]
+
+    def test_no_more_than_the_workers_run_and_nested_blocks_start_no_thread(
+            self, monkeypatch, five_block_gauge):
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 3)
+        during = []  # the live threads in each block of setup's and the sweep's loops
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def count(*args, **kwargs):
+                during.append(threading.active_count())
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, count)
+
+        counting(hilbert_module, "_planned_exponential")  # the step exponentials
+        counting(dynamics_module, "_scaled")  # the bundle generator's blocks
+        counting(bundle_module, "max_abs")  # the Gram tests and the stencils
+        check = _CHECK_TABLE["norm_drift"]
+        monkeypatch.setitem(_CHECK_TABLE, "norm_drift", lambda part, *reads: (
+            during.append(threading.active_count()) or check(part, *reads)))
+        before = threading.active_count()
+        assert run_scenario(five_block_gauge).overall_pass
+        assert threading.active_count() == before
+        assert max(during) == before + 2  # two helpers beside the calling thread
+
+        # a block loop inside a block loop runs serially on its worker
+        pools = []
+
+        class Counted(hilbert_module.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(hilbert_module, "ThreadPoolExecutor", Counted)
+        parts = time_blocks(301, 32)
+        del during[:]
+
+        def inner(part):
+            during.append(threading.active_count())
+            return part.start
+
+        nested = hilbert_module._in_block_order(
+            lambda part: hilbert_module._in_block_order(inner, parts), parts)
+        assert nested == [[part.start for part in parts]] * len(parts)
+        assert pools == [(2,)] and max(during) <= before + 2
+        assert threading.active_count() == before
 
 
 def test_no_check_cuts_blocks_judges_itself_or_takes_a_series():
@@ -1144,7 +1282,7 @@ class TestArtifactNodes:
     def test_a_node_is_dropped_after_its_last_reader(self, monkeypatch, two_block_gauge):
         cfg = two_block_gauge
         # one worker, so that the builds alive at a check's call are those of its own block
-        monkeypatch.setattr(checks_module, "_WORKERS", 1)
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 1)
         # the checks that build their own record run first, then the sweep of the
         # pointwise checks over the two blocks
         assert [c for c in cfg.checks if c not in POINTWISE_CHECKS] == [
@@ -1262,7 +1400,7 @@ class TestArtifactNodes:
     def test_integrals_of_motion_keeps_no_commutator_stack_alive(self, monkeypatch,
                                                                  two_block_gauge):
         cfg = two_block_gauge
-        monkeypatch.setattr(checks_module, "_WORKERS", 1)  # a peak is one call's alone
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 1)  # a peak is one call's alone
         nodes = build_artifacts(cfg)
         above = {}  # the check, or a node of its criteria -> its largest peak over its
         # calls, above the heap each call found
@@ -1318,7 +1456,7 @@ class TestArtifactNodes:
     def test_hermiticity_correspondence_conjugates_a_broadcast_observable_once(
             self, monkeypatch, two_block_gauge):
         cfg = two_block_gauge
-        monkeypatch.setattr(checks_module, "_WORKERS", 1)  # a peak is one call's alone
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 1)  # a peak is one call's alone
         nodes = build_artifacts(cfg)
         check_id = "hermiticity_correspondence"
         assert all(stack.strides[0] == 0 for stack in nodes["observables"].values())
@@ -1352,19 +1490,22 @@ class TestArtifactNodes:
         raw["dimension"], raw["grid"]["steps"] = 32, 1000
         cfg = scenario_from_dict(raw)
         one_stack = cfg.times.size * 32 * 32 * np.dtype(complex).itemsize
-        # At the default worker count, with one block set in flight per worker,
-        # the peak is still setup's (5.32 stacks measured); the count is capped at
+        # At the default worker count, with one slice's blocks in flight per worker,
+        # the peak is setup's transport build (5.22 stacks measured: the frames, their
+        # inverses, the conventional steps, both t0 stacks and two blocks of the
+        # inverse); the bound adds two blocks (0.13 stack).  The count is capped at
         # two, so this holds on a host of any core count.
-        assert 1 <= checks_module._WORKERS <= 2
+        assert 1 <= hilbert_module._WORKERS <= 2
+        peak_bound = 5.35 * one_stack
         tracemalloc.start()
         try:
             assert run_scenario(cfg).overall_pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 5.6 * one_stack
+        assert peak <= peak_bound
         # One worker below, so that each call's peak is its own.
-        monkeypatch.setattr(checks_module, "_WORKERS", 1)
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 1)
         peaks = [0]  # the scenario's peak, kept across each build's `reset_peak`
         above = {}  # check id or node name -> its largest peak, over its calls (a
         # check's blocks and judge, a block node's blocks), above the heap each
@@ -1401,20 +1542,19 @@ class TestArtifactNodes:
         # Held through the sweep: the frames, their inverses and the two conventional
         # t0 stacks; the transport's t0 rows, the transported section and its
         # Heisenberg states, the lifted observables and both densities are blocks
-        # of the sweep.  The peak is bundle_section's setup: the frames, their
-        # inverses, the conventional steps and its own two stacks (5.32 stacks
-        # measured).
-        assert max(peaks) <= 5.6 * one_stack
+        # of the sweep.  The peak is the transport's setup (5.18 stacks measured
+        # with these probes).
+        assert max(peaks) <= peak_bound
         # Every check block, judge and node build, setup ones too, keeps at most
-        # one whole temporary stack beside its blocks: a t0 stack, the step
-        # exponential's input, or the grid frames' derivative.  What a node keeps
-        # counts once built, so a build is measured above the larger of the heap
-        # it found and the heap it left.  bundle_section alone holds two: the
-        # scaled steps and their exponentials, as its midpoint frames are
-        # sampled one block at a time.
+        # one whole temporary stack beside its blocks: a t0 stack, the scaled
+        # steps, which are exponentiated in place, or the grid frames' derivative.
+        # What a node keeps counts once built, so a build is measured above the
+        # larger of the heap it found and the heap it left.  bundle_section's
+        # blocks are its midpoint samples' (5.5 blocks measured), as its midpoint
+        # frames are sampled one block at a time.
         block = hilbert_module._BLOCK_BYTES
         allowance = dict.fromkeys(above, one_stack + 5 * block)
-        allowance["bundle_section"] = 2 * one_stack + 5 * block
+        allowance["bundle_section"] = one_stack + 6 * block
         heavy = {key: round(extra / one_stack, 2) for key, extra in above.items()
                  if extra > allowance[key]}
         assert not heavy, heavy
