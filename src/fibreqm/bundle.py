@@ -15,19 +15,22 @@ samples alone: if max|S^dagger S - I| <= 1e-13, S is unitary to rounding and
 S^-1 = S^dagger, which also proves it invertible, so no SVD, `inv` or solve
 runs; otherwise the SVD ratio check and `np.linalg.inv` run as for any
 invertible matrix.  Each batch a family samples (the grid, or one time block
-of midpoints) is proven and inverted once, when it is sampled, and every
-reader takes that inverse; a broadcast is proven and inverted on its one
-matrix.
+of midpoints) is proven once, when it is sampled, into a `FrameInverse`, which
+every reader indexes: over a unitary stack each read forms S^dagger of the
+rows it selects, so no whole inverse stack is held; otherwise a read is rows
+of the one `inv` stack.  A broadcast is proven and inverted on its one matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .hilbert import (
+    _frozen,
     _in_block_order,
     antihermitian_exponentials,
     apply,
@@ -41,6 +44,7 @@ from .hilbert import (
 )
 
 __all__ = [
+    "FrameInverse",
     "MorphismAlongPath",
     "NonPointwiseOperatorError",
     "SectionAlongPath",
@@ -81,48 +85,84 @@ _DERIVATIVE_FD_TOL = 1e-3
 _UNITARY_TOL = 1e-13
 
 
-def _unitary_adjoint(mats: np.ndarray) -> np.ndarray | None:
-    """S^dagger if the samples prove S unitary (max|S^dagger S - I| <= 1e-13), else None.
+class FrameInverse:
+    """S^-1 of a checked (N, n, n) frame stack S, read one index, slice or index array
+    at a time: `inverse[idx]` is the inverse of `S[idx]`.
+
+    `_frame_inverse` decides which it is, once, from the samples.  Over a stack
+    proven unitary it holds no inverse: each read forms S^dagger of the rows it
+    selects, C-contiguous, so a read has the bits and the layout that the same
+    rows of a whole adjoint stack have, and no whole inverse stack is held.
+    Otherwise it holds `stack`, the read-only `np.linalg.inv` stack or the
+    broadcast of a broadcast's one inverse, and a read is its rows.  `whole`,
+    the whole stack formed on first use and read only, is for library callers;
+    the engine never reads it.
+    """
+
+    def __init__(self, frames: np.ndarray, stack: Optional[np.ndarray] = None):
+        self._frames = frames
+        self._stack = None if stack is None else _frozen(stack)
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return (self._frames if self._stack is None else self._stack).shape
+
+    def __getitem__(self, index) -> np.ndarray:
+        if self._stack is not None:
+            return self._stack[index]
+        frames = self._frames[index]
+        return np.conjugate(np.swapaxes(frames, -2, -1),
+                            out=np.empty(frames.shape, dtype=complex))
+
+    @cached_property
+    def whole(self) -> np.ndarray:
+        """Every S^-1 as one read-only stack, formed once."""
+        return _frozen(self[:]) if self._stack is None else self._stack
+
+
+def _proven_unitary(mats: np.ndarray, adjoint: FrameInverse) -> bool:
+    """Whether the samples prove S unitary: max|S^dagger S - I| <= 1e-13, S^dagger
+    read from `adjoint`, the per-read adjoint of `mats`.
 
     Within that bound S^dagger is S^-1 to rounding, and every singular value of
     S lies within 1 +- n 1e-13, so S also passes the 1e-8 invertibility ratio.
     The Gram product is formed one `time_blocks` slice of the (N, n, n) stack at
-    a time, on the workers, beside the adjoint it returns; once one slice fails
-    the test, the slices not yet started skip it.
+    a time, on the workers; once one slice fails the test, the slices not yet
+    started skip it.
     """
-    adjoint = np.empty(mats.shape, dtype=complex)
     eye = np.eye(mats.shape[-1])
     unitary = [True]
 
     def gram_test(part: slice) -> None:
         if unitary[0]:
-            np.conjugate(np.swapaxes(mats[part], -2, -1), out=adjoint[part])
             gram = adjoint[part] @ mats[part]
             gram -= eye
             if max_abs(gram) > _UNITARY_TOL:
                 unitary[0] = False
 
     _in_block_order(gram_test, time_blocks(*mats.shape[:2]))
-    return adjoint if unitary[0] else None
+    return unitary[0]
 
 
 def _frame_inverse(mats: np.ndarray,
-                   prove: Callable[[np.ndarray], None] = lambda distinct: None) -> np.ndarray:
-    """S^-1 over an (N, n, n) stack: S^dagger where the samples prove S unitary, else
-    `np.linalg.inv`, after `prove` has passed on the matrices that are not.
+                   prove: Callable[[np.ndarray], None] = lambda distinct: None) -> FrameInverse:
+    """S^-1 over an (N, n, n) stack, the one place that decides its representation:
+    S^dagger formed per read where the samples prove S unitary, else the
+    `np.linalg.inv` stack, after `prove` has passed on the matrices that are not.
 
     A broadcast is tested and inverted on its one matrix (`distinct_matrices`),
-    and its inverse is a read-only broadcast.
+    and its inverse is a read-only broadcast of that matrix's.
     """
     distinct = distinct_matrices(mats)
-    inverse = _unitary_adjoint(distinct)
-    if inverse is None:
+    inverse = FrameInverse(distinct)
+    if not _proven_unitary(distinct, inverse):
         prove(distinct)
-        inverse = np.linalg.inv(distinct)
-    return inverse if distinct is mats else np.broadcast_to(inverse, mats.shape)
+        inverse = FrameInverse(distinct, np.linalg.inv(distinct))
+    return inverse if distinct is mats else FrameInverse(
+        mats, np.broadcast_to(inverse[:], mats.shape))
 
 
-def _require_invertible(mats: np.ndarray, name: str, times) -> np.ndarray:
+def _require_invertible(mats: np.ndarray, name: str, times) -> FrameInverse:
     """The inverse of a family's frame stack (`_frame_inverse`), once it is proven invertible.
 
     A stack unitary to 1e-13 is proven by that test.  Any other must keep each
@@ -172,15 +212,15 @@ class TrivializationFamily:
         """The stack l(t_k), sampled once and checked invertible once."""
         return self._checked(times)[0]
 
-    def derivative_at_many(self, times) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stacks l(t_k), dl/dt(t_k) and l(t_k)^-1 from one evaluation.
+    def derivative_at_many(self, times) -> Tuple[np.ndarray, np.ndarray, FrameInverse]:
+        """The stacks l(t_k) and dl/dt(t_k) from one evaluation, and l(t_k)^-1.
 
-        l is checked invertible once, and that check decides the inverse, so no
-        reader inverts the stack again.
+        l is checked invertible once, and that check decides the inverse (a
+        `FrameInverse`, read by index), so no reader inverts the stack again.
         """
         return self._checked(times)
 
-    def _checked(self, times) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _checked(self, times) -> Tuple[np.ndarray, np.ndarray, FrameInverse]:
         """The checked values, derivative and inverse of one sampled batch.
 
         A batch of several `time_blocks` slices is sampled one slice per call,
@@ -213,7 +253,7 @@ class TrivializationFamily:
             _in_block_order(sample, parts[1:])
         return values, derivative, _require_invertible(values, self.name, times)
 
-    def validate_on_grid(self, times) -> Tuple[np.ndarray, np.ndarray]:
+    def validate_on_grid(self, times) -> Tuple[np.ndarray, FrameInverse]:
         """Check invertibility at every grid time and derivative consistency.
 
         Every grid value must be unitary to 1e-13 or keep its smallest singular
@@ -224,7 +264,7 @@ class TrivializationFamily:
         grids while order-one mistakes are still caught.
 
         Values and derivative come from one evaluation on the grid; returns the
-        checked grid values and their inverses, so callers can reuse them
+        checked grid values and their `FrameInverse`, so callers can reuse them
         instead of sampling or inverting the grid again.  Each stencil is
         formed one `time_blocks` slice at a time, on the workers.
         """
@@ -388,7 +428,7 @@ def _same_grid(a: np.ndarray, b: np.ndarray) -> None:
 def lift_operators(frames: np.ndarray, inverse_frames: np.ndarray, a) -> np.ndarray:
     """l(t_k)^-1 A_k l(t_k) over stacks of checked frames; one frame or A broadcasts.
 
-    Takes the inverses l^-1 the caller already holds (a transport's
+    Takes the inverses l^-1 the caller already holds (rows of a transport's
     `inverse_frames`), in the argument order of `bundle_adjoint_maps`, so a
     lift is two batched products and nothing is solved per call.
     """
@@ -406,14 +446,14 @@ def lift_trajectory(l: TrivializationFamily, times, states) -> SectionAlongPath:
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
     _, _, inverse = l.derivative_at_many(times)
-    return SectionAlongPath(times, apply(inverse, states))
+    return SectionAlongPath(times, apply(inverse[:], states))
 
 
 def lift_operator_on_grid(l: TrivializationFamily, times, a) -> MorphismAlongPath:
     """Lift one operator (or a stack, one per time) at every grid time."""
     times = np.asarray(times, dtype=float)
     frames, _, inverse = l.derivative_at_many(times)
-    return MorphismAlongPath(times, lift_operators(frames, inverse, a))
+    return MorphismAlongPath(times, lift_operators(frames, inverse[:], a))
 
 
 # --- fibre metric and adjoints ---------------------------------------------
@@ -426,7 +466,7 @@ def fibre_inner_products(frames: np.ndarray, u: np.ndarray, v: np.ndarray) -> np
 def bundle_adjoint_maps(ls: np.ndarray, lt_inv: np.ndarray, a: np.ndarray) -> np.ndarray:
     """l_t^-1 (l_s A l_t^-1)^dagger l_s over stacks of checked frames and maps.
 
-    Takes the inverses l_t^-1 the caller already holds (a transport's
+    Takes the inverses l_t^-1 the caller already holds (rows of a transport's
     `inverse_frames`), so nothing is inverted again per map.
     """
     return lt_inv @ np.swapaxes((ls @ a @ lt_inv).conj(), -2, -1) @ ls

@@ -12,10 +12,11 @@ scenario's order.  Then one sweep, `_sweep`, runs every other check on each
 `part`, is built on its first read in a slice, shared by every check of that
 slice and dropped after its last reader there; only pointwise checks, other
 block nodes and a check that builds its record from a block node's per-time
-series read one.  The transport's t0 stacks are such a node, `transport_t0`, so
-no whole one is formed.  The slices run concurrently on the workers of the pool
-helper `hilbert._in_block_order`, the calling thread among them, so one slice's
-block nodes are in flight per thread; every whole node they read is built
+series read one.  The transport's t0 stacks are such a node, `transport_t0`, and
+so are the rows of the frame inverses, `inverse_frames`, so no whole one is
+formed.  The slices run concurrently on the workers of the pool helper
+`hilbert._in_block_order`, the calling thread among them, so one slice's block
+nodes are in flight per thread; every whole node they read is built
 before them, and their outputs are folded in block order: each pointwise
 check's residuals, concatenated, are judged once; a check that builds its own
 record runs once after the last slice, on its block nodes' series
@@ -38,6 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .bundle import (
+    FrameInverse,
     MorphismAlongPath,
     SectionAlongPath,
     TrivializationFamily,
@@ -47,7 +49,13 @@ from .bundle import (
     morphism_as_section_operator,
     section_operator_as_morphism,
 )
-from .dynamics import PropagatorGrid, Trajectory, midpoint_propagators, propagate_states
+from .dynamics import (
+    PropagatorGrid,
+    Trajectory,
+    midpoint_propagators,
+    propagate_states,
+    step_products,
+)
 from .hilbert import (
     _in_block_order,
     apply,
@@ -107,19 +115,25 @@ def _sample_triples(times: np.ndarray, seed: int) -> List[Tuple[float, float, fl
 
 # --- nodes built on first read ------------------------------------------------
 
-def _grid_frames(cfg, times) -> Tuple[np.ndarray, np.ndarray]:
-    """The checked frames l(t_k) on the grid and the inverses their check decided."""
+def _grid_frames(cfg, times) -> Tuple[np.ndarray, FrameInverse]:
+    """The checked frames l(t_k) on the grid and the `FrameInverse` their check decided."""
     return cfg.trivialization.validate_on_grid(times)
 
 
 def _steps(cfg, times) -> np.ndarray:
-    """The conventional step propagators, read by the transport and the oracle only."""
+    """The conventional step propagators, read by the oracle and their products only."""
     return midpoint_propagators(cfg.hamiltonian, times, cfg.constants)
 
 
-def _transport(cfg, times, grid_frames, steps) -> EvolutionTransport:
-    return EvolutionTransport(PropagatorGrid(cfg.hamiltonian, times, cfg.constants, steps),
-                              *grid_frames)
+def _conventional_from_t0(steps) -> np.ndarray:
+    """U(t_j, t0), the products of the conventional steps: once it is built, no node
+    reads the steps, so they are dropped before the transport inverts it."""
+    return step_products(steps)
+
+
+def _transport(cfg, times, grid_frames, conventional_from_t0) -> EvolutionTransport:
+    return EvolutionTransport(PropagatorGrid(cfg.hamiltonian, times, cfg.constants,
+                                             from_t0=conventional_from_t0), *grid_frames)
 
 
 def _trajectory(cfg, times, steps) -> Trajectory:
@@ -128,8 +142,11 @@ def _trajectory(cfg, times, steps) -> Trajectory:
 
 
 def _lifted(times, grid_frames, trajectory) -> SectionAlongPath:
-    # the frames are read, so checked, before the Hamiltonian is sampled
-    return SectionAlongPath(times, apply(grid_frames[1], trajectory.states))
+    # the frames are read, so checked, before the Hamiltonian is sampled; each time
+    # block reads its own rows of the inverses
+    inverse, states = grid_frames[1], trajectory.states
+    return SectionAlongPath(times, np.concatenate(_in_block_order(
+        lambda part: apply(inverse[part], states[part]), time_blocks(*inverse.shape[:2]))))
 
 
 def _bundle_trivialization(cfg) -> TrivializationFamily:
@@ -172,7 +189,21 @@ def _without_derivative(cfg) -> TrivializationFamily:
     return cfg.trivialization.with_derivative(lambda ts: np.zeros((ts.size, n, n), dtype=complex))
 
 
+def _random_picture(cfg):
+    """times -> the scenario's random unitary picture on those times, its generators
+    drawn once for every block of `picture_invariance`."""
+    return PictureTransform.random_unitary_sampler(cfg.dimension, cfg.seed)
+
+
 # A block node: build(part, <nodes>) -> its value on the time block `part` alone.
+
+def _inverse_frames(part: slice, transport) -> np.ndarray:
+    """The block's rows of the frames' inverses l^-1, (b, n, n), read once for the lifts
+    and adjoints of the observables.  The density and integral-of-motion lifts,
+    after `picture_invariance`, read their own rows, so this block is not held
+    beside that check's blocks, the sweep's largest."""
+    return transport.inverse_frames[part]
+
 
 def _transport_t0(part: slice, transport) -> Tuple[np.ndarray, np.ndarray]:
     """The block's rows of the t0 stacks: (U(t, t0), U(t0, t)), each (b, n, n)."""
@@ -180,10 +211,12 @@ def _transport_t0(part: slice, transport) -> Tuple[np.ndarray, np.ndarray]:
     return transport.matrices_from(t0, part), transport.matrices_into(t0, part)
 
 
-def _lifted_observables(part: slice, transport, observables) -> Dict[str, np.ndarray]:
+def _lifted_observables(part: slice, transport, inverse_frames,
+                        observables) -> Dict[str, np.ndarray]:
     """Name -> the lifted morphisms l^-1 A l of the block, (b, n, n)."""
-    frames, inv = transport.frames[part], transport.inverse_frames[part]
-    return {name: lift_operators(frames, inv, stack[part]) for name, stack in observables.items()}
+    frames = transport.frames[part]
+    return {name: lift_operators(frames, inverse_frames, stack[part])
+            for name, stack in observables.items()}
 
 
 def _density_transported(part: slice, cfg, transport, transport_t0) -> np.ndarray:
@@ -212,8 +245,9 @@ def _integral_deviations(part: slice, transport, integral_commutators,
                          transport_t0) -> Dict[int, np.ndarray]:
     """Candidate index -> the transport criterion's deviation at each time of the block,
     for each candidate whose dA/dt is zero on the grid."""
-    frames, inverse_frames = transport.frames[part], transport.inverse_frames[part]
-    return {k: transport_criterion(frames, inverse_frames, a_vals[part], a0_fibre, *transport_t0)
+    frames = transport.frames[part]
+    return {k: transport_criterion(lift_operators(frames, transport.inverse_frames[part],
+                                                  a_vals[part]), a0_fibre, *transport_t0)
             for k, (_, a_vals, a0_fibre) in enumerate(integral_commutators)
             if a_vals is not None}
 
@@ -230,6 +264,7 @@ def _transport_axioms(cfg, times, transport) -> Tuple[int, TransportAxiomReport]
 _NODES = {
     "grid_frames": _grid_frames,
     "steps": _steps,
+    "conventional_from_t0": _conventional_from_t0,
     "transport": _transport,
     "trajectory": _trajectory,
     "lifted": _lifted,
@@ -238,6 +273,8 @@ _NODES = {
     "observables": _observables,
     "section_t0": _section_t0,
     "integral_commutators": _integral_commutators,
+    "random_picture": _random_picture,
+    "inverse_frames": _inverse_frames,
     "transport_t0": _transport_t0,
     "lifted_observables": _lifted_observables,
     "density_transported": _density_transported,
@@ -249,8 +286,10 @@ _NODES = {
 }
 # Read in this order before any check; a failure among them is the `setup` record.  The
 # bundle section's steps are formed before the transport's products, so the two
-# never coexist.
-_SETUP = ("lifted", "trajectory", "bundle_section", "transport", "observables")
+# never coexist, and the conventional steps are dropped once their products are
+# formed, before the transport inverts them.
+_SETUP = ("lifted", "trajectory", "bundle_section", "conventional_from_t0", "transport",
+          "observables")
 # Fault name -> (node, the build that replaces its own, with the same parameters).
 _FAULTS = {"drop_trivialization_derivative": ("bundle_trivialization", _without_derivative)}
 
@@ -284,8 +323,9 @@ def _check_mean_value_invariance(part: slice, transport, trajectory, lifted, obs
     return residuals, series
 
 
-def _check_hermiticity_correspondence(part: slice, transport, observables, lifted_observables):
-    frames, inv = transport.frames[part], transport.inverse_frames[part]
+def _check_hermiticity_correspondence(part: slice, transport, inverse_frames, observables,
+                                      lifted_observables):
+    frames, inv = transport.frames[part], inverse_frames
     residuals = {}
     for name, stack in observables.items():
         block = stack[part]
@@ -297,14 +337,13 @@ def _check_hermiticity_correspondence(part: slice, transport, observables, lifte
     return residuals, {}
 
 
-def _check_picture_invariance(part: slice, cfg, times, transport, transport_t0,
+def _check_picture_invariance(part: slice, times, transport, random_picture, transport_t0,
                               transported_section, lifted_observables, heisenberg_values):
     frames, psi_t = transport.frames, transported_section
     from_t0, into_t0 = transport_t0
     # The random V and V^-1 of this block, sampled after V(t0), which the
     # transform checks to be the identity.
-    picture = PictureTransform.random_unitary(np.concatenate([times[:1], times[part]]),
-                                              cfg.dimension, cfg.seed)
+    picture = random_picture(np.concatenate([times[:1], times[part]]))
     v, v_inv = picture.matrices[1:], picture.inverse_matrices[1:]
     psi_v = apply(v, psi_t)
     residuals, series = {}, {}

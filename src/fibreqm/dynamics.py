@@ -40,6 +40,7 @@ __all__ = [
     "evolve_state",
     "grid_index",
     "grid_indices",
+    "step_products",
     "uniform_grid",
 ]
 
@@ -275,33 +276,42 @@ def propagate_states(propagators: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     return states
 
 
+def step_products(steps: np.ndarray) -> np.ndarray:
+    """The ordered products E[j-1] ... E[0] of the steps E_k, from j = 0 (the identity)
+    to the last grid time: U(t_j, t0) on a grid with one step per interval."""
+    n = steps.shape[-1]
+    from_t0 = np.empty((steps.shape[0] + 1, n, n), dtype=complex)
+    from_t0[0] = np.eye(n, dtype=complex)
+    for k in range(steps.shape[0]):
+        from_t0[k + 1] = steps[k] @ from_t0[k]
+    return from_t0
+
+
 class PropagatorGrid:
     """Ordered step-propagator products over a fixed grid.
 
     `from_t0[j]` = E[j-1] ... E[0] is U(t_j, t0) and `into_t0` = inv(from_t0)
     is U(t0, t_j), inverted once; every two-time operator is the product
     U(t_j, t_i) = from_t0[j] @ into_t0[i].  The steps E_k are the family's
-    `midpoint_propagators` on the grid with these constants, taken from a
-    caller that already holds them (checked to be one (n, n) step per grid
-    interval) or computed here; the grid keeps only their products.
+    `midpoint_propagators` on the grid with these constants, and the grid
+    keeps only their products, `from_t0` (`step_products`): taken from a
+    caller that already formed them (checked to be one (n, n) matrix per grid
+    time), who can then drop its steps before `into_t0` is formed, or
+    formed here.
     """
 
     def __init__(self, family: HamiltonianFamily, times: np.ndarray,
                  constants: PhysicalConstants = PhysicalConstants(),
-                 steps: Optional[np.ndarray] = None):
+                 from_t0: Optional[np.ndarray] = None):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be a strictly increasing grid with >= 2 points")
         n = family.dimension
-        if steps is None:
-            steps = midpoint_propagators(family, times, constants)
-        elif steps.shape != (times.size - 1, n, n):
-            raise ValueError(f"steps must have shape {(times.size - 1, n, n)} (one per grid "
-                             f"interval, of the family's dimension), got {steps.shape}")
-        from_t0 = np.empty((times.size, n, n), dtype=complex)
-        from_t0[0] = np.eye(n, dtype=complex)
-        for k in range(steps.shape[0]):
-            from_t0[k + 1] = steps[k] @ from_t0[k]
+        if from_t0 is None:
+            from_t0 = step_products(midpoint_propagators(family, times, constants))
+        elif from_t0.shape != (times.size, n, n):
+            raise ValueError(f"from_t0 must have shape {(times.size, n, n)} (one per grid "
+                             f"time, of the family's dimension), got {from_t0.shape}")
 
         self.family = family
         self.constants = constants

@@ -100,7 +100,10 @@ def time_blocks(n_times: int, n: int) -> List[slice]:
     blocks, not (N, n, n) stacks.  A matmul, an einsum or an elementwise op gives
     each matrix the same bits at any batch size, so blocking moves no result.
     """
-    size = max(1, _BLOCK_BYTES // (16 * n * n))
+    return _slices(n_times, max(1, _BLOCK_BYTES // (16 * n * n)))
+
+
+def _slices(n_times: int, size: int) -> List[slice]:
     return [slice(start, min(start + size, n_times)) for start in range(0, n_times, size)]
 
 
@@ -174,11 +177,14 @@ def _fill_by_blocks(out: np.ndarray, block: Callable[[slice], np.ndarray]) -> No
 
 
 def series_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """The per-time series whose slice `part` is block(part), for each `time_blocks` slice
-    in turn on the calling thread, concatenated.  Serial, so only one slice's
-    temporaries are ever held: the integral-of-motion criteria, its callers, stay
-    within a few blocks above entry."""
-    return np.concatenate([block(part) for part in time_blocks(n_times, n)])
+    """The per-time series whose slice `part` is block(part), for each half of a
+    `time_blocks` slice in turn on the calling thread, concatenated.  Serial and on
+    half slices, so only half a slice's temporaries are ever held: its callers, the
+    integral-of-motion criteria, stay within a few blocks above entry, although the
+    transport criterion, whose inverse and t0 rows are formed per read, holds five
+    blocks of its slice at once (2.5 whole blocks at n = 32)."""
+    return np.concatenate([block(part) for part in
+                           _slices(n_times, max(1, _BLOCK_BYTES // (32 * n * n)))])
 
 
 def distinct_matrices(stack: np.ndarray) -> np.ndarray:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .bundle import _frame_inverse, _seeded_smooth_unitary, lift_operators
 from .dynamics import ObservableFamily
 from .hilbert import (
-    _frozen,
     apply,
     distinct_matrices,
     expectations,
@@ -82,9 +81,10 @@ class PictureTransform:
         """V(t)^-1 at every grid time, inverted once and read only.
 
         V^dagger where max|V^dagger V - I| <= 1e-13 (the random unitary
-        picture), else `np.linalg.inv` (`bundle._frame_inverse`).
+        picture), else `np.linalg.inv` (`bundle._frame_inverse`), as one whole
+        stack: the engine's pictures are one time block each.
         """
-        return _frozen(_frame_inverse(self.matrices))
+        return _frame_inverse(self.matrices).whole
 
     @classmethod
     def identity(cls, times, dimension: int) -> "PictureTransform":
@@ -106,14 +106,27 @@ class PictureTransform:
         t0 is the first grid time and the generators have scale 0.7.  They
         come from the same seeded helper as `random_smooth_unitary_trivialization`
         (own RNG key), so each is diagonalized once and V(t0) is the identity
-        to rounding.  A time block of a longer grid is sampled as t0 followed
-        by the block's times, so the block is still referred to, and checked
-        at, t0 (`picture_invariance` does this).
+        to rounding.
         """
-        times = np.asarray(times, dtype=float)
-        t0 = float(times[0])
+        return cls.random_unitary_sampler(dimension, seed)(times)
+
+    @classmethod
+    def random_unitary_sampler(cls, dimension: int,
+                               seed: int) -> Callable[[np.ndarray], "PictureTransform"]:
+        """times -> `random_unitary(times, dimension, seed)`, its generators drawn and
+        diagonalized once, here, for every grid it is then sampled on.
+
+        A time block of a longer grid is sampled as t0 followed by the block's
+        times, so the block is still referred to, and checked at, t0
+        (`picture_invariance` samples each block so).
+        """
         values, _ = _seeded_smooth_unitary(dimension, [int(seed), 0x9C], 0.7, 3.0)
-        return cls(times, values(times - t0))
+
+        def sample(times) -> "PictureTransform":
+            times = np.asarray(times, dtype=float)
+            return cls(times, values(times - float(times[0])))
+
+        return sample
 
 
 def to_general_picture_observables(v: np.ndarray, v_inv: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -208,25 +221,18 @@ def commutator_criterion(a: ObservableFamily,
     return residual, (a_vals if constant else None)
 
 
-def transport_criterion(frames: np.ndarray, inverse_frames: np.ndarray, a_vals: np.ndarray,
-                        a0_fibre: np.ndarray, from_t0: np.ndarray,
+def transport_criterion(lifted: np.ndarray, a0_fibre: np.ndarray, from_t0: np.ndarray,
                         into_t0: np.ndarray) -> np.ndarray:
     """max |l^-1 A l - U(t, t0) A0 U(t0, t)| at each time of the stacks, A0 the lifted A(t0).
 
-    The deviation of the lifted morphism from its transport conjugation
-    (`evolve_density_morphisms`), over stacks of one slice of grid times: the
-    frames, their inverses, the samples A(t_k) and the t0 stacks.
+    The deviation of the lifted morphism `lifted`, l^-1 A l (`lift_operators`),
+    from its transport conjugation (`evolve_density_morphisms`), over stacks of
+    one slice of grid times: the lift and the t0 stacks.  The caller lifts the
+    samples A(t_k) first, so the inverse rows the lift reads are not held
+    beside the conjugation's products.
     """
-    return _deviation_from(frames, inverse_frames, a_vals,
-                           evolve_density_morphisms(a0_fibre, from_t0, into_t0))
-
-
-def _deviation_from(frames: np.ndarray, inverse_frames: np.ndarray, a_vals: np.ndarray,
-                    carried: np.ndarray) -> np.ndarray:
-    """max |l^-1 A l - carried| at each time of the stacks, `carried` the conjugated A0."""
-    lifted = lift_operators(frames, inverse_frames, a_vals)
-    lifted -= carried
-    return np.max(np.abs(lifted), axis=(1, 2))
+    return np.max(np.abs(lifted - evolve_density_morphisms(a0_fibre, from_t0, into_t0)),
+                  axis=(1, 2))
 
 
 def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
@@ -240,9 +246,10 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     transport already sampled and inverted, and the conjugation the t0 rows
     of each block, `matrices_from`/`matrices_into`); certification requires
     every applicable criterion to pass (`IntegralOfMotionReport.decided`).
-    Both residuals are formed one `time_blocks` slice at a time, on the calling
-    thread (`series_by_blocks`), so neither criterion holds more than one
-    slice's blocks, and no whole t0 stack is formed.
+    Both residuals are formed one half `time_blocks` slice at a time, on the
+    calling thread (`series_by_blocks`), so neither criterion holds more than
+    a few blocks, and no whole t0 or inverse stack is formed: 2.5 blocks above
+    entry for a constant candidate at n = 32, N = 1000.
     """
     commutator_residual, a_vals = commutator_criterion(a, transport)
     transport_residual = None
@@ -251,13 +258,9 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
         a0_fibre = lift_operators(frames[0], inverse_frames[0], a_vals[0])
 
         def deviation(part: slice) -> np.ndarray:
-            # evolve_density_morphisms' (U(t, t0) A0) U(t0, t), inline so that the
-            # from-rows are multiplied, and dropped, before the into-rows are formed:
-            # 3.03 blocks above entry at n = 32, N = 1000; the kernel's call holds both
-            # rows beside its product and its result, 4.03 blocks
-            carried = (transport.matrices_from(t0, part) @ a0_fibre) @ transport.matrices_into(
-                t0, part)
-            return _deviation_from(frames[part], inverse_frames[part], a_vals[part], carried)
+            return transport_criterion(
+                lift_operators(frames[part], inverse_frames[part], a_vals[part]), a0_fibre,
+                transport.matrices_from(t0, part), transport.matrices_into(t0, part))
 
         transport_residual = max_abs(series_by_blocks(*a_vals.shape[:2], deviation))
     return IntegralOfMotionReport.decided(commutator_residual, transport_residual, tol)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bundle import SectionAlongPath, TrivializationFamily, _frame_inverse
+from .bundle import FrameInverse, SectionAlongPath, TrivializationFamily, _frame_inverse
 from .dynamics import (
     HamiltonianFamily,
     PropagatorGrid,
@@ -47,13 +47,13 @@ __all__ = [
 ]
 
 
-def _bundle_generator(frames: np.ndarray, inverse_frames: np.ndarray, h_vals: np.ndarray,
+def _bundle_generator(frames: np.ndarray, inverse_frames: FrameInverse, h_vals: np.ndarray,
                       frame_derivatives: np.ndarray, hbar: float) -> np.ndarray:
     """l^-1 (H l - i hbar dl/dt) over checked frames, as one product with l^-1.
 
-    Takes the inverses l^-1 that the frames' check decided (l^dagger where
-    max|l^dagger l - I| <= 1e-13, else `np.linalg.inv`), and fills the stack
-    one `time_blocks` slice at a time.
+    Reads the inverses l^-1 that the frames' check decided (l^dagger where
+    max|l^dagger l - I| <= 1e-13, else `np.linalg.inv`) slice by slice, and
+    fills the stack one `time_blocks` slice at a time.
     """
     def block(part: slice) -> np.ndarray:
         rhs = h_vals[part] @ frames[part]
@@ -98,11 +98,13 @@ class EvolutionTransport:
     Built from the conventional propagator products and the frames l(t_k) on
     their grid alone, checked invertible (as `TrivializationFamily.at_many`
     returns them) and of shape (N, n, n) for the grid's N times and the
-    propagators' dimension n.  `inverse_frames` are the inverses that the
-    frames' check decided (`TrivializationFamily.validate_on_grid` returns
-    both), of the frames' shape; without them the frames are inverted here,
-    by their adjoint where max|l^dagger l - I| <= 1e-13 and by
-    `np.linalg.inv` otherwise (`bundle._frame_inverse`).  Queries off the grid are errors, never
+    propagators' dimension n.  `inverse_frames` is the `bundle.FrameInverse`
+    that the frames' check decided (`TrivializationFamily.validate_on_grid`
+    returns both), of the frames' shape; without it the frames are inverted
+    here (`bundle._frame_inverse`).  Either way the transport reads it by
+    index: where max|l^dagger l - I| <= 1e-13 each read forms l^dagger of the
+    rows it needs, so no whole inverse stack is held; otherwise it holds the
+    `np.linalg.inv` stack.  Queries off the grid are errors, never
     interpolations.
 
     `matrices_from` and `matrices_into` compute their rows on every call: the
@@ -113,11 +115,12 @@ class EvolutionTransport:
     the t0 queries of many blocks scan the grid once.  The engine and
     `is_integral_of_motion` form the t0 rows one time block at a time and never
     hold a whole t0 stack; a library caller that wants them whole reads the
-    read-only cached properties `from_t0` and `into_t0`, formed on first use.
+    read-only cached properties `from_t0` and `into_t0`, formed on first use,
+    and `inverse_frames.whole` for the whole inverse stack.
     """
 
     def __init__(self, propagators: PropagatorGrid, frames: np.ndarray,
-                 inverse_frames: Optional[np.ndarray] = None):
+                 inverse_frames: Optional[FrameInverse] = None):
         self.propagators = propagators
         self.times = propagators.times
         expected = (self.times.size, propagators.dimension, propagators.dimension)
@@ -129,10 +132,8 @@ class EvolutionTransport:
         elif inverse_frames.shape != frames.shape:
             raise ValueError(f"inverse_frames must have the frames' shape {frames.shape}, "
                              f"got {inverse_frames.shape}")
-        self.frames = frames
+        self.frames = _frozen(frames)
         self.inverse_frames = inverse_frames
-        for a in (self.frames, self.inverse_frames):
-            a.setflags(write=False)
         self._t0_index = grid_index(self.times, self.times[0])
 
     @property

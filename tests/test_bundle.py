@@ -34,7 +34,7 @@ from fibreqm.bundle import (
 )
 from fibreqm.checks import build_artifacts
 from fibreqm.dynamics import HamiltonianFamily, PropagatorGrid
-from fibreqm.hilbert import antihermitian_exponentials, inner_products, max_abs
+from fibreqm.hilbert import _BLOCK_BYTES, antihermitian_exponentials, inner_products, max_abs
 from fibreqm.pictures import PictureTransform
 from fibreqm.scenario import catalog_names, load_catalog_scenario
 from fibreqm.transport import EvolutionTransport
@@ -341,7 +341,8 @@ class TestTrivializationValidation:
         constant_diagonal = load_catalog_scenario("nonunitary-constant-gauge").trivialization
         assert constant_diagonal.name == "constant-diagonal"
         for family in (identity_trivialization(3), DIAG12, constant_diagonal):
-            for stack in family.derivative_at_many(times):
+            values, derivative, inverse = family.derivative_at_many(times)
+            for stack in (values, derivative, inverse[:], inverse.whole):
                 assert stack.shape == (times.size, family.dimension, family.dimension)
                 assert stack.strides[0] == 0 and not stack.flags.writeable
 
@@ -474,8 +475,8 @@ class TestFrameInverse:
             calls.clear()
             inverse = _require_invertible(stack, "scaled", times)  # proven, then inverted
             assert {routine: k for (routine, _), k in calls.items()} == expected
-            assert max_abs(inverse @ stack - np.eye(4)) <= 1e-12
-            assert np.array_equal(_frame_inverse(stack), inverse)  # by the one rule
+            assert max_abs(inverse[:] @ stack - np.eye(4)) <= 1e-12
+            assert np.array_equal(_frame_inverse(stack)[:], inverse[:])  # by the one rule
 
     @pytest.mark.parametrize("family", [
         identity_trivialization(32),
@@ -492,7 +493,8 @@ class TestFrameInverse:
         assert peak < 0.01 * one_stack  # no adjoint, Gram or inverse stack
         calls = count_svd_and_inv(monkeypatch)
         values, _, inverse = family.derivative_at_many(times)
-        assert inverse.strides[0] == 0 and not inverse.flags.writeable
+        for read in (inverse[:], inverse[3:700], inverse.whole):
+            assert read.strides[0] == 0 and not read.flags.writeable
         assert max_abs(inverse[0] @ values[0] - np.eye(32)) <= 1e-15
         unitary = family.name == "identity"
         assert sum(calls.values()) == (0 if unitary else 2)  # one SVD, one inv, each on one matrix
@@ -517,16 +519,113 @@ class TestFrameInverse:
         expected = np.linalg.inv(stack)
         adjoint = np.swapaxes(stack.conj(), -2, -1)
         inverse = _frame_inverse(stack)
-        assert np.array_equal(inverse, adjoint)
-        assert max_abs(inverse - expected) <= 1e-13
+        assert np.array_equal(inverse[:], adjoint)
+        assert max_abs(inverse[:] - expected) <= 1e-13
 
         times = np.arange(count, dtype=float)
         transport = EvolutionTransport(PropagatorGrid(HamiltonianFamily.zero(n), times), stack)
         picture = PictureTransform(np.arange(count + 1, dtype=float),
                                    np.concatenate([np.eye(n)[None], stack]))
-        for held in (transport.inverse_frames, picture.inverse_matrices[1:]):
+        for held in (transport.inverse_frames.whole, picture.inverse_matrices[1:]):
             assert max_abs(held - expected) <= 1e-13
             assert not held.flags.writeable
+
+    @staticmethod
+    def stored_adjoint(stack):
+        """The whole C-contiguous adjoint stack, whose rows every read of a unitary
+        stack's inverse must equal bit for bit."""
+        return np.conjugate(np.swapaxes(stack, -2, -1), out=np.empty(stack.shape, dtype=complex))
+
+    @pytest.mark.parametrize("index", [slice(None), slice(64, 130), np.array([0, 200, 7, 7]),
+                                       np.intp(200), 0])
+    def test_a_unitary_read_has_the_bits_of_the_stored_adjoint(self, index):
+        times = np.linspace(0.0, 1.0, 201)
+        frames, inverse = random_smooth_unitary_trivialization(32, 3).validate_on_grid(times)
+        read, stored = inverse[index], self.stored_adjoint(frames)[index]
+        assert read.shape == stored.shape and read.flags.c_contiguous
+        assert np.array_equal(read, stored)
+        # a product reads its operands' layout, so it keeps its bits too
+        x = np.random.default_rng(4).normal(size=(32, 32)) + 0j
+        assert np.array_equal(read @ x, stored @ x)
+
+    @pytest.mark.parametrize("index", [slice(2, 5), np.array([4, 0, 4]), 3])
+    def test_a_non_unitary_read_has_the_bits_of_inv(self, index, monkeypatch):
+        family = random_invertible_family(5, 8)
+        times = np.linspace(0.0, 1.0, 6)
+        calls = count_svd_and_inv(monkeypatch)
+        values, _, inverse = family.derivative_at_many(times)
+        assert calls["inv", "fibreqm.bundle"] == 1
+        monkeypatch.undo()
+        assert np.array_equal(inverse[index], np.linalg.inv(values)[index])
+        calls = count_svd_and_inv(monkeypatch)
+        inverse[index], inverse.whole
+        assert not calls  # reads invert nothing
+
+    def test_a_unitary_stack_holds_no_inverse_stack(self):
+        times = np.linspace(0.0, 1.0, 1001)
+        frames = random_smooth_unitary_trivialization(32, 3).at_many(times)
+        one_stack = frames.nbytes
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            inverse = _frame_inverse(frames)
+            held, peak = tracemalloc.get_traced_memory()
+            inverse[:]  # a read forms its rows and keeps none
+            after_read, _ = tracemalloc.get_traced_memory()
+            whole = inverse.whole  # the cached whole stack, for a library caller
+            cached, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the Gram test's blocks, an adjoint and a Gram product per worker, never a stack
+        assert peak - start <= 5 * _BLOCK_BYTES
+        assert held - start < 0.01 * one_stack and after_read - start < 0.01 * one_stack
+        assert cached - start >= one_stack and whole is inverse.whole
+
+
+def _conjugate_transpose_sites():
+    """(file, scope) of every conjugate transpose in src/: a conj (method or np call)
+    applied to, or under, a transpose (`.T`, `swapaxes` or `transpose`)."""
+    sites = set()
+
+    def conj(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("conj", "conjugate"))
+
+    def transpose(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "T")
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("swapaxes", "transpose")))
+
+    def visit(node, fname, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            under = list(ast.walk(child))[1:]
+            if ((conj(child) and any(map(transpose, under)))
+                    or (transpose(child) and any(map(conj, under)))):
+                sites.add((fname, scope))
+            visit(child, fname, inner)
+
+    for path in (Path(__file__).resolve().parent.parent / "src" / "fibreqm").glob("*.py"):
+        visit(ast.parse(path.read_text()), path.name, "")
+    return sites
+
+
+def test_the_frames_conjugate_transpose_is_formed_only_by_the_inverse_rule():
+    """`FrameInverse.__getitem__` forms S^dagger of a frame stack, per read; every other
+    conjugate transpose is of an operator that is no frame."""
+    assert _conjugate_transpose_sites() == {
+        ("bundle.py", "FrameInverse.__getitem__"),    # the frames, per read
+        ("bundle.py", "_seeded_smooth_unitary"),      # a drawn matrix, made Hermitian
+        ("bundle.py", "bundle_adjoint_maps"),         # the product l_s A l_t^-1
+        ("checks.py", "_check_hermiticity_correspondence"),  # an observable
+        ("dynamics.py", "HamiltonianFamily.at_many"),  # H, tested Hermitian
+        ("dynamics.py", "validate_density"),          # a density
+        ("hilbert.py", "is_hermitian"),
+        ("hilbert.py", "antihermitian_exponentials"),  # a generator and its eigenvectors
+        ("scenario.py", "_random_hermitian"),         # a drawn matrix, made Hermitian
+    }
 
 
 def test_np_linalg_inv_runs_only_in_the_two_inverters():

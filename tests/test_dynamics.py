@@ -14,6 +14,7 @@ from fibreqm.dynamics import (
     evolve_state,
     grid_index,
     midpoint_propagators,
+    step_products,
     uniform_grid,
     validate_density,
 )
@@ -132,12 +133,23 @@ class TestEvolutionOperator:
             kj, ji, ki = grid.operators([k, j, k], [j, i, i])
             assert max_abs(kj @ ji - ki) <= 1e-10
 
-    def test_steps_of_another_shape_rejected(self):
+    def test_products_of_another_shape_rejected(self):
         h = HamiltonianFamily.constant(0.9 * SIGMA_X)
         times = uniform_grid(0.0, 1.0, 10)
-        steps = np.broadcast_to(np.eye(2, dtype=complex), (9, 2, 2))
-        with pytest.raises(ValueError, match=r"\(10, 2, 2\).*\(9, 2, 2\)"):
-            PropagatorGrid(h, times, steps=steps)
+        products = np.broadcast_to(np.eye(2, dtype=complex), (10, 2, 2))
+        with pytest.raises(ValueError, match=r"\(11, 2, 2\).*\(10, 2, 2\)"):
+            PropagatorGrid(h, times, from_t0=products)
+
+    def test_products_taken_from_the_caller_keep_the_bits_of_the_steps(self):
+        h = circular_drive(np.pi, np.pi / 2)
+        times = uniform_grid(0.0, 1.0, 100)
+        steps = midpoint_propagators(h, times)
+        grid, own = PropagatorGrid(h, times, from_t0=step_products(steps)), PropagatorGrid(h, times)
+        assert np.array_equal(grid.from_t0, own.from_t0)
+        assert np.array_equal(grid.into_t0, own.into_t0)
+        products = step_products(steps)  # E[j-1] ... E[0], each step applied last
+        assert np.array_equal(products[0], np.eye(2))
+        assert np.array_equal(products[1:], steps @ products[:-1])
 
     def test_consistent_with_evolve_state(self):
         h = circular_drive(np.pi, np.pi)

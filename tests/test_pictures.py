@@ -23,6 +23,7 @@ from fibreqm.dynamics import (
     grid_indices,
     midpoint_propagators,
     propagate_states,
+    step_products,
     uniform_grid,
 )
 from fibreqm.hilbert import _BLOCK_BYTES, SIGMA_X, SIGMA_Z, apply, expectations, max_abs
@@ -46,7 +47,7 @@ COSINE_H = HamiltonianFamily(lambda ts: SIGMA_Z + np.cos(ts)[:, None, None] * SI
 
 def evolved_setup(l, h=H, times=TIMES, psi0=(1.0, 0.0)):
     steps = midpoint_propagators(h, times)
-    grid = PropagatorGrid(h, times, steps=steps)
+    grid = PropagatorGrid(h, times, from_t0=step_products(steps))
     states = propagate_states(steps, np.array(psi0, dtype=complex))
     section = lift_trajectory(l, times, states)
     transport = EvolutionTransport(grid, l.at_many(times))
@@ -419,15 +420,15 @@ class TestIntegralsOfMotion:
         assert peak - start <= 4 * _BLOCK_BYTES
         assert not {"from_t0", "into_t0"} & set(vars(transport))
 
-    def test_its_inline_conjugation_has_the_bits_of_the_transport_criterion(self):
-        # is_integral_of_motion conjugates A0 by per-block t0 rows, inline;
-        # transport_criterion, which the engine calls, by evolve_density_morphisms
+    def test_its_blocks_have_the_bits_of_the_whole_transport_criterion(self):
+        # is_integral_of_motion applies transport_criterion to per-block rows: the
+        # t0 rows and the inverse rows, each formed per read
         candidate, transport = self.wide_constant_candidate()
         report = is_integral_of_motion(candidate, transport)
         _, a_vals = commutator_criterion(candidate, transport)
-        frames, inverse_frames = transport.frames, transport.inverse_frames
+        frames, inverse_frames = transport.frames, transport.inverse_frames.whole
         a0_fibre = lift_operators(frames[0], inverse_frames[0], a_vals[0])
-        deviation = transport_criterion(frames, inverse_frames, a_vals, a0_fibre,
+        deviation = transport_criterion(lift_operators(frames, inverse_frames, a_vals), a0_fibre,
                                         transport.from_t0, transport.into_t0)
         assert 0 < report.transport_residual == max_abs(deviation)
 

@@ -678,7 +678,8 @@ class TestSweep:
             "density_conventional": ["density_consistency"],
             "transported_section": ["heisenberg_values", "picture_invariance"],
             "heisenberg_values": ["heisenberg_constancy", "picture_invariance"],
-            "integral_deviations": ["integrals_of_motion"]}
+            "integral_deviations": ["integrals_of_motion"],
+            "inverse_frames": ["hermiticity_correspondence", "lifted_observables"]}
         built = []  # (block node, the first time index of its block)
 
         def counting(part, *reads, name, build):
@@ -720,7 +721,7 @@ class TestSweep:
 
         monkeypatch.setitem(_NODES, "integral_deviations", probe)
         assert run_scenario(cfg).overall_pass
-        assert len(refs) == 6
+        assert len(refs) == 7
         assert alive == [["transport_t0"]] * 2  # its own read; the rest are dropped
 
     @staticmethod
@@ -895,7 +896,7 @@ class TestConcurrentSetup:
             "conventional steps": midpoint_propagators(cfg.hamiltonian, times, constants),
             "time-dependent steps": midpoint_propagators(varying, times, constants),
             "grid values": values,
-            "grid inverses": inverses,
+            "grid inverses": inverses[:],
             "into_t0": grid.into_t0,
             "whole-stack inverse": np.linalg.inv(grid.from_t0),
             "exponentials": matrix_exponential(scaled),
@@ -1149,13 +1150,13 @@ class TestSampleOnce:
 
     def test_each_frame_stack_forms_its_gram_product_once(self, monkeypatch):
         stacks = []
-        real = bundle_module._unitary_adjoint
+        real = bundle_module._proven_unitary
 
-        def counting(mats):
+        def counting(mats, adjoint):
             stacks.append(mats.shape[0])
-            return real(mats)
+            return real(mats, adjoint)
 
-        monkeypatch.setattr(bundle_module, "_unitary_adjoint", counting)
+        monkeypatch.setattr(bundle_module, "_proven_unitary", counting)
         assert run_scenario(load_catalog_scenario("random-unitary-gauge")).overall_pass
         # the grid and the midpoints, each proven and inverted by one Gram pass,
         # then the random picture's one block behind V(t0)
@@ -1245,7 +1246,7 @@ class TestArtifactNodes:
         block_nodes = {name for name in _NODES if params[name][:1] == ["part"]}
         assert block_nodes == checks_module._BLOCK_NODES == {
             "transport_t0", "lifted_observables", "density_transported", "density_conventional",
-            "transported_section", "heisenberg_values", "integral_deviations"}
+            "transported_section", "heisenberg_values", "integral_deviations", "inverse_frames"}
         assert all(len(reads[name]) == len(params[name]) - (name in block_nodes)
                    for name in _NODES)
         unknown = {key: sorted(set(names) - seeds - set(_NODES)) for key, names in reads.items()}
@@ -1491,12 +1492,12 @@ class TestArtifactNodes:
         cfg = scenario_from_dict(raw)
         one_stack = cfg.times.size * 32 * 32 * np.dtype(complex).itemsize
         # At the default worker count, with one slice's blocks in flight per worker,
-        # the peak is setup's transport build (5.22 stacks measured: the frames, their
-        # inverses, the conventional steps, both t0 stacks and two blocks of the
-        # inverse); the bound adds two blocks (0.13 stack).  The count is capped at
-        # two, so this holds on a host of any core count.
+        # the peak is the sweep's (4.22 stacks measured: the frames and both t0
+        # stacks, held whole, and two slices' block nodes and temporaries); the
+        # bound adds two blocks (0.13 stack).  The count is capped at two, so this
+        # holds on a host of any core count.
         assert 1 <= hilbert_module._WORKERS <= 2
-        peak_bound = 5.35 * one_stack
+        peak_bound = 4.35 * one_stack
         tracemalloc.start()
         try:
             assert run_scenario(cfg).overall_pass
@@ -1539,11 +1540,11 @@ class TestArtifactNodes:
         finally:
             tracemalloc.stop()
         assert set(above) == set(_NODES) | set(cfg.checks)
-        # Held through the sweep: the frames, their inverses and the two conventional
-        # t0 stacks; the transport's t0 rows, the transported section and its
-        # Heisenberg states, the lifted observables and both densities are blocks
-        # of the sweep.  The peak is the transport's setup (5.18 stacks measured
-        # with these probes).
+        # Held through the sweep: the frames and the two conventional t0 stacks; the
+        # frames' inverse rows, the transport's t0 rows, the transported section and
+        # its Heisenberg states, the lifted observables and both densities are
+        # blocks of the sweep.  At one worker the peak is the transport axioms'
+        # index-array queries (4.18 stacks measured with these probes).
         assert max(peaks) <= peak_bound
         # Every check block, judge and node build, setup ones too, keeps at most
         # one whole temporary stack beside its blocks: a t0 stack, the scaled
@@ -1558,6 +1559,76 @@ class TestArtifactNodes:
         heavy = {key: round(extra / one_stack, 2) for key, extra in above.items()
                  if extra > allowance[key]}
         assert not heavy, heavy
+
+    def test_a_unitary_gauge_holds_no_whole_inverse_stack(self, monkeypatch, two_block_gauge):
+        # Through setup and the sweep, every node build and check sees its reads and
+        # its output: no array reachable from them is a whole stack of the frames'
+        # inverses, or a view of one.
+        cfg = two_block_gauge
+        frames = cfg.trivialization.at_many(cfg.times)
+        adjoint = np.conjugate(np.swapaxes(frames, -2, -1))
+        seen_frames, wholes = [], []
+
+        def inspect_arrays(key, obj):
+            for array in _arrays(obj, set()):
+                while isinstance(array.base, np.ndarray):
+                    array = array.base
+                if array.shape == frames.shape:
+                    seen_frames.append(np.array_equal(array, frames))
+                    if np.array_equal(array, adjoint):
+                        wholes.append(key)
+
+        def probed(key, build):
+            def probe(*reads):
+                inspect_arrays(key, reads)
+                out = build(*reads)
+                inspect_arrays(key, out)
+                return out
+            return probe
+
+        for key, build in list(_NODES.items()):
+            monkeypatch.setitem(_NODES, key, probed(key, build))
+        for check_id in cfg.checks:
+            monkeypatch.setitem(_CHECK_TABLE, check_id, probed(check_id, _CHECK_TABLE[check_id]))
+        assert run_scenario(cfg).overall_pass
+        assert any(seen_frames)  # the walk reaches the transport's frames
+        assert not wholes, sorted(set(wholes))
+
+    def test_the_conventional_steps_are_dropped_before_into_t0_is_formed(self, monkeypatch,
+                                                                          two_block_gauge):
+        refs = []  # a weak reference to each build of the conventional steps
+        build_steps = _NODES["steps"]
+
+        def recording(*reads):
+            steps = build_steps(*reads)
+            refs.append(weakref.ref(steps))
+            return steps
+
+        monkeypatch.setitem(_NODES, "steps", recording)
+        alive = []  # whether the steps were alive as each `into_t0` was formed
+        real = dynamics_module.stack_by_blocks
+
+        def forming_into_t0(*args):
+            alive.append([ref() is not None for ref in refs])
+            return real(*args)
+
+        monkeypatch.setattr(dynamics_module, "stack_by_blocks", forming_into_t0)
+        assert run_scenario(two_block_gauge).overall_pass
+        assert alive == [[False]]  # one into_t0, formed after its steps were dropped
+
+    def test_the_picture_generators_are_drawn_once_per_scenario(self, monkeypatch,
+                                                                two_block_gauge):
+        draws = []
+        real = pictures_module._seeded_smooth_unitary
+
+        def counting(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pictures_module, "_seeded_smooth_unitary", counting)
+        assert run_scenario(two_block_gauge).overall_pass
+        assert len(time_blocks(two_block_gauge.times.size, two_block_gauge.dimension)) == 2
+        assert len(draws) == 1  # not once per time block
 
     def test_every_node_computed_at_most_once(self, monkeypatch):
         computed = []  # (owner, node name); holding the owners keeps ids distinct
@@ -1601,6 +1672,25 @@ class TestArtifactNodes:
                                                  if owner is cfg}, cfg.name
         repeats = Counter((id(instance), name) for instance, name in computed)
         assert max(repeats.values()) == 1, [k for k, v in repeats.items() if v > 1]
+
+
+def _arrays(obj, seen):
+    """The arrays reachable from `obj` through containers and object attributes, each
+    object walked once; functions are skipped."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if id(obj) in seen or isinstance(obj, (types.FunctionType, types.MethodType, type)):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        values = vars(obj).values() if hasattr(obj, "__dict__") else ()
+    for value in values:
+        yield from _arrays(value, seen)
 
 
 def _leaves(obj, seen):
