@@ -6,26 +6,28 @@ block node's first, are the nodes it reads.  Setup reads the `_SETUP` nodes,
 which can reject the scenario; a fault that is on swaps a node's build
 (`_FAULTS`).  A node is built on first read and dropped after its last reader.
 
-The checks that build their own record and read no block node run first, in the
-scenario's order.  Then one sweep, `_sweep`, runs every other check on each
-`time_blocks` slice.  A block node, a build whose first parameter is the slice
-`part`, is built on its first read in a slice, shared by every check of that
-slice and dropped after its last reader there; only pointwise checks, other
-block nodes and a check that builds its record from a block node's per-time
-series read one.  The transport's t0 stacks are such a node, `transport_t0`, and
-so are the rows of the frame inverses, `inverse_frames`, so no whole one is
-formed.  The slices run concurrently on the workers of the pool helper
-`hilbert._in_block_order`, the calling thread among them, so one slice's block
-nodes are in flight per thread; every whole node they read is built
-before them, and their outputs are folded in block order: each pointwise
-check's residuals, concatenated, are judged once; a check that builds its own
-record runs once after the last slice, on its block nodes' series
-concatenated.  A failure is a failed record of its check alone, that of its
-first failing block, never a silent pass.  The whole nodes' own block loops
-(sampling, exponentials, inverses) run on the same helper, on the calling
-thread's behalf, and raise their first failing block's error, so a failed
-`setup` record does not depend on the worker count either.  Scenarios share
-no mutable state, so suites run them in any order.
+Every check runs in one sweep, `_sweep`, over the `time_blocks` slices: a
+pointwise check runs on each slice, and a check that builds its own record
+reads there only the block nodes it reads, if any.  A block node, a build whose
+first parameter is the slice `part`, is built on its first read in a slice,
+shared by every check of that slice and dropped after its last reader there;
+only pointwise checks, other block nodes and a check that builds its record
+from a block node's per-time series read one.  The transport's t0 stacks are
+such a node, `transport_t0`, and so are the rows of the frame inverses,
+`inverse_frames`, so no whole one is formed.  The slices run concurrently on
+the workers of the pool helper `hilbert._in_block_order`, the calling thread
+among them, so one slice's block nodes are in flight per thread; every whole
+node they read is built before them, and their outputs are folded in block
+order.  Then each check, in the scenario's order, finishes once: a pointwise
+check's residuals, concatenated, are judged, and a check that builds its own
+record runs on its whole nodes and its block nodes' series concatenated.  A
+whole node is dropped once no check still to finish reads it.  A failure is a
+failed record of its check alone, that of its first failing block, never a
+silent pass.  The whole nodes' own block loops (sampling, exponentials,
+inverses) run on the same helper, on the calling thread's behalf, and raise
+their first failing block's error, so a failed `setup` record does not depend
+on the worker count either.  Scenarios share no mutable state, so suites run
+them in any order.
 """
 
 from __future__ import annotations
@@ -392,11 +394,12 @@ def _check_physics_closed_form(part: slice, cfg, times, trajectory):
 
 # --- checks that build their own record -----------------------------------------
 
-# check(tol, <nodes>) -> CheckRecord.  The transport checks take the worst value
-# and its place from the TransportAxiomReport, unitary_bundle_map judges pairs of
-# coarse times, and the last two have a second pass condition and no worst time.
-# integrals_of_motion reads a block node, so it runs after the sweep, on that
-# node's per-time series concatenated over the blocks.
+# check(tol, <nodes>) -> CheckRecord, called once after the sweep's slices; a
+# block node it reads is its per-time series concatenated over the slices, as
+# integrals_of_motion reads integral_deviations.  The transport checks take the
+# worst value and its place from the TransportAxiomReport, unitary_bundle_map
+# judges pairs of coarse times, and the last two have a second pass condition and
+# no worst time.
 
 def _check_transport_identity(tol: float, transport_axioms) -> CheckRecord:
     triples, report = transport_axioms
@@ -476,7 +479,7 @@ def _check_integrals_of_motion(tol: float, cfg, integral_commutators,
                        None, detail="; ".join(outcomes))
 
 
-# Check id -> check, pointwise or building its own record, in execution order.
+# Check id -> check, pointwise or building its own record.
 _CHECK_TABLE = {
     "state_equivalence": _check_state_equivalence,
     "norm_drift": _check_norm_drift,
@@ -505,10 +508,6 @@ _POINTWISE = frozenset(check_id for check_id, check in _CHECK_TABLE.items()
                        if "part" in inspect.signature(check).parameters)
 _BLOCK_NODES = frozenset(name for name, build in _NODES.items()
                          if "part" in inspect.signature(build).parameters)
-# The checks the sweep runs: the pointwise ones, and those that build their own
-# record from a block node.
-_SWEPT = _POINTWISE | {check_id for check_id in _CHECK_TABLE
-                       if set(_READS[check_id]) & _BLOCK_NODES}
 
 
 def _read(nodes: dict, name: str, block: dict | None = None):
@@ -570,13 +569,21 @@ def _judged_blocks(check_id: str, tol: float, times: np.ndarray,
     return _judged(check_id, times, residuals, tol), series
 
 
+def _slice_reads(key: str) -> List[str]:
+    """The nodes a slice reads for the check or block node `key`: all its reads, but
+    only the block nodes of a check that builds its own record, which reads its
+    whole nodes after the slices."""
+    return [name for name in _READS[key]
+            if key in _POINTWISE or key in _BLOCK_NODES or name in _BLOCK_NODES]
+
+
 def _whole_reads(check_ids: Sequence[str]) -> List[str]:
-    """The nodes without a time block that the checks, or the block nodes they read,
-    read, in the order a slice first reads them."""
+    """The nodes without a time block that the slices read for the checks, in the
+    order a slice first reads them."""
     found = []
 
     def visit(key):
-        for read in _READS[key]:
+        for read in _slice_reads(key):
             if read in _BLOCK_NODES:
                 visit(read)
             elif read in _NODES and read not in found:
@@ -593,7 +600,7 @@ def _run_block(nodes: dict, check_ids: Sequence[str], part: slice) -> dict:
     The checks run in `check_ids` order; the block nodes they read are built
     once, into the slice's own dict, and each is dropped after its last reader
     in the slice.  A pointwise check's output is its (residuals, series), that
-    of a check that builds its own record its reads.
+    of a check that builds its own record its block nodes.
     """
     block, out = {"part": part}, {}
     for k, check_id in enumerate(check_ids):
@@ -606,25 +613,27 @@ def _run_block(nodes: dict, check_ids: Sequence[str], part: slice) -> dict:
 
 
 def _block_output(nodes: dict, check_id: str, block: dict):
-    """A swept check's output on the slice of `block`; its reads are held no longer
-    than its call, unless they are its output."""
-    reads = {name: _read(nodes, name, block) for name in _READS[check_id]}
+    """A check's output on the slice of `block`; its reads are held no longer than its
+    call, unless they are its output."""
+    reads = {name: _read(nodes, name, block) for name in _slice_reads(check_id)}
     return (_CHECK_TABLE[check_id](block["part"], *reads.values()) if check_id in _POINTWISE
             else reads)
 
 
 def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
-    """Check id -> (record, series) of each swept check, from one pass over the
+    """Check id -> (record, series) of each check, from one pass over the
     `time_blocks` slices.
 
-    Every whole node that the checks or their block nodes read is built first, on
-    the calling thread; then the slices run on the workers (`_run_block`,
-    `hilbert._in_block_order`), on the calling thread alone if one of those
-    builds raised, so that each reader builds it again and fails by its error.  The outputs are folded in block order:
-    a check's first failed record is its record and its later blocks are
-    discarded.  After the last slice a pointwise check's blocks are judged once,
-    and a check that builds its own record runs once, on each block node it reads
-    concatenated over the slices.
+    Every whole node that the slices read is built first, on the calling thread;
+    then the slices run on the workers (`_run_block`, `hilbert._in_block_order`),
+    on the calling thread alone if one of those builds raised, so that each
+    reader builds it again and fails by its error.  The outputs are folded in
+    block order: a check's first failed record is its record and its later
+    blocks are discarded.  After the last slice every other check finishes once,
+    in `check_ids` order: a pointwise check's blocks are judged, and a check that
+    builds its own record runs on its whole nodes, built on first read, and on
+    each block node it reads concatenated over the slices.  Before each, the
+    whole nodes that no check still to finish reads are dropped.
     """
     cfg = nodes["cfg"]
     run = functools.partial(_run_block, nodes, check_ids)
@@ -636,7 +645,7 @@ def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
         blocks = [run(part) for part in parts]
     else:
         blocks = _in_block_order(run, parts)
-    outputs = {check_id: [] for check_id in check_ids}  # each block's output or reads
+    outputs = {check_id: [] for check_id in check_ids}  # each block's output or block nodes
     outcomes = {}
     for block in blocks:
         for check_id, output in block.items():
@@ -646,20 +655,21 @@ def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
                 outcomes[check_id] = output, {}
             else:
                 outputs[check_id].append(output)
-    for check_id in check_ids:
-        if check_id not in outcomes:
-            tol = cfg.tolerances[check_id]
-            try:
-                if check_id in _POINTWISE:
-                    outcomes[check_id] = _judged_blocks(check_id, tol, cfg.times,
-                                                        outputs[check_id])
-                else:
-                    reads = [_concatenated([block[name] for block in outputs[check_id]])
-                             if name in _BLOCK_NODES else _read(nodes, name)
-                             for name in _READS[check_id]]
-                    outcomes[check_id] = _CHECK_TABLE[check_id](tol, *reads), {}
-            except Exception as exc:
-                outcomes[check_id] = _failed(check_id, tol, exc), {}
+    for k, check_id in enumerate(check_ids):
+        _drop_unread(nodes, [later for later in check_ids[k:] if later not in _POINTWISE])
+        if check_id in outcomes:
+            continue
+        tol = cfg.tolerances[check_id]
+        try:
+            if check_id in _POINTWISE:
+                outcomes[check_id] = _judged_blocks(check_id, tol, cfg.times, outputs[check_id])
+            else:
+                reads = [_concatenated([block[name] for block in outputs[check_id]])
+                         if name in _BLOCK_NODES else _read(nodes, name)
+                         for name in _READS[check_id]]
+                outcomes[check_id] = _CHECK_TABLE[check_id](tol, *reads), {}
+        except Exception as exc:
+            outcomes[check_id] = _failed(check_id, tol, exc), {}
     return outcomes
 
 
@@ -673,18 +683,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
                               time.perf_counter() - started)
 
     _drop_unread(nodes, cfg.checks)  # a setup node that no requested check reads
-    own = [check_id for check_id in cfg.checks if check_id not in _SWEPT]
-    swept = [check_id for check_id in cfg.checks if check_id in _SWEPT]
-    outcomes = {}  # check id -> (record, series)
-    for k, check_id in enumerate(own):
-        tol = cfg.tolerances[check_id]
-        try:
-            reads = [_read(nodes, name) for name in _READS[check_id]]
-            outcomes[check_id] = _CHECK_TABLE[check_id](tol, *reads), {}
-        except Exception as exc:
-            outcomes[check_id] = _failed(check_id, tol, exc), {}
-        _drop_unread(nodes, own[k + 1:] + swept)
-    outcomes.update(_sweep(nodes, swept))
+    outcomes = _sweep(nodes, cfg.checks)  # check id -> (record, series)
     del nodes  # no check reads a node any more
 
     timeseries = {"time": cfg.times}

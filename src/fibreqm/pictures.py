@@ -96,8 +96,8 @@ class PictureTransform:
 
     @classmethod
     def from_transport(cls, transport: EvolutionTransport) -> "PictureTransform":
-        """Heisenberg frame family V(t) = U(t0, t), read from the transport's `into_t0`."""
-        return cls(transport.times, transport.into_t0)
+        """Heisenberg frame family V(t) = U(t0, t), the transport's rows into t0."""
+        return cls(transport.times, transport.matrices_into(transport.times[0]))
 
     @classmethod
     def random_unitary(cls, times, dimension: int, seed: int) -> "PictureTransform":

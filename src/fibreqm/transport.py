@@ -22,7 +22,6 @@ so integrator mismatch never contaminates equivalence measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,9 +113,9 @@ class EvolutionTransport:
     time of every t0 row, is looked up once, when the transport is built, so
     the t0 queries of many blocks scan the grid once.  The engine and
     `is_integral_of_motion` form the t0 rows one time block at a time and never
-    hold a whole t0 stack; a library caller that wants them whole reads the
-    read-only cached properties `from_t0` and `into_t0`, formed on first use,
-    and `inverse_frames.whole` for the whole inverse stack.
+    hold a whole t0 stack; a library caller that wants one whole calls
+    `matrices_from(times[0])` or `matrices_into(times[0])`, and reads
+    `inverse_frames.whole` for the whole inverse stack.
     """
 
     def __init__(self, propagators: PropagatorGrid, frames: np.ndarray,
@@ -170,16 +169,6 @@ class EvolutionTransport:
         inverse, head = self.inverse_frames[j], p.from_t0[j]
         return self._rows(part, lambda rows: (
             inverse @ (head @ (p.into_t0[rows] @ self.frames[rows]))))
-
-    @cached_property
-    def from_t0(self) -> np.ndarray:
-        """All U(t_j, t0) at the first grid time t0, computed once and read only."""
-        return _frozen(self.matrices_from(self.times[0]))
-
-    @cached_property
-    def into_t0(self) -> np.ndarray:
-        """All U(t0, t_j) at the first grid time t0, computed once and read only."""
-        return _frozen(self.matrices_into(self.times[0]))
 
 
 def integrate_bundle_schrodinger(hm: MatrixBundleHamiltonian, psi0) -> SectionAlongPath:

@@ -250,7 +250,8 @@ class TestDensityMorphisms:
         psi0 = states[0]
         rho0 = np.outer(psi0, psi0.conj())
         p0 = lift_operator(l, 0.0, rho0)
-        carried = evolve_density_morphisms(p0, transport.from_t0, transport.into_t0)
+        carried = evolve_density_morphisms(p0, transport.matrices_from(0.0),
+                                           transport.matrices_into(0.0))
         for idx in (0, 200, 400):
             t = float(TIMES[idx])
             u = grid.operators(idx, 0)
@@ -262,8 +263,8 @@ class TestDensityMorphisms:
         transport = EvolutionTransport(PropagatorGrid(HamiltonianFamily.zero(2), TIMES),
                                        l.at_many(TIMES))
         p0 = np.diag([0.25, 0.75]).astype(complex)
-        assert max_abs(evolve_density_morphisms(p0, transport.from_t0,
-                                                transport.into_t0)[-1] - p0) == 0
+        assert max_abs(evolve_density_morphisms(p0, transport.matrices_from(0.0),
+                                                transport.matrices_into(0.0))[-1] - p0) == 0
 
     def test_fibre_trace_is_frame_independent(self):
         l = constant_trivialization(np.diag([1.0, 3.0]).astype(complex))
@@ -388,8 +389,9 @@ class TestIntegralsOfMotion:
         # The zero broadcast dA/dt is tested on its one matrix and adds nothing.
         monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         candidate, transport = self.wide_constant_candidate()
-        # whole t0 stacks already cached: the criterion forms its own rows anyway
-        assert transport.from_t0.shape == transport.into_t0.shape
+        # whole t0 stacks formed by the caller first: the criterion forms its own rows
+        t0 = transport.times[0]
+        assert transport.matrices_from(t0).shape == transport.matrices_into(t0).shape
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -415,8 +417,8 @@ class TestIntegralsOfMotion:
             tracemalloc.stop()
         assert report.certified and report.transport_residual is not None
         # the t0 rows of each block (the from-rows dropped once multiplied), beside
-        # the lift's blocks, of one slice at any worker count; the transport's cached
-        # whole stacks are never formed
+        # the lift's blocks, of one slice at any worker count; the transport caches no
+        # whole t0 stack
         assert peak - start <= 4 * _BLOCK_BYTES
         assert not {"from_t0", "into_t0"} & set(vars(transport))
 
@@ -429,7 +431,8 @@ class TestIntegralsOfMotion:
         frames, inverse_frames = transport.frames, transport.inverse_frames.whole
         a0_fibre = lift_operators(frames[0], inverse_frames[0], a_vals[0])
         deviation = transport_criterion(lift_operators(frames, inverse_frames, a_vals), a0_fibre,
-                                        transport.from_t0, transport.into_t0)
+                                        transport.matrices_from(transport.times[0]),
+                                        transport.matrices_into(transport.times[0]))
         assert 0 < report.transport_residual == max_abs(deviation)
 
     @pytest.mark.parametrize("h, batches", [(H, [1, TIMES.size]),  # A and H broadcast

@@ -696,10 +696,9 @@ class TestSweep:
                                                                         two_block_gauge):
         cfg = two_block_gauge
         monkeypatch.setattr(hilbert_module, "_WORKERS", 1)  # one block in flight
-        # the transport criterion's block node is built after every other swept check
-        # has run in its block
-        swept = [c for c in cfg.checks if c in checks_module._SWEPT]
-        assert swept[-1] == "integrals_of_motion"
+        # every check runs in each block, in the scenario's order, so the transport
+        # criterion's block node is built after every other check has run in its block
+        assert cfg.checks[-1] == "integrals_of_motion"
         refs = {}  # block node -> a weak reference to an array its latest build holds
 
         def recording(part, *reads, name, build):
@@ -723,6 +722,22 @@ class TestSweep:
         assert run_scenario(cfg).overall_pass
         assert len(refs) == 7
         assert alive == [["transport_t0"]] * 2  # its own read; the rest are dropped
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("scenario", ["two-block", "nonunitary-constant-gauge"])
+    def test_the_records_do_not_depend_on_the_order_of_the_checks(self, monkeypatch,
+                                                                   two_block_gauge, scenario,
+                                                                   workers):
+        # the checks finish, and their whole nodes are dropped, in the scenario's order
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
+        cfg = two_block_gauge if scenario == "two-block" else load_catalog_scenario(scenario)
+        forward = run_scenario(cfg)
+        backward = run_scenario(dataclasses.replace(cfg, checks=cfg.checks[::-1]))
+        assert forward.overall_pass
+        assert [r.check for r in backward.records] == cfg.checks[::-1]
+        assert ({r.check: r.to_dict() for r in backward.records}
+                == {r.check: r.to_dict() for r in forward.records})
+        assert backward.timeseries == forward.timeseries
 
     @staticmethod
     def assert_fails_alone(clean, report, failed, detail, series):
@@ -819,20 +834,27 @@ class TestConcurrentSweep:
         assert {"section_t0", "integral_commutators"} < set(built)
         assert Counter(built) == {name: 1 for name in built}
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("node, readers", [
+        # read in the slices by a pointwise check: its readers build it again, on
+        # the calling thread alone, and fail by its error
+        ("section_t0", {"heisenberg_constancy"}),
+        # read after the slices by the two checks that build their record from it;
+        # a failed build stores nothing, so the second builds it again
+        ("transport_axioms", {"transport_identity", "transport_composition"})],
+        ids=["section_t0", "transport_axioms"])
     def test_a_whole_node_that_raises_fails_its_readers_alone(self, monkeypatch,
-                                                              two_block_gauge):
-        monkeypatch.setattr(hilbert_module, "_WORKERS", 2)
+                                                              two_block_gauge, workers, node,
+                                                              readers):
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         clean = run_scenario(two_block_gauge)
 
         def raises(*reads):
-            raise FloatingPointError("overflow in the reference state")
+            raise FloatingPointError(f"overflow in {node}")
 
-        # a whole node that only a swept check reads: its readers build it again, on
-        # the calling thread alone, and fail by its error
-        monkeypatch.setitem(_NODES, "section_t0", raises)
-        TestSweep.assert_fails_alone(clean, run_scenario(two_block_gauge),
-                                     {"heisenberg_constancy"},
-                                     "FloatingPointError: overflow in the reference state", set())
+        monkeypatch.setitem(_NODES, node, raises)
+        TestSweep.assert_fails_alone(clean, run_scenario(two_block_gauge), readers,
+                                     f"FloatingPointError: overflow in {node}", set())
 
     def test_no_thread_outlives_the_sweep(self, monkeypatch, two_block_gauge):
         monkeypatch.setattr(hilbert_module, "_WORKERS", 2)
@@ -1027,6 +1049,25 @@ def test_no_check_cuts_blocks_judges_itself_or_takes_a_series():
         assert "series" not in [arg.arg for arg in fn.args.args], fn.name
 
 
+def test_only_the_sweep_calls_a_check():
+    # One runner: a check is called on a slice (`_block_output`) or after the
+    # slices (`_sweep`), and no other function reads the check table.
+    tree = ast.parse(pathlib.Path(checks_module.__file__).read_text())
+    readers, callers = Counter(), Counter()  # top-level function -> its reads, calls
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id == "_CHECK_TABLE":
+                readers[fn.name] += 1
+            if isinstance(node, ast.Call):
+                called = node.func.value if isinstance(node.func, ast.Subscript) else node.func
+                if isinstance(called, ast.Name) and (called.id == "_CHECK_TABLE"
+                                                     or called.id.startswith("_check_")):
+                    callers[fn.name] += 1
+    assert readers == callers == {"_block_output": 1, "_sweep": 1}
+
+
 def _ramp(n_times):
     return np.linspace(0.0, 1.0, n_times)
 
@@ -1127,12 +1168,9 @@ class TestSampleOnce:
             [(method, 0, rows) for method in ("matrices_from", "matrices_into")
              for rows in blocks] + [("matrices_from", 0, (0, 1))])
 
-    def test_the_catalog_passes_without_the_whole_t0_stacks(self, monkeypatch):
-        def unreadable(transport):
-            raise AssertionError("a whole t0 stack was read")
-
-        for name in ("from_t0", "into_t0"):
-            monkeypatch.setattr(EvolutionTransport, name, property(unreadable))
+    def test_the_catalog_passes_without_the_whole_t0_stacks(self):
+        # the transport keeps no whole copy of its t0 rows
+        assert not {"from_t0", "into_t0"} & set(dir(EvolutionTransport))
         for name, _ in catalog_names():
             assert run_scenario(load_catalog_scenario(name)).overall_pass, name
 
@@ -1256,12 +1294,11 @@ class TestArtifactNodes:
             node_reads(key)
         # Only a pointwise check or another block node reads a block node, and one
         # check that builds its own record: it reads its block node's per-time
-        # series concatenated after the sweep.  Every other node has no time block.
+        # series concatenated after the slices.  Every other node has no time block.
         readers = {key for key, names in reads.items() if set(names) & block_nodes}
         assert readers, "no block node is read"
         own_readers = readers - POINTWISE_CHECKS - block_nodes
         assert own_readers == {"integrals_of_motion"}, own_readers
-        assert checks_module._SWEPT == POINTWISE_CHECKS | own_readers
         assert not block_nodes & set(checks_module._SETUP)
 
     def test_the_frame_error_is_the_setup_record_when_the_hamiltonian_fails_too(self):
@@ -1284,15 +1321,15 @@ class TestArtifactNodes:
         cfg = two_block_gauge
         # one worker, so that the builds alive at a check's call are those of its own block
         monkeypatch.setattr(hilbert_module, "_WORKERS", 1)
-        # the checks that build their own record run first, then the sweep of the
-        # pointwise checks over the two blocks
+        # the pointwise checks run on each of the two blocks, then the checks that
+        # build their own record run once, in the scenario's order
         assert [c for c in cfg.checks if c not in POINTWISE_CHECKS] == [
             "transport_identity", "transport_composition", "unitary_bundle_map",
             "integrals_of_motion"]
         assert cfg.checks[:2] == ["state_equivalence", "norm_drift"]
         assert cfg.checks.index("norm_drift") < cfg.checks.index("density_consistency")
-        probed = ("transport_composition", "unitary_bundle_map", "norm_drift",
-                  "fibre_trace_preservation")
+        probed = ("transport_identity", "transport_composition", "unitary_bundle_map",
+                  "integrals_of_motion", "norm_drift", "fibre_trace_preservation")
         refs, alive = {}, {}  # node name -> weak references to its builds; check id ->
         # the builds alive at each of its calls, by node name
 
@@ -1326,13 +1363,17 @@ class TestArtifactNodes:
         assert run_scenario(cfg).overall_pass
         assert {name: len(built) for name, built in refs.items()} == {
             "bundle_section": 1, "transport_axioms": 1, "density_transported": 2}
-        held = {"bundle_section": 1}  # until the sweep, its last reader, is done
+        held = {"bundle_section": 1}  # until the slices, its last reader's, are done
         assert alive == {
-            "transport_composition": [dict(held, transport_axioms=1)],
-            "unitary_bundle_map": [held],
-            # the first block's density is dropped with its block
+            # the first block's density is dropped with its block, and the axioms
+            # are not built before the slices
             "norm_drift": [held, held],
             "fibre_trace_preservation": [dict(held, density_transported=1)] * 2,
+            # after the slices: the axioms through their last reader and no later
+            "transport_identity": [{"transport_axioms": 1}],
+            "transport_composition": [{"transport_axioms": 1}],
+            "unitary_bundle_map": [{}],
+            "integrals_of_motion": [{}],
         }
         assert not any(live(built) for built in refs.values())
 
@@ -1544,7 +1585,8 @@ class TestArtifactNodes:
         # frames' inverse rows, the transport's t0 rows, the transported section and
         # its Heisenberg states, the lifted observables and both densities are
         # blocks of the sweep.  At one worker the peak is the transport axioms'
-        # index-array queries (4.18 stacks measured with these probes).
+        # index-array queries, after the slices (4.12 stacks measured with these
+        # probes).
         assert max(peaks) <= peak_bound
         # Every check block, judge and node build, setup ones too, keeps at most
         # one whole temporary stack beside its blocks: a t0 stack, the scaled
@@ -1663,9 +1705,9 @@ class TestArtifactNodes:
                 cached.add(name)
         assert run_suite("catalog").overall_pass
         assert len(scenarios) == len(catalog_names())
-        # the transport's whole t0 stacks are for library callers; the engine
-        # forms their rows block by block, by the block node `transport_t0`
-        assert cached == {"from_t0", "into_t0", "inverse_matrices"}
+        # the transport caches no t0 stack: the engine forms its rows block by
+        # block, by the block node `transport_t0`
+        assert cached == {"inverse_matrices"}
         assert {name for _, name in computed} == nodes | {"inverse_matrices"}
         for cfg in scenarios:  # setup built each of its nodes for this scenario
             assert set(checks_module._SETUP) <= {name for owner, name in computed

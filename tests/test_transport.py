@@ -356,21 +356,6 @@ class TestTransportSection:
         for k in (50, 100, 200):  # t = 0.25, 0.5, 1.0
             assert abs(norms[k] - start) <= 1e-8
 
-    def test_t0_stacks_are_shared_and_read_only(self):
-        h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.4 * SIGMA_Z)
-        transport = EvolutionTransport(PropagatorGrid(h, TIMES),
-                                       random_smooth_unitary_trivialization(2, 93).at_many(TIMES))
-        for name, query in (("from_t0", transport.matrices_from),
-                            ("into_t0", transport.matrices_into)):
-            stack = getattr(transport, name)
-            assert getattr(transport, name) is stack
-            assert not stack.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                stack[0, 0, 0] = 1.0
-            assert np.array_equal(query(0.0), stack)
-            assert query(0.0) is not stack
-            assert not np.array_equal(query(0.5), stack)
-
     def test_off_grid_time_rejected(self):
         h = HamiltonianFamily.constant(SIGMA_Z)
         transport = EvolutionTransport(PropagatorGrid(h, TIMES),
