@@ -86,22 +86,28 @@ _UNITARY_TOL = 1e-13
 
 
 class FrameInverse:
-    """S^-1 of a checked (N, n, n) frame stack S, read one index, slice or index array
-    at a time: `inverse[idx]` is the inverse of `S[idx]`.
+    """S^-1 of a checked (N, n, n) stack S, read one index, slice or index array at a
+    time: `inverse[idx]` is the inverse of `S[idx]`.
 
-    `_frame_inverse` decides which it is, once, from the samples.  Over a stack
-    proven unitary it holds no inverse: each read forms S^dagger of the rows it
-    selects, C-contiguous, so a read has the bits and the layout that the same
-    rows of a whole adjoint stack have, and no whole inverse stack is held.
-    Otherwise it holds `stack`, the read-only `np.linalg.inv` stack or the
-    broadcast of a broadcast's one inverse, and a read is its rows.  `whole`,
-    the whole stack formed on first use and read only, is for library callers;
-    the engine never reads it.
+    `_frame_inverse` decides which it is for a frame stack, once, from the
+    samples.  Over a stack proven unitary it holds no inverse: each read forms
+    S^dagger of the rows it selects, C-contiguous, so a read has the bits and
+    the layout that the same rows of a whole adjoint stack have, and no whole
+    inverse stack is held.  Otherwise it holds `stack`, the read-only
+    `np.linalg.inv` stack or the broadcast of a broadcast's one inverse, and a
+    read is its rows.  With `adjoint=False` and no `stack` (the conventional
+    U(t0, t) of `PropagatorGrid.into_t0`) it holds no inverse either: each read
+    inverts the rows it selects by `np.linalg.inv`, which inverts each matrix
+    alone, so a read has the bits of the same rows of the whole-stack inverse.
+    `whole`, the whole stack formed on first use and read only, is for library
+    callers; the engine never reads it.
     """
 
-    def __init__(self, frames: np.ndarray, stack: Optional[np.ndarray] = None):
+    def __init__(self, frames: np.ndarray, stack: Optional[np.ndarray] = None,
+                 adjoint: bool = True):
         self._frames = frames
         self._stack = None if stack is None else _frozen(stack)
+        self._adjoint = adjoint
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -111,6 +117,8 @@ class FrameInverse:
         if self._stack is not None:
             return self._stack[index]
         frames = self._frames[index]
+        if not self._adjoint:
+            return np.linalg.inv(frames)
         return np.conjugate(np.swapaxes(frames, -2, -1),
                             out=np.empty(frames.shape, dtype=complex))
 

@@ -14,14 +14,17 @@ shared by every check of that slice and dropped after its last reader there;
 only pointwise checks, other block nodes and a check that builds its record
 from a block node's per-time series read one.  The transport's t0 stacks are
 such a node, `transport_t0`, and so are the rows of the frame inverses,
-`inverse_frames`, so no whole one is formed.  The slices run concurrently on
-the workers of the pool helper `hilbert._in_block_order`, the calling thread
-among them, so one slice's block nodes are in flight per thread; every whole
-node they read is built before them, and their outputs are folded in block
-order.  Then each check, in the scenario's order, finishes once: a pointwise
-check's residuals, concatenated, are judged, and a check that builds its own
-record runs on its whole nodes and its block nodes' series concatenated.  A
-whole node is dropped once no check still to finish reads it.  A failure is a
+`inverse_frames`, and those of the conventional U(t0, t), `conventional_t0`,
+which the transport's t0 rows and the conventional density share: no whole one
+is formed, and each block inverts its conventional rows once.  The slices run
+concurrently on the workers of the pool helper `hilbert._in_block_order`, the
+calling thread among them, so one slice's block nodes are in flight per
+thread; every whole node they read is built before them, and their outputs
+are folded in block order.  Then each check, in the scenario's order,
+finishes once: a pointwise check's residuals, concatenated, are judged, and a
+check that builds its own record runs on its whole nodes and its block nodes'
+series concatenated.  A whole node is dropped once no check still to finish
+reads it, the block nodes' series being gathered already.  A failure is a
 failed record of its check alone, that of its first failing block, never a
 silent pass.  The whole nodes' own block loops (sampling, exponentials,
 inverses) run on the same helper, on the calling thread's behalf, and raise
@@ -127,15 +130,9 @@ def _steps(cfg, times) -> np.ndarray:
     return midpoint_propagators(cfg.hamiltonian, times, cfg.constants)
 
 
-def _conventional_from_t0(steps) -> np.ndarray:
-    """U(t_j, t0), the products of the conventional steps: once it is built, no node
-    reads the steps, so they are dropped before the transport inverts it."""
-    return step_products(steps)
-
-
-def _transport(cfg, times, grid_frames, conventional_from_t0) -> EvolutionTransport:
+def _transport(cfg, times, grid_frames, steps) -> EvolutionTransport:
     return EvolutionTransport(PropagatorGrid(cfg.hamiltonian, times, cfg.constants,
-                                             from_t0=conventional_from_t0), *grid_frames)
+                                             from_t0=step_products(steps)), *grid_frames)
 
 
 def _trajectory(cfg, times, steps) -> Trajectory:
@@ -144,8 +141,7 @@ def _trajectory(cfg, times, steps) -> Trajectory:
 
 
 def _lifted(times, grid_frames, trajectory) -> SectionAlongPath:
-    # the frames are read, so checked, before the Hamiltonian is sampled; each time
-    # block reads its own rows of the inverses
+    # each time block reads its own rows of the inverses
     inverse, states = grid_frames[1], trajectory.states
     return SectionAlongPath(times, np.concatenate(_in_block_order(
         lambda part: apply(inverse[part], states[part]), time_blocks(*inverse.shape[:2]))))
@@ -155,9 +151,16 @@ def _bundle_trivialization(cfg) -> TrivializationFamily:
     return cfg.trivialization  # the frames that the bundle generator reads
 
 
-def _bundle_section(cfg, times, bundle_trivialization, lifted) -> SectionAlongPath:
+def _lifted_t0(cfg, grid_frames) -> np.ndarray:
+    """l(t0)^-1 psi0, the lifted initial state: `lifted`'s first row, with its bits.  The
+    bundle section, setup's first node, reads it, so the frames are checked before
+    the Hamiltonian is sampled."""
+    return apply(grid_frames[1][:1], cfg.initial_state[None])[0]
+
+
+def _bundle_section(cfg, times, bundle_trivialization, lifted_t0) -> SectionAlongPath:
     return integrate_bundle_schrodinger(MatrixBundleHamiltonian(
-        cfg.hamiltonian, bundle_trivialization, times, cfg.constants), lifted.values[0])
+        cfg.hamiltonian, bundle_trivialization, times, cfg.constants), lifted_t0)
 
 
 def _observables(cfg, times) -> Dict[str, np.ndarray]:
@@ -165,10 +168,10 @@ def _observables(cfg, times) -> Dict[str, np.ndarray]:
     return {family.name: family.at_many(times) for family in cfg.observables}
 
 
-def _section_t0(transport, lifted) -> np.ndarray:
+def _section_t0(transport, lifted_t0) -> np.ndarray:
     """U(t0, t0) Psi(t0), the transported section's first row, by that one row of the
     transport: the reference every Heisenberg state is compared with."""
-    return apply(transport.matrices_from(transport.times[0], slice(0, 1)), lifted.values[0])[0]
+    return apply(transport.matrices_from(transport.times[0], slice(0, 1)), lifted_t0)[0]
 
 
 def _integral_commutators(cfg, transport) -> List[tuple]:
@@ -207,10 +210,17 @@ def _inverse_frames(part: slice, transport) -> np.ndarray:
     return transport.inverse_frames[part]
 
 
-def _transport_t0(part: slice, transport) -> Tuple[np.ndarray, np.ndarray]:
+def _conventional_t0(part: slice, transport) -> np.ndarray:
+    """The block's rows of the conventional U(t0, t), (b, n, n), inverted once for the
+    transport's t0 rows and the conventional density."""
+    return transport.propagators.into_t0[part]
+
+
+def _transport_t0(part: slice, transport, conventional_t0) -> Tuple[np.ndarray, np.ndarray]:
     """The block's rows of the t0 stacks: (U(t, t0), U(t0, t)), each (b, n, n)."""
     t0 = transport.times[0]
-    return transport.matrices_from(t0, part), transport.matrices_into(t0, part)
+    return (transport.matrices_from(t0, part),
+            transport.matrices_into(t0, part, conventional_t0))
 
 
 def _lifted_observables(part: slice, transport, inverse_frames,
@@ -227,15 +237,15 @@ def _density_transported(part: slice, cfg, transport, transport_t0) -> np.ndarra
         transport.frames[0], transport.inverse_frames[0], cfg.initial_density), *transport_t0)
 
 
-def _density_conventional(part: slice, cfg, transport) -> np.ndarray:
+def _density_conventional(part: slice, cfg, transport, conventional_t0) -> np.ndarray:
     """rho0 carried by the conventional propagators over the block, by the same kernel."""
-    grid = transport.propagators
-    return evolve_density_morphisms(cfg.initial_density, grid.from_t0[part], grid.into_t0[part])
+    return evolve_density_morphisms(cfg.initial_density, transport.propagators.from_t0[part],
+                                    conventional_t0)
 
 
-def _transported_section(part: slice, lifted, transport_t0) -> np.ndarray:
+def _transported_section(part: slice, lifted_t0, transport_t0) -> np.ndarray:
     """U(t, t0) Psi(t0) over the block, (b, n)."""
-    return apply(transport_t0[0], lifted.values[0])
+    return apply(transport_t0[0], lifted_t0)
 
 
 def _heisenberg_values(part: slice, transport_t0, transported_section) -> np.ndarray:
@@ -266,10 +276,10 @@ def _transport_axioms(cfg, times, transport) -> Tuple[int, TransportAxiomReport]
 _NODES = {
     "grid_frames": _grid_frames,
     "steps": _steps,
-    "conventional_from_t0": _conventional_from_t0,
     "transport": _transport,
     "trajectory": _trajectory,
     "lifted": _lifted,
+    "lifted_t0": _lifted_t0,
     "bundle_trivialization": _bundle_trivialization,
     "bundle_section": _bundle_section,
     "observables": _observables,
@@ -277,6 +287,7 @@ _NODES = {
     "integral_commutators": _integral_commutators,
     "random_picture": _random_picture,
     "inverse_frames": _inverse_frames,
+    "conventional_t0": _conventional_t0,
     "transport_t0": _transport_t0,
     "lifted_observables": _lifted_observables,
     "density_transported": _density_transported,
@@ -287,11 +298,10 @@ _NODES = {
     "transport_axioms": _transport_axioms,
 }
 # Read in this order before any check; a failure among them is the `setup` record.  The
-# bundle section's steps are formed before the transport's products, so the two
-# never coexist, and the conventional steps are dropped once their products are
-# formed, before the transport inverts them.
-_SETUP = ("lifted", "trajectory", "bundle_section", "conventional_from_t0", "transport",
-          "observables")
+# bundle section comes first, from the lifted initial state alone, so its steps are
+# dropped before the conventional steps are formed; those are dropped once the
+# transport has formed their products.  No whole inverse of the products is formed.
+_SETUP = ("bundle_section", "lifted", "trajectory", "transport", "observables")
 # Fault name -> (node, the build that replaces its own, with the same parameters).
 _FAULTS = {"drop_trivialization_derivative": ("bundle_trivialization", _without_derivative)}
 
@@ -420,7 +430,8 @@ def _check_unitary_bundle_map(tol: float, times, transport) -> CheckRecord:
     idx = _coarse_indices(times.size)
     i, j = (k.ravel() for k in np.meshgrid(idx, idx, indexing="ij"))
     forward = transport.matrices_by_index(i, j)    # fibre(t_j) -> fibre(t_i)
-    backward = transport.matrices_by_index(j, i)
+    # U(t_j, t_i), the query of the transposed pair
+    backward = forward[np.arange(i.size).reshape(idx.size, idx.size).T.ravel()]
     adjoints = bundle_adjoint_maps(transport.frames[i], transport.inverse_frames[j], forward)
     per_pair = np.max(np.abs(adjoints - backward), axis=(1, 2))
     return _judged("unitary_bundle_map", times[j], {"": per_pair}, tol)
@@ -524,19 +535,21 @@ def _read(nodes: dict, name: str, block: dict | None = None):
     return store[name]
 
 
-def _drop_unread(nodes: dict, pending: Sequence[str], keep: Sequence[str] = ()) -> None:
+def _drop_unread(nodes: dict, pending: Sequence[str], keep: Sequence[str] = (),
+                 built: Sequence[str] = ()) -> None:
     """Drop every node but `keep` that no pending check or node build still reads.
 
     A pending check or unbuilt node reads its own reads, and through each of
-    them that is not built yet, that node's reads; a node already built reads
-    nothing more.  A build that raised stored nothing, so it is read again.
+    them that is not built yet, that node's reads; a node already built, or
+    named in `built`, reads nothing more.  A build that raised stored nothing,
+    so it is read again.
     """
     needed, todo = set(), [key for key in pending if key not in nodes]
     while todo:
         for read in _READS[todo.pop()]:
             if read in _NODES and read not in needed:
                 needed.add(read)
-                if read not in nodes:
+                if read not in nodes and read not in built:
                     todo.append(read)
     for name in set(_NODES) - needed - set(keep):
         nodes.pop(name, None)
@@ -656,7 +669,9 @@ def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
             else:
                 outputs[check_id].append(output)
     for k, check_id in enumerate(check_ids):
-        _drop_unread(nodes, [later for later in check_ids[k:] if later not in _POINTWISE])
+        # the slices have gathered every block node a check still to finish reads
+        _drop_unread(nodes, [later for later in check_ids[k:] if later not in _POINTWISE],
+                     built=_BLOCK_NODES)
         if check_id in outcomes:
             continue
         tol = cfg.tolerances[check_id]

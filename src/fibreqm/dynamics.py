@@ -16,6 +16,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .bundle import FrameInverse
 from .hilbert import (
     PhysicalConstants,
     _in_block_order,
@@ -27,7 +28,6 @@ from .hilbert import (
     is_hermitian,
     matrix_exponential,
     max_abs,
-    stack_by_blocks,
     time_blocks,
 )
 
@@ -290,14 +290,16 @@ def step_products(steps: np.ndarray) -> np.ndarray:
 class PropagatorGrid:
     """Ordered step-propagator products over a fixed grid.
 
-    `from_t0[j]` = E[j-1] ... E[0] is U(t_j, t0) and `into_t0` = inv(from_t0)
-    is U(t0, t_j), inverted once; every two-time operator is the product
-    U(t_j, t_i) = from_t0[j] @ into_t0[i].  The steps E_k are the family's
+    `from_t0[j]` = E[j-1] ... E[0] is U(t_j, t0), and `into_t0` is U(t0, t_j),
+    its inverse, read by index like a frame inverse (a `bundle.FrameInverse`):
+    `into_t0[idx]` inverts the rows `from_t0[idx]` on each read, each matrix
+    with the bits of a whole-stack `np.linalg.inv`, so no whole inverse stack
+    is held.  Every two-time operator is the product U(t_j, t_i) =
+    from_t0[j] @ into_t0[i].  The steps E_k are the family's
     `midpoint_propagators` on the grid with these constants, and the grid
     keeps only their products, `from_t0` (`step_products`): taken from a
     caller that already formed them (checked to be one (n, n) matrix per grid
-    time), who can then drop its steps before `into_t0` is formed, or
-    formed here.
+    time), or formed here.
     """
 
     def __init__(self, family: HamiltonianFamily, times: np.ndarray,
@@ -317,11 +319,9 @@ class PropagatorGrid:
         self.constants = constants
         self.times = times
         self.from_t0 = from_t0
-        # inverted one time block per call, on the workers: each matrix has the bits
-        # of one whole-stack call
-        self.into_t0 = stack_by_blocks(times.size, n, lambda part: np.linalg.inv(from_t0[part]))
-        for a in (self.times, self.from_t0, self.into_t0):
+        for a in (self.times, self.from_t0):
             a.setflags(write=False)
+        self.into_t0 = FrameInverse(from_t0, adjoint=False)
 
     @property
     def dimension(self) -> int:

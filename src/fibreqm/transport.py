@@ -35,7 +35,7 @@ from .dynamics import (
     midpoint_propagators,
     propagate_states,
 )
-from .hilbert import PhysicalConstants, _frozen, as_state, stack_by_blocks
+from .hilbert import PhysicalConstants, _frozen, as_state, series_by_blocks, stack_by_blocks
 
 __all__ = [
     "EvolutionTransport",
@@ -111,11 +111,14 @@ class EvolutionTransport:
     `time_blocks` slice at a time.  A row has the same bits either way.  Their
     fixed time is looked up on the grid; the first grid time t0, the fixed
     time of every t0 row, is looked up once, when the transport is built, so
-    the t0 queries of many blocks scan the grid once.  The engine and
-    `is_integral_of_motion` form the t0 rows one time block at a time and never
-    hold a whole t0 stack; a library caller that wants one whole calls
-    `matrices_from(times[0])` or `matrices_into(times[0])`, and reads
-    `inverse_frames.whole` for the whole inverse stack.
+    the t0 queries of many blocks scan the grid once.  The conventional
+    U(t0, t_j) they read, `propagators.into_t0`, is inverted per read too, so
+    the transport holds no inverse of the conventional products; a caller that
+    has already inverted a slice's rows passes them to `matrices_into`.  The
+    engine and `is_integral_of_motion` form the t0 rows one time block at a
+    time and never hold a whole t0 stack; a library caller that wants one
+    whole calls `matrices_from(times[0])` or `matrices_into(times[0])`, and
+    reads `inverse_frames.whole` for the whole inverse stack.
     """
 
     def __init__(self, propagators: PropagatorGrid, frames: np.ndarray,
@@ -140,9 +143,18 @@ class EvolutionTransport:
         return self.propagators.dimension
 
     def matrices_by_index(self, j, i) -> np.ndarray:
-        """U(t_j, t_i) stacked over index arrays `j`, `i` (broadcast together)."""
+        """U(t_j, t_i) stacked over index arrays `j`, `i` (broadcast together), formed one
+        `time_blocks` slice of the pairs at a time, so its temporaries are blocks."""
         j, i = np.broadcast_arrays(np.asarray(j, dtype=np.intp), np.asarray(i, dtype=np.intp))
-        return self.inverse_frames[j] @ (self.propagators.operators(j, i) @ self.frames[i])
+        shape, j, i = j.shape, j.ravel(), i.ravel()
+
+        def block(part: slice) -> np.ndarray:
+            rows, cols = j[part], i[part]
+            return self.inverse_frames[rows] @ (self.propagators.operators(rows, cols)
+                                                @ self.frames[cols])
+
+        n = self.dimension
+        return stack_by_blocks(j.size, n, block).reshape(shape + (n, n))
 
     def matrix_by_index(self, j: int, i: int) -> np.ndarray:
         return self.matrices_by_index([j], [i])[0]
@@ -162,13 +174,23 @@ class EvolutionTransport:
         tail = p.into_t0[i] @ self.frames[i]
         return self._rows(part, lambda rows: self.inverse_frames[rows] @ (p.from_t0[rows] @ tail))
 
-    def matrices_into(self, t: float, part: Optional[slice] = None) -> np.ndarray:
-        """U(t, t_j) stacked over the grid indices j of the slice `part`, all by default."""
+    def matrices_into(self, t: float, part: Optional[slice] = None,
+                      conventional: Optional[np.ndarray] = None) -> np.ndarray:
+        """U(t, t_j) stacked over the grid indices j of the slice `part`, all by default.
+
+        `conventional`, given with `part` by a caller that has already inverted
+        the slice's rows of the conventional U(t0, t_j), is
+        `propagators.into_t0[part]`; it is read in place of inverting them again.
+        """
         j = self._index(t)
         p = self.propagators
         inverse, head = self.inverse_frames[j], p.from_t0[j]
-        return self._rows(part, lambda rows: (
-            inverse @ (head @ (p.into_t0[rows] @ self.frames[rows]))))
+
+        def block(rows: slice) -> np.ndarray:
+            into = p.into_t0[rows] if conventional is None else conventional
+            return inverse @ (head @ (into @ self.frames[rows]))
+
+        return self._rows(part, block)
 
 
 def integrate_bundle_schrodinger(hm: MatrixBundleHamiltonian, psi0) -> SectionAlongPath:
@@ -203,10 +225,12 @@ def check_transport_axioms(transport: EvolutionTransport,
 
     Triples must be grid aligned with r <= s <= t; the identity axiom is
     checked at every grid index appearing in the sample.  All times are
-    looked up at once and each axiom is evaluated as one stack of queries
-    (`transport.matrices_by_index`).  The worst location is the first
-    maximum in sample order (grid indices in order of first appearance for
-    the identity), and a NaN deviation counts as the maximum, so it fails.
+    looked up at once, and every distinct (t_j, t_i) pair of both axioms is
+    queried once, in one stack (`transport.matrices_by_index`); the
+    compositions are formed one block of triples at a time.  The worst
+    location is the first maximum in sample order (grid indices in order of
+    first appearance for the identity), and a NaN deviation counts as the
+    maximum, so it fails.
     """
     triples = np.asarray(sample, dtype=float)
     if triples.size == 0:
@@ -225,12 +249,20 @@ def check_transport_axioms(transport: EvolutionTransport,
     _, first_seen = np.unique(flat, return_index=True)
     first_seen.sort()
     seen = flat[first_seen]
+    # every (j, i) pair of both axioms, each queried once: U(t_j, t_i) does not
+    # depend on the other pairs of its query
+    n_times = transport.times.size
+    pairs, at = np.unique(np.concatenate([seen, it, isx, it]) * n_times
+                          + np.concatenate([seen, isx, ir, ir]), return_inverse=True)
+    queried = transport.matrices_by_index(*np.divmod(pairs, n_times))
+    identity, step_ts, step_sr, direct = np.split(at, np.cumsum([seen.size, it.size, it.size]))
+
     eye = np.eye(transport.dimension, dtype=complex)
-    id_devs = np.max(np.abs(transport.matrices_by_index(seen, seen) - eye), axis=(1, 2))
+    id_devs = np.max(np.abs(queried[identity] - eye), axis=(1, 2))
     worst_id = int(np.argmax(id_devs))
 
-    composed = transport.matrices_by_index(it, isx) @ transport.matrices_by_index(isx, ir)
-    comp_devs = np.max(np.abs(composed - transport.matrices_by_index(it, ir)), axis=(1, 2))
+    comp_devs = series_by_blocks(it.size, transport.dimension, lambda part: np.max(np.abs(
+        queried[step_ts[part]] @ queried[step_sr[part]] - queried[direct[part]]), axis=(1, 2)))
     worst_comp = int(np.argmax(comp_devs))
     return TransportAxiomReport(
         float(id_devs[worst_id]), float(comp_devs[worst_comp]),

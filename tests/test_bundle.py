@@ -430,7 +430,9 @@ class TestFrameInverse:
     def test_only_the_non_unitary_gauge_takes_the_svd_and_inv_path(self, name, monkeypatch):
         cfg = load_catalog_scenario(name)
         calls = count_svd_and_inv(monkeypatch)
-        build_artifacts(cfg)  # the grid frames, the transport and the midpoint generator
+        # the grid frames, the transport and the midpoint generator; setup inverts
+        # no conventional U(t0, t)
+        nodes = build_artifacts(cfg)
         PictureTransform.random_unitary(cfg.times, cfg.dimension, cfg.seed).inverse_matrices
         frame_calls = {routine: k for (routine, module), k in calls.items()
                        if module == "fibreqm.bundle"}
@@ -439,7 +441,8 @@ class TestFrameInverse:
             assert frame_calls == {"svd": 2, "inv": 2}
         else:
             assert frame_calls == {}
-        assert calls["inv", "fibreqm.dynamics"] == 1  # PropagatorGrid.into_t0 keeps inv
+        nodes["transport"].propagators.into_t0[:2]  # PropagatorGrid.into_t0 keeps inv, per read
+        assert calls["inv", "fibreqm.bundle"] == frame_calls.get("inv", 0) + 1
 
     @pytest.mark.parametrize("name", [name for name, _ in catalog_names()])
     def test_the_lift_helpers_follow_the_one_inverse_rule(self, name, monkeypatch):
@@ -629,7 +632,8 @@ def test_the_frames_conjugate_transpose_is_formed_only_by_the_inverse_rule():
 
 
 def test_np_linalg_inv_runs_only_in_the_two_inverters():
-    """`_frame_inverse` inverts every frame stack; `PropagatorGrid.__init__` forms `into_t0`."""
+    """`_frame_inverse` inverts every frame stack that is not unitary, and a
+    `FrameInverse` read the rows of the conventional U(t_j, t0) (`PropagatorGrid.into_t0`)."""
     sites = set()
 
     def visit(node, fname, scope):
@@ -644,4 +648,4 @@ def test_np_linalg_inv_runs_only_in_the_two_inverters():
 
     for path in (Path(__file__).resolve().parent.parent / "src" / "fibreqm").glob("*.py"):
         visit(ast.parse(path.read_text()), path.name, "")
-    assert sites == {("bundle.py", "_frame_inverse"), ("dynamics.py", "PropagatorGrid.__init__")}
+    assert sites == {("bundle.py", "_frame_inverse"), ("bundle.py", "FrameInverse.__getitem__")}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fibreqm.dynamics as dynamics_module
+import fibreqm.hilbert as hilbert_module
 from fibreqm.checks import run_scenario
 from fibreqm.dynamics import (
     HamiltonianFamily,
@@ -23,10 +24,12 @@ from fibreqm.hilbert import (
     SIGMA_Y,
     SIGMA_Z,
     PhysicalConstants,
+    _in_block_order,
     apply,
     expectations,
     inner_products,
     max_abs,
+    time_blocks,
 )
 from fibreqm.pictures import to_general_picture_observables
 from fibreqm.scenario import scenario_from_dict
@@ -146,10 +149,31 @@ class TestEvolutionOperator:
         steps = midpoint_propagators(h, times)
         grid, own = PropagatorGrid(h, times, from_t0=step_products(steps)), PropagatorGrid(h, times)
         assert np.array_equal(grid.from_t0, own.from_t0)
-        assert np.array_equal(grid.into_t0, own.into_t0)
+        assert np.array_equal(grid.into_t0[:], own.into_t0[:])
         products = step_products(steps)  # E[j-1] ... E[0], each step applied last
         assert np.array_equal(products[0], np.eye(2))
         assert np.array_equal(products[1:], steps @ products[:-1])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_read_of_into_t0_has_the_bits_of_the_whole_stack_inverse(self, monkeypatch,
+                                                                       five_block_gauge,
+                                                                       workers):
+        # n = 32 over five time blocks; the blocks' reads run on the workers, as the
+        # sweep's do
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
+        cfg = five_block_gauge
+        grid = PropagatorGrid(cfg.hamiltonian, cfg.times, cfg.constants)
+        into_t0, whole = grid.into_t0, np.linalg.inv(grid.from_t0)
+        assert into_t0.shape == whole.shape == (301, 32, 32)
+        for index in (slice(3, 70), np.array([5, 5, 0, 300, 5]), 7, np.int64(123)):
+            assert np.array_equal(into_t0[index], whole[index]), index
+        parts = time_blocks(cfg.times.size, cfg.dimension)
+        assert len(parts) == 5
+        by_blocks = np.concatenate(_in_block_order(lambda part: into_t0[part], parts))
+        assert np.array_equal(by_blocks, whole)
+        # the whole stack only on request, formed once and read only
+        assert into_t0.whole is into_t0.whole and not into_t0.whole.flags.writeable
+        assert np.array_equal(into_t0.whole, whole)
 
     def test_consistent_with_evolve_state(self):
         h = circular_drive(np.pi, np.pi)

@@ -41,6 +41,7 @@ from fibreqm.dynamics import (
     Trajectory,
     grid_index,
     midpoint_propagators,
+    step_products,
 )
 from fibreqm.hilbert import matrix_exponential, time_blocks
 from fibreqm.pictures import PictureTransform
@@ -669,6 +670,7 @@ class TestSweep:
                                 if name in checks_module._READS[key])
                    for name in block_nodes}
         assert readers == {
+            "conventional_t0": ["density_conventional", "transport_t0"],
             "transport_t0": ["density_transported", "heisenberg_values", "integral_deviations",
                              "picture_invariance", "transported_section"],
             "lifted_observables": ["hermiticity_correspondence", "mean_value_invariance",
@@ -720,7 +722,7 @@ class TestSweep:
 
         monkeypatch.setitem(_NODES, "integral_deviations", probe)
         assert run_scenario(cfg).overall_pass
-        assert len(refs) == 7
+        assert len(refs) == 8
         assert alive == [["transport_t0"]] * 2  # its own read; the rest are dropped
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -919,7 +921,8 @@ class TestConcurrentSetup:
             "time-dependent steps": midpoint_propagators(varying, times, constants),
             "grid values": values,
             "grid inverses": inverses[:],
-            "into_t0": grid.into_t0,
+            "into_t0 by blocks": np.concatenate(hilbert_module._in_block_order(
+                lambda part: grid.into_t0[part], time_blocks(times.size, cfg.dimension))),
             "whole-stack inverse": np.linalg.inv(grid.from_t0),
             "exponentials": matrix_exponential(scaled),
         }
@@ -937,7 +940,7 @@ class TestConcurrentSetup:
             for key, value in serial.items():
                 assert np.array_equal(concurrent[key], value), key
         # the inverse per block has the bits of one whole-stack call
-        assert np.array_equal(serial["into_t0"], serial["whole-stack inverse"])
+        assert np.array_equal(serial["into_t0 by blocks"], serial["whole-stack inverse"])
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_setup_failure_is_that_of_the_first_failing_block(self, monkeypatch,
@@ -1154,11 +1157,11 @@ class TestSampleOnce:
                 "integrals_of_motion"} <= set(cfg.checks)
         calls = []  # (query, grid index of its fixed time, rows formed)
         for method in ("matrices_from", "matrices_into"):
-            def counting(transport, t, part=None, real=getattr(EvolutionTransport, method),
+            def counting(transport, t, part=None, *rows, real=getattr(EvolutionTransport, method),
                          method=method):
                 calls.append((method, grid_index(transport.times, t),
                               None if part is None else (part.start, part.stop)))
-                return real(transport, t, part)
+                return real(transport, t, part, *rows)
             monkeypatch.setattr(EvolutionTransport, method, counting)
         assert run_scenario(cfg).overall_pass
         blocks = [(part.start, part.stop) for part in time_blocks(cfg.times.size, cfg.dimension)]
@@ -1283,8 +1286,9 @@ class TestArtifactNodes:
         # a block node's first parameter is its time block, and no other node has one
         block_nodes = {name for name in _NODES if params[name][:1] == ["part"]}
         assert block_nodes == checks_module._BLOCK_NODES == {
-            "transport_t0", "lifted_observables", "density_transported", "density_conventional",
-            "transported_section", "heisenberg_values", "integral_deviations", "inverse_frames"}
+            "conventional_t0", "transport_t0", "lifted_observables", "density_transported",
+            "density_conventional", "transported_section", "heisenberg_values",
+            "integral_deviations", "inverse_frames"}
         assert all(len(reads[name]) == len(params[name]) - (name in block_nodes)
                    for name in _NODES)
         unknown = {key: sorted(set(names) - seeds - set(_NODES)) for key, names in reads.items()}
@@ -1380,10 +1384,10 @@ class TestArtifactNodes:
     def test_state_equivalence_alone_builds_no_t0_stack_or_lift(self, monkeypatch):
         calls = []
         for method in ("matrices_from", "matrices_into"):
-            def counting(transport, t, part=None, real=getattr(EvolutionTransport, method),
+            def counting(transport, t, part=None, *rows, real=getattr(EvolutionTransport, method),
                          method=method):
                 calls.append(method)
-                return real(transport, t, part)
+                return real(transport, t, part, *rows)
             monkeypatch.setattr(EvolutionTransport, method, counting)
         lift = checks_module.lift_operators
 
@@ -1408,10 +1412,10 @@ class TestArtifactNodes:
         kernel, transport = checks_module.evolve_density_morphisms, _NODES["transport"]
 
         def recording(p0, from_t0, into_t0):
-            conventional = [np.shares_memory(rows, stack) for rows, stack in
-                            ((from_t0, grids[0].from_t0), (into_t0, grids[0].into_t0))]
-            assert len(set(conventional)) == 1
-            two_times.append(PropagatorGrid if conventional[0] else EvolutionTransport)
+            conventional = np.shares_memory(from_t0, grids[0].from_t0)
+            if conventional:  # the grid's rows, and their inverses as its reads form them
+                assert np.array_equal(into_t0, np.linalg.inv(from_t0))
+            two_times.append(PropagatorGrid if conventional else EvolutionTransport)
             return kernel(p0, from_t0, into_t0)
 
         def keeping(*reads):
@@ -1533,12 +1537,13 @@ class TestArtifactNodes:
         cfg = scenario_from_dict(raw)
         one_stack = cfg.times.size * 32 * 32 * np.dtype(complex).itemsize
         # At the default worker count, with one slice's blocks in flight per worker,
-        # the peak is the sweep's (4.22 stacks measured: the frames and both t0
-        # stacks, held whole, and two slices' block nodes and temporaries); the
-        # bound adds two blocks (0.13 stack).  The count is capped at two, so this
-        # holds on a host of any core count.
+        # the peak is 3.28 stacks measured (the frames and the conventional products
+        # held whole, beside the conventional steps as the transport forms their
+        # products, or beside two slices' block nodes and temporaries in the sweep);
+        # the bound adds two blocks (0.13 stack), rounded up.  The count is capped at
+        # two, so this holds on a host of any core count.
         assert 1 <= hilbert_module._WORKERS <= 2
-        peak_bound = 4.35 * one_stack
+        peak_bound = 3.45 * one_stack
         tracemalloc.start()
         try:
             assert run_scenario(cfg).overall_pass
@@ -1581,12 +1586,12 @@ class TestArtifactNodes:
         finally:
             tracemalloc.stop()
         assert set(above) == set(_NODES) | set(cfg.checks)
-        # Held through the sweep: the frames and the two conventional t0 stacks; the
-        # frames' inverse rows, the transport's t0 rows, the transported section and
-        # its Heisenberg states, the lifted observables and both densities are
-        # blocks of the sweep.  At one worker the peak is the transport axioms'
-        # index-array queries, after the slices (4.12 stacks measured with these
-        # probes).
+        # Held through the sweep: the frames and the conventional products U(t, t0);
+        # their inverse rows, the frames' inverse rows, the transport's t0 rows, the
+        # transported section and its Heisenberg states, the lifted observables and
+        # both densities are blocks of the sweep.  At one worker the peak is the
+        # transport's build, beside the conventional steps (3.09 stacks measured
+        # with these probes).
         assert max(peaks) <= peak_bound
         # Every check block, judge and node build, setup ones too, keeps at most
         # one whole temporary stack beside its blocks: a t0 stack, the scaled
@@ -1636,27 +1641,100 @@ class TestArtifactNodes:
         assert any(seen_frames)  # the walk reaches the transport's frames
         assert not wholes, sorted(set(wholes))
 
-    def test_the_conventional_steps_are_dropped_before_into_t0_is_formed(self, monkeypatch,
-                                                                          two_block_gauge):
-        refs = []  # a weak reference to each build of the conventional steps
-        build_steps = _NODES["steps"]
+    def test_no_whole_inverse_of_the_conventional_products_is_formed(self, monkeypatch,
+                                                                     two_block_gauge):
+        # Through setup and the sweep, every node build and check sees its reads and
+        # its output: no array reachable from them is a whole stack of U(t0, t), the
+        # inverse of the conventional products U(t, t0), or a view of one.
+        cfg = two_block_gauge
+        products = step_products(midpoint_propagators(cfg.hamiltonian, cfg.times, cfg.constants))
+        inverse = np.linalg.inv(products)
+        seen_products, wholes = [], []
+
+        def inspect_arrays(key, obj):
+            for array in _arrays(obj, set()):
+                while isinstance(array.base, np.ndarray):
+                    array = array.base
+                if array.shape == products.shape:
+                    seen_products.append(np.array_equal(array, products))
+                    if np.array_equal(array, inverse):
+                        wholes.append(key)
+
+        def probed(key, build):
+            def probe(*reads):
+                inspect_arrays(key, reads)
+                out = build(*reads)
+                inspect_arrays(key, out)
+                return out
+            return probe
+
+        for key, build in list(_NODES.items()):
+            monkeypatch.setitem(_NODES, key, probed(key, build))
+        for check_id in cfg.checks:
+            monkeypatch.setitem(_CHECK_TABLE, check_id, probed(check_id, _CHECK_TABLE[check_id]))
+        assert run_scenario(cfg).overall_pass
+        assert any(seen_products)  # the walk reaches the propagator grid's products
+        assert not wholes, sorted(set(wholes))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_block_inverts_its_conventional_rows_once(self, monkeypatch, two_block_gauge,
+                                                           workers):
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
+        cfg, grids = two_block_gauge, []
+        transport = _NODES["transport"]
+
+        def keeping(*reads):
+            built = transport(*reads)
+            grids.append(built.propagators)
+            return built
+
+        reads = []  # each read of the run's U(t0, t): a slice's rows, one row or an index array
+        real = bundle_module.FrameInverse.__getitem__
+
+        def recording(inverse, index):
+            rows = real(inverse, index)
+            if grids and inverse is grids[0].into_t0:
+                assert np.array_equal(rows, np.linalg.inv(grids[0].from_t0[index]))
+                reads.append((index.start, index.stop) if isinstance(index, slice)
+                             else int(index) if np.ndim(index) == 0 else "index array")
+            return rows
+
+        monkeypatch.setitem(_NODES, "transport", keeping)
+        monkeypatch.setattr(bundle_module.FrameInverse, "__getitem__", recording)
+        assert run_scenario(cfg).overall_pass
+        blocks = [(part.start, part.stop) for part in time_blocks(cfg.times.size, cfg.dimension)]
+        # each block's rows once, shared by the transport's t0 rows and the
+        # conventional density, and the fixed time's one row U(t0, t0) of each t0
+        # query; beside them, the index arrays of the transport axioms and the
+        # unitary bundle map, a block of pairs each
+        counts = Counter(reads)
+        assert counts.pop("index array") >= 2
+        assert counts == {**{rows: 1 for rows in blocks}, 0: len(blocks) + 1}
+
+    def test_the_transport_is_dropped_before_the_last_check_that_does_not_read_it(
+            self, monkeypatch, two_block_gauge):
+        # integrals_of_motion reads the transport only through its block node, whose
+        # series the slices have gathered: after the slices, the transport goes
+        # with its last whole reader, unitary_bundle_map
+        cfg = two_block_gauge
+        assert [c for c in cfg.checks if c not in POINTWISE_CHECKS][-2:] == [
+            "unitary_bundle_map", "integrals_of_motion"]
+        refs, alive = [], []
+        transport, check = _NODES["transport"], _CHECK_TABLE["integrals_of_motion"]
 
         def recording(*reads):
-            steps = build_steps(*reads)
-            refs.append(weakref.ref(steps))
-            return steps
+            built = transport(*reads)
+            refs.append(weakref.ref(built))
+            return built
 
-        monkeypatch.setitem(_NODES, "steps", recording)
-        alive = []  # whether the steps were alive as each `into_t0` was formed
-        real = dynamics_module.stack_by_blocks
-
-        def forming_into_t0(*args):
+        def probe(*args):
             alive.append([ref() is not None for ref in refs])
-            return real(*args)
+            return check(*args)
 
-        monkeypatch.setattr(dynamics_module, "stack_by_blocks", forming_into_t0)
-        assert run_scenario(two_block_gauge).overall_pass
-        assert alive == [[False]]  # one into_t0, formed after its steps were dropped
+        monkeypatch.setitem(_NODES, "transport", recording)
+        monkeypatch.setitem(_CHECK_TABLE, "integrals_of_motion", probe)
+        assert run_scenario(cfg).overall_pass
+        assert alive == [[False]]
 
     def test_the_picture_generators_are_drawn_once_per_scenario(self, monkeypatch,
                                                                 two_block_gauge):

@@ -1,6 +1,11 @@
+import json
+import tracemalloc
+from importlib import resources
+
 import numpy as np
 import pytest
 
+import fibreqm.hilbert as hilbert_module
 from fibreqm.bundle import (
     TrivializationFamily,
     bundle_adjoint_maps,
@@ -20,9 +25,13 @@ from fibreqm.dynamics import (
     uniform_grid,
 )
 from fibreqm.hilbert import SIGMA_X, SIGMA_Z, PhysicalConstants, apply, max_abs
+from fibreqm.checks import _sample_triples, build_artifacts
+from fibreqm.dynamics import grid_indices
+from fibreqm.scenario import load_catalog_scenario, scenario_from_dict
 from fibreqm.transport import (
     EvolutionTransport,
     MatrixBundleHamiltonian,
+    TransportAxiomReport,
     check_transport_axioms,
     integrate_bundle_schrodinger,
 )
@@ -275,6 +284,85 @@ class TestBuildTransport:
                                        identity_trivialization(2).at_many(TIMES))
         with pytest.raises(ValueError, match="r <= s <= t"):
             check_transport_axioms(transport, [(0.5, 0.25, 1.0)])
+
+    @staticmethod
+    def axioms_by_three_whole_queries(transport, sample):
+        """The report as formed by querying the identity, both composition factors and
+        the direct transport each as its own stack, repeated pairs and all."""
+        triples = np.asarray(sample, dtype=float)
+        index = grid_indices(transport.times, triples)
+        ir, isx, it = index.T
+        flat = index.ravel()
+        _, first_seen = np.unique(flat, return_index=True)
+        first_seen.sort()
+        seen = flat[first_seen]
+        eye = np.eye(transport.dimension, dtype=complex)
+        id_devs = np.max(np.abs(transport.matrices_by_index(seen, seen) - eye), axis=(1, 2))
+        worst_id = int(np.argmax(id_devs))
+        composed = transport.matrices_by_index(it, isx) @ transport.matrices_by_index(isx, ir)
+        comp_devs = np.max(np.abs(composed - transport.matrices_by_index(it, ir)), axis=(1, 2))
+        worst_comp = int(np.argmax(comp_devs))
+        return TransportAxiomReport(
+            float(id_devs[worst_id]), float(comp_devs[worst_comp]),
+            float(triples.ravel()[first_seen[worst_id]]),
+            tuple(float(x) for x in triples[worst_comp]))
+
+    @staticmethod
+    def wide_gauge():
+        """random-unitary-gauge at n = 32 and N = 1000, the benchmark's wide-gauge size."""
+        raw = json.loads((resources.files("fibreqm") / "catalog"
+                          / "random-unitary-gauge.json").read_text())
+        raw["dimension"], raw["grid"]["steps"] = 32, 1000
+        return scenario_from_dict(raw)
+
+    def test_the_axioms_hold_their_pairs_and_blocks_of_temporaries(self, monkeypatch):
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 1)  # one block in flight
+        cfg = self.wide_gauge()
+        transport = build_artifacts(cfg)["transport"]
+        triples = _sample_triples(cfg.times, cfg.seed)
+        tracemalloc.start()
+        try:
+            entry, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            check_transport_axioms(transport, triples)
+            above = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        # the 273 distinct pairs' matrices, and blocks of temporaries beside them
+        # (8.7 MB measured; 16.8 MB when each axiom was one whole query, pairs repeated)
+        pairs = 273 * 32 * 32 * np.dtype(complex).itemsize
+        assert above <= pairs + 5 * hilbert_module._BLOCK_BYTES
+
+    @pytest.mark.parametrize("scenario", ["wide-gauge", "nonunitary-constant-gauge",
+                                          "two-block"])
+    def test_each_distinct_pair_is_queried_once_with_the_bits_of_three_queries(
+            self, monkeypatch, two_block_gauge, scenario):
+        if scenario == "two-block":
+            cfg = two_block_gauge
+        elif scenario == "wide-gauge":
+            cfg = self.wide_gauge()
+        else:
+            cfg = load_catalog_scenario(scenario)
+        transport = build_artifacts(cfg)["transport"]
+        triples = _sample_triples(cfg.times, cfg.seed)
+        expected = self.axioms_by_three_whole_queries(transport, triples)
+        queried = []  # the pairs of each query, as (j, i)
+        real = EvolutionTransport.matrices_by_index
+
+        def counting(self, j, i):
+            queried.append(list(zip(np.ravel(j).tolist(), np.ravel(i).tolist())))
+            return real(self, j, i)
+
+        monkeypatch.setattr(EvolutionTransport, "matrices_by_index", counting)
+        assert check_transport_axioms(transport, triples) == expected
+        index = grid_indices(cfg.times, np.asarray(triples))
+        pairs = ({(k, k) for k in index.ravel().tolist()}
+                 | {(t, s) for _, s, t in index.tolist()} | {(s, r) for r, s, _ in index.tolist()}
+                 | {(t, r) for r, _, t in index.tolist()})
+        assert len(queried) == 1
+        assert sorted(queried[0]) == sorted(pairs)  # each once
+        if scenario == "wide-gauge":  # 119 identity and 3 x 205 composition matrices before
+            assert len(pairs) == 273
 
     def test_unitary_bundle_map_property(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.4 * SIGMA_Z)
