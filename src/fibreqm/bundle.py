@@ -14,7 +14,7 @@ the midpoints, the random picture) is inverted by one rule, decided from the
 samples alone: if max|S^dagger S - I| <= 1e-13, S is unitary to rounding and
 S^-1 = S^dagger, which also proves it invertible, so no SVD, `inv` or solve
 runs; otherwise the SVD ratio check and `np.linalg.inv` run as for any
-invertible matrix.  Each batch a family samples (the grid, or one time block
+invertible matrix.  Each batch a family samples (the grid, or one half block
 of midpoints) is proven once, when it is sampled, into a `FrameInverse`, which
 every reader indexes: over a unitary stack each read forms S^dagger of the
 rows it selects, so no whole inverse stack is held; otherwise a read is rows
@@ -273,27 +273,39 @@ class TrivializationFamily:
 
         Values and derivative come from one evaluation on the grid; returns the
         checked grid values and their `FrameInverse`, so callers can reuse them
-        instead of sampling or inverting the grid again.  Each stencil is
-        formed one `time_blocks` slice at a time, on the workers.
+        instead of sampling or inverting the grid again.  The three maxima the
+        test compares (the derivative's scale, the third difference's and the
+        deviation's) are formed in one pass over the `time_blocks` slices of the
+        interior points, on the workers.
         """
         times = np.asarray(times, dtype=float)
         values, derivative, inverse = self.derivative_at_many(times)
-
-        def largest(count: int, entries: Callable[[slice], np.ndarray]) -> float:
-            return max(_in_block_order(lambda part: max_abs(entries(part)),
-                                       time_blocks(count, self.dimension)))
-
         if times.size >= 3:
             supplied, spans = derivative[1:-1], times[2:] - times[:-2]
-            scale = largest(times.size - 2, lambda part: supplied[part])
+            h = float(np.mean(np.diff(times)))
+
+            def maxima(part: slice) -> Tuple[float, float, float]:
+                """The block's largest |dl/dt|, |third difference| and |deviation|; the
+                third difference's stencil needs two more points aside, so it stops
+                two points short of the interior's end (0 where it is empty)."""
+                inner = slice(part.start, max(part.start, min(part.stop, times.size - 4)))
+                # each stencil in one temporary of its own, updated in place, in the
+                # order of (v4 - 2 v3 + 2 v1 - v0) / (2 h^3) and v' - (v2 - v0) / span
+                third = values[3:-1][inner] * 2
+                np.subtract(values[4:][inner], third, out=third)
+                third += 2 * values[1:-3][inner]
+                third -= values[:-4][inner]
+                third /= 2 * h ** 3
+                dev = values[2:][part] - values[:-2][part]
+                dev /= spans[part, None, None]
+                np.subtract(supplied[part], dev, out=dev)
+                return max_abs(supplied[part]), max_abs(third), max_abs(dev)
+
+            scale, third, dev = (max(column) for column in zip(*_in_block_order(
+                maxima, time_blocks(times.size - 2, self.dimension))))
             allowance = _DERIVATIVE_FD_TOL * max(1.0, scale)
             if times.size >= 5:
-                h = float(np.mean(np.diff(times)))
-                allowance += (h * h / 6.0) * largest(times.size - 4, lambda part: (
-                    values[4:][part] - 2 * values[3:-1][part] + 2 * values[1:-3][part]
-                    - values[:-4][part]) / (2 * h ** 3)) * 4.0
-            dev = largest(times.size - 2, lambda part: supplied[part] - (
-                values[2:][part] - values[:-2][part]) / spans[part, None, None])
+                allowance += (h * h / 6.0) * third * 4.0
             if dev > allowance:
                 raise ValueError(
                     f"trivialization '{self.name}': analytic derivative deviates from "

@@ -6,31 +6,31 @@ block node's first, are the nodes it reads.  Setup reads the `_SETUP` nodes,
 which can reject the scenario; a fault that is on swaps a node's build
 (`_FAULTS`).  A node is built on first read and dropped after its last reader.
 
-Every check runs in one sweep, `_sweep`, over the `time_blocks` slices: a
-pointwise check runs on each slice, and a check that builds its own record
-reads there only the block nodes it reads, if any.  A block node, a build whose
-first parameter is the slice `part`, is built on its first read in a slice,
-shared by every check of that slice and dropped after its last reader there;
-only pointwise checks, other block nodes and a check that builds its record
-from a block node's per-time series read one.  The transport's t0 stacks are
-such a node, `transport_t0`, and so are the rows of the frame inverses,
-`inverse_frames`, and those of the conventional U(t0, t), `conventional_t0`,
-which the transport's t0 rows and the conventional density share: no whole one
-is formed, and each block inverts its conventional rows once.  The slices run
-concurrently on the workers of the pool helper `hilbert._in_block_order`, the
-calling thread among them, so one slice's block nodes are in flight per
-thread; every whole node they read is built before them, and their outputs
-are folded in block order.  Then each check, in the scenario's order,
-finishes once: a pointwise check's residuals, concatenated, are judged, and a
-check that builds its own record runs on its whole nodes and its block nodes'
-series concatenated.  A whole node is dropped once no check still to finish
-reads it, the block nodes' series being gathered already.  A failure is a
-failed record of its check alone, that of its first failing block, never a
-silent pass.  The whole nodes' own block loops (sampling, exponentials,
-inverses) run on the same helper, on the calling thread's behalf, and raise
-their first failing block's error, so a failed `setup` record does not depend
-on the worker count either.  Scenarios share no mutable state, so suites run
-them in any order.
+Every check runs in one sweep, `_sweep`, over the `half_blocks` slices, the
+halves of the time blocks: a pointwise check runs on each slice, and a check
+that builds its own record reads there only the block nodes it reads, if any.
+A block node, a build whose first parameter is the slice `part`, is built on
+its first read in a slice, shared by every check of that slice and dropped
+after its last reader there; only pointwise checks, other block nodes and a
+check that builds its record from a block node's per-time series read one.
+The transport's t0 stacks are such a node, `transport_t0`, and so are the rows
+of the frame inverses, `inverse_frames`, and those of the conventional
+U(t0, t), `conventional_t0`, which the transport's t0 rows and the conventional
+density share: no whole one is formed, and each slice inverts its conventional
+rows once.  The slices run concurrently on the workers of the pool helper
+`hilbert._in_block_order`, the calling thread among them, so one slice's block
+nodes are in flight per thread; every whole node they read is built before
+them, and their outputs are folded in block order.  Then each check, in the
+scenario's order, finishes once: a pointwise check's residuals, concatenated,
+are judged, and a check that builds its own record runs on its whole nodes and
+its block nodes' series concatenated.  A whole node is dropped once no check
+still to finish reads it, the block nodes' series being gathered already.  A
+failure is a failed record of its check alone, that of its first failing
+slice, never a silent pass.  The whole nodes' own block loops (sampling,
+exponentials, inverses) run on the same helper, on the calling thread's
+behalf, and raise their first failing block's error, so a failed `setup`
+record does not depend on the worker count either.  Scenarios share no mutable
+state, so suites run them in any order.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .hilbert import (
     apply,
     distinct_matrices,
     expectations,
+    half_blocks,
     inner_products,
     max_abs,
     time_blocks,
@@ -125,19 +126,28 @@ def _grid_frames(cfg, times) -> Tuple[np.ndarray, FrameInverse]:
     return cfg.trivialization.validate_on_grid(times)
 
 
-def _steps(cfg, times) -> np.ndarray:
-    """The conventional step propagators, read by the oracle and their products only."""
-    return midpoint_propagators(cfg.hamiltonian, times, cfg.constants)
+def _conventional(cfg, times) -> Tuple[Trajectory, np.ndarray]:
+    """(the conventional oracle, the products U(t, t0)): the step propagators are formed
+    into rows 1.. of the products' (N, n, n) stack, psi0 is carried by them, and then
+    the products are formed in place over them (`step_products`), so the steps are
+    never a stack of their own."""
+    n = cfg.dimension
+    products = np.empty((times.size, n, n), dtype=complex)
+    steps = midpoint_propagators(cfg.hamiltonian, times, cfg.constants, out=products[1:])
+    trajectory = Trajectory(times, propagate_states(steps, cfg.initial_state))
+    return trajectory, step_products(steps, out=products)
 
 
-def _transport(cfg, times, grid_frames, steps) -> EvolutionTransport:
+def _transport(cfg, times, grid_frames, conventional) -> EvolutionTransport:
+    """The transport over the checked frames and the conventional node's products,
+    which it keeps as they are: its build forms no stack."""
     return EvolutionTransport(PropagatorGrid(cfg.hamiltonian, times, cfg.constants,
-                                             from_t0=step_products(steps)), *grid_frames)
+                                             from_t0=conventional[1]), *grid_frames)
 
 
-def _trajectory(cfg, times, steps) -> Trajectory:
+def _trajectory(conventional) -> Trajectory:
     """The conventional oracle: psi0 carried by the step propagators."""
-    return Trajectory(times, propagate_states(steps, cfg.initial_state))
+    return conventional[0]
 
 
 def _lifted(times, grid_frames, trajectory) -> SectionAlongPath:
@@ -200,7 +210,7 @@ def _random_picture(cfg):
     return PictureTransform.random_unitary_sampler(cfg.dimension, cfg.seed)
 
 
-# A block node: build(part, <nodes>) -> its value on the time block `part` alone.
+# A block node: build(part, <nodes>) -> its value on the sweep's slice `part` alone.
 
 def _inverse_frames(part: slice, transport) -> np.ndarray:
     """The block's rows of the frames' inverses l^-1, (b, n, n), read once for the lifts
@@ -275,7 +285,7 @@ def _transport_axioms(cfg, times, transport) -> Tuple[int, TransportAxiomReport]
 # its build.
 _NODES = {
     "grid_frames": _grid_frames,
-    "steps": _steps,
+    "conventional": _conventional,
     "transport": _transport,
     "trajectory": _trajectory,
     "lifted": _lifted,
@@ -299,8 +309,9 @@ _NODES = {
 }
 # Read in this order before any check; a failure among them is the `setup` record.  The
 # bundle section comes first, from the lifted initial state alone, so its steps are
-# dropped before the conventional steps are formed; those are dropped once the
-# transport has formed their products.  No whole inverse of the products is formed.
+# dropped before the conventional steps are formed, and those are formed into the
+# stack of their products, which the transport keeps: beside the frames, setup holds
+# one stack of the conventional side.  No whole inverse of the products is formed.
 _SETUP = ("bundle_section", "lifted", "trajectory", "transport", "observables")
 # Fault name -> (node, the build that replaces its own, with the same parameters).
 _FAULTS = {"drop_trivialization_derivative": ("bundle_trivialization", _without_derivative)}
@@ -308,8 +319,8 @@ _FAULTS = {"drop_trivialization_derivative": ("bundle_trivialization", _without_
 
 # --- pointwise checks ----------------------------------------------------------
 
-# check(part, <nodes>) -> (residuals, series) for the time block `part`: detail ->
-# the block's per-time residual, and timeseries name -> the block's values.
+# check(part, <nodes>) -> (residuals, series) for the sweep's slice `part`: detail ->
+# the slice's per-time residual, and timeseries name -> the slice's values.
 
 def _check_state_equivalence(part: slice, lifted, bundle_section):
     residual = np.max(np.abs(bundle_section.values[part] - lifted.values[part]), axis=1)
@@ -524,8 +535,8 @@ _BLOCK_NODES = frozenset(name for name, build in _NODES.items()
 def _read(nodes: dict, name: str, block: dict | None = None):
     """Node `name`, built from its reads on first use; a build that raises stores nothing.
 
-    A block node is built into `block`, the nodes of one time block, whose seed
-    "part" is that block's slice; every other node into `nodes`.
+    A block node is built into `block`, the nodes of one slice of the sweep,
+    whose seed "part" is that slice; every other node into `nodes`.
     """
     store = block if name in _BLOCK_NODES else nodes
     if name not in store:
@@ -591,7 +602,7 @@ def _slice_reads(key: str) -> List[str]:
 
 
 def _whole_reads(check_ids: Sequence[str]) -> List[str]:
-    """The nodes without a time block that the slices read for the checks, in the
+    """The nodes without a slice that the slices read for the checks, in the
     order a slice first reads them."""
     found = []
 
@@ -608,7 +619,7 @@ def _whole_reads(check_ids: Sequence[str]) -> List[str]:
 
 
 def _run_block(nodes: dict, check_ids: Sequence[str], part: slice) -> dict:
-    """Check id -> its output on the time block `part`, or its failed record.
+    """Check id -> its output on the sweep's slice `part`, or its failed record.
 
     The checks run in `check_ids` order; the block nodes they read are built
     once, into the slice's own dict, and each is dropped after its last reader
@@ -635,7 +646,7 @@ def _block_output(nodes: dict, check_id: str, block: dict):
 
 def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
     """Check id -> (record, series) of each check, from one pass over the
-    `time_blocks` slices.
+    `half_blocks` slices.
 
     Every whole node that the slices read is built first, on the calling thread;
     then the slices run on the workers (`_run_block`, `hilbert._in_block_order`),
@@ -650,7 +661,7 @@ def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
     """
     cfg = nodes["cfg"]
     run = functools.partial(_run_block, nodes, check_ids)
-    parts = time_blocks(cfg.times.size, cfg.dimension)
+    parts = half_blocks(cfg.times.size, cfg.dimension)
     try:
         for name in _whole_reads(check_ids):
             _read(nodes, name)

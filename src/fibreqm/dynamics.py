@@ -25,10 +25,10 @@ from .hilbert import (
     broadcast_sampler,
     checked_stack,
     distinct_matrices,
+    half_blocks,
     is_hermitian,
     matrix_exponential,
     max_abs,
-    time_blocks,
 )
 
 __all__ = [
@@ -199,31 +199,43 @@ def grid_index(times: np.ndarray, t: float) -> int:
 
 
 def midpoint_propagators(family, times: np.ndarray,
-                         constants: PhysicalConstants = PhysicalConstants()) -> np.ndarray:
+                         constants: PhysicalConstants = PhysicalConstants(),
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
     """Step propagators exp(-i h H(t + h/2) / hbar) for every grid interval.
 
     `family` is the generator: anything with a `dimension` and an `at_many`
     sampler, a `HamiltonianFamily` or a `MatrixBundleHamiltonian`.  Shared by
     the conventional and the bundle integrators so that identical generator
     samples produce bitwise-identical steps.  The generator is sampled one
-    `time_blocks` slice of the midpoints at a time and scaled into the one
-    stack that the exponential reads, so its samples, and what sampling them
-    needs (the bundle generator's midpoint frames, their derivatives and
-    inverses), are never whole stacks.  A sampler gives each time the same
-    values in any batch, so the steps do not depend on the slicing.  The
-    scaled stack is this function's own, so it is exponentiated in place and
-    the steps are the one stack.  Where every sample is one matrix (a constant
-    family's 0-stride broadcast), no scaled stack is formed: one step is
+    `half_blocks` slice of the midpoints at a time and scaled into the steps'
+    stack, which the exponential then overwrites in place, so its samples, and
+    what sampling them needs (the bundle generator's midpoint frames, their
+    derivatives and inverses), are never whole stacks, and the steps are the
+    one stack.  A sampler gives each time the same values in any batch, so the
+    steps do not depend on the slicing.  Where every sample is one matrix (a
+    constant family's 0-stride broadcast), nothing is scaled: one step is
     exponentiated per distinct step length and gathered.  Their largest 1-norm
     is the whole batch's, so is the plan (`matrix_exponential`), and each step
     keeps the bits it has in the batch.
+
+    `out`, a C-contiguous complex (N - 1, n, n) array for the grid's N times,
+    receives the steps (rows 1.. of a stack that `step_products` turns into
+    their products in place); by default they are a new stack.
     """
     times = np.asarray(times, dtype=float)
-    one, stack = _scaled_generator(family, times, constants.hbar)
-    if stack is not None:
-        return matrix_exponential(stack, out=stack)
+    shape = (max(times.size - 1, 0), family.dimension, family.dimension)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
+    one = _scaled_generator(family, times, constants.hbar, out)
+    if one is None:
+        return matrix_exponential(out, out=out)
     lengths, step_of = np.unique(np.diff(times), return_inverse=True)
-    return matrix_exponential(_scaled(lengths, one, constants.hbar))[step_of]
+    # under the default mode="raise", np.take fills a buffer of out's size and
+    # then copies it; every index is in range, so "clip" gathers in place
+    return np.take(matrix_exponential(_scaled(lengths, one, constants.hbar)), step_of, axis=0,
+                   out=out, mode="clip")
 
 
 def _scaled(h: np.ndarray, sample: np.ndarray, hbar: float) -> np.ndarray:
@@ -231,19 +243,19 @@ def _scaled(h: np.ndarray, sample: np.ndarray, hbar: float) -> np.ndarray:
     return -1j * h[:, None, None] * sample / hbar
 
 
-def _scaled_generator(family, times: np.ndarray,
-                      hbar: float) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """(the one matrix of every midpoint sample, None), or (None, the scaled stack).
+def _scaled_generator(family, times: np.ndarray, hbar: float,
+                      out: np.ndarray) -> Optional[np.ndarray]:
+    """The one matrix of every midpoint sample, with `out` untouched; or None, with
+    `out` filled with the scaled samples.
 
-    The midpoints are sampled one `time_blocks` slice at a time.  While each
+    The midpoints are sampled one `half_blocks` slice at a time.  While each
     sample is one matrix, and the same one, nothing is scaled; from the first
-    that is not, the stack is formed, the blocks before it from that matrix,
-    and the blocks after it on the workers (`hilbert._in_block_order`).
+    that is not, `out` is filled, the slices before it from that matrix, and
+    the slices after it on the workers (`hilbert._in_block_order`).
     """
     mids = (times[:-1] + times[1:]) / 2.0
     h = np.diff(times)
-    n = family.dimension
-    parts = time_blocks(mids.size, n)
+    parts = half_blocks(mids.size, family.dimension)
     one = None
     for k, part in enumerate(parts):
         sample = family.at_many(mids[part])
@@ -251,20 +263,17 @@ def _scaled_generator(family, times: np.ndarray,
                 and (one is None or np.array_equal(sample[0], one))):
             one = sample[0]
             continue
-        stack = np.empty((mids.size, n, n), dtype=complex)
-        for done in parts[:k]:  # each sample of these blocks is `one`
-            stack[done] = _scaled(h[done], one, hbar)
-        stack[part] = _scaled(h[part], sample, hbar)
-        del sample  # no block of samples outlives its scaling
+        for done in parts[:k]:  # each sample of these slices is `one`
+            out[done] = _scaled(h[done], one, hbar)
+        out[part] = _scaled(h[part], sample, hbar)
+        del sample  # no slice of samples outlives its scaling
 
         def scale(rest: slice) -> None:
-            stack[rest] = _scaled(h[rest], family.at_many(mids[rest]), hbar)
+            out[rest] = _scaled(h[rest], family.at_many(mids[rest]), hbar)
 
         _in_block_order(scale, parts[k + 1:])
-        return None, stack
-    if one is None:  # no midpoints
-        return None, np.empty((0, n, n), dtype=complex)
-    return one, None
+        return None
+    return one
 
 
 def propagate_states(propagators: np.ndarray, psi0: np.ndarray) -> np.ndarray:
@@ -276,15 +285,21 @@ def propagate_states(propagators: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     return states
 
 
-def step_products(steps: np.ndarray) -> np.ndarray:
+def step_products(steps: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The ordered products E[j-1] ... E[0] of the steps E_k, from j = 0 (the identity)
-    to the last grid time: U(t_j, t0) on a grid with one step per interval."""
+    to the last grid time: U(t_j, t0) on a grid with one step per interval.
+
+    `out`, an (N + 1, n, n) complex stack for N steps, receives them; it may hold
+    the steps themselves as its rows 1.. (`steps` is `out[1:]`), which are then
+    overwritten: row k + 1 is read, as E_k, just before it is written.
+    """
     n = steps.shape[-1]
-    from_t0 = np.empty((steps.shape[0] + 1, n, n), dtype=complex)
-    from_t0[0] = np.eye(n, dtype=complex)
+    if out is None:
+        out = np.empty((steps.shape[0] + 1, n, n), dtype=complex)
+    out[0] = np.eye(n, dtype=complex)
     for k in range(steps.shape[0]):
-        from_t0[k + 1] = steps[k] @ from_t0[k]
-    return from_t0
+        out[k + 1] = steps[k] @ out[k]
+    return out
 
 
 class PropagatorGrid:
@@ -299,7 +314,8 @@ class PropagatorGrid:
     `midpoint_propagators` on the grid with these constants, and the grid
     keeps only their products, `from_t0` (`step_products`): taken from a
     caller that already formed them (checked to be one (n, n) matrix per grid
-    time), or formed here.
+    time), or formed here in place over the steps, so the steps and their
+    products are one stack.
     """
 
     def __init__(self, family: HamiltonianFamily, times: np.ndarray,
@@ -310,7 +326,9 @@ class PropagatorGrid:
             raise ValueError("times must be a strictly increasing grid with >= 2 points")
         n = family.dimension
         if from_t0 is None:
-            from_t0 = step_products(midpoint_propagators(family, times, constants))
+            from_t0 = np.empty((times.size, n, n), dtype=complex)
+            step_products(midpoint_propagators(family, times, constants, out=from_t0[1:]),
+                          out=from_t0)
         elif from_t0.shape != (times.size, n, n):
             raise ValueError(f"from_t0 must have shape {(times.size, n, n)} (one per grid "
                              f"time, of the family's dimension), got {from_t0.shape}")

@@ -4,11 +4,12 @@ Vectors are 1-D complex arrays, operators are square complex matrices.
 All comparisons use the max-absolute-entry metric so tolerances are
 dimension independent.
 
-A pointwise kernel over an (N, n, n) stack is cut into `time_blocks` slices,
-and every loop over those slices but `series_by_blocks` runs them through one
-pool helper, `_in_block_order`: on up to `_WORKERS` threads, the calling thread
-among them, its results and its first failure taken in block order.  This
-module is the one place that starts threads.
+A pointwise kernel over an (N, n, n) stack is cut into `time_blocks` slices, or
+into their halves, `half_blocks`, where a slice holds many blocks at once, and
+every loop over those slices but `series_by_blocks` runs them through one pool
+helper, `_in_block_order`: on up to `_WORKERS` threads, the calling thread among
+them, its results and its first failure taken in block order.  This module is
+the one place that starts threads.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "checked_stack",
     "distinct_matrices",
     "expectations",
+    "half_blocks",
     "inner_products",
     "is_hermitian",
     "matrix_exponential",
@@ -103,6 +105,18 @@ def time_blocks(n_times: int, n: int) -> List[slice]:
     return _slices(n_times, max(1, _BLOCK_BYTES // (16 * n * n)))
 
 
+def half_blocks(n_times: int, n: int) -> List[slice]:
+    """`time_blocks` at half the size: consecutive slices that cover 0 .. n_times - 1
+    once, in order, each of as many times as fit half of 1 MiB (32 at n = 32), and
+    at least one.
+
+    The loops whose slice holds several blocks at once run on these, so each of
+    those blocks is half a block: the checks' sweep, the midpoint sampler, the
+    pairs of `EvolutionTransport.matrices_by_index` and `series_by_blocks`.
+    """
+    return _slices(n_times, max(1, _BLOCK_BYTES // (32 * n * n)))
+
+
 def _slices(n_times: int, size: int) -> List[slice]:
     return [slice(start, min(start + size, n_times)) for start in range(0, n_times, size)]
 
@@ -158,33 +172,34 @@ def _in_block_order(run: Callable[[slice], object], parts: Sequence[slice]) -> l
     return out
 
 
-def stack_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray]) -> np.ndarray:
+def stack_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray],
+                    cut: Callable[[int, int], List[slice]] = time_blocks) -> np.ndarray:
     """The complex (n_times, n, n) stack whose slice `part` is block(part), for each
-    `time_blocks` slice, filled on the workers (`_in_block_order`): the one stack is
-    the only whole one."""
+    slice of cut(n_times, n) (`time_blocks` or `half_blocks`), filled on the workers
+    (`_in_block_order`): the one stack is the only whole one."""
     out = np.empty((n_times, n, n), dtype=complex)
-    _fill_by_blocks(out, block)
+    _fill_by_blocks(out, block, cut)
     return out
 
 
-def _fill_by_blocks(out: np.ndarray, block: Callable[[slice], np.ndarray]) -> None:
-    """out[part] = block(part) for each `time_blocks` slice of the stack `out`, on the
-    workers."""
+def _fill_by_blocks(out: np.ndarray, block: Callable[[slice], np.ndarray],
+                    cut: Callable[[int, int], List[slice]] = time_blocks) -> None:
+    """out[part] = block(part) for each slice of cut(N, n) over the (N, n, n) stack
+    `out`, on the workers."""
     def fill(part: slice) -> None:
         out[part] = block(part)
 
-    _in_block_order(fill, time_blocks(*out.shape[:2]))
+    _in_block_order(fill, cut(*out.shape[:2]))
 
 
 def series_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """The per-time series whose slice `part` is block(part), for each half of a
-    `time_blocks` slice in turn on the calling thread, concatenated.  Serial and on
-    half slices, so only half a slice's temporaries are ever held: its callers, the
-    integral-of-motion criteria, stay within a few blocks above entry, although the
-    transport criterion, whose inverse and t0 rows are formed per read, holds five
-    blocks of its slice at once (2.5 whole blocks at n = 32)."""
-    return np.concatenate([block(part) for part in
-                           _slices(n_times, max(1, _BLOCK_BYTES // (32 * n * n)))])
+    """The per-time series whose slice `part` is block(part), for each `half_blocks`
+    slice in turn on the calling thread, concatenated.  Serial and on half slices, so
+    only half a slice's temporaries are ever held: its callers, the integral-of-motion
+    criteria, stay within a few blocks above entry, although the transport criterion,
+    whose inverse and t0 rows are formed per read, holds five blocks of its slice at
+    once (2.5 whole blocks at n = 32)."""
+    return np.concatenate([block(part) for part in half_blocks(n_times, n)])
 
 
 def distinct_matrices(stack: np.ndarray) -> np.ndarray:

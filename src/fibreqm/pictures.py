@@ -152,7 +152,7 @@ def evolve_density_morphisms(p0, from_t0: np.ndarray, into_t0: np.ndarray) -> np
 
     They are a `PropagatorGrid`'s for a conventional density operator P0, or an
     `EvolutionTransport`'s for a density morphism at t0.  The engine passes
-    the rows of one `time_blocks` slice, so no conjugated stack is ever whole.
+    the rows of one slice of its sweep, so no conjugated stack is ever whole.
     """
     return to_general_picture_observables(from_t0, into_t0, p0)
 
@@ -246,7 +246,7 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     transport already sampled and inverted, and the conjugation the t0 rows
     of each block, `matrices_from`/`matrices_into`); certification requires
     every applicable criterion to pass (`IntegralOfMotionReport.decided`).
-    Both residuals are formed one half `time_blocks` slice at a time, on the
+    Both residuals are formed one `half_blocks` slice at a time, on the
     calling thread (`series_by_blocks`), so neither criterion holds more than
     a few blocks, and no whole t0 or inverse stack is formed: 2.5 blocks above
     entry for a constant candidate at n = 32, N = 1000.

@@ -35,7 +35,14 @@ from .dynamics import (
     midpoint_propagators,
     propagate_states,
 )
-from .hilbert import PhysicalConstants, _frozen, as_state, series_by_blocks, stack_by_blocks
+from .hilbert import (
+    PhysicalConstants,
+    _frozen,
+    as_state,
+    half_blocks,
+    series_by_blocks,
+    stack_by_blocks,
+)
 
 __all__ = [
     "EvolutionTransport",
@@ -115,7 +122,7 @@ class EvolutionTransport:
     U(t0, t_j) they read, `propagators.into_t0`, is inverted per read too, so
     the transport holds no inverse of the conventional products; a caller that
     has already inverted a slice's rows passes them to `matrices_into`.  The
-    engine and `is_integral_of_motion` form the t0 rows one time block at a
+    engine and `is_integral_of_motion` form the t0 rows one half block at a
     time and never hold a whole t0 stack; a library caller that wants one
     whole calls `matrices_from(times[0])` or `matrices_into(times[0])`, and
     reads `inverse_frames.whole` for the whole inverse stack.
@@ -143,18 +150,27 @@ class EvolutionTransport:
         return self.propagators.dimension
 
     def matrices_by_index(self, j, i) -> np.ndarray:
-        """U(t_j, t_i) stacked over index arrays `j`, `i` (broadcast together), formed one
-        `time_blocks` slice of the pairs at a time, so its temporaries are blocks."""
+        """U(t_j, t_i) stacked over index arrays `j`, `i` (broadcast together).
+
+        The conventional U(t0, t_i) of each distinct column index is inverted once
+        (`propagators.into_t0`, each matrix with the bits of its own inverse), and
+        the pairs are formed one `half_blocks` slice at a time on the workers, each
+        gathering its columns' inverses, so its temporaries are half blocks.
+        """
         j, i = np.broadcast_arrays(np.asarray(j, dtype=np.intp), np.asarray(i, dtype=np.intp))
         shape, j, i = j.shape, j.ravel(), i.ravel()
+        columns, column_of = np.unique(i, return_inverse=True)
+        p = self.propagators
+        into = p.into_t0[columns]
 
         def block(part: slice) -> np.ndarray:
-            rows, cols = j[part], i[part]
-            return self.inverse_frames[rows] @ (self.propagators.operators(rows, cols)
-                                                @ self.frames[cols])
+            rows = j[part]
+            # the right factor first, so the left one's rows are formed last
+            right = (p.from_t0[rows] @ into[column_of[part]]) @ self.frames[i[part]]
+            return self.inverse_frames[rows] @ right
 
         n = self.dimension
-        return stack_by_blocks(j.size, n, block).reshape(shape + (n, n))
+        return stack_by_blocks(j.size, n, block, half_blocks).reshape(shape + (n, n))
 
     def matrix_by_index(self, j: int, i: int) -> np.ndarray:
         return self.matrices_by_index([j], [i])[0]
@@ -181,7 +197,17 @@ class EvolutionTransport:
         `conventional`, given with `part` by a caller that has already inverted
         the slice's rows of the conventional U(t0, t_j), is
         `propagators.into_t0[part]`; it is read in place of inverting them again.
+        Given without `part`, or with another row count than the slice's, it is
+        a ValueError.
         """
+        if conventional is not None:
+            if part is None:
+                raise ValueError("conventional is given without the slice `part` whose rows "
+                                 "of into_t0 it holds")
+            rows = len(range(self.times.size)[part])
+            if conventional.shape[0] != rows:
+                raise ValueError(f"conventional holds {conventional.shape[0]} rows of into_t0, "
+                                 f"but the slice {part} has {rows}")
         j = self._index(t)
         p = self.propagators
         inverse, head = self.inverse_frames[j], p.from_t0[j]
@@ -227,7 +253,7 @@ def check_transport_axioms(transport: EvolutionTransport,
     checked at every grid index appearing in the sample.  All times are
     looked up at once, and every distinct (t_j, t_i) pair of both axioms is
     queried once, in one stack (`transport.matrices_by_index`); the
-    compositions are formed one block of triples at a time.  The worst
+    deviations are formed one half block of times or triples at a time.  The worst
     location is the first maximum in sample order (grid indices in order of
     first appearance for the identity), and a NaN deviation counts as the
     maximum, so it fails.
@@ -258,7 +284,8 @@ def check_transport_axioms(transport: EvolutionTransport,
     identity, step_ts, step_sr, direct = np.split(at, np.cumsum([seen.size, it.size, it.size]))
 
     eye = np.eye(transport.dimension, dtype=complex)
-    id_devs = np.max(np.abs(queried[identity] - eye), axis=(1, 2))
+    id_devs = series_by_blocks(seen.size, transport.dimension, lambda part: np.max(
+        np.abs(queried[identity[part]] - eye), axis=(1, 2)))
     worst_id = int(np.argmax(id_devs))
 
     comp_devs = series_by_blocks(it.size, transport.dimension, lambda part: np.max(np.abs(

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibreqm.bundle as bundle_module
+import fibreqm.hilbert as hilbert_module
 from fibreqm.bundle import (
     MorphismAlongPath,
     NonPointwiseOperatorError,
@@ -34,7 +36,14 @@ from fibreqm.bundle import (
 )
 from fibreqm.checks import build_artifacts
 from fibreqm.dynamics import HamiltonianFamily, PropagatorGrid
-from fibreqm.hilbert import _BLOCK_BYTES, antihermitian_exponentials, inner_products, max_abs
+from fibreqm.hilbert import (
+    _BLOCK_BYTES,
+    antihermitian_exponentials,
+    half_blocks,
+    inner_products,
+    max_abs,
+    time_blocks,
+)
 from fibreqm.pictures import PictureTransform
 from fibreqm.scenario import catalog_names, load_catalog_scenario
 from fibreqm.transport import EvolutionTransport
@@ -359,6 +368,43 @@ class TestTrivializationValidation:
         with pytest.raises(ValueError, match="derivative"):
             liar.validate_on_grid(np.linspace(0.0, 1.0, 101))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_faulty_derivative_fails_by_the_three_whole_maxima_in_one_pass(
+            self, monkeypatch, workers):
+        # n = 32 on 301 times, so the 299 interior points are five time blocks: the
+        # derivative's scale, the third difference's and the deviation's maxima are
+        # formed in one pass over them, and fail with the message of the three
+        # maxima over the whole interior
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
+        family = random_smooth_unitary_trivialization(32, 5)
+        sample = family._sample
+        faulty = family.with_derivative(lambda ts: 1.01 * sample(ts)[1])
+        times = np.linspace(0.0, 1.0, 301)
+        values, supplied = sample(times)[0], 1.01 * sample(times)[1][1:-1]
+        h = float(np.mean(np.diff(times)))
+        scale = max_abs(supplied)
+        third = max_abs((values[4:] - 2 * values[3:-1] + 2 * values[1:-3] - values[:-4])
+                        / (2 * h ** 3))
+        dev = max_abs(supplied - (values[2:] - values[:-2])
+                      / (times[2:] - times[:-2])[:, None, None])
+        allowance = 1e-3 * max(1.0, scale) + (h * h / 6.0) * third * 4.0
+        message = ("trivialization 'random-smooth-unitary': analytic derivative deviates "
+                   "from finite differences by 7.566e-03 (allowed 1.119e-03)")
+        assert message.endswith(f"by {dev:.3e} (allowed {allowance:.3e})")
+        passes = []  # the slices of each block loop over the interior points
+        real = bundle_module._in_block_order
+
+        def recording(run, parts):
+            if parts and parts[-1].stop == times.size - 2:
+                passes.append(parts)
+            return real(run, parts)
+
+        monkeypatch.setattr(bundle_module, "_in_block_order", recording)
+        with pytest.raises(ValueError) as failed:
+            faulty.validate_on_grid(times)
+        assert str(failed.value) == message
+        assert passes == [time_blocks(times.size - 2, 32)]
+
     def test_random_family_derivative_matches_the_product_rule(self):
         # dl/ds = K1 V + w cos(w s) V K2 on the values V, against the product rule
         # over both exponential factors, with the family's own generators.
@@ -437,8 +483,10 @@ class TestFrameInverse:
         frame_calls = {routine: k for (routine, module), k in calls.items()
                        if module == "fibreqm.bundle"}
         if name == "nonunitary-constant-gauge":
-            # the grid and the midpoints, each checked by its SVD and inverted once
-            assert frame_calls == {"svd": 2, "inv": 2}
+            # the grid and each half slice of the midpoints (two at n = 8), each
+            # checked by its SVD and inverted once
+            assert len(half_blocks(cfg.times.size - 1, cfg.dimension)) == 2
+            assert frame_calls == {"svd": 3, "inv": 3}
         else:
             assert frame_calls == {}
         nodes["transport"].propagators.into_t0[:2]  # PropagatorGrid.into_t0 keeps inv, per read

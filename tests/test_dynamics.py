@@ -363,6 +363,25 @@ class TestMidpointSteps:
         assert sizes == [1000]
         assert np.array_equal(steps, midpoint_propagators(HamiltonianFamily(values, 32), times))
 
+    @pytest.mark.parametrize("family", ["constant", "time-dependent"])
+    def test_steps_formed_into_their_products_stack_keep_their_bits(self, family):
+        # the gathered steps of a constant H, or an exponentiated stack: formed into
+        # rows 1.. of a stack, then turned into their products in place
+        m = self.hermitian(7)
+        h = (HamiltonianFamily.constant(m) if family == "constant" else
+             HamiltonianFamily(lambda ts: np.cos(ts)[:, None, None] * m, 32))
+        times = uniform_grid(0.0, 1.0, 200)
+        steps = midpoint_propagators(h, times)
+        stack = np.empty((times.size, 32, 32), dtype=complex)
+        rows = stack[1:]
+        assert midpoint_propagators(h, times, out=rows) is rows
+        assert np.array_equal(rows, steps)
+        assert step_products(stack[1:], out=stack) is stack
+        assert np.array_equal(stack, step_products(steps))
+        for wrong in (stack[2:], stack[1:].real.copy(), stack[1:, :, ::-1]):
+            with pytest.raises(ValueError, match="out must be a C-contiguous complex array"):
+                midpoint_propagators(h, times, out=wrong)
+
 
 class TestSamplerValidation:
     """Every batch a family's sampler returns is shape- and finiteness-checked once."""

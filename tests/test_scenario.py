@@ -41,9 +41,10 @@ from fibreqm.dynamics import (
     Trajectory,
     grid_index,
     midpoint_propagators,
+    propagate_states,
     step_products,
 )
-from fibreqm.hilbert import matrix_exponential, time_blocks
+from fibreqm.hilbert import half_blocks, matrix_exponential, time_blocks
 from fibreqm.pictures import PictureTransform
 from fibreqm.report import CheckRecord, emit, report_from_dict, suite_from_dict
 from fibreqm.scenario import (
@@ -613,19 +614,23 @@ class TestPointwiseRunner:
     @pytest.fixture
     def judge(self, monkeypatch, two_block_gauge):
         """(detail -> {block: {index in block: residual}}) -> the record and series of a
-        norm_drift entry that returns those residuals, zero elsewhere, on the two blocks."""
+        norm_drift entry that returns those residuals, zero elsewhere, on the two blocks.
+        The sweep calls it on each half slice of the blocks (four here), which places
+        the residuals of its own times."""
         cfg = two_block_gauge
         parts = time_blocks(cfg.times.size, cfg.dimension)
+        assert len(half_blocks(cfg.times.size, cfg.dimension)) == 4
 
         def run(placed):
             def controlled(part, trajectory):
                 assert trajectory is None
-                block = parts.index(part)
                 residuals = {}
                 for detail, per_block in placed.items():
-                    residuals[detail] = np.zeros(part.stop - part.start)
-                    for idx, value in per_block.get(block, {}).items():
-                        residuals[detail][idx] = value
+                    residuals[detail] = np.zeros(cfg.times.size)
+                    for block, at in per_block.items():
+                        for idx, value in at.items():
+                            residuals[detail][parts[block].start + idx] = value
+                    residuals[detail] = residuals[detail][part]
                 return residuals, {"index": np.arange(part.start, part.stop)}
 
             monkeypatch.setitem(_CHECK_TABLE, "norm_drift", controlled)
@@ -692,7 +697,10 @@ class TestSweep:
             monkeypatch.setitem(_NODES, name, functools.partial(
                 counting, name=name, build=_NODES[name]))
         assert run_scenario(cfg).overall_pass
-        assert Counter(built) == {(name, start): 1 for name in block_nodes for start in (0, 256)}
+        # the sweep's slices are the halves of the two blocks
+        starts = [part.start for part in half_blocks(cfg.times.size, cfg.dimension)]
+        assert starts == [0, 128, 256, 384]
+        assert Counter(built) == {(name, start): 1 for name in block_nodes for start in starts}
 
     def test_a_block_node_is_dropped_after_its_last_reader_in_its_block(self, monkeypatch,
                                                                         two_block_gauge):
@@ -723,7 +731,8 @@ class TestSweep:
         monkeypatch.setitem(_NODES, "integral_deviations", probe)
         assert run_scenario(cfg).overall_pass
         assert len(refs) == 8
-        assert alive == [["transport_t0"]] * 2  # its own read; the rest are dropped
+        slices = len(half_blocks(cfg.times.size, cfg.dimension))  # four half slices
+        assert alive == [["transport_t0"]] * slices  # its own read; the rest are dropped
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("scenario", ["two-block", "nonunitary-constant-gauge"])
@@ -871,7 +880,9 @@ class TestConcurrentSweep:
         before = threading.active_count()
         assert run_scenario(two_block_gauge).overall_pass
         assert threading.active_count() == before
-        assert len(during) == 2 and max(during) == before + 1  # one helper thread
+        # one call per half slice of the two blocks, and one helper thread
+        assert len(during) == len(half_blocks(two_block_gauge.times.size, 16)) == 4
+        assert max(during) == before + 1
 
     def test_a_one_block_scenario_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(hilbert_module, "_WORKERS", 2)
@@ -913,7 +924,9 @@ class TestConcurrentSetup:
         h0 = cfg.hamiltonian.at(times[0])
         varying = HamiltonianFamily(lambda ts: np.cos(ts)[:, None, None] * h0, cfg.dimension)
         values, inverses = cfg.trivialization.validate_on_grid(times)
-        _, scaled = dynamics_module._scaled_generator(bundle_generator, times, constants.hbar)
+        scaled = np.empty((times.size - 1, cfg.dimension, cfg.dimension), dtype=complex)
+        assert dynamics_module._scaled_generator(bundle_generator, times, constants.hbar,
+                                                 scaled) is None
         grid = PropagatorGrid(varying, times, constants)
         return {
             "bundle steps": midpoint_propagators(bundle_generator, times, constants),
@@ -946,13 +959,13 @@ class TestConcurrentSetup:
     def test_a_setup_failure_is_that_of_the_first_failing_block(self, monkeypatch,
                                                                  five_block_gauge, workers):
         # l(t) = diag(f(t), 1, ..., 1) with f = (t - a)(t - b) vanishing at the midpoints
-        # a and b of the second and fourth blocks of midpoints: the grid frames are
-        # invertible, and the bundle generator's midpoint frames of those two blocks
-        # are singular
+        # a and b of the second and fourth slices of midpoints, which the sampler cuts
+        # in half blocks: the grid frames are invertible, and the bundle generator's
+        # midpoint frames of those two slices are singular
         cfg = five_block_gauge
         mids = (cfg.times[:-1] + cfg.times[1:]) / 2.0
-        starts = [part.start for part in time_blocks(mids.size, cfg.dimension)]
-        a, b = mids[starts[1] + 36], mids[starts[3] + 28]
+        starts = [part.start for part in half_blocks(mids.size, cfg.dimension)]
+        a, b = mids[starts[1] + 20], mids[starts[3] + 28]
         eye = np.eye(cfg.dimension, dtype=complex)
 
         def sample(ts):
@@ -964,7 +977,7 @@ class TestConcurrentSetup:
 
         cfg = dataclasses.replace(cfg, trivialization=TrivializationFamily(sample, 32, "twice"))
         monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
-        # at three workers the fourth block runs beside the second: its failure is
+        # at three workers the fourth slice runs beside the second: its failure is
         # made to come first
         fourth_failed = threading.Event()
         waited = []
@@ -1164,8 +1177,9 @@ class TestSampleOnce:
                 return real(transport, t, part, *rows)
             monkeypatch.setattr(EvolutionTransport, method, counting)
         assert run_scenario(cfg).overall_pass
-        blocks = [(part.start, part.stop) for part in time_blocks(cfg.times.size, cfg.dimension)]
-        # every reader of the t0 stacks shares each block; the one other query is
+        blocks = [(part.start, part.stop) for part in half_blocks(cfg.times.size, cfg.dimension)]
+        # every reader of the t0 stacks shares each of the sweep's slices, the halves
+        # of the time blocks; the one other query is
         # the row U(t0, t0), for the Heisenberg states' reference Psi(t0)
         assert Counter(calls) == Counter(
             [(method, 0, rows) for method in ("matrices_from", "matrices_into")
@@ -1365,14 +1379,15 @@ class TestArtifactNodes:
         for check_id in probed:
             monkeypatch.setitem(_CHECK_TABLE, check_id, probing(check_id))
         assert run_scenario(cfg).overall_pass
+        slices = len(half_blocks(cfg.times.size, cfg.dimension))  # four half slices
         assert {name: len(built) for name, built in refs.items()} == {
-            "bundle_section": 1, "transport_axioms": 1, "density_transported": 2}
+            "bundle_section": 1, "transport_axioms": 1, "density_transported": slices}
         held = {"bundle_section": 1}  # until the slices, its last reader's, are done
         assert alive == {
-            # the first block's density is dropped with its block, and the axioms
-            # are not built before the slices
-            "norm_drift": [held, held],
-            "fibre_trace_preservation": [dict(held, density_transported=1)] * 2,
+            # each slice's density is dropped with its slice, and the axioms are not
+            # built before the slices
+            "norm_drift": [held] * slices,
+            "fibre_trace_preservation": [dict(held, density_transported=1)] * slices,
             # after the slices: the axioms through their last reader and no later
             "transport_identity": [{"transport_axioms": 1}],
             "transport_composition": [{"transport_axioms": 1}],
@@ -1522,10 +1537,10 @@ class TestArtifactNodes:
         finally:
             tracemalloc.stop()
         assert record.passed
-        assert len(above) == 2
+        assert len(above) == len(half_blocks(cfg.times.size, cfg.dimension)) == 4
         one_stack = cfg.times.size * 16 * 16 * np.dtype(complex).itemsize
-        # the bundle adjoint's and the deviation's blocks (of 256 and 145 times
-        # here); no conjugate copy and no whole stack
+        # the bundle adjoint's and the deviation's blocks (of the sweep's half
+        # slices here); no conjugate copy and no whole stack
         assert max(above) / one_stack < 2.5
 
     def test_the_wide_gauge_holds_its_nodes_and_blocks_of_temporaries(self, monkeypatch):
@@ -1537,13 +1552,13 @@ class TestArtifactNodes:
         cfg = scenario_from_dict(raw)
         one_stack = cfg.times.size * 32 * 32 * np.dtype(complex).itemsize
         # At the default worker count, with one slice's blocks in flight per worker,
-        # the peak is 3.28 stacks measured (the frames and the conventional products
-        # held whole, beside the conventional steps as the transport forms their
-        # products, or beside two slices' block nodes and temporaries in the sweep);
-        # the bound adds two blocks (0.13 stack), rounded up.  The count is capped at
-        # two, so this holds on a host of any core count.
+        # the peak is 2.71 stacks measured (the frames and the conventional products
+        # held whole, beside two half slices' block nodes and temporaries in the
+        # sweep, or beside the transport axioms' pairs and two half slices of their
+        # temporaries); the bound adds two blocks (0.13 stack), rounded up.  The count
+        # is capped at two, so this holds on a host of any core count.
         assert 1 <= hilbert_module._WORKERS <= 2
-        peak_bound = 3.45 * one_stack
+        peak_bound = 2.85 * one_stack
         tracemalloc.start()
         try:
             assert run_scenario(cfg).overall_pass
@@ -1590,22 +1605,74 @@ class TestArtifactNodes:
         # their inverse rows, the frames' inverse rows, the transport's t0 rows, the
         # transported section and its Heisenberg states, the lifted observables and
         # both densities are blocks of the sweep.  At one worker the peak is the
-        # transport's build, beside the conventional steps (3.09 stacks measured
-        # with these probes).
+        # transport axioms' build, beside those two stacks (2.60 stacks measured with
+        # these probes).
         assert max(peaks) <= peak_bound
         # Every check block, judge and node build, setup ones too, keeps at most
-        # one whole temporary stack beside its blocks: a t0 stack, the scaled
-        # steps, which are exponentiated in place, or the grid frames' derivative.
+        # one whole temporary stack beside its blocks: the bundle steps, which are
+        # exponentiated in place, or the grid frames' derivative.  The conventional
+        # steps are formed into the stack of their products, which the node keeps.
         # What a node keeps counts once built, so a build is measured above the
         # larger of the heap it found and the heap it left.  bundle_section's
-        # blocks are its midpoint samples' (5.5 blocks measured), as its midpoint
-        # frames are sampled one block at a time.
+        # blocks are its midpoint samples' (3.5 blocks measured), as its midpoint
+        # frames are sampled one half block at a time.
         block = hilbert_module._BLOCK_BYTES
         allowance = dict.fromkeys(above, one_stack + 5 * block)
         allowance["bundle_section"] = one_stack + 6 * block
         heavy = {key: round(extra / one_stack, 2) for key, extra in above.items()
                  if extra > allowance[key]}
         assert not heavy, heavy
+
+    @pytest.mark.parametrize("hamiltonian", ["constant", "time-dependent"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_transport_holds_no_stack_beside_the_frames_and_the_products(
+            self, monkeypatch, hamiltonian, workers):
+        # random-unitary-gauge at n = 32 and N = 1000, its constant H (whose steps
+        # are gathered) or a time-dependent one (whose steps are exponentiated as a
+        # stack): the conventional steps are formed into the stack of their
+        # products, psi0 is carried by them, and the products are formed in place,
+        # so the build keeps that one stack and no other; the transport's build
+        # adds none beside it and the frames.
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
+        root = resources.files("fibreqm") / "catalog"
+        raw = json.loads((root / "random-unitary-gauge.json").read_text())
+        raw["dimension"], raw["grid"]["steps"] = 32, 1000
+        cfg = scenario_from_dict(raw)
+        if hamiltonian == "time-dependent":
+            h0 = cfg.hamiltonian.at(0.0)
+            cfg = dataclasses.replace(cfg, hamiltonian=HamiltonianFamily(
+                lambda ts: np.cos(ts)[:, None, None] * h0, 32))
+        one_stack = cfg.times.size * 32 * 32 * np.dtype(complex).itemsize
+        block = hilbert_module._BLOCK_BYTES
+        above, held = {}, {}  # node -> its peak above its entry; the heap it left
+
+        def probed(key, build):
+            def probe(*reads):
+                entry, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                out = build(*reads)
+                held[key], peak = tracemalloc.get_traced_memory()
+                above[key] = peak - entry
+                return out
+            return probe
+
+        for key in ("conventional", "transport"):
+            monkeypatch.setitem(_NODES, key, probed(key, _NODES[key]))
+        tracemalloc.start()
+        try:
+            nodes = build_artifacts(cfg)
+        finally:
+            tracemalloc.stop()
+        # the products' stack, and the blocks of the exponentials, one slice per
+        # worker (4 blocks a worker measured for the stack of a time-dependent H)
+        assert above["conventional"] <= one_stack + 5 * workers * block
+        assert above["transport"] <= block
+        # beside the frames and the products, vectors of N states and no stack
+        assert held["transport"] <= 2.15 * one_stack
+        steps = midpoint_propagators(cfg.hamiltonian, cfg.times, cfg.constants)
+        assert np.array_equal(nodes["transport"].propagators.from_t0, step_products(steps))
+        assert np.array_equal(nodes["trajectory"].states,
+                              propagate_states(steps, cfg.initial_state))
 
     def test_a_unitary_gauge_holds_no_whole_inverse_stack(self, monkeypatch, two_block_gauge):
         # Through setup and the sweep, every node build and check sees its reads and
@@ -1702,8 +1769,8 @@ class TestArtifactNodes:
         monkeypatch.setitem(_NODES, "transport", keeping)
         monkeypatch.setattr(bundle_module.FrameInverse, "__getitem__", recording)
         assert run_scenario(cfg).overall_pass
-        blocks = [(part.start, part.stop) for part in time_blocks(cfg.times.size, cfg.dimension)]
-        # each block's rows once, shared by the transport's t0 rows and the
+        blocks = [(part.start, part.stop) for part in half_blocks(cfg.times.size, cfg.dimension)]
+        # each slice's rows once, shared by the transport's t0 rows and the
         # conventional density, and the fixed time's one row U(t0, t0) of each t0
         # query; beside them, the index arrays of the transport axioms and the
         # unitary bundle map, a block of pairs each
@@ -1751,7 +1818,8 @@ class TestArtifactNodes:
         assert len(draws) == 1  # not once per time block
 
     def test_every_node_computed_at_most_once(self, monkeypatch):
-        computed = []  # (owner, node name); holding the owners keeps ids distinct
+        computed = []  # (owner, node name, the first time of a block node's slice or
+        # None); holding the owners keeps ids distinct
         nodes = set(_NODES)
         scenarios = []  # each scenario's config owns its nodes, the setup ones too
         setup = checks_module.build_artifacts
@@ -1763,7 +1831,8 @@ class TestArtifactNodes:
         monkeypatch.setattr(checks_module, "build_artifacts", recording)
         for name, build in list(_NODES.items()):
             def counting(*reads, build=build, name=name):
-                computed.append((scenarios[-1], name))
+                part = reads[0].start if name in checks_module._BLOCK_NODES else None
+                computed.append((scenarios[-1], name, part))
                 return build(*reads)
 
             monkeypatch.setitem(_NODES, name, counting)
@@ -1774,7 +1843,7 @@ class TestArtifactNodes:
                     continue
 
                 def counting(instance, build=node.func, name=name):
-                    computed.append((instance, name))
+                    computed.append((instance, name, None))
                     return build(instance)
 
                 wrapped = cached_property(counting)
@@ -1786,11 +1855,12 @@ class TestArtifactNodes:
         # the transport caches no t0 stack: the engine forms its rows block by
         # block, by the block node `transport_t0`
         assert cached == {"inverse_matrices"}
-        assert {name for _, name in computed} == nodes | {"inverse_matrices"}
+        assert {name for _, name, _ in computed} == nodes | {"inverse_matrices"}
         for cfg in scenarios:  # setup built each of its nodes for this scenario
-            assert set(checks_module._SETUP) <= {name for owner, name in computed
+            assert set(checks_module._SETUP) <= {name for owner, name, _ in computed
                                                  if owner is cfg}, cfg.name
-        repeats = Counter((id(instance), name) for instance, name in computed)
+        # a block node once per slice of the sweep (two at n = 8)
+        repeats = Counter((id(instance), name, part) for instance, name, part in computed)
         assert max(repeats.values()) == 1, [k for k, v in repeats.items() if v > 1]
 
 

@@ -364,6 +364,47 @@ class TestBuildTransport:
         if scenario == "wide-gauge":  # 119 identity and 3 x 205 composition matrices before
             assert len(pairs) == 273
 
+    def test_each_distinct_column_is_inverted_once_with_the_bits_of_the_per_pair_query(
+            self, monkeypatch):
+        cfg = self.wide_gauge()
+        transport = build_artifacts(cfg)["transport"]
+        grid = transport.propagators
+        rng = np.random.default_rng(3)
+        j = rng.integers(0, cfg.times.size, 300)
+        i = rng.choice(rng.integers(0, cfg.times.size, 40), 300)  # columns repeated
+        # the per-pair query: U(t0, t_i) inverted for every pair
+        expected = transport.inverse_frames[j] @ ((grid.from_t0[j] @ np.linalg.inv(
+            grid.from_t0[i])) @ transport.frames[i])
+        inverted, real = [], np.linalg.inv
+
+        def counting(a):
+            inverted.append(1 if a.ndim == 2 else a.shape[0])  # matrices inverted
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        assert np.array_equal(transport.matrices_by_index(j, i), expected)
+        assert sum(inverted) == np.unique(i).size < i.size
+        # the axioms' pairs: one inverse per distinct time of the triples
+        triples = _sample_triples(cfg.times, cfg.seed)
+        del inverted[:]
+        check_transport_axioms(transport, triples)
+        distinct = np.unique(grid_indices(cfg.times, np.asarray(triples))).size
+        assert sum(inverted) == distinct < 273
+
+    def test_conventional_rows_are_read_only_with_their_slice(self, two_block_gauge):
+        # two time blocks of 256 and 145 times: rows of one block given without
+        # their slice, or with a slice of another length, are refused
+        transport = build_artifacts(two_block_gauge)["transport"]
+        t0, part = transport.times[0], slice(0, 256)
+        rows = transport.propagators.into_t0[part]
+        assert np.array_equal(transport.matrices_into(t0, part, rows),
+                              transport.matrices_into(t0, part))
+        with pytest.raises(ValueError, match="^conventional is given without the slice"):
+            transport.matrices_into(t0, conventional=rows)
+        with pytest.raises(ValueError, match=r"^conventional holds 256 rows of into_t0, "
+                                             r"but the slice slice\(0, 255, None\) has 255"):
+            transport.matrices_into(t0, slice(0, 255), rows)
+
     def test_unitary_bundle_map_property(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.4 * SIGMA_Z)
         l = random_smooth_unitary_trivialization(2, 89)
