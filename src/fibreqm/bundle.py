@@ -18,7 +18,9 @@ invertible matrix.  Each batch a family samples (the grid, or one half block
 of midpoints) is proven once, when it is sampled, into a `FrameInverse`, which
 every reader indexes: over a unitary stack each read forms S^dagger of the
 rows it selects, so no whole inverse stack is held; otherwise a read is rows
-of the one `inv` stack.  A broadcast is proven and inverted on its one matrix.
+of the one `inv` stack.  A broadcast is proven and inverted on its one matrix,
+and a bundle integration proves it once for all its half blocks of midpoints
+(`transport.MatrixBundleHamiltonian` reuses the proof).
 """
 
 from __future__ import annotations
@@ -122,6 +124,15 @@ class FrameInverse:
         return np.conjugate(np.swapaxes(frames, -2, -1),
                             out=np.empty(frames.shape, dtype=complex))
 
+    def _reused_for(self, frames: np.ndarray) -> Optional["FrameInverse"]:
+        """The inverse of `frames`, a 0-stride broadcast of the one matrix that this
+        broadcast's inverse inverts, with no proof or inversion; None for any other
+        stack."""
+        if (frames.strides[0] != 0 or self._stack is None or self._stack.strides[0] != 0
+                or not np.array_equal(self._frames[0], frames[0])):
+            return None
+        return FrameInverse(frames, np.broadcast_to(self._stack[0], frames.shape))
+
     @cached_property
     def whole(self) -> np.ndarray:
         """Every S^-1 as one read-only stack, formed once."""
@@ -220,22 +231,33 @@ class TrivializationFamily:
         """The stack l(t_k), sampled once and checked invertible once."""
         return self._checked(times)[0]
 
-    def derivative_at_many(self, times) -> Tuple[np.ndarray, np.ndarray, FrameInverse]:
+    def derivative_at_many(self, times, proven: Optional[FrameInverse] = None,
+                           reduce: Optional[Callable[[slice, np.ndarray, np.ndarray], object]]
+                           = None) -> Tuple[np.ndarray, object, FrameInverse]:
         """The stacks l(t_k) and dl/dt(t_k) from one evaluation, and l(t_k)^-1.
 
         l is checked invertible once, and that check decides the inverse (a
         `FrameInverse`, read by index), so no reader inverts the stack again.
+        `proven`, the inverse of an earlier batch whose values broadcast one
+        matrix, is reused for a batch whose values broadcast the same matrix,
+        which is then not proven again.  `reduce`, given, takes each sampled
+        slice's derivative in place of the derivative's stack (`_checked`).
         """
-        return self._checked(times)
+        return self._checked(times, proven, reduce)
 
-    def _checked(self, times) -> Tuple[np.ndarray, np.ndarray, FrameInverse]:
+    def _checked(self, times, proven: Optional[FrameInverse] = None,
+                 reduce: Optional[Callable[[slice, np.ndarray, np.ndarray], object]] = None
+                 ) -> Tuple[np.ndarray, object, FrameInverse]:
         """The checked values, derivative and inverse of one sampled batch.
 
         A batch of several `time_blocks` slices is sampled one slice per call,
-        on the workers, into its two stacks; each slice is checked as it is
+        on the workers, into the values' stack; each slice is checked as it is
         sampled.  If the first slice's values or derivative are a 0-stride
         broadcast, the whole batch is sampled in one call instead, so a constant
-        family stays one broadcast.
+        family stays one broadcast.  `reduce`, given, is called as
+        reduce(part, values, derivative) on each slice's samples, on the worker
+        that sampled it, and the list of its results in block order takes the
+        derivative's place, so the derivative is never a whole stack.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         what = f"trivialization '{self.name}'"
@@ -249,17 +271,26 @@ class TrivializationFamily:
         first = checked(times[parts[0]]) if len(parts) > 1 else None
         if first is None or any(stack.strides[0] == 0 for stack in first):
             values, derivative = checked(times)
+            reduced = None if reduce is None else _in_block_order(
+                lambda part: reduce(part, values[part], derivative[part]), parts)
         else:
-            values, derivative = (np.empty((times.size,) + stack.shape[1:], dtype=complex)
-                                  for stack in first)
-            values[parts[0]], derivative[parts[0]] = first
+            values = np.empty((times.size,) + first[0].shape[1:], dtype=complex)
+            derivative = None if reduce is not None else np.empty(values.shape, dtype=complex)
+
+            def sample(part: slice, block: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+                values[part], slice_derivative = checked(times[part]) if block is None else block
+                if reduce is not None:
+                    return reduce(part, values[part], slice_derivative)
+                derivative[part] = slice_derivative
+                return None
+
+            reduced = [sample(parts[0], first)]
             del first
-
-            def sample(part: slice) -> None:
-                values[part], derivative[part] = checked(times[part])
-
-            _in_block_order(sample, parts[1:])
-        return values, derivative, _require_invertible(values, self.name, times)
+            reduced += _in_block_order(sample, parts[1:])
+        inverse = None if proven is None else proven._reused_for(values)
+        if inverse is None:
+            inverse = _require_invertible(values, self.name, times)
+        return values, derivative if reduce is None else reduced, inverse
 
     def validate_on_grid(self, times) -> Tuple[np.ndarray, FrameInverse]:
         """Check invertibility at every grid time and derivative consistency.
@@ -271,45 +302,72 @@ class TrivializationFamily:
         the sampled third derivative, so correct derivatives pass on coarse
         grids while order-one mistakes are still caught.
 
-        Values and derivative come from one evaluation on the grid; returns the
-        checked grid values and their `FrameInverse`, so callers can reuse them
-        instead of sampling or inverting the grid again.  The three maxima the
-        test compares (the derivative's scale, the third difference's and the
-        deviation's) are formed in one pass over the `time_blocks` slices of the
-        interior points, on the workers.
+        Values and derivative come from one evaluation on the grid, each time
+        sampled once; returns the checked grid values and their `FrameInverse`,
+        so callers can reuse them instead of sampling or inverting the grid
+        again.  Each sampled `time_blocks` slice's values are written into the
+        grid's stack and its derivative is reduced at once, on its worker, to
+        its largest |dl/dt| and largest deviation at the times whose two
+        neighbours it holds; only the derivative at its first and last times is
+        kept.  A second pass over the values then forms the third difference's
+        maximum, over the `time_blocks` slices of the interior points on the
+        workers, and the deviations at those kept times.  So the derivative is
+        never a whole stack, and the three maxima the test compares (the
+        derivative's scale, the third difference's and the deviation's) are
+        those of the whole interior.
         """
         times = np.asarray(times, dtype=float)
-        values, derivative, inverse = self.derivative_at_many(times)
-        if times.size >= 3:
-            supplied, spans = derivative[1:-1], times[2:] - times[:-2]
-            h = float(np.mean(np.diff(times)))
+        if times.size < 3:
+            values, _, inverse = self._checked(times)
+            return values, inverse
+        spans = times[2:] - times[:-2]
+        h = float(np.mean(np.diff(times)))
+        interior = range(1, times.size - 1)
 
-            def maxima(part: slice) -> Tuple[float, float, float]:
-                """The block's largest |dl/dt|, |third difference| and |deviation|; the
-                third difference's stencil needs two more points aside, so it stops
-                two points short of the interior's end (0 where it is empty)."""
-                inner = slice(part.start, max(part.start, min(part.stop, times.size - 4)))
-                # each stencil in one temporary of its own, updated in place, in the
-                # order of (v4 - 2 v3 + 2 v1 - v0) / (2 h^3) and v' - (v2 - v0) / span
-                third = values[3:-1][inner] * 2
-                np.subtract(values[4:][inner], third, out=third)
-                third += 2 * values[1:-3][inner]
-                third -= values[:-4][inner]
-                third /= 2 * h ** 3
-                dev = values[2:][part] - values[:-2][part]
-                dev /= spans[part, None, None]
-                np.subtract(supplied[part], dev, out=dev)
-                return max_abs(supplied[part]), max_abs(third), max_abs(dev)
+        def block_maxima(part: slice, values: np.ndarray, derivative: np.ndarray):
+            """The slice's largest |dl/dt| at its interior times, its largest deviation
+            at the times whose two neighbours it holds, and its edge times' dl/dt."""
+            inner = range(part.start, part.stop)[1:-1]  # never t0 or the last time
+            dev = values[2:] - values[:-2]
+            dev /= spans[inner.start - 1:inner.stop - 1, None, None]
+            np.subtract(derivative[1:-1], dev, out=dev)
+            edges = sorted({k for k in (part.start, part.stop - 1) if k in interior})
+            supplied = derivative[max(1, part.start) - part.start:
+                                  min(part.stop, times.size - 1) - part.start]
+            return max_abs(supplied), max_abs(dev), edges, derivative[
+                [k - part.start for k in edges]].copy()
 
-            scale, third, dev = (max(column) for column in zip(*_in_block_order(
-                maxima, time_blocks(times.size - 2, self.dimension))))
-            allowance = _DERIVATIVE_FD_TOL * max(1.0, scale)
-            if times.size >= 5:
-                allowance += (h * h / 6.0) * third * 4.0
-            if dev > allowance:
-                raise ValueError(
-                    f"trivialization '{self.name}': analytic derivative deviates from "
-                    f"finite differences by {dev:.3e} (allowed {allowance:.3e})")
+        values, blocks, inverse = self.derivative_at_many(times, reduce=block_maxima)
+        scale, dev = (max(column) for column in zip(*[block[:2] for block in blocks]))
+        edges = np.array([k for block in blocks for k in block[2]], dtype=np.intp)
+        if edges.size:  # the deviation where a time's neighbours lie in two slices
+            at_edges = values[edges + 1] - values[edges - 1]
+            at_edges /= spans[edges - 1, None, None]
+            np.subtract(np.concatenate([block[3] for block in blocks]), at_edges, out=at_edges)
+            dev = max(dev, max_abs(at_edges))
+
+        def third_maximum(part: slice) -> float:
+            """The slice's largest |third difference|; its stencil needs two more points
+            aside, so it stops two points short of the interior's end (0 where it is
+            empty)."""
+            inner = slice(part.start, max(part.start, min(part.stop, times.size - 4)))
+            # one temporary, updated in place, in the order of
+            # (v4 - 2 v3 + 2 v1 - v0) / (2 h^3)
+            third = values[3:-1][inner] * 2
+            np.subtract(values[4:][inner], third, out=third)
+            third += 2 * values[1:-3][inner]
+            third -= values[:-4][inner]
+            third /= 2 * h ** 3
+            return max_abs(third)
+
+        third = max(_in_block_order(third_maximum, time_blocks(times.size - 2, self.dimension)))
+        allowance = _DERIVATIVE_FD_TOL * max(1.0, scale)
+        if times.size >= 5:
+            allowance += (h * h / 6.0) * third * 4.0
+        if dev > allowance:
+            raise ValueError(
+                f"trivialization '{self.name}': analytic derivative deviates from "
+                f"finite differences by {dev:.3e} (allowed {allowance:.3e})")
         return values, inverse
 
 

@@ -14,10 +14,11 @@ its first read in a slice, shared by every check of that slice and dropped
 after its last reader there; only pointwise checks, other block nodes and a
 check that builds its record from a block node's per-time series read one.
 The transport's t0 stacks are such a node, `transport_t0`, and so are the rows
-of the frame inverses, `inverse_frames`, and those of the conventional
-U(t0, t), `conventional_t0`, which the transport's t0 rows and the conventional
-density share: no whole one is formed, and each slice inverts its conventional
-rows once.  The slices run concurrently on the workers of the pool helper
+of the frame inverses, `inverse_frames`, those of the conventional U(t, t0),
+`conventional_rows`, formed from their checkpoint, and their inverses,
+`conventional_t0`, which the transport's t0 rows and the conventional density
+share: no whole one is formed, and each slice forms and inverts its
+conventional rows once.  The slices run concurrently on the workers of the pool helper
 `hilbert._in_block_order`, the calling thread among them, so one slice's block
 nodes are in flight per thread; every whole node they read is built before
 them, and their outputs are folded in block order.  Then each check, in the
@@ -54,13 +55,7 @@ from .bundle import (
     morphism_as_section_operator,
     section_operator_as_morphism,
 )
-from .dynamics import (
-    PropagatorGrid,
-    Trajectory,
-    midpoint_propagators,
-    propagate_states,
-    step_products,
-)
+from .dynamics import PropagatorGrid, Trajectory
 from .hilbert import (
     _in_block_order,
     apply,
@@ -126,23 +121,20 @@ def _grid_frames(cfg, times) -> Tuple[np.ndarray, FrameInverse]:
     return cfg.trivialization.validate_on_grid(times)
 
 
-def _conventional(cfg, times) -> Tuple[Trajectory, np.ndarray]:
-    """(the conventional oracle, the products U(t, t0)): the step propagators are formed
-    into rows 1.. of the products' (N, n, n) stack, psi0 is carried by them, and then
-    the products are formed in place over them (`step_products`), so the steps are
-    never a stack of their own."""
-    n = cfg.dimension
-    products = np.empty((times.size, n, n), dtype=complex)
-    steps = midpoint_propagators(cfg.hamiltonian, times, cfg.constants, out=products[1:])
-    trajectory = Trajectory(times, propagate_states(steps, cfg.initial_state))
-    return trajectory, step_products(steps, out=products)
+def _conventional(cfg, times) -> Tuple[Trajectory, PropagatorGrid]:
+    """(the conventional oracle, the propagator grid): one sequential pass over the
+    step propagators carries psi0 and keeps the products U(t, t0) only at each half
+    block's start and over the last half block (`dynamics.CheckpointedProducts`).
+    The grid keeps the steps: a constant H's few distinct exponentials and the step
+    index, or a time-dependent H's stack of steps, in place of a stack of products."""
+    grid = PropagatorGrid(cfg.hamiltonian, times, cfg.constants, psi0=cfg.initial_state)
+    return Trajectory(times, grid.states), grid
 
 
-def _transport(cfg, times, grid_frames, conventional) -> EvolutionTransport:
-    """The transport over the checked frames and the conventional node's products,
-    which it keeps as they are: its build forms no stack."""
-    return EvolutionTransport(PropagatorGrid(cfg.hamiltonian, times, cfg.constants,
-                                             from_t0=conventional[1]), *grid_frames)
+def _transport(grid_frames, conventional) -> EvolutionTransport:
+    """The transport over the checked frames and the conventional node's propagator
+    grid, which it keeps as it is: its build forms no stack."""
+    return EvolutionTransport(conventional[1], *grid_frames)
 
 
 def _trajectory(conventional) -> Trajectory:
@@ -220,16 +212,25 @@ def _inverse_frames(part: slice, transport) -> np.ndarray:
     return transport.inverse_frames[part]
 
 
-def _conventional_t0(part: slice, transport) -> np.ndarray:
+def _conventional_rows(part: slice, transport) -> np.ndarray:
+    """The block's rows of the conventional U(t, t0), (b, n, n), formed once from their
+    checkpoint for the transport's t0 rows, the conventional density and their
+    inverses."""
+    return transport.propagators.from_t0[part]
+
+
+def _conventional_t0(part: slice, conventional_rows) -> np.ndarray:
     """The block's rows of the conventional U(t0, t), (b, n, n), inverted once for the
-    transport's t0 rows and the conventional density."""
-    return transport.propagators.into_t0[part]
+    transport's t0 rows and the conventional density, with the bits of
+    `propagators.into_t0[part]`."""
+    return FrameInverse(conventional_rows, adjoint=False)[:]
 
 
-def _transport_t0(part: slice, transport, conventional_t0) -> Tuple[np.ndarray, np.ndarray]:
+def _transport_t0(part: slice, transport, conventional_rows,
+                  conventional_t0) -> Tuple[np.ndarray, np.ndarray]:
     """The block's rows of the t0 stacks: (U(t, t0), U(t0, t)), each (b, n, n)."""
     t0 = transport.times[0]
-    return (transport.matrices_from(t0, part),
+    return (transport.matrices_from(t0, part, conventional_rows),
             transport.matrices_into(t0, part, conventional_t0))
 
 
@@ -247,10 +248,9 @@ def _density_transported(part: slice, cfg, transport, transport_t0) -> np.ndarra
         transport.frames[0], transport.inverse_frames[0], cfg.initial_density), *transport_t0)
 
 
-def _density_conventional(part: slice, cfg, transport, conventional_t0) -> np.ndarray:
+def _density_conventional(part: slice, cfg, conventional_rows, conventional_t0) -> np.ndarray:
     """rho0 carried by the conventional propagators over the block, by the same kernel."""
-    return evolve_density_morphisms(cfg.initial_density, transport.propagators.from_t0[part],
-                                    conventional_t0)
+    return evolve_density_morphisms(cfg.initial_density, conventional_rows, conventional_t0)
 
 
 def _transported_section(part: slice, lifted_t0, transport_t0) -> np.ndarray:
@@ -297,6 +297,7 @@ _NODES = {
     "integral_commutators": _integral_commutators,
     "random_picture": _random_picture,
     "inverse_frames": _inverse_frames,
+    "conventional_rows": _conventional_rows,
     "conventional_t0": _conventional_t0,
     "transport_t0": _transport_t0,
     "lifted_observables": _lifted_observables,
@@ -308,10 +309,11 @@ _NODES = {
     "transport_axioms": _transport_axioms,
 }
 # Read in this order before any check; a failure among them is the `setup` record.  The
-# bundle section comes first, from the lifted initial state alone, so its steps are
-# dropped before the conventional steps are formed, and those are formed into the
-# stack of their products, which the transport keeps: beside the frames, setup holds
-# one stack of the conventional side.  No whole inverse of the products is formed.
+# bundle section comes first, from the lifted initial state alone, its steps formed and
+# dropped one wave of half slices at a time; then one pass over the conventional steps
+# carries psi0 and keeps only the checkpoints of their products, which the transport
+# reads.  Beside the frames, setup holds a time-dependent H's stack of steps and no
+# other: no whole stack of the products or of their inverses is formed.
 _SETUP = ("bundle_section", "lifted", "trajectory", "transport", "observables")
 # Fault name -> (node, the build that replaces its own, with the same parameters).
 _FAULTS = {"drop_trivialization_derivative": ("bundle_trivialization", _without_derivative)}

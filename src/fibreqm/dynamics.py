@@ -5,21 +5,27 @@ The step propagator is the exponential midpoint rule
     psi(t + h) = exp(-i h H(t + h/2) / hbar) psi(t)
 
 which is exactly unitary per step for Hermitian H, so norm drift never
-confounds equivalence measurements.  Two-time evolution operators are
-materialized as ordered products of the step propagators on the grid.
+confounds equivalence measurements.  Two-time evolution operators are ordered
+products of the step propagators on the grid, formed from checkpoints: one
+sequential pass over the steps keeps the products only at the start of each
+half block (`CheckpointedProducts`), and a read forms the rows it selects from
+their checkpoint, so no whole stack of products is held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bundle import FrameInverse
 from .hilbert import (
     PhysicalConstants,
+    _frozen,
     _in_block_order,
+    _in_waves,
+    _taylor_plan,
     as_operator,
     as_state,
     broadcast_sampler,
@@ -32,6 +38,7 @@ from .hilbert import (
 )
 
 __all__ = [
+    "CheckpointedProducts",
     "HamiltonianFamily",
     "ObservableFamily",
     "OffGridTimeError",
@@ -207,35 +214,33 @@ def midpoint_propagators(family, times: np.ndarray,
     sampler, a `HamiltonianFamily` or a `MatrixBundleHamiltonian`.  Shared by
     the conventional and the bundle integrators so that identical generator
     samples produce bitwise-identical steps.  The generator is sampled one
-    `half_blocks` slice of the midpoints at a time and scaled into the steps'
-    stack, which the exponential then overwrites in place, so its samples, and
-    what sampling them needs (the bundle generator's midpoint frames, their
-    derivatives and inverses), are never whole stacks, and the steps are the
-    one stack.  A sampler gives each time the same values in any batch, so the
-    steps do not depend on the slicing.  Where every sample is one matrix (a
-    constant family's 0-stride broadcast), nothing is scaled: one step is
-    exponentiated per distinct step length and gathered.  Their largest 1-norm
-    is the whole batch's, so is the plan (`matrix_exponential`), and each step
-    keeps the bits it has in the batch.
+    `half_blocks` slice of the midpoints at a time, and each slice's steps are
+    scaled and exponentiated by the plan of that slice's own largest 1-norm
+    (`matrix_exponential` on the slice), so its samples, and what sampling them
+    needs (the bundle generator's midpoint frames, their derivatives and
+    inverses), are never whole stacks.  That is the one plan rule of both
+    steppers, and of `integrate_bundle_schrodinger`, which streams the same
+    slices: a step's bits depend on its own slice alone, never on the grid's
+    other steps or on the worker count.  Where every sample is one matrix (a
+    constant family's 0-stride broadcast), nothing is scaled per step: one step
+    is exponentiated per distinct step length and plan, by the plan of each
+    slice, and gathered, so each step keeps the bits it has from its slice.
 
     `out`, a C-contiguous complex (N - 1, n, n) array for the grid's N times,
-    receives the steps (rows 1.. of a stack that `step_products` turns into
-    their products in place); by default they are a new stack.
+    receives the steps; by default they are a new stack.
     """
     times = np.asarray(times, dtype=float)
     shape = (max(times.size - 1, 0), family.dimension, family.dimension)
-    if out is None:
-        out = np.empty(shape, dtype=complex)
-    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+    if out is not None and (out.shape != shape or out.dtype != complex
+                            or not out.flags.c_contiguous):
         raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
-    one = _scaled_generator(family, times, constants.hbar, out)
-    if one is None:
-        return matrix_exponential(out, out=out)
-    lengths, step_of = np.unique(np.diff(times), return_inverse=True)
-    # under the default mode="raise", np.take fills a buffer of out's size and
-    # then copies it; every index is in range, so "clip" gathers in place
-    return np.take(matrix_exponential(_scaled(lengths, one, constants.hbar)), step_of, axis=0,
-                   out=out, mode="clip")
+    steps = _midpoint_steps(family, times, constants.hbar, out)
+    if isinstance(steps, _GatheredSteps):
+        # under the default mode="raise", np.take fills a buffer of out's size and
+        # then copies it; every index is in range, so "clip" gathers in place
+        return np.take(steps.distinct, steps.index, axis=0,
+                       out=np.empty(shape, dtype=complex) if out is None else out, mode="clip")
+    return steps
 
 
 def _scaled(h: np.ndarray, sample: np.ndarray, hbar: float) -> np.ndarray:
@@ -243,19 +248,43 @@ def _scaled(h: np.ndarray, sample: np.ndarray, hbar: float) -> np.ndarray:
     return -1j * h[:, None, None] * sample / hbar
 
 
-def _scaled_generator(family, times: np.ndarray, hbar: float,
-                      out: np.ndarray) -> Optional[np.ndarray]:
-    """The one matrix of every midpoint sample, with `out` untouched; or None, with
-    `out` filled with the scaled samples.
+def _slice_steps(family, mids: np.ndarray, h: np.ndarray, hbar: float, part: slice,
+                 sample: Optional[np.ndarray] = None) -> np.ndarray:
+    """The steps of the midpoints `part`, one slice: the generator sampled there (or
+    `sample`, its samples already taken), scaled and exponentiated in place by the
+    plan of the slice's own largest 1-norm."""
+    scaled = _scaled(h[part], family.at_many(mids[part]) if sample is None else sample, hbar)
+    return matrix_exponential(scaled, out=scaled)
+
+
+class _GatheredSteps:
+    """A constant generator's steps E_k = distinct[index[k]], read by step index or
+    slice: its few distinct exponentials, one per step length and plan."""
+
+    def __init__(self, distinct: np.ndarray, index: np.ndarray):
+        self.distinct, self.index = _frozen(distinct), index
+        self.shape = (index.size,) + distinct.shape[1:]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _GatheredSteps(self.distinct, self.index[k])
+        return self.distinct[self.index[k]]
+
+
+def _midpoint_steps(family, times: np.ndarray, hbar: float, out: Optional[np.ndarray] = None):
+    """The steps of `midpoint_propagators`: a stack (`out`, if given), or, where every
+    midpoint sample is one matrix, its `_GatheredSteps`.
 
     The midpoints are sampled one `half_blocks` slice at a time.  While each
-    sample is one matrix, and the same one, nothing is scaled; from the first
-    that is not, `out` is filled, the slices before it from that matrix, and
-    the slices after it on the workers (`hilbert._in_block_order`).
+    sample is one matrix, and the same one, nothing is exponentiated; from the
+    first slice that is not, the steps are a stack: the slices before it from
+    that matrix, that slice from its samples, and the slices after it on the
+    workers (`hilbert._in_block_order`).
     """
     mids = (times[:-1] + times[1:]) / 2.0
     h = np.diff(times)
-    parts = half_blocks(mids.size, family.dimension)
+    n = family.dimension
+    parts = half_blocks(mids.size, n)
     one = None
     for k, part in enumerate(parts):
         sample = family.at_many(mids[part])
@@ -263,17 +292,68 @@ def _scaled_generator(family, times: np.ndarray, hbar: float,
                 and (one is None or np.array_equal(sample[0], one))):
             one = sample[0]
             continue
+        steps = np.empty((mids.size, n, n), dtype=complex) if out is None else out
         for done in parts[:k]:  # each sample of these slices is `one`
-            out[done] = _scaled(h[done], one, hbar)
-        out[part] = _scaled(h[part], sample, hbar)
-        del sample  # no slice of samples outlives its scaling
+            steps[done] = _slice_steps(family, mids, h, hbar, done, one)
+        steps[part] = _slice_steps(family, mids, h, hbar, part, sample)
+        del sample  # no slice of samples outlives its steps
 
-        def scale(rest: slice) -> None:
-            out[rest] = _scaled(h[rest], family.at_many(mids[rest]), hbar)
+        def fill(rest: slice) -> None:
+            steps[rest] = _slice_steps(family, mids, h, hbar, rest)
 
-        _in_block_order(scale, parts[k + 1:])
-        return None
-    return one
+        _in_block_order(fill, parts[k + 1:])
+        return steps
+    if one is None:  # a grid of one time has no steps
+        return np.empty((0, n, n), dtype=complex) if out is None else out
+    return _gathered_steps(one, h, parts, hbar)
+
+
+def _gathered_steps(one: np.ndarray, h: np.ndarray, parts: Sequence[slice],
+                    hbar: float) -> _GatheredSteps:
+    """The steps exp(-i h_k H / hbar) of one matrix H, each with the bits it has in its
+    slice's exponential: one exponential per distinct (step length, plan of its slice).
+
+    A slice's plan is that of its largest 1-norm, the largest over the distinct
+    lengths it holds (`hilbert._taylor_plan`).  The distinct lengths of one plan
+    are exponentiated in one batch, whose own largest 1-norm is that of one of
+    its slices, so the batch's plan is theirs.
+    """
+    lengths, step_of = np.unique(h, return_inverse=True)
+    scaled = _scaled(lengths, one, hbar)
+    norms = np.max(np.sum(np.abs(scaled), axis=-2), axis=-1)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("matrix exponential of non-finite input")
+    slice_plans = [_taylor_plan(float(np.max(norms[step_of[part]]))) for part in parts]
+    plans = sorted(set(slice_plans))
+    plan_of = np.repeat([plans.index(plan) for plan in slice_plans],
+                        [part.stop - part.start for part in parts])
+    keys, index = np.unique(step_of * len(plans) + plan_of, return_inverse=True)
+    distinct = np.empty((keys.size,) + one.shape, dtype=complex)
+    for p in range(len(plans)):
+        mine = keys % len(plans) == p
+        distinct[mine] = matrix_exponential(scaled[keys[mine] // len(plans)])
+    return _GatheredSteps(distinct, index)
+
+
+def _midpoint_waves(family, times: np.ndarray,
+                    constants: PhysicalConstants) -> Iterator[Tuple[int, np.ndarray]]:
+    """(k, the steps of the intervals k, k + 1, ...) for each wave of `half_blocks`
+    slices of the midpoints (`hilbert._in_waves`): each wave's slices are sampled,
+    scaled and exponentiated on the workers, each by its own plan, as
+    `midpoint_propagators` forms them, so a step has the same bits either way and
+    only one wave of steps is ever held."""
+    times = np.asarray(times, dtype=float)
+    mids, h, n = (times[:-1] + times[1:]) / 2.0, np.diff(times), family.dimension
+    for wave in _in_waves(half_blocks(mids.size, n)):
+        first = wave[0].start
+        steps = np.empty((wave[-1].stop - first, n, n), dtype=complex)
+
+        def fill(part: slice) -> None:
+            steps[part.start - first:part.stop - first] = _slice_steps(
+                family, mids, h, constants.hbar, part)
+
+        _in_block_order(fill, wave)
+        yield first, steps
 
 
 def propagate_states(propagators: np.ndarray, psi0: np.ndarray) -> np.ndarray:
@@ -285,60 +365,141 @@ def propagate_states(propagators: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     return states
 
 
-def step_products(steps: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The ordered products E[j-1] ... E[0] of the steps E_k, from j = 0 (the identity)
-    to the last grid time: U(t_j, t0) on a grid with one step per interval.
+def step_products(steps: np.ndarray, out: Optional[np.ndarray] = None,
+                  first: Optional[np.ndarray] = None) -> np.ndarray:
+    """The ordered products E[j-1] ... E[0] F of the steps E_k, from j = 0 (F) to the
+    last: U(t_j, t0) on a grid with one step per interval, where F = `first` is the
+    product before the steps, the identity by default.
 
     `out`, an (N + 1, n, n) complex stack for N steps, receives them; it may hold
     the steps themselves as its rows 1.. (`steps` is `out[1:]`), which are then
-    overwritten: row k + 1 is read, as E_k, just before it is written.
+    overwritten: row k + 1 is read, as E_k, just before it is written.  Every row
+    that `PropagatorGrid` reads is formed here, so each keeps these bits.
     """
     n = steps.shape[-1]
     if out is None:
         out = np.empty((steps.shape[0] + 1, n, n), dtype=complex)
-    out[0] = np.eye(n, dtype=complex)
+    out[0] = np.eye(n, dtype=complex) if first is None else first
     for k in range(steps.shape[0]):
-        out[k + 1] = steps[k] @ out[k]
+        np.matmul(steps[k], out[k], out=out[k + 1])
     return out
+
+
+class CheckpointedProducts:
+    """The ordered step products U(t_j, t0) = E[j-1] ... E[0] over a grid, read by index
+    like an (N, n, n) array: `products[idx]` for an int, a slice or an index array
+    (of any shape, repeats and any order allowed) is a new array of those rows.
+
+    It keeps the steps (a stack, or a constant generator's few distinct
+    exponentials and the step index) and, from one sequential pass over them,
+    the product at the start of each `half_blocks` slice of the grid (a
+    checkpoint) and every row of the last slice.  A read forms the rows it
+    selects one slice at a time, from that slice's checkpoint up to its last
+    selected row, by `step_products`, so every row has the bits of
+    `step_products` over the whole grid and no whole stack of products is ever
+    held.  A one-slice grid keeps every row, so it forms its products once.
+    """
+
+    def __init__(self, steps, n_times: int, psi0: Optional[np.ndarray] = None):
+        """One pass over the steps, the grid's N - 1 for its `n_times` times; psi0,
+        given, is carried by them into `states`, (N, n), in the same pass."""
+        n = steps.shape[-1]
+        parts = half_blocks(n_times, n)
+        self.shape = (n_times, n, n)
+        self._steps, self._size, self._last = steps, parts[0].stop, parts[-1].start
+        self._checkpoints = np.empty((len(parts), n, n), dtype=complex)
+        self._tail = np.empty((n_times - self._last, n, n), dtype=complex)
+        self.states = None if psi0 is None else np.empty((n_times, n), dtype=complex)
+        if psi0 is not None:
+            self.states[0] = psi0
+        buffer = np.empty((self._size + 1, n, n), dtype=complex)
+        first = None
+        for k, part in enumerate(parts):
+            stop = min(part.stop, n_times - 1)  # this slice's steps, and the next slice's head
+            rows = self._tail if part.start == self._last else buffer[:stop - part.start + 1]
+            step_products(steps[part.start:stop], out=rows, first=first)
+            self._checkpoints[k] = rows[0]
+            first = rows[-1].copy()
+            if psi0 is not None:
+                self.states[part.start:stop + 1] = propagate_states(
+                    steps[part.start:stop], self.states[part.start])
+        for a in (self._checkpoints, self._tail) + (() if psi0 is None else (self.states,)):
+            a.setflags(write=False)
+
+    def __getitem__(self, index) -> np.ndarray:
+        wanted = np.arange(self.shape[0])[index]
+        flat = wanted.ravel()
+        out = np.empty(flat.shape + self.shape[1:], dtype=complex)
+        segment_of = flat // self._size
+        for segment in np.unique(segment_of):
+            mine = np.flatnonzero(segment_of == segment)
+            start = int(segment) * self._size
+            out[mine] = self._rows(int(segment), int(np.max(flat[mine])) + 1)[flat[mine] - start]
+        return out.reshape(wanted.shape + self.shape[1:])
+
+    def _rows(self, segment: int, stop: int) -> np.ndarray:
+        """The rows of one slice from its first up to stop - 1, formed from its
+        checkpoint; the last slice's kept rows, all of them."""
+        start = segment * self._size
+        if start == self._last:
+            return self._tail
+        return step_products(self._steps[start:stop - 1], first=self._checkpoints[segment])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """Every row as one new stack, for a library caller's `np.asarray`."""
+        whole = self[:]
+        return whole if dtype is None else whole.astype(dtype)
 
 
 class PropagatorGrid:
     """Ordered step-propagator products over a fixed grid.
 
     `from_t0[j]` = E[j-1] ... E[0] is U(t_j, t0), and `into_t0` is U(t0, t_j),
-    its inverse, read by index like a frame inverse (a `bundle.FrameInverse`):
-    `into_t0[idx]` inverts the rows `from_t0[idx]` on each read, each matrix
-    with the bits of a whole-stack `np.linalg.inv`, so no whole inverse stack
-    is held.  Every two-time operator is the product U(t_j, t_i) =
-    from_t0[j] @ into_t0[i].  The steps E_k are the family's
-    `midpoint_propagators` on the grid with these constants, and the grid
-    keeps only their products, `from_t0` (`step_products`): taken from a
-    caller that already formed them (checked to be one (n, n) matrix per grid
-    time), or formed here in place over the steps, so the steps and their
-    products are one stack.
+    its inverse.  Both are read by index: `from_t0` is a
+    `CheckpointedProducts`, which keeps the steps E_k (the family's
+    `midpoint_propagators` on the grid with these constants; a constant
+    family's few distinct ones, gathered) and the products at the start of
+    each half block, and forms the rows each read selects; `into_t0` is read
+    like a frame inverse (a `bundle.FrameInverse`): `into_t0[idx]` inverts the
+    rows `from_t0[idx]` on each read, each matrix with the bits of a
+    whole-stack `np.linalg.inv`.  No whole stack of products or of their
+    inverses is held.  Every two-time operator is the product U(t_j, t_i) =
+    from_t0[j] @ into_t0[i].  `psi0`, given, is carried by the steps in the
+    same pass that forms the checkpoints, into `states`, (N, n): the
+    conventional oracle.  A caller that already formed the products passes them
+    as `from_t0` (checked to be one (n, n) matrix per grid time), which the
+    grid then keeps as they are.
     """
 
     def __init__(self, family: HamiltonianFamily, times: np.ndarray,
                  constants: PhysicalConstants = PhysicalConstants(),
-                 from_t0: Optional[np.ndarray] = None):
+                 from_t0: Optional[np.ndarray] = None, psi0: Optional[np.ndarray] = None):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be a strictly increasing grid with >= 2 points")
         n = family.dimension
+        self.states = None
+        if psi0 is not None:
+            psi0 = as_state(psi0)
+            if psi0.shape[0] != n:
+                raise ValueError("initial state dimension does not match the Hamiltonian family")
         if from_t0 is None:
-            from_t0 = np.empty((times.size, n, n), dtype=complex)
-            step_products(midpoint_propagators(family, times, constants, out=from_t0[1:]),
-                          out=from_t0)
+            from_t0 = CheckpointedProducts(_midpoint_steps(family, times, constants.hbar),
+                                           times.size, psi0)
+            self.states = from_t0.states
+        elif psi0 is not None:
+            raise ValueError("psi0 is carried by the steps, which a grid given from_t0 "
+                             "does not form")
         elif from_t0.shape != (times.size, n, n):
             raise ValueError(f"from_t0 must have shape {(times.size, n, n)} (one per grid "
                              f"time, of the family's dimension), got {from_t0.shape}")
+        else:
+            from_t0.setflags(write=False)
 
         self.family = family
         self.constants = constants
-        self.times = times
+        self.times = _frozen(times)
         self.from_t0 = from_t0
-        for a in (self.times, self.from_t0):
-            a.setflags(write=False)
         self.into_t0 = FrameInverse(from_t0, adjoint=False)
 
     @property

@@ -111,8 +111,12 @@ def half_blocks(n_times: int, n: int) -> List[slice]:
     at least one.
 
     The loops whose slice holds several blocks at once run on these, so each of
-    those blocks is half a block: the checks' sweep, the midpoint sampler, the
-    pairs of `EvolutionTransport.matrices_by_index` and `series_by_blocks`.
+    those blocks is half a block: the checks' sweep, the midpoint sampler and the
+    bundle integration's waves, the pairs of
+    `EvolutionTransport.matrices_by_index` and `series_by_blocks`.  The
+    conventional products are kept at the start of each of these slices of the
+    grid (`dynamics.CheckpointedProducts`), so the sweep's slice forms its rows
+    from one checkpoint.
     """
     return _slices(n_times, max(1, _BLOCK_BYTES // (32 * n * n)))
 
@@ -170,6 +174,18 @@ def _in_block_order(run: Callable[[slice], object], parts: Sequence[slice]) -> l
     if failures:
         raise failures[min(failures)]
     return out
+
+
+def _in_waves(parts: Sequence[slice]) -> List[Sequence[slice]]:
+    """`parts` in waves, each of the slices that `_in_block_order` can run at once: the
+    first slice alone, on the calling thread, then `_WORKERS` slices at a time.  A
+    stream that holds one wave's output at a time holds at most `_WORKERS` slices',
+    and what its first slice decides once (the proof of a broadcast frame family,
+    which `transport.MatrixBundleHamiltonian` keeps) is decided before any helper
+    thread reads it."""
+    if not parts:
+        return []
+    return [parts[:1]] + [parts[k:k + _WORKERS] for k in range(1, len(parts), _WORKERS)]
 
 
 def stack_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray],
@@ -294,7 +310,10 @@ def matrix_exponential(a, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     theta alone.  The polynomial is then evaluated one `time_blocks` slice at a
     time, on the workers (`_in_block_order`), into the one output stack, so its
     work stacks are blocks, and every block uses the whole batch's plan, so each
-    matrix gets the bits of a single call (`_planned_exponential`).
+    matrix gets the bits of a single call (`_planned_exponential`).  The
+    midpoint steppers call it on one `half_blocks` slice of steps at a time, so
+    each slice of steps is planned by its own theta
+    (`dynamics.midpoint_propagators`).
 
     `out`, a C-contiguous complex array of the input's shape, receives the
     exponentials; it may be the input itself, which is then overwritten: theta

@@ -30,14 +30,15 @@ from .bundle import FrameInverse, SectionAlongPath, TrivializationFamily, _frame
 from .dynamics import (
     HamiltonianFamily,
     PropagatorGrid,
+    _midpoint_waves,
     grid_index,
     grid_indices,
-    midpoint_propagators,
     propagate_states,
 )
 from .hilbert import (
     PhysicalConstants,
     _frozen,
+    _in_block_order,
     as_state,
     half_blocks,
     series_by_blocks,
@@ -73,7 +74,11 @@ class MatrixBundleHamiltonian:
     """Matrix bundle Hamiltonian for a grid, evaluable at any batch of times.
 
     The midpoint stepper needs values between grid points, so the closed form
-    is kept callable (`at_many`) rather than sampled on the grid.
+    is kept callable (`at_many`) rather than sampled on the grid.  Where the
+    frames of a batch broadcast one matrix (a constant trivialization), the
+    proof of that matrix is kept, and a later batch that broadcasts the same
+    matrix reuses it (`TrivializationFamily.derivative_at_many`), so a bundle
+    integration proves it once, not once per half slice of midpoints.
     """
 
     def __init__(self, hamiltonian: HamiltonianFamily, trivialization: TrivializationFamily,
@@ -86,6 +91,7 @@ class MatrixBundleHamiltonian:
         self.constants = constants
         self.times = times
         self.times.setflags(write=False)
+        self._broadcast_inverse: Optional[FrameInverse] = None
 
     @property
     def dimension(self) -> int:
@@ -93,7 +99,10 @@ class MatrixBundleHamiltonian:
 
     def at_many(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        values, derivative, inverse = self.trivialization.derivative_at_many(times)
+        values, derivative, inverse = self.trivialization.derivative_at_many(
+            times, self._broadcast_inverse)
+        if self._broadcast_inverse is None and values.strides[0] == 0:
+            self._broadcast_inverse = inverse
         return _bundle_generator(values, inverse, self.hamiltonian.at_many(times), derivative,
                                  self.constants.hbar)
 
@@ -119,9 +128,11 @@ class EvolutionTransport:
     fixed time is looked up on the grid; the first grid time t0, the fixed
     time of every t0 row, is looked up once, when the transport is built, so
     the t0 queries of many blocks scan the grid once.  The conventional
-    U(t0, t_j) they read, `propagators.into_t0`, is inverted per read too, so
-    the transport holds no inverse of the conventional products; a caller that
-    has already inverted a slice's rows passes them to `matrices_into`.  The
+    U(t_j, t0) they read, `propagators.from_t0`, is formed per read from its
+    checkpoints, and U(t0, t_j), `propagators.into_t0`, is inverted per read
+    too, so the transport holds no stack of the conventional products or of
+    their inverses; a caller that has already formed a slice's rows passes them
+    to `matrices_from`, and their inverses to `matrices_into`.  The
     engine and `is_integral_of_motion` form the t0 rows one half block at a
     time and never hold a whole t0 stack; a library caller that wants one
     whole calls `matrices_from(times[0])` or `matrices_into(times[0])`, and
@@ -152,25 +163,36 @@ class EvolutionTransport:
     def matrices_by_index(self, j, i) -> np.ndarray:
         """U(t_j, t_i) stacked over index arrays `j`, `i` (broadcast together).
 
-        The conventional U(t0, t_i) of each distinct column index is inverted once
-        (`propagators.into_t0`, each matrix with the bits of its own inverse), and
-        the pairs are formed one `half_blocks` slice at a time on the workers, each
-        gathering its columns' inverses, so its temporaries are half blocks.
+        The conventional U(t_k, t0) of every distinct time k of the pairs is read
+        once, in one stack (`propagators.from_t0`, which forms them one checkpoint
+        segment at a time, each segment once).  The pairs are then formed by the
+        checkpoint segment of their column index, on the workers: each segment
+        inverts its distinct columns' rows once (`np.linalg.inv`, each matrix with
+        the bits of its own inverse) and forms its pairs one `half_blocks` slice
+        at a time, gathering their rows, so its temporaries are half blocks.
         """
         j, i = np.broadcast_arrays(np.asarray(j, dtype=np.intp), np.asarray(i, dtype=np.intp))
-        shape, j, i = j.shape, j.ravel(), i.ravel()
-        columns, column_of = np.unique(i, return_inverse=True)
-        p = self.propagators
-        into = p.into_t0[columns]
-
-        def block(part: slice) -> np.ndarray:
-            rows = j[part]
-            # the right factor first, so the left one's rows are formed last
-            right = (p.from_t0[rows] @ into[column_of[part]]) @ self.frames[i[part]]
-            return self.inverse_frames[rows] @ right
-
+        shape = j.shape
+        j, i = (np.arange(self.times.size)[k.ravel()] for k in (j, i))  # from the end, if < 0
+        distinct, at = np.unique(np.concatenate([j, i]), return_inverse=True)
+        conventional = self.propagators.from_t0[distinct]
+        row_of, column_at = at[:j.size], at[j.size:]
         n = self.dimension
-        return stack_by_blocks(j.size, n, block, half_blocks).reshape(shape + (n, n))
+        out = np.empty((j.size, n, n), dtype=complex)
+
+        def fill(segment: slice) -> None:
+            pairs = np.flatnonzero((i >= segment.start) & (i < segment.stop))
+            columns, column_of = np.unique(column_at[pairs], return_inverse=True)
+            into = FrameInverse(conventional[columns], adjoint=False)[:]
+            for part in half_blocks(pairs.size, n):
+                k = pairs[part]
+                # the right factor first, so the left one's rows are formed last
+                right = (conventional[row_of[k]] @ into[column_of[part]]) @ self.frames[i[k]]
+                out[k] = self.inverse_frames[j[k]] @ right
+
+        segments = half_blocks(self.times.size, n)
+        _in_block_order(fill, [segments[s] for s in np.unique(i // segments[0].stop)])
+        return out.reshape(shape + (n, n))
 
     def matrix_by_index(self, j: int, i: int) -> np.ndarray:
         return self.matrices_by_index([j], [i])[0]
@@ -183,12 +205,25 @@ class EvolutionTransport:
         """The grid index of `t`, that of t0 as looked up when the transport was built."""
         return self._t0_index if t == self.times[0] else grid_index(self.times, t)
 
-    def matrices_from(self, s: float, part: Optional[slice] = None) -> np.ndarray:
-        """U(t_j, s) stacked over the grid indices j of the slice `part`, all by default."""
+    def matrices_from(self, s: float, part: Optional[slice] = None,
+                      conventional: Optional[np.ndarray] = None) -> np.ndarray:
+        """U(t_j, s) stacked over the grid indices j of the slice `part`, all by default.
+
+        `conventional`, given with `part` by a caller that has already formed the
+        slice's rows of the conventional U(t_j, t0), is `propagators.from_t0[part]`;
+        it is read in place of forming them again.  Given without `part`, or with
+        another row count than the slice's, it is a ValueError.
+        """
+        self._check_rows(part, conventional, "from_t0")
         i = self._index(s)
         p = self.propagators
         tail = p.into_t0[i] @ self.frames[i]
-        return self._rows(part, lambda rows: self.inverse_frames[rows] @ (p.from_t0[rows] @ tail))
+
+        def block(rows: slice) -> np.ndarray:
+            head = p.from_t0[rows] if conventional is None else conventional
+            return self.inverse_frames[rows] @ (head @ tail)
+
+        return self._rows(part, block)
 
     def matrices_into(self, t: float, part: Optional[slice] = None,
                       conventional: Optional[np.ndarray] = None) -> np.ndarray:
@@ -200,14 +235,7 @@ class EvolutionTransport:
         Given without `part`, or with another row count than the slice's, it is
         a ValueError.
         """
-        if conventional is not None:
-            if part is None:
-                raise ValueError("conventional is given without the slice `part` whose rows "
-                                 "of into_t0 it holds")
-            rows = len(range(self.times.size)[part])
-            if conventional.shape[0] != rows:
-                raise ValueError(f"conventional holds {conventional.shape[0]} rows of into_t0, "
-                                 f"but the slice {part} has {rows}")
+        self._check_rows(part, conventional, "into_t0")
         j = self._index(t)
         p = self.propagators
         inverse, head = self.inverse_frames[j], p.from_t0[j]
@@ -218,17 +246,40 @@ class EvolutionTransport:
 
         return self._rows(part, block)
 
+    def _check_rows(self, part: Optional[slice], conventional: Optional[np.ndarray],
+                    name: str) -> None:
+        """A ValueError unless `conventional`, if given, holds the rows of `name` of
+        the slice `part`, one per grid index of it."""
+        if conventional is None:
+            return
+        if part is None:
+            raise ValueError(f"conventional is given without the slice `part` whose rows "
+                             f"of {name} it holds")
+        rows = len(range(self.times.size)[part])
+        if conventional.shape[0] != rows:
+            raise ValueError(f"conventional holds {conventional.shape[0]} rows of {name}, "
+                             f"but the slice {part} has {rows}")
+
 
 def integrate_bundle_schrodinger(hm: MatrixBundleHamiltonian, psi0) -> SectionAlongPath:
     """Integrate i hbar dPsi/dt = Hm(t) Psi on the grid of `hm`, from Psi(t_0) = psi0.
 
-    Uses the shared midpoint stepper, one step per interval of `hm.times`.
+    Uses the shared midpoint stepper, one step per interval of `hm.times`, and
+    streams it: the steps of one wave of `half_blocks` slices of the midpoints
+    are sampled, scaled and exponentiated on the workers, each slice by the plan
+    of its own largest 1-norm, as `midpoint_propagators` forms them, and the
+    section is carried through that wave in order before the next is formed
+    (`dynamics._midpoint_waves`).  So the steps are never a whole stack, and
+    each state has the bits it has from the whole stack of steps.
     """
     psi0 = as_state(psi0)
     if psi0.shape[0] != hm.dimension:
         raise ValueError("initial fibre vector dimension does not match")
-    props = midpoint_propagators(hm, hm.times, hm.constants)
-    return SectionAlongPath(hm.times, propagate_states(props, psi0))
+    states = np.empty((hm.times.size, hm.dimension), dtype=complex)
+    states[0] = psi0
+    for first, steps in _midpoint_waves(hm, hm.times, hm.constants):
+        states[first:first + steps.shape[0] + 1] = propagate_states(steps, states[first])
+    return SectionAlongPath(hm.times, states)
 
 
 @dataclass(frozen=True)

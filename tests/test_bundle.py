@@ -405,6 +405,58 @@ class TestTrivializationValidation:
         assert str(failed.value) == message
         assert passes == [time_blocks(times.size - 2, 32)]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_derivative_is_never_a_whole_stack(self, monkeypatch, workers):
+        # n = 32 on 1001 times: each sampled block's derivative is reduced at once,
+        # so beside the values' stack the check holds blocks (3.5 at one worker and
+        # 6.5 at two measured), not the derivative's 15.6
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
+        family = random_smooth_unitary_trivialization(32, 5)
+        times = np.linspace(0.0, 1.0, 1001)
+        tracemalloc.start()
+        try:
+            values, _ = family.validate_on_grid(times)
+            above = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert above <= values.nbytes + 4 * workers * hilbert_module._BLOCK_BYTES
+        assert np.array_equal(values, family.at_many(times))
+
+    @pytest.mark.parametrize("size, faulty_at", [
+        (3, "everywhere"), (4, "everywhere"), (5, "everywhere"), (6, "everywhere"),
+        (65, "everywhere"), (66, "block edges"), (67, "block edges"), (129, "block edges"),
+        (301, "everywhere"), (301, "block edges")])
+    def test_the_three_maxima_are_those_of_the_whole_interior(self, monkeypatch, size,
+                                                              faulty_at):
+        # grids of a few points, and faults at every time or only at the first and
+        # last times of each time block (64 times at n = 32), whose deviation is
+        # formed in the second pass, against the whole-array formulas: a derivative
+        # scaled by 1.2 there fails by the message of the whole interior's maxima
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 2)
+        family = random_smooth_unitary_trivialization(32, 5)
+        sample = family._sample
+        times = np.linspace(0.0, 0.05 * size, size)
+        at = (np.ones(size, dtype=bool) if faulty_at == "everywhere"
+              else np.isin(np.arange(size) % 64, [0, 63]))
+        scales = np.where(at, 1.2, 1.0)
+
+        def scaled(ts):
+            return scales[np.searchsorted(times, ts)][:, None, None] * sample(ts)[1]
+
+        faulty = family.with_derivative(scaled)
+        values, supplied = sample(times)[0], scaled(times)[1:-1]
+        h = float(np.mean(np.diff(times)))
+        dev = max_abs(supplied - (values[2:] - values[:-2])
+                      / (times[2:] - times[:-2])[:, None, None])
+        allowance = 1e-3 * max(1.0, max_abs(supplied))
+        if size >= 5:
+            allowance += (h * h / 6.0) * 4.0 * max_abs(
+                (values[4:] - 2 * values[3:-1] + 2 * values[1:-3] - values[:-4]) / (2 * h ** 3))
+        assert dev > allowance
+        with pytest.raises(ValueError) as failed:
+            faulty.validate_on_grid(times)
+        assert str(failed.value).endswith(f"by {dev:.3e} (allowed {allowance:.3e})")
+
     def test_random_family_derivative_matches_the_product_rule(self):
         # dl/ds = K1 V + w cos(w s) V K2 on the values V, against the product rule
         # over both exponential factors, with the family's own generators.
@@ -483,10 +535,11 @@ class TestFrameInverse:
         frame_calls = {routine: k for (routine, module), k in calls.items()
                        if module == "fibreqm.bundle"}
         if name == "nonunitary-constant-gauge":
-            # the grid and each half slice of the midpoints (two at n = 8), each
-            # checked by its SVD and inverted once
+            # the grid, and the midpoints once for the bundle integration, not once
+            # for each of its half slices (two at n = 8): each checked by its SVD
+            # and inverted once
             assert len(half_blocks(cfg.times.size - 1, cfg.dimension)) == 2
-            assert frame_calls == {"svd": 3, "inv": 3}
+            assert frame_calls == {"svd": 2, "inv": 2}
         else:
             assert frame_calls == {}
         nodes["transport"].propagators.into_t0[:2]  # PropagatorGrid.into_t0 keeps inv, per read

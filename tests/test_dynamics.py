@@ -15,6 +15,7 @@ from fibreqm.dynamics import (
     evolve_state,
     grid_index,
     midpoint_propagators,
+    propagate_states,
     step_products,
     uniform_grid,
     validate_density,
@@ -28,6 +29,7 @@ from fibreqm.hilbert import (
     apply,
     expectations,
     inner_products,
+    half_blocks,
     max_abs,
     time_blocks,
 )
@@ -306,7 +308,8 @@ class TestGridPlumbing:
 
 
 class TestMidpointSteps:
-    """A generator whose samples are one matrix is exponentiated once per step length."""
+    """A generator whose samples are one matrix is exponentiated once per step length;
+    any other is exponentiated one half slice of midpoints at a time, by its own plan."""
 
     @staticmethod
     def hermitian(seed, n=32):
@@ -331,7 +334,7 @@ class TestMidpointSteps:
         assert 1 < lengths < 20
         copies = HamiltonianFamily(lambda ts: np.repeat(m[None], ts.size, axis=0), 32)
         sizes, steps = self.sizes_and_steps(monkeypatch, copies, times)
-        assert sizes == [1000]
+        assert sorted(sizes) == sorted(part.stop - part.start for part in half_blocks(1000, 32))
         sizes, once = self.sizes_and_steps(monkeypatch, HamiltonianFamily.constant(m), times)
         assert sizes == [lengths]
         assert np.array_equal(once, steps)
@@ -360,7 +363,9 @@ class TestMidpointSteps:
             return values(ts)
 
         sizes, steps = self.sizes_and_steps(monkeypatch, HamiltonianFamily(sample, 32), times)
-        assert sizes == [1000]
+        # one exponential per half slice of midpoints, each by its own plan, those
+        # after the cut on the workers
+        assert sorted(sizes) == sorted(part.stop - part.start for part in half_blocks(1000, 32))
         assert np.array_equal(steps, midpoint_propagators(HamiltonianFamily(values, 32), times))
 
     @pytest.mark.parametrize("family", ["constant", "time-dependent"])
@@ -381,6 +386,91 @@ class TestMidpointSteps:
         for wrong in (stack[2:], stack[1:].real.copy(), stack[1:, :, ::-1]):
             with pytest.raises(ValueError, match="out must be a C-contiguous complex array"):
                 midpoint_propagators(h, times, out=wrong)
+
+
+class TestCheckpointedProducts:
+    """`PropagatorGrid.from_t0` forms the rows each read selects from the checkpoints of
+    one pass over the steps, with the bits of `step_products` over the whole grid."""
+
+    @staticmethod
+    def family(kind):
+        m = TestMidpointSteps.hermitian(7)
+        return (HamiltonianFamily.constant(m) if kind == "constant" else
+                HamiltonianFamily(lambda ts: np.cos(3 * ts)[:, None, None] * m, 32))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["constant", "time-dependent"])
+    @pytest.mark.parametrize("steps, slices", [(20, 1), (40, 2), (300, 10)])
+    def test_every_read_has_the_bits_of_the_whole_products(self, monkeypatch, workers, kind,
+                                                           steps, slices):
+        # n = 32: half blocks of 32 times, so one, two and many checkpoint segments
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
+        times = uniform_grid(0.0, 1.0, steps)
+        assert len(half_blocks(times.size, 32)) == slices
+        family = self.family(kind)
+        psi0 = np.random.default_rng(3).normal(size=(32, 2)) @ [1.0, 1j]
+        grid = PropagatorGrid(family, times, psi0=psi0)
+        step_stack = midpoint_propagators(family, times)
+        whole = step_products(step_stack)
+        inverse = np.linalg.inv(whole)
+        last = times.size - 1
+        reads = [slice(None), slice(0, 32), slice(32, 64), slice(5, last, 3), slice(-7, None),
+                 5, np.int64(last), np.intp(-1), slice(3, 3), np.array([], dtype=np.intp),
+                 np.array([last, 0, 7, 7, last - 1, 33 % times.size, 7]),
+                 np.array([[33 % times.size, 2], [2, last]])]
+        for index in reads:
+            rows = grid.from_t0[index]
+            assert rows.shape == whole[index].shape, index
+            assert np.array_equal(rows, whole[index]), index
+            assert np.array_equal(grid.into_t0[index], inverse[index]), index
+        # the sweep's reads, one half slice each, on the workers
+        by_slices = np.concatenate(_in_block_order(lambda part: grid.from_t0[part],
+                                                   half_blocks(times.size, 32)))
+        assert np.array_equal(by_slices, whole)
+        assert np.array_equal(np.asarray(grid.from_t0), whole)
+        # psi0, carried in the same pass, as `propagate_states` carries it
+        assert np.array_equal(grid.states, propagate_states(step_stack, psi0))
+
+    @pytest.mark.parametrize("steps, formed", [(20, []), (300, [5, 8, 4])])
+    def test_only_the_rows_of_a_read_are_formed_from_their_checkpoints(self, monkeypatch,
+                                                                       steps, formed):
+        # one pass forms each product once; a one-slice grid keeps every row, so its
+        # reads form none again, and a longer grid's read forms, once per segment it
+        # selects from, the rows from its checkpoint up to the last one selected:
+        # rows 0..5, 32..40 and 96..100 by 5, 8 and 4 products, while row 300 is
+        # among the last half block's, which the grid keeps
+        calls = []
+        real = dynamics_module.step_products
+
+        def counting(steps_read, out=None, first=None):
+            calls.append(steps_read.shape[0])
+            return real(steps_read, out=out, first=first)
+
+        monkeypatch.setattr(dynamics_module, "step_products", counting)
+        times = uniform_grid(0.0, 1.0, steps)
+        grid = PropagatorGrid(self.family("constant"), times)
+        assert sum(calls) == steps  # one product per step, in the pass
+        del calls[:]
+        grid.from_t0[np.array([0, 5, 40, 35, 99, 100, 300]) % times.size]
+        assert calls == formed
+
+    def test_a_constant_h_keeps_its_distinct_steps_only(self):
+        times = uniform_grid(0.0, 1.0, 1000)
+        grid = PropagatorGrid(self.family("constant"), times)
+        held = grid.from_t0._steps
+        lengths = np.unique(np.diff(times)).size
+        assert held.distinct.shape == (lengths, 32, 32) and held.shape == (1000, 32, 32)
+        assert np.array_equal(held.distinct[held.index[::97]], midpoint_propagators(
+            self.family("constant"), times)[::97])
+
+    def test_psi0_needs_the_steps(self):
+        h = HamiltonianFamily.constant(SIGMA_Z)
+        times = uniform_grid(0.0, 1.0, 10)
+        products = step_products(midpoint_propagators(h, times))
+        with pytest.raises(ValueError, match="psi0 is carried by the steps"):
+            PropagatorGrid(h, times, from_t0=products, psi0=[1, 0])
+        with pytest.raises(ValueError, match="initial state dimension"):
+            PropagatorGrid(h, times, psi0=[1, 0, 0])
 
 
 class TestSamplerValidation:

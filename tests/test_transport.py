@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 from importlib import resources
 
@@ -24,8 +25,17 @@ from fibreqm.dynamics import (
     propagate_states,
     uniform_grid,
 )
-from fibreqm.hilbert import SIGMA_X, SIGMA_Z, PhysicalConstants, apply, max_abs
-from fibreqm.checks import _sample_triples, build_artifacts
+from fibreqm.hilbert import (
+    SIGMA_X,
+    SIGMA_Z,
+    PhysicalConstants,
+    _taylor_plan,
+    apply,
+    half_blocks,
+    matrix_exponential,
+    max_abs,
+)
+from fibreqm.checks import _sample_triples, build_artifacts, run_scenario
 from fibreqm.dynamics import grid_indices
 from fibreqm.scenario import load_catalog_scenario, scenario_from_dict
 from fibreqm.transport import (
@@ -404,6 +414,15 @@ class TestBuildTransport:
         with pytest.raises(ValueError, match=r"^conventional holds 256 rows of into_t0, "
                                              r"but the slice slice\(0, 255, None\) has 255"):
             transport.matrices_into(t0, slice(0, 255), rows)
+        # and so are the rows of U(t, t0) that `matrices_from` reads
+        products = transport.propagators.from_t0[part]
+        assert np.array_equal(transport.matrices_from(t0, part, products),
+                              transport.matrices_from(t0, part))
+        with pytest.raises(ValueError, match="^conventional is given without the slice"):
+            transport.matrices_from(t0, conventional=products)
+        with pytest.raises(ValueError, match=r"^conventional holds 256 rows of from_t0, "
+                                             r"but the slice slice\(0, 255, None\) has 255"):
+            transport.matrices_from(t0, slice(0, 255), products)
 
     def test_unitary_bundle_map_property(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.4 * SIGMA_Z)
@@ -451,6 +470,123 @@ class TestBundleIntegration:
         hm = MatrixBundleHamiltonian(h, l, times)
         section = integrate_bundle_schrodinger(hm, lifted.values[0])
         assert max_abs(section.values - lifted.values) <= 1e-6
+
+
+class TestStreamedBundleSection:
+    """The bundle section is carried through one wave of half slices of steps at a time,
+    each slice exponentiated by the plan of its own largest 1-norm."""
+
+    @staticmethod
+    def gauge(dimension, steps, seed=None):
+        root = resources.files("fibreqm") / "catalog"
+        raw = json.loads((root / "random-unitary-gauge.json").read_text())
+        raw["dimension"], raw["grid"]["steps"] = dimension, steps
+        if seed is not None:
+            raw["seed"] = seed
+        return scenario_from_dict(raw)
+
+    @staticmethod
+    def bundle_generator(cfg):
+        return MatrixBundleHamiltonian(cfg.hamiltonian, cfg.trivialization, cfg.times,
+                                       cfg.constants)
+
+    @staticmethod
+    def slice_norms(hm):
+        """The largest 1-norm of each half slice of the scaled midpoint samples."""
+        times = hm.times
+        mids, h = (times[:-1] + times[1:]) / 2.0, np.diff(times)
+        return [float(np.max(np.sum(np.abs(
+            -1j * h[part][:, None, None] * hm.at_many(mids[part]) / hm.constants.hbar),
+            axis=-2))) for part in half_blocks(mids.size, hm.dimension)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_section_has_the_bits_of_a_serial_reference_by_slice(self, monkeypatch,
+                                                                      workers):
+        # n = 16 on 601 times at seed 3: five half slices of midpoints, in waves on
+        # the workers, three of which plan below the whole batch's plan
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
+        cfg = self.gauge(16, 600, seed=3)
+        hm = self.bundle_generator(cfg)
+        section = integrate_bundle_schrodinger(hm, cfg.initial_state)
+        # each half slice sampled, scaled and exponentiated alone, by its own plan,
+        # and psi0 carried through its steps in order
+        times = cfg.times
+        mids, h = (times[:-1] + times[1:]) / 2.0, np.diff(times)
+        scaled = [-1j * h[part][:, None, None] * hm.at_many(mids[part]) / cfg.constants.hbar
+                  for part in half_blocks(mids.size, 16)]
+        states = [np.asarray(cfg.initial_state, dtype=complex)]
+        for steps in scaled:
+            for step in matrix_exponential(steps):
+                states.append(step @ states[-1])
+        assert np.array_equal(section.values, np.array(states))
+        assert np.array_equal(section.values, propagate_states(
+            midpoint_propagators(hm, times, cfg.constants), cfg.initial_state))
+        # one plan for the whole batch gives other bits here
+        assert not np.array_equal(section.values, propagate_states(
+            matrix_exponential(np.concatenate(scaled)), cfg.initial_state))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_steps_are_never_a_whole_stack(self, monkeypatch, workers):
+        # n = 32 on 3001 times: the steps would be 3000 (n, n) matrices, 48 blocks;
+        # one wave of half slices and its samples' temporaries are held instead (4.0
+        # blocks at one worker and 8.5 at two, measured on 1001 times)
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
+        cfg = self.gauge(32, 3000)
+        hm = self.bundle_generator(cfg)
+        tracemalloc.start()
+        try:
+            entry, _ = tracemalloc.get_traced_memory()
+            section = integrate_bundle_schrodinger(hm, cfg.initial_state)
+            above = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert above <= section.values.nbytes + 4.5 * workers * hilbert_module._BLOCK_BYTES
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_broadcast_gauge_is_proven_once_per_integration(self, monkeypatch, workers):
+        # a constant non-unitary gauge at n = 32 on 301 times: ten half slices of
+        # midpoints, each a broadcast of one matrix, proven (one SVD and one `inv`)
+        # by the first slice alone and reused by the others on the workers, with a
+        # short switch interval so that the workers interleave often
+        monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
+        m = np.eye(32, dtype=complex) + 0.3 * np.diag(np.ones(31), 1)
+        cfg = self.gauge(32, 300)
+        hm = MatrixBundleHamiltonian(cfg.hamiltonian, constant_trivialization(m, "shear"),
+                                     cfg.times, cfg.constants)
+        calls = []
+        for routine in ("svd", "inv"):
+            def counting(*args, real=getattr(np.linalg, routine), routine=routine, **kwargs):
+                calls.append(routine)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, routine, counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            section = integrate_bundle_schrodinger(hm, cfg.initial_state)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == ["inv", "svd"]
+        fresh = MatrixBundleHamiltonian(cfg.hamiltonian, constant_trivialization(m, "shear"),
+                                        cfg.times, cfg.constants)
+        assert np.array_equal(section.values, propagate_states(
+            midpoint_propagators(fresh, cfg.times, cfg.constants), cfg.initial_state))
+
+    def test_a_grid_whose_slices_plan_apart_gives_one_record_at_any_worker_count(
+            self, monkeypatch):
+        # n = 16 on 601 times at seed 3: 3 of the 5 half slices of bundle midpoints
+        # plan below the whole batch's plan, so their steps, and the state
+        # equivalence residual, differ from those of one plan for the whole batch
+        cfg = self.gauge(16, 600, seed=3)
+        norms = self.slice_norms(self.bundle_generator(cfg))
+        whole = _taylor_plan(max(norms))
+        assert len(norms) == 5 and sum(_taylor_plan(x) != whole for x in norms) == 3
+        records = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
+            report = run_scenario(cfg)
+            assert report.overall_pass
+            records.add(json.dumps(report.to_dict(include_timing=False), sort_keys=True))
+        assert len(records) == 1
 
 
 class TestTransportSection:
