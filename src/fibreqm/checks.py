@@ -310,7 +310,7 @@ _NODES = {
 }
 # Read in this order before any check; a failure among them is the `setup` record.  The
 # bundle section comes first, from the lifted initial state alone, its steps formed and
-# dropped one wave of half slices at a time; then one pass over the conventional steps
+# dropped one half slice at a time on each worker; then one pass over the conventional steps
 # carries psi0 and keeps only the checkpoints of their products, which the transport
 # reads.  Beside the frames, setup holds a time-dependent H's stack of steps and no
 # other: no whole stack of the products or of their inverses is formed.

@@ -15,7 +15,7 @@ their checkpoint, so no whole stack of products is held.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .bundle import FrameInverse
 from .hilbert import (
     PhysicalConstants,
     _frozen,
+    _formed_in_order,
     _in_block_order,
-    _in_waves,
     _taylor_plan,
     as_operator,
     as_state,
@@ -206,8 +206,7 @@ def grid_index(times: np.ndarray, t: float) -> int:
 
 
 def midpoint_propagators(family, times: np.ndarray,
-                         constants: PhysicalConstants = PhysicalConstants(),
-                         out: Optional[np.ndarray] = None) -> np.ndarray:
+                         constants: PhysicalConstants = PhysicalConstants()) -> np.ndarray:
     """Step propagators exp(-i h H(t + h/2) / hbar) for every grid interval.
 
     `family` is the generator: anything with a `dimension` and an `at_many`
@@ -225,21 +224,11 @@ def midpoint_propagators(family, times: np.ndarray,
     constant family's 0-stride broadcast), nothing is scaled per step: one step
     is exponentiated per distinct step length and plan, by the plan of each
     slice, and gathered, so each step keeps the bits it has from its slice.
-
-    `out`, a C-contiguous complex (N - 1, n, n) array for the grid's N times,
-    receives the steps; by default they are a new stack.
     """
     times = np.asarray(times, dtype=float)
-    shape = (max(times.size - 1, 0), family.dimension, family.dimension)
-    if out is not None and (out.shape != shape or out.dtype != complex
-                            or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
-    steps = _midpoint_steps(family, times, constants.hbar, out)
+    steps = _midpoint_steps(family, times, constants.hbar)
     if isinstance(steps, _GatheredSteps):
-        # under the default mode="raise", np.take fills a buffer of out's size and
-        # then copies it; every index is in range, so "clip" gathers in place
-        return np.take(steps.distinct, steps.index, axis=0,
-                       out=np.empty(shape, dtype=complex) if out is None else out, mode="clip")
+        return steps.distinct[steps.index]
     return steps
 
 
@@ -271,9 +260,9 @@ class _GatheredSteps:
         return self.distinct[self.index[k]]
 
 
-def _midpoint_steps(family, times: np.ndarray, hbar: float, out: Optional[np.ndarray] = None):
-    """The steps of `midpoint_propagators`: a stack (`out`, if given), or, where every
-    midpoint sample is one matrix, its `_GatheredSteps`.
+def _midpoint_steps(family, times: np.ndarray, hbar: float):
+    """The steps of `midpoint_propagators`: a stack, or, where every midpoint sample is
+    one matrix, its `_GatheredSteps`.
 
     The midpoints are sampled one `half_blocks` slice at a time.  While each
     sample is one matrix, and the same one, nothing is exponentiated; from the
@@ -292,7 +281,7 @@ def _midpoint_steps(family, times: np.ndarray, hbar: float, out: Optional[np.nda
                 and (one is None or np.array_equal(sample[0], one))):
             one = sample[0]
             continue
-        steps = np.empty((mids.size, n, n), dtype=complex) if out is None else out
+        steps = np.empty((mids.size, n, n), dtype=complex)
         for done in parts[:k]:  # each sample of these slices is `one`
             steps[done] = _slice_steps(family, mids, h, hbar, done, one)
         steps[part] = _slice_steps(family, mids, h, hbar, part, sample)
@@ -304,7 +293,7 @@ def _midpoint_steps(family, times: np.ndarray, hbar: float, out: Optional[np.nda
         _in_block_order(fill, parts[k + 1:])
         return steps
     if one is None:  # a grid of one time has no steps
-        return np.empty((0, n, n), dtype=complex) if out is None else out
+        return np.empty((0, n, n), dtype=complex)
     return _gathered_steps(one, h, parts, hbar)
 
 
@@ -335,25 +324,17 @@ def _gathered_steps(one: np.ndarray, h: np.ndarray, parts: Sequence[slice],
     return _GatheredSteps(distinct, index)
 
 
-def _midpoint_waves(family, times: np.ndarray,
-                    constants: PhysicalConstants) -> Iterator[Tuple[int, np.ndarray]]:
-    """(k, the steps of the intervals k, k + 1, ...) for each wave of `half_blocks`
-    slices of the midpoints (`hilbert._in_waves`): each wave's slices are sampled,
-    scaled and exponentiated on the workers, each by its own plan, as
-    `midpoint_propagators` forms them, so a step has the same bits either way and
-    only one wave of steps is ever held."""
+def _streamed_midpoint_steps(family, times: np.ndarray, constants: PhysicalConstants,
+                             use: Callable[[slice, np.ndarray], None]) -> None:
+    """use(part, the steps of the intervals `part`) for each `half_blocks` slice of the
+    midpoints, in grid order (`hilbert._formed_in_order`): each slice's steps are
+    sampled, scaled and exponentiated on a worker, by its own plan, as
+    `midpoint_propagators` forms them, so a step has the same bits either way, and
+    each worker holds one slice of steps at a time."""
     times = np.asarray(times, dtype=float)
-    mids, h, n = (times[:-1] + times[1:]) / 2.0, np.diff(times), family.dimension
-    for wave in _in_waves(half_blocks(mids.size, n)):
-        first = wave[0].start
-        steps = np.empty((wave[-1].stop - first, n, n), dtype=complex)
-
-        def fill(part: slice) -> None:
-            steps[part.start - first:part.stop - first] = _slice_steps(
-                family, mids, h, constants.hbar, part)
-
-        _in_block_order(fill, wave)
-        yield first, steps
+    mids, h = (times[:-1] + times[1:]) / 2.0, np.diff(times)
+    _formed_in_order(lambda part: _slice_steps(family, mids, h, constants.hbar, part), use,
+                     half_blocks(mids.size, family.dimension))
 
 
 def propagate_states(propagators: np.ndarray, psi0: np.ndarray) -> np.ndarray:
@@ -371,10 +352,9 @@ def step_products(steps: np.ndarray, out: Optional[np.ndarray] = None,
     last: U(t_j, t0) on a grid with one step per interval, where F = `first` is the
     product before the steps, the identity by default.
 
-    `out`, an (N + 1, n, n) complex stack for N steps, receives them; it may hold
-    the steps themselves as its rows 1.. (`steps` is `out[1:]`), which are then
-    overwritten: row k + 1 is read, as E_k, just before it is written.  Every row
-    that `PropagatorGrid` reads is formed here, so each keeps these bits.
+    `out`, an (N + 1, n, n) complex stack for N steps, receives them; by default
+    they are a new stack.  Every row that `PropagatorGrid` reads is formed here,
+    so each keeps these bits.
     """
     n = steps.shape[-1]
     if out is None:
@@ -417,16 +397,18 @@ class CheckpointedProducts:
         for k, part in enumerate(parts):
             stop = min(part.stop, n_times - 1)  # this slice's steps, and the next slice's head
             rows = self._tail if part.start == self._last else buffer[:stop - part.start + 1]
-            step_products(steps[part.start:stop], out=rows, first=first)
+            mine = steps[part.start:stop]
+            step_products(mine, out=rows, first=first)
             self._checkpoints[k] = rows[0]
             first = rows[-1].copy()
             if psi0 is not None:
-                self.states[part.start:stop + 1] = propagate_states(
-                    steps[part.start:stop], self.states[part.start])
+                self.states[part.start:stop + 1] = propagate_states(mine, self.states[part.start])
         for a in (self._checkpoints, self._tail) + (() if psi0 is None else (self.states,)):
             a.setflags(write=False)
 
     def __getitem__(self, index) -> np.ndarray:
+        if self._last == 0:  # one slice, every row kept: no segment to form
+            return self._tail[index].copy()
         wanted = np.arange(self.shape[0])[index]
         flat = wanted.ravel()
         out = np.empty(flat.shape + self.shape[1:], dtype=complex)
@@ -466,41 +448,26 @@ class PropagatorGrid:
     inverses is held.  Every two-time operator is the product U(t_j, t_i) =
     from_t0[j] @ into_t0[i].  `psi0`, given, is carried by the steps in the
     same pass that forms the checkpoints, into `states`, (N, n): the
-    conventional oracle.  A caller that already formed the products passes them
-    as `from_t0` (checked to be one (n, n) matrix per grid time), which the
-    grid then keeps as they are.
+    conventional oracle; without it `states` is None.
     """
 
     def __init__(self, family: HamiltonianFamily, times: np.ndarray,
                  constants: PhysicalConstants = PhysicalConstants(),
-                 from_t0: Optional[np.ndarray] = None, psi0: Optional[np.ndarray] = None):
+                 psi0: Optional[np.ndarray] = None):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be a strictly increasing grid with >= 2 points")
-        n = family.dimension
-        self.states = None
         if psi0 is not None:
             psi0 = as_state(psi0)
-            if psi0.shape[0] != n:
+            if psi0.shape[0] != family.dimension:
                 raise ValueError("initial state dimension does not match the Hamiltonian family")
-        if from_t0 is None:
-            from_t0 = CheckpointedProducts(_midpoint_steps(family, times, constants.hbar),
-                                           times.size, psi0)
-            self.states = from_t0.states
-        elif psi0 is not None:
-            raise ValueError("psi0 is carried by the steps, which a grid given from_t0 "
-                             "does not form")
-        elif from_t0.shape != (times.size, n, n):
-            raise ValueError(f"from_t0 must have shape {(times.size, n, n)} (one per grid "
-                             f"time, of the family's dimension), got {from_t0.shape}")
-        else:
-            from_t0.setflags(write=False)
-
         self.family = family
         self.constants = constants
         self.times = _frozen(times)
-        self.from_t0 = from_t0
-        self.into_t0 = FrameInverse(from_t0, adjoint=False)
+        self.from_t0 = CheckpointedProducts(_midpoint_steps(family, times, constants.hbar),
+                                            times.size, psi0)
+        self.states = self.from_t0.states
+        self.into_t0 = FrameInverse(self.from_t0, adjoint=False)
 
     @property
     def dimension(self) -> int:

@@ -112,7 +112,7 @@ def half_blocks(n_times: int, n: int) -> List[slice]:
 
     The loops whose slice holds several blocks at once run on these, so each of
     those blocks is half a block: the checks' sweep, the midpoint sampler and the
-    bundle integration's waves, the pairs of
+    bundle integration's streamed steps, the pairs of
     `EvolutionTransport.matrices_by_index` and `series_by_blocks`.  The
     conventional products are kept at the start of each of these slices of the
     grid (`dynamics.CheckpointedProducts`), so the sweep's slice forms its rows
@@ -176,16 +176,45 @@ def _in_block_order(run: Callable[[slice], object], parts: Sequence[slice]) -> l
     return out
 
 
-def _in_waves(parts: Sequence[slice]) -> List[Sequence[slice]]:
-    """`parts` in waves, each of the slices that `_in_block_order` can run at once: the
-    first slice alone, on the calling thread, then `_WORKERS` slices at a time.  A
-    stream that holds one wave's output at a time holds at most `_WORKERS` slices',
-    and what its first slice decides once (the proof of a broadcast frame family,
-    which `transport.MatrixBundleHamiltonian` keeps) is decided before any helper
-    thread reads it."""
+def _formed_in_order(form: Callable[[slice], object], use: Callable[[slice, object], None],
+                     parts: Sequence[slice]) -> None:
+    """use(part, form(part)) for each slice of `parts`, the uses in block order.
+
+    The first slice is formed and used on the calling thread alone, so what it
+    decides once (the proof of a broadcast frame family, which
+    `transport.MatrixBundleHamiltonian` keeps) is decided before any helper
+    thread reads it.  The rest run on the workers (`_in_block_order`): each
+    worker forms its slice, uses it as soon as every slice before it is used,
+    then forms its next.  So each worker holds one formed slice at a time, and
+    none waits for the others' slices to be formed.  The first failing slice in
+    block order raises; a slice still waiting for its turn when an earlier one
+    fails is dropped.
+    """
     if not parts:
-        return []
-    return [parts[:1]] + [parts[k:k + _WORKERS] for k in range(1, len(parts), _WORKERS)]
+        return
+    use(parts[0], form(parts[0]))
+    turn = threading.Condition()
+    # the start of the next slice to use, and the start of the first that failed
+    next_start, failed = [parts[0].stop], [math.inf]
+
+    def form_and_use(part: slice) -> None:
+        try:
+            formed = form(part)
+            with turn:
+                turn.wait_for(lambda: next_start[0] == part.start or failed[0] < part.start)
+                if failed[0] < part.start:
+                    raise RuntimeError("an earlier slice failed")
+            use(part, formed)
+        except BaseException:
+            with turn:
+                failed[0] = min(failed[0], part.start)
+                turn.notify_all()
+            raise
+        with turn:
+            next_start[0] = part.stop
+            turn.notify_all()
+
+    _in_block_order(form_and_use, parts[1:])
 
 
 def stack_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray],

@@ -30,7 +30,7 @@ from .bundle import FrameInverse, SectionAlongPath, TrivializationFamily, _frame
 from .dynamics import (
     HamiltonianFamily,
     PropagatorGrid,
-    _midpoint_waves,
+    _streamed_midpoint_steps,
     grid_index,
     grid_indices,
     propagate_states,
@@ -265,20 +265,24 @@ def integrate_bundle_schrodinger(hm: MatrixBundleHamiltonian, psi0) -> SectionAl
     """Integrate i hbar dPsi/dt = Hm(t) Psi on the grid of `hm`, from Psi(t_0) = psi0.
 
     Uses the shared midpoint stepper, one step per interval of `hm.times`, and
-    streams it: the steps of one wave of `half_blocks` slices of the midpoints
-    are sampled, scaled and exponentiated on the workers, each slice by the plan
-    of its own largest 1-norm, as `midpoint_propagators` forms them, and the
-    section is carried through that wave in order before the next is formed
-    (`dynamics._midpoint_waves`).  So the steps are never a whole stack, and
-    each state has the bits it has from the whole stack of steps.
+    streams it: the steps of each `half_blocks` slice of the midpoints are
+    sampled, scaled and exponentiated on a worker, by the plan of the slice's
+    own largest 1-norm, as `midpoint_propagators` forms them, and the section is
+    carried through each slice in grid order as soon as the slices before it are
+    carried (`dynamics._streamed_midpoint_steps`).  So the steps are never a
+    whole stack, and each state has the bits it has from the whole stack of
+    steps.
     """
     psi0 = as_state(psi0)
     if psi0.shape[0] != hm.dimension:
         raise ValueError("initial fibre vector dimension does not match")
     states = np.empty((hm.times.size, hm.dimension), dtype=complex)
     states[0] = psi0
-    for first, steps in _midpoint_waves(hm, hm.times, hm.constants):
-        states[first:first + steps.shape[0] + 1] = propagate_states(steps, states[first])
+
+    def carry(part: slice, steps: np.ndarray) -> None:
+        states[part.start:part.stop + 1] = propagate_states(steps, states[part.start])
+
+    _streamed_midpoint_steps(hm, hm.times, hm.constants, carry)
     return SectionAlongPath(hm.times, states)
 
 

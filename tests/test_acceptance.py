@@ -32,7 +32,6 @@ from fibreqm.dynamics import (
     evolve_state,
     midpoint_propagators,
     propagate_states,
-    step_products,
     uniform_grid,
 )
 from fibreqm.hilbert import SIGMA_X, SIGMA_Z, inner_products, is_hermitian, max_abs
@@ -95,7 +94,7 @@ def test_criterion_2_mean_value_invariance_random_triples(acceptance):
                 l = constant_trivialization(
                     np.diag(1.0 + rng.uniform(0.1, 2.0, size=n)).astype(complex))
             steps = midpoint_propagators(hamiltonian, times)
-            grid = PropagatorGrid(hamiltonian, times, from_t0=step_products(steps))
+            grid = PropagatorGrid(hamiltonian, times)
             psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
             states = propagate_states(steps, psi0)
             section = lift_trajectory(l, times, states)
@@ -187,8 +186,7 @@ def test_criterion_7_integrals_of_motion(acceptance):
     h = HamiltonianFamily.constant(SIGMA_Z)
     l = identity_trivialization(2)
     steps = midpoint_propagators(h, times)
-    transport = EvolutionTransport(PropagatorGrid(h, times, from_t0=step_products(steps)),
-                                   l.at_many(times))
+    transport = EvolutionTransport(PropagatorGrid(h, times), l.at_many(times))
 
     certified = is_integral_of_motion(ObservableFamily.constant(SIGMA_Z, name="energy"),
                                       transport)

@@ -138,21 +138,14 @@ class TestEvolutionOperator:
             kj, ji, ki = grid.operators([k, j, k], [j, i, i])
             assert max_abs(kj @ ji - ki) <= 1e-10
 
-    def test_products_of_another_shape_rejected(self):
-        h = HamiltonianFamily.constant(0.9 * SIGMA_X)
-        times = uniform_grid(0.0, 1.0, 10)
-        products = np.broadcast_to(np.eye(2, dtype=complex), (10, 2, 2))
-        with pytest.raises(ValueError, match=r"\(11, 2, 2\).*\(10, 2, 2\)"):
-            PropagatorGrid(h, times, from_t0=products)
-
-    def test_products_taken_from_the_caller_keep_the_bits_of_the_steps(self):
+    def test_the_products_keep_the_bits_of_the_steps(self):
         h = circular_drive(np.pi, np.pi / 2)
         times = uniform_grid(0.0, 1.0, 100)
         steps = midpoint_propagators(h, times)
-        grid, own = PropagatorGrid(h, times, from_t0=step_products(steps)), PropagatorGrid(h, times)
-        assert np.array_equal(grid.from_t0, own.from_t0)
-        assert np.array_equal(grid.into_t0[:], own.into_t0[:])
+        grid = PropagatorGrid(h, times)
         products = step_products(steps)  # E[j-1] ... E[0], each step applied last
+        assert np.array_equal(grid.from_t0[:], products)
+        assert np.array_equal(grid.into_t0[:], np.linalg.inv(products))
         assert np.array_equal(products[0], np.eye(2))
         assert np.array_equal(products[1:], steps @ products[:-1])
 
@@ -339,6 +332,33 @@ class TestMidpointSteps:
         assert sizes == [lengths]
         assert np.array_equal(once, steps)
 
+    @pytest.mark.parametrize("grid", ["two long steps", "geometric"])
+    def test_a_broadcast_whose_slices_plan_apart_keeps_the_bits_of_each_slice(
+            self, monkeypatch, grid):
+        # A constant H on a grid whose half slices of midpoints plan apart: dyadic
+        # steps of 2^-10 with one of 2^-5 in the third and seventh half slices, so
+        # the short length has two plans (three exponentials: the short one by each
+        # plan and the long one), or geometric steps, each its own length, seven
+        # plans in all.  The gathered steps equal, bitwise, the steps of copies of H,
+        # which are exponentiated one half slice at a time.
+        m = self.hermitian(7)
+        parts = half_blocks(999 if grid == "two long steps" else 1000, 32)
+        if grid == "two long steps":
+            h = np.full(999, 2.0 ** -10)
+            h[[parts[2].start + 5, parts[6].start + 5]] = 2.0 ** -5
+            times = np.concatenate([[0.0], np.cumsum(h)])
+        else:
+            times = np.geomspace(1e-3, 1.0, 1001)
+        copies = HamiltonianFamily(lambda ts: np.repeat(m[None], ts.size, axis=0), 32)
+        sizes, steps = self.sizes_and_steps(monkeypatch, copies, times)
+        assert sorted(sizes) == sorted(part.stop - part.start for part in parts)
+        sizes, once = self.sizes_and_steps(monkeypatch, HamiltonianFamily.constant(m), times)
+        if grid == "two long steps":
+            assert sorted(sizes) == [1, 2]
+        else:
+            assert len(sizes) == 7 and sum(sizes) == 1000
+        assert np.array_equal(once, steps)
+
     @pytest.mark.parametrize("case", ["another matrix at a block boundary",
                                       "another matrix within a block", "copies of the one"])
     def test_samples_that_stop_being_one_matrix_are_scaled_whole(self, monkeypatch, case):
@@ -367,25 +387,6 @@ class TestMidpointSteps:
         # after the cut on the workers
         assert sorted(sizes) == sorted(part.stop - part.start for part in half_blocks(1000, 32))
         assert np.array_equal(steps, midpoint_propagators(HamiltonianFamily(values, 32), times))
-
-    @pytest.mark.parametrize("family", ["constant", "time-dependent"])
-    def test_steps_formed_into_their_products_stack_keep_their_bits(self, family):
-        # the gathered steps of a constant H, or an exponentiated stack: formed into
-        # rows 1.. of a stack, then turned into their products in place
-        m = self.hermitian(7)
-        h = (HamiltonianFamily.constant(m) if family == "constant" else
-             HamiltonianFamily(lambda ts: np.cos(ts)[:, None, None] * m, 32))
-        times = uniform_grid(0.0, 1.0, 200)
-        steps = midpoint_propagators(h, times)
-        stack = np.empty((times.size, 32, 32), dtype=complex)
-        rows = stack[1:]
-        assert midpoint_propagators(h, times, out=rows) is rows
-        assert np.array_equal(rows, steps)
-        assert step_products(stack[1:], out=stack) is stack
-        assert np.array_equal(stack, step_products(steps))
-        for wrong in (stack[2:], stack[1:].real.copy(), stack[1:, :, ::-1]):
-            with pytest.raises(ValueError, match="out must be a C-contiguous complex array"):
-                midpoint_propagators(h, times, out=wrong)
 
 
 class TestCheckpointedProducts:
@@ -463,12 +464,10 @@ class TestCheckpointedProducts:
         assert np.array_equal(held.distinct[held.index[::97]], midpoint_propagators(
             self.family("constant"), times)[::97])
 
-    def test_psi0_needs_the_steps(self):
+    def test_psi0_of_another_dimension_rejected(self):
         h = HamiltonianFamily.constant(SIGMA_Z)
         times = uniform_grid(0.0, 1.0, 10)
-        products = step_products(midpoint_propagators(h, times))
-        with pytest.raises(ValueError, match="psi0 is carried by the steps"):
-            PropagatorGrid(h, times, from_t0=products, psi0=[1, 0])
+        assert PropagatorGrid(h, times).states is None
         with pytest.raises(ValueError, match="initial state dimension"):
             PropagatorGrid(h, times, psi0=[1, 0, 0])
 

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import mpmath
 import numpy as np
@@ -371,3 +373,58 @@ class TestTimeBlocks:
         assert len(time_blocks(200, 32)) == 4
         assert np.array_equal(matrix_exponential(batch),
                               hilbert._planned_exponential(batch, degree, squarings))
+
+
+class TestFormedInOrder:
+    """`_formed_in_order` forms slices on the workers and uses them in block order, as
+    the streamed bundle integration carries its section."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_uses_are_in_block_order_and_each_worker_holds_one_formed_slice(
+            self, monkeypatch, workers):
+        monkeypatch.setattr(hilbert, "_WORKERS", workers)
+        parts = [slice(k, k + 1) for k in range(40)]
+        lock, held, most, used = threading.Lock(), [0], [0], []
+        delays = np.random.default_rng(5).uniform(0.0, 2e-3, size=len(parts))
+
+        def form(part):
+            time.sleep(delays[part.start])
+            with lock:
+                held[0] += 1
+                most[0] = max(most[0], held[0])
+            return part.start
+
+        def use(part, formed):
+            assert formed == part.start
+            time.sleep(delays[-1 - part.start])
+            used.append(part.start)
+            with lock:
+                held[0] -= 1
+
+        before = threading.active_count()
+        hilbert._formed_in_order(form, use, parts)
+        assert used == list(range(len(parts)))
+        assert most[0] <= workers
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_first_failing_slice_raises_and_none_after_it_is_used(self, monkeypatch,
+                                                                      workers):
+        # slices 3 and 5 fail; at 3 workers slice 5 is made to fail first
+        monkeypatch.setattr(hilbert, "_WORKERS", workers)
+        parts = [slice(k, k + 1) for k in range(12)]
+        fifth_failed, used = threading.Event(), []
+
+        def form(part):
+            if part.start == 3:
+                if workers == 3:
+                    assert fifth_failed.wait(timeout=30)
+                raise ValueError("slice 3")
+            if part.start == 5:
+                fifth_failed.set()
+                raise ValueError("slice 5")
+            return part.start
+
+        with pytest.raises(ValueError, match="slice 3"):
+            hilbert._formed_in_order(form, lambda part, formed: used.append(formed), parts)
+        assert used == [0, 1, 2]

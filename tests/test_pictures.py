@@ -23,7 +23,6 @@ from fibreqm.dynamics import (
     grid_indices,
     midpoint_propagators,
     propagate_states,
-    step_products,
     uniform_grid,
 )
 from fibreqm.hilbert import _BLOCK_BYTES, SIGMA_X, SIGMA_Z, apply, expectations, max_abs
@@ -47,7 +46,7 @@ COSINE_H = HamiltonianFamily(lambda ts: SIGMA_Z + np.cos(ts)[:, None, None] * SI
 
 def evolved_setup(l, h=H, times=TIMES, psi0=(1.0, 0.0)):
     steps = midpoint_propagators(h, times)
-    grid = PropagatorGrid(h, times, from_t0=step_products(steps))
+    grid = PropagatorGrid(h, times)
     states = propagate_states(steps, np.array(psi0, dtype=complex))
     section = lift_trajectory(l, times, states)
     transport = EvolutionTransport(grid, l.at_many(times))

@@ -930,6 +930,11 @@ class TestConcurrentSetup:
         varying = HamiltonianFamily(lambda ts: np.cos(ts)[:, None, None] * h0, cfg.dimension)
         values, inverses = cfg.trivialization.validate_on_grid(times)
         grid = PropagatorGrid(varying, times, constants, psi0=cfg.initial_state)
+        # every bundle step's exponent at once: one batch of several time blocks,
+        # whose norm pass and polynomial blocks run on the workers
+        mids = (times[:-1] + times[1:]) / 2.0
+        scaled = (-1j * np.diff(times)[:, None, None] * bundle_generator.at_many(mids)
+                  / constants.hbar)
         return {
             "bundle steps": midpoint_propagators(bundle_generator, times, constants),
             "bundle section": integrate_bundle_schrodinger(bundle_generator,
@@ -944,6 +949,7 @@ class TestConcurrentSetup:
             "into_t0 by blocks": np.concatenate(hilbert_module._in_block_order(
                 lambda part: grid.into_t0[part], time_blocks(times.size, cfg.dimension))),
             "whole-stack inverse": np.linalg.inv(grid.from_t0),
+            "exponentials": matrix_exponential(scaled),
         }
 
     def test_the_setup_kernels_do_not_depend_on_the_worker_count(self, monkeypatch,
@@ -1641,8 +1647,8 @@ class TestArtifactNodes:
         # probes).
         assert max(peaks) <= peak_bound
         # No check block, judge or node build, setup ones included, keeps a whole
-        # temporary stack: the bundle steps are formed one wave of half slices at a
-        # time, the grid frames' derivative is reduced one block at a time, and the
+        # temporary stack: the bundle steps are formed one half slice at a time on
+        # each worker, the grid frames' derivative is reduced one block at a time, and the
         # conventional products are formed one half block at a time.  What a node
         # keeps counts once built, so a build is measured above the larger of the
         # heap it found and the heap it left.  The largest are the two-time queries'

@@ -473,8 +473,9 @@ class TestBundleIntegration:
 
 
 class TestStreamedBundleSection:
-    """The bundle section is carried through one wave of half slices of steps at a time,
-    each slice exponentiated by the plan of its own largest 1-norm."""
+    """The bundle section is carried through each half slice of steps in order, as soon
+    as a worker forms it, each slice exponentiated by the plan of its own largest
+    1-norm."""
 
     @staticmethod
     def gauge(dimension, steps, seed=None):
@@ -502,8 +503,8 @@ class TestStreamedBundleSection:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_the_section_has_the_bits_of_a_serial_reference_by_slice(self, monkeypatch,
                                                                       workers):
-        # n = 16 on 601 times at seed 3: five half slices of midpoints, in waves on
-        # the workers, three of which plan below the whole batch's plan
+        # n = 16 on 601 times at seed 3: five half slices of midpoints, formed on the
+        # workers, three of which plan below the whole batch's plan
         monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         cfg = self.gauge(16, 600, seed=3)
         hm = self.bundle_generator(cfg)
@@ -528,8 +529,8 @@ class TestStreamedBundleSection:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_steps_are_never_a_whole_stack(self, monkeypatch, workers):
         # n = 32 on 3001 times: the steps would be 3000 (n, n) matrices, 48 blocks;
-        # one wave of half slices and its samples' temporaries are held instead (4.0
-        # blocks at one worker and 8.5 at two, measured on 1001 times)
+        # one half slice of steps and its samples' temporaries a worker are held
+        # instead (3.0 blocks at one worker and 6.0 at two, on 1001 and 3001 times)
         monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         cfg = self.gauge(32, 3000)
         hm = self.bundle_generator(cfg)
@@ -540,7 +541,7 @@ class TestStreamedBundleSection:
             above = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert above <= section.values.nbytes + 4.5 * workers * hilbert_module._BLOCK_BYTES
+        assert above <= section.values.nbytes + 3.5 * workers * hilbert_module._BLOCK_BYTES
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_broadcast_gauge_is_proven_once_per_integration(self, monkeypatch, workers):
