@@ -14,19 +14,18 @@ the midpoints, the random picture) is inverted by one rule, decided from the
 samples alone: if max|S^dagger S - I| <= 1e-13, S is unitary to rounding and
 S^-1 = S^dagger, which also proves it invertible, so no SVD, `inv` or solve
 runs; otherwise the SVD ratio check and `np.linalg.inv` run as for any
-invertible matrix.  Each batch a family samples (the grid, or one half block
+invertible matrix.  Each batch a family samples (the grid, or one time block
 of midpoints) is proven once, when it is sampled, into a `FrameInverse`, which
 every reader indexes: over a unitary stack each read forms S^dagger of the
 rows it selects, so no whole inverse stack is held; otherwise a read is rows
 of the one `inv` stack.  A broadcast is proven and inverted on its one matrix,
-and a bundle integration proves it once for all its half blocks of midpoints
+and a bundle integration proves it once for all its time blocks of midpoints
 (`transport.MatrixBundleHamiltonian` reuses the proof).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +40,7 @@ from .hilbert import (
     checked_stack,
     distinct_matrices,
     inner_products,
+    is_broadcast,
     max_abs,
     time_blocks,
 )
@@ -101,8 +101,7 @@ class FrameInverse:
     U(t0, t) of `PropagatorGrid.into_t0`) it holds no inverse either: each read
     inverts the rows it selects by `np.linalg.inv`, which inverts each matrix
     alone, so a read has the bits of the same rows of the whole-stack inverse.
-    `whole`, the whole stack formed on first use and read only, is for library
-    callers; the engine never reads it.
+    A library caller that wants every S^-1 as one stack reads `inverse[:]`.
     """
 
     def __init__(self, frames: np.ndarray, stack: Optional[np.ndarray] = None,
@@ -128,15 +127,10 @@ class FrameInverse:
         """The inverse of `frames`, a 0-stride broadcast of the one matrix that this
         broadcast's inverse inverts, with no proof or inversion; None for any other
         stack."""
-        if (frames.strides[0] != 0 or self._stack is None or self._stack.strides[0] != 0
+        if (not is_broadcast(frames) or self._stack is None or not is_broadcast(self._stack)
                 or not np.array_equal(self._frames[0], frames[0])):
             return None
         return FrameInverse(frames, np.broadcast_to(self._stack[0], frames.shape))
-
-    @cached_property
-    def whole(self) -> np.ndarray:
-        """Every S^-1 as one read-only stack, formed once."""
-        return _frozen(self[:]) if self._stack is None else self._stack
 
 
 def _proven_unitary(mats: np.ndarray, adjoint: FrameInverse) -> bool:
@@ -269,7 +263,7 @@ class TrivializationFamily:
 
         parts = time_blocks(times.size, self.dimension)
         first = checked(times[parts[0]]) if len(parts) > 1 else None
-        if first is None or any(stack.strides[0] == 0 for stack in first):
+        if first is None or any(map(is_broadcast, first)):
             values, derivative = checked(times)
             reduced = None if reduce is None else _in_block_order(
                 lambda part: reduce(part, values[part], derivative[part]), parts)

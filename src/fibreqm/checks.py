@@ -6,9 +6,9 @@ block node's first, are the nodes it reads.  Setup reads the `_SETUP` nodes,
 which can reject the scenario; a fault that is on swaps a node's build
 (`_FAULTS`).  A node is built on first read and dropped after its last reader.
 
-Every check runs in one sweep, `_sweep`, over the `half_blocks` slices, the
-halves of the time blocks: a pointwise check runs on each slice, and a check
-that builds its own record reads there only the block nodes it reads, if any.
+Every check runs in one sweep, `_sweep`, over the `time_blocks` slices: a
+pointwise check runs on each slice, and a check that builds its own record
+reads there only the block nodes it reads, if any.
 A block node, a build whose first parameter is the slice `part`, is built on
 its first read in a slice, shared by every check of that slice and dropped
 after its last reader there; only pointwise checks, other block nodes and a
@@ -61,7 +61,6 @@ from .hilbert import (
     apply,
     distinct_matrices,
     expectations,
-    half_blocks,
     inner_products,
     max_abs,
     time_blocks,
@@ -123,8 +122,8 @@ def _grid_frames(cfg, times) -> Tuple[np.ndarray, FrameInverse]:
 
 def _conventional(cfg, times) -> Tuple[Trajectory, PropagatorGrid]:
     """(the conventional oracle, the propagator grid): one sequential pass over the
-    step propagators carries psi0 and keeps the products U(t, t0) only at each half
-    block's start and over the last half block (`dynamics.CheckpointedProducts`).
+    step propagators carries psi0 and keeps the products U(t, t0) only at each time
+    block's start and over the last time block (`dynamics.CheckpointedProducts`).
     The grid keeps the steps: a constant H's few distinct exponentials and the step
     index, or a time-dependent H's stack of steps, in place of a stack of products."""
     grid = PropagatorGrid(cfg.hamiltonian, times, cfg.constants, psi0=cfg.initial_state)
@@ -310,7 +309,7 @@ _NODES = {
 }
 # Read in this order before any check; a failure among them is the `setup` record.  The
 # bundle section comes first, from the lifted initial state alone, its steps formed and
-# dropped one half slice at a time on each worker; then one pass over the conventional steps
+# dropped one time block at a time on each worker; then one pass over the conventional steps
 # carries psi0 and keeps only the checkpoints of their products, which the transport
 # reads.  Beside the frames, setup holds a time-dependent H's stack of steps and no
 # other: no whole stack of the products or of their inverses is formed.
@@ -648,7 +647,7 @@ def _block_output(nodes: dict, check_id: str, block: dict):
 
 def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
     """Check id -> (record, series) of each check, from one pass over the
-    `half_blocks` slices.
+    `time_blocks` slices.
 
     Every whole node that the slices read is built first, on the calling thread;
     then the slices run on the workers (`_run_block`, `hilbert._in_block_order`),
@@ -663,7 +662,7 @@ def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
     """
     cfg = nodes["cfg"]
     run = functools.partial(_run_block, nodes, check_ids)
-    parts = half_blocks(cfg.times.size, cfg.dimension)
+    parts = time_blocks(cfg.times.size, cfg.dimension)
     try:
         for name in _whole_reads(check_ids):
             _read(nodes, name)

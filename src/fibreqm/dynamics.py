@@ -8,7 +8,7 @@ which is exactly unitary per step for Hermitian H, so norm drift never
 confounds equivalence measurements.  Two-time evolution operators are ordered
 products of the step propagators on the grid, formed from checkpoints: one
 sequential pass over the steps keeps the products only at the start of each
-half block (`CheckpointedProducts`), and a read forms the rows it selects from
+time block (`CheckpointedProducts`), and a read forms the rows it selects from
 their checkpoint, so no whole stack of products is held.
 """
 
@@ -31,10 +31,10 @@ from .hilbert import (
     broadcast_sampler,
     checked_stack,
     distinct_matrices,
-    half_blocks,
     is_hermitian,
     matrix_exponential,
     max_abs,
+    time_blocks,
 )
 
 __all__ = [
@@ -213,7 +213,7 @@ def midpoint_propagators(family, times: np.ndarray,
     sampler, a `HamiltonianFamily` or a `MatrixBundleHamiltonian`.  Shared by
     the conventional and the bundle integrators so that identical generator
     samples produce bitwise-identical steps.  The generator is sampled one
-    `half_blocks` slice of the midpoints at a time, and each slice's steps are
+    `time_blocks` slice of the midpoints at a time, and each slice's steps are
     scaled and exponentiated by the plan of that slice's own largest 1-norm
     (`matrix_exponential` on the slice), so its samples, and what sampling them
     needs (the bundle generator's midpoint frames, their derivatives and
@@ -264,7 +264,7 @@ def _midpoint_steps(family, times: np.ndarray, hbar: float):
     """The steps of `midpoint_propagators`: a stack, or, where every midpoint sample is
     one matrix, its `_GatheredSteps`.
 
-    The midpoints are sampled one `half_blocks` slice at a time.  While each
+    The midpoints are sampled one `time_blocks` slice at a time.  While each
     sample is one matrix, and the same one, nothing is exponentiated; from the
     first slice that is not, the steps are a stack: the slices before it from
     that matrix, that slice from its samples, and the slices after it on the
@@ -273,7 +273,7 @@ def _midpoint_steps(family, times: np.ndarray, hbar: float):
     mids = (times[:-1] + times[1:]) / 2.0
     h = np.diff(times)
     n = family.dimension
-    parts = half_blocks(mids.size, n)
+    parts = time_blocks(mids.size, n)
     one = None
     for k, part in enumerate(parts):
         sample = family.at_many(mids[part])
@@ -326,7 +326,7 @@ def _gathered_steps(one: np.ndarray, h: np.ndarray, parts: Sequence[slice],
 
 def _streamed_midpoint_steps(family, times: np.ndarray, constants: PhysicalConstants,
                              use: Callable[[slice, np.ndarray], None]) -> None:
-    """use(part, the steps of the intervals `part`) for each `half_blocks` slice of the
+    """use(part, the steps of the intervals `part`) for each `time_blocks` slice of the
     midpoints, in grid order (`hilbert._formed_in_order`): each slice's steps are
     sampled, scaled and exponentiated on a worker, by its own plan, as
     `midpoint_propagators` forms them, so a step has the same bits either way, and
@@ -334,7 +334,7 @@ def _streamed_midpoint_steps(family, times: np.ndarray, constants: PhysicalConst
     times = np.asarray(times, dtype=float)
     mids, h = (times[:-1] + times[1:]) / 2.0, np.diff(times)
     _formed_in_order(lambda part: _slice_steps(family, mids, h, constants.hbar, part), use,
-                     half_blocks(mids.size, family.dimension))
+                     time_blocks(mids.size, family.dimension))
 
 
 def propagate_states(propagators: np.ndarray, psi0: np.ndarray) -> np.ndarray:
@@ -372,7 +372,7 @@ class CheckpointedProducts:
 
     It keeps the steps (a stack, or a constant generator's few distinct
     exponentials and the step index) and, from one sequential pass over them,
-    the product at the start of each `half_blocks` slice of the grid (a
+    the product at the start of each `time_blocks` slice of the grid (a
     checkpoint) and every row of the last slice.  A read forms the rows it
     selects one slice at a time, from that slice's checkpoint up to its last
     selected row, by `step_products`, so every row has the bits of
@@ -384,7 +384,7 @@ class CheckpointedProducts:
         """One pass over the steps, the grid's N - 1 for its `n_times` times; psi0,
         given, is carried by them into `states`, (N, n), in the same pass."""
         n = steps.shape[-1]
-        parts = half_blocks(n_times, n)
+        parts = time_blocks(n_times, n)
         self.shape = (n_times, n, n)
         self._steps, self._size, self._last = steps, parts[0].stop, parts[-1].start
         self._checkpoints = np.empty((len(parts), n, n), dtype=complex)
@@ -428,9 +428,12 @@ class CheckpointedProducts:
         return step_products(self._steps[start:stop - 1], first=self._checkpoints[segment])
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """Every row as one new stack, for a library caller's `np.asarray`."""
+        """Every row as one new stack, for a library caller's `np.asarray`; there is no
+        stack to view, so `copy=False` is a ValueError."""
+        if copy is False:
+            raise ValueError("CheckpointedProducts has no stack to view; read it by index")
         whole = self[:]
-        return whole if dtype is None else whole.astype(dtype)
+        return whole if dtype is None else whole.astype(dtype, copy=False)
 
 
 class PropagatorGrid:
@@ -441,7 +444,7 @@ class PropagatorGrid:
     `CheckpointedProducts`, which keeps the steps E_k (the family's
     `midpoint_propagators` on the grid with these constants; a constant
     family's few distinct ones, gathered) and the products at the start of
-    each half block, and forms the rows each read selects; `into_t0` is read
+    each time block, and forms the rows each read selects; `into_t0` is read
     like a frame inverse (a `bundle.FrameInverse`): `into_t0[idx]` inverts the
     rows `from_t0[idx]` on each read, each matrix with the bits of a
     whole-stack `np.linalg.inv`.  No whole stack of products or of their

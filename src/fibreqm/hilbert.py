@@ -4,12 +4,13 @@ Vectors are 1-D complex arrays, operators are square complex matrices.
 All comparisons use the max-absolute-entry metric so tolerances are
 dimension independent.
 
-A pointwise kernel over an (N, n, n) stack is cut into `time_blocks` slices, or
-into their halves, `half_blocks`, where a slice holds many blocks at once, and
-every loop over those slices but `series_by_blocks` runs them through one pool
-helper, `_in_block_order`: on up to `_WORKERS` threads, the calling thread among
-them, its results and its first failure taken in block order.  This module is
-the one place that starts threads.
+Every block loop over an (N, n, n) stack is cut by one rule, `time_blocks`, and
+every such loop but `series_by_blocks` runs its slices through one pool helper,
+`_in_block_order`: on up to `_WORKERS` threads, the calling thread among them,
+its results and its first failure taken in block order.  This module is the one
+place that starts threads, and the one that knows how a constant family's stack
+is stored: a read-only 0-stride broadcast of its one matrix (`is_broadcast`,
+`distinct_matrices`).
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ __all__ = [
     "checked_stack",
     "distinct_matrices",
     "expectations",
-    "half_blocks",
     "inner_products",
+    "is_broadcast",
     "is_hermitian",
     "matrix_exponential",
     "max_abs",
@@ -89,39 +90,22 @@ def as_operator(a) -> np.ndarray:
     return m
 
 
-# Largest complex (b, n, n) block of a temporary: a constant, not a setting.
+# Twice the largest complex (b, n, n) slice of a temporary: a constant, not a setting.
 _BLOCK_BYTES = 2 ** 20
 
 
 def time_blocks(n_times: int, n: int) -> List[slice]:
-    """Consecutive slices that cover 0 .. n_times - 1 once, in order.
+    """Consecutive slices that cover 0 .. n_times - 1 once, in order: the one partition
+    of every block loop.
 
     Each slice holds as many times as fit an (n, n) complex matrix per time into
-    1 MiB (64 at n = 32), and at least one.  A pointwise kernel fills its whole
-    output, or its per-time series, one slice at a time, so its temporaries are
-    blocks, not (N, n, n) stacks.  A matmul, an einsum or an elementwise op gives
-    each matrix the same bits at any batch size, so blocking moves no result.
+    half of `_BLOCK_BYTES` (32 at n = 32), and at least one, so the temporaries of a
+    loop are blocks, not (N, n, n) stacks, and a loop whose slice holds several at
+    once (the checks' sweep) holds a few of half a MiB.  A matmul, an einsum or an
+    elementwise op gives each matrix the same bits over any cut, and a maximum is
+    the same over any cut, so blocking moves no result.
     """
-    return _slices(n_times, max(1, _BLOCK_BYTES // (16 * n * n)))
-
-
-def half_blocks(n_times: int, n: int) -> List[slice]:
-    """`time_blocks` at half the size: consecutive slices that cover 0 .. n_times - 1
-    once, in order, each of as many times as fit half of 1 MiB (32 at n = 32), and
-    at least one.
-
-    The loops whose slice holds several blocks at once run on these, so each of
-    those blocks is half a block: the checks' sweep, the midpoint sampler and the
-    bundle integration's streamed steps, the pairs of
-    `EvolutionTransport.matrices_by_index` and `series_by_blocks`.  The
-    conventional products are kept at the start of each of these slices of the
-    grid (`dynamics.CheckpointedProducts`), so the sweep's slice forms its rows
-    from one checkpoint.
-    """
-    return _slices(n_times, max(1, _BLOCK_BYTES // (32 * n * n)))
-
-
-def _slices(n_times: int, size: int) -> List[slice]:
+    size = max(1, _BLOCK_BYTES // (32 * n * n))
     return [slice(start, min(start + size, n_times)) for start in range(0, n_times, size)]
 
 
@@ -217,39 +201,42 @@ def _formed_in_order(form: Callable[[slice], object], use: Callable[[slice, obje
     _in_block_order(form_and_use, parts[1:])
 
 
-def stack_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray],
-                    cut: Callable[[int, int], List[slice]] = time_blocks) -> np.ndarray:
+def stack_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray]) -> np.ndarray:
     """The complex (n_times, n, n) stack whose slice `part` is block(part), for each
-    slice of cut(n_times, n) (`time_blocks` or `half_blocks`), filled on the workers
-    (`_in_block_order`): the one stack is the only whole one."""
+    `time_blocks` slice, filled on the workers (`_in_block_order`): the one stack is
+    the only whole one."""
     out = np.empty((n_times, n, n), dtype=complex)
-    _fill_by_blocks(out, block, cut)
+    _fill_by_blocks(out, block)
     return out
 
 
-def _fill_by_blocks(out: np.ndarray, block: Callable[[slice], np.ndarray],
-                    cut: Callable[[int, int], List[slice]] = time_blocks) -> None:
-    """out[part] = block(part) for each slice of cut(N, n) over the (N, n, n) stack
+def _fill_by_blocks(out: np.ndarray, block: Callable[[slice], np.ndarray]) -> None:
+    """out[part] = block(part) for each `time_blocks` slice of the (N, n, n) stack
     `out`, on the workers."""
     def fill(part: slice) -> None:
         out[part] = block(part)
 
-    _in_block_order(fill, cut(*out.shape[:2]))
+    _in_block_order(fill, time_blocks(*out.shape[:2]))
 
 
 def series_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """The per-time series whose slice `part` is block(part), for each `half_blocks`
-    slice in turn on the calling thread, concatenated.  Serial and on half slices, so
-    only half a slice's temporaries are ever held: its callers, the integral-of-motion
-    criteria, stay within a few blocks above entry, although the transport criterion,
-    whose inverse and t0 rows are formed per read, holds five blocks of its slice at
-    once (2.5 whole blocks at n = 32)."""
-    return np.concatenate([block(part) for part in half_blocks(n_times, n)])
+    """The per-time series whose slice `part` is block(part), for each `time_blocks`
+    slice in turn on the calling thread, concatenated.  Serial, so only one slice's
+    temporaries are ever held: its callers, the integral-of-motion criteria, stay
+    within a few blocks above entry, although the transport criterion, whose inverse
+    and t0 rows are formed per read, holds five stacks of its slice at once (2.5
+    `_BLOCK_BYTES` at n = 32)."""
+    return np.concatenate([block(part) for part in time_blocks(n_times, n)])
+
+
+def is_broadcast(stack: np.ndarray) -> bool:
+    """Whether a stack is a 0-stride broadcast of its first matrix (`broadcast_sampler`)."""
+    return stack.strides[0] == 0
 
 
 def distinct_matrices(stack: np.ndarray) -> np.ndarray:
-    """The matrices of a stack that can differ: if its first axis has stride 0, the first."""
-    return stack[:1] if stack.strides[0] == 0 else stack
+    """The matrices of a stack that can differ: of a broadcast, the first."""
+    return stack[:1] if is_broadcast(stack) else stack
 
 
 def broadcast_sampler(matrix: np.ndarray) -> Callable[[np.ndarray], Tuple[np.ndarray, ...]]:
@@ -340,7 +327,7 @@ def matrix_exponential(a, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     time, on the workers (`_in_block_order`), into the one output stack, so its
     work stacks are blocks, and every block uses the whole batch's plan, so each
     matrix gets the bits of a single call (`_planned_exponential`).  The
-    midpoint steppers call it on one `half_blocks` slice of steps at a time, so
+    midpoint steppers call it on one `time_blocks` slice of steps at a time, so
     each slice of steps is planned by its own theta
     (`dynamics.midpoint_propagators`).
 

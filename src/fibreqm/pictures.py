@@ -21,6 +21,7 @@ import numpy as np
 from .bundle import _frame_inverse, _seeded_smooth_unitary, lift_operators
 from .dynamics import ObservableFamily
 from .hilbert import (
+    _frozen,
     apply,
     distinct_matrices,
     expectations,
@@ -84,7 +85,7 @@ class PictureTransform:
         picture), else `np.linalg.inv` (`bundle._frame_inverse`), as one whole
         stack: the engine's pictures are one time block each.
         """
-        return _frame_inverse(self.matrices).whole
+        return _frozen(_frame_inverse(self.matrices)[:])
 
     @classmethod
     def identity(cls, times, dimension: int) -> "PictureTransform":
@@ -246,7 +247,7 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     transport already sampled and inverted, and the conjugation the t0 rows
     of each block, `matrices_from`/`matrices_into`); certification requires
     every applicable criterion to pass (`IntegralOfMotionReport.decided`).
-    Both residuals are formed one `half_blocks` slice at a time, on the
+    Both residuals are formed one `time_blocks` slice at a time, on the
     calling thread (`series_by_blocks`), so neither criterion holds more than
     a few blocks, and no whole t0 or inverse stack is formed: 2.5 blocks above
     entry for a constant candidate at n = 32, N = 1000.

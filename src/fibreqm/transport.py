@@ -40,9 +40,10 @@ from .hilbert import (
     _frozen,
     _in_block_order,
     as_state,
-    half_blocks,
+    is_broadcast,
     series_by_blocks,
     stack_by_blocks,
+    time_blocks,
 )
 
 __all__ = [
@@ -78,7 +79,7 @@ class MatrixBundleHamiltonian:
     frames of a batch broadcast one matrix (a constant trivialization), the
     proof of that matrix is kept, and a later batch that broadcasts the same
     matrix reuses it (`TrivializationFamily.derivative_at_many`), so a bundle
-    integration proves it once, not once per half slice of midpoints.
+    integration proves it once, not once per time block of midpoints.
     """
 
     def __init__(self, hamiltonian: HamiltonianFamily, trivialization: TrivializationFamily,
@@ -101,7 +102,7 @@ class MatrixBundleHamiltonian:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         values, derivative, inverse = self.trivialization.derivative_at_many(
             times, self._broadcast_inverse)
-        if self._broadcast_inverse is None and values.strides[0] == 0:
+        if self._broadcast_inverse is None and is_broadcast(values):
             self._broadcast_inverse = inverse
         return _bundle_generator(values, inverse, self.hamiltonian.at_many(times), derivative,
                                  self.constants.hbar)
@@ -133,10 +134,10 @@ class EvolutionTransport:
     too, so the transport holds no stack of the conventional products or of
     their inverses; a caller that has already formed a slice's rows passes them
     to `matrices_from`, and their inverses to `matrices_into`.  The
-    engine and `is_integral_of_motion` form the t0 rows one half block at a
+    engine and `is_integral_of_motion` form the t0 rows one time block at a
     time and never hold a whole t0 stack; a library caller that wants one
     whole calls `matrices_from(times[0])` or `matrices_into(times[0])`, and
-    reads `inverse_frames.whole` for the whole inverse stack.
+    reads `inverse_frames[:]` for the whole inverse stack.
     """
 
     def __init__(self, propagators: PropagatorGrid, frames: np.ndarray,
@@ -168,8 +169,8 @@ class EvolutionTransport:
         segment at a time, each segment once).  The pairs are then formed by the
         checkpoint segment of their column index, on the workers: each segment
         inverts its distinct columns' rows once (`np.linalg.inv`, each matrix with
-        the bits of its own inverse) and forms its pairs one `half_blocks` slice
-        at a time, gathering their rows, so its temporaries are half blocks.
+        the bits of its own inverse) and forms its pairs one `time_blocks` slice
+        at a time, gathering their rows, so its temporaries are time blocks.
         """
         j, i = np.broadcast_arrays(np.asarray(j, dtype=np.intp), np.asarray(i, dtype=np.intp))
         shape = j.shape
@@ -184,13 +185,13 @@ class EvolutionTransport:
             pairs = np.flatnonzero((i >= segment.start) & (i < segment.stop))
             columns, column_of = np.unique(column_at[pairs], return_inverse=True)
             into = FrameInverse(conventional[columns], adjoint=False)[:]
-            for part in half_blocks(pairs.size, n):
+            for part in time_blocks(pairs.size, n):
                 k = pairs[part]
                 # the right factor first, so the left one's rows are formed last
                 right = (conventional[row_of[k]] @ into[column_of[part]]) @ self.frames[i[k]]
                 out[k] = self.inverse_frames[j[k]] @ right
 
-        segments = half_blocks(self.times.size, n)
+        segments = time_blocks(self.times.size, n)
         _in_block_order(fill, [segments[s] for s in np.unique(i // segments[0].stop)])
         return out.reshape(shape + (n, n))
 
@@ -265,7 +266,7 @@ def integrate_bundle_schrodinger(hm: MatrixBundleHamiltonian, psi0) -> SectionAl
     """Integrate i hbar dPsi/dt = Hm(t) Psi on the grid of `hm`, from Psi(t_0) = psi0.
 
     Uses the shared midpoint stepper, one step per interval of `hm.times`, and
-    streams it: the steps of each `half_blocks` slice of the midpoints are
+    streams it: the steps of each `time_blocks` slice of the midpoints are
     sampled, scaled and exponentiated on a worker, by the plan of the slice's
     own largest 1-norm, as `midpoint_propagators` forms them, and the section is
     carried through each slice in grid order as soon as the slices before it are
@@ -308,7 +309,7 @@ def check_transport_axioms(transport: EvolutionTransport,
     checked at every grid index appearing in the sample.  All times are
     looked up at once, and every distinct (t_j, t_i) pair of both axioms is
     queried once, in one stack (`transport.matrices_by_index`); the
-    deviations are formed one half block of times or triples at a time.  The worst
+    deviations are formed one time block of times or triples at a time.  The worst
     location is the first maximum in sample order (grid indices in order of
     first appearance for the identity), and a NaN deviation counts as the
     maximum, so it fails.

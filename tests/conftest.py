@@ -40,16 +40,17 @@ def _scaled_gauge(dimension, steps, blocks):
 
 @pytest.fixture
 def two_block_gauge():
-    """random-unitary-gauge at n = 16 and N = 400: two time blocks, of 256 and 145 times.
-    Every catalog stack is one block (n <= 8), so this is the runner's multi-block case."""
-    return _scaled_gauge(16, 400, [256, 145])
+    """random-unitary-gauge at n = 16 and N = 400, whose (N, n, n) stack spans two
+    `_BLOCK_BYTES`: four time blocks, of 128 times but the last, of 17.  Every catalog
+    stack but one is one block, so this is the runner's multi-block case."""
+    return _scaled_gauge(16, 400, [128, 128, 128, 17])
 
 
 @pytest.fixture
 def five_block_gauge():
-    """random-unitary-gauge at n = 32 and N = 300: five time blocks, of 64 times but the
-    last, of 45."""
-    return _scaled_gauge(32, 300, [64, 64, 64, 64, 45])
+    """random-unitary-gauge at n = 32 and N = 300, whose (N, n, n) stack spans five
+    `_BLOCK_BYTES`: ten time blocks, of 32 times but the last, of 13."""
+    return _scaled_gauge(32, 300, [32] * 9 + [13])
 
 
 @pytest.fixture(scope="session")

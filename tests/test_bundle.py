@@ -39,7 +39,6 @@ from fibreqm.dynamics import HamiltonianFamily, PropagatorGrid
 from fibreqm.hilbert import (
     _BLOCK_BYTES,
     antihermitian_exponentials,
-    half_blocks,
     inner_products,
     max_abs,
     time_blocks,
@@ -351,7 +350,7 @@ class TestTrivializationValidation:
         assert constant_diagonal.name == "constant-diagonal"
         for family in (identity_trivialization(3), DIAG12, constant_diagonal):
             values, derivative, inverse = family.derivative_at_many(times)
-            for stack in (values, derivative, inverse[:], inverse.whole):
+            for stack in (values, derivative, inverse[:]):
                 assert stack.shape == (times.size, family.dimension, family.dimension)
                 assert stack.strides[0] == 0 and not stack.flags.writeable
 
@@ -371,7 +370,7 @@ class TestTrivializationValidation:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_faulty_derivative_fails_by_the_three_whole_maxima_in_one_pass(
             self, monkeypatch, workers):
-        # n = 32 on 301 times, so the 299 interior points are five time blocks: the
+        # n = 32 on 301 times, so the 299 interior points are ten time blocks: the
         # derivative's scale, the third difference's and the deviation's maxima are
         # formed in one pass over them, and fail with the message of the three
         # maxima over the whole interior
@@ -429,7 +428,7 @@ class TestTrivializationValidation:
     def test_the_three_maxima_are_those_of_the_whole_interior(self, monkeypatch, size,
                                                               faulty_at):
         # grids of a few points, and faults at every time or only at the first and
-        # last times of each time block (64 times at n = 32), whose deviation is
+        # last times of each time block (32 times at n = 32), whose deviation is
         # formed in the second pass, against the whole-array formulas: a derivative
         # scaled by 1.2 there fails by the message of the whole interior's maxima
         monkeypatch.setattr(hilbert_module, "_WORKERS", 2)
@@ -437,7 +436,7 @@ class TestTrivializationValidation:
         sample = family._sample
         times = np.linspace(0.0, 0.05 * size, size)
         at = (np.ones(size, dtype=bool) if faulty_at == "everywhere"
-              else np.isin(np.arange(size) % 64, [0, 63]))
+              else np.isin(np.arange(size) % 32, [0, 31]))
         scales = np.where(at, 1.2, 1.0)
 
         def scaled(ts):
@@ -536,9 +535,9 @@ class TestFrameInverse:
                        if module == "fibreqm.bundle"}
         if name == "nonunitary-constant-gauge":
             # the grid, and the midpoints once for the bundle integration, not once
-            # for each of its half slices (two at n = 8): each checked by its SVD
+            # for each of its time blocks (two at n = 8): each checked by its SVD
             # and inverted once
-            assert len(half_blocks(cfg.times.size - 1, cfg.dimension)) == 2
+            assert len(time_blocks(cfg.times.size - 1, cfg.dimension)) == 2
             assert frame_calls == {"svd": 2, "inv": 2}
         else:
             assert frame_calls == {}
@@ -597,7 +596,7 @@ class TestFrameInverse:
         assert peak < 0.01 * one_stack  # no adjoint, Gram or inverse stack
         calls = count_svd_and_inv(monkeypatch)
         values, _, inverse = family.derivative_at_many(times)
-        for read in (inverse[:], inverse[3:700], inverse.whole):
+        for read in (inverse[:], inverse[3:700]):
             assert read.strides[0] == 0 and not read.flags.writeable
         assert max_abs(inverse[0] @ values[0] - np.eye(32)) <= 1e-15
         unitary = family.name == "identity"
@@ -630,9 +629,9 @@ class TestFrameInverse:
         transport = EvolutionTransport(PropagatorGrid(HamiltonianFamily.zero(n), times), stack)
         picture = PictureTransform(np.arange(count + 1, dtype=float),
                                    np.concatenate([np.eye(n)[None], stack]))
-        for held in (transport.inverse_frames.whole, picture.inverse_matrices[1:]):
+        for held in (transport.inverse_frames[:], picture.inverse_matrices[1:]):
             assert max_abs(held - expected) <= 1e-13
-            assert not held.flags.writeable
+        assert not picture.inverse_matrices.flags.writeable
 
     @staticmethod
     def stored_adjoint(stack):
@@ -662,7 +661,7 @@ class TestFrameInverse:
         monkeypatch.undo()
         assert np.array_equal(inverse[index], np.linalg.inv(values)[index])
         calls = count_svd_and_inv(monkeypatch)
-        inverse[index], inverse.whole
+        inverse[index], inverse[:]
         assert not calls  # reads invert nothing
 
     def test_a_unitary_stack_holds_no_inverse_stack(self):
@@ -676,14 +675,11 @@ class TestFrameInverse:
             held, peak = tracemalloc.get_traced_memory()
             inverse[:]  # a read forms its rows and keeps none
             after_read, _ = tracemalloc.get_traced_memory()
-            whole = inverse.whole  # the cached whole stack, for a library caller
-            cached, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the Gram test's blocks, an adjoint and a Gram product per worker, never a stack
         assert peak - start <= 5 * _BLOCK_BYTES
         assert held - start < 0.01 * one_stack and after_read - start < 0.01 * one_stack
-        assert cached - start >= one_stack and whole is inverse.whole
 
 
 def _conjugate_transpose_sites():

@@ -29,7 +29,6 @@ from fibreqm.hilbert import (
     apply,
     expectations,
     inner_products,
-    half_blocks,
     max_abs,
     time_blocks,
 )
@@ -153,7 +152,7 @@ class TestEvolutionOperator:
     def test_a_read_of_into_t0_has_the_bits_of_the_whole_stack_inverse(self, monkeypatch,
                                                                        five_block_gauge,
                                                                        workers):
-        # n = 32 over five time blocks; the blocks' reads run on the workers, as the
+        # n = 32 over ten time blocks; the blocks' reads run on the workers, as the
         # sweep's do
         monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         cfg = five_block_gauge
@@ -163,12 +162,10 @@ class TestEvolutionOperator:
         for index in (slice(3, 70), np.array([5, 5, 0, 300, 5]), 7, np.int64(123)):
             assert np.array_equal(into_t0[index], whole[index]), index
         parts = time_blocks(cfg.times.size, cfg.dimension)
-        assert len(parts) == 5
+        assert len(parts) == 10
         by_blocks = np.concatenate(_in_block_order(lambda part: into_t0[part], parts))
         assert np.array_equal(by_blocks, whole)
-        # the whole stack only on request, formed once and read only
-        assert into_t0.whole is into_t0.whole and not into_t0.whole.flags.writeable
-        assert np.array_equal(into_t0.whole, whole)
+        assert np.array_equal(into_t0[:], whole)  # the whole stack, for a library caller
 
     def test_consistent_with_evolve_state(self):
         h = circular_drive(np.pi, np.pi)
@@ -302,7 +299,7 @@ class TestGridPlumbing:
 
 class TestMidpointSteps:
     """A generator whose samples are one matrix is exponentiated once per step length;
-    any other is exponentiated one half slice of midpoints at a time, by its own plan."""
+    any other is exponentiated one time block of midpoints at a time, by its own plan."""
 
     @staticmethod
     def hermitian(seed, n=32):
@@ -322,12 +319,12 @@ class TestMidpointSteps:
 
     def test_a_broadcast_keeps_the_bits_of_the_batch(self, monkeypatch):
         m = self.hermitian(7)
-        times = uniform_grid(0.0, 1.0, 1000)  # 16 blocks of midpoints at n = 32
+        times = uniform_grid(0.0, 1.0, 1000)  # 32 blocks of midpoints at n = 32
         lengths = np.unique(np.diff(times)).size
         assert 1 < lengths < 20
         copies = HamiltonianFamily(lambda ts: np.repeat(m[None], ts.size, axis=0), 32)
         sizes, steps = self.sizes_and_steps(monkeypatch, copies, times)
-        assert sorted(sizes) == sorted(part.stop - part.start for part in half_blocks(1000, 32))
+        assert sorted(sizes) == sorted(part.stop - part.start for part in time_blocks(1000, 32))
         sizes, once = self.sizes_and_steps(monkeypatch, HamiltonianFamily.constant(m), times)
         assert sizes == [lengths]
         assert np.array_equal(once, steps)
@@ -335,14 +332,14 @@ class TestMidpointSteps:
     @pytest.mark.parametrize("grid", ["two long steps", "geometric"])
     def test_a_broadcast_whose_slices_plan_apart_keeps_the_bits_of_each_slice(
             self, monkeypatch, grid):
-        # A constant H on a grid whose half slices of midpoints plan apart: dyadic
-        # steps of 2^-10 with one of 2^-5 in the third and seventh half slices, so
+        # A constant H on a grid whose slices of midpoints plan apart: dyadic
+        # steps of 2^-10 with one of 2^-5 in the third and seventh slices, so
         # the short length has two plans (three exponentials: the short one by each
         # plan and the long one), or geometric steps, each its own length, seven
         # plans in all.  The gathered steps equal, bitwise, the steps of copies of H,
-        # which are exponentiated one half slice at a time.
+        # which are exponentiated one slice at a time.
         m = self.hermitian(7)
-        parts = half_blocks(999 if grid == "two long steps" else 1000, 32)
+        parts = time_blocks(999 if grid == "two long steps" else 1000, 32)
         if grid == "two long steps":
             h = np.full(999, 2.0 ** -10)
             h[[parts[2].start + 5, parts[6].start + 5]] = 2.0 ** -5
@@ -383,9 +380,9 @@ class TestMidpointSteps:
             return values(ts)
 
         sizes, steps = self.sizes_and_steps(monkeypatch, HamiltonianFamily(sample, 32), times)
-        # one exponential per half slice of midpoints, each by its own plan, those
+        # one exponential per slice of midpoints, each by its own plan, those
         # after the cut on the workers
-        assert sorted(sizes) == sorted(part.stop - part.start for part in half_blocks(1000, 32))
+        assert sorted(sizes) == sorted(part.stop - part.start for part in time_blocks(1000, 32))
         assert np.array_equal(steps, midpoint_propagators(HamiltonianFamily(values, 32), times))
 
 
@@ -404,10 +401,10 @@ class TestCheckpointedProducts:
     @pytest.mark.parametrize("steps, slices", [(20, 1), (40, 2), (300, 10)])
     def test_every_read_has_the_bits_of_the_whole_products(self, monkeypatch, workers, kind,
                                                            steps, slices):
-        # n = 32: half blocks of 32 times, so one, two and many checkpoint segments
+        # n = 32: time blocks of 32 times, so one, two and many checkpoint segments
         monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         times = uniform_grid(0.0, 1.0, steps)
-        assert len(half_blocks(times.size, 32)) == slices
+        assert len(time_blocks(times.size, 32)) == slices
         family = self.family(kind)
         psi0 = np.random.default_rng(3).normal(size=(32, 2)) @ [1.0, 1j]
         grid = PropagatorGrid(family, times, psi0=psi0)
@@ -424,9 +421,9 @@ class TestCheckpointedProducts:
             assert rows.shape == whole[index].shape, index
             assert np.array_equal(rows, whole[index]), index
             assert np.array_equal(grid.into_t0[index], inverse[index]), index
-        # the sweep's reads, one half slice each, on the workers
+        # the sweep's reads, one time block each, on the workers
         by_slices = np.concatenate(_in_block_order(lambda part: grid.from_t0[part],
-                                                   half_blocks(times.size, 32)))
+                                                   time_blocks(times.size, 32)))
         assert np.array_equal(by_slices, whole)
         assert np.array_equal(np.asarray(grid.from_t0), whole)
         # psi0, carried in the same pass, as `propagate_states` carries it
@@ -439,7 +436,7 @@ class TestCheckpointedProducts:
         # reads form none again, and a longer grid's read forms, once per segment it
         # selects from, the rows from its checkpoint up to the last one selected:
         # rows 0..5, 32..40 and 96..100 by 5, 8 and 4 products, while row 300 is
-        # among the last half block's, which the grid keeps
+        # among the last time block's, which the grid keeps
         calls = []
         real = dynamics_module.step_products
 
@@ -454,6 +451,16 @@ class TestCheckpointedProducts:
         del calls[:]
         grid.from_t0[np.array([0, 5, 40, 35, 99, 100, 300]) % times.size]
         assert calls == formed
+
+    def test_asarray_forms_every_row_and_refuses_to_view(self):
+        # the grid holds no stack of products: `np.asarray` forms one with the bits of
+        # `[:]`, and a read that may not copy is refused rather than forming one
+        times = uniform_grid(0.0, 1.0, 100)
+        grid = PropagatorGrid(self.family("time-dependent"), times)
+        assert np.array_equal(np.asarray(grid.from_t0), grid.from_t0[:])
+        assert np.asarray(grid.from_t0, dtype=np.complex64).dtype == np.complex64
+        with pytest.raises(ValueError, match="no stack to view"):
+            np.asarray(grid.from_t0, copy=False)
 
     def test_a_constant_h_keeps_its_distinct_steps_only(self):
         times = uniform_grid(0.0, 1.0, 1000)

@@ -373,8 +373,8 @@ class TestIntegralsOfMotion:
 
     @staticmethod
     def wide_constant_candidate():
-        """n = 32, N = 1000: a stack is 16.4 MB and a block 64 times.  A constant H, its
-        candidate H(t0) and a fresh transport."""
+        """n = 32, N = 1000: a stack is 16.4 MB and a block (`_BLOCK_BYTES`) 64 times.  A
+        constant H, its candidate H(t0) and a fresh transport."""
         rng = np.random.default_rng(36)
         m = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
         h = HamiltonianFamily.constant((m + m.conj().T) / 8.0)
@@ -427,7 +427,7 @@ class TestIntegralsOfMotion:
         candidate, transport = self.wide_constant_candidate()
         report = is_integral_of_motion(candidate, transport)
         _, a_vals = commutator_criterion(candidate, transport)
-        frames, inverse_frames = transport.frames, transport.inverse_frames.whole
+        frames, inverse_frames = transport.frames, transport.inverse_frames[:]
         a0_fibre = lift_operators(frames[0], inverse_frames[0], a_vals[0])
         deviation = transport_criterion(lift_operators(frames, inverse_frames, a_vals), a0_fibre,
                                         transport.matrices_from(transport.times[0]),

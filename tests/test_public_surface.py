@@ -123,11 +123,25 @@ def _optional_parameters(tree):
     return found
 
 
+def _shape_prefix(starred):
+    """k for a starred `*x.shape[:k]`, which passes k positional arguments; None for
+    any other starred argument, whose length the call does not show."""
+    value = starred.value
+    if (isinstance(value, ast.Subscript) and isinstance(value.value, ast.Attribute)
+            and value.value.attr == "shape" and isinstance(value.slice, ast.Slice)
+            and value.slice.lower is None and value.slice.step is None
+            and isinstance(value.slice.upper, ast.Constant)):
+        return value.slice.upper.value
+    return None
+
+
 def _calls(tree):
-    """(called name, positional count, has */** unpacking, keyword names) of each call.
+    """(called name, positional count, has */** unpacking of unknown length, keyword
+    names) of each call.
 
     `import ... as` aliases are resolved, and `cls(...)` inside a class body
-    counts as a call of that class.
+    counts as a call of that class.  A starred `*x.shape[:k]` counts as k
+    positional arguments (`_shape_prefix`).
     """
     aliases = {alias.asname: alias.name for node in ast.walk(tree)
                if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -142,9 +156,10 @@ def _calls(tree):
             name = (func.id if isinstance(func, ast.Name)
                     else func.attr if isinstance(func, ast.Attribute) else None)
             name = cls if name == "cls" else aliases.get(name, name)
-            unpacked = (any(isinstance(a, ast.Starred) for a in node.args)
-                        or any(k.arg is None for k in node.keywords))
-            found.append((name, len(node.args), unpacked, {k.arg for k in node.keywords}))
+            counts = [_shape_prefix(a) if isinstance(a, ast.Starred) else 1 for a in node.args]
+            unpacked = None in counts or any(k.arg is None for k in node.keywords)
+            found.append((name, sum(filter(None, counts)), unpacked,
+                          {k.arg for k in node.keywords}))
         for child in ast.iter_child_nodes(node):
             visit(child, cls)
 
@@ -208,6 +223,16 @@ def test_library_sketch_runs_and_prints_small_residuals():
     printed = [float(x) for x in out.getvalue().split()]
     assert printed, "the library sketch prints no residual"
     assert all(x < 1e-6 for x in printed), printed
+
+
+def test_only_hilbert_reads_strides():
+    """How a constant family's stack is stored, a 0-stride broadcast, is known to
+    `hilbert` alone: every other module asks its `is_broadcast` or
+    `distinct_matrices`."""
+    readers = {path.name for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "strides"}
+    assert readers == {"hilbert.py"}
 
 
 def test_only_the_pool_helper_imports_threads():

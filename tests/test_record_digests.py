@@ -1,10 +1,10 @@
 """The timing-free records of every catalog scenario are pinned by sha256.
 
 The catalog digests read the session's shared catalog run, so they add no
-scenario run.  Every catalog stack is one time block (n <= 8), so two more
-scenarios are pinned beside them: one cut into two blocks, and one cut into
-five, so that byte-identity holds across more than one block boundary, and at
-any number of threads running the blocks.  A change that moves a record on
+scenario run.  Every catalog stack but one is one time block, so two more
+scenarios are pinned beside them: one of four blocks and one of ten, named for
+the two and five `_BLOCK_BYTES` their stacks span, so that byte-identity holds
+across many block boundaries, and at any number of threads running the blocks.  A change that moves a record on
 purpose regenerates `record_digests.json`; one that moves it by accident fails
 here.  The digests depend on the numpy and BLAS builds too, so a failure names
 both, beside the builds the file was made with.
@@ -27,7 +27,7 @@ DIGESTS = Path(__file__).resolve().parent / "record_digests.json"
 # the `two_block_gauge` fixture's record, at its shipped seed
 TWO_BLOCK_SHA256 = "b83d6319122d016a2d672306f2f2290cc4b18ed86dd32f51d57f5f8047ade605"
 TWO_BLOCK_BUILDS = "numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0"
-# random-unitary-gauge at n = 32 and N = 300, at its shipped seed: five time blocks
+# the `five_block_gauge` fixture's record, at its shipped seed: ten time blocks
 FIVE_BLOCK_SHA256 = "0404cca0fd798060a3519ca0997aaa59cbcdd77765a1274b699d7c4b8b184362"
 
 
@@ -85,7 +85,7 @@ def test_the_pinned_records_do_not_depend_on_the_worker_count(monkeypatch, two_b
 
 
 def test_the_wide_gauge_record_does_not_depend_on_the_worker_count(monkeypatch):
-    # random-unitary-gauge at n = 32 and N = 1000, the benchmark's wide-gauge size: 16 blocks
+    # random-unitary-gauge at n = 32 and N = 1000, the benchmark's wide-gauge size: 32 blocks
     root = resources.files("fibreqm") / "catalog"
     raw = json.loads((root / "random-unitary-gauge.json").read_text())
     raw["dimension"], raw["grid"]["steps"] = 32, 1000

@@ -44,7 +44,7 @@ from fibreqm.dynamics import (
     propagate_states,
     step_products,
 )
-from fibreqm.hilbert import half_blocks, matrix_exponential, time_blocks
+from fibreqm.hilbert import matrix_exponential, time_blocks
 from fibreqm.pictures import PictureTransform
 from fibreqm.report import CheckRecord, emit, report_from_dict, suite_from_dict
 from fibreqm.scenario import (
@@ -618,12 +618,12 @@ class TestPointwiseRunner:
     @pytest.fixture
     def judge(self, monkeypatch, two_block_gauge):
         """(detail -> {block: {index in block: residual}}) -> the record and series of a
-        norm_drift entry that returns those residuals, zero elsewhere, on the two blocks.
-        The sweep calls it on each half slice of the blocks (four here), which places
-        the residuals of its own times."""
+        norm_drift entry that returns those residuals, zero elsewhere, on the blocks.
+        The sweep calls it on each of the four blocks, which places the residuals of its
+        own times."""
         cfg = two_block_gauge
         parts = time_blocks(cfg.times.size, cfg.dimension)
-        assert len(half_blocks(cfg.times.size, cfg.dimension)) == 4
+        assert len(parts) == 4
 
         def run(placed):
             def controlled(part, trajectory):
@@ -647,7 +647,7 @@ class TestPointwiseRunner:
     def test_a_maximum_in_the_second_block_is_reported_at_its_time(self, judge):
         run, times = judge
         record, series = run({"": {0: {10: 1.0}, 1: {7: 3.0, 9: 2.0}}})
-        assert record == CheckRecord("norm_drift", 3.0, 1e-8, False, float(times[256 + 7]))
+        assert record == CheckRecord("norm_drift", 3.0, 1e-8, False, float(times[128 + 7]))
         assert list(series) == ["index"]
         assert np.array_equal(series["index"], np.arange(times.size))
 
@@ -656,7 +656,7 @@ class TestPointwiseRunner:
         record, _ = run({"": {0: {3: 7.0}, 1: {5: np.nan, 9: np.nan}}})
         assert not record.passed
         assert np.isnan(record.max_residual)
-        assert record.worst_time == float(times[256 + 5])
+        assert record.worst_time == float(times[128 + 5])
 
     def test_a_tie_across_blocks_or_details_goes_to_the_first(self, judge):
         run, times = judge
@@ -665,7 +665,7 @@ class TestPointwiseRunner:
         record, _ = run({"worst observable: a": {1: {3: 2.0}},
                          "worst observable: b": {0: {50: 2.0}}})
         assert (record.max_residual, record.worst_time, record.detail) == (
-            2.0, float(times[256 + 3]), "worst observable: a")
+            2.0, float(times[128 + 3]), "worst observable: a")
 
 
 class TestSweep:
@@ -702,8 +702,8 @@ class TestSweep:
             monkeypatch.setitem(_NODES, name, functools.partial(
                 counting, name=name, build=_NODES[name]))
         assert run_scenario(cfg).overall_pass
-        # the sweep's slices are the halves of the two blocks
-        starts = [part.start for part in half_blocks(cfg.times.size, cfg.dimension)]
+        # the sweep's slices are the time blocks
+        starts = [part.start for part in time_blocks(cfg.times.size, cfg.dimension)]
         assert starts == [0, 128, 256, 384]
         assert Counter(built) == {(name, start): 1 for name in block_nodes for start in starts}
 
@@ -736,7 +736,7 @@ class TestSweep:
         monkeypatch.setitem(_NODES, "integral_deviations", probe)
         assert run_scenario(cfg).overall_pass
         assert len(refs) == 9
-        slices = len(half_blocks(cfg.times.size, cfg.dimension))  # four half slices
+        slices = len(time_blocks(cfg.times.size, cfg.dimension))  # four slices
         assert alive == [["transport_t0"]] * slices  # its own read; the rest are dropped
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -885,8 +885,8 @@ class TestConcurrentSweep:
         before = threading.active_count()
         assert run_scenario(two_block_gauge).overall_pass
         assert threading.active_count() == before
-        # one call per half slice of the two blocks, and one helper thread
-        assert len(during) == len(half_blocks(two_block_gauge.times.size, 16)) == 4
+        # one call per time block, and one helper thread
+        assert len(during) == len(time_blocks(two_block_gauge.times.size, 16)) == 4
         assert max(during) == before + 1
 
     def test_a_one_block_scenario_starts_no_thread(self, monkeypatch):
@@ -944,7 +944,7 @@ class TestConcurrentSetup:
             "grid values": values,
             "grid inverses": inverses[:],
             "from_t0 by blocks": np.concatenate(hilbert_module._in_block_order(
-                lambda part: grid.from_t0[part], half_blocks(times.size, cfg.dimension))),
+                lambda part: grid.from_t0[part], time_blocks(times.size, cfg.dimension))),
             "conventional states": grid.states,
             "into_t0 by blocks": np.concatenate(hilbert_module._in_block_order(
                 lambda part: grid.into_t0[part], time_blocks(times.size, cfg.dimension))),
@@ -980,11 +980,11 @@ class TestConcurrentSetup:
                                                                  five_block_gauge, workers):
         # l(t) = diag(f(t), 1, ..., 1) with f = (t - a)(t - b) vanishing at the midpoints
         # a and b of the second and fourth slices of midpoints, which the sampler cuts
-        # in half blocks: the grid frames are invertible, and the bundle generator's
+        # in time blocks: the grid frames are invertible, and the bundle generator's
         # midpoint frames of those two slices are singular
         cfg = five_block_gauge
         mids = (cfg.times[:-1] + cfg.times[1:]) / 2.0
-        starts = [part.start for part in half_blocks(mids.size, cfg.dimension)]
+        starts = [part.start for part in time_blocks(mids.size, cfg.dimension)]
         a, b = mids[starts[1] + 20], mids[starts[3] + 28]
         eye = np.eye(cfg.dimension, dtype=complex)
 
@@ -1213,9 +1213,9 @@ class TestSampleOnce:
                 return real(transport, t, part, *rows)
             monkeypatch.setattr(EvolutionTransport, method, counting)
         assert run_scenario(cfg).overall_pass
-        blocks = [(part.start, part.stop) for part in half_blocks(cfg.times.size, cfg.dimension)]
-        # every reader of the t0 stacks shares each of the sweep's slices, the halves
-        # of the time blocks; the one other query is
+        blocks = [(part.start, part.stop) for part in time_blocks(cfg.times.size, cfg.dimension)]
+        # every reader of the t0 stacks shares each of the sweep's slices, the time
+        # blocks; the one other query is
         # the row U(t0, t0), for the Heisenberg states' reference Psi(t0)
         assert Counter(calls) == Counter(
             [(method, 0, rows) for method in ("matrices_from", "matrices_into")
@@ -1375,7 +1375,7 @@ class TestArtifactNodes:
         cfg = two_block_gauge
         # one worker, so that the builds alive at a check's call are those of its own block
         monkeypatch.setattr(hilbert_module, "_WORKERS", 1)
-        # the pointwise checks run on each of the two blocks, then the checks that
+        # the pointwise checks run on each of the four blocks, then the checks that
         # build their own record run once, in the scenario's order
         assert [c for c in cfg.checks if c not in POINTWISE_CHECKS] == [
             "transport_identity", "transport_composition", "unitary_bundle_map",
@@ -1415,7 +1415,7 @@ class TestArtifactNodes:
         for check_id in probed:
             monkeypatch.setitem(_CHECK_TABLE, check_id, probing(check_id))
         assert run_scenario(cfg).overall_pass
-        slices = len(half_blocks(cfg.times.size, cfg.dimension))  # four half slices
+        slices = len(time_blocks(cfg.times.size, cfg.dimension))  # four slices
         assert {name: len(built) for name, built in refs.items()} == {
             "bundle_section": 1, "transport_axioms": 1, "density_transported": slices}
         held = {"bundle_section": 1}  # until the slices, its last reader's, are done
@@ -1463,7 +1463,7 @@ class TestArtifactNodes:
         kernel, transport = checks_module.evolve_density_morphisms, _NODES["transport"]
 
         def recording(p0, from_t0, into_t0):
-            # the catalog's grid is one half block, so a block's rows are all of them
+            # the catalog's grid is one time block, so a block's rows are all of them
             conventional = np.array_equal(from_t0, grids[0].from_t0[:])
             if conventional:  # the grid's rows, and their inverses as its reads form them
                 assert np.array_equal(into_t0, np.linalg.inv(from_t0))
@@ -1525,7 +1525,7 @@ class TestArtifactNodes:
             tracemalloc.stop()
         assert outcomes["integrals_of_motion"][0].passed
         assert set(above) == {"integral_commutators", "integral_deviations", "integrals_of_motion"}
-        # blocks of both criteria (of 256 and 145 times here, 1 MiB at most), and
+        # blocks of both criteria (of 128 times but the last here, half a MiB at most), and
         # no commutator, deviation or transported stack beside them
         assert max(above.values()) <= 4 * hilbert_module._BLOCK_BYTES
 
@@ -1574,15 +1574,16 @@ class TestArtifactNodes:
         finally:
             tracemalloc.stop()
         assert record.passed
-        assert len(above) == len(half_blocks(cfg.times.size, cfg.dimension)) == 4
+        assert len(above) == len(time_blocks(cfg.times.size, cfg.dimension)) == 4
         one_stack = cfg.times.size * 16 * 16 * np.dtype(complex).itemsize
-        # the bundle adjoint's and the deviation's blocks (of the sweep's half
+        # the bundle adjoint's and the deviation's blocks (of the sweep's
         # slices here); no conjugate copy and no whole stack
         assert max(above) / one_stack < 2.5
 
     def test_the_wide_gauge_holds_its_nodes_and_blocks_of_temporaries(self, monkeypatch):
         # random-unitary-gauge at n = 32 and N = 1000, the scale of the benchmark's
-        # wide-gauge workload: a stack is 16.4 MB and a block 64 times (1 MiB).
+        # wide-gauge workload: a stack is 16.4 MB and a block (`_BLOCK_BYTES`, 1 MiB) 64
+        # times.
         root = resources.files("fibreqm") / "catalog"
         raw = json.loads((root / "random-unitary-gauge.json").read_text())
         raw["dimension"], raw["grid"]["steps"] = 32, 1000
@@ -1591,7 +1592,7 @@ class TestArtifactNodes:
         # At the default worker count, with one slice's blocks in flight per worker,
         # the peak is 1.80 to 1.87 stacks measured, the most when this test runs
         # alone (the frames held whole, and beside them the conventional
-        # checkpoints, vectors of N states and two half slices' block nodes and
+        # checkpoints, vectors of N states and two slices' block nodes and
         # temporaries in the sweep); the bound adds two blocks (0.13 stack).  The
         # count is capped at two, so this holds on a host of any core count.
         assert 1 <= hilbert_module._WORKERS <= 2
@@ -1639,7 +1640,7 @@ class TestArtifactNodes:
             tracemalloc.stop()
         assert set(above) == set(_NODES) | set(cfg.checks)
         # Held through the sweep: the frames, and the conventional products U(t, t0)
-        # only at each half block's start; the rows of those products and of their
+        # only at each time block's start; the rows of those products and of their
         # inverses, the frames' inverse rows, the transport's t0 rows, the
         # transported section and its Heisenberg states, the lifted observables and
         # both densities are blocks of the sweep.  At one worker the peak is the
@@ -1647,9 +1648,9 @@ class TestArtifactNodes:
         # probes).
         assert max(peaks) <= peak_bound
         # No check block, judge or node build, setup ones included, keeps a whole
-        # temporary stack: the bundle steps are formed one half slice at a time on
+        # temporary stack: the bundle steps are formed one time block at a time on
         # each worker, the grid frames' derivative is reduced one block at a time, and the
-        # conventional products are formed one half block at a time.  What a node
+        # conventional products are formed one time block at a time.  What a node
         # keeps counts once built, so a build is measured above the larger of the
         # heap it found and the heap it left.  The largest are the two-time queries'
         # pairs (the unitary bundle map's 81, and its temporaries, 7.6 blocks
@@ -1667,7 +1668,7 @@ class TestArtifactNodes:
         # random-unitary-gauge at n = 32 and N = 1000, its constant H (whose steps
         # are gathered) or a time-dependent one (whose steps are exponentiated as a
         # stack): one pass over the conventional steps carries psi0 and keeps the
-        # products at each half block's start and over the last half block, so the
+        # products at each time block's start and over the last time block, so the
         # build keeps no stack of products; a time-dependent H's grid keeps its stack
         # of steps in their place.  The transport's build adds nothing beside them and
         # the frames.
@@ -1703,7 +1704,7 @@ class TestArtifactNodes:
             tracemalloc.stop()
         assert above["transport"] <= block
         if hamiltonian == "constant":
-            # the checkpoints, the last half block's rows, the states and one half
+            # the checkpoints, the last time block's rows, the states and one time
             # block of products at a time (1.83 blocks measured)
             assert above["conventional"] <= 2 * block
             # beside the frames, vectors of N states and the checkpoints (1.15 stacks)
@@ -1757,11 +1758,11 @@ class TestArtifactNodes:
         # Through setup and the sweep, every node build and check sees its reads and
         # its output: no array reachable from them is a whole stack of the conventional
         # products U(t, t0) of this constant H, nor of U(t0, t), their inverse, nor a
-        # view of one.  The walk reaches the products kept at each half block's start.
+        # view of one.  The walk reaches the products kept at each time block's start.
         cfg = two_block_gauge
         products = step_products(midpoint_propagators(cfg.hamiltonian, cfg.times, cfg.constants))
         inverse = np.linalg.inv(products)
-        starts = [part.start for part in half_blocks(cfg.times.size, cfg.dimension)]
+        starts = [part.start for part in time_blocks(cfg.times.size, cfg.dimension)]
         checkpoints, wholes = [], []
 
         def inspect_arrays(key, obj):
@@ -1833,7 +1834,7 @@ class TestArtifactNodes:
         monkeypatch.setattr(bundle_module.FrameInverse, "__getitem__", inverting)
         report = run_scenario(cfg)
         assert report.overall_pass, [r for r in report.records if not r.passed]
-        blocks = [(part.start, part.stop) for part in half_blocks(cfg.times.size, cfg.dimension)]
+        blocks = [(part.start, part.stop) for part in time_blocks(cfg.times.size, cfg.dimension)]
         # each slice's rows formed once, shared by the transport's t0 rows, the
         # conventional density and their inverses; the one row U(t0, t0) of each t0
         # query's fixed time, read and inverted; the first row of U(t, t0) for
@@ -1884,7 +1885,7 @@ class TestArtifactNodes:
 
         monkeypatch.setattr(pictures_module, "_seeded_smooth_unitary", counting)
         assert run_scenario(two_block_gauge).overall_pass
-        assert len(time_blocks(two_block_gauge.times.size, two_block_gauge.dimension)) == 2
+        assert len(time_blocks(two_block_gauge.times.size, two_block_gauge.dimension)) == 4
         assert len(draws) == 1  # not once per time block
 
     def test_every_node_computed_at_most_once(self, monkeypatch):

@@ -31,9 +31,9 @@ from fibreqm.hilbert import (
     PhysicalConstants,
     _taylor_plan,
     apply,
-    half_blocks,
     matrix_exponential,
     max_abs,
+    time_blocks,
 )
 from fibreqm.checks import _sample_triples, build_artifacts, run_scenario
 from fibreqm.dynamics import grid_indices
@@ -402,27 +402,27 @@ class TestBuildTransport:
         assert sum(inverted) == distinct < 273
 
     def test_conventional_rows_are_read_only_with_their_slice(self, two_block_gauge):
-        # two time blocks of 256 and 145 times: rows of one block given without
+        # four time blocks of 128 times but the last: rows of one block given without
         # their slice, or with a slice of another length, are refused
         transport = build_artifacts(two_block_gauge)["transport"]
-        t0, part = transport.times[0], slice(0, 256)
+        t0, part = transport.times[0], slice(0, 128)
         rows = transport.propagators.into_t0[part]
         assert np.array_equal(transport.matrices_into(t0, part, rows),
                               transport.matrices_into(t0, part))
         with pytest.raises(ValueError, match="^conventional is given without the slice"):
             transport.matrices_into(t0, conventional=rows)
-        with pytest.raises(ValueError, match=r"^conventional holds 256 rows of into_t0, "
-                                             r"but the slice slice\(0, 255, None\) has 255"):
-            transport.matrices_into(t0, slice(0, 255), rows)
+        with pytest.raises(ValueError, match=r"^conventional holds 128 rows of into_t0, "
+                                             r"but the slice slice\(0, 127, None\) has 127"):
+            transport.matrices_into(t0, slice(0, 127), rows)
         # and so are the rows of U(t, t0) that `matrices_from` reads
         products = transport.propagators.from_t0[part]
         assert np.array_equal(transport.matrices_from(t0, part, products),
                               transport.matrices_from(t0, part))
         with pytest.raises(ValueError, match="^conventional is given without the slice"):
             transport.matrices_from(t0, conventional=products)
-        with pytest.raises(ValueError, match=r"^conventional holds 256 rows of from_t0, "
-                                             r"but the slice slice\(0, 255, None\) has 255"):
-            transport.matrices_from(t0, slice(0, 255), products)
+        with pytest.raises(ValueError, match=r"^conventional holds 128 rows of from_t0, "
+                                             r"but the slice slice\(0, 127, None\) has 127"):
+            transport.matrices_from(t0, slice(0, 127), products)
 
     def test_unitary_bundle_map_property(self):
         h = HamiltonianFamily.constant(0.8 * SIGMA_X + 0.4 * SIGMA_Z)
@@ -473,7 +473,7 @@ class TestBundleIntegration:
 
 
 class TestStreamedBundleSection:
-    """The bundle section is carried through each half slice of steps in order, as soon
+    """The bundle section is carried through each slice of steps in order, as soon
     as a worker forms it, each slice exponentiated by the plan of its own largest
     1-norm."""
 
@@ -493,28 +493,28 @@ class TestStreamedBundleSection:
 
     @staticmethod
     def slice_norms(hm):
-        """The largest 1-norm of each half slice of the scaled midpoint samples."""
+        """The largest 1-norm of each slice of the scaled midpoint samples."""
         times = hm.times
         mids, h = (times[:-1] + times[1:]) / 2.0, np.diff(times)
         return [float(np.max(np.sum(np.abs(
             -1j * h[part][:, None, None] * hm.at_many(mids[part]) / hm.constants.hbar),
-            axis=-2))) for part in half_blocks(mids.size, hm.dimension)]
+            axis=-2))) for part in time_blocks(mids.size, hm.dimension)]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_the_section_has_the_bits_of_a_serial_reference_by_slice(self, monkeypatch,
                                                                       workers):
-        # n = 16 on 601 times at seed 3: five half slices of midpoints, formed on the
+        # n = 16 on 601 times at seed 3: five slices of midpoints, formed on the
         # workers, three of which plan below the whole batch's plan
         monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         cfg = self.gauge(16, 600, seed=3)
         hm = self.bundle_generator(cfg)
         section = integrate_bundle_schrodinger(hm, cfg.initial_state)
-        # each half slice sampled, scaled and exponentiated alone, by its own plan,
+        # each slice sampled, scaled and exponentiated alone, by its own plan,
         # and psi0 carried through its steps in order
         times = cfg.times
         mids, h = (times[:-1] + times[1:]) / 2.0, np.diff(times)
         scaled = [-1j * h[part][:, None, None] * hm.at_many(mids[part]) / cfg.constants.hbar
-                  for part in half_blocks(mids.size, 16)]
+                  for part in time_blocks(mids.size, 16)]
         states = [np.asarray(cfg.initial_state, dtype=complex)]
         for steps in scaled:
             for step in matrix_exponential(steps):
@@ -529,7 +529,7 @@ class TestStreamedBundleSection:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_steps_are_never_a_whole_stack(self, monkeypatch, workers):
         # n = 32 on 3001 times: the steps would be 3000 (n, n) matrices, 48 blocks;
-        # one half slice of steps and its samples' temporaries a worker are held
+        # one slice of steps and its samples' temporaries a worker are held
         # instead (3.0 blocks at one worker and 6.0 at two, on 1001 and 3001 times)
         monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         cfg = self.gauge(32, 3000)
@@ -545,7 +545,7 @@ class TestStreamedBundleSection:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_broadcast_gauge_is_proven_once_per_integration(self, monkeypatch, workers):
-        # a constant non-unitary gauge at n = 32 on 301 times: ten half slices of
+        # a constant non-unitary gauge at n = 32 on 301 times: ten slices of
         # midpoints, each a broadcast of one matrix, proven (one SVD and one `inv`)
         # by the first slice alone and reused by the others on the workers, with a
         # short switch interval so that the workers interleave often
@@ -574,7 +574,7 @@ class TestStreamedBundleSection:
 
     def test_a_grid_whose_slices_plan_apart_gives_one_record_at_any_worker_count(
             self, monkeypatch):
-        # n = 16 on 601 times at seed 3: 3 of the 5 half slices of bundle midpoints
+        # n = 16 on 601 times at seed 3: 3 of the 5 slices of bundle midpoints
         # plan below the whole batch's plan, so their steps, and the state
         # equivalence residual, differ from those of one plan for the whole batch
         cfg = self.gauge(16, 600, seed=3)
