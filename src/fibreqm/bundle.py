@@ -13,24 +13,35 @@ Every frame stack S the package inverts (the trivialization on the grid and at
 the midpoints, the random picture) is inverted by one rule, decided from the
 samples alone: if max|S^dagger S - I| <= 1e-13, S is unitary to rounding and
 S^-1 = S^dagger, which also proves it invertible, so no SVD, `inv` or solve
-runs; otherwise the SVD ratio check and `np.linalg.inv` run as for any
-invertible matrix.  Each batch a family samples (the grid, or one time block
-of midpoints) is proven once, when it is sampled, into a `FrameInverse`, which
-every reader indexes: over a unitary stack each read forms S^dagger of the
-rows it selects, so no whole inverse stack is held; otherwise a read is rows
-of the one `inv` stack.  A broadcast is proven and inverted on its one matrix,
-and a bundle integration proves it once for all its time blocks of midpoints
-(`transport.MatrixBundleHamiltonian` reuses the proof).
+runs; otherwise the SVD ratio check proves it invertible, and `np.linalg.inv`
+inverts the rows each read selects.  The test runs one `time_blocks` slice at
+a time, and only a slice that fails it is taken to the SVD.  Each batch a
+family samples (one time block of midpoints, a library caller's batch) is
+proven once, when it is sampled, into a `FrameInverse`, which every reader
+indexes: each read forms S^dagger, or the `inv`, of the rows it selects, so no
+whole inverse stack is held.  A broadcast is proven and inverted on its one
+matrix, and a bundle integration proves it once for all its time blocks of
+midpoints (`transport.MatrixBundleHamiltonian` reuses the proof).
+
+A family's l(t_k) depends on t_k alone, bit for bit, so the grid frames need
+not be held: `TrivializationFamily.validate_on_grid` samples the grid one
+`time_blocks` slice at a time and reduces each slice, on the worker that
+sampled it, to the invertibility proof and the derivative test's maxima,
+keeping only the few rows that the stencils across slices read.  A grid of
+several slices is then read through `GridFrames`, which samples the values at
+the times each read selects; a grid of one slice, or a broadcast, keeps its
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .hilbert import (
+    _formed_in_order,
     _frozen,
     _in_block_order,
     antihermitian_exponentials,
@@ -47,6 +58,7 @@ from .hilbert import (
 
 __all__ = [
     "FrameInverse",
+    "GridFrames",
     "MorphismAlongPath",
     "NonPointwiseOperatorError",
     "SectionAlongPath",
@@ -92,20 +104,21 @@ class FrameInverse:
     time: `inverse[idx]` is the inverse of `S[idx]`.
 
     `_frame_inverse` decides which it is for a frame stack, once, from the
-    samples.  Over a stack proven unitary it holds no inverse: each read forms
-    S^dagger of the rows it selects, C-contiguous, so a read has the bits and
-    the layout that the same rows of a whole adjoint stack have, and no whole
-    inverse stack is held.  Otherwise it holds `stack`, the read-only
-    `np.linalg.inv` stack or the broadcast of a broadcast's one inverse, and a
-    read is its rows.  With `adjoint=False` and no `stack` (the conventional
-    U(t0, t) of `PropagatorGrid.into_t0`) it holds no inverse either: each read
-    inverts the rows it selects by `np.linalg.inv`, which inverts each matrix
-    alone, so a read has the bits of the same rows of the whole-stack inverse.
-    A library caller that wants every S^-1 as one stack reads `inverse[:]`.
+    samples.  It holds no inverse of a stack: each read inverts the rows it
+    selects, C-contiguous, so a read has the bits and the layout that the same
+    rows of a whole inverse stack have.  Over a stack proven unitary
+    (`adjoint=True`) a read forms S^dagger; otherwise (`adjoint=False`, as for
+    the conventional U(t0, t) of `PropagatorGrid.into_t0`) it inverts each
+    selected matrix alone by `np.linalg.inv`, so a read has the bits of the same
+    rows of the whole-stack inverse.  `stack`, given, is a broadcast's inverse,
+    the read-only broadcast of its one matrix's, and a read is its rows.  `S` may
+    be any reader by index, such as `GridFrames` or
+    `dynamics.CheckpointedProducts`; `read` inverts rows of it that a caller has
+    read already.  A library caller that wants every S^-1 as one stack reads
+    `inverse[:]`.
     """
 
-    def __init__(self, frames: np.ndarray, stack: Optional[np.ndarray] = None,
-                 adjoint: bool = True):
+    def __init__(self, frames, stack: Optional[np.ndarray] = None, adjoint: bool = True):
         self._frames = frames
         self._stack = None if stack is None else _frozen(stack)
         self._adjoint = adjoint
@@ -123,6 +136,14 @@ class FrameInverse:
         return np.conjugate(np.swapaxes(frames, -2, -1),
                             out=np.empty(frames.shape, dtype=complex))
 
+    def read(self, index, frames: np.ndarray) -> np.ndarray:
+        """`inverse[index]` from `frames`, the rows S[index] that the caller has read
+        already, so they are not read (or sampled) again: `FrameInverse(frames,
+        adjoint=...)[:]` by this inverse's rule, or a broadcast's rows."""
+        if self._stack is not None:
+            return self._stack[index]
+        return FrameInverse(frames, adjoint=self._adjoint)[:]
+
     def _reused_for(self, frames: np.ndarray) -> Optional["FrameInverse"]:
         """The inverse of `frames`, a 0-stride broadcast of the one matrix that this
         broadcast's inverse inverts, with no proof or inversion; None for any other
@@ -133,44 +154,62 @@ class FrameInverse:
         return FrameInverse(frames, np.broadcast_to(self._stack[0], frames.shape))
 
 
-def _proven_unitary(mats: np.ndarray, adjoint: FrameInverse) -> bool:
-    """Whether the samples prove S unitary: max|S^dagger S - I| <= 1e-13, S^dagger
-    read from `adjoint`, the per-read adjoint of `mats`.
+def _gram_passes(mats: np.ndarray) -> bool:
+    """max|S^dagger S - I| <= 1e-13 over a slice of a stack, S^dagger formed per read."""
+    gram = FrameInverse(mats)[:] @ mats
+    gram -= np.eye(mats.shape[-1])
+    return max_abs(gram) <= _UNITARY_TOL
+
+
+def _slice_proof(mats: np.ndarray) -> Optional[Tuple[float, int]]:
+    """None where the samples of one slice prove S unitary, max|S^dagger S - I| <=
+    1e-13; else the slice's smallest ratio of the smallest to the largest singular
+    value, and the first index where it is reached.
 
     Within that bound S^dagger is S^-1 to rounding, and every singular value of
-    S lies within 1 +- n 1e-13, so S also passes the 1e-8 invertibility ratio.
-    The Gram product is formed one `time_blocks` slice of the (N, n, n) stack at
-    a time, on the workers; once one slice fails the test, the slices not yet
-    started skip it.
+    S lies within 1 +- n 1e-13, so S also passes the 1e-8 invertibility ratio;
+    only a slice that fails the test is taken to the SVD.
     """
-    eye = np.eye(mats.shape[-1])
-    unitary = [True]
-
-    def gram_test(part: slice) -> None:
-        if unitary[0]:
-            gram = adjoint[part] @ mats[part]
-            gram -= eye
-            if max_abs(gram) > _UNITARY_TOL:
-                unitary[0] = False
-
-    _in_block_order(gram_test, time_blocks(*mats.shape[:2]))
-    return unitary[0]
+    if _gram_passes(mats):
+        return None
+    svals = np.linalg.svd(mats, compute_uv=False)
+    ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
+    worst = int(np.argmin(ratios))
+    return float(ratios[worst]), worst
 
 
-def _frame_inverse(mats: np.ndarray,
-                   prove: Callable[[np.ndarray], None] = lambda distinct: None) -> FrameInverse:
+def _proven_unitary(proofs: Sequence[Optional[Tuple[float, int]]], starts: Sequence[int],
+                    name: str, times) -> bool:
+    """Whether the slices' proofs (`_slice_proof`, the slices starting at `starts`, in
+    block order) prove the whole stack unitary; a SingularTrivializationError names
+    the family and the first time of the smallest ratio below 1e-8, the stack's
+    first worst time, as one SVD of every matrix would find it."""
+    failed = [(ratio, start + k) for proof, start in zip(proofs, starts) if proof is not None
+              for ratio, k in [proof]]
+    if not failed:
+        return True
+    ratio, worst = min(failed, key=lambda pair: pair[0])  # the first of equal minima
+    if ratio < _INVERTIBILITY_TOL:
+        at = np.atleast_1d(np.asarray(times, dtype=float))[worst]
+        raise SingularTrivializationError(f"trivialization '{name}' is singular at t={at:g}")
+    return False
+
+
+def _frame_inverse(mats: np.ndarray, unitary: Optional[bool] = None) -> FrameInverse:
     """S^-1 over an (N, n, n) stack, the one place that decides its representation:
-    S^dagger formed per read where the samples prove S unitary, else the
-    `np.linalg.inv` stack, after `prove` has passed on the matrices that are not.
+    S^dagger formed per read where S is unitary, else `np.linalg.inv` per read.
 
-    A broadcast is tested and inverted on its one matrix (`distinct_matrices`),
-    and its inverse is a read-only broadcast of that matrix's.
+    `unitary`, by default, is decided by the Gram test alone (`_gram_passes`,
+    one `time_blocks` slice at a time on the workers), with no proof of
+    invertibility.  A broadcast is tested and inverted on its one matrix
+    (`distinct_matrices`), and its inverse is a read-only broadcast of that
+    matrix's.
     """
     distinct = distinct_matrices(mats)
-    inverse = FrameInverse(distinct)
-    if not _proven_unitary(distinct, inverse):
-        prove(distinct)
-        inverse = FrameInverse(distinct, np.linalg.inv(distinct))
+    if unitary is None:
+        unitary = all(_in_block_order(lambda part: _gram_passes(distinct[part]),
+                                      time_blocks(*distinct.shape[:2])))
+    inverse = FrameInverse(distinct, adjoint=unitary)
     return inverse if distinct is mats else FrameInverse(
         mats, np.broadcast_to(inverse[:], mats.shape))
 
@@ -181,113 +220,115 @@ def _require_invertible(mats: np.ndarray, name: str, times) -> FrameInverse:
     A stack unitary to 1e-13 is proven by that test.  Any other must keep each
     smallest singular value >= 1e-8 times the largest, else
     SingularTrivializationError names the family and the first worst time.
+    Each `time_blocks` slice is proven on the workers (`_slice_proof`).
     """
-    def prove(distinct: np.ndarray) -> None:
-        svals = np.linalg.svd(distinct, compute_uv=False)
-        ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
-        worst = int(np.argmin(ratios))
-        if float(ratios[worst]) < _INVERTIBILITY_TOL:
-            at = np.atleast_1d(np.asarray(times, dtype=float))[worst]
-            raise SingularTrivializationError(f"trivialization '{name}' is singular at t={at:g}")
-
-    return _frame_inverse(mats, prove)
+    distinct = distinct_matrices(mats)
+    parts = time_blocks(*distinct.shape[:2])
+    proofs = _in_block_order(lambda part: _slice_proof(distinct[part]), parts)
+    return _frame_inverse(mats, _proven_unitary(proofs, [part.start for part in parts],
+                                                name, times))
 
 
 class TrivializationFamily:
     """Differentiable family t -> l(t) of invertible fibre-to-typical-fibre maps.
 
     `sample` maps a 1-D array of N times to the pair of stacks
-    (l(t_k), dl/dt(t_k)), each of shape (N, n, n), from one evaluation.  Each
-    batch is checked once: both shapes and finiteness (ValueError naming the
-    family) and the invertibility of the values, which also inverts them
+    (l(t_k), dl/dt(t_k)), each of shape (N, n, n), from one evaluation; `values`,
+    given, maps them to the stack l(t_k) alone, with the bits of `sample`'s first
+    output, which it is by default.  Each l(t_k) and dl/dt(t_k) depends on t_k
+    alone, bit for bit: a time has the same samples in every batch it is sampled
+    in (one `time_blocks` slice, the whole grid, or an index array with
+    repeats), by either sampler.  The grid check and `GridFrames` rest on that.
+    Each batch is checked once: both shapes and finiteness (ValueError naming
+    the family) and the invertibility of the values, which also inverts them
     (`_require_invertible`); single-time queries are batches of one.
     """
 
     def __init__(self, sample: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
-                 dimension: int, name: str = "custom"):
+                 dimension: int, name: str = "custom",
+                 values: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self._sample = sample
+        self._values = values if values is not None else (lambda ts: sample(ts)[0])
         self.dimension = int(dimension)
         self.name = name
 
     def with_derivative(self, derivative: Callable[[np.ndarray], np.ndarray]
                         ) -> "TrivializationFamily":
         """The same values, dimension and name with another derivative sampler."""
-        sample = self._sample
-        return TrivializationFamily(lambda ts: (sample(ts)[0], derivative(ts)),
-                                    self.dimension, self.name)
+        values = self._values
+        return TrivializationFamily(lambda ts: (values(ts), derivative(ts)),
+                                    self.dimension, self.name, values)
 
     def at(self, t: float) -> np.ndarray:
         return self.at_many(np.array([float(t)]))[0]
 
     def at_many(self, times) -> np.ndarray:
-        """The stack l(t_k), sampled once and checked invertible once."""
-        return self._checked(times)[0]
+        """The stack l(t_k), sampled once by the values sampler and checked invertible
+        once."""
+        return self._inverted(times)[0]
 
-    def derivative_at_many(self, times, proven: Optional[FrameInverse] = None,
-                           reduce: Optional[Callable[[slice, np.ndarray, np.ndarray], object]]
-                           = None) -> Tuple[np.ndarray, object, FrameInverse]:
+    def _inverted(self, times) -> Tuple[np.ndarray, FrameInverse]:
+        """The stack l(t_k) from the values sampler, and the inverse its check decided."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        values, = self._batch(times, joint=False)
+        return values, _require_invertible(values, self.name, times)
+
+    def derivative_at_many(self, times, proven: Optional[FrameInverse] = None
+                           ) -> Tuple[np.ndarray, np.ndarray, FrameInverse]:
         """The stacks l(t_k) and dl/dt(t_k) from one evaluation, and l(t_k)^-1.
 
         l is checked invertible once, and that check decides the inverse (a
         `FrameInverse`, read by index), so no reader inverts the stack again.
         `proven`, the inverse of an earlier batch whose values broadcast one
         matrix, is reused for a batch whose values broadcast the same matrix,
-        which is then not proven again.  `reduce`, given, takes each sampled
-        slice's derivative in place of the derivative's stack (`_checked`).
-        """
-        return self._checked(times, proven, reduce)
-
-    def _checked(self, times, proven: Optional[FrameInverse] = None,
-                 reduce: Optional[Callable[[slice, np.ndarray, np.ndarray], object]] = None
-                 ) -> Tuple[np.ndarray, object, FrameInverse]:
-        """The checked values, derivative and inverse of one sampled batch.
-
-        A batch of several `time_blocks` slices is sampled one slice per call,
-        on the workers, into the values' stack; each slice is checked as it is
-        sampled.  If the first slice's values or derivative are a 0-stride
-        broadcast, the whole batch is sampled in one call instead, so a constant
-        family stays one broadcast.  `reduce`, given, is called as
-        reduce(part, values, derivative) on each slice's samples, on the worker
-        that sampled it, and the list of its results in block order takes the
-        derivative's place, so the derivative is never a whole stack.
+        which is then not proven again.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        what = f"trivialization '{self.name}'"
-
-        def checked(ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            values, derivative = self._sample(ts)
-            return (checked_stack(values, ts, self.dimension, what),
-                    checked_stack(derivative, ts, self.dimension, f"{what} derivative"))
-
-        parts = time_blocks(times.size, self.dimension)
-        first = checked(times[parts[0]]) if len(parts) > 1 else None
-        if first is None or any(map(is_broadcast, first)):
-            values, derivative = checked(times)
-            reduced = None if reduce is None else _in_block_order(
-                lambda part: reduce(part, values[part], derivative[part]), parts)
-        else:
-            values = np.empty((times.size,) + first[0].shape[1:], dtype=complex)
-            derivative = None if reduce is not None else np.empty(values.shape, dtype=complex)
-
-            def sample(part: slice, block: Optional[Tuple[np.ndarray, np.ndarray]] = None):
-                values[part], slice_derivative = checked(times[part]) if block is None else block
-                if reduce is not None:
-                    return reduce(part, values[part], slice_derivative)
-                derivative[part] = slice_derivative
-                return None
-
-            reduced = [sample(parts[0], first)]
-            del first
-            reduced += _in_block_order(sample, parts[1:])
+        values, derivative = self._batch(times, joint=True)
         inverse = None if proven is None else proven._reused_for(values)
         if inverse is None:
             inverse = _require_invertible(values, self.name, times)
-        return values, derivative if reduce is None else reduced, inverse
+        return values, derivative, inverse
 
-    def validate_on_grid(self, times) -> Tuple[np.ndarray, FrameInverse]:
-        """Check invertibility at every grid time and derivative consistency.
+    def _sampled(self, times: np.ndarray, joint: bool) -> Tuple[np.ndarray, ...]:
+        """(l, dl/dt) at `times` from the joint sampler, or (l,) from the values sampler,
+        each stack's shape and finiteness checked."""
+        what = f"trivialization '{self.name}'"
+        if not joint:
+            return (checked_stack(self._values(times), times, self.dimension, what),)
+        values, derivative = self._sample(times)
+        return (checked_stack(values, times, self.dimension, what),
+                checked_stack(derivative, times, self.dimension, f"{what} derivative"))
+
+    def _batch(self, times: np.ndarray, joint: bool) -> Tuple[np.ndarray, ...]:
+        """The checked samples (`_sampled`) of one batch.
+
+        A batch of several `time_blocks` slices is sampled one slice per call, on
+        the workers, into whole stacks.  If the first slice's samples are a
+        0-stride broadcast, the whole batch is sampled in one call instead, so a
+        constant family stays one broadcast.
+        """
+        parts = time_blocks(times.size, self.dimension)
+        first = self._sampled(times[parts[0]], joint) if len(parts) > 1 else None
+        if first is None or any(map(is_broadcast, first)):
+            return self._sampled(times, joint)
+        stacks = tuple(np.empty((times.size,) + block.shape[1:], dtype=complex)
+                       for block in first)
+
+        def fill(part: slice, blocks: Optional[Tuple[np.ndarray, ...]] = None) -> None:
+            for stack, block in zip(stacks, blocks or self._sampled(times[part], joint)):
+                stack[part] = block
+
+        fill(parts[0], first)
+        del first
+        _in_block_order(fill, parts[1:])
+        return stacks
+
+    def validate_on_grid(self, times) -> Tuple[Union[np.ndarray, GridFrames], FrameInverse]:
+        """Check invertibility at every grid time and derivative consistency, in one
+        reducing pass over the grid; returns the frames and their `FrameInverse`.
 
         Every grid value must be unitary to 1e-13 or keep its smallest singular
         value >= 1e-8 * largest.  The derivative must match central finite
@@ -296,73 +337,188 @@ class TrivializationFamily:
         the sampled third derivative, so correct derivatives pass on coarse
         grids while order-one mistakes are still caught.
 
-        Values and derivative come from one evaluation on the grid, each time
-        sampled once; returns the checked grid values and their `FrameInverse`,
-        so callers can reuse them instead of sampling or inverting the grid
-        again.  Each sampled `time_blocks` slice's values are written into the
-        grid's stack and its derivative is reduced at once, on its worker, to
-        its largest |dl/dt| and largest deviation at the times whose two
-        neighbours it holds; only the derivative at its first and last times is
-        kept.  A second pass over the values then forms the third difference's
-        maximum, over the `time_blocks` slices of the interior points on the
-        workers, and the deviations at those kept times.  So the derivative is
-        never a whole stack, and the three maxima the test compares (the
-        derivative's scale, the third difference's and the deviation's) are
-        those of the whole interior.
+        Values and derivative come from one evaluation per `time_blocks` slice,
+        each time sampled once by the joint sampler.  On the worker that sampled
+        it, each slice is reduced to its Gram test (and, only where that fails,
+        its SVD ratios), its largest |dl/dt| at interior times and its largest
+        deviation and third difference where their stencils lie inside it, and
+        keeps its first and last four values and its edge times' dl/dt
+        (`_GridTest.share`).  The slices are then folded in grid order
+        (`hilbert._formed_in_order`, `_GridTest.use`), which forms the stencils
+        across each slice's start from the values kept before it, so the three
+        maxima the test compares (the derivative's scale, the third
+        difference's and the deviation's) are those of the whole interior, and
+        neither the values nor the derivative is a whole stack.  The inverse is
+        decided from the proofs of all the slices, unitary only if each passes
+        its Gram test, and the frames are checked invertible before the
+        derivative is judged.
+
+        The frames returned are the checked values where they are one slice or
+        a broadcast of one matrix; on a grid of several slices they are a
+        `GridFrames`, which samples them again, by the values sampler, where
+        they are read, and their `FrameInverse` inverts each read.
         """
         times = np.asarray(times, dtype=float)
         if times.size < 3:
-            values, _, inverse = self._checked(times)
+            values, _, inverse = self.derivative_at_many(times)
             return values, inverse
-        spans = times[2:] - times[:-2]
-        h = float(np.mean(np.diff(times)))
-        interior = range(1, times.size - 1)
+        parts = time_blocks(times.size, self.dimension)
+        first = [self._sampled(times[parts[0]], True)] if len(parts) > 1 else None
+        test = _GridTest(times)
+        if first is None or is_broadcast(first[0][0]):
+            values, derivative = self._sampled(times, True)
+            frames, inverse = values, _require_invertible(values, self.name, times)
+            for part in parts:
+                test.use(part, test.share(part, values[part], derivative[part]))
+        else:
+            def form(part: slice) -> tuple:
+                values, derivative = (first.pop() if part.start == 0
+                                      else self._sampled(times[part], True))
+                return _slice_proof(values), test.share(part, values, derivative)
 
-        def block_maxima(part: slice, values: np.ndarray, derivative: np.ndarray):
-            """The slice's largest |dl/dt| at its interior times, its largest deviation
-            at the times whose two neighbours it holds, and its edge times' dl/dt."""
-            inner = range(part.start, part.stop)[1:-1]  # never t0 or the last time
-            dev = values[2:] - values[:-2]
-            dev /= spans[inner.start - 1:inner.stop - 1, None, None]
-            np.subtract(derivative[1:-1], dev, out=dev)
-            edges = sorted({k for k in (part.start, part.stop - 1) if k in interior})
-            supplied = derivative[max(1, part.start) - part.start:
-                                  min(part.stop, times.size - 1) - part.start]
-            return max_abs(supplied), max_abs(dev), edges, derivative[
-                [k - part.start for k in edges]].copy()
+            proofs = []  # each slice's `_slice_proof`, in block order
 
-        values, blocks, inverse = self.derivative_at_many(times, reduce=block_maxima)
-        scale, dev = (max(column) for column in zip(*[block[:2] for block in blocks]))
-        edges = np.array([k for block in blocks for k in block[2]], dtype=np.intp)
-        if edges.size:  # the deviation where a time's neighbours lie in two slices
-            at_edges = values[edges + 1] - values[edges - 1]
-            at_edges /= spans[edges - 1, None, None]
-            np.subtract(np.concatenate([block[3] for block in blocks]), at_edges, out=at_edges)
-            dev = max(dev, max_abs(at_edges))
+            def use(part: slice, formed: tuple) -> None:
+                proofs.append(formed[0])
+                test.use(part, formed[1])
 
-        def third_maximum(part: slice) -> float:
-            """The slice's largest |third difference|; its stencil needs two more points
-            aside, so it stops two points short of the interior's end (0 where it is
-            empty)."""
-            inner = slice(part.start, max(part.start, min(part.stop, times.size - 4)))
-            # one temporary, updated in place, in the order of
-            # (v4 - 2 v3 + 2 v1 - v0) / (2 h^3)
-            third = values[3:-1][inner] * 2
-            np.subtract(values[4:][inner], third, out=third)
-            third += 2 * values[1:-3][inner]
-            third -= values[:-4][inner]
-            third /= 2 * h ** 3
-            return max_abs(third)
+            frames = GridFrames(self, times, first[0][0][0].copy())
+            _formed_in_order(form, use, parts)
+            inverse = FrameInverse(frames, adjoint=_proven_unitary(
+                proofs, [part.start for part in parts], self.name, times))
+        test.judge(self.name)
+        return frames, inverse
 
-        third = max(_in_block_order(third_maximum, time_blocks(times.size - 2, self.dimension)))
-        allowance = _DERIVATIVE_FD_TOL * max(1.0, scale)
-        if times.size >= 5:
-            allowance += (h * h / 6.0) * third * 4.0
-        if dev > allowance:
+
+class GridFrames:
+    """The checked frames l(t_k) of a family on a grid of several time blocks, read by
+    index like an (N, n, n) array: `frames[idx]` for an int, a slice or an index
+    array (of any shape, repeats and any order allowed) is a new C-contiguous
+    array of those rows.
+
+    A read samples the family's values sampler at the distinct times it selects,
+    each once, and checks them; since l(t_k) depends on t_k alone, bit for bit,
+    a row has the bits it had in the grid check, and in any other read.  Only
+    l(t0), which every t0 reader shares, is kept, so no stack of the frames is
+    held.  `TrivializationFamily.validate_on_grid` builds it, once the grid is
+    checked.
+    """
+
+    def __init__(self, family: TrivializationFamily, times: np.ndarray, first: np.ndarray):
+        self._family, self._times, self._first = family, times, _frozen(first)
+        self.shape = (times.size,) + first.shape
+
+    def __getitem__(self, index) -> np.ndarray:
+        wanted = np.arange(self.shape[0])[index]
+        if isinstance(index, slice):  # distinct and in order: no gather
+            distinct, at = wanted, None
+        else:
+            distinct, at = np.unique(wanted, return_inverse=True)
+        if distinct.size == 0:
+            return np.empty(wanted.shape + self.shape[1:], dtype=complex)
+        if distinct.size == 1 and distinct[0] == 0:
+            rows = self._first[None].copy()
+        else:
+            rows, = self._family._sampled(self._times[distinct], joint=False)
+        return np.ascontiguousarray(rows) if at is None else rows[at.reshape(wanted.shape)]
+
+
+def _third_differences(v0: np.ndarray, v1: np.ndarray, v3: np.ndarray, v4: np.ndarray,
+                       h: float) -> np.ndarray:
+    """(v4 - 2 v3 + 2 v1 - v0) / (2 h^3) over stacks, in one temporary updated in place,
+    in this order, so each has the same bits over any cut of the grid."""
+    third = v3 * 2
+    np.subtract(v4, third, out=third)
+    third += 2 * v1
+    third -= v0
+    third /= 2 * h ** 3
+    return third
+
+
+# Values kept at each end of a grid slice: the third difference reads four times ahead.
+_STENCIL_REACH = 4
+
+
+class _GridTest:
+    """The derivative test of `validate_on_grid`, folded over the grid's slices in grid
+    order: each slice's share (`share`, formed on its worker) and the stencils
+    across its start (`use`), which read the last four values before it, the only
+    values held between slices.
+
+    The deviation at time k is dl/dt(t_k) - (l_{k+1} - l_{k-1}) / (t_{k+1} - t_{k-1})
+    and the third difference (l_{k+4} - 2 l_{k+3} + 2 l_{k+1} - l_k) / (2 h^3),
+    each formed elementwise by the same operations wherever its stencil lies,
+    so each has the same bits over any cut and the maxima are exact.
+    """
+
+    def __init__(self, times: np.ndarray):
+        self.times, self.h = times, float(np.mean(np.diff(times)))
+        self.scale = self.dev = self.third = 0.0
+        self._window: Optional[np.ndarray] = None  # the last four values before the slice
+        self._pending: Optional[np.ndarray] = None  # dl/dt at the last time before it, (1, n, n)
+
+    def share(self, part: slice, values: np.ndarray, derivative: np.ndarray) -> tuple:
+        """The slice's largest |dl/dt| at interior times, its largest deviation and
+        third difference where their stencils lie inside it, its first and last
+        four values, and dl/dt at its first and last times."""
+        a, c, n_times = part.start, part.stop, self.times.size
+        inner = np.arange(a + 1, c - 1)  # the times whose two neighbours the slice holds
+        dev = values[2:] - values[:-2]
+        dev /= (self.times[inner + 1] - self.times[inner - 1])[:, None, None]
+        np.subtract(derivative[1:-1], dev, out=dev)
+        dev = max_abs(dev)  # one temporary at a time
+        m = max(0, c - a - _STENCIL_REACH)  # the third differences at k = a .. a + m - 1
+        third = max_abs(_third_differences(values[:m], values[1:m + 1], values[3:m + 3],
+                                           values[4:m + 4], self.h))
+        reach = min(_STENCIL_REACH, c - a)
+        return (max_abs(derivative[max(1, a) - a:min(c, n_times - 1) - a]), dev, third,
+                values[:reach].copy(), values[c - a - reach:].copy(),
+                derivative[[0, -1]].copy())
+
+    def use(self, part: slice, share: tuple) -> None:
+        """Fold one slice's share in, in grid order: the deviations at the time before
+        its start and at its start, and the third differences that reach into it
+        from before its start."""
+        scale, dev, third, head, tail, ends = share
+        a, c, n_times = part.start, part.stop, self.times.size
+        self.scale, self.dev, self.third = (max(self.scale, scale), max(self.dev, dev),
+                                            max(self.third, third))
+        window = head[:0] if self._window is None else self._window
+        local = np.concatenate([window, head])  # the values from a - len(window) on
+
+        def rows(ks) -> np.ndarray:
+            return local[np.asarray(ks, dtype=np.intp) - (a - len(window))]
+
+        # the deviation at a time whose right neighbour is the slice's first (the last
+        # time before it) or second (its first time)
+        edges = ([a - 1] if self._pending is not None else []) + ([a] if 1 <= a < c - 1 else [])
+        if edges:
+            supplied = np.concatenate(([self._pending] if self._pending is not None else [])
+                                      + ([ends[:1]] if edges[-1] == a else []))
+            ks = np.array(edges)
+            at_edges = rows(ks + 1) - rows(ks - 1)
+            at_edges /= (self.times[ks + 1] - self.times[ks - 1])[:, None, None]
+            np.subtract(supplied, at_edges, out=at_edges)
+            self.dev = max(self.dev, max_abs(at_edges))
+        last = c - 1  # its deviation needs the next slice's first value
+        self._pending = ends[1:] if 1 <= last <= n_times - 2 else None
+        crossing = np.arange(max(0, a - _STENCIL_REACH), min(a, c - _STENCIL_REACH))
+        if crossing.size:
+            self.third = max(self.third, max_abs(_third_differences(
+                rows(crossing), rows(crossing + 1), rows(crossing + 3), rows(crossing + 4),
+                self.h)))
+        self._window = np.concatenate([window, tail])[-_STENCIL_REACH:]
+
+    def judge(self, name: str) -> None:
+        """A ValueError naming the family where the largest deviation exceeds the
+        allowance."""
+        allowance = _DERIVATIVE_FD_TOL * max(1.0, self.scale)
+        if self.times.size >= 5:
+            allowance += (self.h * self.h / 6.0) * self.third * 4.0
+        if self.dev > allowance:
             raise ValueError(
-                f"trivialization '{self.name}': analytic derivative deviates from "
-                f"finite differences by {dev:.3e} (allowed {allowance:.3e})")
-        return values, inverse
+                f"trivialization '{name}': analytic derivative deviates from "
+                f"finite differences by {self.dev:.3e} (allowed {allowance:.3e})")
 
 
 # --- catalog families ---------------------------------------------------
@@ -376,11 +532,14 @@ def identity_trivialization(dimension: int) -> TrivializationFamily:
 def global_phase_trivialization(dimension: int, omega: float) -> TrivializationFamily:
     eye = np.eye(dimension, dtype=complex)
 
+    def values(ts: np.ndarray) -> np.ndarray:
+        return np.exp(1j * omega * ts)[:, None, None] * eye
+
     def sample(ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         phases = np.exp(1j * omega * ts)
         return phases[:, None, None] * eye, (1j * omega * phases)[:, None, None] * eye
 
-    return TrivializationFamily(sample, dimension, name="global-phase")
+    return TrivializationFamily(sample, dimension, name="global-phase", values=values)
 
 
 def diagonal_phase_trivialization(omegas: Sequence[float]) -> TrivializationFamily:
@@ -389,11 +548,14 @@ def diagonal_phase_trivialization(omegas: Sequence[float]) -> TrivializationFami
         raise ValueError("omegas must be a non-empty 1-D sequence")
     eye = np.eye(freqs.size)
 
+    def values(ts: np.ndarray) -> np.ndarray:
+        return np.exp(1j * np.outer(ts, freqs))[:, :, None] * eye
+
     def sample(ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         phases = np.exp(1j * np.outer(ts, freqs))
         return phases[:, :, None] * eye, (1j * freqs * phases)[:, :, None] * eye
 
-    return TrivializationFamily(sample, freqs.size, name="diagonal-phase")
+    return TrivializationFamily(sample, freqs.size, name="diagonal-phase", values=values)
 
 
 def constant_trivialization(matrix, name: str = "constant") -> TrivializationFamily:
@@ -448,8 +610,8 @@ def random_smooth_unitary_trivialization(dimension: int, seed: int, scale: float
     the family is built, and every frame stack is V diag(exp(i s lam)) V^dagger
     per factor (no series exponentials).
     """
-    _, sample = _seeded_smooth_unitary(dimension, [int(seed), 0x51], scale, frequency)
-    return TrivializationFamily(sample, dimension, name="random-smooth-unitary")
+    values, sample = _seeded_smooth_unitary(dimension, [int(seed), 0x51], scale, frequency)
+    return TrivializationFamily(sample, dimension, name="random-smooth-unitary", values=values)
 
 
 # --- sections and morphisms along paths ----------------------------------
@@ -509,7 +671,7 @@ def lift_operators(frames: np.ndarray, inverse_frames: np.ndarray, a) -> np.ndar
 
 def lift_operator(l: TrivializationFamily, t: float, a) -> np.ndarray:
     """l(t)^-1 A l(t): the fibre morphism of a typical-fibre operator."""
-    frames, _, inverse = l.derivative_at_many(t)
+    frames, inverse = l._inverted(t)
     return lift_operators(frames[0], inverse[0], as_operator(a))
 
 
@@ -517,14 +679,14 @@ def lift_trajectory(l: TrivializationFamily, times, states) -> SectionAlongPath:
     """Lift a whole state history into the fibres, inverting the frames once."""
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
-    _, _, inverse = l.derivative_at_many(times)
+    _, inverse = l._inverted(times)
     return SectionAlongPath(times, apply(inverse[:], states))
 
 
 def lift_operator_on_grid(l: TrivializationFamily, times, a) -> MorphismAlongPath:
     """Lift one operator (or a stack, one per time) at every grid time."""
     times = np.asarray(times, dtype=float)
-    frames, _, inverse = l.derivative_at_many(times)
+    frames, inverse = l._inverted(times)
     return MorphismAlongPath(times, lift_operators(frames, inverse[:], a))
 
 

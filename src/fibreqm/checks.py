@@ -14,11 +14,15 @@ its first read in a slice, shared by every check of that slice and dropped
 after its last reader there; only pointwise checks, other block nodes and a
 check that builds its record from a block node's per-time series read one.
 The transport's t0 stacks are such a node, `transport_t0`, and so are the rows
-of the frame inverses, `inverse_frames`, those of the conventional U(t, t0),
-`conventional_rows`, formed from their checkpoint, and their inverses,
-`conventional_t0`, which the transport's t0 rows and the conventional density
-share: no whole one is formed, and each slice forms and inverts its
-conventional rows once.  The slices run concurrently on the workers of the pool helper
+of the frames, `frames`, sampled once per slice where the grid's frames are a
+`bundle.GridFrames`, and their inverses, `inverse_frames`, formed from that
+block by the rule the grid check decided, which every lift, mean, adjoint map,
+density, integral deviation and t0 row of the slice reads; the lifted states,
+`lifted`; the rows of the conventional U(t, t0), `conventional_rows`, formed
+from their checkpoint, and their inverses, `conventional_t0`, which the
+transport's t0 rows and the conventional density share.  No whole one is
+formed, and each slice samples its frames, and forms and inverts its
+conventional rows, once.  The slices run concurrently on the workers of the pool helper
 `hilbert._in_block_order`, the calling thread among them, so one slice's block
 nodes are in flight per thread; every whole node they read is built before
 them, and their outputs are folded in block order.  Then each check, in the
@@ -115,8 +119,9 @@ def _sample_triples(times: np.ndarray, seed: int) -> List[Tuple[float, float, fl
 
 # --- nodes built on first read ------------------------------------------------
 
-def _grid_frames(cfg, times) -> Tuple[np.ndarray, FrameInverse]:
-    """The checked frames l(t_k) on the grid and the `FrameInverse` their check decided."""
+def _grid_frames(cfg, times) -> tuple:
+    """The checked frames l(t_k) on the grid, a stack or a `bundle.GridFrames` reader,
+    and the `FrameInverse` their check decided (`validate_on_grid`'s reducing pass)."""
     return cfg.trivialization.validate_on_grid(times)
 
 
@@ -141,21 +146,14 @@ def _trajectory(conventional) -> Trajectory:
     return conventional[0]
 
 
-def _lifted(times, grid_frames, trajectory) -> SectionAlongPath:
-    # each time block reads its own rows of the inverses
-    inverse, states = grid_frames[1], trajectory.states
-    return SectionAlongPath(times, np.concatenate(_in_block_order(
-        lambda part: apply(inverse[part], states[part]), time_blocks(*inverse.shape[:2]))))
-
-
 def _bundle_trivialization(cfg) -> TrivializationFamily:
     return cfg.trivialization  # the frames that the bundle generator reads
 
 
 def _lifted_t0(cfg, grid_frames) -> np.ndarray:
-    """l(t0)^-1 psi0, the lifted initial state: `lifted`'s first row, with its bits.  The
-    bundle section, setup's first node, reads it, so the frames are checked before
-    the Hamiltonian is sampled."""
+    """l(t0)^-1 psi0, the lifted initial state: `lifted`'s first row, with its bits, from
+    the frames' kept l(t0).  The bundle section, setup's first node, reads it, so the
+    frames are checked before the Hamiltonian is sampled."""
     return apply(grid_frames[1][:1], cfg.initial_state[None])[0]
 
 
@@ -203,12 +201,19 @@ def _random_picture(cfg):
 
 # A block node: build(part, <nodes>) -> its value on the sweep's slice `part` alone.
 
-def _inverse_frames(part: slice, transport) -> np.ndarray:
-    """The block's rows of the frames' inverses l^-1, (b, n, n), read once for the lifts
-    and adjoints of the observables.  The density and integral-of-motion lifts,
-    after `picture_invariance`, read their own rows, so this block is not held
-    beside that check's blocks, the sweep's largest."""
-    return transport.inverse_frames[part]
+def _frames(part: slice, transport) -> np.ndarray:
+    """The block's rows of the frames l, (b, n, n), read once: on a grid of several time
+    blocks the frames are a `bundle.GridFrames`, and this samples the block's times,
+    once per slice.  Every reader of the frames in a slice reads this block."""
+    return transport.frames[part]
+
+
+def _inverse_frames(part: slice, transport, frames) -> np.ndarray:
+    """The block's rows of the frames' inverses l^-1, (b, n, n), formed once from the
+    `frames` block by the rule the grid check decided (`FrameInverse.read`): the
+    adjoint of each row, or its `np.linalg.inv`.  Every reader of the inverses in a
+    slice reads this block."""
+    return transport.inverse_frames.read(part, frames)
 
 
 def _conventional_rows(part: slice, transport) -> np.ndarray:
@@ -225,18 +230,23 @@ def _conventional_t0(part: slice, conventional_rows) -> np.ndarray:
     return FrameInverse(conventional_rows, adjoint=False)[:]
 
 
-def _transport_t0(part: slice, transport, conventional_rows,
+def _transport_t0(part: slice, transport, frames, inverse_frames, conventional_rows,
                   conventional_t0) -> Tuple[np.ndarray, np.ndarray]:
-    """The block's rows of the t0 stacks: (U(t, t0), U(t0, t)), each (b, n, n)."""
+    """The block's rows of the t0 stacks: (U(t, t0), U(t0, t)), each (b, n, n), from
+    the block's frames, inverses and conventional rows."""
     t0 = transport.times[0]
-    return (transport.matrices_from(t0, part, conventional_rows),
-            transport.matrices_into(t0, part, conventional_t0))
+    return (transport.matrices_from(t0, part, conventional_rows, inverse_frames),
+            transport.matrices_into(t0, part, conventional_t0, frames))
 
 
-def _lifted_observables(part: slice, transport, inverse_frames,
+def _lifted(part: slice, trajectory, inverse_frames) -> np.ndarray:
+    """The conventional states lifted into the fibres over the block, l^-1 psi, (b, n)."""
+    return apply(inverse_frames, trajectory.states[part])
+
+
+def _lifted_observables(part: slice, frames, inverse_frames,
                         observables) -> Dict[str, np.ndarray]:
     """Name -> the lifted morphisms l^-1 A l of the block, (b, n, n)."""
-    frames = transport.frames[part]
     return {name: lift_operators(frames, inverse_frames, stack[part])
             for name, stack in observables.items()}
 
@@ -262,13 +272,12 @@ def _heisenberg_values(part: slice, transport_t0, transported_section) -> np.nda
     return apply(transport_t0[1], transported_section)
 
 
-def _integral_deviations(part: slice, transport, integral_commutators,
+def _integral_deviations(part: slice, frames, inverse_frames, integral_commutators,
                          transport_t0) -> Dict[int, np.ndarray]:
     """Candidate index -> the transport criterion's deviation at each time of the block,
     for each candidate whose dA/dt is zero on the grid."""
-    frames = transport.frames[part]
-    return {k: transport_criterion(lift_operators(frames, transport.inverse_frames[part],
-                                                  a_vals[part]), a0_fibre, *transport_t0)
+    return {k: transport_criterion(lift_operators(frames, inverse_frames, a_vals[part]),
+                                   a0_fibre, *transport_t0)
             for k, (_, a_vals, a0_fibre) in enumerate(integral_commutators)
             if a_vals is not None}
 
@@ -287,7 +296,6 @@ _NODES = {
     "conventional": _conventional,
     "transport": _transport,
     "trajectory": _trajectory,
-    "lifted": _lifted,
     "lifted_t0": _lifted_t0,
     "bundle_trivialization": _bundle_trivialization,
     "bundle_section": _bundle_section,
@@ -295,7 +303,9 @@ _NODES = {
     "section_t0": _section_t0,
     "integral_commutators": _integral_commutators,
     "random_picture": _random_picture,
+    "frames": _frames,
     "inverse_frames": _inverse_frames,
+    "lifted": _lifted,
     "conventional_rows": _conventional_rows,
     "conventional_t0": _conventional_t0,
     "transport_t0": _transport_t0,
@@ -311,9 +321,10 @@ _NODES = {
 # bundle section comes first, from the lifted initial state alone, its steps formed and
 # dropped one time block at a time on each worker; then one pass over the conventional steps
 # carries psi0 and keeps only the checkpoints of their products, which the transport
-# reads.  Beside the frames, setup holds a time-dependent H's stack of steps and no
-# other: no whole stack of the products or of their inverses is formed.
-_SETUP = ("bundle_section", "lifted", "trajectory", "transport", "observables")
+# reads.  Setup holds a time-dependent H's stack of steps and no other: the frames are
+# checked in one reducing pass and only l(t0) is kept, and no whole stack of the products
+# or of their inverses is formed.
+_SETUP = ("bundle_section", "trajectory", "transport", "observables")
 # Fault name -> (node, the build that replaces its own, with the same parameters).
 _FAULTS = {"drop_trivialization_derivative": ("bundle_trivialization", _without_derivative)}
 
@@ -324,7 +335,7 @@ _FAULTS = {"drop_trivialization_derivative": ("bundle_trivialization", _without_
 # the slice's per-time residual, and timeseries name -> the slice's values.
 
 def _check_state_equivalence(part: slice, lifted, bundle_section):
-    residual = np.max(np.abs(bundle_section.values[part] - lifted.values[part]), axis=1)
+    residual = np.max(np.abs(bundle_section.values[part] - lifted), axis=1)
     return {"": residual}, {"state_equivalence_residual": residual}
 
 
@@ -334,36 +345,36 @@ def _check_norm_drift(part: slice, trajectory):
     return {"": np.abs(norms - inner_products(states[0], states[0]).real)}, {"norm_sq": norms}
 
 
-def _check_mean_value_invariance(part: slice, transport, trajectory, lifted, observables,
+def _check_mean_value_invariance(part: slice, trajectory, frames, lifted, observables,
                                  lifted_observables):
-    psi, frames, values = trajectory.states[part], transport.frames[part], lifted.values[part]
+    psi = trajectory.states[part]
     residuals, series = {}, {}
     for name, stack in observables.items():
         conv = expectations(psi, apply(stack[part], psi))
-        bundle = fibre_means(frames, lifted_observables[name], values)
+        bundle = fibre_means(frames, lifted_observables[name], lifted)
         series[f"mean_conventional:{name}"] = conv.real
         series[f"mean_bundle:{name}"] = bundle.real
         residuals[f"worst observable: {name}"] = np.abs(conv - bundle)
     return residuals, series
 
 
-def _check_hermiticity_correspondence(part: slice, transport, inverse_frames, observables,
+def _check_hermiticity_correspondence(part: slice, frames, inverse_frames, observables,
                                       lifted_observables):
-    frames, inv = transport.frames[part], inverse_frames
     residuals = {}
     for name, stack in observables.items():
         block = stack[part]
         one = distinct_matrices(block)  # a broadcast is conjugated once per block
         adjoint = np.broadcast_to(np.swapaxes(one.conj(), -2, -1), block.shape)
-        deviation = lift_operators(frames, inv, adjoint)
-        deviation -= bundle_adjoint_maps(frames, inv, lifted_observables[name])
+        deviation = lift_operators(frames, inverse_frames, adjoint)
+        deviation -= bundle_adjoint_maps(frames, inverse_frames, lifted_observables[name])
         residuals[f"worst observable: {name}"] = np.max(np.abs(deviation), axis=(1, 2))
     return residuals, {}
 
 
-def _check_picture_invariance(part: slice, times, transport, random_picture, transport_t0,
-                              transported_section, lifted_observables, heisenberg_values):
-    frames, psi_t = transport.frames, transported_section
+def _check_picture_invariance(part: slice, times, transport, frames, random_picture,
+                              transport_t0, transported_section, lifted_observables,
+                              heisenberg_values):
+    psi_t = transported_section
     from_t0, into_t0 = transport_t0
     # The random V and V^-1 of this block, sampled after V(t0), which the
     # transform checks to be the identity.
@@ -373,11 +384,11 @@ def _check_picture_invariance(part: slice, times, transport, random_picture, tra
     residuals, series = {}, {}
     for name, a_lift in lifted_observables.items():
         # the Heisenberg picture is V = U(t0, t)
-        heis = fibre_means(frames[0], to_general_picture_observables(into_t0, from_t0, a_lift),
-                           heisenberg_values)
-        schro = fibre_means(frames[part], a_lift, psi_t)
+        heis = fibre_means(transport.frames[0], to_general_picture_observables(
+            into_t0, from_t0, a_lift), heisenberg_values)
+        schro = fibre_means(frames, a_lift, psi_t)
         general = general_picture_means(
-            v_inv, frames[part], to_general_picture_observables(v, v_inv, a_lift), psi_v)
+            v_inv, frames, to_general_picture_observables(v, v_inv, a_lift), psi_v)
         series[f"mean_heisenberg:{name}"] = heis.real
         residuals[f"worst observable: {name}"] = np.maximum(np.abs(schro - heis),
                                                             np.abs(schro - general))
@@ -388,10 +399,10 @@ def _check_heisenberg_constancy(part: slice, section_t0, heisenberg_values):
     return {"": np.max(np.abs(heisenberg_values - section_t0), axis=1)}, {}
 
 
-def _check_density_consistency(part: slice, transport, density_transported, density_conventional):
+def _check_density_consistency(part: slice, frames, inverse_frames, density_transported,
+                               density_conventional):
     # rho(t) by the conventional propagators, lifted: l^-1 rho(t) l
-    lifted = lift_operators(transport.frames[part], transport.inverse_frames[part],
-                            density_conventional)
+    lifted = lift_operators(frames, inverse_frames, density_conventional)
     residual = np.max(np.abs(density_transported - lifted), axis=(1, 2))
     return {"": residual}, {"density_residual": residual}
 
@@ -444,7 +455,10 @@ def _check_unitary_bundle_map(tol: float, times, transport) -> CheckRecord:
     forward = transport.matrices_by_index(i, j)    # fibre(t_j) -> fibre(t_i)
     # U(t_j, t_i), the query of the transposed pair
     backward = forward[np.arange(i.size).reshape(idx.size, idx.size).T.ravel()]
-    adjoints = bundle_adjoint_maps(transport.frames[i], transport.inverse_frames[j], forward)
+    frames = transport.frames[idx]  # each coarse time sampled once
+    at_i, at_j = (k.ravel() for k in np.meshgrid(*[np.arange(idx.size)] * 2, indexing="ij"))
+    adjoints = bundle_adjoint_maps(frames[at_i], transport.inverse_frames.read(j, frames[at_j]),
+                                   forward)
     per_pair = np.max(np.abs(adjoints - backward), axis=(1, 2))
     return _judged("unitary_bundle_map", times[j], {"": per_pair}, tol)
 

@@ -243,9 +243,10 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     Evaluates the conventional residual i hbar dA/dt + [A, H]
     (`commutator_criterion`) and, for observables whose sampled derivative is
     zero on the grid, the invariance of the lifted morphism under transport
-    conjugation (`transport_criterion`: the lift reads the frames the
-    transport already sampled and inverted, and the conjugation the t0 rows
-    of each block, `matrices_from`/`matrices_into`); certification requires
+    conjugation (`transport_criterion`: each block's frames are read once from
+    the transport and inverted once by the rule its check decided, and both
+    the lift and the conjugation's t0 rows, `matrices_from`/`matrices_into`,
+    read them); certification requires
     every applicable criterion to pass (`IntegralOfMotionReport.decided`).
     Both residuals are formed one `time_blocks` slice at a time, on the
     calling thread (`series_by_blocks`), so neither criterion holds more than
@@ -255,13 +256,17 @@ def is_integral_of_motion(a: ObservableFamily, transport: EvolutionTransport,
     commutator_residual, a_vals = commutator_criterion(a, transport)
     transport_residual = None
     if a_vals is not None:
-        frames, inverse_frames, t0 = transport.frames, transport.inverse_frames, transport.times[0]
-        a0_fibre = lift_operators(frames[0], inverse_frames[0], a_vals[0])
+        t0 = transport.times[0]
+        a0_fibre = lift_operators(transport.frames[0], transport.inverse_frames[0], a_vals[0])
 
         def deviation(part: slice) -> np.ndarray:
+            # the block's frames read once, and inverted once, for the lift and the t0 rows
+            frames = transport.frames[part]
+            inverse = transport.inverse_frames.read(part, frames)
             return transport_criterion(
-                lift_operators(frames[part], inverse_frames[part], a_vals[part]), a0_fibre,
-                transport.matrices_from(t0, part), transport.matrices_into(t0, part))
+                lift_operators(frames, inverse, a_vals[part]), a0_fibre,
+                transport.matrices_from(t0, part, None, inverse),
+                transport.matrices_into(t0, part, None, frames))
 
         transport_residual = max_abs(series_by_blocks(*a_vals.shape[:2], deviation))
     return IntegralOfMotionReport.decided(commutator_residual, transport_residual, tol)

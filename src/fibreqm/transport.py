@@ -112,15 +112,17 @@ class EvolutionTransport:
     """Two-time fibre transport U(t, s) on a grid, any order of arguments.
 
     Built from the conventional propagator products and the frames l(t_k) on
-    their grid alone, checked invertible (as `TrivializationFamily.at_many`
-    returns them) and of shape (N, n, n) for the grid's N times and the
-    propagators' dimension n.  `inverse_frames` is the `bundle.FrameInverse`
-    that the frames' check decided (`TrivializationFamily.validate_on_grid`
-    returns both), of the frames' shape; without it the frames are inverted
-    here (`bundle._frame_inverse`).  Either way the transport reads it by
-    index: where max|l^dagger l - I| <= 1e-13 each read forms l^dagger of the
-    rows it needs, so no whole inverse stack is held; otherwise it holds the
-    `np.linalg.inv` stack.  Queries off the grid are errors, never
+    their grid alone, checked invertible and of shape (N, n, n) for the grid's
+    N times and the propagators' dimension n: a stack, as `at_many` returns it,
+    or any reader by index of one, such as the `bundle.GridFrames` that
+    `TrivializationFamily.validate_on_grid` returns for a grid of several time
+    blocks, which samples the rows each read selects.  `inverse_frames` is the
+    `bundle.FrameInverse` that the frames' check decided (`validate_on_grid`
+    returns both), of the frames' shape; without it a stack of frames is
+    inverted here (`bundle._frame_inverse`).  Either way the transport reads
+    both by index, and each read of the inverse inverts the rows it needs
+    (l^dagger where max|l^dagger l - I| <= 1e-13, else `np.linalg.inv`), so no
+    whole inverse stack is held.  Queries off the grid are errors, never
     interpolations.
 
     `matrices_from` and `matrices_into` compute their rows on every call: the
@@ -132,15 +134,18 @@ class EvolutionTransport:
     U(t_j, t0) they read, `propagators.from_t0`, is formed per read from its
     checkpoints, and U(t0, t_j), `propagators.into_t0`, is inverted per read
     too, so the transport holds no stack of the conventional products or of
-    their inverses; a caller that has already formed a slice's rows passes them
-    to `matrices_from`, and their inverses to `matrices_into`.  The
-    engine and `is_integral_of_motion` form the t0 rows one time block at a
-    time and never hold a whole t0 stack; a library caller that wants one
-    whole calls `matrices_from(times[0])` or `matrices_into(times[0])`, and
-    reads `inverse_frames[:]` for the whole inverse stack.
+    their inverses.  A caller that has already read a slice's rows passes them:
+    the conventional U(t_j, t0) and the frames' inverse rows to
+    `matrices_from`, the conventional U(t0, t_j) and the frames' rows to
+    `matrices_into`, each read in place of reading it again.  The engine and
+    `is_integral_of_motion` form the t0 rows one time block at a time and never
+    hold a whole t0 stack; a library caller that wants one whole calls
+    `matrices_from(times[0])` or `matrices_into(times[0])`, and reads
+    `frames[:]` or `inverse_frames[:]` for a whole stack of the frames or of
+    their inverses.
     """
 
-    def __init__(self, propagators: PropagatorGrid, frames: np.ndarray,
+    def __init__(self, propagators: PropagatorGrid, frames,
                  inverse_frames: Optional[FrameInverse] = None):
         self.propagators = propagators
         self.times = propagators.times
@@ -153,7 +158,7 @@ class EvolutionTransport:
         elif inverse_frames.shape != frames.shape:
             raise ValueError(f"inverse_frames must have the frames' shape {frames.shape}, "
                              f"got {inverse_frames.shape}")
-        self.frames = _frozen(frames)
+        self.frames = _frozen(frames) if isinstance(frames, np.ndarray) else frames
         self.inverse_frames = inverse_frames
         self._t0_index = grid_index(self.times, self.times[0])
 
@@ -170,7 +175,11 @@ class EvolutionTransport:
         checkpoint segment of their column index, on the workers: each segment
         inverts its distinct columns' rows once (`np.linalg.inv`, each matrix with
         the bits of its own inverse) and forms its pairs one `time_blocks` slice
-        at a time, gathering their rows, so its temporaries are time blocks.
+        at a time, gathering their rows, so its temporaries are time blocks.  Each
+        slice reads the frames of its pairs' column times and their inverses at
+        its row times, so where the frames are a `bundle.GridFrames` a slice
+        samples its distinct times of each once, and no frames of the whole query
+        are held beside the products.
         """
         j, i = np.broadcast_arrays(np.asarray(j, dtype=np.intp), np.asarray(i, dtype=np.intp))
         shape = j.shape
@@ -207,59 +216,67 @@ class EvolutionTransport:
         return self._t0_index if t == self.times[0] else grid_index(self.times, t)
 
     def matrices_from(self, s: float, part: Optional[slice] = None,
-                      conventional: Optional[np.ndarray] = None) -> np.ndarray:
+                      conventional: Optional[np.ndarray] = None,
+                      inverse_frames: Optional[np.ndarray] = None) -> np.ndarray:
         """U(t_j, s) stacked over the grid indices j of the slice `part`, all by default.
 
-        `conventional`, given with `part` by a caller that has already formed the
-        slice's rows of the conventional U(t_j, t0), is `propagators.from_t0[part]`;
-        it is read in place of forming them again.  Given without `part`, or with
-        another row count than the slice's, it is a ValueError.
+        `conventional` and `inverse_frames`, given with `part` by a caller that has
+        already read the slice's rows, are `propagators.from_t0[part]` and
+        `self.inverse_frames[part]`; each is read in place of reading its rows
+        again.  Either given without `part`, or with another row count than the
+        slice's, is a ValueError.
         """
-        self._check_rows(part, conventional, "from_t0")
+        self._check_rows(part, ("conventional", "from_t0", conventional),
+                         ("inverse_frames", "inverse_frames", inverse_frames))
         i = self._index(s)
         p = self.propagators
         tail = p.into_t0[i] @ self.frames[i]
 
         def block(rows: slice) -> np.ndarray:
             head = p.from_t0[rows] if conventional is None else conventional
-            return self.inverse_frames[rows] @ (head @ tail)
+            inverse = self.inverse_frames[rows] if inverse_frames is None else inverse_frames
+            return inverse @ (head @ tail)
 
         return self._rows(part, block)
 
     def matrices_into(self, t: float, part: Optional[slice] = None,
-                      conventional: Optional[np.ndarray] = None) -> np.ndarray:
+                      conventional: Optional[np.ndarray] = None,
+                      frames: Optional[np.ndarray] = None) -> np.ndarray:
         """U(t, t_j) stacked over the grid indices j of the slice `part`, all by default.
 
-        `conventional`, given with `part` by a caller that has already inverted
-        the slice's rows of the conventional U(t0, t_j), is
-        `propagators.into_t0[part]`; it is read in place of inverting them again.
-        Given without `part`, or with another row count than the slice's, it is
-        a ValueError.
+        `conventional` and `frames`, given with `part` by a caller that has already
+        read the slice's rows, are `propagators.into_t0[part]` and
+        `self.frames[part]`; each is read in place of reading its rows again.
+        Either given without `part`, or with another row count than the slice's,
+        is a ValueError.
         """
-        self._check_rows(part, conventional, "into_t0")
+        self._check_rows(part, ("conventional", "into_t0", conventional),
+                         ("frames", "frames", frames))
         j = self._index(t)
         p = self.propagators
         inverse, head = self.inverse_frames[j], p.from_t0[j]
 
         def block(rows: slice) -> np.ndarray:
             into = p.into_t0[rows] if conventional is None else conventional
-            return inverse @ (head @ (into @ self.frames[rows]))
+            right = self.frames[rows] if frames is None else frames
+            return inverse @ (head @ (into @ right))
 
         return self._rows(part, block)
 
-    def _check_rows(self, part: Optional[slice], conventional: Optional[np.ndarray],
-                    name: str) -> None:
-        """A ValueError unless `conventional`, if given, holds the rows of `name` of
-        the slice `part`, one per grid index of it."""
-        if conventional is None:
-            return
-        if part is None:
-            raise ValueError(f"conventional is given without the slice `part` whose rows "
-                             f"of {name} it holds")
-        rows = len(range(self.times.size)[part])
-        if conventional.shape[0] != rows:
-            raise ValueError(f"conventional holds {conventional.shape[0]} rows of {name}, "
-                             f"but the slice {part} has {rows}")
+    def _check_rows(self, part: Optional[slice],
+                    *given: Tuple[str, str, Optional[np.ndarray]]) -> None:
+        """A ValueError unless each (parameter, name, rows) `given` whose rows are not
+        None holds the rows of `name` of the slice `part`, one per grid index of it."""
+        for parameter, name, rows in given:
+            if rows is None:
+                continue
+            if part is None:
+                raise ValueError(f"{parameter} is given without the slice `part` whose rows "
+                                 f"of {name} it holds")
+            count = len(range(self.times.size)[part])
+            if rows.shape[0] != count:
+                raise ValueError(f"{parameter} holds {rows.shape[0]} rows of {name}, but the "
+                                 f"slice {part} has {count}")
 
 
 def integrate_bundle_schrodinger(hm: MatrixBundleHamiltonian, psi0) -> SectionAlongPath:

@@ -34,7 +34,7 @@ from fibreqm.bundle import (
     _frame_inverse,
     _require_invertible,
 )
-from fibreqm.checks import build_artifacts
+from fibreqm.checks import _without_derivative, build_artifacts
 from fibreqm.dynamics import HamiltonianFamily, PropagatorGrid
 from fibreqm.hilbert import (
     _BLOCK_BYTES,
@@ -44,7 +44,7 @@ from fibreqm.hilbert import (
     time_blocks,
 )
 from fibreqm.pictures import PictureTransform
-from fibreqm.scenario import catalog_names, load_catalog_scenario
+from fibreqm.scenario import catalog_names, load_catalog_scenario, scenario_from_dict
 from fibreqm.transport import EvolutionTransport
 
 DIAG12 = constant_trivialization(np.diag([1.0, 2.0]).astype(complex))
@@ -370,9 +370,9 @@ class TestTrivializationValidation:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_faulty_derivative_fails_by_the_three_whole_maxima_in_one_pass(
             self, monkeypatch, workers):
-        # n = 32 on 301 times, so the 299 interior points are ten time blocks: the
-        # derivative's scale, the third difference's and the deviation's maxima are
-        # formed in one pass over them, and fail with the message of the three
+        # n = 32 on 301 times, ten time blocks: the derivative's scale, the third
+        # difference's and the deviation's maxima are formed in one pass over the
+        # grid's blocks, each sampled once, and fail with the message of the three
         # maxima over the whole interior
         monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         family = random_smooth_unitary_trivialization(32, 5)
@@ -390,36 +390,41 @@ class TestTrivializationValidation:
         message = ("trivialization 'random-smooth-unitary': analytic derivative deviates "
                    "from finite differences by 7.566e-03 (allowed 1.119e-03)")
         assert message.endswith(f"by {dev:.3e} (allowed {allowance:.3e})")
-        passes = []  # the slices of each block loop over the interior points
-        real = bundle_module._in_block_order
+        sampled = []  # the times of each call of the joint sampler
+        joint = faulty._sample
 
-        def recording(run, parts):
-            if parts and parts[-1].stop == times.size - 2:
-                passes.append(parts)
-            return real(run, parts)
+        def recording(ts):
+            sampled.append((float(ts[0]), ts.size))
+            return joint(ts)
 
-        monkeypatch.setattr(bundle_module, "_in_block_order", recording)
+        faulty._sample = recording
         with pytest.raises(ValueError) as failed:
             faulty.validate_on_grid(times)
         assert str(failed.value) == message
-        assert passes == [time_blocks(times.size - 2, 32)]
+        # one pass: each time block of the grid sampled once, and nothing else
+        assert sorted(sampled) == [(float(times[part.start]), part.stop - part.start)
+                                   for part in time_blocks(times.size, 32)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_derivative_is_never_a_whole_stack(self, monkeypatch, workers):
-        # n = 32 on 1001 times: each sampled block's derivative is reduced at once,
-        # so beside the values' stack the check holds blocks (3.5 at one worker and
-        # 6.5 at two measured), not the derivative's 15.6
+        # n = 32 on 1001 times: each sampled block of values and derivative is
+        # reduced at once, so the check holds blocks (2.5 at one worker and 4.5 at
+        # two measured), neither the values' stack nor the derivative's (15.6 blocks
+        # each), and keeps one frame, l(t0)
         monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         family = random_smooth_unitary_trivialization(32, 5)
         times = np.linspace(0.0, 1.0, 1001)
         tracemalloc.start()
         try:
-            values, _ = family.validate_on_grid(times)
-            above = tracemalloc.get_traced_memory()[1]
+            frames, _ = family.validate_on_grid(times)
+            held, above = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert above <= values.nbytes + 4 * workers * hilbert_module._BLOCK_BYTES
-        assert np.array_equal(values, family.at_many(times))
+        block = hilbert_module._BLOCK_BYTES
+        assert isinstance(frames, bundle_module.GridFrames)
+        assert above <= (1 + 2 * workers) * block
+        assert held <= 0.05 * block
+        assert np.array_equal(frames[:], family.at_many(times))
 
     @pytest.mark.parametrize("size, faulty_at", [
         (3, "everywhere"), (4, "everywhere"), (5, "everywhere"), (6, "everywhere"),
@@ -481,6 +486,150 @@ class TestTrivializationValidation:
                        constant_trivialization(np.diag([1.0, 2.0, 3.0]).astype(complex)),
                        random_smooth_unitary_trivialization(3, 71)):
             family.validate_on_grid(times)
+
+
+def _generated_family(kind: dict, n: int):
+    """The trivialization that a config of dimension `n` resolves `kind` to."""
+    return scenario_from_dict({"name": "generated", "dimension": n,
+                               "grid": {"t0": 0.0, "t1": 1.0, "steps": 10},
+                               "trivialization": kind}).trivialization
+
+
+def _contract_families():
+    """(label, family) of every catalog scenario's trivialization, of the
+    `drop_trivialization_derivative` fault's and of a few generated configs'."""
+    families = [(name, load_catalog_scenario(name).trivialization) for name, _ in catalog_names()]
+    families.append(("drop_trivialization_derivative",
+                     _without_derivative(load_catalog_scenario("random-unitary-gauge"))))
+    families += [
+        ("generated global-phase", _generated_family({"kind": "global-phase", "omega": -1.3}, 4)),
+        ("generated diagonal-phase", _generated_family(
+            {"kind": "diagonal-phase", "omegas": [0.3, -2.1, 1.7]}, 3)),
+        ("generated constant", _generated_family(
+            {"kind": "constant", "matrix": [[[1, 0], [0.5, 0.25]], [[0, -1], [2, 0]]]}, 2)),
+        ("generated random-smooth-unitary", _generated_family(
+            {"kind": "random-smooth-unitary", "scale": 1.7, "frequency": -0.4}, 5)),
+    ]
+    return families
+
+
+CONTRACT_FAMILIES = _contract_families()
+
+
+@pytest.mark.parametrize("label, family", CONTRACT_FAMILIES, ids=[l for l, _ in CONTRACT_FAMILIES])
+class TestPointwiseSamples:
+    """Each l(t_k) and dl/dt(t_k) depends on t_k alone, bit for bit: the contract that
+    the grid check's reducing pass and `GridFrames` rest on."""
+
+    @staticmethod
+    def grid(family):
+        """A grid of three time blocks and a few times more at the family's dimension."""
+        size = time_blocks(10 ** 6, family.dimension)[0].stop
+        return np.linspace(-0.5, 1.5, 2 * size + 7)
+
+    def test_the_values_sampler_has_the_bits_of_the_joint_samplers_values(self, label, family):
+        times = self.grid(family)
+        assert np.array_equal(family._values(times), family._sample(times)[0])
+        assert np.array_equal(family.at_many(times), family.derivative_at_many(times)[0])
+
+    def test_a_time_has_the_same_samples_in_any_batch(self, label, family):
+        times = self.grid(family)
+        whole_values, whole_derivative = family._sample(times)
+        parts = time_blocks(times.size, family.dimension)
+        assert len(parts) == 3
+        by_slice = [family._sample(times[part]) for part in parts]
+        for k, block in enumerate((whole_values, whole_derivative)):
+            assert np.array_equal(np.concatenate([pair[k] for pair in by_slice]), block)
+        assert np.array_equal(np.concatenate([family._values(times[part]) for part in parts]),
+                              whole_values)
+        # a scattered index array with repeats, and single times
+        index = np.random.default_rng(7).integers(0, times.size, 40)
+        index[5:9] = index[20]
+        assert np.array_equal(family._values(times[index]), whole_values[index])
+        assert np.array_equal(family._sample(times[index])[1], whole_derivative[index])
+        for k in (0, times.size // 2, times.size - 1):
+            assert np.array_equal(family._values(times[k:k + 1])[0], whole_values[k])
+
+
+class TestGridFrames:
+    """A grid of several time blocks is read through `GridFrames`: each read samples
+    the rows it selects, with the bits of the whole grid's values."""
+
+    def test_reads_have_the_bits_and_layout_of_the_whole_values(self):
+        family = random_smooth_unitary_trivialization(32, 3)
+        times = np.linspace(0.0, 1.0, 201)
+        frames, inverse = family.validate_on_grid(times)
+        assert isinstance(frames, bundle_module.GridFrames) and frames.shape == (201, 32, 32)
+        whole = family.at_many(times)
+        for index in (slice(None), slice(64, 130), slice(190, None, -7), np.array([0, 200, 7, 7]),
+                      np.array([[3, 3], [0, 150]]), np.intp(200), 0, -1, slice(5, 5)):
+            read = frames[index]
+            assert read.shape == whole[index].shape and read.flags.c_contiguous
+            assert read.flags.writeable and not np.shares_memory(read, frames[index])
+            assert np.array_equal(read, whole[index])
+            assert np.array_equal(inverse.read(index, read), inverse[index])
+
+    def test_a_read_samples_its_distinct_times_once_and_keeps_only_t0(self):
+        family = random_smooth_unitary_trivialization(32, 3)
+        times = np.linspace(0.0, 1.0, 201)
+        frames, _ = family.validate_on_grid(times)
+        sampled = []
+        values = family._values
+
+        def recording(ts):
+            sampled.append(ts.tolist())
+            return values(ts)
+
+        family._values = recording
+        frames[0], frames[:1], frames[np.array([0, 0])]  # the kept l(t0)
+        assert sampled == []
+        frames[np.array([9, 4, 9, 0, 4])]
+        assert sampled == [times[[0, 4, 9]].tolist()]
+
+    def test_one_block_and_a_broadcast_keep_their_values(self):
+        times = np.linspace(0.0, 1.0, 1001)
+        for family in (random_smooth_unitary_trivialization(4, 3), identity_trivialization(32)):
+            frames, _ = family.validate_on_grid(times)
+            assert isinstance(frames, np.ndarray)
+            assert np.array_equal(frames, family.at_many(times))
+
+    @pytest.mark.parametrize("n", [96, 128, 182])  # 3, 2 and 1 times per time block
+    @pytest.mark.parametrize("size", [4, 5, 6, 9, 13])
+    def test_the_three_maxima_are_bitwise_those_of_the_whole_interior(self, monkeypatch, n,
+                                                                       size):
+        # slices shorter than the stencils: a third difference then spans up to
+        # five slices, and a deviation three, and the folded maxima still equal
+        # those of the whole-array formulas exactly
+        family = random_smooth_unitary_trivialization(n, 5)
+        sample = family._sample
+        times = np.linspace(0.0, 0.05 * size, size)
+        scales = 1.0 + 0.2 * (np.arange(size) % 3 == 1)
+
+        def scaled(ts):
+            return scales[np.searchsorted(times, ts)][:, None, None] * sample(ts)[1]
+
+        faulty = family.with_derivative(scaled)
+        values, supplied = sample(times)[0], scaled(times)[1:-1]
+        h = float(np.mean(np.diff(times)))
+        expected = (max_abs(supplied),
+                    max_abs(supplied - (values[2:] - values[:-2])
+                            / (times[2:] - times[:-2])[:, None, None]),
+                    max_abs((values[4:] - 2 * values[3:-1] + 2 * values[1:-3] - values[:-4])
+                            / (2 * h ** 3)))
+        folded = []
+        judge = bundle_module._GridTest.judge
+
+        def recording(test, name):
+            folded.append((test.scale, test.dev, test.third))
+            return judge(test, name)
+
+        monkeypatch.setattr(bundle_module._GridTest, "judge", recording)
+        try:
+            faulty.validate_on_grid(times)
+        except ValueError:
+            pass
+        assert len(time_blocks(size, n)) > 1
+        assert folded == [expected]
 
 
 @pytest.mark.parametrize("values, derivative, query", [
@@ -576,9 +725,10 @@ class TestFrameInverse:
             gram = np.swapaxes(stack.conj(), -2, -1) @ stack
             assert 0.8 * (scale ** 2 - 1) <= max_abs(gram - np.eye(4)) <= 1.2 * (scale ** 2 - 1)
             calls.clear()
-            inverse = _require_invertible(stack, "scaled", times)  # proven, then inverted
+            inverse = _require_invertible(stack, "scaled", times)  # proven
+            assert calls["inv", "fibreqm.bundle"] == 0  # no inverse stack is formed
+            assert max_abs(inverse[:] @ stack - np.eye(4)) <= 1e-12  # the read inverts
             assert {routine: k for (routine, _), k in calls.items()} == expected
-            assert max_abs(inverse[:] @ stack - np.eye(4)) <= 1e-12
             assert np.array_equal(_frame_inverse(stack)[:], inverse[:])  # by the one rule
 
     @pytest.mark.parametrize("family", [
@@ -644,7 +794,7 @@ class TestFrameInverse:
     def test_a_unitary_read_has_the_bits_of_the_stored_adjoint(self, index):
         times = np.linspace(0.0, 1.0, 201)
         frames, inverse = random_smooth_unitary_trivialization(32, 3).validate_on_grid(times)
-        read, stored = inverse[index], self.stored_adjoint(frames)[index]
+        read, stored = inverse[index], self.stored_adjoint(frames[:])[index]
         assert read.shape == stored.shape and read.flags.c_contiguous
         assert np.array_equal(read, stored)
         # a product reads its operands' layout, so it keeps its bits too
@@ -657,12 +807,12 @@ class TestFrameInverse:
         times = np.linspace(0.0, 1.0, 6)
         calls = count_svd_and_inv(monkeypatch)
         values, _, inverse = family.derivative_at_many(times)
-        assert calls["inv", "fibreqm.bundle"] == 1
+        assert calls["inv", "fibreqm.bundle"] == 0  # proven by its SVD, not inverted
         monkeypatch.undo()
         assert np.array_equal(inverse[index], np.linalg.inv(values)[index])
         calls = count_svd_and_inv(monkeypatch)
         inverse[index], inverse[:]
-        assert not calls  # reads invert nothing
+        assert calls == {("inv", "fibreqm.bundle"): 2}  # each read inverts its rows
 
     def test_a_unitary_stack_holds_no_inverse_stack(self):
         times = np.linspace(0.0, 1.0, 1001)
@@ -728,9 +878,10 @@ def test_the_frames_conjugate_transpose_is_formed_only_by_the_inverse_rule():
     }
 
 
-def test_np_linalg_inv_runs_only_in_the_two_inverters():
-    """`_frame_inverse` inverts every frame stack that is not unitary, and a
-    `FrameInverse` read the rows of the conventional U(t_j, t0) (`PropagatorGrid.into_t0`)."""
+def test_np_linalg_inv_runs_only_in_the_frame_inverse_read():
+    """A `FrameInverse` read inverts the rows it selects of every stack that is not
+    unitary: the frames, a broadcast's one matrix (`_frame_inverse`), and the
+    conventional U(t_j, t0) (`PropagatorGrid.into_t0`)."""
     sites = set()
 
     def visit(node, fname, scope):
@@ -745,4 +896,4 @@ def test_np_linalg_inv_runs_only_in_the_two_inverters():
 
     for path in (Path(__file__).resolve().parent.parent / "src" / "fibreqm").glob("*.py"):
         visit(ast.parse(path.read_text()), path.name, "")
-    assert sites == {("bundle.py", "_frame_inverse"), ("bundle.py", "FrameInverse.__getitem__")}
+    assert sites == {("bundle.py", "FrameInverse.__getitem__")}

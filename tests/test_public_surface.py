@@ -253,3 +253,47 @@ def test_only_the_pool_helper_imports_threads():
                    for module in modules):
                 importers.add(path.name)
     assert importers == {"hilbert.py"}
+
+
+def _scoped_nodes(tree):
+    """(scope, node) of every node of a module, the scope its enclosing function or
+    class names, dotted ("" at the top level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            found.append((scope, child))
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_bundle_samples_the_frames_and_no_module_forms_a_whole_frames_stack():
+    """A trivialization family's samplers (`_sample`, `_values`, and its checked
+    `_sampled`) are called in `bundle` alone, so every read of the frames goes
+    through its checks and its `GridFrames`; outside it only the Hamiltonian and
+    observable families call their own `_sample`.  And no module forms a whole stack
+    of the grid frames or of their inverses: no `frames[:]` or `inverse_frames[:]`,
+    and no `np.asarray`, `np.array` or `np.ascontiguousarray` of them."""
+    calls, wholes = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("_sample", "_values", "_sampled")
+                    and path.name != "bundle.py"):
+                calls.add((path.name, scope, ast.unparse(node.func)))
+            whole_slice = (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
+                           and node.slice.lower is node.slice.upper is node.slice.step is None)
+            if whole_slice and ast.unparse(node.value).endswith("frames"):
+                wholes.add((path.name, scope, ast.unparse(node)))
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) in ("np.asarray", "np.array", "np.ascontiguousarray")
+                    and node.args and ast.unparse(node.args[0]).endswith("frames")):
+                wholes.add((path.name, scope, ast.unparse(node)))
+    assert calls == {("dynamics.py", "HamiltonianFamily.at_many", "self._sample"),
+                     ("dynamics.py", "ObservableFamily.derivative_at_many", "self._sample")}
+    assert not wholes, sorted(wholes)

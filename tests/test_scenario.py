@@ -691,7 +691,13 @@ class TestSweep:
             "transported_section": ["heisenberg_values", "picture_invariance"],
             "heisenberg_values": ["heisenberg_constancy", "picture_invariance"],
             "integral_deviations": ["integrals_of_motion"],
-            "inverse_frames": ["hermiticity_correspondence", "lifted_observables"]}
+            "frames": ["density_consistency", "hermiticity_correspondence", "integral_deviations",
+                       "inverse_frames", "lifted_observables", "mean_value_invariance",
+                       "picture_invariance", "transport_t0"],
+            "inverse_frames": ["density_consistency", "hermiticity_correspondence",
+                               "integral_deviations", "lifted", "lifted_observables",
+                               "transport_t0"],
+            "lifted": ["mean_value_invariance", "state_equivalence"]}
         built = []  # (block node, the first time index of its block)
 
         def counting(part, *reads, name, build):
@@ -735,9 +741,10 @@ class TestSweep:
 
         monkeypatch.setitem(_NODES, "integral_deviations", probe)
         assert run_scenario(cfg).overall_pass
-        assert len(refs) == 9
+        assert len(refs) == 11
         slices = len(time_blocks(cfg.times.size, cfg.dimension))  # four slices
-        assert alive == [["transport_t0"]] * slices  # its own read; the rest are dropped
+        # its own reads; the rest are dropped
+        assert alive == [["frames", "inverse_frames", "transport_t0"]] * slices
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("scenario", ["two-block", "nonunitary-constant-gauge"])
@@ -941,7 +948,7 @@ class TestConcurrentSetup:
                                                            cfg.initial_state).values,
             "conventional steps": midpoint_propagators(cfg.hamiltonian, times, constants),
             "time-dependent steps": midpoint_propagators(varying, times, constants),
-            "grid values": values,
+            "grid values": values[:],
             "grid inverses": inverses[:],
             "from_t0 by blocks": np.concatenate(hilbert_module._in_block_order(
                 lambda part: grid.from_t0[part], time_blocks(times.size, cfg.dimension))),
@@ -1179,25 +1186,55 @@ def test_a_perturbed_node_fails_the_pointwise_checks_that_read_it(monkeypatch, t
 
 
 class TestSampleOnce:
-    def test_each_time_set_sampled_once(self):
-        # The family's one sampler gives values and derivative together, so the
-        # grid (for validation and the frames) and the midpoints (for the bundle
-        # generator) are each evaluated once, every check run included.
-        cfg = load_catalog_scenario("random-unitary-gauge")
-        cfg.rabi_omega = np.pi  # so physics_closed_form can run too, as every check does here
+    @pytest.mark.parametrize("scenario", ["random-unitary-gauge", "five-block"])
+    def test_each_time_set_sampled_once(self, five_block_gauge, scenario):
+        # The family's joint sampler gives values and derivative together, so the
+        # grid (for its check, one time block per call) and the midpoints (for the
+        # bundle generator) are each evaluated once, every check run included.  A
+        # grid of one time block keeps its values, so the values sampler never runs.
+        # On a grid of several, the values are sampled again once per slice of the
+        # sweep, no slice twice, and each read of a two-time query samples its
+        # distinct times once.
+        if scenario == "five-block":
+            cfg = five_block_gauge  # ten time blocks
+        else:
+            cfg = load_catalog_scenario(scenario)
+            cfg.rabi_omega = np.pi  # so physics_closed_form can run too, as every check does
+        own = list(cfg.checks)
+        if scenario != "five-block":
+            cfg = dataclasses.replace(cfg, checks=list(ALL_CHECKS))
         family = cfg.trivialization
-        sampled = []
-        sample = family._sample
+        joint, values = [], []  # the times of each call of each sampler
 
-        def recording(times):
-            sampled.append(np.asarray(times, dtype=float).tobytes())
-            return sample(times)
+        def recording(calls, sampler):
+            def record(times):
+                calls.append(np.array(times, dtype=float))
+                return sampler(times)
+            return record
 
-        family._sample = recording
-        records = run_scenario(dataclasses.replace(cfg, checks=list(ALL_CHECKS))).records
-        assert all(r.passed for r in records if r.check in cfg.checks)
-        midpoints = (cfg.times[:-1] + cfg.times[1:]) / 2.0
-        assert sampled == [cfg.times.tobytes(), midpoints.tobytes()]
+        family._sample = recording(joint, family._sample)
+        family._values = recording(values, family._values)
+        records = run_scenario(cfg).records
+        assert all(r.passed for r in records if r.check in own)
+
+        def in_order(calls):
+            return np.concatenate(sorted(calls, key=lambda ts: ts[0]))
+
+        on_grid = [ts for ts in joint if np.isin(ts, cfg.times).all()]
+        off_grid = [ts for ts in joint if not np.isin(ts, cfg.times).any()]
+        assert len(on_grid) + len(off_grid) == len(joint)
+        assert np.array_equal(in_order(on_grid), cfg.times)
+        assert np.array_equal(in_order(off_grid), (cfg.times[:-1] + cfg.times[1:]) / 2.0)
+        slices = [cfg.times[part] for part in time_blocks(cfg.times.size, cfg.dimension)]
+        if len(slices) == 1:
+            assert len(on_grid) == 1 and values == []
+            return
+        sweep = [k for k, ts in enumerate(values)
+                 if any(np.array_equal(ts, block) for block in slices)]
+        assert len(sweep) == len(slices) == 10  # no slice samples its frames twice
+        assert np.array_equal(in_order([values[k] for k in sweep]), cfg.times)
+        queries = [ts for k, ts in enumerate(values) if k not in sweep]
+        assert queries and all(np.unique(ts).size == ts.size for ts in queries)
 
     @pytest.mark.parametrize("scenario", ["two-block", "random-unitary-gauge"])
     def test_each_t0_block_formed_once_per_pass(self, monkeypatch, two_block_gauge, scenario):
@@ -1241,13 +1278,13 @@ class TestSampleOnce:
 
     def test_each_frame_stack_forms_its_gram_product_once(self, monkeypatch):
         stacks = []
-        real = bundle_module._proven_unitary
+        real = bundle_module._gram_passes
 
-        def counting(mats, adjoint):
+        def counting(mats):
             stacks.append(mats.shape[0])
-            return real(mats, adjoint)
+            return real(mats)
 
-        monkeypatch.setattr(bundle_module, "_proven_unitary", counting)
+        monkeypatch.setattr(bundle_module, "_gram_passes", counting)
         assert run_scenario(load_catalog_scenario("random-unitary-gauge")).overall_pass
         # the grid and the midpoints, each proven and inverted by one Gram pass,
         # then the random picture's one block behind V(t0)
@@ -1338,7 +1375,7 @@ class TestArtifactNodes:
         assert block_nodes == checks_module._BLOCK_NODES == {
             "conventional_rows", "conventional_t0", "transport_t0", "lifted_observables", "density_transported",
             "density_conventional", "transported_section", "heisenberg_values",
-            "integral_deviations", "inverse_frames"}
+            "integral_deviations", "frames", "inverse_frames", "lifted"}
         assert all(len(reads[name]) == len(params[name]) - (name in block_nodes)
                    for name in _NODES)
         unknown = {key: sorted(set(names) - seeds - set(_NODES)) for key, names in reads.items()}
@@ -1589,14 +1626,15 @@ class TestArtifactNodes:
         raw["dimension"], raw["grid"]["steps"] = 32, 1000
         cfg = scenario_from_dict(raw)
         one_stack = cfg.times.size * 32 * 32 * np.dtype(complex).itemsize
+        block = hilbert_module._BLOCK_BYTES
         # At the default worker count, with one slice's blocks in flight per worker,
-        # the peak is 1.80 to 1.87 stacks measured, the most when this test runs
-        # alone (the frames held whole, and beside them the conventional
-        # checkpoints, vectors of N states and two slices' block nodes and
-        # temporaries in the sweep); the bound adds two blocks (0.13 stack).  The
+        # the peak is 0.98 stack measured (16.1 MB): no stack of the frames is held,
+        # only l(t0), so it is the conventional checkpoints, vectors of N states and
+        # two slices' block nodes and temporaries in the sweep, each slice's frames
+        # and their inverses among them; the bound adds two blocks (0.13 stack).  The
         # count is capped at two, so this holds on a host of any core count.
         assert 1 <= hilbert_module._WORKERS <= 2
-        peak_bound = 2.0 * one_stack
+        peak_bound = one_stack + 2 * block
         tracemalloc.start()
         try:
             assert run_scenario(cfg).overall_pass
@@ -1639,13 +1677,11 @@ class TestArtifactNodes:
         finally:
             tracemalloc.stop()
         assert set(above) == set(_NODES) | set(cfg.checks)
-        # Held through the sweep: the frames, and the conventional products U(t, t0)
-        # only at each time block's start; the rows of those products and of their
-        # inverses, the frames' inverse rows, the transport's t0 rows, the
-        # transported section and its Heisenberg states, the lifted observables and
-        # both densities are blocks of the sweep.  At one worker the peak is the
-        # unitary bundle map's, beside the frames (1.60 stacks measured with these
-        # probes).
+        # Held through the sweep: l(t0), and the conventional products U(t, t0) only
+        # at each time block's start; the frames and their inverses, the rows of
+        # those products and of their inverses, the transport's t0 rows, the lifted
+        # states, the transported section and its Heisenberg states, the lifted
+        # observables and both densities are blocks of the sweep.
         assert max(peaks) <= peak_bound
         # No check block, judge or node build, setup ones included, keeps a whole
         # temporary stack: the bundle steps are formed one time block at a time on
@@ -1653,13 +1689,33 @@ class TestArtifactNodes:
         # conventional products are formed one time block at a time.  What a node
         # keeps counts once built, so a build is measured above the larger of the
         # heap it found and the heap it left.  The largest are the two-time queries'
-        # pairs (the unitary bundle map's 81, and its temporaries, 7.6 blocks
-        # measured; the transport axioms' 273 pairs, 7.5 blocks), then
-        # bundle_section's wave and midpoint samples (4.0 blocks).
-        block = hilbert_module._BLOCK_BYTES
+        # pairs (the transport axioms' 273 pairs and their temporaries, 7.9 blocks
+        # measured, with the frames of each time block of pairs sampled where they
+        # are read), then bundle_section's wave and midpoint samples (4.0 blocks).
         heavy = {key: round(extra / block, 2) for key, extra in above.items()
                  if extra > 8 * block}
         assert not heavy, heavy
+
+    def test_the_peak_in_stacks_falls_as_the_grid_grows(self):
+        # random-unitary-gauge at n = 32 and N = 1000 and 3000, at the default worker
+        # count: no stack of the frames is held, so what grows with N is below a
+        # stack (the checkpoints, the vectors of N states and the series), and the
+        # peak in stacks falls as N grows (0.98 and 0.42 measured, 16.1 and 20.5 MB)
+        root = resources.files("fibreqm") / "catalog"
+        in_stacks = []
+        for steps in (1000, 3000):
+            raw = json.loads((root / "random-unitary-gauge.json").read_text())
+            raw["dimension"], raw["grid"]["steps"] = 32, steps
+            cfg = scenario_from_dict(raw)
+            tracemalloc.start()
+            try:
+                assert run_scenario(cfg).overall_pass
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            in_stacks.append(peak / (cfg.times.size * 32 * 32 * np.dtype(complex).itemsize))
+        assert in_stacks[1] < in_stacks[0]
+        assert in_stacks[1] <= 0.5
 
     @pytest.mark.parametrize("hamiltonian", ["constant", "time-dependent"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1670,8 +1726,8 @@ class TestArtifactNodes:
         # stack): one pass over the conventional steps carries psi0 and keeps the
         # products at each time block's start and over the last time block, so the
         # build keeps no stack of products; a time-dependent H's grid keeps its stack
-        # of steps in their place.  The transport's build adds nothing beside them and
-        # the frames.
+        # of steps in their place.  The transport's build adds nothing beside them,
+        # and the frames are read per block, so beside l(t0) no stack of them is held.
         monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         root = resources.files("fibreqm") / "catalog"
         raw = json.loads((root / "random-unitary-gauge.json").read_text())
@@ -1707,13 +1763,13 @@ class TestArtifactNodes:
             # the checkpoints, the last time block's rows, the states and one time
             # block of products at a time (1.83 blocks measured)
             assert above["conventional"] <= 2 * block
-            # beside the frames, vectors of N states and the checkpoints (1.15 stacks)
-            assert held["transport"] <= 1.2 * one_stack
+            # vectors of N states and the checkpoints (0.115 stack measured)
+            assert held["transport"] <= 0.15 * one_stack
         else:
             # the stack of steps, and the blocks of their exponentials, one slice per
             # worker (3.0 and 5.0 blocks beside the stack measured at 1 and 2 workers)
             assert above["conventional"] <= one_stack + (2 + 2 * workers) * block
-            assert held["transport"] <= 2.15 * one_stack  # the frames and the steps
+            assert held["transport"] <= 1.15 * one_stack  # the steps (1.10 measured)
         steps = midpoint_propagators(cfg.hamiltonian, cfg.times, cfg.constants)
         assert np.array_equal(nodes["transport"].propagators.from_t0[:], step_products(steps))
         assert np.array_equal(nodes["trajectory"].states,
@@ -1721,21 +1777,24 @@ class TestArtifactNodes:
 
     def test_a_unitary_gauge_holds_no_whole_inverse_stack(self, monkeypatch, two_block_gauge):
         # Through setup and the sweep, every node build and check sees its reads and
-        # its output: no array reachable from them is a whole stack of the frames'
-        # inverses, or a view of one.
+        # its output: no array reachable from them is a whole stack of the frames, or
+        # of their inverses, or a view of one.  The walk reaches the frames' reader
+        # and the one row it keeps, l(t0).
         cfg = two_block_gauge
         frames = cfg.trivialization.at_many(cfg.times)
         adjoint = np.conjugate(np.swapaxes(frames, -2, -1))
-        seen_frames, wholes = [], []
+        seen_first, wholes = [], []
 
         def inspect_arrays(key, obj):
             for array in _arrays(obj, set()):
                 while isinstance(array.base, np.ndarray):
                     array = array.base
+                if array.shape == frames.shape[1:]:
+                    seen_first.append(np.array_equal(array, frames[0]))
                 if array.shape == frames.shape:
-                    seen_frames.append(np.array_equal(array, frames))
-                    if np.array_equal(array, adjoint):
-                        wholes.append(key)
+                    wholes.extend((key, name) for name, stack in (("frames", frames),
+                                                                  ("inverse", adjoint))
+                                  if np.array_equal(array, stack))
 
         def probed(key, build):
             def probe(*reads):
@@ -1750,7 +1809,7 @@ class TestArtifactNodes:
         for check_id in cfg.checks:
             monkeypatch.setitem(_CHECK_TABLE, check_id, probed(check_id, _CHECK_TABLE[check_id]))
         assert run_scenario(cfg).overall_pass
-        assert any(seen_frames)  # the walk reaches the transport's frames
+        assert any(seen_first)  # the walk reaches the transport's frames reader
         assert not wholes, sorted(set(wholes))
 
     def test_no_whole_inverse_of_the_conventional_products_is_formed(self, monkeypatch,
