@@ -27,10 +27,9 @@ A family's l(t_k) depends on t_k alone, bit for bit, so the grid frames need
 not be held: `TrivializationFamily.validate_on_grid` samples the grid one
 `time_blocks` slice at a time and reduces each slice, on the worker that
 sampled it, to the invertibility proof and the derivative test's maxima,
-keeping only the few rows that the stencils across slices read.  A grid of
-several slices is then read through `GridFrames`, which samples the values at
-the times each read selects; a grid of one slice, or a broadcast, keeps its
-values.
+keeping only the few rows that the stencils across slices read.  The grid's
+frames are then read through `GridFrames`, which samples the values at the
+times each read selects; only a broadcast of one matrix keeps its values.
 """
 
 from __future__ import annotations
@@ -251,6 +250,9 @@ class TrivializationFamily:
             raise ValueError("dimension must be >= 1")
         self._sample = sample
         self._values = values if values is not None else (lambda ts: sample(ts)[0])
+        # whether the values sampler is one of its own, which the grid check then
+        # holds to the joint sampler's values
+        self._own_values = values is not None
         self.dimension = int(dimension)
         self.name = name
 
@@ -258,8 +260,10 @@ class TrivializationFamily:
                         ) -> "TrivializationFamily":
         """The same values, dimension and name with another derivative sampler."""
         values = self._values
-        return TrivializationFamily(lambda ts: (values(ts), derivative(ts)),
-                                    self.dimension, self.name, values)
+        family = TrivializationFamily(lambda ts: (values(ts), derivative(ts)),
+                                      self.dimension, self.name, values)
+        family._own_values = False  # its joint sampler's values are the values sampler's
+        return family
 
     def at(self, t: float) -> np.ndarray:
         return self.at_many(np.array([float(t)]))[0]
@@ -353,46 +357,55 @@ class TrivializationFamily:
         its Gram test, and the frames are checked invertible before the
         derivative is judged.
 
-        The frames returned are the checked values where they are one slice or
-        a broadcast of one matrix; on a grid of several slices they are a
-        `GridFrames`, which samples them again, by the values sampler, where
-        they are read, and their `FrameInverse` inverts each read.
+        The frames returned are the checked values where they broadcast one
+        matrix; on any other grid they are a `GridFrames`, which samples them
+        again, by the values sampler, where they are read, and their
+        `FrameInverse` inverts each read.  A values sampler of the family's own
+        is held to the joint sampler's values on the first slice, bit for bit,
+        else a ValueError names the family: the inverse that the joint samples
+        proved is the one each read of the values sampler's rows is inverted by.
         """
         times = np.asarray(times, dtype=float)
-        if times.size < 3:
+        if times.size == 0:
             values, _, inverse = self.derivative_at_many(times)
             return values, inverse
         parts = time_blocks(times.size, self.dimension)
-        first = [self._sampled(times[parts[0]], True)] if len(parts) > 1 else None
+        first = [self._sampled(times[parts[0]], True)]
         test = _GridTest(times)
-        if first is None or is_broadcast(first[0][0]):
-            values, derivative = self._sampled(times, True)
+        if is_broadcast(first[0][0]):
+            values, derivative = first.pop() if len(parts) == 1 else self._sampled(times, True)
             frames, inverse = values, _require_invertible(values, self.name, times)
             for part in parts:
                 test.use(part, test.share(part, values[part], derivative[part]))
-        else:
-            def form(part: slice) -> tuple:
-                values, derivative = (first.pop() if part.start == 0
-                                      else self._sampled(times[part], True))
-                return _slice_proof(values), test.share(part, values, derivative)
+            test.judge(self.name)
+            return frames, inverse
+        if self._own_values and not np.array_equal(self._sampled(times[parts[0]], False)[0],
+                                                   first[0][0]):
+            raise ValueError(f"trivialization '{self.name}': the values sampler differs from "
+                             "the joint sampler's values")
 
-            proofs = []  # each slice's `_slice_proof`, in block order
+        def form(part: slice) -> tuple:
+            values, derivative = (first.pop() if part.start == 0
+                                  else self._sampled(times[part], True))
+            return _slice_proof(values), test.share(part, values, derivative)
 
-            def use(part: slice, formed: tuple) -> None:
-                proofs.append(formed[0])
-                test.use(part, formed[1])
+        proofs = []  # each slice's `_slice_proof`, in block order
 
-            frames = GridFrames(self, times, first[0][0][0].copy())
-            _formed_in_order(form, use, parts)
-            inverse = FrameInverse(frames, adjoint=_proven_unitary(
-                proofs, [part.start for part in parts], self.name, times))
+        def use(part: slice, formed: tuple) -> None:
+            proofs.append(formed[0])
+            test.use(part, formed[1])
+
+        frames = GridFrames(self, times, first[0][0][0].copy())
+        _formed_in_order(form, use, parts)
+        inverse = FrameInverse(frames, adjoint=_proven_unitary(
+            proofs, [part.start for part in parts], self.name, times))
         test.judge(self.name)
         return frames, inverse
 
 
 class GridFrames:
-    """The checked frames l(t_k) of a family on a grid of several time blocks, read by
-    index like an (N, n, n) array: `frames[idx]` for an int, a slice or an index
+    """The checked frames l(t_k) of a family on a grid, read by index like an
+    (N, n, n) array: `frames[idx]` for an int, a slice or an index
     array (of any shape, repeats and any order allowed) is a new C-contiguous
     array of those rows.
 
@@ -452,7 +465,8 @@ class _GridTest:
     """
 
     def __init__(self, times: np.ndarray):
-        self.times, self.h = times, float(np.mean(np.diff(times)))
+        # the third differences' step, which a grid of fewer than five times never reads
+        self.times, self.h = times, float(np.mean(np.diff(times))) if times.size >= 5 else 1.0
         self.scale = self.dev = self.third = 0.0
         self._window: Optional[np.ndarray] = None  # the last four values before the slice
         self._pending: Optional[np.ndarray] = None  # dl/dt at the last time before it, (1, n, n)
@@ -532,14 +546,11 @@ def identity_trivialization(dimension: int) -> TrivializationFamily:
 def global_phase_trivialization(dimension: int, omega: float) -> TrivializationFamily:
     eye = np.eye(dimension, dtype=complex)
 
-    def values(ts: np.ndarray) -> np.ndarray:
-        return np.exp(1j * omega * ts)[:, None, None] * eye
-
     def sample(ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         phases = np.exp(1j * omega * ts)
         return phases[:, None, None] * eye, (1j * omega * phases)[:, None, None] * eye
 
-    return TrivializationFamily(sample, dimension, name="global-phase", values=values)
+    return TrivializationFamily(sample, dimension, name="global-phase")
 
 
 def diagonal_phase_trivialization(omegas: Sequence[float]) -> TrivializationFamily:
@@ -548,14 +559,11 @@ def diagonal_phase_trivialization(omegas: Sequence[float]) -> TrivializationFami
         raise ValueError("omegas must be a non-empty 1-D sequence")
     eye = np.eye(freqs.size)
 
-    def values(ts: np.ndarray) -> np.ndarray:
-        return np.exp(1j * np.outer(ts, freqs))[:, :, None] * eye
-
     def sample(ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         phases = np.exp(1j * np.outer(ts, freqs))
         return phases[:, :, None] * eye, (1j * freqs * phases)[:, :, None] * eye
 
-    return TrivializationFamily(sample, freqs.size, name="diagonal-phase", values=values)
+    return TrivializationFamily(sample, freqs.size, name="diagonal-phase")
 
 
 def constant_trivialization(matrix, name: str = "constant") -> TrivializationFamily:

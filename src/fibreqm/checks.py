@@ -202,9 +202,9 @@ def _random_picture(cfg):
 # A block node: build(part, <nodes>) -> its value on the sweep's slice `part` alone.
 
 def _frames(part: slice, transport) -> np.ndarray:
-    """The block's rows of the frames l, (b, n, n), read once: on a grid of several time
-    blocks the frames are a `bundle.GridFrames`, and this samples the block's times,
-    once per slice.  Every reader of the frames in a slice reads this block."""
+    """The block's rows of the frames l, (b, n, n), read once: but for a broadcast the
+    frames are a `bundle.GridFrames`, and this samples the block's times, once per
+    slice.  Every reader of the frames in a slice reads this block."""
     return transport.frames[part]
 
 

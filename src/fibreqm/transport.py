@@ -115,14 +115,18 @@ class EvolutionTransport:
     their grid alone, checked invertible and of shape (N, n, n) for the grid's
     N times and the propagators' dimension n: a stack, as `at_many` returns it,
     or any reader by index of one, such as the `bundle.GridFrames` that
-    `TrivializationFamily.validate_on_grid` returns for a grid of several time
-    blocks, which samples the rows each read selects.  `inverse_frames` is the
+    `TrivializationFamily.validate_on_grid` returns for any family but a
+    broadcast of one matrix, which samples the rows each read selects.  `inverse_frames` is the
     `bundle.FrameInverse` that the frames' check decided (`validate_on_grid`
-    returns both), of the frames' shape; without it a stack of frames is
-    inverted here (`bundle._frame_inverse`).  Either way the transport reads
-    both by index, and each read of the inverse inverts the rows it needs
-    (l^dagger where max|l^dagger l - I| <= 1e-13, else `np.linalg.inv`), so no
-    whole inverse stack is held.  Queries off the grid are errors, never
+    returns both), of the frames' shape; it is required with a reader (a
+    ValueError otherwise), and without it a stack of frames is inverted here
+    (`bundle._frame_inverse`).  Either way the transport reads both by index,
+    and each read of the inverse inverts the rows it needs (l^dagger where
+    max|l^dagger l - I| <= 1e-13, else `np.linalg.inv`), so no whole inverse
+    stack is held.  A stack inverted here is not proven invertible: one that
+    fails the unitary test is inverted per read, so a singular frame raises
+    `np.linalg.LinAlgError` at the first read of its row, not when the
+    transport is built.  Queries off the grid are errors, never
     interpolations.
 
     `matrices_from` and `matrices_into` compute their rows on every call: the
@@ -154,6 +158,9 @@ class EvolutionTransport:
             raise ValueError(f"frames must have shape {expected} (the propagator grid's "
                              f"times and dimension), got {frames.shape}")
         if inverse_frames is None:
+            if not isinstance(frames, np.ndarray):
+                raise ValueError("frames read by index need their FrameInverse: pass "
+                                 "inverse_frames, as validate_on_grid returns it")
             inverse_frames = _frame_inverse(frames)
         elif inverse_frames.shape != frames.shape:
             raise ValueError(f"inverse_frames must have the frames' shape {frames.shape}, "

@@ -40,6 +40,7 @@ from fibreqm.hilbert import (
     _BLOCK_BYTES,
     antihermitian_exponentials,
     inner_products,
+    is_broadcast,
     max_abs,
     time_blocks,
 )
@@ -552,8 +553,8 @@ class TestPointwiseSamples:
 
 
 class TestGridFrames:
-    """A grid of several time blocks is read through `GridFrames`: each read samples
-    the rows it selects, with the bits of the whole grid's values."""
+    """A grid's frames, but a broadcast's, are read through `GridFrames`: each read
+    samples the rows it selects, with the bits of the whole grid's values."""
 
     def test_reads_have_the_bits_and_layout_of_the_whole_values(self):
         family = random_smooth_unitary_trivialization(32, 3)
@@ -586,12 +587,30 @@ class TestGridFrames:
         frames[np.array([9, 4, 9, 0, 4])]
         assert sampled == [times[[0, 4, 9]].tolist()]
 
-    def test_one_block_and_a_broadcast_keep_their_values(self):
-        times = np.linspace(0.0, 1.0, 1001)
-        for family in (random_smooth_unitary_trivialization(4, 3), identity_trivialization(32)):
+    def test_only_a_broadcast_keeps_its_values(self):
+        # a grid of one time block, or of one to three times, is read through
+        # `GridFrames` too; a broadcast of one matrix, on any grid, keeps its values
+        for family, times in ((random_smooth_unitary_trivialization(4, 3), np.linspace(0, 1, 1001)),
+                              (global_phase_trivialization(2, 1.5), np.array([0.0, 0.25])),
+                              (random_smooth_unitary_trivialization(2, 3), np.array([0.5]))):
             frames, _ = family.validate_on_grid(times)
-            assert isinstance(frames, np.ndarray)
-            assert np.array_equal(frames, family.at_many(times))
+            assert isinstance(frames, bundle_module.GridFrames)
+            assert np.array_equal(frames[:], family.at_many(times))
+        times = np.linspace(0.0, 1.0, 1001)
+        for n in (2, 32):
+            frames, _ = identity_trivialization(n).validate_on_grid(times)
+            assert isinstance(frames, np.ndarray) and is_broadcast(frames)
+            assert np.array_equal(frames, identity_trivialization(n).at_many(times))
+
+    @pytest.mark.parametrize("n, size", [(2, 101), (32, 201)])  # one and seven time blocks
+    def test_a_values_sampler_that_differs_from_the_joint_values_is_refused(self, n, size):
+        # each read of the values sampler's rows is inverted by the inverse that
+        # the joint sampler's values proved, so the two must agree
+        family = random_smooth_unitary_trivialization(n, 3)
+        sample = family._sample
+        liar = TrivializationFamily(sample, n, "liar", values=lambda ts: sample(ts)[0] * 1.5)
+        with pytest.raises(ValueError, match="'liar': the values sampler differs"):
+            liar.validate_on_grid(np.linspace(0.0, 1.0, size))
 
     @pytest.mark.parametrize("n", [96, 128, 182])  # 3, 2 and 1 times per time block
     @pytest.mark.parametrize("size", [4, 5, 6, 9, 13])

@@ -1190,11 +1190,10 @@ class TestSampleOnce:
     def test_each_time_set_sampled_once(self, five_block_gauge, scenario):
         # The family's joint sampler gives values and derivative together, so the
         # grid (for its check, one time block per call) and the midpoints (for the
-        # bundle generator) are each evaluated once, every check run included.  A
-        # grid of one time block keeps its values, so the values sampler never runs.
-        # On a grid of several, the values are sampled again once per slice of the
-        # sweep, no slice twice, and each read of a two-time query samples its
-        # distinct times once.
+        # bundle generator) are each evaluated once, every check run included.  The
+        # values sampler is held to the joint one on the first time block, then
+        # samples the values again once per slice of the sweep, no slice twice, and
+        # each read of a two-time query samples its distinct times once.
         if scenario == "five-block":
             cfg = five_block_gauge  # ten time blocks
         else:
@@ -1226,12 +1225,13 @@ class TestSampleOnce:
         assert np.array_equal(in_order(on_grid), cfg.times)
         assert np.array_equal(in_order(off_grid), (cfg.times[:-1] + cfg.times[1:]) / 2.0)
         slices = [cfg.times[part] for part in time_blocks(cfg.times.size, cfg.dimension)]
-        if len(slices) == 1:
-            assert len(on_grid) == 1 and values == []
-            return
+        assert len(slices) == (10 if scenario == "five-block" else 1)
+        assert len(on_grid) == len(slices)
+        assert np.array_equal(values[0], slices[0])  # the values sampler's check
+        values = values[1:]
         sweep = [k for k, ts in enumerate(values)
                  if any(np.array_equal(ts, block) for block in slices)]
-        assert len(sweep) == len(slices) == 10  # no slice samples its frames twice
+        assert len(sweep) == len(slices)  # no slice samples its frames twice
         assert np.array_equal(in_order([values[k] for k in sweep]), cfg.times)
         queries = [ts for k, ts in enumerate(values) if k not in sweep]
         assert queries and all(np.unique(ts).size == ts.size for ts in queries)
@@ -1265,16 +1265,24 @@ class TestSampleOnce:
             assert run_scenario(load_catalog_scenario(name)).overall_pass, name
 
     def test_each_frame_batch_checked_invertible_once(self, monkeypatch):
-        batches = []
-        real = bundle_module._require_invertible
+        batches, proofs = [], []
+        real, real_proof = bundle_module._require_invertible, bundle_module._slice_proof
 
         def counting(mats, name, times):
             batches.append(mats.shape[0])
             return real(mats, name, times)
 
+        def proving(mats):
+            proofs.append(mats.shape[0])
+            return real_proof(mats)
+
         monkeypatch.setattr(bundle_module, "_require_invertible", counting)
+        monkeypatch.setattr(bundle_module, "_slice_proof", proving)
         assert run_scenario(load_catalog_scenario("random-unitary-gauge")).overall_pass
-        assert batches == [1001, 1000]  # the grid, then the midpoints
+        # the grid, proven slice by slice (one time block) by the grid check, then
+        # the midpoints' batch
+        assert batches == [1000]
+        assert proofs == [1001, 1000]
 
     def test_each_frame_stack_forms_its_gram_product_once(self, monkeypatch):
         stacks = []
@@ -1303,7 +1311,10 @@ class TestSampleOnce:
         raw = dict(MINIMAL, trivialization={"kind": "global-phase"},
                    faults={"drop_trivialization_derivative": True})
         assert not run_scenario(scenario_from_dict(raw)).record("state_equivalence").passed
-        assert batches == [51, 50]  # the grid, then the midpoints
+        # the grid, then the midpoints, then the values of the sweep's one slice;
+        # the rest are the queries' reads, and none samples the grid again
+        assert batches[:3] == [51, 50, 51]
+        assert 51 not in batches[3:]
 
     def test_paths_and_observables_sampled_once(self, monkeypatch):
         point_batches = []

@@ -202,6 +202,27 @@ class TestBuildTransport:
         with pytest.raises(ValueError, match=r"\(201, 2, 2\).*\(200, 2, 2\)"):
             EvolutionTransport(grid, frames, inverse[1:])
 
+    def test_frames_read_by_index_need_their_inverse(self):
+        # a reader (`GridFrames`) has no stack to invert: its FrameInverse, as the
+        # grid check returns it, must come with it
+        grid = PropagatorGrid(HamiltonianFamily.constant(SIGMA_Z), TIMES)
+        frames, inverse = random_smooth_unitary_trivialization(2, 85).validate_on_grid(TIMES)
+        with pytest.raises(ValueError, match="need their FrameInverse"):
+            EvolutionTransport(grid, frames)
+        assert np.array_equal(EvolutionTransport(grid, frames, inverse).matrices_by_index(7, 3),
+                              EvolutionTransport(grid, frames[:]).matrices_by_index(7, 3))
+
+    def test_an_unchecked_singular_stack_fails_at_its_first_read(self):
+        # a stack inverted by the transport is not proven invertible: a frame that
+        # fails the unitary test is inverted when its row is read
+        grid = PropagatorGrid(HamiltonianFamily.constant(SIGMA_Z), TIMES)
+        frames = np.broadcast_to(np.eye(2, dtype=complex), (TIMES.size, 2, 2)).copy()
+        frames[150] = np.diag([1.0, 0.0])
+        transport = EvolutionTransport(grid, frames)
+        assert np.array_equal(transport.matrices_by_index(100, 50), grid.operators(100, 50))
+        with pytest.raises(np.linalg.LinAlgError):
+            transport.matrices_by_index(150, 50)
+
     def test_gauge_of_another_dimension_rejected(self):
         # A 3-level gauge on a 2-level Hamiltonian fails when the transport is
         # built, naming both shapes, not later inside a query.
