@@ -16,12 +16,11 @@ S^-1 = S^dagger, which also proves it invertible, so no SVD, `inv` or solve
 runs; otherwise the SVD ratio check proves it invertible, and `np.linalg.inv`
 inverts the rows each read selects.  The test runs one `time_blocks` slice at
 a time, and only a slice that fails it is taken to the SVD.  Each batch a
-family samples (one time block of midpoints, a library caller's batch) is
-proven once, when it is sampled, into a `FrameInverse`, which every reader
-indexes: each read forms S^dagger, or the `inv`, of the rows it selects, so no
-whole inverse stack is held.  A broadcast is proven and inverted on its one
-matrix, and a bundle integration proves it once for all its time blocks of
-midpoints (`transport.MatrixBundleHamiltonian` reuses the proof).
+family samples, in one call of its sampler (one time block of midpoints, a
+library caller's batch), is proven once, when it is sampled, into a
+`FrameInverse`, which every reader indexes: each read forms S^dagger, or the
+`inv`, of the rows it selects, so no whole inverse stack is held.  A broadcast
+is proven and inverted on its one matrix, once per batch.
 
 A family's l(t_k) depends on t_k alone, bit for bit, so the grid frames need
 not be held: `TrivializationFamily.validate_on_grid` samples the grid one
@@ -143,15 +142,6 @@ class FrameInverse:
             return self._stack[index]
         return FrameInverse(frames, adjoint=self._adjoint)[:]
 
-    def _reused_for(self, frames: np.ndarray) -> Optional["FrameInverse"]:
-        """The inverse of `frames`, a 0-stride broadcast of the one matrix that this
-        broadcast's inverse inverts, with no proof or inversion; None for any other
-        stack."""
-        if (not is_broadcast(frames) or self._stack is None or not is_broadcast(self._stack)
-                or not np.array_equal(self._frames[0], frames[0])):
-            return None
-        return FrameInverse(frames, np.broadcast_to(self._stack[0], frames.shape))
-
 
 def _gram_passes(mats: np.ndarray) -> bool:
     """max|S^dagger S - I| <= 1e-13 over a slice of a stack, S^dagger formed per read."""
@@ -238,9 +228,11 @@ class TrivializationFamily:
     alone, bit for bit: a time has the same samples in every batch it is sampled
     in (one `time_blocks` slice, the whole grid, or an index array with
     repeats), by either sampler.  The grid check and `GridFrames` rest on that.
-    Each batch is checked once: both shapes and finiteness (ValueError naming
-    the family) and the invertibility of the values, which also inverts them
-    (`_require_invertible`); single-time queries are batches of one.
+    Each batch is sampled in one call and checked once: both shapes and
+    finiteness (ValueError naming the family) and the invertibility of the
+    values, which also inverts them (`_require_invertible`); single-time queries
+    are batches of one.  The engine's batches are at most one `time_blocks`
+    slice.
     """
 
     def __init__(self, sample: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
@@ -276,25 +268,18 @@ class TrivializationFamily:
     def _inverted(self, times) -> Tuple[np.ndarray, FrameInverse]:
         """The stack l(t_k) from the values sampler, and the inverse its check decided."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        values, = self._batch(times, joint=False)
+        values, = self._sampled(times, joint=False)
         return values, _require_invertible(values, self.name, times)
 
-    def derivative_at_many(self, times, proven: Optional[FrameInverse] = None
-                           ) -> Tuple[np.ndarray, np.ndarray, FrameInverse]:
+    def derivative_at_many(self, times) -> Tuple[np.ndarray, np.ndarray, FrameInverse]:
         """The stacks l(t_k) and dl/dt(t_k) from one evaluation, and l(t_k)^-1.
 
         l is checked invertible once, and that check decides the inverse (a
         `FrameInverse`, read by index), so no reader inverts the stack again.
-        `proven`, the inverse of an earlier batch whose values broadcast one
-        matrix, is reused for a batch whose values broadcast the same matrix,
-        which is then not proven again.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        values, derivative = self._batch(times, joint=True)
-        inverse = None if proven is None else proven._reused_for(values)
-        if inverse is None:
-            inverse = _require_invertible(values, self.name, times)
-        return values, derivative, inverse
+        values, derivative = self._sampled(times, joint=True)
+        return values, derivative, _require_invertible(values, self.name, times)
 
     def _sampled(self, times: np.ndarray, joint: bool) -> Tuple[np.ndarray, ...]:
         """(l, dl/dt) at `times` from the joint sampler, or (l,) from the values sampler,
@@ -305,30 +290,6 @@ class TrivializationFamily:
         values, derivative = self._sample(times)
         return (checked_stack(values, times, self.dimension, what),
                 checked_stack(derivative, times, self.dimension, f"{what} derivative"))
-
-    def _batch(self, times: np.ndarray, joint: bool) -> Tuple[np.ndarray, ...]:
-        """The checked samples (`_sampled`) of one batch.
-
-        A batch of several `time_blocks` slices is sampled one slice per call, on
-        the workers, into whole stacks.  If the first slice's samples are a
-        0-stride broadcast, the whole batch is sampled in one call instead, so a
-        constant family stays one broadcast.
-        """
-        parts = time_blocks(times.size, self.dimension)
-        first = self._sampled(times[parts[0]], joint) if len(parts) > 1 else None
-        if first is None or any(map(is_broadcast, first)):
-            return self._sampled(times, joint)
-        stacks = tuple(np.empty((times.size,) + block.shape[1:], dtype=complex)
-                       for block in first)
-
-        def fill(part: slice, blocks: Optional[Tuple[np.ndarray, ...]] = None) -> None:
-            for stack, block in zip(stacks, blocks or self._sampled(times[part], joint)):
-                stack[part] = block
-
-        fill(parts[0], first)
-        del first
-        _in_block_order(fill, parts[1:])
-        return stacks
 
     def validate_on_grid(self, times) -> Tuple[Union[np.ndarray, GridFrames], FrameInverse]:
         """Check invertibility at every grid time and derivative consistency, in one

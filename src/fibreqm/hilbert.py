@@ -164,22 +164,18 @@ def _formed_in_order(form: Callable[[slice], object], use: Callable[[slice, obje
                      parts: Sequence[slice]) -> None:
     """use(part, form(part)) for each slice of `parts`, the uses in block order.
 
-    The first slice is formed and used on the calling thread alone, so what it
-    decides once (the proof of a broadcast frame family, which
-    `transport.MatrixBundleHamiltonian` keeps) is decided before any helper
-    thread reads it.  The rest run on the workers (`_in_block_order`): each
-    worker forms its slice, uses it as soon as every slice before it is used,
-    then forms its next.  So each worker holds one formed slice at a time, and
-    none waits for the others' slices to be formed.  The first failing slice in
-    block order raises; a slice still waiting for its turn when an earlier one
-    fails is dropped.
+    The slices run on the workers (`_in_block_order`): each worker forms its
+    slice, uses it as soon as every slice before it is used, then forms its
+    next.  So each worker holds one formed slice at a time, and none waits for
+    the others' slices to be formed.  The first failing slice in block order
+    raises; a slice still waiting for its turn when an earlier one fails is
+    dropped.
     """
     if not parts:
         return
-    use(parts[0], form(parts[0]))
     turn = threading.Condition()
     # the start of the next slice to use, and the start of the first that failed
-    next_start, failed = [parts[0].stop], [math.inf]
+    next_start, failed = [parts[0].start], [math.inf]
 
     def form_and_use(part: slice) -> None:
         try:
@@ -198,7 +194,7 @@ def _formed_in_order(form: Callable[[slice], object], use: Callable[[slice, obje
             next_start[0] = part.stop
             turn.notify_all()
 
-    _in_block_order(form_and_use, parts[1:])
+    _in_block_order(form_and_use, parts)
 
 
 def stack_by_blocks(n_times: int, n: int, block: Callable[[slice], np.ndarray]) -> np.ndarray:

@@ -67,7 +67,9 @@ class PictureTransform:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         mats = np.asarray(self.matrices, dtype=complex)
-        if mats.shape[0] != times.shape[0] or mats.shape[1] != mats.shape[2]:
+        if times.ndim != 1 or times.size == 0:
+            raise ValueError("need a 1-D grid of at least one time")
+        if mats.ndim != 3 or mats.shape[0] != times.shape[0] or mats.shape[1] != mats.shape[2]:
             raise ValueError("need one square matrix per grid time")
         if max_abs(mats[0] - np.eye(mats.shape[1])) > 1e-12:
             raise ValueError("picture transform must be the identity at the reference time, "

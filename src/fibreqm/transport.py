@@ -40,7 +40,6 @@ from .hilbert import (
     _frozen,
     _in_block_order,
     as_state,
-    is_broadcast,
     series_by_blocks,
     stack_by_blocks,
     time_blocks,
@@ -75,11 +74,10 @@ class MatrixBundleHamiltonian:
     """Matrix bundle Hamiltonian for a grid, evaluable at any batch of times.
 
     The midpoint stepper needs values between grid points, so the closed form
-    is kept callable (`at_many`) rather than sampled on the grid.  Where the
-    frames of a batch broadcast one matrix (a constant trivialization), the
-    proof of that matrix is kept, and a later batch that broadcasts the same
-    matrix reuses it (`TrivializationFamily.derivative_at_many`), so a bundle
-    integration proves it once, not once per time block of midpoints.
+    is kept callable (`at_many`) rather than sampled on the grid.  Each batch
+    samples and proves its own frames (`TrivializationFamily.derivative_at_many`),
+    and nothing is kept between batches, so the workers of a bundle integration
+    share no state of it.
     """
 
     def __init__(self, hamiltonian: HamiltonianFamily, trivialization: TrivializationFamily,
@@ -92,7 +90,6 @@ class MatrixBundleHamiltonian:
         self.constants = constants
         self.times = times
         self.times.setflags(write=False)
-        self._broadcast_inverse: Optional[FrameInverse] = None
 
     @property
     def dimension(self) -> int:
@@ -100,10 +97,7 @@ class MatrixBundleHamiltonian:
 
     def at_many(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        values, derivative, inverse = self.trivialization.derivative_at_many(
-            times, self._broadcast_inverse)
-        if self._broadcast_inverse is None and is_broadcast(values):
-            self._broadcast_inverse = inverse
+        values, derivative, inverse = self.trivialization.derivative_at_many(times)
         return _bundle_generator(values, inverse, self.hamiltonian.at_many(times), derivative,
                                  self.constants.hbar)
 

@@ -702,11 +702,10 @@ class TestFrameInverse:
         frame_calls = {routine: k for (routine, module), k in calls.items()
                        if module == "fibreqm.bundle"}
         if name == "nonunitary-constant-gauge":
-            # the grid, and the midpoints once for the bundle integration, not once
-            # for each of its time blocks (two at n = 8): each checked by its SVD
-            # and inverted once
+            # the grid, and each of the bundle integration's two time blocks of
+            # midpoints at n = 8: each checked by its SVD and inverted once
             assert len(time_blocks(cfg.times.size - 1, cfg.dimension)) == 2
-            assert frame_calls == {"svd": 2, "inv": 2}
+            assert frame_calls == {"svd": 3, "inv": 3}
         else:
             assert frame_calls == {}
         nodes["transport"].propagators.into_t0[:2]  # PropagatorGrid.into_t0 keeps inv, per read

@@ -225,6 +225,18 @@ class TestGeneralPicture:
         with pytest.raises(ValueError, match="identity at the reference"):
             PictureTransform(TIMES, mats)
 
+    @pytest.mark.parametrize("times, matrices, message", [
+        ([0.0, 1.0], np.eye(2), "one square matrix per grid time"),
+        ([0.0, 1.0], np.zeros((2, 2, 2, 2)), "one square matrix per grid time"),
+        ([0.0, 1.0], np.zeros((3, 2, 2)), "one square matrix per grid time"),
+        ([0.0, 1.0], np.zeros((2, 2, 3)), "one square matrix per grid time"),
+        ([], np.zeros((0, 2, 2)), "at least one time"),
+        ([[0.0, 1.0]], np.zeros((2, 2, 2)), "at least one time"),
+    ], ids=["2-d", "4-d", "count", "not-square", "empty-grid", "2-d-times"])
+    def test_a_malformed_transform_is_a_value_error(self, times, matrices, message):
+        with pytest.raises(ValueError, match=message):
+            PictureTransform(times, matrices)
+
 
 class TestDensityMorphisms:
     """Density morphisms are lifts l^-1 rho l, carried by `evolve_density_morphisms`."""

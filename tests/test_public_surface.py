@@ -235,6 +235,17 @@ def test_only_hilbert_reads_strides():
     assert readers == {"hilbert.py"}
 
 
+def test_only_the_grid_check_asks_whether_a_stack_is_a_broadcast():
+    """Outside `hilbert`, only `TrivializationFamily.validate_on_grid` calls
+    `is_broadcast`, to keep a broadcast's grid values: a sampled batch is taken in
+    one call, and no proof is kept between batches."""
+    callers = {(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
+               for scope, node in _scoped_nodes(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("is_broadcast")
+               and path.name != "hilbert.py"}
+    assert callers == {("bundle.py", "TrivializationFamily.validate_on_grid")}
+
+
 def test_only_the_pool_helper_imports_threads():
     """The pool helper in `hilbert`, which runs the time blocks of setup and of the
     checks' sweep, is the one place that runs threads, so it alone may import

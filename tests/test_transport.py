@@ -565,11 +565,11 @@ class TestStreamedBundleSection:
         assert above <= section.values.nbytes + 3.5 * workers * hilbert_module._BLOCK_BYTES
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_a_broadcast_gauge_is_proven_once_per_integration(self, monkeypatch, workers):
+    def test_a_broadcast_gauge_is_proven_once_per_midpoint_slice(self, monkeypatch, workers):
         # a constant non-unitary gauge at n = 32 on 301 times: ten slices of
-        # midpoints, each a broadcast of one matrix, proven (one SVD and one `inv`)
-        # by the first slice alone and reused by the others on the workers, with a
-        # short switch interval so that the workers interleave often
+        # midpoints, each a broadcast of one matrix, each proven (one SVD and one
+        # `inv`) by the worker that samples it, with a short switch interval so
+        # that the workers interleave often
         monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         m = np.eye(32, dtype=complex) + 0.3 * np.diag(np.ones(31), 1)
         cfg = self.gauge(32, 300)
@@ -587,11 +587,30 @@ class TestStreamedBundleSection:
             section = integrate_bundle_schrodinger(hm, cfg.initial_state)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(calls) == ["inv", "svd"]
+        slices = len(time_blocks(cfg.times.size - 1, 32))
+        assert slices == 10
+        assert sorted(calls) == ["inv"] * slices + ["svd"] * slices
         fresh = MatrixBundleHamiltonian(cfg.hamiltonian, constant_trivialization(m, "shear"),
                                         cfg.times, cfg.constants)
         assert np.array_equal(section.values, propagate_states(
             midpoint_propagators(fresh, cfg.times, cfg.constants), cfg.initial_state))
+
+    @pytest.mark.parametrize("gauge", ["shear", "random"])
+    def test_the_generator_keeps_no_state_between_batches(self, monkeypatch, gauge):
+        # n = 16 on 601 times, five slices of midpoints on two workers: no
+        # attribute of the generator is added, dropped or rebound by the integration
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 2)
+        cfg = self.gauge(16, 600)
+        trivialization = (constant_trivialization(
+            np.eye(16, dtype=complex) + 0.3 * np.diag(np.ones(15), 1), "shear")
+            if gauge == "shear" else cfg.trivialization)
+        hm = MatrixBundleHamiltonian(cfg.hamiltonian, trivialization, cfg.times, cfg.constants)
+        assert len(time_blocks(cfg.times.size - 1, 16)) == 5
+        before = dict(vars(hm))
+        integrate_bundle_schrodinger(hm, cfg.initial_state)
+        after = vars(hm)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
 
     def test_a_grid_whose_slices_plan_apart_gives_one_record_at_any_worker_count(
             self, monkeypatch):
