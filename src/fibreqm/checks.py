@@ -25,17 +25,22 @@ formed, and each slice samples its frames, and forms and inverts its
 conventional rows, once.  The slices run concurrently on the workers of the pool helper
 `hilbert._in_block_order`, the calling thread among them, so one slice's block
 nodes are in flight per thread; every whole node they read is built before
-them, and their outputs are folded in block order.  Then each check, in the
-scenario's order, finishes once: a pointwise check's residuals, concatenated,
-are judged, and a check that builds its own record runs on its whole nodes and
-its block nodes' series concatenated.  A whole node is dropped once no check
-still to finish reads it, the block nodes' series being gathered already.  A
-failure is a failed record of its check alone, that of its first failing
-slice, never a silent pass.  The whole nodes' own block loops (sampling,
-exponentials, inverses) run on the same helper, on the calling thread's
-behalf, and raise their first failing block's error, so a failed `setup`
-record does not depend on the worker count either.  Scenarios share no mutable
-state, so suites run them in any order.
+them, and their outputs are folded in block order.  A slice runs its checks in
+one fixed run order, that of `_CHECK_TABLE`, whatever the scenario's order: the
+density checks and the transport criterion run before the checks that read the
+lifted observables, so each slice drops its conventional rows and their
+inverses, both densities and the frames' inverses before `picture_invariance`,
+its largest check, forms its temporaries.  Then each check, in the scenario's
+order, finishes once: a pointwise check's residuals, concatenated, are judged,
+and a check that builds its own record runs on its whole nodes and its block
+nodes' series concatenated; the records keep the scenario's order.  A whole
+node is dropped once no check still to finish reads it, the block nodes'
+series being gathered already.  A failure is a failed record of its check
+alone, that of its first failing slice, never a silent pass.  The whole
+nodes' own block loops (sampling, exponentials, inverses) run on the same
+helper, on the calling thread's behalf, and raise their first failing block's
+error, so a failed `setup` record does not depend on the worker count either.
+Scenarios share no mutable state, so suites run them in any order.
 """
 
 from __future__ import annotations
@@ -516,22 +521,24 @@ def _check_integrals_of_motion(tol: float, cfg, integral_commutators,
                        None, detail="; ".join(outcomes))
 
 
-# Check id -> check, pointwise or building its own record.
+# Check id -> check, pointwise or building its own record, in the order each slice
+# of the sweep runs them: the readers of the densities and of the transport
+# criterion before the readers of the lifted observables (see the module docstring).
 _CHECK_TABLE = {
     "state_equivalence": _check_state_equivalence,
     "norm_drift": _check_norm_drift,
     "transport_identity": _check_transport_identity,
     "transport_composition": _check_transport_composition,
+    "density_consistency": _check_density_consistency,
+    "density_purity": _check_density_purity,
+    "fibre_trace_preservation": _check_fibre_trace,
+    "integrals_of_motion": _check_integrals_of_motion,
     "mean_value_invariance": _check_mean_value_invariance,
     "hermiticity_correspondence": _check_hermiticity_correspondence,
     "unitary_bundle_map": _check_unitary_bundle_map,
     "picture_invariance": _check_picture_invariance,
     "heisenberg_constancy": _check_heisenberg_constancy,
-    "density_consistency": _check_density_consistency,
-    "density_purity": _check_density_purity,
-    "fibre_trace_preservation": _check_fibre_trace,
     "module_dualities": _check_module_dualities,
-    "integrals_of_motion": _check_integrals_of_motion,
     "physics_closed_form": _check_physics_closed_form,
 }
 
@@ -666,7 +673,11 @@ def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
     Every whole node that the slices read is built first, on the calling thread;
     then the slices run on the workers (`_run_block`, `hilbert._in_block_order`),
     on the calling thread alone if one of those builds raised, so that each
-    reader builds it again and fails by its error.  The outputs are folded in
+    reader builds it again and fails by its error.  Each slice runs its checks in
+    the run order of `_CHECK_TABLE`, not in `check_ids` order, so that its
+    largest check runs beside its own block nodes alone; a check's output does
+    not depend on that order, since a block node that raised stored nothing and
+    is built again, and fails again, for each reader.  The outputs are folded in
     block order: a check's first failed record is its record and its later
     blocks are discarded.  After the last slice every other check finishes once,
     in `check_ids` order: a pointwise check's blocks are judged, and a check that
@@ -675,10 +686,11 @@ def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
     whole nodes that no check still to finish reads are dropped.
     """
     cfg = nodes["cfg"]
-    run = functools.partial(_run_block, nodes, check_ids)
+    run_order = [check_id for check_id in _CHECK_TABLE if check_id in check_ids]
+    run = functools.partial(_run_block, nodes, run_order)
     parts = time_blocks(cfg.times.size, cfg.dimension)
     try:
-        for name in _whole_reads(check_ids):
+        for name in _whole_reads(run_order):
             _read(nodes, name)
     except Exception:
         blocks = [run(part) for part in parts]

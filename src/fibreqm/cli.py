@@ -37,13 +37,16 @@ def _output_dir(args) -> FsPath | None:
 
 
 def _finish(report, args, stem: str) -> int:
-    """Print the report, write its records file if asked to, and return the exit status."""
-    sys.stdout.write(emit(report, args.format).decode())
+    """Print the report, write its records file if asked to, and return the exit status.
+
+    Records printed and written are serialized once, the same bytes to both."""
+    printed = emit(report, args.format)
+    sys.stdout.write(printed.decode())
     out_dir = _output_dir(args)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         target = out_dir / f"{stem}.records.json"
-        target.write_bytes(emit(report, "records"))
+        target.write_bytes(printed if args.format == "records" else emit(report, "records"))
         print(f"records written to {target}", file=sys.stderr)
     return 0 if report.overall_pass else 1
 

@@ -4,14 +4,19 @@ The structured-record JSON is deterministic for a fixed config and seed:
 keys are sorted and floats use their shortest round-trip representation, so
 two runs differ only in the timing field.  It is standard JSON: a non-finite
 residual or series value is written as the string "inf", "-inf" or "nan", and
-read back as that float.
+read back as that float.  `emit` streams the encoder's chunks into one byte
+buffer, a bounded batch at a time, so it holds no list of every chunk: the
+bytes are those of `json.dumps`, whose generator it runs, and its temporaries
+above the report are about the size of its output.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional
 
 SCHEMA_VERSION = 1
@@ -215,11 +220,26 @@ def render_timeseries_csv(report) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Encoder chunks joined and encoded at a time: about 100 kB of a records file.
+_CHUNK_BATCH = 4096
+
+
+def _records(report) -> bytes:
+    """`json.dumps(report.to_dict(), sort_keys=True, indent=1, allow_nan=False) + "\\n"`,
+    encoded, from the same generator, batch by batch into one buffer."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=1, allow_nan=False).iterencode(
+        report.to_dict())
+    out = io.BytesIO()
+    for batch in iter(lambda: list(islice(chunks, _CHUNK_BATCH)), []):
+        out.write("".join(batch).encode())
+    out.write(b"\n")
+    return out.getvalue()
+
+
 def emit(report, fmt: str) -> bytes:
     """Serialize a report: 'records' (JSON), 'table' (text), 'timeseries' (CSV)."""
     if fmt == "records":
-        return (json.dumps(report.to_dict(), sort_keys=True, indent=1, allow_nan=False)
-                + "\n").encode()
+        return _records(report)
     if fmt == "table":
         return render_table(report).encode()
     if fmt == "timeseries":

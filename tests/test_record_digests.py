@@ -4,14 +4,17 @@ The catalog digests read the session's shared catalog run, so they add no
 scenario run.  Every catalog stack but one is one time block, so two more
 scenarios are pinned beside them: one of four blocks and one of ten, named for
 the two and five `_BLOCK_BYTES` their stacks span, so that byte-identity holds
-across many block boundaries, and at any number of threads running the blocks.  A change that moves a record on
-purpose regenerates `record_digests.json`; one that moves it by accident fails
-here.  The digests depend on the numpy and BLAS builds too, so a failure names
-both, beside the builds the file was made with.
+across many block boundaries, at any number of threads running the blocks, and
+with a scenario's checks in any order.  A change that moves a record on purpose
+regenerates `record_digests.json`; one that moves it by accident fails here.
+The digests depend on the numpy and BLAS builds too, so a failure names both,
+beside the builds the file was made with.
 """
 
+import dataclasses
 import hashlib
 import json
+import random
 import sys
 from importlib import resources
 from pathlib import Path
@@ -21,7 +24,7 @@ import pytest
 
 import fibreqm.hilbert as hilbert_module
 from fibreqm.checks import run_scenario
-from fibreqm.scenario import scenario_from_dict
+from fibreqm.scenario import catalog_names, load_catalog_scenario, scenario_from_dict
 
 DIGESTS = Path(__file__).resolve().parent / "record_digests.json"
 # the `two_block_gauge` fixture's record, at its shipped seed
@@ -97,3 +100,26 @@ def test_the_wide_gauge_record_does_not_depend_on_the_worker_count(monkeypatch):
         assert report.overall_pass
         digests.add(_timing_free_sha256(report))
     assert len(digests) == 1
+
+
+def _run_with_shuffled_checks(cfg, rng):
+    """The report of `cfg` run with its checks in a shuffled order, its records put back
+    in the config's order; the sweep runs every slice's checks in one order of its
+    own whatever the config's."""
+    checks = list(cfg.checks)
+    rng.shuffle(checks)
+    report = run_scenario(dataclasses.replace(cfg, checks=checks))
+    assert [r.check for r in report.records] == checks
+    return dataclasses.replace(report, records=[report.record(c) for c in cfg.checks])
+
+
+def test_the_pinned_records_do_not_depend_on_the_order_of_the_checks(two_block_gauge,
+                                                                     five_block_gauge):
+    rng = random.Random(0x5EED)
+    pinned = json.loads(DIGESTS.read_text())["digests"]
+    for name, _ in catalog_names():
+        cfg = load_catalog_scenario(name)
+        assert _timing_free_sha256(_run_with_shuffled_checks(cfg, rng)) == pinned[cfg.name]
+    assert _timing_free_sha256(_run_with_shuffled_checks(two_block_gauge, rng)) == TWO_BLOCK_SHA256
+    assert (_timing_free_sha256(_run_with_shuffled_checks(five_block_gauge, rng))
+            == FIVE_BLOCK_SHA256)

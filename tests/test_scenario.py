@@ -19,9 +19,11 @@ import pytest
 
 import fibreqm.bundle as bundle_module
 import fibreqm.checks as checks_module
+import fibreqm.cli as cli_module
 import fibreqm.dynamics as dynamics_module
 import fibreqm.hilbert as hilbert_module
 import fibreqm.pictures as pictures_module
+import fibreqm.report as report_module
 import fibreqm.scenario as scenario_module
 import fibreqm.suite as suite_module
 import fibreqm.transport as transport_module
@@ -46,7 +48,13 @@ from fibreqm.dynamics import (
 )
 from fibreqm.hilbert import matrix_exponential, time_blocks
 from fibreqm.pictures import PictureTransform
-from fibreqm.report import CheckRecord, emit, report_from_dict, suite_from_dict
+from fibreqm.report import (
+    CheckRecord,
+    ScenarioReport,
+    emit,
+    report_from_dict,
+    suite_from_dict,
+)
 from fibreqm.scenario import (
     ALL_CHECKS,
     ConfigError,
@@ -713,14 +721,11 @@ class TestSweep:
         assert starts == [0, 128, 256, 384]
         assert Counter(built) == {(name, start): 1 for name in block_nodes for start in starts}
 
-    def test_a_block_node_is_dropped_after_its_last_reader_in_its_block(self, monkeypatch,
-                                                                        two_block_gauge):
-        cfg = two_block_gauge
-        monkeypatch.setattr(hilbert_module, "_WORKERS", 1)  # one block in flight
-        # every check runs in each block, in the scenario's order, so the transport
-        # criterion's block node is built after every other check has run in its block
-        assert cfg.checks[-1] == "integrals_of_motion"
-        refs = {}  # block node -> a weak reference to an array its latest build holds
+    @staticmethod
+    def recording_block_nodes(monkeypatch, names) -> dict:
+        """Block node -> a weak reference to an array its latest build holds, for each of
+        `names`, whose builds are wrapped to record it."""
+        refs = {}
 
         def recording(part, *reads, name, build):
             node = build(part, *reads)
@@ -729,9 +734,24 @@ class TestSweep:
             refs[name] = weakref.ref(held)
             return node
 
-        for name in checks_module._BLOCK_NODES - {"integral_deviations"}:
+        for name in names:
             monkeypatch.setitem(_NODES, name, functools.partial(recording, name=name,
                                                                 build=_NODES[name]))
+        return refs
+
+    def test_a_block_node_is_dropped_after_its_last_reader_in_its_block(self, monkeypatch,
+                                                                        two_block_gauge):
+        cfg = two_block_gauge
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 1)  # one block in flight
+        # every check runs in each block in the sweep's run order, the check table's,
+        # not the scenario's: the transport criterion's block node is built after the
+        # density checks, and before the checks that read the lifted observables
+        assert cfg.checks[-1] == "integrals_of_motion"
+        run_order = [check_id for check_id in _CHECK_TABLE if check_id in cfg.checks]
+        assert run_order.index("fibre_trace_preservation") + 1 == run_order.index(
+            "integrals_of_motion") < run_order.index("mean_value_invariance")
+        refs = self.recording_block_nodes(
+            monkeypatch, checks_module._BLOCK_NODES - {"integral_deviations"})
         alive = []  # the block nodes alive as each block's transport criterion is built
         deviations = _NODES["integral_deviations"]
 
@@ -743,15 +763,46 @@ class TestSweep:
         assert run_scenario(cfg).overall_pass
         assert len(refs) == 11
         slices = len(time_blocks(cfg.times.size, cfg.dimension))  # four slices
-        # its own reads; the rest are dropped
-        assert alive == [["frames", "inverse_frames", "transport_t0"]] * slices
+        # its own reads, and the lifted states that state_equivalence built for
+        # mean_value_invariance; the conventional rows, their inverses and both
+        # densities went with the density checks
+        assert alive == [["frames", "inverse_frames", "lifted", "transport_t0"]] * slices
+
+    def test_picture_invariance_runs_beside_its_own_block_nodes_alone(self, monkeypatch,
+                                                                      two_block_gauge):
+        cfg = two_block_gauge
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 1)  # one block in flight
+        refs = self.recording_block_nodes(monkeypatch, checks_module._BLOCK_NODES)
+        alive, check = [], _CHECK_TABLE["picture_invariance"]  # the block nodes alive at
+        # each of its calls
+
+        def probe(part, *reads):
+            alive.append(sorted(name for name, ref in refs.items() if ref() is not None))
+            return check(part, *reads)
+
+        monkeypatch.setitem(_CHECK_TABLE, "picture_invariance", probe)
+        assert run_scenario(cfg).overall_pass
+        assert set(refs) == checks_module._BLOCK_NODES
+        # the block nodes it reads, and no conventional rows or their inverses, no
+        # density, no inverse frames and no lifted states: their last readers in the
+        # block have run.  The transport criterion's per-time deviations are alive too,
+        # as integrals_of_motion's output on the block, which every check's output is
+        # until the blocks are folded.
+        reads = sorted(set(checks_module._READS["picture_invariance"])
+                       & checks_module._BLOCK_NODES)
+        assert reads == ["frames", "heisenberg_values", "lifted_observables", "transport_t0",
+                         "transported_section"]
+        assert alive == [sorted(reads + ["integral_deviations"])] * len(
+            time_blocks(cfg.times.size, cfg.dimension))
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("scenario", ["two-block", "nonunitary-constant-gauge"])
     def test_the_records_do_not_depend_on_the_order_of_the_checks(self, monkeypatch,
                                                                    two_block_gauge, scenario,
                                                                    workers):
-        # the checks finish, and their whole nodes are dropped, in the scenario's order
+        # each slice runs the checks in the sweep's run order, whatever the scenario's;
+        # the checks finish, and their whole nodes are dropped, in the scenario's order,
+        # and the records keep it
         monkeypatch.setattr(hilbert_module, "_WORKERS", workers)
         cfg = two_block_gauge if scenario == "two-block" else load_catalog_scenario(scenario)
         forward = run_scenario(cfg)
@@ -1108,7 +1159,9 @@ def test_only_the_sweep_calls_a_check():
                 if isinstance(called, ast.Name) and (called.id == "_CHECK_TABLE"
                                                      or called.id.startswith("_check_")):
                     callers[fn.name] += 1
-    assert readers == callers == {"_block_output": 1, "_sweep": 1}
+    # `_sweep` reads the table once more, for the order each slice runs its checks in
+    assert readers == {"_block_output": 1, "_sweep": 2}
+    assert callers == {"_block_output": 1, "_sweep": 1}
 
 
 def test_only_dynamics_forms_step_products():
@@ -1639,13 +1692,17 @@ class TestArtifactNodes:
         one_stack = cfg.times.size * 32 * 32 * np.dtype(complex).itemsize
         block = hilbert_module._BLOCK_BYTES
         # At the default worker count, with one slice's blocks in flight per worker,
-        # the peak is 0.98 stack measured (16.1 MB): no stack of the frames is held,
-        # only l(t0), so it is the conventional checkpoints, vectors of N states and
-        # two slices' block nodes and temporaries in the sweep, each slice's frames
-        # and their inverses among them; the bound adds two blocks (0.13 stack).  The
-        # count is capped at two, so this holds on a host of any core count.
+        # the peak is 0.88 stack measured at most (14.4 MB, on a process's first run;
+        # 12.5-13.1 MB after): no stack of the frames is held, only l(t0), so it is
+        # the conventional checkpoints, vectors of N states and two slices' block
+        # nodes and temporaries in the sweep.  Each slice runs its density checks
+        # before the readers of the lifted observables, so picture_invariance runs
+        # beside its own block nodes alone; beside the slice's conventional rows,
+        # their inverses and the frames' inverses it peaked at 0.92-0.99 stack.  The
+        # bound adds one block (0.06 stack).  The count is capped at two, so this
+        # holds on a host of any core count.
         assert 1 <= hilbert_module._WORKERS <= 2
-        peak_bound = one_stack + 2 * block
+        peak_bound = 0.88 * one_stack + block
         tracemalloc.start()
         try:
             assert run_scenario(cfg).overall_pass
@@ -1711,7 +1768,8 @@ class TestArtifactNodes:
         # random-unitary-gauge at n = 32 and N = 1000 and 3000, at the default worker
         # count: no stack of the frames is held, so what grows with N is below a
         # stack (the checkpoints, the vectors of N states and the series), and the
-        # peak in stacks falls as N grows (0.98 and 0.42 measured, 16.1 and 20.5 MB)
+        # peak in stacks falls as N grows (0.84-0.88 and 0.37 measured, 13.7-14.4 and
+        # 18.0-18.2 MB, on a process's first run)
         root = resources.files("fibreqm") / "catalog"
         in_stacks = []
         for steps in (1000, 3000):
@@ -2231,6 +2289,72 @@ class TestEmission:
         assert payload["schema_version"] == 1
         assert payload["kind"] == "scenario-report"
 
+    @staticmethod
+    def dumped(report) -> bytes:
+        """The records of `report` as `json.dumps` writes them, the reference of `emit`."""
+        return (json.dumps(report.to_dict(), sort_keys=True, indent=1, allow_nan=False)
+                + "\n").encode()
+
+    @pytest.mark.parametrize("case", ["catalog-suite", "scenario", "empty-suite",
+                                      "non-finite-residual", "non-finite-series"])
+    def test_records_are_the_bytes_of_json_dumps(self, catalog_suite, case):
+        suite = catalog_suite[0]
+        report = {
+            "catalog-suite": suite,
+            "scenario": suite.reports[0],
+            "empty-suite": run_configs([]),
+            "non-finite-residual": ScenarioReport(
+                "non-finite", [CheckRecord("setup", INF, 0.0, False, None, "ValueError: x"),
+                               CheckRecord("norm_drift", NAN, 1e-6, False, 0.5)],
+                {"name": "non-finite"}),
+            "non-finite-series": ScenarioReport(
+                "non-finite", [CheckRecord("norm_drift", 0.25, 1e-6, False, 0.5)],
+                {"name": "non-finite"},
+                {"time": [0.0, 0.5, 1.0], "norm_sq": [1.0, NAN, 1.0],
+                 "density_residual": [0.0, INF, -INF]}),
+        }[case]
+        assert emit(report, "records") == self.dumped(report)
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_records_do_not_depend_on_the_encoder_batch(self, catalog_suite, monkeypatch,
+                                                        batch):
+        report = catalog_suite[0].reports[0]
+        monkeypatch.setattr(report_module, "_CHUNK_BATCH", batch)
+        assert emit(report, "records") == self.dumped(report)
+
+    def test_records_hold_no_list_of_every_chunk(self, catalog_suite):
+        # The catalog's records, 2.6 MB: the encoder's chunks are joined and encoded a
+        # batch at a time into one buffer, so the temporaries above the held report
+        # are about the output (1.28 times it measured: the buffer, the report's
+        # dicts and one batch).  `json.dumps` holds the list of every chunk, their
+        # joined str and its encoding, 4.48 times.
+        report = catalog_suite[0]
+        tracemalloc.start()
+        try:
+            blob = emit(report, "records")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(blob)
+
+    def test_the_catalog_records_pass_peaks_below_its_bound(self):
+        # `run_configs` and `emit` on the catalog at its shipped seeds, the path of
+        # `fibreqm suite catalog --format records`: 11.3-11.4 MB measured on a
+        # process's first pass and 10.3-10.6 MB after, set in the sweep of
+        # nonunitary-constant-gauge (n = 8, N = 1000, two slices in flight); the
+        # records add 1.28 times their 2.6 MB beside the held report.  The bound adds
+        # 1.1 MB, about that scenario's (N, n, n) stack (1.03 MB).  A pass that lists
+        # the records' chunks whole, or runs picture_invariance beside its slice's
+        # conventional rows and densities, peaks at 15.3-16.3 MB.
+        configs = [load_catalog_scenario(name) for name, _ in catalog_names()]
+        tracemalloc.start()
+        try:
+            emit(run_configs(configs), "records")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.5e6
+
 
 class TestCli:
     def test_catalog_listing(self, capsys):
@@ -2361,6 +2485,26 @@ class TestCli:
         assert capsys.readouterr().out.endswith(
             "0 verdict changes, 0 moved residuals (largest move 0.000e+00), "
             "0 moved worst times, 0 records on one side only\n")
+
+    @pytest.mark.parametrize("fmt, serialized", [("records", ["records"]),
+                                                 ("table", ["table", "records"])])
+    def test_records_printed_and_written_are_serialized_once(self, tmp_path, capsys,
+                                                             monkeypatch, fmt, serialized):
+        formats, real = [], cli_module.emit  # the format of each serialization
+
+        def counting(report, fmt):
+            formats.append(fmt)
+            return real(report, fmt)
+
+        monkeypatch.setattr(cli_module, "emit", counting)
+        out_dir = tmp_path / "reports"
+        assert cli_main(["run", str(write_config(tmp_path, dict(MINIMAL))), "--format", fmt,
+                         "--output", str(out_dir)]) == 0
+        assert formats == serialized
+        printed = capsys.readouterr().out
+        written = (out_dir / "minimal.records.json").read_text()
+        assert written == (printed if fmt == "records"
+                           else real(report_from_dict(json.loads(written)), "records").decode())
 
     def test_suite_of_catalog(self, tmp_path, capsys):
         # a tiny directory suite keeps this fast; catalog suite runs in acceptance
