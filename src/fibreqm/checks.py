@@ -8,21 +8,22 @@ which can reject the scenario; a fault that is on swaps a node's build
 
 Every check runs in one sweep, `_sweep`, over the `time_blocks` slices: a
 pointwise check runs on each slice, and a check that builds its own record
-reads there only the block nodes it reads, if any.
-A block node, a build whose first parameter is the slice `part`, is built on
-its first read in a slice, shared by every check of that slice and dropped
-after its last reader there; only pointwise checks, other block nodes and a
-check that builds its record from a block node's per-time series read one.
-The transport's t0 stacks are such a node, `transport_t0`, and so are the rows
-of the frames, `frames`, sampled once per slice where the grid's frames are a
-`bundle.GridFrames`, and their inverses, `inverse_frames`, formed from that
-block by the rule the grid check decided, which every lift, mean, adjoint map,
-density, integral deviation and t0 row of the slice reads; the lifted states,
-`lifted`; the rows of the conventional U(t, t0), `conventional_rows`, formed
-from their checkpoint, and their inverses, `conventional_t0`, which the
-transport's t0 rows and the conventional density share.  No whole one is
-formed, and each slice samples its frames, and forms and inverts its
-conventional rows, once.  The slices run concurrently on the workers of the pool helper
+reads there only the block nodes it reads, if any.  A block node, a build whose
+first parameter is the slice `part`, is built on its first read in a slice,
+shared by every check of that slice and dropped after its last reader there;
+only pointwise checks, other block nodes and a check that builds its record
+from a block node's per-time series read one.  The transport's t0 stacks are
+such a node, `transport_t0`, and so are the rows of the frames, `frames`,
+sampled once per slice where the grid's frames are a `bundle.GridFrames`, and
+their inverses, `inverse_frames`, formed from that block by the rule the grid
+check decided, which every lift, mean, adjoint map, density, integral deviation
+and t0 row of the slice reads; the lifted states, `lifted`; the rows of the
+conventional U(t, t0), `conventional_rows`, formed from their checkpoint, and
+their inverses, `conventional_t0`, which the transport's t0 rows and the
+conventional density share; and the Heisenberg-picture means,
+`heisenberg_means`, the last reader of the t0 rows.  No whole one is formed, and
+each slice samples its frames, and forms and inverts its conventional rows,
+once.  The slices run concurrently on the workers of the pool helper
 `hilbert._in_block_order`, the calling thread among them, so one slice's block
 nodes are in flight per thread; every whole node they read is built before
 them, and their outputs are folded in block order.  A slice runs its checks in
@@ -30,17 +31,21 @@ one fixed run order, that of `_CHECK_TABLE`, whatever the scenario's order: the
 density checks and the transport criterion run before the checks that read the
 lifted observables, so each slice drops its conventional rows and their
 inverses, both densities and the frames' inverses before `picture_invariance`,
-its largest check, forms its temporaries.  Then each check, in the scenario's
+its largest check, forms its temporaries.  Between a check's reads and its call
+the slice drops every block node that only fed those reads:
+`density_consistency` forms its lift without the conventional rows and their
+inverses, and `picture_invariance` samples its random picture without the t0
+rows, which `heisenberg_means` read last.  Then each check, in the scenario's
 order, finishes once: a pointwise check's residuals, concatenated, are judged,
 and a check that builds its own record runs on its whole nodes and its block
-nodes' series concatenated; the records keep the scenario's order.  A whole
-node is dropped once no check still to finish reads it, the block nodes'
-series being gathered already.  A failure is a failed record of its check
-alone, that of its first failing slice, never a silent pass.  The whole
-nodes' own block loops (sampling, exponentials, inverses) run on the same
-helper, on the calling thread's behalf, and raise their first failing block's
-error, so a failed `setup` record does not depend on the worker count either.
-Scenarios share no mutable state, so suites run them in any order.
+nodes' series concatenated; the records keep the scenario's order.  A whole node
+is dropped once no check still to finish reads it, the block nodes' series
+being gathered already.  A failure is a failed record of its check alone, that
+of its first failing slice, never a silent pass.  The whole nodes' own block
+loops (sampling, exponentials, inverses) run on the same helper, on the calling
+thread's behalf, and raise their first failing block's error, so a failed
+`setup` record does not depend on the worker count either.  Scenarios share no
+mutable state, so suites run them in any order.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ from .hilbert import (
     expectations,
     inner_products,
     max_abs,
+    sorted_distinct,
     time_blocks,
 )
 from .pictures import (
@@ -111,7 +117,7 @@ def _judged(check_id: str, times: np.ndarray, residuals: Dict[str, np.ndarray],
 
 
 def _coarse_indices(n_times: int) -> np.ndarray:
-    return np.unique(np.round(np.linspace(0, n_times - 1, 9)).astype(int))
+    return sorted_distinct(np.round(np.linspace(0, n_times - 1, 9)).astype(int))
 
 
 def _sample_triples(times: np.ndarray, seed: int) -> List[Tuple[float, float, float]]:
@@ -277,6 +283,18 @@ def _heisenberg_values(part: slice, transport_t0, transported_section) -> np.nda
     return apply(transport_t0[1], transported_section)
 
 
+def _heisenberg_means(part: slice, transport, transport_t0, lifted_observables,
+                      heisenberg_values) -> Dict[str, np.ndarray]:
+    """Name -> the Heisenberg-picture means over the block, V = U(t0, t): each lifted
+    observable carried to t0, U(t0, t) A U(t, t0), and its mean in the fibre over t0
+    on the Heisenberg states.  Its build is the last read of the slice's t0 rows, so
+    they go before `picture_invariance` samples its random picture."""
+    from_t0, into_t0 = transport_t0
+    return {name: fibre_means(transport.frames[0], to_general_picture_observables(
+        into_t0, from_t0, a_lift), heisenberg_values)
+        for name, a_lift in lifted_observables.items()}
+
+
 def _integral_deviations(part: slice, frames, inverse_frames, integral_commutators,
                          transport_t0) -> Dict[int, np.ndarray]:
     """Candidate index -> the transport criterion's deviation at each time of the block,
@@ -319,6 +337,7 @@ _NODES = {
     "density_conventional": _density_conventional,
     "transported_section": _transported_section,
     "heisenberg_values": _heisenberg_values,
+    "heisenberg_means": _heisenberg_means,
     "integral_deviations": _integral_deviations,
     "transport_axioms": _transport_axioms,
 }
@@ -376,11 +395,9 @@ def _check_hermiticity_correspondence(part: slice, frames, inverse_frames, obser
     return residuals, {}
 
 
-def _check_picture_invariance(part: slice, times, transport, frames, random_picture,
-                              transport_t0, transported_section, lifted_observables,
-                              heisenberg_values):
+def _check_picture_invariance(part: slice, times, frames, random_picture, transported_section,
+                              lifted_observables, heisenberg_means):
     psi_t = transported_section
-    from_t0, into_t0 = transport_t0
     # The random V and V^-1 of this block, sampled after V(t0), which the
     # transform checks to be the identity.
     picture = random_picture(np.concatenate([times[:1], times[part]]))
@@ -388,9 +405,7 @@ def _check_picture_invariance(part: slice, times, transport, frames, random_pict
     psi_v = apply(v, psi_t)
     residuals, series = {}, {}
     for name, a_lift in lifted_observables.items():
-        # the Heisenberg picture is V = U(t0, t)
-        heis = fibre_means(transport.frames[0], to_general_picture_observables(
-            into_t0, from_t0, a_lift), heisenberg_values)
+        heis = heisenberg_means[name]  # the Heisenberg picture, V = U(t0, t)
         schro = fibre_means(frames, a_lift, psi_t)
         general = general_picture_means(
             v_inv, frames, to_general_picture_observables(v, v_inv, a_lift), psi_v)
@@ -407,8 +422,9 @@ def _check_heisenberg_constancy(part: slice, section_t0, heisenberg_values):
 def _check_density_consistency(part: slice, frames, inverse_frames, density_transported,
                                density_conventional):
     # rho(t) by the conventional propagators, lifted: l^-1 rho(t) l
-    lifted = lift_operators(frames, inverse_frames, density_conventional)
-    residual = np.max(np.abs(density_transported - lifted), axis=(1, 2))
+    deviation = lift_operators(frames, inverse_frames, density_conventional)
+    deviation -= density_transported  # |b - a| has the bits of |a - b|
+    residual = np.max(np.abs(deviation), axis=(1, 2))
     return {"": residual}, {"density_residual": residual}
 
 
@@ -645,25 +661,31 @@ def _run_block(nodes: dict, check_ids: Sequence[str], part: slice) -> dict:
 
     The checks run in `check_ids` order; the block nodes they read are built
     once, into the slice's own dict, and each is dropped after its last reader
-    in the slice.  A pointwise check's output is its (residuals, series), that
-    of a check that builds its own record its block nodes.
+    in the slice: a node that only fed a check's reads before that check's call.
+    A pointwise check's output is its (residuals, series), that of a check that
+    builds its own record its block nodes.
     """
     block, out = {"part": part}, {}
     for k, check_id in enumerate(check_ids):
         try:
-            out[check_id] = _block_output(nodes, check_id, block)
+            out[check_id] = _block_output(nodes, check_ids[k:], block)
         except Exception as exc:
             out[check_id] = _failed(check_id, nodes["cfg"].tolerances[check_id], exc)
         _drop_unread(block, check_ids[k + 1:])
     return out
 
 
-def _block_output(nodes: dict, check_id: str, block: dict):
-    """A check's output on the slice of `block`; its reads are held no longer than its
-    call, unless they are its output."""
+def _block_output(nodes: dict, pending: Sequence[str], block: dict):
+    """The output of the first `pending` check on the slice of `block`.  The block
+    nodes that no pending check reads any more, those that only its reads needed,
+    are dropped before its call, and its reads are held no longer than its call,
+    unless they are its output."""
+    check_id = pending[0]
     reads = {name: _read(nodes, name, block) for name in _slice_reads(check_id)}
-    return (_CHECK_TABLE[check_id](block["part"], *reads.values()) if check_id in _POINTWISE
-            else reads)
+    if check_id not in _POINTWISE:
+        return reads
+    _drop_unread(block, pending)
+    return _CHECK_TABLE[check_id](block["part"], *reads.values())
 
 
 def _sweep(nodes: dict, check_ids: Sequence[str]) -> dict:
@@ -739,10 +761,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     outcomes = _sweep(nodes, cfg.checks)  # check id -> (record, series)
     del nodes  # no check reads a node any more
 
-    timeseries = {"time": cfg.times}
+    timeseries = {"time": cfg.times}  # held as read-only float64 arrays by the report
     for check_id in cfg.checks:
         timeseries.update(outcomes[check_id][1])
-    timeseries = {key: np.asarray(values, dtype=float).tolist()
-                  for key, values in timeseries.items()}
     return ScenarioReport(cfg.name, [outcomes[check_id][0] for check_id in cfg.checks],
                           cfg.echo, timeseries, time.perf_counter() - started)

@@ -16,6 +16,7 @@ FIBREQM_OUTPUT_DIR sets the default output directory for written report files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path as FsPath
@@ -110,6 +111,14 @@ def _same(a, b) -> bool:
     return a == b or (a != a and b != b)  # two NaNs are the same value
 
 
+def _relative(change: float, old: float) -> float:
+    """A residual's move relative to its old value: inf from 0 or from a non-finite
+    residual (a failed record's inf), NaN for a move from or to NaN."""
+    if change != change:
+        return change
+    return change / abs(old) if old and math.isfinite(old) else math.inf
+
+
 def _cmd_diff(args) -> int:
     old, new = _records_by_key(FsPath(args.old)), _records_by_key(FsPath(args.new))
     flips = moved = retimed = one_sided = 0
@@ -127,10 +136,10 @@ def _cmd_diff(args) -> int:
         if not _same(a.max_residual, b.max_residual):
             moved += 1
             change = abs(b.max_residual - a.max_residual)
-            largest = max(largest, change)
-            rel = change / abs(a.max_residual) if a.max_residual else float("inf")
+            # a NaN move is the largest, as a NaN residual is the worst
+            largest = change if change != change else max(largest, change)
             print(f"{where}: residual {a.max_residual!r} -> {b.max_residual!r} "
-                  f"(abs {change:.3e}, rel {rel:.3e})")
+                  f"(abs {change:.3e}, rel {_relative(change, a.max_residual):.3e})")
         if not _same(a.worst_time, b.worst_time):
             retimed += 1
             print(f"{where}: worst time {a.worst_time!r} -> {b.worst_time!r}")

@@ -34,6 +34,7 @@ from .hilbert import (
     is_hermitian,
     matrix_exponential,
     max_abs,
+    sorted_distinct,
     time_blocks,
 )
 
@@ -413,7 +414,7 @@ class CheckpointedProducts:
         flat = wanted.ravel()
         out = np.empty(flat.shape + self.shape[1:], dtype=complex)
         segment_of = flat // self._size
-        for segment in np.unique(segment_of):
+        for segment in sorted_distinct(segment_of):
             mine = np.flatnonzero(segment_of == segment)
             start = int(segment) * self._size
             out[mine] = self._rows(int(segment), int(np.max(flat[mine])) + 1)[flat[mine] - start]

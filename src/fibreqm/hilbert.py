@@ -45,6 +45,7 @@ __all__ = [
     "matrix_exponential",
     "max_abs",
     "series_by_blocks",
+    "sorted_distinct",
     "stack_by_blocks",
     "time_blocks",
 ]
@@ -233,6 +234,16 @@ def is_broadcast(stack: np.ndarray) -> bool:
 def distinct_matrices(stack: np.ndarray) -> np.ndarray:
     """The matrices of a stack that can differ: of a broadcast, the first."""
     return stack[:1] if is_broadcast(stack) else stack
+
+
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values of an integer array, sorted: `np.unique(values)`, without
+    its masked-array test, which imports `numpy.ma` on its first call."""
+    ordered = np.sort(np.ravel(values))
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
 
 
 def broadcast_sampler(matrix: np.ndarray) -> Callable[[np.ndarray], Tuple[np.ndarray, ...]]:

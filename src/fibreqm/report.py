@@ -8,6 +8,12 @@ read back as that float.  `emit` streams the encoder's chunks into one byte
 buffer, a bounded batch at a time, so it holds no list of every chunk: the
 bytes are those of `json.dumps`, whose generator it runs, and its temporaries
 above the report are about the size of its output.
+
+A report holds each time series as a read-only float64 array, a quarter of
+the memory of a list of Python floats.  The records encoder turns one series
+into a list at a time, as it reaches it, and `to_dict` returns lists, so the
+stock `json.dumps` takes its output; the records and the CSV have the bytes
+of the floats' lists.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from itertools import islice
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -38,10 +46,17 @@ def _to_json(x: float):
     return x if math.isfinite(x) else str(x)
 
 
-def _to_json_series(values: List[float]) -> list:
-    # A non-finite value makes the sum non-finite; a finite series whose sum
-    # overflows takes the slow path and comes out unchanged.
-    return values if math.isfinite(sum(values)) else [_to_json(x) for x in values]
+def _series(values) -> np.ndarray:
+    """`values` as a new read-only float64 array."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def _to_json_series(values: np.ndarray) -> list:
+    """The series as a list of floats, each non-finite one as `_to_json` writes it."""
+    listed = values.tolist()
+    return listed if np.isfinite(values).all() else [_to_json(x) for x in listed]
 
 
 def _from_json(x):
@@ -76,8 +91,11 @@ class ScenarioReport:
     scenario: str
     records: List[CheckRecord]
     config_echo: dict
-    timeseries: Dict[str, List[float]] = field(default_factory=dict)
+    timeseries: Dict[str, np.ndarray] = field(default_factory=dict)
     timing_seconds: float = 0.0
+
+    def __post_init__(self):
+        self.timeseries = {key: _series(values) for key, values in self.timeseries.items()}
 
     @property
     def overall_pass(self) -> bool:
@@ -90,6 +108,10 @@ class ScenarioReport:
         raise KeyError(f"no record for check {check!r}")
 
     def to_dict(self, include_timing: bool = True) -> dict:
+        return self._as_dict(include_timing, _to_json_series)
+
+    def _as_dict(self, include_timing: bool, series: Callable[[np.ndarray], object]) -> dict:
+        """`to_dict`, with each time series passed through `series`."""
         d = {
             "kind": "scenario-report",
             "schema_version": SCHEMA_VERSION,
@@ -97,8 +119,7 @@ class ScenarioReport:
             "overall_pass": self.overall_pass,
             "records": [r.to_dict() for r in self.records],
             "config": self.config_echo,
-            "timeseries": {key: _to_json_series(values)
-                           for key, values in self.timeseries.items()},
+            "timeseries": {key: series(values) for key, values in self.timeseries.items()},
         }
         if include_timing:
             d["timing_seconds"] = self.timing_seconds
@@ -137,12 +158,16 @@ class SuiteReport:
         return [] if self.reports else ["suite is empty; overall pass is vacuous"]
 
     def to_dict(self, include_timing: bool = True) -> dict:
+        return self._as_dict(include_timing, _to_json_series)
+
+    def _as_dict(self, include_timing: bool, series: Callable[[np.ndarray], object]) -> dict:
+        """`to_dict`, with each time series passed through `series`."""
         d = {
             "kind": "suite-report",
             "schema_version": SCHEMA_VERSION,
             "overall_pass": self.overall_pass,
             "warnings": self.warnings,
-            "scenarios": [r.to_dict(include_timing) for r in self.reports],
+            "scenarios": [r._as_dict(include_timing, series) for r in self.reports],
         }
         if include_timing:
             d["timing_seconds"] = self.timing_seconds
@@ -210,12 +235,12 @@ def render_timeseries_csv(report) -> str:
     reports = report.reports if isinstance(report, SuiteReport) else [report]
     lines = ["scenario,time,quantity,value"]
     for rep in reports:
-        times = rep.timeseries.get("time", [])
+        # lists of Python floats, whose repr is the shortest round trip
+        times = rep.timeseries["time"].tolist() if "time" in rep.timeseries else []
         for quantity in sorted(rep.timeseries):
             if quantity == "time":
                 continue
-            values = rep.timeseries[quantity]
-            for t, v in zip(times, values):
+            for t, v in zip(times, rep.timeseries[quantity].tolist()):
                 lines.append(f"{rep.scenario},{t!r},{quantity},{v!r}")
     return "\n".join(lines) + "\n"
 
@@ -226,9 +251,11 @@ _CHUNK_BATCH = 4096
 
 def _records(report) -> bytes:
     """`json.dumps(report.to_dict(), sort_keys=True, indent=1, allow_nan=False) + "\\n"`,
-    encoded, from the same generator, batch by batch into one buffer."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=1, allow_nan=False).iterencode(
-        report.to_dict())
+    encoded, from the same generator, batch by batch into one buffer.  The series
+    stay arrays until the encoder reaches each, so one is a list at a time."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=1, allow_nan=False,
+                              default=_to_json_series).iterencode(
+        report._as_dict(True, lambda values: values))
     out = io.BytesIO()
     for batch in iter(lambda: list(islice(chunks, _CHUNK_BATCH)), []):
         out.write("".join(batch).encode())

@@ -41,6 +41,7 @@ from .hilbert import (
     _in_block_order,
     as_state,
     series_by_blocks,
+    sorted_distinct,
     stack_by_blocks,
     time_blocks,
 )
@@ -202,7 +203,7 @@ class EvolutionTransport:
                 out[k] = self.inverse_frames[j[k]] @ right
 
         segments = time_blocks(self.times.size, n)
-        _in_block_order(fill, [segments[s] for s in np.unique(i // segments[0].stop)])
+        _in_block_order(fill, [segments[s] for s in sorted_distinct(i // segments[0].stop)])
         return out.reshape(shape + (n, n))
 
     def matrix_by_index(self, j: int, i: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from fibreqm.hilbert import (
     is_hermitian,
     matrix_exponential,
     max_abs,
+    sorted_distinct,
     time_blocks,
 )
 from fibreqm.scenario import catalog_names, load_catalog_scenario
@@ -379,6 +380,16 @@ class TestTimeBlocks:
         assert len(time_blocks(200, 32)) == 7
         assert np.array_equal(matrix_exponential(batch),
                               hilbert._planned_exponential(batch, degree, squarings))
+
+
+class TestSortedDistinct:
+    @given(hnp.arrays(np.intp, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0),
+                      elements=st.integers(-50, 50)))
+    @settings(max_examples=100, deadline=None)
+    def test_it_is_np_unique(self, values):
+        out = sorted_distinct(values)
+        assert out.dtype == values.dtype
+        assert np.array_equal(out, np.unique(values))
 
 
 class TestFormedInOrder:

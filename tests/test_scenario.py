@@ -3,8 +3,12 @@ import dataclasses
 import functools
 import inspect
 import json
+import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -51,6 +55,7 @@ from fibreqm.pictures import PictureTransform
 from fibreqm.report import (
     CheckRecord,
     ScenarioReport,
+    SuiteReport,
     emit,
     report_from_dict,
     suite_from_dict,
@@ -80,6 +85,15 @@ MINIMAL = {
 
 
 NAN, INF = float("nan"), float("inf")
+
+
+def same_timeseries(a: dict, b: dict) -> bool:
+    """Whether two reports' timeseries, each name -> a float64 array, have the same names
+    and the same values, a NaN matching a NaN."""
+    return a.keys() == b.keys() and all(np.array_equal(a[key], b[key], equal_nan=True)
+                                        for key in a)
+
+
 NAN_MATRIX = [[[NAN, 0], [0, 0]], [[0, 0], [1, 0]]]
 
 # Malformed config values: each must raise a ConfigError that names its field,
@@ -689,15 +703,16 @@ class TestSweep:
         assert readers == {
             "conventional_rows": ["conventional_t0", "density_conventional", "transport_t0"],
             "conventional_t0": ["density_conventional", "transport_t0"],
-            "transport_t0": ["density_transported", "heisenberg_values", "integral_deviations",
-                             "picture_invariance", "transported_section"],
-            "lifted_observables": ["hermiticity_correspondence", "mean_value_invariance",
-                                   "picture_invariance"],
+            "transport_t0": ["density_transported", "heisenberg_means", "heisenberg_values",
+                             "integral_deviations", "transported_section"],
+            "lifted_observables": ["heisenberg_means", "hermiticity_correspondence",
+                                   "mean_value_invariance", "picture_invariance"],
             "density_transported": ["density_consistency", "density_purity",
                                     "fibre_trace_preservation"],
             "density_conventional": ["density_consistency"],
             "transported_section": ["heisenberg_values", "picture_invariance"],
-            "heisenberg_values": ["heisenberg_constancy", "picture_invariance"],
+            "heisenberg_values": ["heisenberg_constancy", "heisenberg_means"],
+            "heisenberg_means": ["picture_invariance"],
             "integral_deviations": ["integrals_of_motion"],
             "frames": ["density_consistency", "hermiticity_correspondence", "integral_deviations",
                        "inverse_frames", "lifted_observables", "mean_value_invariance",
@@ -723,21 +738,30 @@ class TestSweep:
 
     @staticmethod
     def recording_block_nodes(monkeypatch, names) -> dict:
-        """Block node -> a weak reference to an array its latest build holds, for each of
-        `names`, whose builds are wrapped to record it."""
+        """Block node -> (the start of its latest build's block, a weak reference to an
+        array that build holds), for each of `names`, whose builds are wrapped to record
+        it."""
         refs = {}
 
         def recording(part, *reads, name, build):
             node = build(part, *reads)
             held = (next(iter(node.values())) if isinstance(node, dict)
                     else node[0] if isinstance(node, tuple) else node)
-            refs[name] = weakref.ref(held)
+            refs[name] = part.start, weakref.ref(held)
             return node
 
         for name in names:
             monkeypatch.setitem(_NODES, name, functools.partial(recording, name=name,
                                                                 build=_NODES[name]))
         return refs
+
+    @staticmethod
+    def alive_in(refs: dict, part: slice) -> list:
+        """The recorded block nodes of the block `part` that are alive.  A node of an
+        earlier block can be too, through a view its block's output keeps: the series
+        of a check's block is the real part of a complex array."""
+        return sorted(name for name, (start, ref) in refs.items()
+                      if start == part.start and ref() is not None)
 
     def test_a_block_node_is_dropped_after_its_last_reader_in_its_block(self, monkeypatch,
                                                                         two_block_gauge):
@@ -756,12 +780,12 @@ class TestSweep:
         deviations = _NODES["integral_deviations"]
 
         def probe(part, *reads):
-            alive.append(sorted(name for name, ref in refs.items() if ref() is not None))
+            alive.append(self.alive_in(refs, part))
             return deviations(part, *reads)
 
         monkeypatch.setitem(_NODES, "integral_deviations", probe)
         assert run_scenario(cfg).overall_pass
-        assert len(refs) == 11
+        assert len(refs) == 12
         slices = len(time_blocks(cfg.times.size, cfg.dimension))  # four slices
         # its own reads, and the lifted states that state_equivalence built for
         # mean_value_invariance; the conventional rows, their inverses and both
@@ -777,7 +801,7 @@ class TestSweep:
         # each of its calls
 
         def probe(part, *reads):
-            alive.append(sorted(name for name, ref in refs.items() if ref() is not None))
+            alive.append(self.alive_in(refs, part))
             return check(part, *reads)
 
         monkeypatch.setitem(_CHECK_TABLE, "picture_invariance", probe)
@@ -785,14 +809,40 @@ class TestSweep:
         assert set(refs) == checks_module._BLOCK_NODES
         # the block nodes it reads, and no conventional rows or their inverses, no
         # density, no inverse frames and no lifted states: their last readers in the
-        # block have run.  The transport criterion's per-time deviations are alive too,
-        # as integrals_of_motion's output on the block, which every check's output is
-        # until the blocks are folded.
+        # block have run.  No t0 rows either: their last reader is the Heisenberg
+        # means' build, and they go between the check's reads and its call.  The
+        # Heisenberg states are alive for heisenberg_constancy, which runs after it,
+        # and the transport criterion's per-time deviations as integrals_of_motion's
+        # output on the block, which every check's output is until the blocks are
+        # folded.
         reads = sorted(set(checks_module._READS["picture_invariance"])
                        & checks_module._BLOCK_NODES)
-        assert reads == ["frames", "heisenberg_values", "lifted_observables", "transport_t0",
+        assert reads == ["frames", "heisenberg_means", "lifted_observables",
                          "transported_section"]
-        assert alive == [sorted(reads + ["integral_deviations"])] * len(
+        assert alive == [sorted(reads + ["heisenberg_values", "integral_deviations"])] * len(
+            time_blocks(cfg.times.size, cfg.dimension))
+
+    def test_density_consistency_runs_without_the_conventional_rows(self, monkeypatch,
+                                                                    two_block_gauge):
+        # The slice's conventional rows and their inverses feed only the two densities
+        # that density_consistency reads, so they go between its reads and its call,
+        # before it forms its lift of the conventional density.
+        cfg = two_block_gauge
+        monkeypatch.setattr(hilbert_module, "_WORKERS", 1)  # one block in flight
+        refs = self.recording_block_nodes(monkeypatch, checks_module._BLOCK_NODES)
+        alive, check = [], _CHECK_TABLE["density_consistency"]  # at each of its calls
+
+        def probe(part, *reads):
+            alive.append(self.alive_in(refs, part))
+            return check(part, *reads)
+
+        monkeypatch.setitem(_CHECK_TABLE, "density_consistency", probe)
+        assert run_scenario(cfg).overall_pass
+        # its reads; the t0 rows, which density_purity, the transport criterion and
+        # the Heisenberg nodes read later; and the lifted states, which
+        # mean_value_invariance reads later
+        assert alive == [["density_conventional", "density_transported", "frames",
+                          "inverse_frames", "lifted", "transport_t0"]] * len(
             time_blocks(cfg.times.size, cfg.dimension))
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -811,7 +861,7 @@ class TestSweep:
         assert [r.check for r in backward.records] == cfg.checks[::-1]
         assert ({r.check: r.to_dict() for r in backward.records}
                 == {r.check: r.to_dict() for r in forward.records})
-        assert backward.timeseries == forward.timeseries
+        assert same_timeseries(backward.timeseries, forward.timeseries)
 
     @staticmethod
     def assert_fails_alone(clean, report, failed, detail, series):
@@ -821,7 +871,8 @@ class TestSweep:
             CheckRecord(r.check, float("inf"), r.tolerance, False, None, detail).to_dict()
             if r.check in failed else r.to_dict() for r in clean.records]
         assert set(clean.timeseries) - set(report.timeseries) == series
-        assert all(report.timeseries[key] == clean.timeseries[key] for key in report.timeseries)
+        assert same_timeseries(report.timeseries,
+                               {key: clean.timeseries[key] for key in report.timeseries})
 
     def test_a_check_that_raises_in_one_block_fails_alone(self, monkeypatch, two_block_gauge):
         cfg = two_block_gauge
@@ -1437,9 +1488,10 @@ class TestArtifactNodes:
         # a block node's first parameter is its time block, and no other node has one
         block_nodes = {name for name in _NODES if params[name][:1] == ["part"]}
         assert block_nodes == checks_module._BLOCK_NODES == {
-            "conventional_rows", "conventional_t0", "transport_t0", "lifted_observables", "density_transported",
-            "density_conventional", "transported_section", "heisenberg_values",
-            "integral_deviations", "frames", "inverse_frames", "lifted"}
+            "conventional_rows", "conventional_t0", "transport_t0", "lifted_observables",
+            "density_transported", "density_conventional", "transported_section",
+            "heisenberg_values", "heisenberg_means", "integral_deviations", "frames",
+            "inverse_frames", "lifted"}
         assert all(len(reads[name]) == len(params[name]) - (name in block_nodes)
                    for name in _NODES)
         unknown = {key: sorted(set(names) - seeds - set(_NODES)) for key, names in reads.items()}
@@ -1692,17 +1744,21 @@ class TestArtifactNodes:
         one_stack = cfg.times.size * 32 * 32 * np.dtype(complex).itemsize
         block = hilbert_module._BLOCK_BYTES
         # At the default worker count, with one slice's blocks in flight per worker,
-        # the peak is 0.88 stack measured at most (14.4 MB, on a process's first run;
-        # 12.5-13.1 MB after): no stack of the frames is held, only l(t0), so it is
-        # the conventional checkpoints, vectors of N states and two slices' block
-        # nodes and temporaries in the sweep.  Each slice runs its density checks
+        # the peak is 0.73 stack measured at most (0.72-0.73, 11.8-11.9 MB, on a
+        # process's first run and after): no stack of the frames is held, only l(t0),
+        # so it is the conventional checkpoints, vectors of N states and two slices'
+        # block nodes and temporaries in the sweep.  Each slice runs its density checks
         # before the readers of the lifted observables, so picture_invariance runs
-        # beside its own block nodes alone; beside the slice's conventional rows,
-        # their inverses and the frames' inverses it peaked at 0.92-0.99 stack.  The
-        # bound adds one block (0.06 stack).  The count is capped at two, so this
-        # holds on a host of any core count.
+        # beside its own block nodes alone, and a block node that only fed a check's
+        # reads goes before its call: the t0 rows before picture_invariance samples
+        # its random picture, the conventional rows and their inverses before
+        # density_consistency forms its lift.  With the t0 rows alive at those calls,
+        # and the series held as lists of floats, it peaked at 0.77-0.84 stack, and
+        # beside the slice's conventional rows, their inverses and the frames'
+        # inverses at 0.92-0.99 stack.  The bound adds one block (0.06 stack).  The
+        # count is capped at two, so this holds on a host of any core count.
         assert 1 <= hilbert_module._WORKERS <= 2
-        peak_bound = 0.88 * one_stack + block
+        peak_bound = 0.73 * one_stack + block
         tracemalloc.start()
         try:
             assert run_scenario(cfg).overall_pass
@@ -1768,8 +1824,8 @@ class TestArtifactNodes:
         # random-unitary-gauge at n = 32 and N = 1000 and 3000, at the default worker
         # count: no stack of the frames is held, so what grows with N is below a
         # stack (the checkpoints, the vectors of N states and the series), and the
-        # peak in stacks falls as N grows (0.84-0.88 and 0.37 measured, 13.7-14.4 and
-        # 18.0-18.2 MB, on a process's first run)
+        # peak in stacks falls as N grows (0.72-0.73 and 0.33 measured, 11.8-11.9 and
+        # 16.2 MB, on a process's first run)
         root = resources.files("fibreqm") / "catalog"
         in_stacks = []
         for steps in (1000, 3000):
@@ -2315,6 +2371,81 @@ class TestEmission:
         }[case]
         assert emit(report, "records") == self.dumped(report)
 
+    @staticmethod
+    def listed(report, fmt: str) -> bytes:
+        """`emit(report, fmt)` as a report that held each series as a list of Python
+        floats wrote it, the reference of a report that holds float64 arrays.  The
+        table reads no series: its reference is the table of the records read back."""
+        suite = isinstance(report, SuiteReport)
+        reports = report.reports if suite else [report]
+        if fmt == "records":
+            payload = report.to_dict()
+            for rep, written in zip(reports, payload["scenarios"] if suite else [payload]):
+                listed = {key: values.tolist() for key, values in rep.timeseries.items()}
+                # a non-finite value makes the sum non-finite; a finite series whose
+                # sum overflows comes out unchanged
+                written["timeseries"] = {
+                    key: values if math.isfinite(sum(values))
+                    else [x if math.isfinite(x) else str(x) for x in values]
+                    for key, values in listed.items()}
+            return (json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+                    + "\n").encode()
+        if fmt == "timeseries":
+            lines = ["scenario,time,quantity,value"]
+            for rep in reports:
+                listed = {key: values.tolist() for key, values in rep.timeseries.items()}
+                for quantity in sorted(listed):
+                    if quantity != "time":
+                        lines += [f"{rep.scenario},{t!r},{quantity},{v!r}"
+                                  for t, v in zip(listed.get("time", []), listed[quantity])]
+            return ("\n".join(lines) + "\n").encode()
+        loaded = json.loads(emit(report, "records"))
+        return emit(suite_from_dict(loaded) if suite else report_from_dict(loaded), fmt)
+
+    @staticmethod
+    def emission_case(catalog_suite, case):
+        suite = catalog_suite[0]
+        return {
+            "catalog-suite": suite,
+            "scenario": suite.reports[0],
+            "non-finite-series": ScenarioReport(
+                "non-finite", [CheckRecord("norm_drift", 0.25, 1e-6, False, 0.5)],
+                {"name": "non-finite"},
+                {"time": [0.0, 0.5, 1.0], "norm_sq": [1.0, NAN, 1.0],
+                 "density_residual": [0.0, INF, -INF]}),
+            "overflowing-sum": ScenarioReport(
+                "overflowing-sum", [CheckRecord("norm_drift", 0.25, 1e-6, False, 0.5)],
+                {"name": "overflowing-sum"},
+                {"time": [0.0, 0.5, 1.0], "norm_sq": [1e308, 1e308, -1e308]}),
+        }[case]
+
+    @pytest.mark.parametrize("fmt", ["records", "table", "timeseries"])
+    @pytest.mark.parametrize("case", ["catalog-suite", "scenario", "non-finite-series",
+                                      "overflowing-sum"])
+    def test_series_held_as_arrays_emit_the_bytes_of_lists(self, catalog_suite, case, fmt):
+        report = self.emission_case(catalog_suite, case)
+        reports = report.reports if isinstance(report, SuiteReport) else [report]
+        assert all(isinstance(values, np.ndarray) and values.dtype == np.float64
+                   and not values.flags.writeable
+                   for rep in reports for values in rep.timeseries.values())
+        assert emit(report, fmt) == self.listed(report, fmt)
+
+    @pytest.mark.parametrize("case", ["catalog-suite", "scenario", "non-finite-series",
+                                      "overflowing-sum"])
+    def test_records_read_back_as_float64_arrays(self, catalog_suite, case):
+        report = self.emission_case(catalog_suite, case)
+        blob = emit(report, "records")
+        payload = json.loads(blob)
+        loaded = (suite_from_dict(payload) if isinstance(report, SuiteReport)
+                  else report_from_dict(payload))
+        pairs = (zip(report.reports, loaded.reports) if isinstance(report, SuiteReport)
+                 else [(report, loaded)])
+        for rep, back in pairs:
+            assert all(isinstance(values, np.ndarray) and values.dtype == np.float64
+                       and not values.flags.writeable for values in back.timeseries.values())
+            assert same_timeseries(back.timeseries, rep.timeseries)
+        assert emit(loaded, "records") == blob
+
     @pytest.mark.parametrize("batch", [1, 7])
     def test_records_do_not_depend_on_the_encoder_batch(self, catalog_suite, monkeypatch,
                                                         batch):
@@ -2339,13 +2470,16 @@ class TestEmission:
 
     def test_the_catalog_records_pass_peaks_below_its_bound(self):
         # `run_configs` and `emit` on the catalog at its shipped seeds, the path of
-        # `fibreqm suite catalog --format records`: 11.3-11.4 MB measured on a
-        # process's first pass and 10.3-10.6 MB after, set in the sweep of
+        # `fibreqm suite catalog --format records`: 8.0-8.6 MB measured, on a
+        # process's first pass and after, set in the sweep of
         # nonunitary-constant-gauge (n = 8, N = 1000, two slices in flight); the
         # records add 1.28 times their 2.6 MB beside the held report.  The bound adds
-        # 1.1 MB, about that scenario's (N, n, n) stack (1.03 MB).  A pass that lists
-        # the records' chunks whole, or runs picture_invariance beside its slice's
-        # conventional rows and densities, peaks at 15.3-16.3 MB.
+        # 1.0 MB, about that scenario's (N, n, n) stack (1.03 MB).  A pass that holds
+        # the series as lists of floats, imports numpy.ma, and samples
+        # picture_invariance's random picture beside the slice's t0 rows peaks at
+        # 9.8-11.3 MB; one that lists the records' chunks whole, or runs
+        # picture_invariance beside its slice's conventional rows and densities, at
+        # 15.3-16.3 MB.
         configs = [load_catalog_scenario(name) for name, _ in catalog_names()]
         tracemalloc.start()
         try:
@@ -2353,7 +2487,23 @@ class TestEmission:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 12.5e6
+        assert peak <= 9.6e6
+
+    def test_the_catalog_records_pass_imports_no_numpy_ma(self):
+        # numpy's `np.unique` without a `return_*` imports numpy.ma on its first call,
+        # about 1.1 MB that a process keeps; the engine takes `sorted_distinct`
+        code = ("import sys\n"
+                "from fibreqm.report import emit\n"
+                "from fibreqm.scenario import load_catalog\n"
+                "from fibreqm.suite import run_configs\n"
+                "assert 'numpy.ma' not in sys.modules\n"
+                "emit(run_configs(load_catalog()), 'records')\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(pathlib.Path(checks_module.__file__).resolve().parents[1])
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 class TestCli:
@@ -2563,6 +2713,41 @@ class TestDiff:
             f"{first.scenario} {first.records[0].check}: residual {old!r} -> {3 * old!r} "
             f"(abs {2 * old:.3e}, rel 2.000e+00)\n"
             + self.summary(total, moved=1, largest=2 * old))
+
+    def test_a_residual_from_a_failed_record_moves_by_inf(self, saved, catalog_suite, capsys):
+        # the old side's record failed, with residual inf: the move is inf, absolute and
+        # relative, not inf / inf
+        first = catalog_suite[0].reports[0]
+        record = first.records[0]
+
+        def fail(records):
+            records[0].update(max_residual="inf", passed=False)
+
+        failed = self.edited(saved, fail)
+        assert cli_main(["diff", str(failed), str(saved)]) == 1
+        total = sum(len(rep.records) for rep in catalog_suite[0].reports)
+        assert capsys.readouterr().out == (
+            f"{first.scenario} {record.check}: verdict FAIL -> pass\n"
+            f"{first.scenario} {record.check}: residual inf -> {record.max_residual!r} "
+            f"(abs inf, rel inf)\n"
+            + self.summary(total, flips=1, moved=1, largest=INF))
+
+    def test_a_nan_move_is_the_largest_move(self, saved, catalog_suite, capsys):
+        first = catalog_suite[0].reports[0]
+        old = [record.max_residual for record in first.records[:2]]
+
+        def move(records):
+            records[0]["max_residual"] = "nan"
+            records[1]["max_residual"] = 3 * old[1]
+
+        assert cli_main(["diff", str(saved), str(self.edited(saved, move))]) == 0
+        total = sum(len(rep.records) for rep in catalog_suite[0].reports)
+        assert capsys.readouterr().out == (
+            f"{first.scenario} {first.records[0].check}: residual {old[0]!r} -> nan "
+            f"(abs nan, rel nan)\n"
+            f"{first.scenario} {first.records[1].check}: residual {old[1]!r} -> {3 * old[1]!r} "
+            f"(abs {2 * old[1]:.3e}, rel 2.000e+00)\n"
+            + self.summary(total, moved=2, largest=NAN))
 
     def test_a_flipped_verdict_fails(self, saved, catalog_suite, capsys):
         first = catalog_suite[0].reports[0]
